@@ -417,9 +417,7 @@ impl Host {
             if self.idle_work_available() {
                 if let Some(idle) = self.idle_thread {
                     if matches!(self.exec.get(&idle), Some(ProcExec::Blocked(_))) {
-                        for w in self.sched.wakeup(super::WC_IDLE_THREAD) {
-                            self.unblock(w);
-                        }
+                        self.wake_channel(super::WC_IDLE_THREAD);
                         continue;
                     }
                 }

@@ -1,0 +1,183 @@
+//! The host's incrementally maintained indexes, each with the one place
+//! that mutates it, and the brute-force check that they are exact.
+//!
+//! The event loop asks the host a few questions after *every* event —
+//! when is the next kernel timer, which sockets have frames waiting, who
+//! sleeps on this channel. Answering by walking the socket or process
+//! table makes every event cost O(live sockets); the indexes here answer
+//! from state kept current where it changes. They alter how the host
+//! *finds* the next socket, never which one it finds: every walk that
+//! replaced a table scan visits in ascending `SockId`, the order the scan
+//! had.
+
+use super::Host;
+use crate::syscall::SockProto;
+use lrp_demux::ChannelId;
+use lrp_sched::WaitChannel;
+use lrp_sim::SimTime;
+use lrp_stack::tcp::TcpConn;
+use lrp_stack::SockId;
+use std::collections::BTreeSet;
+
+/// Cursor over a socket set, for walks whose body needs `&mut Host`: the
+/// next member at or after `*from`, advancing `from` past it.
+pub(crate) fn next_sock(set: &BTreeSet<SockId>, from: &mut SockId) -> Option<SockId> {
+    let sock = *set.range(*from..).next()?;
+    *from = SockId(sock.0 + 1);
+    Some(sock)
+}
+
+impl Host {
+    /// A frame was just queued on `chan`: on the empty→non-empty edge its
+    /// socket joins the ready set. Called at both enqueue sites (the NI
+    /// firmware path in `on_frame_span`, the host handler in
+    /// `soft_demux_deliver`).
+    pub(crate) fn note_chan_enqueue(&mut self, chan: ChannelId) {
+        if self.nic.channel(chan).depth() == 1 {
+            if let Some(&sock) = self.chan_to_sock.get(&chan) {
+                self.ready_socks.insert(sock);
+            }
+        }
+    }
+
+    /// `chan` was just drained or is about to be destroyed: its socket
+    /// leaves the ready set.
+    pub(crate) fn note_chan_empty(&mut self, chan: ChannelId) {
+        if let Some(sock) = self.chan_to_sock.get(&chan) {
+            self.ready_socks.remove(sock);
+        }
+    }
+
+    /// Runs `f` on `sock`'s connection and re-files the socket under
+    /// whatever deadline the connection has afterwards. Every mutation of
+    /// a live `TcpConn` goes through here — that is what keeps
+    /// `tcp_deadlines` exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the socket is gone or has no connection.
+    pub(crate) fn with_conn<R>(&mut self, sock: SockId, f: impl FnOnce(&mut TcpConn) -> R) -> R {
+        let conn = self.sock_mut(sock).tcp.as_mut().expect("tcp socket");
+        let old = conn.next_deadline();
+        let r = f(conn);
+        let new = conn.next_deadline();
+        self.rekey_deadline(sock, old, new);
+        r
+    }
+
+    /// Gives `sock` its connection, or takes it away without a protocol
+    /// goodbye (`None`).
+    pub(crate) fn set_conn(&mut self, sock: SockId, conn: Option<TcpConn>) {
+        let new = conn.as_ref().and_then(|c| c.next_deadline());
+        let was = std::mem::replace(&mut self.sock_mut(sock).tcp, conn.map(Box::new));
+        let old = was.as_ref().and_then(|c| c.next_deadline());
+        self.rekey_deadline(sock, old, new);
+    }
+
+    /// Moves `sock`'s entry in the deadline index from `old` to `new`.
+    pub(crate) fn rekey_deadline(
+        &mut self,
+        sock: SockId,
+        old: Option<SimTime>,
+        new: Option<SimTime>,
+    ) {
+        if old != new {
+            if let Some(t) = old {
+                self.tcp_deadlines.remove(&(t, sock));
+            }
+            if let Some(t) = new {
+                self.tcp_deadlines.insert((t, sock));
+            }
+        }
+    }
+
+    /// Takes the next socket with due TCP timer work.
+    pub(crate) fn pop_timer_work(&mut self) -> Option<SockId> {
+        let sock = self.tcp_timer_work.pop_front()?;
+        self.sock_mut(sock).timer_queued = false;
+        Some(sock)
+    }
+
+    /// Wakes every process sleeping on `wchan` and resumes its blocked
+    /// continuation.
+    pub(crate) fn wake_channel(&mut self, wchan: WaitChannel) {
+        let mut woken = std::mem::take(&mut self.woken_scratch);
+        self.sched.wakeup_into(wchan, &mut woken);
+        for pid in woken.drain(..) {
+            self.unblock(pid);
+        }
+        self.woken_scratch = woken;
+    }
+
+    /// Recomputes every index by brute force and compares it with the
+    /// maintained one; `Err` names the first divergence. The table scans
+    /// the indexes replaced live on only here: [`World::run_until`] runs
+    /// this every few hundred events under `debug_assertions`, and the
+    /// chaos tests call it right after crash, reboot and listener-close
+    /// steps.
+    ///
+    /// [`World::run_until`]: crate::world::World::run_until
+    pub fn check_indexes(&self) -> Result<(), String> {
+        let mut deadlines = Vec::new();
+        let mut ready = Vec::new();
+        let mut dgram = Vec::new();
+        let mut queued = Vec::new();
+        for s in self.live_sockets() {
+            let deadline = s.tcp.as_ref().and_then(|c| c.next_deadline());
+            deadlines.extend(deadline.map(|t| (t, s.id)));
+            let chan = s.chan.filter(|&c| self.nic.channel_exists(c));
+            if chan.is_some_and(|c| !self.nic.channel(c).is_empty()) {
+                ready.push(s.id);
+            }
+            if s.proto != SockProto::Tcp {
+                dgram.push(s.id);
+            }
+            if s.timer_queued {
+                queued.push(s.id);
+            }
+            // Every TCP channel is armed unless its interrupt fired and
+            // the re-arm is pending (only the NI firmware ever clears it).
+            if let Some(c) = chan {
+                if s.proto == SockProto::Tcp
+                    && self.app_thread.is_some()
+                    && !self.nic.channel(c).intr_requested
+                    && !self.rearm_socks.contains(&s.id)
+                {
+                    return Err(format!(
+                        "{:?}: TCP channel disarmed, no re-arm pending",
+                        s.id
+                    ));
+                }
+            }
+        }
+        deadlines.sort_unstable();
+        if !self.tcp_deadlines.iter().eq(&deadlines) {
+            return Err(format!(
+                "deadline index {:?}, sockets say {deadlines:?}",
+                self.tcp_deadlines
+            ));
+        }
+        if !self.ready_socks.iter().eq(&ready) {
+            return Err(format!(
+                "ready set {:?}, non-empty channels {ready:?}",
+                self.ready_socks
+            ));
+        }
+        if !self.dgram_socks.iter().eq(&dgram) {
+            return Err(format!(
+                "datagram set {:?}, live datagram sockets {dgram:?}",
+                self.dgram_socks
+            ));
+        }
+        let mut work: Vec<SockId> = self.tcp_timer_work.iter().copied().collect();
+        work.sort_unstable();
+        if work != queued {
+            return Err(format!(
+                "timer work queue {work:?}, flagged sockets {queued:?}"
+            ));
+        }
+        self.sched
+            .check_sleeper_index()
+            .map_err(|e| format!("sleeper index: {e}"))
+    }
+}

@@ -34,6 +34,7 @@
 //! bit-for-bit.
 
 mod cpu;
+mod index;
 mod proto;
 mod rx;
 mod syscalls;
@@ -49,7 +50,7 @@ use lrp_stack::sockbuf::DatagramQueue;
 use lrp_stack::tcp::{TcpConn, TcpListener, TcpStats};
 use lrp_stack::{PcbTable, Reassembler, SockId};
 use lrp_wire::{Endpoint, Frame, Ipv4Addr};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Where a packet was dropped — the paper's instrumentation distinguishes
 /// exactly these points to explain each architecture's overload behaviour.
@@ -179,8 +180,13 @@ pub(crate) struct Socket {
     /// UDP receive queue: the socket queue (BSD/ED) or the processed-
     /// and-ready queue (LRP).
     pub rcvq: DatagramQueue,
-    /// TCP connection state.
-    pub tcp: Option<TcpConn>,
+    /// TCP connection state. Mutated only through [`Host::with_conn`] and
+    /// [`Host::set_conn`], which keep the host's deadline index in step.
+    /// Boxed so the socket table's slots — dead ones included — do not
+    /// each carry half a kilobyte of connection.
+    pub tcp: Option<Box<TcpConn>>,
+    /// This socket is queued in `Host::tcp_timer_work` (at most once).
+    pub timer_queued: bool,
     /// Listening state.
     pub listener: Option<TcpListener>,
     /// Completed connections awaiting accept (socket ids).
@@ -399,7 +405,27 @@ pub struct Host {
     /// (capacity persists across interrupts; contents are always drained).
     pub(crate) rx_scratch: Vec<Frame>,
     /// Due TCP timer work (socket ids), processed in protocol context.
+    /// Membership is mirrored in `Socket::timer_queued`.
     pub(crate) tcp_timer_work: VecDeque<SockId>,
+    /// TCP deadline index: `(tcp.next_deadline(), id)` for every live
+    /// socket whose connection has a timer armed. Re-keyed wherever a
+    /// `TcpConn` is mutated, installed or dropped, so finding the next
+    /// timer never folds over the socket table.
+    pub(crate) tcp_deadlines: BTreeSet<(SimTime, SockId)>,
+    /// Ready-channel set: sockets whose NI channel exists and holds
+    /// frames. Maintained at channel enqueue, dequeue and destroy; the
+    /// LRP threads and the NI interrupt handler iterate it in ascending
+    /// `SockId` — the order the socket-table scans they replace visited.
+    pub(crate) ready_socks: BTreeSet<SockId>,
+    /// Live datagram (UDP and raw ICMP) sockets: whom a fragment arrival
+    /// may have to wake.
+    pub(crate) dgram_socks: BTreeSet<SockId>,
+    /// NI-LRP: TCP sockets whose channel's demand interrupt has fired (the
+    /// flag auto-clears on delivery) and awaits re-arming when the APP
+    /// thread next sleeps.
+    pub(crate) rearm_socks: Vec<SockId>,
+    /// Reusable buffer for the pids a wakeup returns (always drained).
+    pub(crate) woken_scratch: Vec<Pid>,
     /// Early-Demux: channels with frames awaiting softirq processing.
     pub(crate) ed_pending: VecDeque<SockId>,
     /// Timed sleeps.
@@ -426,7 +452,7 @@ pub struct Host {
     pub(crate) pending_charge: Option<Pid>,
     /// Index of live sockets (the `sockets` Vec keeps dead slots; scans
     /// must stay proportional to *live* sockets, not history).
-    pub(crate) live_socks: std::collections::BTreeSet<SockId>,
+    pub(crate) live_socks: BTreeSet<SockId>,
     /// Channel → socket index (replaces linear scans per packet).
     pub(crate) chan_to_sock: FastHashMap<lrp_demux::ChannelId, SockId>,
     /// Telemetry state (no-op unless `cfg.telemetry`).
@@ -469,6 +495,12 @@ pub(crate) struct RestartSpec {
     nice: i8,
     working_set: usize,
     factory: Box<dyn Fn() -> Box<dyn AppLogic>>,
+}
+
+/// Removes and returns the earliest entry of a deadline map if it is due.
+fn pop_due<V>(map: &mut BTreeMap<SimTime, V>, now: SimTime) -> Option<V> {
+    let first = map.first_entry()?;
+    (*first.key() <= now).then(|| first.remove())
 }
 
 impl Host {
@@ -517,6 +549,11 @@ impl Host {
             ip_queue: VecDeque::new(),
             rx_scratch: Vec::new(),
             tcp_timer_work: VecDeque::new(),
+            tcp_deadlines: BTreeSet::new(),
+            ready_socks: BTreeSet::new(),
+            dgram_socks: BTreeSet::new(),
+            rearm_socks: Vec::new(),
+            woken_scratch: Vec::new(),
             ed_pending: VecDeque::new(),
             sleep_until: BTreeMap::new(),
             app_thread: None,
@@ -531,7 +568,7 @@ impl Host {
             ticks: 0,
             next_reasm_sweep: SimTime::from_secs(1),
             pending_charge: None,
-            live_socks: std::collections::BTreeSet::new(),
+            live_socks: BTreeSet::new(),
             chan_to_sock: FastHashMap::default(),
             tele: crate::telemetry::Telemetry::new(cfg.telemetry),
             recv_deadlines: BTreeMap::new(),
@@ -697,9 +734,7 @@ impl Host {
                 self.sock_mut(sock).chan = None;
             }
             if self.sock(sock).tcp.is_some() {
-                let mut conn = self.sock_mut(sock).tcp.take().expect("checked");
-                let actions = conn.abort();
-                self.sock_mut(sock).tcp = Some(conn);
+                let actions = self.with_conn(sock, |conn| conn.abort());
                 // The Closed event tears the socket down and frees it
                 // (closed_by_app is set).
                 let _ = self.apply_tcp_actions(now, sock, actions);
@@ -785,6 +820,7 @@ impl Host {
         }
         self.reasm = Reassembler::new(16, SimDuration::from_secs(30));
         self.tcp_timer_work.clear();
+        self.rearm_socks.clear();
         self.ed_pending.clear();
         self.sleep_until.clear();
         self.recv_deadlines.clear();
@@ -898,17 +934,15 @@ impl Host {
                 (None, b) => b,
             };
         };
-        for s in self.live_sockets() {
-            // A socket whose timer work is already queued must not keep
-            // re-arming the world's timer event (its deadline stays in the
-            // past until the protocol context runs the work).
-            if self.tcp_timer_work.contains(&s.id) {
-                continue;
-            }
-            if let Some(tcp) = &s.tcp {
-                fold(tcp.next_deadline());
-            }
-        }
+        // A socket whose timer work is already queued must not keep
+        // re-arming the world's timer event (its deadline stays in the
+        // past until the protocol context runs the work).
+        fold(
+            self.tcp_deadlines
+                .iter()
+                .find(|(_, id)| !self.sock(*id).timer_queued)
+                .map(|(t, _)| *t),
+        );
         fold(self.sleep_until.keys().next().copied());
         fold(self.recv_deadlines.keys().next().copied());
         fold(self.restart_at.keys().next().copied());
@@ -996,6 +1030,9 @@ impl Host {
         let id = SockId(self.sockets.len() as u32);
         let limit = self.cfg.sockbuf_limit;
         self.live_socks.insert(id);
+        if proto != SockProto::Tcp {
+            self.dgram_socks.insert(id);
+        }
         self.sockets.push(Some(Socket {
             id,
             owner,
@@ -1005,6 +1042,7 @@ impl Host {
             chan: None,
             rcvq: DatagramQueue::new(limit),
             tcp: None,
+            timer_queued: false,
             listener: None,
             accept_q: VecDeque::new(),
             parent: None,
@@ -1196,30 +1234,23 @@ impl Host {
             self.complete_boot(now);
         }
         // Timed sleeps.
-        let due: Vec<SimTime> = self.sleep_until.range(..=now).map(|(t, _)| *t).collect();
-        for t in due {
-            if let Some(pids) = self.sleep_until.remove(&t) {
-                for pid in pids {
-                    let wc = WaitChannel(0xFFFF_0000 + pid.0 as u64);
-                    for w in self.sched.wakeup(wc) {
-                        self.unblock(w);
-                    }
-                }
+        while let Some(pids) = pop_due(&mut self.sleep_until, now) {
+            for pid in pids {
+                self.wake_channel(WaitChannel(0xFFFF_0000 + pid.0 as u64));
             }
         }
-        // TCP timers: queue protocol work for due connections.
-        let mut due_socks = Vec::new();
-        for s in self.live_sockets() {
-            if let Some(tcp) = &s.tcp {
-                if tcp.next_deadline().is_some_and(|d| d <= now) {
-                    due_socks.push(s.id);
-                }
-            }
-        }
-        for id in due_socks {
-            if !self.tcp_timer_work.contains(&id) {
+        // TCP timers: queue protocol work for due connections. The index
+        // yields them by deadline; the batch is queued in socket order.
+        let queued = self.tcp_timer_work.len();
+        for &(_, id) in self.tcp_deadlines.range(..=(now, SockId(u32::MAX))) {
+            let s = self.sockets[id.0 as usize].as_mut().expect("live socket");
+            if !s.timer_queued {
+                s.timer_queued = true;
                 self.tcp_timer_work.push_back(id);
             }
+        }
+        if self.tcp_timer_work.len() > queued + 1 {
+            self.tcp_timer_work.make_contiguous()[queued..].sort_unstable();
         }
         if !self.tcp_timer_work.is_empty() && self.cfg.arch.is_lrp() {
             self.wake_app_thread();
@@ -1242,38 +1273,32 @@ impl Host {
         // Receive timeouts: fire only if the armed deadline is still
         // current (seq token) and the process is still blocked in that
         // very receive — a deadline outlived by its receive is inert.
-        let due: Vec<SimTime> = self.recv_deadlines.range(..=now).map(|(t, _)| *t).collect();
-        for t in due {
-            if let Some(entries) = self.recv_deadlines.remove(&t) {
-                for (pid, sock, seq) in entries {
-                    if self.recv_seq.get(&pid) != Some(&seq) {
-                        continue;
-                    }
-                    let blocked_here = matches!(
-                        self.exec.get(&pid),
-                        Some(ProcExec::Blocked(Cont::RecvCheck { sock: s, .. })) if *s == sock
+        while let Some(entries) = pop_due(&mut self.recv_deadlines, now) {
+            for (pid, sock, seq) in entries {
+                if self.recv_seq.get(&pid) != Some(&seq) {
+                    continue;
+                }
+                let blocked_here = matches!(
+                    self.exec.get(&pid),
+                    Some(ProcExec::Blocked(Cont::RecvCheck { sock: s, .. })) if *s == sock
+                );
+                if !blocked_here {
+                    continue;
+                }
+                self.recv_seq.remove(&pid);
+                if self.sched.wake_one(pid) {
+                    self.exec.insert(
+                        pid,
+                        ProcExec::Cont(Cont::SyscallReturn(SyscallRet::Err(Errno::TimedOut))),
                     );
-                    if !blocked_here {
-                        continue;
-                    }
-                    self.recv_seq.remove(&pid);
-                    if self.sched.wake_one(pid) {
-                        self.exec.insert(
-                            pid,
-                            ProcExec::Cont(Cont::SyscallReturn(SyscallRet::Err(Errno::TimedOut))),
-                        );
-                        self.post_ipi(pid);
-                    }
+                    self.post_ipi(pid);
                 }
             }
         }
         // End-host fault plan: scheduled restarts, then due crashes.
-        let due_restarts: Vec<SimTime> = self.restart_at.range(..=now).map(|(t, _)| *t).collect();
-        for t in due_restarts {
-            if let Some(pids) = self.restart_at.remove(&t) {
-                for pid in pids {
-                    self.restart_process(now, pid);
-                }
+        while let Some(pids) = pop_due(&mut self.restart_at, now) {
+            for pid in pids {
+                self.restart_process(now, pid);
             }
         }
         while let Some(at) = self.fault.as_ref().and_then(|f| f.next_at()) {
@@ -1351,32 +1376,24 @@ impl Host {
     pub(crate) fn wake_app_thread(&mut self) {
         if let Some(t) = self.app_thread {
             self.update_app_thread_pri(t);
-            for w in self.sched.wakeup(WC_APP_THREAD) {
-                self.unblock(w);
-            }
+            self.wake_channel(WC_APP_THREAD);
         }
     }
 
     /// Pins the APP thread's priority to the best (numerically lowest)
     /// priority among owners of sockets with pending TCP work (§3.4).
     pub(crate) fn update_app_thread_pri(&mut self, thread: Pid) {
-        let mut best = lrp_sched::PRI_MAX;
-        let mut any = false;
-        for s in self.live_sockets() {
-            if s.proto != SockProto::Tcp {
-                continue;
-            }
-            let pending = s
-                .chan
-                .filter(|&c| self.nic.channel_exists(c))
-                .is_some_and(|c| !self.nic.channel(c).is_empty())
-                || self.tcp_timer_work.contains(&s.id);
-            if pending {
-                any = true;
-                best = best.min(self.sched.proc_ref(s.owner).user_pri);
-            }
-        }
-        let pri = if any { best } else { lrp_sched::PUSER };
+        // Pending TCP work is a non-empty channel or queued timer work;
+        // a minimum needs no particular visiting order.
+        let pri = self
+            .ready_socks
+            .iter()
+            .chain(&self.tcp_timer_work)
+            .map(|&id| self.sock(id))
+            .filter(|s| s.proto == SockProto::Tcp)
+            .map(|s| self.sched.proc_ref(s.owner).user_pri)
+            .min()
+            .unwrap_or(lrp_sched::PUSER);
         self.sched.set_fixed_pri(thread, Some(pri));
     }
 }

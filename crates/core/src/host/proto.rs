@@ -402,9 +402,7 @@ impl Host {
                 if self.sched.has_sleeper(sock_wchan(sock, WC_RECV)) {
                     total += cost.wakeup;
                     self.tele.on_wakeup(now, cpu, sock.0 as u64);
-                    for w in self.sched.wakeup(sock_wchan(sock, WC_RECV)) {
-                        self.unblock(w);
-                    }
+                    self.wake_sock(sock, WC_RECV);
                 }
             }
         } else {
@@ -489,12 +487,8 @@ impl Host {
             return total + cost.tcp_input;
         }
         total += cost.tcp_input;
-        let mut conn = self.sock_mut(sock).tcp.take().expect("checked");
-        let actions = conn.on_segment(now, &th, body);
-        let delivered = conn.stats.bytes_in;
-        self.sock_mut(sock).tcp = Some(conn);
+        let actions = self.with_conn(sock, |conn| conn.on_segment(now, &th, body));
         total += self.apply_tcp_actions(now, sock, actions);
-        let _ = delivered;
         // TIME_WAIT channel reclamation (NI-LRP §4.2).
         self.maybe_reclaim_channel(sock);
         total
@@ -519,9 +513,7 @@ impl Host {
             if child != lsock {
                 // Retransmitted SYN: let the child handle it.
                 if self.sock_opt(child).and_then(|s| s.tcp.as_ref()).is_some() {
-                    let mut conn = self.sock_mut(child).tcp.take().expect("checked");
-                    let actions = conn.on_segment(now, th, &[]);
-                    self.sock_mut(child).tcp = Some(conn);
+                    let actions = self.with_conn(child, |conn| conn.on_segment(now, th, &[]));
                     total += self.apply_tcp_actions(now, child, actions);
                 }
                 return total;
@@ -569,7 +561,7 @@ impl Host {
                     // RST — the peer, likely spoofed, retransmits or
                     // times out) and tear the child down; the orphan
                     // path releases its backlog slot.
-                    self.sock_mut(victim).tcp = None;
+                    self.set_conn(victim, None);
                     self.teardown_tcp_sock(victim);
                 }
                 // Fall through to admit the new SYN below.
@@ -594,9 +586,9 @@ impl Host {
             let s = self.sock_mut(child);
             s.local = Some(local);
             s.remote = Some(remote);
-            s.tcp = Some(conn);
             s.parent = Some(lsock);
         }
+        self.set_conn(child, Some(conn));
         {
             let l = self.sock_mut(lsock).listener.as_mut().expect("listener");
             l.on_syn_admitted();
@@ -679,9 +671,7 @@ impl Host {
         if let Some(child) = exact.sock {
             if child != lsock {
                 if self.sock_opt(child).and_then(|s| s.tcp.as_ref()).is_some() {
-                    let mut conn = self.sock_mut(child).tcp.take().expect("checked");
-                    let actions = conn.on_segment(now, th, body);
-                    self.sock_mut(child).tcp = Some(conn);
+                    let actions = self.with_conn(child, |conn| conn.on_segment(now, th, body));
                     total += self.apply_tcp_actions(now, child, actions);
                 }
                 return total;
@@ -722,12 +712,12 @@ impl Host {
             let s = self.sock_mut(child);
             s.local = Some(local);
             s.remote = Some(remote);
-            s.tcp = Some(conn);
             s.parent = Some(lsock);
             // Established from birth: never counted into the SYN queue,
             // reported straight into the accept queue below.
             s.established_reported = true;
         }
+        self.set_conn(child, Some(conn));
         let key = FlowKey::new(proto::TCP, local, remote);
         let _ = self.pcb.insert(key, child);
         if self.cfg.arch != Architecture::Bsd {
@@ -747,9 +737,7 @@ impl Host {
         self.tele.on_cookie_validated(now, cpu);
         self.wake_sock(lsock, super::WC_ACCEPT);
         // Any data riding on the ACK is processed by the new connection.
-        let mut conn = self.sock_mut(child).tcp.take().expect("just set");
-        let actions = conn.on_segment(now, th, body);
-        self.sock_mut(child).tcp = Some(conn);
+        let actions = self.with_conn(child, |conn| conn.on_segment(now, th, body));
         total += self.apply_tcp_actions(now, child, actions);
         total
     }
@@ -853,9 +841,7 @@ impl Host {
 
     /// Wakes all sleepers on a socket wait channel.
     pub(crate) fn wake_sock(&mut self, sock: SockId, kind: u64) {
-        for w in self.sched.wakeup(sock_wchan(sock, kind)) {
-            self.unblock(w);
-        }
+        self.wake_channel(sock_wchan(sock, kind));
     }
 
     /// NI-LRP: reclaim the NI channel of a connection entering TIME_WAIT.
@@ -962,7 +948,12 @@ impl Host {
             self.chan_to_sock.remove(&c);
         }
         self.live_socks.remove(&sock);
-        self.tcp_timer_work.retain(|&x| x != sock);
+        self.dgram_socks.remove(&sock);
+        let deadline = s.tcp.as_ref().and_then(|c| c.next_deadline());
+        self.rekey_deadline(sock, deadline, None);
+        if s.timer_queued {
+            self.tcp_timer_work.retain(|&x| x != sock);
+        }
         self.ed_pending.retain(|&x| x != sock);
     }
 
@@ -974,9 +965,7 @@ impl Host {
         if s.tcp.is_none() {
             return SimDuration::ZERO;
         }
-        let mut conn = self.sock_mut(sock).tcp.take().expect("checked");
-        let actions = conn.on_timer(now);
-        self.sock_mut(sock).tcp = Some(conn);
+        let actions = self.with_conn(sock, |conn| conn.on_timer(now));
         let base = SimDuration::from_micros(5);
         base + self.apply_tcp_actions(now, sock, actions)
     }

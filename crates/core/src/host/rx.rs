@@ -1,6 +1,7 @@
 //! Frame reception: interrupt handling and software-interrupt protocol
 //! work — the point where the four architectures diverge.
 
+use super::index::next_sock;
 use super::{sock_wchan, DropPoint, Host, WC_RECV};
 use crate::config::Architecture;
 use crate::host::proto::ProtoCtx;
@@ -126,6 +127,8 @@ impl Host {
                         self.tele.on_rx(now, self.nic.stats().rx_frames, span);
                         if let Some(chan) = self.nic.last_rx_channel() {
                             self.tele.on_chan_enqueue(now, rxq % ncpus, chan, span);
+                            self.note_chan_enqueue(chan);
+                            self.note_intr_fired(chan);
                         }
                         // Wake whoever requested notification for the
                         // newly non-empty channel. We do not know which
@@ -138,6 +141,7 @@ impl Host {
                         self.tele.on_rx(now, self.nic.stats().rx_frames, span);
                         if let Some(chan) = self.nic.last_rx_channel() {
                             self.tele.on_chan_enqueue(now, 0, chan, span);
+                            self.note_chan_enqueue(chan);
                         }
                     }
                     RxOutcome::Dropped(NicDrop::Stalled) => {
@@ -227,6 +231,7 @@ impl Host {
             return extra;
         }
         self.tele.on_chan_enqueue(now, cpu, chan, span);
+        self.note_chan_enqueue(chan);
         match self.cfg.arch {
             Architecture::EarlyDemux => {
                 // Schedule eager softirq protocol processing.
@@ -240,9 +245,7 @@ impl Host {
                 if is_forward_chan {
                     if self.forward_daemon.is_some() {
                         extra += cost.wakeup;
-                        for w in self.sched.wakeup(super::WC_FORWARD) {
-                            self.unblock(w);
-                        }
+                        self.wake_channel(super::WC_FORWARD);
                     }
                 } else if let Some(s) = sock {
                     let sk = self.sock(s);
@@ -284,17 +287,30 @@ impl Host {
         extra
     }
 
-    /// Wakes every process blocked receiving on a UDP socket (fragment
-    /// arrivals: the sleeper must pump the shared fragment channel).
+    /// Wakes every process blocked receiving on a datagram socket
+    /// (fragment arrivals: the sleeper must pump the shared fragment
+    /// channel), in socket order.
     pub(crate) fn wake_udp_recv_sleepers(&mut self) {
-        let socks: Vec<SockId> = self
-            .live_sockets()
-            .filter(|s| s.proto != crate::syscall::SockProto::Tcp)
-            .map(|s| s.id)
-            .collect();
-        for s in socks {
+        let mut from = SockId(0);
+        while let Some(s) = next_sock(&self.dgram_socks, &mut from) {
             if self.sched.has_sleeper(sock_wchan(s, WC_RECV)) {
                 self.wake_sock(s, WC_RECV);
+            }
+        }
+    }
+
+    /// The NIC delivered (and thereby cleared) `chan`'s demand interrupt.
+    /// Simulator bookkeeping of the NIC-side flag, not knowledge the
+    /// modelled handler has: the APP thread re-arms *all* TCP channels
+    /// when it next sleeps, and only those listed here are not armed
+    /// already.
+    fn note_intr_fired(&mut self, chan: ChannelId) {
+        if self.app_thread.is_none() {
+            return;
+        }
+        if let Some(sock) = self.sock_of_channel(chan) {
+            if self.sock(sock).proto == crate::syscall::SockProto::Tcp {
+                self.rearm_socks.push(sock);
             }
         }
     }
@@ -303,19 +319,13 @@ impl Host {
     /// requested. Wake the corresponding sleepers.
     fn ni_interrupt_wakeups(&mut self) {
         // Wake receivers of any UDP socket with queued channel data, the
-        // APP thread if TCP channels have data, or the idle thread.
-        let mut wake: Vec<(SockId, bool)> = Vec::new();
-        for s in self.live_sockets() {
-            if let Some(c) = s.chan {
-                if self.nic.channel_exists(c) && !self.nic.channel(c).is_empty() {
-                    let is_tcp = s.proto == crate::syscall::SockProto::Tcp;
-                    wake.push((s.id, is_tcp));
-                }
-            }
-        }
+        // APP thread if TCP channels have data, or the idle thread — in
+        // socket order. Nothing below dequeues, so the ready set is stable
+        // across the walk.
         let mut any_tcp = false;
-        for (sock, is_tcp) in wake {
-            if is_tcp {
+        let mut from = SockId(0);
+        while let Some(sock) = next_sock(&self.ready_socks, &mut from) {
+            if self.sock(sock).proto == crate::syscall::SockProto::Tcp {
                 any_tcp = true;
                 if self.app_thread.is_none() {
                     self.wake_sock(sock, WC_RECV);
@@ -338,9 +348,7 @@ impl Host {
         // Forward-channel arrivals wake the forwarding daemon.
         if let Some(fc) = self.nic.proxies().forward {
             if self.nic.channel_exists(fc) && !self.nic.channel(fc).is_empty() {
-                for w in self.sched.wakeup(super::WC_FORWARD) {
-                    self.unblock(w);
-                }
+                self.wake_channel(super::WC_FORWARD);
             }
         }
         // Fragment-channel arrivals: wake receivers so they pump it, and
@@ -354,9 +362,7 @@ impl Host {
 
     pub(crate) fn wake_idle_thread_if_sleeping(&mut self) {
         if self.idle_thread.is_some() {
-            for w in self.sched.wakeup(super::WC_IDLE_THREAD) {
-                self.unblock(w);
-            }
+            self.wake_channel(super::WC_IDLE_THREAD);
         }
     }
 
@@ -373,7 +379,7 @@ impl Host {
     /// Returns `(cost, tag)`; logic is applied immediately.
     pub(crate) fn next_soft_job(&mut self, now: SimTime) -> Option<(SimDuration, &'static str)> {
         let cost = self.cfg.cost;
-        if let Some(sock) = self.tcp_timer_work.pop_front() {
+        if let Some(sock) = self.pop_timer_work() {
             // The timer work rightfully belongs to the socket's owner —
             // note it for the charge-attribution ledger.
             if let Some(owner) = self.sock_opt(sock).map(|s| s.owner) {
@@ -425,7 +431,7 @@ impl Host {
         &mut self,
         now: SimTime,
     ) -> Option<(SimDuration, Option<Pid>)> {
-        let sock = self.tcp_timer_work.pop_front()?;
+        let sock = self.pop_timer_work()?;
         let owner = self.sock_opt(sock).map(|s| s.owner);
         let d = self.run_tcp_timer(now, sock);
         Some((SimDuration::from_micros(5) + d, owner))
@@ -447,27 +453,20 @@ impl Host {
         if self.idle_thread.is_none() {
             return false;
         }
-        self.live_sockets().any(|s| {
-            s.tcp.is_none()
-                && s.listener.is_none()
-                && s.rcvq.space() > 0
-                && s.chan
-                    .is_some_and(|c| self.nic.channel_exists(c) && !self.nic.channel(c).is_empty())
+        self.ready_socks.iter().any(|&id| {
+            let s = self.sock(id);
+            s.tcp.is_none() && s.listener.is_none() && s.rcvq.space() > 0
         })
     }
 
     /// The idle thread processes one queued UDP packet; returns
     /// `(cost, owner)` or `None` if no work.
     pub(crate) fn idle_thread_step(&mut self, now: SimTime) -> Option<(SimDuration, Pid)> {
-        let target = self.live_sockets().find_map(|s| {
+        let (sock, chan, owner) = self.ready_socks.iter().find_map(|&id| {
+            let s = self.sock(id);
             let udp = s.proto != crate::syscall::SockProto::Tcp;
-            let chan = s.chan?;
-            (udp && s.rcvq.space() > 0
-                && self.nic.channel_exists(chan)
-                && !self.nic.channel(chan).is_empty())
-            .then_some((s.id, chan, s.owner))
+            (udp && s.rcvq.space() > 0).then_some((id, s.chan?, s.owner))
         })?;
-        let (sock, chan, owner) = target;
         let frame = self.chan_dequeue(now, chan)?;
         let d = self.ip_deliver(now, frame, ProtoCtx::Lrp { sock, lazy: false });
         // Wake a blocked receiver now that processed data is ready.
@@ -480,21 +479,15 @@ impl Host {
     /// The APP thread processes one queued TCP packet (or reports no
     /// work). Returns `(cost, owner)`.
     pub(crate) fn app_thread_step(&mut self, now: SimTime) -> Option<(SimDuration, Pid)> {
-        // Round-robin over TCP sockets with non-empty channels, skipping
+        // TCP sockets with non-empty channels, in socket order, skipping
         // listeners whose backlog is exhausted: their channels fill and
         // the NI discards further SYNs (§3.4).
-        let candidates: Vec<SockId> = self
-            .live_sockets()
-            .filter(|s| {
-                (s.proto == crate::syscall::SockProto::Tcp)
-                    && s.chan.is_some_and(|c| {
-                        self.nic.channel_exists(c) && !self.nic.channel(c).is_empty()
-                    })
-            })
-            .map(|s| s.id)
-            .collect();
-        for sock in candidates {
-            let chan = self.sock(sock).chan.expect("filtered");
+        let mut from = SockId(0);
+        while let Some(sock) = next_sock(&self.ready_socks, &mut from) {
+            if self.sock(sock).proto != crate::syscall::SockProto::Tcp {
+                continue;
+            }
+            let chan = self.sock(sock).chan.expect("ready socket has a channel");
             if let Some(l) = &self.sock(sock).listener {
                 // §3.4: protocol processing is disabled for listeners
                 // whose backlog is exhausted; the channel then fills and

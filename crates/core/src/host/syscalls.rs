@@ -92,15 +92,15 @@ impl Host {
                 None => {
                     self.charge_override(pid, pid);
                     // Request NI interrupts for all TCP channels before
-                    // sleeping (demand interrupts).
-                    let tcp_socks: Vec<SockId> = self
-                        .live_sockets()
-                        .filter(|s| s.proto == SockProto::Tcp)
-                        .map(|s| s.id)
-                        .collect();
-                    for s in tcp_socks {
-                        self.request_channel_interrupt(s);
+                    // sleeping (demand interrupts): every TCP channel is
+                    // created armed, so only those that fired need it.
+                    let mut fired = std::mem::take(&mut self.rearm_socks);
+                    for s in fired.drain(..) {
+                        if self.sock_opt(s).is_some() {
+                            self.request_channel_interrupt(s);
+                        }
                     }
+                    self.rearm_socks = fired;
                     PhaseOut::Block {
                         wchan: super::WC_APP_THREAD,
                         pri: lrp_sched::PSOCK,
@@ -410,7 +410,7 @@ impl Host {
                 let iss = self.next_iss();
                 let mut conn = TcpConn::new(self.tcp_config(), local, dst, iss);
                 let actions = conn.connect(now);
-                self.sock_mut(sock).tcp = Some(conn);
+                self.set_conn(sock, Some(conn));
                 let tx = self.tx_segments(sock, &actions.segments);
                 PhaseOut::Run {
                     dur: entry + cost.tcp_output + tx,
@@ -655,9 +655,7 @@ impl Host {
         }
         let conn = self.sock(sock).tcp.as_ref().expect("tcp socket");
         if conn.available() > 0 {
-            let mut conn = self.sock_mut(sock).tcp.take().expect("tcp");
-            let (data, actions) = conn.read(max_len);
-            self.sock_mut(sock).tcp = Some(conn);
+            let (data, actions) = self.with_conn(sock, |conn| conn.read(max_len));
             let n = data.len();
             let tx = self.tx_segments(sock, &actions.segments);
             self.stats.tcp_delivered_bytes += n as u64;
@@ -766,10 +764,8 @@ impl Host {
                 }
             }
         }
-        let mut conn = self.sock_mut(sock).tcp.take().expect("tcp");
-        let (n, actions) = conn.write(now, &data[off..]);
+        let (n, actions) = self.with_conn(sock, |conn| conn.write(now, &data[off..]));
         let nsegs = actions.segments.len() as u64;
-        self.sock_mut(sock).tcp = Some(conn);
         let tx = self.apply_tcp_actions(now, sock, actions);
         let dur = cost.copy(n) + cost.tcp_output * nsegs.min(1) + tx;
         let new_off = off + n;
@@ -889,10 +885,8 @@ impl Host {
         let has_tcp = s.tcp.is_some();
         self.sock_mut(sock).closed_by_app = true;
         if has_tcp {
-            let mut conn = self.sock_mut(sock).tcp.take().expect("tcp");
-            let actions = conn.close(now);
-            let already_closed = conn.is_closed();
-            self.sock_mut(sock).tcp = Some(conn);
+            let (actions, already_closed) =
+                self.with_conn(sock, |conn| (conn.close(now), conn.is_closed()));
             let tx = self.apply_tcp_actions(now, sock, actions);
             if already_closed {
                 self.teardown_tcp_sock(sock);
@@ -924,7 +918,7 @@ impl Host {
                     }
                     // Silent teardown; the orphan path frees the slot and
                     // flushes the child's channel.
-                    self.sock_mut(victim).tcp = None;
+                    self.set_conn(victim, None);
                     self.teardown_tcp_sock(victim);
                 }
                 let pending: Vec<SockId> = self.sock(sock).accept_q.iter().copied().collect();
@@ -934,9 +928,7 @@ impl Host {
                     }
                     self.sock_mut(child).closed_by_app = true;
                     if self.sock(child).tcp.is_some() {
-                        let mut conn = self.sock_mut(child).tcp.take().expect("checked");
-                        let actions = conn.abort();
-                        self.sock_mut(child).tcp = Some(conn);
+                        let actions = self.with_conn(child, |conn| conn.abort());
                         reap += self.apply_tcp_actions(now, child, actions);
                     } else {
                         self.free_socket(child);

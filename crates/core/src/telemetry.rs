@@ -948,8 +948,12 @@ impl Host {
     /// The single choke point for channel dequeues keeps the telemetry
     /// timestamp sidecars aligned with the frame queues.
     pub(crate) fn chan_dequeue(&mut self, now: SimTime, chan: ChannelId) -> Option<Frame> {
-        let f = self.nic.channel_mut(chan).dequeue();
+        let ch = self.nic.channel_mut(chan);
+        let f = ch.dequeue();
         if f.is_some() {
+            if ch.is_empty() {
+                self.note_chan_empty(chan);
+            }
             let cpu = self.cur_cpu;
             self.tele.on_chan_dequeue(now, cpu, chan);
         }
@@ -961,6 +965,7 @@ impl Host {
     pub(crate) fn destroy_channel_flushed(&mut self, chan: ChannelId) {
         let n = self.nic.channel(chan).depth();
         self.tele.on_chan_flush(chan, n);
+        self.note_chan_empty(chan);
         self.nic.destroy_channel(chan);
     }
 
@@ -969,6 +974,7 @@ impl Host {
     pub(crate) fn destroy_channel_owner_dead(&mut self, now: SimTime, chan: ChannelId) {
         let n = self.nic.channel(chan).depth();
         self.tele.on_chan_owner_dead(now, chan, n);
+        self.note_chan_empty(chan);
         self.nic.destroy_channel(chan);
     }
 
@@ -982,6 +988,7 @@ impl Host {
         while self.nic.channel_mut(chan).dequeue().is_some() {
             n += 1;
         }
+        self.note_chan_empty(chan);
         self.tele.on_reboot_flush(now, n);
         n
     }

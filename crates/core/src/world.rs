@@ -339,6 +339,19 @@ impl World {
                     }
                 }
             }
+            // Sampled, not after every event: one check walks every socket
+            // and process (5x the debug run time of the churn scenarios at
+            // a stride of 16), and an index that has drifted stays
+            // drifted. The stride is prime so the sample cannot lock onto
+            // a periodic event pattern (always landing on a tick, say).
+            #[cfg(debug_assertions)]
+            if self.events.is_multiple_of(251) {
+                for (h, host) in self.hosts.iter().enumerate() {
+                    if let Err(e) = host.check_indexes() {
+                        panic!("host {h} index out of step by the event at {t:?}: {e}");
+                    }
+                }
+            }
         }
         self.now = t_end.max(self.now);
     }

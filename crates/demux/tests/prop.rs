@@ -212,6 +212,47 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// Connection churn: twenty times the slot count of distinct keys pass
+    /// through register/unregister while at most `resident` are live. The
+    /// table must keep answering for absent keys (a table that only ever
+    /// marks slots deleted runs out of empty ones and probes forever), keep
+    /// resolving present ones, and agree with a `HashMap` model throughout.
+    #[test]
+    fn churn_matches_hashmap_model(
+        resident in 1usize..16,
+        evictions in proptest::collection::vec(any::<proptest::sample::Index>(), 640),
+    ) {
+        const CAPACITY: usize = 16; // 32 slots
+        let key = |i: usize| FlowKey::new(
+            proto::TCP,
+            Endpoint::new(LOCAL, 80),
+            Endpoint::new(Ipv4Addr::new(10, 0, (i >> 8) as u8, i as u8), 40_000 + i as u16),
+        );
+        let mut table = DemuxTable::new(CAPACITY, LOCAL);
+        let mut model: HashMap<FlowKey, ChannelId> = HashMap::new();
+        let mut live: Vec<FlowKey> = Vec::new();
+        for (i, evict) in evictions.iter().enumerate() {
+            if live.len() == resident {
+                let gone = live.swap_remove(evict.index(live.len()));
+                prop_assert_eq!(table.unregister(&gone), model.remove(&gone));
+                prop_assert_eq!(table.lookup(&gone), None);
+                prop_assert_eq!(table.unregister(&gone), None);
+            }
+            let k = key(i);
+            prop_assert_eq!(table.lookup(&k), None, "key {} not yet registered", i);
+            table.register(k, ChannelId(i as u32)).unwrap();
+            model.insert(k, ChannelId(i as u32));
+            live.push(k);
+            prop_assert_eq!(table.len(), model.len());
+            for k in &live {
+                prop_assert_eq!(table.lookup(k), model.get(k).copied());
+            }
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
     /// RSS steering invariant: the flow hash is a pure function of the
     /// 5-tuple. Two frames of the same flow — different payloads, idents,

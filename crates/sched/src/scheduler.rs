@@ -3,7 +3,7 @@
 use crate::process::{Account, CpuAccounting, Pid, ProcState, Process, WaitChannel};
 use crate::runq::RunQueue;
 use crate::{PRI_MAX, PUSER};
-use lrp_sim::SimDuration;
+use lrp_sim::{FastHashMap, SimDuration};
 
 /// Scheduler tuning parameters (4.3BSD defaults).
 #[derive(Clone, Copy, Debug)]
@@ -68,6 +68,14 @@ pub struct Scheduler {
     total_charged: SimDuration,
     /// CPU time charged per CPU; sums to `total_charged`.
     charged_per_cpu: Vec<SimDuration>,
+    /// Sleeper index (BSD's hashed sleep queues): wait channel → the most
+    /// recent sleeper on it; earlier sleepers chain through `sleep_link`.
+    /// Exactly the processes in `Sleeping(wchan)` are on `wchan`'s chain,
+    /// so wakeups never scan `procs`: `sleep` pushes, `wakeup_into` takes
+    /// the whole chain, `leave_sleepq` unlinks one.
+    sleep_heads: FastHashMap<WaitChannel, Pid>,
+    /// Per process (indexed by pid): the next sleeper on the same channel.
+    sleep_link: Vec<Option<Pid>>,
 }
 
 impl Scheduler {
@@ -81,6 +89,8 @@ impl Scheduler {
             load_avg: 0.0,
             total_charged: SimDuration::ZERO,
             charged_per_cpu: vec![SimDuration::ZERO; config.ncpus],
+            sleep_heads: FastHashMap::default(),
+            sleep_link: Vec::new(),
         }
     }
 
@@ -127,6 +137,7 @@ impl Scheduler {
         Self::recompute_pri(&mut p);
         let pri = p.effective_pri();
         self.procs.push(p);
+        self.sleep_link.push(None);
         self.runqs[home_cpu].enqueue(pid, pri);
         pid
     }
@@ -187,15 +198,6 @@ impl Scheduler {
     /// Panics if the pid was never spawned.
     pub fn proc_ref(&self, pid: Pid) -> &Process {
         &self.procs[pid.0 as usize]
-    }
-
-    /// Mutable access to a process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pid was never spawned.
-    pub fn proc_mut(&mut self, pid: Pid) -> &mut Process {
-        &mut self.procs[pid.0 as usize]
     }
 
     /// All processes (for reporting).
@@ -390,38 +392,80 @@ impl Scheduler {
     /// Puts a process to sleep on a wait channel at the given kernel
     /// priority (BSD `tsleep(wchan, pri, ...)`).
     pub fn sleep(&mut self, pid: Pid, wchan: WaitChannel, pri: u8) {
+        self.unfile(pid);
         let p = &mut self.procs[pid.0 as usize];
         p.state = ProcState::Sleeping(wchan);
         p.kernel_pri = Some(pri);
         p.nvcsw += 1;
-        for q in &mut self.runqs {
-            if q.remove(pid) {
-                break;
+        self.sleep_link[pid.0 as usize] = self.sleep_heads.insert(wchan, pid);
+    }
+
+    /// Takes `pid` off whichever queue its state files it on.
+    fn unfile(&mut self, pid: Pid) {
+        match self.procs[pid.0 as usize].state {
+            // A running process is on no queue.
+            ProcState::Running | ProcState::Exited => {}
+            ProcState::Runnable => {
+                for q in &mut self.runqs {
+                    if q.remove(pid) {
+                        break;
+                    }
+                }
             }
+            ProcState::Sleeping(wchan) => self.leave_sleepq(pid, wchan),
         }
     }
 
-    /// Wakes every process sleeping on `wchan` (BSD `wakeup` semantics).
+    /// Unlinks one sleeper from its channel's chain (directed wakeup,
+    /// exit); the chain is as long as the channel has sleepers.
+    fn leave_sleepq(&mut self, pid: Pid, wchan: WaitChannel) {
+        let next = self.sleep_link[pid.0 as usize].take();
+        let head = self.sleep_heads[&wchan];
+        if head == pid {
+            match next {
+                Some(n) => self.sleep_heads.insert(wchan, n),
+                None => self.sleep_heads.remove(&wchan),
+            };
+            return;
+        }
+        let mut cur = head;
+        while self.sleep_link[cur.0 as usize] != Some(pid) {
+            cur = self.sleep_link[cur.0 as usize].expect("sleeper is on its channel's chain");
+        }
+        self.sleep_link[cur.0 as usize] = next;
+    }
+
+    /// Wakes every process sleeping on `wchan` (BSD `wakeup` semantics),
+    /// appending the woken pids to `woken` in wake order.
     ///
     /// Woken processes are queued at their sleep (kernel) priority, which
     /// is what lets I/O-bound processes preempt compute-bound ones. When
     /// several sleepers share the channel (a shared socket), they are
-    /// enqueued best-user-priority first, so "the process with the highest
-    /// priority performs the protocol processing" (LRP paper, note 8).
-    pub fn wakeup(&mut self, wchan: WaitChannel) -> Vec<Pid> {
-        let mut woken: Vec<Pid> = self
-            .procs
-            .iter()
-            .filter(|p| p.state == ProcState::Sleeping(wchan))
-            .map(|p| p.pid)
-            .collect();
-        woken.sort_by_key(|pid| self.procs[pid.0 as usize].user_pri);
-        for &pid in &woken {
+    /// enqueued best-user-priority first (pid order among equals), so "the
+    /// process with the highest priority performs the protocol processing"
+    /// (LRP paper, note 8).
+    pub fn wakeup_into(&mut self, wchan: WaitChannel, woken: &mut Vec<Pid>) {
+        let first = woken.len();
+        let mut cur = self.sleep_heads.remove(&wchan);
+        while let Some(pid) = cur {
+            woken.push(pid);
+            cur = self.sleep_link[pid.0 as usize].take();
+        }
+        let procs = &self.procs;
+        woken[first..].sort_unstable_by_key(|pid| (procs[pid.0 as usize].user_pri, *pid));
+        for &pid in &woken[first..] {
             let p = &mut self.procs[pid.0 as usize];
             p.state = ProcState::Runnable;
             let (pri, home) = (p.effective_pri(), p.home_cpu);
             self.runqs[home].enqueue(pid, pri);
         }
+    }
+
+    /// [`wakeup_into`](Self::wakeup_into) returning a fresh list, for
+    /// callers that wake rarely enough not to keep a buffer.
+    pub fn wakeup(&mut self, wchan: WaitChannel) -> Vec<Pid> {
+        let mut woken = Vec::new();
+        self.wakeup_into(wchan, &mut woken);
         woken
     }
 
@@ -430,10 +474,11 @@ impl Scheduler {
     /// timeout) fires for exactly one blocked sleeper. Returns false when
     /// the process was not sleeping (already woken, running, or exited).
     pub fn wake_one(&mut self, pid: Pid) -> bool {
-        let p = &mut self.procs[pid.0 as usize];
-        if !matches!(p.state, ProcState::Sleeping(_)) {
+        let ProcState::Sleeping(wchan) = self.procs[pid.0 as usize].state else {
             return false;
-        }
+        };
+        self.leave_sleepq(pid, wchan);
+        let p = &mut self.procs[pid.0 as usize];
         p.state = ProcState::Runnable;
         p.nvcsw += 1;
         let (pri, home) = (p.effective_pri(), p.home_cpu);
@@ -444,9 +489,40 @@ impl Scheduler {
     /// True if any process is sleeping on `wchan` (used to decide whether
     /// a wakeup — and its cost — is needed).
     pub fn has_sleeper(&self, wchan: WaitChannel) -> bool {
-        self.procs
-            .iter()
-            .any(|p| p.state == ProcState::Sleeping(wchan))
+        self.sleep_heads.contains_key(&wchan)
+    }
+
+    /// Recomputes the sleeper index from `procs` and compares: every
+    /// chain holds exactly the processes in `Sleeping(wchan)`, and no
+    /// channel is indexed without a sleeper. For invariant checks only —
+    /// this is the scan the index exists to avoid.
+    pub fn check_sleeper_index(&self) -> Result<(), String> {
+        let mut expect: FastHashMap<WaitChannel, Vec<Pid>> = FastHashMap::default();
+        for p in &self.procs {
+            if let ProcState::Sleeping(wchan) = p.state {
+                expect.entry(wchan).or_default().push(p.pid);
+            }
+        }
+        if expect.len() != self.sleep_heads.len() {
+            return Err(format!(
+                "{} channels indexed, {} have sleepers",
+                self.sleep_heads.len(),
+                expect.len()
+            ));
+        }
+        for (wchan, want) in expect {
+            let mut got = Vec::new();
+            let mut cur = self.sleep_heads.get(&wchan).copied();
+            while let Some(pid) = cur {
+                got.push(pid);
+                cur = self.sleep_link[pid.0 as usize];
+            }
+            got.sort_unstable();
+            if got != want {
+                return Err(format!("{wchan:?}: chain {got:?}, sleeping {want:?}"));
+            }
+        }
+        Ok(())
     }
 
     /// Marks the process as back in user mode: clears its kernel priority
@@ -457,12 +533,8 @@ impl Scheduler {
 
     /// Terminates a process.
     pub fn exit(&mut self, pid: Pid) {
+        self.unfile(pid);
         self.procs[pid.0 as usize].state = ProcState::Exited;
-        for q in &mut self.runqs {
-            if q.remove(pid) {
-                break;
-            }
-        }
     }
 
     /// Count of live (non-exited) processes.
@@ -596,7 +668,7 @@ mod tests {
         assert_eq!(s.pick_next(), Some(worker));
         // Worker is running; io sleeps (it was never picked: force state).
         s.runqs[0].remove(io);
-        s.proc_mut(io).state = ProcState::Running;
+        s.procs[io.0 as usize].state = ProcState::Running;
         s.sleep(io, WaitChannel(9), PSOCK);
         // Worker at PUSER; io wakes at PSOCK < PUSER => preemption.
         assert!(!s.should_preempt(s.proc_ref(worker).effective_pri()));

@@ -19,6 +19,8 @@ enum Op {
     Decay,
     ReturnToUser { which: u8 },
     ExitCurrent,
+    WakeOne { which: u8 },
+    ExitAny { which: u8 },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -36,6 +38,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(Op::Decay),
         any::<u8>().prop_map(|which| Op::ReturnToUser { which }),
         Just(Op::ExitCurrent),
+        any::<u8>().prop_map(|which| Op::WakeOne { which }),
+        any::<u8>().prop_map(|which| Op::ExitAny { which }),
     ]
 }
 
@@ -73,7 +77,19 @@ proptest! {
                     }
                 }
                 Op::Wakeup { wchan } => {
-                    for p in s.wakeup(WaitChannel(wchan as u64)) {
+                    // The scan the index replaced, as the reference: every
+                    // sleeper on the channel, best user priority first,
+                    // pid order among equals.
+                    let mut expect: Vec<Pid> = s
+                        .procs()
+                        .iter()
+                        .filter(|p| p.state == ProcState::Sleeping(WaitChannel(wchan as u64)))
+                        .map(|p| p.pid)
+                        .collect();
+                    expect.sort_by_key(|p| s.proc_ref(*p).user_pri);
+                    let woken = s.wakeup(WaitChannel(wchan as u64));
+                    prop_assert_eq!(&woken, &expect);
+                    for p in woken {
                         prop_assert_eq!(s.proc_ref(p).state, ProcState::Runnable);
                     }
                 }
@@ -107,6 +123,36 @@ proptest! {
                         prop_assert_eq!(s.proc_ref(p).state, ProcState::Exited);
                     }
                 }
+                Op::WakeOne { which } => {
+                    if !pids.is_empty() {
+                        let p = pids[which as usize % pids.len()];
+                        let slept = matches!(s.proc_ref(p).state, ProcState::Sleeping(_));
+                        prop_assert_eq!(s.wake_one(p), slept);
+                        if slept {
+                            prop_assert_eq!(s.proc_ref(p).state, ProcState::Runnable);
+                        }
+                    }
+                }
+                Op::ExitAny { which } => {
+                    if !pids.is_empty() {
+                        let p = pids[which as usize % pids.len()];
+                        s.exit(p);
+                        if current == Some(p) {
+                            current = None;
+                        }
+                        prop_assert_eq!(s.proc_ref(p).state, ProcState::Exited);
+                    }
+                }
+            }
+            // Invariant: the sleeper index is exactly the sleeping set,
+            // and membership answers agree with it.
+            prop_assert_eq!(s.check_sleeper_index(), Ok(()));
+            for wchan in 0..4u64 {
+                let sleeping = s
+                    .procs()
+                    .iter()
+                    .any(|p| p.state == ProcState::Sleeping(WaitChannel(wchan)));
+                prop_assert_eq!(s.has_sleeper(WaitChannel(wchan)), sleeping);
             }
             // Invariant: charged time is conserved exactly.
             prop_assert_eq!(s.total_charged(), expected_total);

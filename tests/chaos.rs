@@ -30,6 +30,19 @@ use lrp::stack::SockId;
 use lrp::wire::Endpoint;
 use proptest::prelude::*;
 
+/// Runs to `t` (events at `t` included), then recomputes every host's
+/// indexes by brute force. `run_until` samples the same check in debug
+/// builds; calling it here pins it to the instant a teardown finished —
+/// crash, reboot, listener close — and keeps it in the release soak.
+fn run_checked(world: &mut World, t: SimTime) {
+    world.run_until(t);
+    for (h, host) in world.hosts.iter().enumerate() {
+        if let Err(e) = host.check_indexes() {
+            panic!("host {h} index out of step at {t:?}: {e}");
+        }
+    }
+}
+
 /// One randomly drawn fault schedule.
 #[derive(Clone, Debug)]
 struct Schedule {
@@ -243,7 +256,14 @@ fn run_crash_digest(arch: Architecture, sched: &CrashSchedule) -> String {
             crashes: vec![CrashEvent::kill(client_pid, SimTime::from_millis(kill_ms))],
         });
     }
-    world.run_until(SimTime::from_secs(1));
+    // Stop right after each teardown the schedule can contain.
+    let mut stops = vec![sched.server_crash_ms, sched.server_crash_ms + 400];
+    stops.extend(sched.kill_client_ms);
+    stops.sort_unstable();
+    for ms in stops {
+        run_checked(&mut world, SimTime::from_millis(ms));
+    }
+    run_checked(&mut world, SimTime::from_secs(1));
 
     let errs = lrp::telemetry::conservation_errors(&world);
     assert!(
@@ -634,7 +654,8 @@ fn run_connect_crash_digest(arch: Architecture, kill_us: u64, seed: u64) -> Stri
         seed,
         crashes: vec![CrashEvent::kill(src, SimTime::from_micros(kill_us))],
     });
-    world.run_until(SimTime::from_secs(2));
+    run_checked(&mut world, SimTime::from_micros(kill_us));
+    run_checked(&mut world, SimTime::from_secs(2));
     let errs = lrp::telemetry::conservation_errors(&world);
     assert!(
         errs.is_empty(),
@@ -688,6 +709,134 @@ proptest! {
     }
 }
 
+// ---- listener close under flood ----
+
+/// Listens on [`PROBE_PORT`], never accepts, closes the listener at
+/// 300 ms and exits.
+struct ClosingListener {
+    sock: Option<SockId>,
+    step: u8,
+}
+
+impl AppLogic for ClosingListener {
+    fn start(&mut self, _ctx: AppCtx) -> SyscallOp {
+        SyscallOp::Socket(SockProto::Tcp)
+    }
+    fn resume(&mut self, _ctx: AppCtx, ret: SyscallRet) -> SyscallOp {
+        if let SyscallRet::Socket(s) = ret {
+            self.sock = Some(s);
+        }
+        let sock = self.sock.expect("socket() succeeded");
+        self.step += 1;
+        match self.step {
+            1 => SyscallOp::Bind {
+                sock,
+                port: PROBE_PORT,
+            },
+            2 => SyscallOp::Listen { sock, backlog: 8 },
+            3 => SyscallOp::Sleep(SimDuration::from_millis(300)),
+            4 => SyscallOp::Close { sock },
+            _ => SyscallOp::Exit,
+        }
+    }
+}
+
+/// A listener closed mid-flood reaps every child: the half-open ones the
+/// spoofed SYNs left (silently) and the established ones nobody accepted
+/// (RST — their peers see `ConnReset`). Afterwards the server holds no
+/// socket, every index is exact, and both ledgers balance, on all four
+/// architectures.
+#[test]
+fn listener_close_under_flood_reaps_children_and_keeps_indexes_exact() {
+    use lrp::net::{Injector, Pattern};
+    use lrp::wire::{tcp, Frame, Ipv4Addr};
+    for arch in [
+        Architecture::Bsd,
+        Architecture::EarlyDemux,
+        Architecture::SoftLrp,
+        Architecture::NiLrp,
+    ] {
+        let cfg = host_config(arch);
+        let mut world = World::with_defaults();
+        let mut a = Host::new(cfg, HOST_A);
+        let logs: Vec<Shared<ProbeLog>> = (0..3).map(|_| shared::<ProbeLog>()).collect();
+        for (i, log) in logs.iter().enumerate() {
+            a.spawn_app(
+                &format!("probe-{i}"),
+                0,
+                0,
+                Box::new(ConnectProbe::new(
+                    Endpoint::new(HOST_B, PROBE_PORT),
+                    log.clone(),
+                )),
+            );
+        }
+        let mut b = Host::new(cfg, HOST_B);
+        b.spawn_app(
+            "closing-listener",
+            0,
+            0,
+            Box::new(ClosingListener {
+                sock: None,
+                step: 0,
+            }),
+        );
+        world.add_host(a);
+        let server = world.add_host(b);
+        // Spoofed SYNs from addresses no host owns, 2 000/s from 100 ms.
+        world.add_injector(
+            server,
+            Injector::new(
+                Pattern::FixedRate { pps: 2_000.0 },
+                SimTime::from_millis(100),
+                31,
+                |seq| {
+                    let h = tcp::TcpHeader {
+                        src_port: 1024 + (seq % 60_000) as u16,
+                        dst_port: PROBE_PORT,
+                        seq: seq as u32,
+                        ack: 0,
+                        flags: tcp::flags::SYN,
+                        window: 8_192,
+                        mss: Some(1_460),
+                    };
+                    let src = Ipv4Addr::new(10, 0, 1, seq as u8);
+                    Frame::ipv4(tcp::build_datagram(src, HOST_B, &h, seq as u16, &[]))
+                },
+            ),
+        );
+        // Just before the close: the probes' connections wait unaccepted
+        // beside the flood's half-open children.
+        run_checked(&mut world, SimTime::from_millis(290));
+        assert!(
+            world.hosts[server].host_netstat().len() > 4,
+            "{}: listener plus established and half-open children",
+            arch.name()
+        );
+        run_checked(&mut world, SimTime::from_millis(320));
+        assert_eq!(
+            world.hosts[server].host_netstat().len(),
+            0,
+            "{}: the close must reap every child socket",
+            arch.name()
+        );
+        run_checked(&mut world, SimTime::from_millis(600));
+        for log in &logs {
+            assert_eq!(
+                *log.borrow(),
+                ProbeLog {
+                    connect: Some(Ok(())),
+                    io: Some(Err(Errno::ConnReset)),
+                },
+                "{}: an unaccepted connection is reset by the close",
+                arch.name()
+            );
+        }
+        let errs = lrp::telemetry::conservation_errors(&world);
+        assert!(errs.is_empty(), "{}: {}", arch.name(), errs.join("\n"));
+    }
+}
+
 // ---- whole-host reboot coverage ----
 
 /// Runs the adversarial SYN-flood world (stateless cookies engaged) with
@@ -709,7 +858,10 @@ fn run_reboot_flood_digest(
             SimDuration::from_millis(boot_delay_ms),
         )),
     );
-    world.run_until(SimTime::from_millis(1_200));
+    // Powered down, just booted, settled.
+    run_checked(&mut world, SimTime::from_millis(reboot_ms));
+    run_checked(&mut world, SimTime::from_millis(reboot_ms + boot_delay_ms));
+    run_checked(&mut world, SimTime::from_millis(1_200));
 
     let errs = lrp::telemetry::conservation_errors(&world);
     assert!(

@@ -308,3 +308,49 @@ fn syn_flood_goodput_ratio_lrp_over_bsd() {
         "SOFT-LRP goodput must beat 4.4BSD under flood: {lrp:?} vs {bsd:?}"
     );
 }
+
+/// Connection churn past the ephemeral-port wrap: the unflooded HTTP
+/// scenario opens one connection per request, so its demux keys cycle
+/// through the whole 40 000–65 000 range by ~29 simulated seconds. A
+/// demux table that only marks deleted slots has by then no empty slot
+/// left and probes forever; with backward-shift deletion every client is
+/// still completing requests at 40 s. One test per architecture, so the
+/// four 40-second runs share the test threads.
+fn http_churn_runs_past_the_port_wrap(arch: Architecture) {
+    use lrp::experiments::syn_flood::{self, Defense};
+    let (mut world, metrics) = syn_flood::build(syn_flood::config(arch, Defense::None), 0.0, None);
+    world.run_until(SimTime::from_secs(40));
+    for (i, m) in metrics.iter().enumerate() {
+        let m = m.borrow();
+        assert!(
+            m.last.is_some_and(|t| t >= SimTime::from_secs(35)),
+            "{}: client {i} stopped completing requests (last at {:?}, {} done, {} failed)",
+            arch.name(),
+            m.last,
+            m.transactions,
+            m.failures
+        );
+    }
+    let errs = lrp::telemetry::conservation_errors(&world);
+    assert!(errs.is_empty(), "{}: {}", arch.name(), errs.join("\n"));
+}
+
+#[test]
+fn http_churn_runs_past_the_port_wrap_bsd() {
+    http_churn_runs_past_the_port_wrap(Architecture::Bsd);
+}
+
+#[test]
+fn http_churn_runs_past_the_port_wrap_early_demux() {
+    http_churn_runs_past_the_port_wrap(Architecture::EarlyDemux);
+}
+
+#[test]
+fn http_churn_runs_past_the_port_wrap_soft_lrp() {
+    http_churn_runs_past_the_port_wrap(Architecture::SoftLrp);
+}
+
+#[test]
+fn http_churn_runs_past_the_port_wrap_ni_lrp() {
+    http_churn_runs_past_the_port_wrap(Architecture::NiLrp);
+}
