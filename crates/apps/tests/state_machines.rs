@@ -257,7 +257,7 @@ fn http_worker_serves_a_request_cycle() {
             ..
         }
     ));
-    let op = app.resume(ctx(), SyscallRet::Data(b"GET /".to_vec()));
+    let op = app.resume(ctx(), SyscallRet::Data(b"GET /".to_vec().into()));
     assert!(matches!(op, SyscallOp::Compute(_)));
     let op = app.resume(ctx(), SyscallRet::Ok);
     match op {
@@ -310,9 +310,9 @@ fn http_client_full_transaction_and_failure_path() {
     let op = app.resume(ctx(), SyscallRet::Sent(100));
     assert!(matches!(op, SyscallOp::Recv { .. }));
     // Response in two chunks.
-    let op = app.resume(ctx(), SyscallRet::Data(vec![0; 800]));
+    let op = app.resume(ctx(), SyscallRet::Data(vec![0; 800].into()));
     assert!(matches!(op, SyscallOp::Recv { .. }));
-    let op = app.resume(ctx_at(2), SyscallRet::Data(vec![0; 500]));
+    let op = app.resume(ctx_at(2), SyscallRet::Data(vec![0; 500].into()));
     assert!(matches!(op, SyscallOp::Close { .. }));
     assert_eq!(m.borrow().transactions, 1);
     // New connection; this time the connect is refused.

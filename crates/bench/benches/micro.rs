@@ -1,6 +1,6 @@
 //! Microbenchmarks of the hot kernel paths: the demux function (the code
 //! the paper wants cheap enough for NIC firmware), checksums, the event
-//! queue, and TCP segment processing.
+//! queue, the TCP socket buffer, and TCP segment processing.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lrp_demux::{ChannelId, DemuxTable};
@@ -60,13 +60,60 @@ fn bench_demux(c: &mut Criterion) {
 
 fn bench_checksum(c: &mut Criterion) {
     let mut g = c.benchmark_group("checksum");
-    for size in [64usize, 1460, 9140] {
+    // 9160 B is what `tcp_bulk` sums per data frame: TCP header + MSS.
+    for size in [64usize, 1460, 9140, 9160] {
         let data = vec![0xA5u8; size];
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_function(format!("internet_checksum_{size}B"), |b| {
             b.iter(|| black_box(checksum::checksum(&data)))
         });
     }
+    g.finish();
+}
+
+/// The socket buffer's three movers at `tcp_bulk`'s sizes: a 16 KiB
+/// application write, an MSS-sized transmit peek and a 16 KiB read, on a
+/// 32 KiB ring whose contents straddle the wrap point.
+fn bench_sockbuf(c: &mut Criterion) {
+    use lrp_stack::sockbuf::ByteBuffer;
+    use lrp_wire::buf::recycle;
+    const CHUNK: usize = 16 * 1024;
+    const MSS: usize = 9140;
+    let chunk = vec![0xBBu8; CHUNK];
+    // Fill the ring so its storage reaches full size, then leave 8 KiB
+    // three quarters of the way round: the next 16 KiB write wraps.
+    let three_quarters_round = || {
+        let mut ring = ByteBuffer::new(2 * CHUNK);
+        ring.write(&chunk);
+        ring.write(&chunk);
+        ring.discard(CHUNK + CHUNK / 2);
+        ring
+    };
+    let mut g = c.benchmark_group("sockbuf");
+    g.throughput(Throughput::Bytes(CHUNK as u64));
+    g.bench_function("write_16KiB", |b| {
+        // Every other write wraps.
+        let mut ring = three_quarters_round();
+        b.iter(|| {
+            black_box(ring.write(&chunk));
+            ring.discard(CHUNK);
+        })
+    });
+    g.bench_function("read_16KiB", |b| {
+        // The refill is the cost `write_16KiB` reports on its own.
+        let mut ring = three_quarters_round();
+        b.iter(|| {
+            ring.write(&chunk);
+            recycle(black_box(ring.read(CHUNK)));
+        })
+    });
+    g.throughput(Throughput::Bytes(MSS as u64));
+    g.bench_function("peek_mss_across_wrap", |b| {
+        // Bytes 4 096..13 236 of 24 KiB buffered, split at 8 192.
+        let mut ring = three_quarters_round();
+        ring.write(&chunk);
+        b.iter(|| recycle(black_box(ring.peek_at(CHUNK / 4, MSS))))
+    });
     g.finish();
 }
 
@@ -133,6 +180,7 @@ criterion_group!(
     micro,
     bench_demux,
     bench_checksum,
+    bench_sockbuf,
     bench_event_queue,
     bench_tcp_machine
 );

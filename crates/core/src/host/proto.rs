@@ -751,7 +751,7 @@ impl Host {
         actions: Actions,
     ) -> SimDuration {
         let mut total = SimDuration::ZERO;
-        total += self.tx_segments(sock, &actions.segments);
+        total += self.tx_segments(sock, actions.segments);
         for ev in &actions.events {
             self.handle_conn_event(now, sock, *ev);
         }
@@ -759,7 +759,9 @@ impl Host {
     }
 
     /// Builds and enqueues outgoing TCP segments; returns output cost.
-    pub(crate) fn tx_segments(&mut self, sock: SockId, segments: &[Segment]) -> SimDuration {
+    /// Each payload buffer goes back to the frame arena once its bytes
+    /// are in the datagram.
+    pub(crate) fn tx_segments(&mut self, sock: SockId, segments: Vec<Segment>) -> SimDuration {
         let cost = self.cfg.cost;
         let mut total = SimDuration::ZERO;
         if segments.is_empty() {
@@ -782,6 +784,7 @@ impl Host {
             if !self.ifq_enqueue_spanned(Frame::ipv4(dgram), None) {
                 self.stats.drop_at(DropPoint::IfQueue);
             }
+            lrp_wire::buf::recycle(seg.payload);
         }
         total
     }

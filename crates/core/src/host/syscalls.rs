@@ -411,7 +411,7 @@ impl Host {
                 let mut conn = TcpConn::new(self.tcp_config(), local, dst, iss);
                 let actions = conn.connect(now);
                 self.set_conn(sock, Some(conn));
-                let tx = self.tx_segments(sock, &actions.segments);
+                let tx = self.tx_segments(sock, actions.segments);
                 PhaseOut::Run {
                     dur: entry + cost.tcp_output + tx,
                     account: Account::System,
@@ -657,7 +657,7 @@ impl Host {
         if conn.available() > 0 {
             let (data, actions) = self.with_conn(sock, |conn| conn.read(max_len));
             let n = data.len();
-            let tx = self.tx_segments(sock, &actions.segments);
+            let tx = self.tx_segments(sock, actions.segments);
             self.stats.tcp_delivered_bytes += n as u64;
             let cpu = self.cur_cpu;
             let owner = self.sock(sock).owner;
@@ -665,7 +665,7 @@ impl Host {
             return PhaseOut::Run {
                 dur: cost.sock_dequeue + cost.copy(n) + tx,
                 account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Data(data)),
+                next: Cont::SyscallReturn(SyscallRet::Data(data.into())),
             };
         }
         // A dead connection reports *why* it died (RST, retransmit
@@ -689,7 +689,7 @@ impl Host {
             | TcpState::Closed => PhaseOut::Run {
                 dur: cost.sock_dequeue,
                 account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Data(Vec::new())),
+                next: Cont::SyscallReturn(SyscallRet::Data(Vec::new().into())),
             },
             _ => PhaseOut::Block {
                 wchan: sock_wchan(sock, WC_RECV),

@@ -143,8 +143,10 @@ pub enum SyscallRet {
     Socket(SockId),
     /// Bytes accepted for transmission.
     Sent(usize),
-    /// Received data; for TCP an empty vec means end-of-stream.
-    Data(Vec<u8>),
+    /// Received stream data (arena-backed: handing it to the application
+    /// moves a reference-counted buffer); for TCP an empty buffer means
+    /// end-of-stream.
+    Data(FrameBuf),
     /// Received datagram with source.
     DataFrom(Endpoint, FrameBuf),
     /// A connection was accepted.

@@ -20,9 +20,27 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Returned buffers kept for reuse, per arena. Beyond this the storage
-/// is simply dropped — a bound, not a limit.
+/// Returned `Rc` boxes kept for reuse, per arena, and returned byte
+/// vectors kept per capacity band. Beyond this they are simply dropped —
+/// a bound, not a limit.
 const MAX_CACHED: usize = 1024;
+
+/// Capacity of all cached byte vectors together, per arena. The count
+/// bound alone would let 1 024 MSS-sized buffers pin 9 MB.
+const MAX_CACHED_BYTES: usize = 4 << 20;
+
+/// Cached storage is kept apart by capacity: band `k` holds vectors of
+/// capacity `2^k ..= 2^(k+1) - 1`, and a request is only ever served from
+/// the band of the capacity it asks for. A 40-byte ACK therefore never
+/// takes an MSS-sized buffer, and an MSS-sized build never finds a
+/// 64-byte one. Seventeen bands reach 128 KiB − 1, past the largest IP
+/// datagram; anything larger is not cached.
+const BANDS: usize = 17;
+
+/// The band a vector of `capacity` (non-zero) bytes belongs to.
+fn band(capacity: usize) -> usize {
+    capacity.ilog2() as usize
+}
 
 /// Identity of one checked-out buffer: which slot it came from and the
 /// slot's generation at checkout. Returning with a stale generation
@@ -60,6 +78,13 @@ pub struct ArenaStats {
     pub live: usize,
     /// Recycled `Rc` boxes currently cached.
     pub cached: usize,
+    /// Scratch requests the recycle cache could not serve: the request's
+    /// capacity band was empty, or its top buffer was too small and was
+    /// replaced. Zero growth over a steady-state run is the point of the
+    /// bands.
+    pub storage_allocs: u64,
+    /// Capacity of all cached byte vectors together.
+    pub cached_bytes: usize,
 }
 
 /// An arena-owned byte buffer: storage plus its checkout identity.
@@ -97,9 +122,11 @@ struct ArenaInner {
     generations: Vec<u32>,
     /// Slot ids not currently associated with a live buffer.
     free_slots: Vec<u32>,
-    /// Recycled raw storage (builder scratch), ready to hand out.
-    raw_cache: Vec<Vec<u8>>,
-    /// Recycled `Rc` boxes (strong count 1), ready to wrap new bytes.
+    /// Recycled byte vectors (empty, capacity kept) by capacity band,
+    /// ready to hand out.
+    raw_cache: [Vec<Vec<u8>>; BANDS],
+    /// Recycled `Rc` boxes (strong count 1, storage already moved to
+    /// `raw_cache`), ready to wrap new bytes.
     rc_cache: Vec<Rc<PooledBuf>>,
     /// When false, returned storage is dropped and checkouts always
     /// allocate — the pre-pooling behaviour, kept for A/B benchmarks.
@@ -140,20 +167,32 @@ impl ArenaInner {
     }
 
     fn take_storage(&mut self, capacity: usize) -> Vec<u8> {
-        if let Some(mut v) = self.raw_cache.pop() {
-            v.clear();
-            if v.capacity() < capacity {
-                v.reserve(capacity - v.len());
-            }
-            v
-        } else {
-            Vec::with_capacity(capacity)
+        if capacity == 0 {
+            return Vec::new();
         }
+        if let Some(v) = self.raw_cache.get_mut(band(capacity)).and_then(Vec::pop) {
+            self.stats.cached_bytes -= v.capacity();
+            if v.capacity() >= capacity {
+                return v;
+            }
+            // Too small within its band: replaced rather than grown, so a
+            // band converges on the largest capacity asked of it.
+        }
+        self.stats.storage_allocs += 1;
+        Vec::with_capacity(capacity)
     }
 
-    fn give_storage(&mut self, storage: Vec<u8>) {
-        if self.recycle && self.raw_cache.len() < MAX_CACHED {
-            self.raw_cache.push(storage);
+    fn give_storage(&mut self, mut storage: Vec<u8>) {
+        let capacity = storage.capacity();
+        if !self.recycle || capacity == 0 || self.stats.cached_bytes + capacity > MAX_CACHED_BYTES {
+            return;
+        }
+        if let Some(stack) = self.raw_cache.get_mut(band(capacity)) {
+            if stack.len() < MAX_CACHED {
+                storage.clear();
+                stack.push(storage);
+                self.stats.cached_bytes += capacity;
+            }
         }
     }
 }
@@ -181,9 +220,10 @@ impl FrameArena {
         let mut inner = self.inner.borrow_mut();
         inner.recycle = on;
         if !on {
-            inner.raw_cache.clear();
+            inner.raw_cache = Default::default();
             inner.rc_cache.clear();
             inner.stats.cached = 0;
+            inner.stats.cached_bytes = 0;
         }
     }
 
@@ -198,9 +238,8 @@ impl FrameArena {
                 inner.stats.reuses += 1;
                 inner.stats.cached = inner.rc_cache.len();
                 let buf = Rc::get_mut(&mut rc).expect("cached Rc is unique");
-                let old = std::mem::replace(&mut buf.storage, storage);
+                buf.storage = storage;
                 buf.handle = handle;
-                inner.give_storage(old);
                 rc
             }
             None => {
@@ -213,14 +252,16 @@ impl FrameArena {
     /// Returns a buffer whose caller-side references are gone.
     ///
     /// If `rc` is the last reference, the handle is generation-checked
-    /// and retired and the box joins the recycle cache; otherwise only
-    /// this reference is released (the eventual last holder reclaims).
+    /// and retired, the bytes join the storage cache and the box the box
+    /// cache; otherwise only this reference is released (the eventual
+    /// last holder reclaims).
     pub fn reclaim(&self, mut rc: Rc<PooledBuf>) {
-        if Rc::get_mut(&mut rc).is_none() {
+        let Some(buf) = Rc::get_mut(&mut rc) else {
             return; // Still shared: just drop this reference.
-        }
+        };
         let mut inner = self.inner.borrow_mut();
-        inner.retire(rc.handle);
+        inner.retire(buf.handle);
+        inner.give_storage(std::mem::take(&mut buf.storage));
         if inner.recycle && inner.rc_cache.len() < MAX_CACHED {
             inner.rc_cache.push(rc);
             inner.stats.cached = inner.rc_cache.len();
@@ -341,6 +382,92 @@ mod tests {
         arena.give_storage(v);
         let w = arena.take_storage(4);
         assert!(w.is_empty(), "recycled scratch comes back empty");
+    }
+
+    #[test]
+    fn small_request_after_large_return_takes_the_small_buffer() {
+        let arena = FrameArena::new();
+        let small = arena.take_storage(40);
+        let large = arena.take_storage(9180);
+        let (small_ptr, large_ptr) = (small.as_ptr(), large.as_ptr());
+        // The MSS-sized buffer comes back last: a size-blind stack would
+        // hand it to the next request whatever its size.
+        arena.give_storage(small);
+        arena.give_storage(large);
+        let ack = arena.take_storage(40);
+        assert_eq!(
+            ack.as_ptr(),
+            small_ptr,
+            "ACK-sized request got the ACK-sized buffer"
+        );
+        let data = arena.take_storage(9180);
+        assert_eq!(data.as_ptr(), large_ptr);
+        assert_eq!(arena.stats().storage_allocs, 2, "only the two fresh ones");
+    }
+
+    #[test]
+    fn ack_data_interleave_allocates_nothing_after_warm_up() {
+        let arena = FrameArena::new();
+        let cycle = |len: usize| {
+            let mut v = arena.take_storage(len);
+            assert!(v.capacity() >= len && v.capacity() < 2 * len, "no drift");
+            v.resize(len, 0xBB);
+            // In flight together, as a data frame and the ACK it draws.
+            let frame = arena.adopt(v);
+            let mut w = arena.take_storage(40);
+            w.resize(40, 0);
+            let ack = arena.adopt(w);
+            arena.reclaim(frame);
+            arena.reclaim(ack);
+        };
+        cycle(9180);
+        let warm = arena.stats();
+        for _ in 0..500 {
+            cycle(9180);
+        }
+        let s = arena.stats();
+        assert_eq!(
+            s.storage_allocs, warm.storage_allocs,
+            "no growth, no fresh storage"
+        );
+        assert_eq!(s.fresh_allocs, warm.fresh_allocs, "no fresh Rc box");
+        assert_eq!(s.checkouts - warm.checkouts, 1000);
+    }
+
+    #[test]
+    fn too_small_buffer_is_replaced_within_its_band() {
+        let arena = FrameArena::new();
+        arena.give_storage(Vec::with_capacity(40));
+        // Same band (32..=63), but four bytes short.
+        let v = arena.take_storage(44);
+        assert!(v.capacity() >= 44);
+        assert_eq!(arena.stats().storage_allocs, 1);
+        arena.give_storage(v);
+        assert!(
+            arena.take_storage(40).capacity() >= 44,
+            "the band kept the larger one"
+        );
+        assert_eq!(arena.stats().storage_allocs, 1);
+    }
+
+    #[test]
+    fn retained_bytes_are_bounded() {
+        let arena = FrameArena::new();
+        for _ in 0..MAX_CACHED {
+            arena.give_storage(Vec::with_capacity(9180));
+        }
+        let s = arena.stats();
+        assert!(s.cached_bytes <= MAX_CACHED_BYTES);
+        assert!(
+            s.cached_bytes > MAX_CACHED_BYTES - 9180,
+            "filled to the bound"
+        );
+        // Oversized and empty vectors are never kept.
+        arena.give_storage(Vec::with_capacity(1 << BANDS));
+        arena.give_storage(Vec::new());
+        assert_eq!(arena.stats().cached_bytes, s.cached_bytes);
+        let v = arena.take_storage(9180);
+        assert_eq!(arena.stats().cached_bytes, s.cached_bytes - v.capacity());
     }
 
     #[test]

@@ -156,21 +156,40 @@ impl ByteBuffer {
         n
     }
 
-    /// Removes and returns up to `n` bytes from the front.
+    /// Copies bytes `[offset, offset+n)` into arena storage: the ring is
+    /// at most two contiguous slices, so at most two slice copies.
+    fn copy_out(&self, offset: usize, n: usize) -> Vec<u8> {
+        let (head, tail) = self.data.as_slices();
+        let (split, end) = (head.len(), offset + n);
+        let mut out = lrp_wire::buf::storage(n);
+        if offset < split {
+            out.extend_from_slice(&head[offset..end.min(split)]);
+        }
+        if end > split {
+            out.extend_from_slice(&tail[offset.max(split) - split..end - split]);
+        }
+        out
+    }
+
+    /// Removes and returns up to `n` bytes from the front (in arena
+    /// storage, see [`lrp_wire::buf::storage`]).
     pub fn read(&mut self, n: usize) -> Vec<u8> {
         let take = n.min(self.data.len());
-        self.data.drain(..take).collect()
+        let out = self.copy_out(0, take);
+        self.data.drain(..take);
+        out
     }
 
     /// Copies bytes `[offset, offset+n)` without removing them (for
-    /// retransmission from the send buffer).
+    /// transmission and retransmission from the send buffer; in arena
+    /// storage, see [`lrp_wire::buf::storage`]).
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the buffered data.
     pub fn peek_at(&self, offset: usize, n: usize) -> Vec<u8> {
         assert!(offset + n <= self.data.len(), "peek beyond buffer");
-        self.data.iter().skip(offset).take(n).copied().collect()
+        self.copy_out(offset, n)
     }
 
     /// Discards `n` bytes from the front (data acknowledged by the peer).
@@ -188,6 +207,8 @@ impl ByteBuffer {
 mod tests {
     use super::*;
     use lrp_wire::Ipv4Addr;
+    use proptest::prelude::*;
+    use proptest::sample::Index;
 
     fn from() -> Endpoint {
         Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 1234)
@@ -286,6 +307,87 @@ mod tests {
         assert_eq!(b.len(), 8, "peek does not consume");
         b.discard(4);
         assert_eq!(b.peek_at(0, 2), b"ef");
+    }
+
+    #[test]
+    fn byte_buffer_peek_and_read_span_the_wrap_point() {
+        let mut b = ByteBuffer::new(16);
+        // Fill, free the front, refill: the ring's storage (16 bytes)
+        // does not grow, so the second write wraps.
+        assert_eq!(b.write(&[0xAA; 16]), 16);
+        assert_eq!(b.read(10), [0xAA; 10]);
+        assert_eq!(b.write(b"0123456789"), 10);
+        let (head, tail) = b.data.as_slices();
+        assert!(!head.is_empty() && !tail.is_empty(), "ring is wrapped");
+        let (split, want) = (head.len(), [&[0xAA; 6][..], b"0123456789"].concat());
+        assert_eq!(b.peek_at(0, 16), want);
+        assert_eq!(b.peek_at(split - 1, 2), want[split - 1..split + 1]);
+        assert_eq!(b.peek_at(split, 3), want[split..split + 3]);
+        assert_eq!(b.peek_at(16, 0), b"");
+        b.discard(split - 1);
+        assert_eq!(b.read(usize::MAX), want[split - 1..]);
+        assert!(b.is_empty());
+    }
+
+    /// One step of the model test.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Write(Vec<u8>),
+        Read(usize),
+        Peek(Index, Index),
+        Discard(Index),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..24).prop_map(Op::Write),
+            (0usize..24).prop_map(Op::Read),
+            (any::<Index>(), any::<Index>()).prop_map(|(a, b)| Op::Peek(a, b)),
+            any::<Index>().prop_map(Op::Discard),
+        ]
+    }
+
+    proptest! {
+        /// Random operation sequences against a `Vec<u8>` model. The
+        /// limit is small, so the ring's storage stops growing after the
+        /// first few writes and wraps from then on (nine cases in ten
+        /// have a wrapped ring at some step).
+        #[test]
+        fn byte_buffer_matches_vec_model(
+            limit in 6usize..=16,
+            ops in proptest::collection::vec(arb_op(), 40..120),
+        ) {
+            let mut b = ByteBuffer::new(limit);
+            let mut model: Vec<u8> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Write(bytes) => {
+                        let n = bytes.len().min(limit - model.len());
+                        prop_assert_eq!(b.write(&bytes), n);
+                        model.extend_from_slice(&bytes[..n]);
+                    }
+                    Op::Read(n) => {
+                        let n = n.min(model.len());
+                        prop_assert_eq!(b.read(n), model.drain(..n).collect::<Vec<u8>>());
+                    }
+                    Op::Peek(at, len) => {
+                        let offset = at.index(model.len() + 1);
+                        let n = len.index(model.len() - offset + 1);
+                        prop_assert_eq!(b.peek_at(offset, n), &model[offset..offset + n]);
+                    }
+                    Op::Discard(n) => {
+                        let n = n.index(model.len() + 1);
+                        b.discard(n);
+                        model.drain(..n);
+                    }
+                }
+                prop_assert_eq!(b.len(), model.len());
+                prop_assert_eq!(b.space(), limit - model.len());
+                prop_assert_eq!(b.is_empty(), model.is_empty());
+                // Whole contents, whichever way the ring is split now.
+                prop_assert_eq!(b.peek_at(0, b.len()), &model[..]);
+            }
+        }
     }
 
     #[test]

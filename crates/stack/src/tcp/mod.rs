@@ -42,7 +42,7 @@ use crate::sockbuf::ByteBuffer;
 use crate::SockId;
 use lrp_sim::{SimDuration, SimTime};
 use lrp_wire::tcp::{flags, seq_ge, seq_gt, seq_le, seq_lt, TcpHeader};
-use lrp_wire::Endpoint;
+use lrp_wire::{Endpoint, FrameBuf};
 use std::collections::{BTreeMap, VecDeque};
 
 pub mod ack;
@@ -161,7 +161,9 @@ pub enum ConnEvent {
 pub struct Segment {
     /// The TCP header.
     pub hdr: TcpHeader,
-    /// Segment payload.
+    /// Segment payload, in frame-arena storage: whoever consumes the
+    /// segment hands it back with [`lrp_wire::buf::recycle`] once the
+    /// bytes are in a datagram (dropping it instead is only slower).
     pub payload: Vec<u8>,
 }
 
@@ -308,7 +310,9 @@ pub struct TcpConn {
     irs: u32,
     rcv_nxt: u32,
     rcv_buf: ByteBuffer,
-    ooo: BTreeMap<u32, Vec<u8>>,
+    /// Out-of-order segments by sequence number (arena-backed: a drained
+    /// stash goes back to the frame arena when it drops).
+    ooo: BTreeMap<u32, FrameBuf>,
     /// Last window we advertised (for update decisions).
     last_adv_wnd: u32,
 
@@ -730,8 +734,10 @@ impl TcpConn {
         (n, acts)
     }
 
-    /// Reads up to `n` bytes of in-order data; may emit a window update if
-    /// the advertised window grows substantially (BSD policy).
+    /// Reads up to `n` bytes of in-order data (into frame-arena storage,
+    /// so the host can hand it to the application as a `FrameBuf` without
+    /// another copy); may emit a window update if the advertised window
+    /// grows substantially (BSD policy).
     pub fn read(&mut self, n: usize) -> (Vec<u8>, Actions) {
         let data = self.rcv_buf.read(n);
         let mut acts = Actions::default();
@@ -1222,7 +1228,7 @@ impl TcpConn {
             // Out of order: stash, then ask the strategy about dup-ACK
             // emission (the sender's fast retransmit depends on it).
             if self.ooo.len() < 64 {
-                self.ooo.entry(seq).or_insert_with(|| data.to_vec());
+                self.ooo.entry(seq).or_insert_with(|| data.into());
             }
             match self.ack_policy.on_out_of_order(now) {
                 AckDecision::Now => {

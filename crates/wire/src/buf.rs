@@ -35,17 +35,19 @@ pub fn frame_arena_stats() -> ArenaStats {
     ARENA.with(|a| a.stats())
 }
 
-/// Takes empty scratch storage with `cap` capacity from the arena.
+/// Takes empty scratch storage with at least `cap` capacity from the
+/// arena.
 ///
-/// Packet builders use this instead of `Vec::with_capacity` so their
-/// scratch storage participates in recycling. Hand the result to a
-/// [`FrameBuf`] (via `into()`) or back to [`recycle`].
-pub(crate) fn storage(cap: usize) -> Vec<u8> {
+/// Packet builders and the TCP machine's payload and read buffers use
+/// this instead of `Vec::with_capacity` so their storage participates in
+/// recycling. Hand the result to a [`FrameBuf`] (via `into()`) or back to
+/// [`recycle`]; one that is simply dropped is freed, nothing leaks.
+pub fn storage(cap: usize) -> Vec<u8> {
     ARENA.with(|a| a.take_storage(cap))
 }
 
-/// Returns builder scratch storage that did not become a frame.
-pub(crate) fn recycle(v: Vec<u8>) {
+/// Returns scratch storage that did not become a frame.
+pub fn recycle(v: Vec<u8>) {
     ARENA.with(|a| a.give_storage(v));
 }
 

@@ -57,36 +57,44 @@ impl TcpHeader {
     }
 }
 
+/// Appends the segment (header + options + payload) to `out` and
+/// checksums it where it lies.
+fn encode_into(out: &mut Vec<u8>, src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, payload: &[u8]) {
+    let at = out.len();
+    let hlen = h.wire_len();
+    let mut hdr = [0u8; HEADER_LEN + 4];
+    hdr[0..2].copy_from_slice(&h.src_port.to_be_bytes());
+    hdr[2..4].copy_from_slice(&h.dst_port.to_be_bytes());
+    hdr[4..8].copy_from_slice(&h.seq.to_be_bytes());
+    hdr[8..12].copy_from_slice(&h.ack.to_be_bytes());
+    hdr[12] = ((hlen / 4) as u8) << 4;
+    hdr[13] = h.flags;
+    hdr[14..16].copy_from_slice(&h.window.to_be_bytes());
+    // hdr[16..18] checksum, zero for now; hdr[18..20] urgent pointer (unused).
+    if let Some(mss) = h.mss {
+        hdr[20] = 2; // Kind: MSS.
+        hdr[21] = 4; // Length.
+        hdr[22..24].copy_from_slice(&mss.to_be_bytes());
+    }
+    out.extend_from_slice(&hdr[..hlen]);
+    out.extend_from_slice(payload);
+    let mut c = Checksum::new();
+    c.add_pseudo_header(src, dst, proto::TCP, (hlen + payload.len()) as u16);
+    c.add(&out[at..]);
+    let sum = c.finish();
+    out[at + 16..at + 18].copy_from_slice(&sum.to_be_bytes());
+}
+
 /// Encodes a TCP segment (header + options + payload) with a valid
 /// checksum.
 pub fn build(src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, payload: &[u8]) -> Vec<u8> {
-    let hlen = h.wire_len();
-    let total = hlen + payload.len();
-    let mut out = crate::buf::storage(total);
-    out.extend_from_slice(&h.src_port.to_be_bytes());
-    out.extend_from_slice(&h.dst_port.to_be_bytes());
-    out.extend_from_slice(&h.seq.to_be_bytes());
-    out.extend_from_slice(&h.ack.to_be_bytes());
-    out.push(((hlen / 4) as u8) << 4);
-    out.push(h.flags);
-    out.extend_from_slice(&h.window.to_be_bytes());
-    out.extend_from_slice(&[0, 0]); // Checksum placeholder.
-    out.extend_from_slice(&[0, 0]); // Urgent pointer (unused).
-    if let Some(mss) = h.mss {
-        out.push(2); // Kind: MSS.
-        out.push(4); // Length.
-        out.extend_from_slice(&mss.to_be_bytes());
-    }
-    out.extend_from_slice(payload);
-    let mut c = Checksum::new();
-    c.add_pseudo_header(src, dst, proto::TCP, total as u16);
-    c.add(&out);
-    let sum = c.finish();
-    out[16..18].copy_from_slice(&sum.to_be_bytes());
+    let mut out = crate::buf::storage(h.wire_len() + payload.len());
+    encode_into(&mut out, src, dst, h, payload);
     out
 }
 
-/// Builds a complete IP datagram carrying a TCP segment.
+/// Builds a complete IP datagram carrying a TCP segment: IP header, TCP
+/// header and payload are written once, into one arena buffer.
 pub fn build_datagram(
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -94,10 +102,11 @@ pub fn build_datagram(
     ident: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let seg = build(src, dst, h, payload);
-    let ih = ipv4::Ipv4Header::new(src, dst, proto::TCP, ident, seg.len());
-    let out = ipv4::build_datagram(&ih, &seg);
-    crate::buf::recycle(seg);
+    let seg_len = h.wire_len() + payload.len();
+    let ih = ipv4::Ipv4Header::new(src, dst, proto::TCP, ident, seg_len);
+    let mut out = crate::buf::storage(ipv4::HEADER_LEN + seg_len);
+    out.extend_from_slice(&ih.encode());
+    encode_into(&mut out, src, dst, h, payload);
     out
 }
 
@@ -278,6 +287,28 @@ mod tests {
         let (th, body) = parse(ip_payload).unwrap();
         assert_eq!(th.dst_port, 80);
         assert_eq!(body, b"hello");
+    }
+
+    #[test]
+    fn single_buffer_datagram_equals_layered_build() {
+        let (s, d) = addrs();
+        let mut syn = header();
+        syn.flags = flags::SYN;
+        syn.mss = Some(9140);
+        let odd: Vec<u8> = (0..9139u32).map(|i| (i * 7) as u8).collect();
+        for h in [header(), syn] {
+            for payload in [&b""[..], b"x", b"hello", &odd] {
+                let seg = build(s, d, &h, payload);
+                let ih = ipv4::Ipv4Header::new(s, d, proto::TCP, 42, seg.len());
+                assert_eq!(
+                    build_datagram(s, d, &h, 42, payload),
+                    ipv4::build_datagram(&ih, &seg),
+                    "mss {:?}, payload {} bytes",
+                    h.mss,
+                    payload.len()
+                );
+            }
+        }
     }
 
     #[test]

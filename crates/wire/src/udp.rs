@@ -20,6 +20,38 @@ pub struct UdpHeader {
     pub checksum: u16,
 }
 
+/// Appends the packet (header + payload) to `out`, checksummed where it
+/// lies if `checksum_on`.
+fn encode_into(
+    out: &mut Vec<u8>,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    src_port: u16,
+    dst_port: u16,
+    payload: &[u8],
+    checksum_on: bool,
+) {
+    let at = out.len();
+    let len = (HEADER_LEN + payload.len()) as u16;
+    let mut hdr = [0u8; HEADER_LEN];
+    hdr[0..2].copy_from_slice(&src_port.to_be_bytes());
+    hdr[2..4].copy_from_slice(&dst_port.to_be_bytes());
+    hdr[4..6].copy_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(&hdr);
+    out.extend_from_slice(payload);
+    if checksum_on {
+        let mut c = Checksum::new();
+        c.add_pseudo_header(src, dst, proto::UDP, len);
+        c.add(&out[at..]);
+        let mut sum = c.finish();
+        // A computed sum of zero is transmitted as all-ones (RFC 768).
+        if sum == 0 {
+            sum = 0xFFFF;
+        }
+        out[at + 6..at + 8].copy_from_slice(&sum.to_be_bytes());
+    }
+}
+
 /// Encodes a UDP packet (header + payload).
 ///
 /// If `checksum_on` is true, computes the checksum over the pseudo-header,
@@ -33,28 +65,13 @@ pub fn build(
     payload: &[u8],
     checksum_on: bool,
 ) -> Vec<u8> {
-    let len = (HEADER_LEN + payload.len()) as u16;
-    let mut out = crate::buf::storage(len as usize);
-    out.extend_from_slice(&src_port.to_be_bytes());
-    out.extend_from_slice(&dst_port.to_be_bytes());
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(&[0, 0]);
-    out.extend_from_slice(payload);
-    if checksum_on {
-        let mut c = Checksum::new();
-        c.add_pseudo_header(src, dst, proto::UDP, len);
-        c.add(&out);
-        let mut sum = c.finish();
-        // A computed sum of zero is transmitted as all-ones (RFC 768).
-        if sum == 0 {
-            sum = 0xFFFF;
-        }
-        out[6..8].copy_from_slice(&sum.to_be_bytes());
-    }
+    let mut out = crate::buf::storage(HEADER_LEN + payload.len());
+    encode_into(&mut out, src, dst, src_port, dst_port, payload, checksum_on);
     out
 }
 
-/// Builds a complete IP datagram carrying a UDP packet.
+/// Builds a complete IP datagram carrying a UDP packet: IP header, UDP
+/// header and payload are written once, into one arena buffer.
 pub fn build_datagram(
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -64,10 +81,11 @@ pub fn build_datagram(
     payload: &[u8],
     checksum_on: bool,
 ) -> Vec<u8> {
-    let udp = build(src, dst, src_port, dst_port, payload, checksum_on);
-    let h = ipv4::Ipv4Header::new(src, dst, proto::UDP, ident, udp.len());
-    let out = ipv4::build_datagram(&h, &udp);
-    crate::buf::recycle(udp);
+    let udp_len = HEADER_LEN + payload.len();
+    let h = ipv4::Ipv4Header::new(src, dst, proto::UDP, ident, udp_len);
+    let mut out = crate::buf::storage(ipv4::HEADER_LEN + udp_len);
+    out.extend_from_slice(&h.encode());
+    encode_into(&mut out, src, dst, src_port, dst_port, payload, checksum_on);
     out
 }
 
@@ -203,6 +221,24 @@ mod tests {
         let (uh, body) = parse(ipayload).unwrap();
         assert_eq!(uh.dst_port, 53);
         assert_eq!(body, b"query");
+    }
+
+    #[test]
+    fn single_buffer_datagram_equals_layered_build() {
+        let (s, d) = addrs();
+        let odd: Vec<u8> = (0..1471u32).map(|i| (i * 7) as u8).collect();
+        for checksum_on in [false, true] {
+            for payload in [&b""[..], b"x", b"query", &odd] {
+                let pkt = build(s, d, 4000, 53, payload, checksum_on);
+                let ih = ipv4::Ipv4Header::new(s, d, proto::UDP, 7, pkt.len());
+                assert_eq!(
+                    build_datagram(s, d, 4000, 53, 7, payload, checksum_on),
+                    ipv4::build_datagram(&ih, &pkt),
+                    "checksum {checksum_on}, payload {} bytes",
+                    payload.len()
+                );
+            }
+        }
     }
 
     #[test]
