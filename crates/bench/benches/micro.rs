@@ -136,7 +136,7 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_tcp_machine(c: &mut Criterion) {
+fn bench_segment_roundtrip(c: &mut Criterion) {
     use lrp_stack::tcp::{TcpConfig, TcpConn};
     let mut g = c.benchmark_group("tcp");
     g.bench_function("segment_roundtrip", |b| {
@@ -182,6 +182,6 @@ criterion_group!(
     bench_checksum,
     bench_sockbuf,
     bench_event_queue,
-    bench_tcp_machine
+    bench_segment_roundtrip
 );
 criterion_main!(micro);

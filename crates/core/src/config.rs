@@ -118,13 +118,6 @@ pub struct HostConfig {
     /// the returning ACK re-derives the connection from the cookie. Off
     /// takes no new code paths — goldens are bit-identical.
     pub syn_cookies: SynCookies,
-    /// Maximum receive-ring frames the driver hands to the kernel per
-    /// interrupt (BSD / SOFT-LRP / Early-Demux). Without interrupt
-    /// coalescing the ring holds exactly one frame when the interrupt
-    /// fires, so any value ≥ 1 is behaviour-identical; under coalescing
-    /// the batch is what lets held frames ride along. Per-frame driver
-    /// cost is charged for every frame in the batch.
-    pub rx_batch: usize,
 }
 
 impl HostConfig {
@@ -151,7 +144,6 @@ impl HostConfig {
             telemetry: false,
             syn_cache: false,
             syn_cookies: SynCookies::Off,
-            rx_batch: 16,
         }
     }
 

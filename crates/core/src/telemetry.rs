@@ -40,8 +40,8 @@ use std::collections::{BTreeMap, VecDeque};
 /// Default trace-ring capacity, in events. Sized to stay L2-resident
 /// (~80 KB of [`TraceEvent`]s): the ring sits on the per-packet hot path
 /// and a larger tail buffer measurably slows the simulator down by
-/// streaming every record through the cache (the <10% telemetry overhead
-/// budget in `bench_sim` is measured with this default).
+/// streaming every record through the cache (DESIGN.md §14's telemetry
+/// overhead budget was measured with this default).
 pub const DEFAULT_TRACE_CAP: usize = 2_048;
 
 /// Maximum stored span events per host; further events are counted in

@@ -75,7 +75,7 @@ pub struct World {
     tick: SimDuration,
     started: bool,
     /// Events processed by `run_until` (all kinds), for wall-clock
-    /// benchmarks (`bench_sim`): events/sec = events_processed / elapsed.
+    /// benchmarks: events/sec = events_processed / elapsed.
     events: u64,
     /// Capture tap: when enabled, every frame delivered to a host is
     /// recorded as `(time, host, summary)` up to the configured limit.
@@ -199,18 +199,6 @@ impl World {
         self.queue.schedule(at, ev);
     }
 
-    /// Selects the event-queue implementation (timer wheel vs. legacy
-    /// heap). Both pop in identical order, so results are bit-identical
-    /// either way; benchmarks use this to A/B the two. Must be called
-    /// before the world boots.
-    pub fn use_queue_impl(&mut self, imp: lrp_sim::QueueImpl) {
-        assert!(
-            !self.started && self.queue.is_empty(),
-            "queue impl must be chosen before the world starts"
-        );
-        self.queue = EventQueue::with_impl(imp);
-    }
-
     /// Boots all hosts and arms periodic events. Runs automatically on the
     /// first `run_until`.
     fn start(&mut self) {
@@ -288,11 +276,12 @@ impl World {
     /// included).
     pub fn run_until(&mut self, t_end: SimTime) {
         self.start();
+        // Set LRP_TRACE=1 to stream every event to stderr (debugging).
+        let trace = trace_enabled();
         while let Some((t, ev)) = self.queue.pop_before(t_end) {
             self.now = t;
             self.events += 1;
-            // Set LRP_TRACE=1 to stream every event to stderr (debugging).
-            if trace_enabled() {
+            if trace {
                 eprintln!("[{}] {:?}", t.as_micros(), ev);
             }
             match ev {

@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod event;
-pub mod heap;
 pub mod profile;
 pub mod rng;
 pub mod sketch;
@@ -34,10 +33,8 @@ pub mod stats;
 pub mod time;
 pub mod timeline;
 pub mod trace;
-pub mod wheel;
 
-pub use event::{EventKey, EventQueue, QueueImpl};
-pub use heap::HeapQueue;
+pub use event::EventQueue;
 pub use profile::{CycleAccount, CycleKey, FastHashMap, FoldHasher};
 pub use rng::SplitMix64;
 pub use sketch::QuantileSketch;
@@ -45,4 +42,3 @@ pub use stats::{Counter, Histogram, RateSeries, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{MetricsTimeline, TimelineRow};
 pub use trace::{TraceEvent, TraceRing};
-pub use wheel::TimerWheel;

@@ -10,11 +10,6 @@
 //!   validation, as does any schema file matching neither pattern — so
 //!   adding a schema without wiring its experiment (or renaming an
 //!   experiment without its schema) cannot silently stop being checked.
-//! - `schemas/BENCH_<name>.schema.json` — a pin for the wall-clock
-//!   benchmark document `BENCH_<name>.json` at the repository root
-//!   (emitted by the corresponding `bench_<name>` binary and committed
-//!   so the trajectory is diffable). The whole document must conform;
-//!   a pin without its document is an orphan.
 //!
 //! Beyond schema conformance, every host report must have passed the
 //! packet-conservation self-check (`"conserved": true`).
@@ -28,10 +23,6 @@ use std::process::ExitCode;
 
 fn schemas_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../schemas")
-}
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// Collects `results/*.json`, skipping the `*.trace.json` exports (those
@@ -69,12 +60,10 @@ fn load_json(path: &Path, what: &str, errs: &mut Vec<String>) -> Option<Json> {
     }
 }
 
-/// Discovered schemas: the envelope, `(experiment, schema)` data pins,
-/// and `(bench document name, schema)` pins for repo-root BENCH files.
+/// Discovered schemas: the envelope and `(experiment, schema)` data pins.
 struct Schemas {
     envelope: Json,
     data: Vec<(String, Json)>,
-    bench: Vec<(String, Json)>,
 }
 
 /// Walks `schemas/`, classifying every `*.schema.json` file. Unknown
@@ -91,11 +80,10 @@ fn discover_schemas(errs: &mut Vec<String>) -> Option<Schemas> {
 
     let mut envelope = None;
     let mut data = Vec::new();
-    let mut bench = Vec::new();
     for name in names {
         if !name.ends_with(".schema.json") {
             errs.push(format!(
-                "schemas/{name}: unrecognized file (expected results.schema.json, <exp>.data.schema.json or BENCH_<name>.schema.json)"
+                "schemas/{name}: unrecognized file (expected results.schema.json or <exp>.data.schema.json)"
             ));
             continue;
         }
@@ -106,22 +94,14 @@ fn discover_schemas(errs: &mut Vec<String>) -> Option<Schemas> {
             if let Some(doc) = doc {
                 data.push((exp.to_string(), doc));
             }
-        } else if name.starts_with("BENCH_") {
-            if let (Some(stem), Some(doc)) = (name.strip_suffix(".schema.json"), doc) {
-                bench.push((format!("{stem}.json"), doc));
-            }
         } else {
             errs.push(format!(
-                "schemas/{name}: unrecognized schema (expected results.schema.json, <exp>.data.schema.json or BENCH_<name>.schema.json)"
+                "schemas/{name}: unrecognized schema (expected results.schema.json or <exp>.data.schema.json)"
             ));
         }
     }
     match envelope {
-        Some(envelope) => Some(Schemas {
-            envelope,
-            data,
-            bench,
-        }),
+        Some(envelope) => Some(Schemas { envelope, data }),
         None => {
             errs.push("schemas/results.schema.json: missing".into());
             None
@@ -208,25 +188,6 @@ fn check_livelock_anomalies(name: &str, doc: &Json, errs: &mut Vec<String>) {
     }
 }
 
-/// The telemetry-budget gate on `BENCH_sim.json`: both telemetry modes
-/// must have been measured (the overhead number is meaningless without
-/// its off baseline), and the enforced budget itself is pinned by the
-/// schema's `maximum` on `fig3_telemetry_overhead`.
-fn check_bench_telemetry_modes(name: &str, doc: &Json, errs: &mut Vec<String>) {
-    let rows = doc.get("results").and_then(Json::as_arr).unwrap_or(&[]);
-    for want in [true, false] {
-        let present = rows.iter().any(|r| {
-            r.get("telemetry").and_then(Json::as_bool) == Some(want)
-                && r.get("mode").and_then(Json::as_str) == Some("current")
-        });
-        if !present {
-            errs.push(format!(
-                "{name}: no current-mode row with telemetry={want} — both modes must be benchmarked"
-            ));
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let mut errs = Vec::new();
     let schemas = discover_schemas(&mut errs);
@@ -251,34 +212,13 @@ fn main() -> ExitCode {
         for path in &files {
             check_file(path, schemas, &mut errs);
         }
-        // Repo-root benchmark documents: the whole document conforms to
-        // its pin. Missing documents are orphaned pins, same as above.
-        for (doc_name, bench_schema) in &schemas.bench {
-            let path = repo_root().join(doc_name);
-            if !path.is_file() {
-                errs.push(format!(
-                    "schemas/{}: orphan schema — {doc_name} does not exist at the repo root",
-                    doc_name.replace(".json", ".schema.json")
-                ));
-                continue;
-            }
-            if let Some(doc) = load_json(&path, doc_name, &mut errs) {
-                for e in schema::validate(&doc, bench_schema, "$") {
-                    errs.push(format!("{doc_name}: {e}"));
-                }
-                if doc_name == "BENCH_sim.json" {
-                    check_bench_telemetry_modes(doc_name, &doc, &mut errs);
-                }
-            }
-        }
     }
     if errs.is_empty() {
         let schemas = schemas.as_ref().expect("schemas present when no errors");
         println!(
-            "validated {} result document(s) against the envelope schema + {} data pin(s) + {} bench pin(s): all conform, all conserved",
+            "validated {} result document(s) against the envelope schema + {} data pin(s): all conform, all conserved",
             files.len(),
-            schemas.data.len(),
-            schemas.bench.len()
+            schemas.data.len()
         );
         ExitCode::SUCCESS
     } else {

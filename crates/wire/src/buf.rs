@@ -21,15 +21,6 @@ thread_local! {
     static ARENA: FrameArena = FrameArena::new();
 }
 
-/// Turns frame-storage recycling on or off for this thread's arena.
-///
-/// On (the default), dropped frame buffers are cached and reused by
-/// later frames. Off restores per-frame alloc/free — the pre-arena
-/// behaviour, kept selectable so benchmarks can measure the difference.
-pub fn set_frame_pooling(on: bool) {
-    ARENA.with(|a| a.set_recycling(on));
-}
-
 /// Counters for this thread's frame arena (reuse rate, live buffers).
 pub fn frame_arena_stats() -> ArenaStats {
     ARENA.with(|a| a.stats())

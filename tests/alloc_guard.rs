@@ -1,13 +1,18 @@
-//! The TCP byte path's copy discipline (DESIGN.md §17), pinned by exact
-//! allocator counts instead of wall-clock: a bulk transfer allocates
-//! little more than the application's own send buffers, and nothing of
-//! segment size per segment sent.
+//! Allocation discipline pinned by exact allocator counts instead of
+//! wall-clock:
+//!
+//! - the TCP byte path (DESIGN.md §17): a bulk transfer allocates little
+//!   more than the application's own send buffers, and nothing of
+//!   segment size per segment sent;
+//! - the telemetry budget (DESIGN.md §14): on the Figure-3 blast, full
+//!   telemetry allocates at most a stated multiple per event of the same
+//!   run with telemetry off.
 //!
 //! This binary has its own counting `#[global_allocator]` and a single
 //! test, so the counters see the simulation and nothing else.
 
 use lrp::core::{Architecture, CcAlgo};
-use lrp::experiments::fault_sweep;
+use lrp::experiments::{fault_sweep, fig3};
 use lrp::net::FaultPlan;
 use lrp::sim::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -20,12 +25,14 @@ const TOTAL: usize = 4 << 20;
 const MSS: usize = 9140;
 
 // Relaxed: the counters are statistics that publish no other data.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 static SEGMENT_SIZED: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
 fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(size as u64, Ordering::Relaxed);
     if (MSS..=MSS + 44).contains(&size) {
         SEGMENT_SIZED.fetch_add(1, Ordering::Relaxed);
@@ -99,4 +106,47 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
             "{arch:?}: {segment_sized} segment-sized allocations for {segments} segments"
         );
     }
+
+    // The telemetry budget. A throwaway run first warms this thread's
+    // frame arena for the blast's frame sizes, so neither measured run
+    // pays for the other's cold start.
+    fig3_allocs_per_event(Architecture::Bsd, true);
+    for arch in [
+        Architecture::Bsd,
+        Architecture::SoftLrp,
+        Architecture::NiLrp,
+    ] {
+        let on = fig3_allocs_per_event(arch, true);
+        let off = fig3_allocs_per_event(arch, false);
+        eprintln!("{arch:?}: {on:.4} allocations per event with telemetry on, {off:.4} off");
+        assert!(
+            on <= TELEMETRY_ALLOC_BUDGET * off,
+            "{arch:?}: telemetry on allocates {on:.4} per event, off {off:.4}: \
+             over the {TELEMETRY_ALLOC_BUDGET}x budget"
+        );
+    }
+}
+
+/// Allocations per event with telemetry on, as a multiple of the same
+/// run with telemetry off. Warmed release runs read, on / off:
+/// BSD 0.0557 / 0.0502 (1.11×), SOFT-LRP 0.1073 / 0.1017 (1.06×),
+/// NI-LRP 0.1659 / 0.1604 (1.03×); debug builds read within 0.01× of
+/// those ratios. Without the throwaway run, BSD reads 0.0666 / 0.0502
+/// (1.33×): whichever run comes first pays the arena's cold start.
+const TELEMETRY_ALLOC_BUDGET: f64 = 1.25;
+
+/// Allocations per event over one simulated second of the Figure-3 blast
+/// (12 000 pkts/s, Poisson, seed 7), with every host's telemetry on (as
+/// the experiment builds it) or off.
+fn fig3_allocs_per_event(arch: Architecture, telemetry: bool) -> f64 {
+    let (mut world, _m) = fig3::build_seeded(arch, 12_000.0, true, 7);
+    if !telemetry {
+        for h in &mut world.hosts {
+            h.set_telemetry(false);
+        }
+    }
+    let allocs0 = ALLOCS.load(Ordering::Relaxed);
+    world.run_until(SimTime::from_secs(1));
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
+    allocs as f64 / world.events_processed() as f64
 }
