@@ -688,6 +688,33 @@ fn interrupt_coalescing_is_conserved() {
     assert!(metrics.borrow().received > 0, "traffic still flows");
 }
 
+/// The demultiplexing interrupt handler (SOFT-LRP, Early-Demux) drains
+/// coalesced batches through its own path; it too loses no frame.
+#[test]
+fn interrupt_coalescing_is_conserved_through_soft_demux() {
+    for arch in [Architecture::SoftLrp, Architecture::EarlyDemux] {
+        let (host, metrics) = sink_host(arch, 9000);
+        let mut world = World::with_defaults();
+        let b = world.add_host(host);
+        world.add_injector(b, udp_injector(8_000.0, 6, false));
+        world.hosts[b].nic.set_faults(lrp_nic::NicFaultPlan {
+            stall_ns: Vec::new(),
+            coalesce_ns: 200_000,
+        });
+        world.run_until(SimTime::from_secs(2));
+        let h = &world.hosts[b];
+        let nic = h.nic.stats();
+        assert!(nic.coalesced_intrs > 0, "{arch:?}: coalescing must fire");
+        assert!(nic.interrupts < nic.rx_frames, "{arch:?}: {nic:?}");
+        let l = h.packet_ledger();
+        assert!(l.conserved(), "{arch:?}: {l:?}");
+        assert!(
+            metrics.borrow().received > 0,
+            "{arch:?}: traffic still flows"
+        );
+    }
+}
+
 /// UDP to a closed port answers with ICMP port unreachable (type 3 code
 /// 3), and the dropped datagram gets its own ledger disposition.
 #[test]
