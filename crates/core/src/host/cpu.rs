@@ -195,7 +195,7 @@ impl Host {
                 // A process crashed mid-chunk finishes the chunk (the
                 // cycles were already spent) but its continuation
                 // evaporates — nothing may resurrect an exited process.
-                if !matches!(self.exec.get(&pid), Some(ProcExec::Exited)) {
+                if !matches!(self.exec.get(pid), Some(ProcExec::Exited)) {
                     // The process continues with the next phase: requeue at
                     // the front of its bucket so it resumes immediately
                     // unless higher-priority work (interrupt, softirq,
@@ -258,7 +258,7 @@ impl Host {
     ) {
         // A crash between suspension and this save point must win: the
         // preempted phase of an exited process is discarded, not saved.
-        if matches!(self.exec.get(&pid), Some(ProcExec::Exited)) {
+        if matches!(self.exec.get(pid), Some(ProcExec::Exited)) {
             return;
         }
         if remaining.is_zero() {
@@ -385,7 +385,7 @@ impl Host {
                 // suspended process has *no* exec entry — the continuation
                 // lives in the chunk itself; a crash stores an explicit
                 // `Exited`.)
-                if matches!(self.exec.get(&pid), Some(ProcExec::Exited)) {
+                if matches!(self.exec.get(pid), Some(ProcExec::Exited)) {
                     let _ = next;
                     continue;
                 }
@@ -416,7 +416,7 @@ impl Host {
             // 6. Idle. LRP: poll channels for the idle protocol thread.
             if self.idle_work_available() {
                 if let Some(idle) = self.idle_thread {
-                    if matches!(self.exec.get(&idle), Some(ProcExec::Blocked(_))) {
+                    if matches!(self.exec.get(idle), Some(ProcExec::Blocked(_))) {
                         self.wake_channel(super::WC_IDLE_THREAD);
                         continue;
                     }
@@ -440,7 +440,7 @@ impl Host {
                 self.last_ran.insert(prev, now);
             }
             let reload = self.sched.proc_ref(pid).cache_reload;
-            let scaled = match self.last_ran.get(&pid) {
+            let scaled = match self.last_ran.get(pid) {
                 Some(&t) => {
                     let away = now.since(t).as_nanos() as f64;
                     let window = self.cfg.cost.cache_decay_window.as_nanos() as f64;
@@ -453,7 +453,7 @@ impl Host {
             self.cpus[cpu].last_on_cpu = Some(pid);
         }
         loop {
-            let ex = self.exec.remove(&pid).unwrap_or(ProcExec::Exited);
+            let ex = self.exec.remove(pid).unwrap_or(ProcExec::Exited);
             // Profiler metadata for the chunk this phase may produce: a
             // resumed chunk carries its original metadata; a fresh phase
             // is labelled by its continuation.
@@ -461,7 +461,7 @@ impl Host {
             let out = match ex {
                 ProcExec::Start => {
                     let ctx = crate::syscall::AppCtx { now, pid };
-                    let op = self.apps.get_mut(&pid).expect("app for process").start(ctx);
+                    let op = self.apps.get_mut(pid).expect("app for process").start(ctx);
                     PhaseOut::Run {
                         dur: SimDuration::ZERO,
                         account: Account::System,

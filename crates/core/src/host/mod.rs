@@ -35,6 +35,7 @@
 
 mod cpu;
 mod index;
+mod pidmap;
 mod proto;
 mod rx;
 mod syscalls;
@@ -50,6 +51,7 @@ use lrp_stack::sockbuf::DatagramQueue;
 use lrp_stack::tcp::{TcpConn, TcpListener, TcpStats};
 use lrp_stack::{PcbTable, Reassembler, SockId};
 use lrp_wire::{Endpoint, Frame, Ipv4Addr};
+use pidmap::PidMap;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Where a packet was dropped — the paper's instrumentation distinguishes
@@ -391,8 +393,8 @@ pub struct Host {
     pub(crate) pcb: PcbTable,
     pub(crate) reasm: Reassembler,
     pub(crate) sockets: Vec<Option<Socket>>,
-    pub(crate) apps: FastHashMap<Pid, Box<dyn AppLogic>>,
-    pub(crate) exec: FastHashMap<Pid, ProcExec>,
+    pub(crate) apps: PidMap<Box<dyn AppLogic>>,
+    pub(crate) exec: PidMap<ProcExec>,
     /// The simulated CPUs (length `cfg.ncpus`).
     pub(crate) cpus: Vec<Cpu>,
     /// The CPU whose context the host is currently executing in (set at
@@ -440,7 +442,7 @@ pub struct Host {
     pub(crate) forwarding_enabled: bool,
     /// When each process last held a CPU (for away-time-scaled cache
     /// reload penalties).
-    pub(crate) last_ran: FastHashMap<Pid, SimTime>,
+    pub(crate) last_ran: PidMap<SimTime>,
     pub(crate) iss: u32,
     pub(crate) ip_ident: u16,
     pub(crate) ephemeral_port: u16,
@@ -462,17 +464,17 @@ pub struct Host {
     /// fires late from timing out a *later* receive on the same socket.
     pub(crate) recv_deadlines: BTreeMap<SimTime, Vec<(Pid, SockId, u64)>>,
     /// The seq token of each process's currently armed receive timeout.
-    pub(crate) recv_seq: FastHashMap<Pid, u64>,
+    pub(crate) recv_seq: PidMap<u64>,
     /// Monotonic generator for receive-timeout seq tokens.
     pub(crate) recv_deadline_seq: u64,
     /// Attached end-host fault plan runtime (crash schedule + jitter).
     pub(crate) fault: Option<HostFaultState>,
     /// Respawn recipes for processes spawned restartable.
-    pub(crate) restartable: FastHashMap<Pid, RestartSpec>,
+    pub(crate) restartable: PidMap<RestartSpec>,
     /// Scheduled restarts: time → crashed pids to respawn.
     pub(crate) restart_at: BTreeMap<SimTime, Vec<Pid>>,
     /// Crashed pid → its restarted successor (chains across restarts).
-    pub(crate) reincarnation: FastHashMap<Pid, Pid>,
+    pub(crate) reincarnation: PidMap<Pid>,
     /// Crash log: `(time, pid)` per executed crash.
     pub(crate) crash_log: Vec<(SimTime, Pid)>,
     /// Restart log: `(time, old pid, new pid)` per executed restart.
@@ -542,8 +544,8 @@ impl Host {
             pcb: PcbTable::new(),
             reasm: Reassembler::new(16, SimDuration::from_secs(30)),
             sockets: Vec::new(),
-            apps: FastHashMap::default(),
-            exec: FastHashMap::default(),
+            apps: PidMap::default(),
+            exec: PidMap::default(),
             cpus: (0..cfg.ncpus).map(|_| Cpu::default()).collect(),
             cur_cpu: 0,
             ip_queue: VecDeque::new(),
@@ -561,7 +563,7 @@ impl Host {
             icmp_sock: None,
             forward_daemon: None,
             forwarding_enabled: false,
-            last_ran: FastHashMap::default(),
+            last_ran: PidMap::default(),
             iss: 1000,
             ip_ident: 1,
             ephemeral_port: 40_000,
@@ -572,12 +574,12 @@ impl Host {
             chan_to_sock: FastHashMap::default(),
             tele: crate::telemetry::Telemetry::new(cfg.telemetry),
             recv_deadlines: BTreeMap::new(),
-            recv_seq: FastHashMap::default(),
+            recv_seq: PidMap::default(),
             recv_deadline_seq: 0,
             fault: None,
-            restartable: FastHashMap::default(),
+            restartable: PidMap::default(),
             restart_at: BTreeMap::new(),
-            reincarnation: FastHashMap::default(),
+            reincarnation: PidMap::default(),
             crash_log: Vec::new(),
             restart_log: Vec::new(),
             boot_at: None,
@@ -675,7 +677,7 @@ impl Host {
     /// The latest live incarnation of a (possibly crashed-and-restarted)
     /// process.
     pub fn live_incarnation(&self, mut pid: Pid) -> Pid {
-        while let Some(&next) = self.reincarnation.get(&pid) {
+        while let Some(&next) = self.reincarnation.get(pid) {
             pid = next;
         }
         pid
@@ -703,13 +705,13 @@ impl Host {
         // continuation travels with its running chunk — so absence of an
         // entry must not be read as "dead"; the apps table is the
         // liveness record (removed only here).
-        if matches!(self.exec.get(&pid), Some(ProcExec::Exited)) || !self.apps.contains_key(&pid) {
+        if matches!(self.exec.get(pid), Some(ProcExec::Exited)) || !self.apps.contains_key(pid) {
             return;
         }
         self.exec.insert(pid, ProcExec::Exited);
         self.sched.exit(pid);
-        self.apps.remove(&pid);
-        self.recv_seq.remove(&pid);
+        self.apps.remove(pid);
+        self.recv_seq.remove(pid);
         self.crash_log.push((now, pid));
         let owned: Vec<SockId> = self
             .live_sockets()
@@ -746,7 +748,7 @@ impl Host {
 
     /// Respawns a crashed restartable process; returns the new pid.
     pub fn restart_process(&mut self, now: SimTime, old: Pid) -> Option<Pid> {
-        let spec = self.restartable.remove(&old)?;
+        let spec = self.restartable.remove(old)?;
         let app = (spec.factory)();
         let pid = self.spawn_app(&spec.name, spec.nice, spec.working_set, app);
         self.restartable.insert(pid, spec);
@@ -792,14 +794,13 @@ impl Host {
         self.tele.on_reboot_flush(now, ipq);
         let _ = self.nic.ifq_clear();
         self.tele.on_reboot_clear_sidecars();
-        // (3) Kill every process, applications first (sorted for
-        // determinism), then the kernel daemons.
-        let mut pids: Vec<Pid> = self.apps.keys().copied().collect();
-        pids.sort_by_key(|p| p.0);
+        // (3) Kill every process, applications first (in pid order), then
+        // the kernel daemons.
+        let pids: Vec<Pid> = self.apps.keys().collect();
         for pid in pids {
             self.exec.insert(pid, ProcExec::Exited);
             self.sched.exit(pid);
-            self.apps.remove(&pid);
+            self.apps.remove(pid);
             self.crash_log.push((now, pid));
         }
         let daemons = [
@@ -824,11 +825,11 @@ impl Host {
         self.ed_pending.clear();
         self.sleep_until.clear();
         self.recv_deadlines.clear();
-        self.recv_seq = FastHashMap::default();
+        self.recv_seq.clear();
         self.restart_at.clear();
         self.chan_to_sock = FastHashMap::default();
         self.icmp_sock = None;
-        self.last_ran = FastHashMap::default();
+        self.last_ran.clear();
         self.pending_charge = None;
         self.rx_scratch.clear();
         for cpu in self.cpus.iter_mut() {
@@ -883,8 +884,7 @@ impl Host {
                 }
             }
         }
-        let mut olds: Vec<Pid> = self.restartable.keys().copied().collect();
-        olds.sort_by_key(|p| p.0);
+        let olds: Vec<Pid> = self.restartable.keys().collect();
         for old in olds {
             self.restart_process(now, old);
         }
@@ -1275,17 +1275,17 @@ impl Host {
         // very receive — a deadline outlived by its receive is inert.
         while let Some(entries) = pop_due(&mut self.recv_deadlines, now) {
             for (pid, sock, seq) in entries {
-                if self.recv_seq.get(&pid) != Some(&seq) {
+                if self.recv_seq.get(pid) != Some(&seq) {
                     continue;
                 }
                 let blocked_here = matches!(
-                    self.exec.get(&pid),
+                    self.exec.get(pid),
                     Some(ProcExec::Blocked(Cont::RecvCheck { sock: s, .. })) if *s == sock
                 );
                 if !blocked_here {
                     continue;
                 }
-                self.recv_seq.remove(&pid);
+                self.recv_seq.remove(pid);
                 if self.sched.wake_one(pid) {
                     self.exec.insert(
                         pid,
@@ -1345,7 +1345,7 @@ impl Host {
     /// If the process is homed on another CPU, delivering the wakeup
     /// costs an IPI on that CPU (SMP only).
     pub(crate) fn unblock(&mut self, pid: Pid) {
-        if let Some(ex) = self.exec.get_mut(&pid) {
+        if let Some(ex) = self.exec.get_mut(pid) {
             if let ProcExec::Blocked(cont) = ex {
                 let c = cont.clone();
                 *ex = ProcExec::Cont(c);

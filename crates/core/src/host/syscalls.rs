@@ -22,7 +22,7 @@ impl Host {
                 let ctx = AppCtx { now, pid };
                 let op = self
                     .apps
-                    .get_mut(&pid)
+                    .get_mut(pid)
                     .expect("app for process")
                     .resume(ctx, ret);
                 PhaseOut::Run {
@@ -238,7 +238,7 @@ impl Host {
             }
             SyscallOp::Recv { sock, max_len } => {
                 // A plain receive invalidates any armed receive timeout.
-                self.recv_seq.remove(&pid);
+                self.recv_seq.remove(pid);
                 PhaseOut::Run {
                     dur: entry,
                     account: Account::System,
@@ -507,6 +507,8 @@ impl Host {
         );
         let frames =
             lrp_wire::ipv4::fragment(local.addr, dst.addr, proto::UDP, ident, &seg, self.cfg.mtu);
+        // The fragments copied the segment: its arena scratch goes back.
+        lrp_wire::buf::recycle(seg);
         let nfrags = frames.len() as u64;
         let mut dur = cost.copy(data.len()) + cost.udp_output;
         if self.cfg.udp_checksum {

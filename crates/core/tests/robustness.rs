@@ -2,8 +2,8 @@
 //! packet floods, shared sockets, and the idle protocol thread.
 
 use lrp_core::{
-    AppCtx, AppLogic, Architecture, DropPoint, Host, HostConfig, SockProto, SyscallOp, SyscallRet,
-    World,
+    AppCtx, AppLogic, Architecture, CrashEvent, DropPoint, Host, HostConfig, HostFaultPlan, Pid,
+    SockProto, SyscallOp, SyscallRet, World,
 };
 use lrp_net::{Injector, Pattern};
 use lrp_sim::{SimDuration, SimTime};
@@ -869,4 +869,119 @@ fn link_pause_delivers_burst_at_window_end() {
     assert_eq!(fs.offered, fs.delivered, "pause defers, never drops");
     assert!(world.hosts[b].packet_ledger().conserved());
     assert!(metrics.borrow().received > 0);
+}
+
+// ---------------------------------------------------------------------------
+// Process tables and the frame arena.
+// ---------------------------------------------------------------------------
+
+/// Sleeps in 1 ms steps forever.
+struct Sleeper;
+
+impl AppLogic for Sleeper {
+    fn start(&mut self, _ctx: AppCtx) -> SyscallOp {
+        SyscallOp::Sleep(SimDuration::from_millis(1))
+    }
+    fn resume(&mut self, _ctx: AppCtx, _ret: SyscallRet) -> SyscallOp {
+        SyscallOp::Sleep(SimDuration::from_millis(1))
+    }
+}
+
+/// A reboot after a restart kills the applications and respawns the
+/// restartable ones in ascending pid order, over pids that are no longer
+/// contiguous.
+#[test]
+fn reboot_walks_restarted_pids_in_order() {
+    let sleeper = || Box::new(Sleeper) as Box<dyn AppLogic>;
+    let mut host = Host::new(HostConfig::new(Architecture::Bsd), B);
+    let r0 = host.spawn_app_restartable("r0", 0, 0, Box::new(sleeper));
+    let plain = host.spawn_app("plain", 0, 0, sleeper());
+    let r2 = host.spawn_app_restartable("r2", 0, 0, Box::new(sleeper));
+    assert_eq!([r0, plain, r2], [Pid(0), Pid(1), Pid(2)]);
+    let ms = SimTime::from_millis;
+    host.set_fault_plan(&HostFaultPlan {
+        seed: 1,
+        crashes: vec![
+            // r0 comes back as pid 3: the live applications are 1, 2, 3.
+            CrashEvent::crash_restart(r0, ms(20), SimDuration::from_millis(5)),
+            CrashEvent::reboot(ms(50), SimDuration::from_millis(10)),
+        ],
+    });
+    let mut world = World::with_defaults();
+    let b = world.add_host(host);
+    world.run_until(ms(100));
+    let h = &world.hosts[b];
+    assert_eq!(
+        h.crashes(),
+        [
+            (ms(20), Pid(0)),
+            (ms(50), Pid(1)),
+            (ms(50), Pid(2)),
+            (ms(50), Pid(3)),
+        ]
+    );
+    assert_eq!(
+        h.restarts(),
+        [
+            (ms(25), Pid(0), Pid(3)),
+            (ms(60), Pid(2), Pid(4)),
+            (ms(60), Pid(3), Pid(5)),
+        ]
+    );
+    assert_eq!(h.live_incarnation(r0), Pid(5));
+    assert_eq!(h.live_incarnation(plain), plain, "never restarted");
+}
+
+/// A UDP send builds its segment in arena scratch, which the fragments
+/// copy: once the arena is warm, steady sends take no fresh storage.
+#[test]
+fn steady_udp_sends_take_no_fresh_arena_storage() {
+    struct Sender {
+        sock: Option<SockId>,
+        sent: Rc<RefCell<u64>>,
+    }
+    impl AppLogic for Sender {
+        fn start(&mut self, _ctx: AppCtx) -> SyscallOp {
+            SyscallOp::Socket(SockProto::Udp)
+        }
+        fn resume(&mut self, _ctx: AppCtx, ret: SyscallRet) -> SyscallOp {
+            match ret {
+                SyscallRet::Socket(s) => self.sock = Some(s),
+                SyscallRet::Sent(_) => {
+                    *self.sent.borrow_mut() += 1;
+                    return SyscallOp::Sleep(SimDuration::from_micros(500));
+                }
+                _ => {}
+            }
+            SyscallOp::SendTo {
+                sock: self.sock.expect("socket"),
+                // Unrouted: each frame is dropped once it leaves the link.
+                dst: Endpoint::new(B, 9000),
+                data: vec![0u8; 64],
+            }
+        }
+    }
+    let sent = Rc::new(RefCell::new(0u64));
+    let mut world = World::with_defaults();
+    let mut host = Host::new(HostConfig::new(Architecture::Bsd), A);
+    host.spawn_app(
+        "sender",
+        0,
+        0,
+        Box::new(Sender {
+            sock: None,
+            sent: sent.clone(),
+        }),
+    );
+    world.add_host(host);
+    world.run_until(SimTime::from_millis(100));
+    let (warm_allocs, warm_sent) = (lrp_wire::frame_arena_stats().storage_allocs, *sent.borrow());
+    world.run_until(SimTime::from_secs(1));
+    let steady = *sent.borrow() - warm_sent;
+    assert!(steady > 1_000, "the sender kept sending: {steady}");
+    assert_eq!(
+        lrp_wire::frame_arena_stats().storage_allocs,
+        warm_allocs,
+        "{steady} sends after warm-up"
+    );
 }

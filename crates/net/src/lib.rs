@@ -143,12 +143,21 @@ pub enum Pattern {
     },
 }
 
+/// The spacing between emissions, derived once from a [`Pattern`].
+#[derive(Clone, Copy, Debug)]
+enum Gap {
+    /// Fixed-rate: the interval itself.
+    Fixed(SimDuration),
+    /// Poisson: the mean interval in seconds, for an exponential draw.
+    Exp(f64),
+}
+
 /// A rate-controlled packet source (the paper's in-kernel packet source).
 ///
 /// The caller drives it: [`Injector::next_fire`] yields the next emission
 /// time; [`Injector::fire`] produces the frame.
 pub struct Injector {
-    pattern: Pattern,
+    gap: Gap,
     builder: Box<dyn FnMut(u64) -> Frame>,
     rng: SplitMix64,
     next_at: SimTime,
@@ -160,7 +169,7 @@ pub struct Injector {
 impl std::fmt::Debug for Injector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Injector")
-            .field("pattern", &self.pattern)
+            .field("gap", &self.gap)
             .field("seq", &self.seq)
             .field("next_at", &self.next_at)
             .finish()
@@ -184,8 +193,12 @@ impl Injector {
             Pattern::FixedRate { pps } | Pattern::Poisson { pps } => pps,
         };
         assert!(pps > 0.0, "injector rate must be positive");
+        let gap = match pattern {
+            Pattern::FixedRate { .. } => Gap::Fixed(SimDuration::from_secs_f64(1.0 / pps)),
+            Pattern::Poisson { .. } => Gap::Exp(1.0 / pps),
+        };
         Injector {
-            pattern,
+            gap,
             builder: Box::new(builder),
             rng: SplitMix64::new(seed),
             next_at: start,
@@ -215,9 +228,9 @@ impl Injector {
     pub fn fire(&mut self) -> Frame {
         let frame = (self.builder)(self.seq);
         self.seq += 1;
-        let gap = match self.pattern {
-            Pattern::FixedRate { pps } => SimDuration::from_secs_f64(1.0 / pps),
-            Pattern::Poisson { pps } => SimDuration::from_secs_f64(self.rng.next_exp(1.0 / pps)),
+        let gap = match self.gap {
+            Gap::Fixed(gap) => gap,
+            Gap::Exp(mean) => SimDuration::from_secs_f64(self.rng.next_exp(mean)),
         };
         // Guarantee progress even if an exponential sample rounds to zero.
         self.next_at += gap.max(SimDuration::from_nanos(1));
@@ -319,6 +332,27 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 10);
+    }
+
+    #[test]
+    fn emission_times_match_the_per_shot_formula() {
+        // The gap is derived once at construction; the schedule must be
+        // the one recomputing `1.0 / pps` on every shot produces.
+        let (pps, seed) = (12_345.0, 7);
+        for pattern in [Pattern::FixedRate { pps }, Pattern::Poisson { pps }] {
+            let mut inj = Injector::new(pattern, SimTime::ZERO, seed, |_| Frame::ipv4(vec![0; 14]));
+            let mut rng = SplitMix64::new(seed);
+            let mut want = SimTime::ZERO;
+            for i in 0..10_000 {
+                assert_eq!(inj.next_fire(), Some(want), "{pattern:?}, shot {i}");
+                let _ = inj.fire();
+                let gap = match pattern {
+                    Pattern::FixedRate { pps } => SimDuration::from_secs_f64(1.0 / pps),
+                    Pattern::Poisson { pps } => SimDuration::from_secs_f64(rng.next_exp(1.0 / pps)),
+                };
+                want += gap.max(SimDuration::from_nanos(1));
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,8 @@ proptest! {
     /// `(time, seq, payload)` under arbitrary schedule / pop /
     /// `pop_before` / `peek_time` sequences: the front of the vector is
     /// the earliest time, and among equal times the earliest scheduled.
+    /// `len`, `is_empty` and `peek_time` agree after every op, so a
+    /// vacant top left by a pop is never counted or peeked.
     #[test]
     fn event_queue_matches_sorted_vec_model(ops in proptest::collection::vec(arb_qop(), 1..400)) {
         let mut q = EventQueue::new();
@@ -60,6 +62,7 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert_eq!(q.peek_time(), model.first().map(|&(t, ..)| t));
         }
         for (t, _, p) in model {
             prop_assert_eq!(q.pop(), Some((t, p)));
