@@ -13,11 +13,11 @@
 use super::Host;
 use crate::syscall::SockProto;
 use lrp_demux::ChannelId;
-use lrp_sched::WaitChannel;
+use lrp_sched::{Pid, WaitChannel};
 use lrp_sim::SimTime;
 use lrp_stack::tcp::TcpConn;
 use lrp_stack::SockId;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Cursor over a socket set, for walks whose body needs `&mut Host`: the
 /// next member at or after `*from`, advancing `from` past it.
@@ -35,17 +35,54 @@ impl Host {
     pub(crate) fn note_chan_enqueue(&mut self, chan: ChannelId) {
         if self.nic.channel(chan).depth() == 1 {
             if let Some(&sock) = self.chan_to_sock.get(&chan) {
-                self.ready_socks.insert(sock);
+                if self.ready_socks.insert(sock) {
+                    let s = self.sock(sock);
+                    self.note_owner_work(s.owner, s.proto, true);
+                }
             }
         }
     }
 
     /// `chan` was just drained or is about to be destroyed: its socket
-    /// leaves the ready set.
+    /// leaves the ready set. A socket being freed has left it already
+    /// (`free_socket`), so a socket found here is still in the table.
     pub(crate) fn note_chan_empty(&mut self, chan: ChannelId) {
-        if let Some(sock) = self.chan_to_sock.get(&chan) {
-            self.ready_socks.remove(sock);
+        if let Some(&sock) = self.chan_to_sock.get(&chan) {
+            if self.ready_socks.remove(&sock) {
+                let s = self.sock(sock);
+                self.note_owner_work(s.owner, s.proto, false);
+            }
         }
+    }
+
+    /// A socket of `owner` joined (`gained`) or left `ready_socks` or
+    /// `tcp_timer_work`: keeps `owner_work` — per owner, its TCP sockets'
+    /// memberships of the two — exact.
+    pub(crate) fn note_owner_work(&mut self, owner: Pid, proto: SockProto, gained: bool) {
+        if proto != SockProto::Tcp {
+            return;
+        }
+        let n = self.owner_work.entry(owner).or_insert(0);
+        if gained {
+            *n += 1;
+        } else {
+            *n -= 1;
+            if *n == 0 {
+                self.owner_work.remove(&owner);
+            }
+        }
+    }
+
+    /// `accept` hands `sock` to `owner`: its pending work moves with it.
+    pub(crate) fn set_owner(&mut self, sock: SockId, owner: Pid) {
+        let s = self.sock(sock);
+        let (old, proto) = (s.owner, s.proto);
+        let units = usize::from(self.ready_socks.contains(&sock)) + usize::from(s.timer_queued);
+        for _ in 0..units {
+            self.note_owner_work(old, proto, false);
+            self.note_owner_work(owner, proto, true);
+        }
+        self.sock_mut(sock).owner = owner;
     }
 
     /// Runs `f` on `sock`'s connection and re-files the socket under
@@ -94,7 +131,10 @@ impl Host {
     /// Takes the next socket with due TCP timer work.
     pub(crate) fn pop_timer_work(&mut self) -> Option<SockId> {
         let sock = self.tcp_timer_work.pop_front()?;
-        self.sock_mut(sock).timer_queued = false;
+        let s = self.sock_mut(sock);
+        s.timer_queued = false;
+        let (owner, proto) = (s.owner, s.proto);
+        self.note_owner_work(owner, proto, false);
         Some(sock)
     }
 
@@ -176,6 +216,22 @@ impl Host {
                 "timer work queue {work:?}, flagged sockets {queued:?}"
             ));
         }
+        let mut owner_work = BTreeMap::new();
+        for &id in self.ready_socks.iter().chain(&self.tcp_timer_work) {
+            let s = self.sock(id);
+            if s.proto == SockProto::Tcp {
+                *owner_work.entry(s.owner).or_insert(0) += 1;
+            }
+        }
+        if owner_work != self.owner_work {
+            return Err(format!(
+                "owner work counts {:?}, ready and timer-queued TCP sockets say {owner_work:?}",
+                self.owner_work
+            ));
+        }
+        self.pcb
+            .check_indexes()
+            .map_err(|e| format!("PCB table: {e}"))?;
         self.sched
             .check_sleeper_index()
             .map_err(|e| format!("sleeper index: {e}"))

@@ -419,6 +419,11 @@ pub struct Host {
     /// LRP threads and the NI interrupt handler iterate it in ascending
     /// `SockId` — the order the socket-table scans they replace visited.
     pub(crate) ready_socks: BTreeSet<SockId>,
+    /// Per owner pid with any: how many of its TCP sockets are in
+    /// `ready_socks`, plus how many are in `tcp_timer_work` — the owners
+    /// whose priority the APP thread takes on. Maintained wherever either
+    /// set changes and at `accept`.
+    pub(crate) owner_work: BTreeMap<Pid, u32>,
     /// Live datagram (UDP and raw ICMP) sockets: whom a fragment arrival
     /// may have to wake.
     pub(crate) dgram_socks: BTreeSet<SockId>,
@@ -553,6 +558,7 @@ impl Host {
             tcp_timer_work: VecDeque::new(),
             tcp_deadlines: BTreeSet::new(),
             ready_socks: BTreeSet::new(),
+            owner_work: BTreeMap::new(),
             dgram_socks: BTreeSet::new(),
             rearm_socks: Vec::new(),
             woken_scratch: Vec::new(),
@@ -821,6 +827,7 @@ impl Host {
         }
         self.reasm = Reassembler::new(16, SimDuration::from_secs(30));
         self.tcp_timer_work.clear();
+        self.owner_work.clear();
         self.rearm_socks.clear();
         self.ed_pending.clear();
         self.sleep_until.clear();
@@ -1247,6 +1254,11 @@ impl Host {
             if !s.timer_queued {
                 s.timer_queued = true;
                 self.tcp_timer_work.push_back(id);
+                // `note_owner_work`, inlined: the loop borrows the
+                // deadline index.
+                if s.proto == SockProto::Tcp {
+                    *self.owner_work.entry(s.owner).or_insert(0) += 1;
+                }
             }
         }
         if self.tcp_timer_work.len() > queued + 1 {
@@ -1383,15 +1395,13 @@ impl Host {
     /// Pins the APP thread's priority to the best (numerically lowest)
     /// priority among owners of sockets with pending TCP work (§3.4).
     pub(crate) fn update_app_thread_pri(&mut self, thread: Pid) {
-        // Pending TCP work is a non-empty channel or queued timer work;
-        // a minimum needs no particular visiting order.
+        // Pending TCP work is a non-empty channel or queued timer work.
+        // Every socket of one owner has that owner's priority, so the
+        // minimum over owners with any is the minimum over the sockets.
         let pri = self
-            .ready_socks
-            .iter()
-            .chain(&self.tcp_timer_work)
-            .map(|&id| self.sock(id))
-            .filter(|s| s.proto == SockProto::Tcp)
-            .map(|s| self.sched.proc_ref(s.owner).user_pri)
+            .owner_work
+            .keys()
+            .map(|&owner| self.sched.proc_ref(owner).user_pri)
             .min()
             .unwrap_or(lrp_sched::PUSER);
         self.sched.set_fixed_pri(thread, Some(pri));

@@ -918,6 +918,15 @@ impl Host {
         let Some(s) = self.sockets.get_mut(sock.0 as usize).and_then(|x| x.take()) else {
             return;
         };
+        // Leave the ready set and the timer queue now: the channel
+        // teardown below no longer finds the socket to name its owner.
+        if self.ready_socks.remove(&sock) {
+            self.note_owner_work(s.owner, s.proto, false);
+        }
+        if s.timer_queued {
+            self.tcp_timer_work.retain(|&x| x != sock);
+            self.note_owner_work(s.owner, s.proto, false);
+        }
         self.tele.on_sock_close(sock.0 as u64);
         if let Some(conn) = &s.tcp {
             self.stats.tcp_closed.absorb(&conn.stats);
@@ -954,9 +963,6 @@ impl Host {
         self.dgram_socks.remove(&sock);
         let deadline = s.tcp.as_ref().and_then(|c| c.next_deadline());
         self.rekey_deadline(sock, deadline, None);
-        if s.timer_queued {
-            self.tcp_timer_work.retain(|&x| x != sock);
-        }
         self.ed_pending.retain(|&x| x != sock);
     }
 

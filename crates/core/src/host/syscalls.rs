@@ -858,7 +858,7 @@ impl Host {
             }
             // The accepting process becomes the owner (charging target).
             if self.sock_opt(child).is_some() {
-                self.sock_mut(child).owner = _pid;
+                self.set_owner(child, _pid);
                 return PhaseOut::Run {
                     dur: cost.accept_sock,
                     account: Account::System,

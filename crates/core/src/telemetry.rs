@@ -108,50 +108,13 @@ pub const TIMELINE_COLUMNS: &[&str] = &[
     "anomalies",
 ];
 
-/// A tiny association list. The per-host cardinality of live channels,
-/// sockets, and processes is small, and these sidecars sit on the
-/// per-frame hot path: a linear scan over a compact vector beats hash
-/// probes there (and stays deterministic).
-#[derive(Debug)]
-struct FlatMap<K, V>(Vec<(K, V)>);
-
-impl<K, V> Default for FlatMap<K, V> {
-    fn default() -> Self {
-        FlatMap(Vec::new())
+/// The slot for dense id `i` in a sidecar indexed by id, grown to reach
+/// it.
+fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if i >= v.len() {
+        v.resize_with(i + 1, T::default);
     }
-}
-
-impl<K: Copy + PartialEq, V> FlatMap<K, V> {
-    fn get_or_insert(&mut self, k: K) -> &mut V
-    where
-        V: Default,
-    {
-        match self.0.iter().position(|(kk, _)| *kk == k) {
-            Some(i) => &mut self.0[i].1,
-            None => {
-                self.0.push((k, V::default()));
-                &mut self.0.last_mut().unwrap().1
-            }
-        }
-    }
-
-    fn get_mut(&mut self, k: K) -> Option<&mut V> {
-        self.0.iter_mut().find(|(kk, _)| *kk == k).map(|(_, v)| v)
-    }
-
-    fn insert(&mut self, k: K, v: V) {
-        match self.0.iter_mut().find(|(kk, _)| *kk == k) {
-            Some(e) => e.1 = v,
-            None => self.0.push((k, v)),
-        }
-    }
-
-    fn remove(&mut self, k: K) -> Option<V> {
-        self.0
-            .iter()
-            .position(|(kk, _)| *kk == k)
-            .map(|i| self.0.swap_remove(i).1)
-    }
+    &mut v[i]
 }
 
 /// Per-host telemetry state (see the module docs).
@@ -179,21 +142,23 @@ pub struct Telemetry {
     /// tail-drop before enqueue — mirrors the frame queue exactly).
     ipq_ts: VecDeque<(SimTime, Option<SpanId>)>,
     /// Enqueue timestamps + spans paralleling each NI channel's frame
-    /// queue.
-    chan_ts: FlatMap<ChannelId, VecDeque<(SimTime, Option<SpanId>)>>,
+    /// queue, indexed by `ChannelId` (the NIC reuses the lowest free id,
+    /// so a destroyed channel's slot is emptied, not freed).
+    chan_ts: Vec<VecDeque<(SimTime, Option<SpanId>)>>,
     /// NIC arrival time of the frame most recently dequeued for protocol
     /// processing (consumed by the delivery hook).
     cur_arrival: Option<SimTime>,
     /// Span of the frame most recently dequeued for protocol processing.
     cur_span: Option<SpanId>,
-    /// Spans paralleling each socket's receive queue (keyed by raw sock
-    /// id; pushed at delivery, popped at recv).
-    sock_spans: FlatMap<u64, VecDeque<Option<SpanId>>>,
+    /// Spans paralleling each socket's receive queue, indexed by raw
+    /// sock id (pushed at delivery, popped at recv).
+    sock_spans: Vec<VecDeque<Option<SpanId>>>,
     /// Spans paralleling the NIC interface (transmit) queue.
     ifq_spans: VecDeque<Option<SpanId>>,
-    /// Per process (raw pid): the span of the last datagram it received,
-    /// consumed by its next send — a reply continues the request's span.
-    last_recv_span: FlatMap<u32, SpanId>,
+    /// Per process, indexed by raw pid: the span of the last datagram it
+    /// received, consumed by its next send — a reply continues the
+    /// request's span.
+    last_recv_span: Vec<Option<SpanId>>,
     /// Tag prefix for spans minted at this host's send path.
     span_tag: SpanId,
     /// Sequence counter for host-minted spans.
@@ -207,10 +172,9 @@ pub struct Telemetry {
     profiler: CycleAccount,
     /// Protocol cycles by `(billed process, rightful receiver)` — the
     /// charge-attribution ledger behind the paper's accounting claim.
-    /// Stored as a flat vector (the pair cardinality is tiny and a linear
-    /// scan beats tree lookups on the per-chunk hot path); sorted on
+    /// Hashed, since the pairs grow with the host's processes; sorted on
     /// export.
-    proto_attr: Vec<((Option<u32>, u32), u64)>,
+    proto_attr: FastHashMap<(Option<u32>, u32), u64>,
     /// Rightful owner (raw pid) of the protocol work most recently
     /// performed at job-creation time; consumed when its chunk starts.
     pending_proto_owner: Option<u32>,
@@ -271,18 +235,18 @@ impl Telemetry {
             softirq_dispatch_sketch: QuantileSketch::new(),
             watchdog: Watchdog::new(),
             ipq_ts: VecDeque::new(),
-            chan_ts: FlatMap::default(),
+            chan_ts: Vec::new(),
             cur_arrival: None,
             cur_span: None,
-            sock_spans: FlatMap::default(),
+            sock_spans: Vec::new(),
             ifq_spans: VecDeque::new(),
-            last_recv_span: FlatMap::default(),
+            last_recv_span: Vec::new(),
             span_tag: 1 << 63,
             local_span_seq: 0,
             span_log: Vec::new(),
             span_events_dropped: 0,
             profiler: CycleAccount::new(),
-            proto_attr: Vec::new(),
+            proto_attr: FastHashMap::default(),
             pending_proto_owner: None,
             timeline: MetricsTimeline::new(TIMELINE_COLUMNS.to_vec()),
             timeline_proc_cpu: Vec::new(),
@@ -407,7 +371,7 @@ impl Telemetry {
         span: Option<SpanId>,
     ) {
         if self.enabled {
-            self.chan_ts.get_or_insert(chan).push_back((now, span));
+            slot(&mut self.chan_ts, chan.0 as usize).push_back((now, span));
             self.ev(now, "enqueue", "channel", chan.0 as u64, cpu);
             self.span_ev(now, SP_ENQ, span, cpu);
         }
@@ -417,7 +381,8 @@ impl Telemetry {
     /// sample and arrival bookkeeping.
     pub(crate) fn on_chan_dequeue(&mut self, now: SimTime, cpu: usize, chan: ChannelId) {
         if self.enabled {
-            if let Some((t, span)) = self.chan_ts.get_mut(chan).and_then(|q| q.pop_front()) {
+            let ts = self.chan_ts.get_mut(chan.0 as usize);
+            if let Some((t, span)) = ts.and_then(|q| q.pop_front()) {
                 self.channel_residency.record_duration(now - t);
                 self.channel_residency_sketch.record_duration(now - t);
                 self.cur_arrival = Some(t);
@@ -470,7 +435,7 @@ impl Telemetry {
                 self.arrival_to_deliver_sketch.record_duration(now - arr);
             }
             let span = self.cur_span.take();
-            self.sock_spans.get_or_insert(sock).push_back(span);
+            slot(&mut self.sock_spans, sock as usize).push_back(span);
             self.span_ev(now, SP_DELIVER, span, cpu);
             self.ev(now, "deliver", "udp", sock, cpu);
         }
@@ -549,7 +514,7 @@ impl Telemetry {
     pub(crate) fn on_chan_flush(&mut self, chan: ChannelId, n: usize) {
         if self.enabled {
             self.flushed += n as u64;
-            self.chan_ts.remove(chan);
+            self.clear_chan_ts(chan);
         }
     }
 
@@ -558,10 +523,16 @@ impl Telemetry {
     pub(crate) fn on_chan_owner_dead(&mut self, now: SimTime, chan: ChannelId, n: usize) {
         if self.enabled {
             self.owner_dead += n as u64;
-            self.chan_ts.remove(chan);
+            self.clear_chan_ts(chan);
             if n > 0 {
                 self.ev(now, "drop", "OwnerDead", n as u64, 0);
             }
+        }
+    }
+
+    fn clear_chan_ts(&mut self, chan: ChannelId) {
+        if let Some(q) = self.chan_ts.get_mut(chan.0 as usize) {
+            q.clear();
         }
     }
 
@@ -619,9 +590,9 @@ impl Telemetry {
     /// sidecars are empty when telemetry is off, so this is a no-op then.
     pub(crate) fn on_reboot_clear_sidecars(&mut self) {
         self.ipq_ts.clear();
-        self.chan_ts = FlatMap::default();
+        self.chan_ts.iter_mut().for_each(VecDeque::clear);
         self.ifq_spans.clear();
-        self.last_recv_span = FlatMap::default();
+        self.last_recv_span.fill(None);
         self.cur_arrival = None;
         self.cur_span = None;
     }
@@ -641,11 +612,12 @@ impl Telemetry {
     /// ping-pong session would chain every round into one giant span).
     pub(crate) fn on_recv(&mut self, now: SimTime, cpu: usize, sock: u64, pid: u32) {
         if self.enabled {
-            if let Some(span) = self.sock_spans.get_mut(sock).and_then(|q| q.pop_front()) {
+            let spans = self.sock_spans.get_mut(sock as usize);
+            if let Some(span) = spans.and_then(|q| q.pop_front()) {
                 self.span_ev(now, SP_RECV, span, cpu);
                 if let Some(s) = span {
                     if s >> 48 != self.span_tag >> 48 {
-                        self.last_recv_span.insert(pid, s);
+                        *slot(&mut self.last_recv_span, pid as usize) = Some(s);
                     }
                 }
             }
@@ -654,9 +626,12 @@ impl Telemetry {
     }
 
     /// A socket is being freed: drop its span sidecar (any still-queued
-    /// datagrams' spans end here).
+    /// datagrams' spans end here). Socket ids are never reused, so the
+    /// slot's storage goes too.
     pub(crate) fn on_sock_close(&mut self, sock: u64) {
-        self.sock_spans.remove(sock);
+        if let Some(q) = self.sock_spans.get_mut(sock as usize) {
+            *q = VecDeque::new();
+        }
     }
 
     /// Sets the prefix for host-minted spans (from the host address).
@@ -671,7 +646,11 @@ impl Telemetry {
         if !self.enabled {
             return None;
         }
-        let span = match self.last_recv_span.remove(pid) {
+        let span = match self
+            .last_recv_span
+            .get_mut(pid as usize)
+            .and_then(Option::take)
+        {
             Some(s) => s,
             None => {
                 self.local_span_seq += 1;
@@ -751,10 +730,7 @@ impl Telemetry {
         );
         if let Some(owner) = owner {
             let key = (billed.map(|(pid, _)| pid), owner);
-            match self.proto_attr.iter_mut().find(|(k, _)| *k == key) {
-                Some(e) => e.1 += ns,
-                None => self.proto_attr.push((key, ns)),
-            }
+            *self.proto_attr.entry(key).or_insert(0) += ns;
         }
     }
 
@@ -768,7 +744,7 @@ impl Telemetry {
     /// no process context (charged to nobody — e.g. interrupts taken
     /// while idle).
     pub fn proto_attribution(&self) -> BTreeMap<(Option<u32>, u32), u64> {
-        self.proto_attr.iter().copied().collect()
+        self.proto_attr.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// Records one timeline row (values aligned with

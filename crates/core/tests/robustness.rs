@@ -8,8 +8,8 @@ use lrp_core::{
 use lrp_net::{Injector, Pattern};
 use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::SockId;
-use lrp_wire::{ipv4, udp, Endpoint, Frame, Ipv4Addr};
-use std::cell::RefCell;
+use lrp_wire::{ipv4, tcp, udp, Endpoint, Frame, Ipv4Addr};
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -984,4 +984,170 @@ fn steady_udp_sends_take_no_fresh_arena_storage() {
         warm_allocs,
         "{steady} sends after warm-up"
     );
+}
+
+/// `accept` hands a child socket to the accepting process while frames
+/// still wait on the child's channel: the child's pending TCP work moves
+/// with it, so the APP thread, pinned to the best priority among owners
+/// with pending work (§3.4), takes on the acceptor's priority.
+///
+/// SOFT-LRP server: the listener runs at nice +10, the acceptor at nice
+/// −10, and a hog at nice 0 computes in short slices from just after the
+/// handshake, so the APP thread — at the listener's priority while the
+/// listener owns the child — cannot drain the client's data before the
+/// acceptor wakes from its sleep and accepts.
+#[test]
+fn accept_moves_the_childs_pending_work_to_the_acceptor() {
+    /// Issues `script(n, ret)` as its `n`th system call, `ret` being what
+    /// the one before returned.
+    struct Scripted<F>(u32, F);
+    impl<F: FnMut(u32, SyscallRet) -> SyscallOp> AppLogic for Scripted<F> {
+        fn start(&mut self, ctx: AppCtx) -> SyscallOp {
+            self.resume(ctx, SyscallRet::Ok)
+        }
+        fn resume(&mut self, _ctx: AppCtx, ret: SyscallRet) -> SyscallOp {
+            self.0 += 1;
+            (self.1)(self.0, ret)
+        }
+    }
+    let ms = SimDuration::from_millis;
+    let forever = || SyscallOp::Sleep(SimDuration::from_secs(10));
+    let lsock = Rc::new(Cell::new(None));
+
+    let mut server = Host::new(HostConfig::new(Architecture::SoftLrp), B);
+    let published = lsock.clone();
+    server.spawn_app(
+        "listener",
+        10,
+        0,
+        Box::new(Scripted(0, move |n, ret| match (n, ret) {
+            (1, _) => SyscallOp::Socket(SockProto::Tcp),
+            (2, SyscallRet::Socket(s)) => {
+                published.set(Some(s));
+                SyscallOp::Bind { sock: s, port: 80 }
+            }
+            (3, SyscallRet::Ok) => SyscallOp::Listen {
+                sock: published.get().expect("bound"),
+                backlog: 5,
+            },
+            (_, SyscallRet::Ok) => forever(),
+            (n, ret) => panic!("listener call {n} got {ret:?}"),
+        })),
+    );
+    let listening = lsock.clone();
+    let acceptor = server.spawn_app(
+        "acceptor",
+        -10,
+        0,
+        Box::new(Scripted(0, move |n, ret| match (n, ret) {
+            (1, _) => SyscallOp::Sleep(ms(20)),
+            (2, SyscallRet::Ok) => SyscallOp::Accept {
+                sock: listening.get().expect("listening"),
+            },
+            (_, SyscallRet::Accepted(_) | SyscallRet::Ok) => forever(),
+            (n, ret) => panic!("acceptor call {n} got {ret:?}"),
+        })),
+    );
+    server.spawn_app(
+        "hog",
+        0,
+        0,
+        Box::new(Scripted(0, move |n, _| match n {
+            1 => SyscallOp::Sleep(ms(5)),
+            _ => SyscallOp::Compute(SimDuration::from_micros(500)),
+        })),
+    );
+    let mut client = Host::new(HostConfig::new(Architecture::SoftLrp), A);
+    let csock = Rc::new(Cell::new(None));
+    client.spawn_app(
+        "client",
+        0,
+        0,
+        Box::new(Scripted(0, move |n, ret| match (n, ret) {
+            (1, _) => SyscallOp::Socket(SockProto::Tcp),
+            (2, SyscallRet::Socket(s)) => {
+                csock.set(Some(s));
+                SyscallOp::Connect {
+                    sock: s,
+                    dst: Endpoint::new(B, 80),
+                }
+            }
+            (3, SyscallRet::Ok) => SyscallOp::Sleep(ms(10)),
+            (4, SyscallRet::Ok) => SyscallOp::Send {
+                sock: csock.get().expect("socket"),
+                data: vec![7; 20_000],
+            },
+            (_, SyscallRet::Sent(_)) => SyscallOp::Recv {
+                sock: csock.get().expect("socket"),
+                max_len: 65_536,
+            },
+            (n, ret) => panic!("client call {n} got {ret:?}"),
+        })),
+    );
+    let mut world = World::with_defaults();
+    world.add_host(client);
+    let b = world.add_host(server);
+
+    // Step finely until the acceptor owns the child, checking the indexes
+    // (the owner counts among them) at every step.
+    let mut now = SimTime::from_millis(15);
+    let child = loop {
+        now += SimDuration::from_micros(10);
+        assert!(
+            now < SimTime::from_millis(60),
+            "the acceptor never accepted"
+        );
+        world.run_until(now);
+        let host = &world.hosts[b];
+        if let Err(e) = host.check_indexes() {
+            panic!("at {now:?}: {e}");
+        }
+        let accepted = host
+            .host_netstat()
+            .into_iter()
+            .find(|s| s.remote.is_some() && host.socket_owner(s.sock) == Some(acceptor));
+        if let Some(s) = accepted {
+            break s;
+        }
+    };
+    assert!(
+        child.chan_depth > 0,
+        "the child's frames were drained before accept"
+    );
+
+    // A SYN at the listener wakes the APP thread, which re-pins its
+    // priority. Owners with pending work are now the listener (the SYN)
+    // and the acceptor (the child's frames): neither socket has timers
+    // that could add another.
+    let syn = tcp::TcpHeader {
+        src_port: 7000,
+        dst_port: 80,
+        seq: 1,
+        ack: 0,
+        flags: tcp::flags::SYN,
+        window: 65_535,
+        mss: None,
+    };
+    let host = &mut world.hosts[b];
+    host.on_frame(now, Frame::ipv4(tcp::build_datagram(A, B, &syn, 1, &[])));
+    if let Err(e) = host.check_indexes() {
+        panic!("after the SYN: {e}");
+    }
+    let best = host
+        .host_netstat()
+        .iter()
+        .filter(|s| s.proto == SockProto::Tcp && s.chan_depth > 0)
+        .map(|s| {
+            let owner = host.socket_owner(s.sock).expect("live socket");
+            host.sched.proc_ref(owner).user_pri
+        })
+        .min();
+    assert_eq!(best, Some(host.sched.proc_ref(acceptor).user_pri));
+    let app_thread = host
+        .sched
+        .procs()
+        .iter()
+        .find(|p| p.name == "app-thread")
+        .expect("SOFT-LRP runs an APP thread");
+    assert_eq!(app_thread.fixed_pri, best, "APP thread priority");
 }

@@ -6,7 +6,9 @@
 //!   segment size per segment sent;
 //! - the telemetry budget (DESIGN.md §14): on the Figure-3 blast, full
 //!   telemetry allocates at most a stated multiple per event of the same
-//!   run with telemetry off.
+//!   run with telemetry off;
+//! - the PCB table (DESIGN.md §16): connection churn at a steady table
+//!   size allocates nothing once the table has grown to that size.
 //!
 //! This binary has its own counting `#[global_allocator]` and a single
 //! test, so the counters see the simulation and nothing else.
@@ -15,6 +17,8 @@ use lrp::core::{Architecture, CcAlgo};
 use lrp::experiments::{fault_sweep, fig3};
 use lrp::net::FaultPlan;
 use lrp::sim::SimTime;
+use lrp::stack::{PcbTable, SockId};
+use lrp::wire::{proto, Endpoint, FlowKey, Ipv4Addr};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -125,7 +129,42 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
              over the {TELEMETRY_ALLOC_BUDGET}x budget"
         );
     }
+
+    // PCB churn: each cycle retires the oldest connection (by key or by
+    // socket, alternately), admits a new one and looks it up, as a busy
+    // server's table does. The warm-up grows the slots and both hash
+    // indexes to their working size; after it, compaction reuses them.
+    let local = Endpoint::new(Ipv4Addr::new(10, 0, 0, 2), 80);
+    let key = |i: u32| {
+        let remote = Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), i as u16);
+        FlowKey::new(proto::TCP, local, remote)
+    };
+    let mut pcb = PcbTable::new();
+    pcb.insert(FlowKey::listening(proto::TCP, local), SockId(u32::MAX))
+        .expect("fresh table");
+    let mut cycle = |i: u32| {
+        let old = i - LIVE_PCBS;
+        if old.is_multiple_of(2) {
+            pcb.remove(&key(old));
+        } else {
+            pcb.remove_socket(SockId(old));
+        }
+        pcb.insert(key(i), SockId(i)).expect("fresh key");
+        assert_eq!(
+            pcb.lookup(proto::TCP, local, key(i).remote).sock,
+            Some(SockId(i))
+        );
+    };
+    // The first `LIVE_PCBS` cycles retire nothing: they fill the table.
+    (LIVE_PCBS..20_000).for_each(&mut cycle);
+    let allocs0 = ALLOCS.load(Ordering::Relaxed);
+    (20_000..30_000).for_each(&mut cycle);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
+    assert_eq!(allocs, 0, "10 000 PCB churn cycles at {LIVE_PCBS} live");
 }
+
+/// Connections alive at once in the PCB churn cycles.
+const LIVE_PCBS: u32 = 500;
 
 /// Allocations per event with telemetry on, as a multiple of the same
 /// run with telemetry off. Warmed release runs read, on / off:
