@@ -10,7 +10,7 @@
 //! replaced a table scan visits in ascending `SockId`, the order the scan
 //! had.
 
-use super::Host;
+use super::{Host, Socket};
 use crate::syscall::SockProto;
 use lrp_demux::ChannelId;
 use lrp_sched::{Pid, WaitChannel};
@@ -25,6 +25,14 @@ pub(crate) fn next_sock(set: &BTreeSet<SockId>, from: &mut SockId) -> Option<Soc
     let sock = *set.range(*from..).next()?;
     *from = SockId(sock.0 + 1);
     Some(sock)
+}
+
+/// The cwnd gauge's key for `s` now: its connection's
+/// `(cwnd, ssthresh)`, `None` without one.
+fn conn_cwnd_key(s: &Socket) -> Option<(u64, u64)> {
+    s.tcp
+        .as_ref()
+        .map(|c| (c.cwnd() as u64, c.ssthresh() as u64))
 }
 
 impl Host {
@@ -85,16 +93,18 @@ impl Host {
         self.sock_mut(sock).owner = owner;
     }
 
-    /// Runs `f` on `sock`'s connection and re-files the socket under
-    /// whatever deadline the connection has afterwards. Every mutation of
-    /// a live `TcpConn` goes through here — that is what keeps
-    /// `tcp_deadlines` exact.
+    /// Runs `f` on `sock`'s connection, re-files the socket under
+    /// whatever deadline the connection has afterwards, and marks it for
+    /// the cwnd gauge. Every mutation of a live `TcpConn` goes through
+    /// here — that is what keeps `tcp_deadlines` and the gauge exact.
     ///
     /// # Panics
     ///
     /// Panics if the socket is gone or has no connection.
     pub(crate) fn with_conn<R>(&mut self, sock: SockId, f: impl FnOnce(&mut TcpConn) -> R) -> R {
-        let conn = self.sock_mut(sock).tcp.as_mut().expect("tcp socket");
+        let s = self.sockets[sock.0 as usize].as_mut().expect("live socket");
+        Self::mark_cwnd_dirty(&mut self.cwnd_dirty, s);
+        let conn = s.tcp.as_mut().expect("tcp socket");
         let old = conn.next_deadline();
         let r = f(conn);
         let new = conn.next_deadline();
@@ -106,9 +116,52 @@ impl Host {
     /// goodbye (`None`).
     pub(crate) fn set_conn(&mut self, sock: SockId, conn: Option<TcpConn>) {
         let new = conn.as_ref().and_then(|c| c.next_deadline());
-        let was = std::mem::replace(&mut self.sock_mut(sock).tcp, conn.map(Box::new));
+        let s = self.sockets[sock.0 as usize].as_mut().expect("live socket");
+        Self::mark_cwnd_dirty(&mut self.cwnd_dirty, s);
+        let was = std::mem::replace(&mut s.tcp, conn.map(Box::new));
         let old = was.as_ref().and_then(|c| c.next_deadline());
         self.rekey_deadline(sock, old, new);
+    }
+
+    /// Queues `s` for the cwnd gauge's next re-read, once per tick.
+    fn mark_cwnd_dirty(dirty: &mut Vec<SockId>, s: &mut Socket) {
+        if !s.cwnd_dirty {
+            s.cwnd_dirty = true;
+            dirty.push(s.id);
+        }
+    }
+
+    /// Statclock tick: re-reads `(cwnd, ssthresh)` for the sockets whose
+    /// connection changed since the last tick and keeps `cwnd_max` — the
+    /// widest live connection's — exact. The stored keys are walked only
+    /// when the socket holding the maximum fell or was freed.
+    pub(crate) fn refresh_cwnd_gauge(&mut self) {
+        for sock in self.cwnd_dirty.drain(..) {
+            let s = self.sockets[sock.0 as usize]
+                .as_mut()
+                .expect("freed sockets leave the dirty list");
+            s.cwnd_dirty = false;
+            s.cwnd_key = conn_cwnd_key(s);
+            match s.cwnd_key {
+                Some(k) if k > self.cwnd_max || self.cwnd_max_sock.is_none() => {
+                    self.cwnd_max = k;
+                    self.cwnd_max_sock = Some(sock);
+                }
+                key if self.cwnd_max_sock == Some(sock) && key != Some(self.cwnd_max) => {
+                    self.cwnd_rescan = true;
+                }
+                _ => {}
+            }
+        }
+        if std::mem::take(&mut self.cwnd_rescan) {
+            let widest = self
+                .live_socks
+                .iter()
+                .filter_map(|&id| Some((self.sock(id).cwnd_key?, id)))
+                .max();
+            self.cwnd_max = widest.map_or((0, 0), |(k, _)| k);
+            self.cwnd_max_sock = widest.map(|(_, id)| id);
+        }
     }
 
     /// Moves `sock`'s entry in the deadline index from `old` to `new`.
@@ -162,9 +215,23 @@ impl Host {
         let mut ready = Vec::new();
         let mut dgram = Vec::new();
         let mut queued = Vec::new();
+        let mut dirty = Vec::new();
+        let mut widest = None;
         for s in self.live_sockets() {
             let deadline = s.tcp.as_ref().and_then(|c| c.next_deadline());
             deadlines.extend(deadline.map(|t| (t, s.id)));
+            if s.cwnd_dirty {
+                dirty.push(s.id);
+            } else {
+                let key = conn_cwnd_key(s);
+                if s.cwnd_key != key {
+                    return Err(format!(
+                        "{:?}: cwnd gauge key {:?}, connection says {key:?}, not marked dirty",
+                        s.id, s.cwnd_key
+                    ));
+                }
+            }
+            widest = widest.max(s.cwnd_key);
             let chan = s.chan.filter(|&c| self.nic.channel_exists(c));
             if chan.is_some_and(|c| !self.nic.channel(c).is_empty()) {
                 ready.push(s.id);
@@ -216,6 +283,25 @@ impl Host {
                 "timer work queue {work:?}, flagged sockets {queued:?}"
             ));
         }
+        let mut listed = self.cwnd_dirty.clone();
+        listed.sort_unstable();
+        if listed != dirty {
+            return Err(format!(
+                "cwnd dirty list {listed:?}, sockets marked dirty {dirty:?}"
+            ));
+        }
+        if !self.cwnd_rescan {
+            let held = self
+                .cwnd_max_sock
+                .and_then(|id| self.sock_opt(id))
+                .and_then(|s| s.cwnd_key);
+            if self.cwnd_max != widest.unwrap_or((0, 0)) || held != widest {
+                return Err(format!(
+                    "cwnd gauge {:?} held by {:?} ({held:?}), stored keys peak at {widest:?}",
+                    self.cwnd_max, self.cwnd_max_sock
+                ));
+            }
+        }
         let mut owner_work = BTreeMap::new();
         for &id in self.ready_socks.iter().chain(&self.tcp_timer_work) {
             let s = self.sock(id);
@@ -234,6 +320,9 @@ impl Host {
             .map_err(|e| format!("PCB table: {e}"))?;
         self.sched
             .check_sleeper_index()
-            .map_err(|e| format!("sleeper index: {e}"))
+            .map_err(|e| format!("sleeper index: {e}"))?;
+        self.sched
+            .check_activity_index()
+            .map_err(|e| format!("scheduler activity: {e}"))
     }
 }

@@ -183,10 +183,17 @@ pub(crate) struct Socket {
     /// and-ready queue (LRP).
     pub rcvq: DatagramQueue,
     /// TCP connection state. Mutated only through [`Host::with_conn`] and
-    /// [`Host::set_conn`], which keep the host's deadline index in step.
+    /// [`Host::set_conn`], which keep the host's deadline index and cwnd
+    /// gauge in step.
     /// Boxed so the socket table's slots — dead ones included — do not
     /// each carry half a kilobyte of connection.
     pub tcp: Option<Box<TcpConn>>,
+    /// The connection's `(cwnd, ssthresh)` as the cwnd gauge last read
+    /// it (`None` without a connection); current unless `cwnd_dirty`.
+    pub cwnd_key: Option<(u64, u64)>,
+    /// The connection changed since the last tick: this socket is on
+    /// `Host::cwnd_dirty` (at most once).
+    pub cwnd_dirty: bool,
     /// This socket is queued in `Host::tcp_timer_work` (at most once).
     pub timer_queued: bool,
     /// Listening state.
@@ -427,6 +434,17 @@ pub struct Host {
     /// Live datagram (UDP and raw ICMP) sockets: whom a fragment arrival
     /// may have to wake.
     pub(crate) dgram_socks: BTreeSet<SockId>,
+    /// Sockets whose connection changed since the last tick (flagged
+    /// `Socket::cwnd_dirty`): the only ones the cwnd gauge re-reads.
+    pub(crate) cwnd_dirty: Vec<SockId>,
+    /// The cwnd gauge: the largest stored `(cwnd, ssthresh)` among live
+    /// sockets, `(0, 0)` without any connection.
+    pub(crate) cwnd_max: (u64, u64),
+    /// A live socket whose stored key is `cwnd_max`, if any.
+    pub(crate) cwnd_max_sock: Option<SockId>,
+    /// `cwnd_max_sock` fell or was freed: the next tick recomputes the
+    /// maximum from the stored keys.
+    pub(crate) cwnd_rescan: bool,
     /// NI-LRP: TCP sockets whose channel's demand interrupt has fired (the
     /// flag auto-clears on delivery) and awaits re-arming when the APP
     /// thread next sleeps.
@@ -560,6 +578,10 @@ impl Host {
             ready_socks: BTreeSet::new(),
             owner_work: BTreeMap::new(),
             dgram_socks: BTreeSet::new(),
+            cwnd_dirty: Vec::new(),
+            cwnd_max: (0, 0),
+            cwnd_max_sock: None,
+            cwnd_rescan: false,
             rearm_socks: Vec::new(),
             woken_scratch: Vec::new(),
             ed_pending: VecDeque::new(),
@@ -1049,6 +1071,8 @@ impl Host {
             chan: None,
             rcvq: DatagramQueue::new(limit),
             tcp: None,
+            cwnd_key: None,
+            cwnd_dirty: false,
             timer_queued: false,
             listener: None,
             accept_q: VecDeque::new(),
@@ -1219,6 +1243,7 @@ impl Host {
     pub fn on_tick(&mut self, now: SimTime) {
         self.cur_cpu = 0;
         self.ticks += 1;
+        self.refresh_cwnd_gauge();
         self.sample_timeline(now);
         if self.ticks.is_multiple_of(100) {
             self.sched.decay();

@@ -928,6 +928,14 @@ impl Host {
             self.note_owner_work(s.owner, s.proto, false);
         }
         self.tele.on_sock_close(sock.0 as u64);
+        // The cwnd gauge forgets the socket; its maximum is recomputed
+        // at the next tick if this socket held it.
+        if s.cwnd_dirty {
+            self.cwnd_dirty.retain(|&x| x != sock);
+        }
+        if self.cwnd_max_sock == Some(sock) {
+            self.cwnd_rescan = true;
+        }
         if let Some(conn) = &s.tcp {
             self.stats.tcp_closed.absorb(&conn.stats);
         }

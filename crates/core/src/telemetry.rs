@@ -30,6 +30,7 @@
 use crate::host::{DropPoint, Host};
 use crate::watchdog::{AnomalyEvent, Watchdog, WatchdogSample};
 use lrp_demux::ChannelId;
+use lrp_sched::{Pid, ProcState};
 use lrp_sim::{
     CycleAccount, CycleKey, FastHashMap, Histogram, MetricsTimeline, QuantileSketch, SimDuration,
     SimTime, TraceEvent, TraceRing,
@@ -108,6 +109,16 @@ pub const TIMELINE_COLUMNS: &[&str] = &[
     "anomalies",
 ];
 
+/// One entry of the per-process CPU change log: `pid`'s cumulative
+/// charges as of timeline row `row`.
+#[derive(Clone, Copy, Debug)]
+struct ProcCpuChange {
+    row: u32,
+    pid: u32,
+    total_ns: u64,
+    user_ns: u64,
+}
+
 /// The slot for dense id `i` in a sidecar indexed by id, grown to reach
 /// it.
 fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
@@ -180,9 +191,17 @@ pub struct Telemetry {
     pending_proto_owner: Option<u32>,
     /// Interval-sampled metrics timeline (columns: [`TIMELINE_COLUMNS`]).
     timeline: MetricsTimeline,
-    /// Per timeline row: per-process `(total_charged_ns, user_ns)`,
-    /// indexed by pid.
-    timeline_proc_cpu: Vec<Vec<(u64, u64)>>,
+    /// The per-process CPU series as a change log: per timeline row, one
+    /// entry for each process charged since the previous row, in pid
+    /// order. [`Self::timeline_proc_cpu`] rebuilds the full rows.
+    proc_cpu_log: Vec<ProcCpuChange>,
+    /// Per timeline row: how many processes existed (the row's width).
+    proc_cpu_width: Vec<u32>,
+    /// Statclock-sample scratch, capacity kept across ticks: the pids
+    /// charged since the last tick, then the runnable ones.
+    tick_pids: Vec<Pid>,
+    /// Statclock-sample scratch: the watchdog sample's process list.
+    tick_procs: Vec<(u32, bool, u64)>,
     /// UDP datagrams delivered into socket buffers (frames).
     pub delivered_udp: u64,
     /// ICMP messages delivered to the proxy daemon's raw socket.
@@ -249,7 +268,10 @@ impl Telemetry {
             proto_attr: FastHashMap::default(),
             pending_proto_owner: None,
             timeline: MetricsTimeline::new(TIMELINE_COLUMNS.to_vec()),
-            timeline_proc_cpu: Vec::new(),
+            proc_cpu_log: Vec::new(),
+            proc_cpu_width: Vec::new(),
+            tick_pids: Vec::new(),
+            tick_procs: Vec::new(),
             delivered_udp: 0,
             delivered_icmp: 0,
             tcp_frames: 0,
@@ -748,20 +770,32 @@ impl Telemetry {
     }
 
     /// Records one timeline row (values aligned with
-    /// [`TIMELINE_COLUMNS`]) plus the per-process CPU snapshot.
+    /// [`TIMELINE_COLUMNS`]) plus the per-process CPU changes since the
+    /// previous row: `nprocs` processes exist, and `changed` yields
+    /// `(pid, total_ns, user_ns)` for each one charged since, in pid
+    /// order. A row past the timeline's cap is dropped with its changes.
     pub(crate) fn timeline_push(
         &mut self,
         now: SimTime,
         values: Vec<u64>,
-        proc_cpu: Vec<(u64, u64)>,
+        nprocs: usize,
+        changed: impl Iterator<Item = (u32, u64, u64)>,
     ) {
         if !self.enabled {
             return;
         }
-        let before = self.timeline.rows().len();
+        let row = self.timeline.rows().len();
         self.timeline.push(now.as_nanos(), values);
-        if self.timeline.rows().len() > before {
-            self.timeline_proc_cpu.push(proc_cpu);
+        if self.timeline.rows().len() > row {
+            self.proc_cpu_width.push(nprocs as u32);
+            let row = row as u32;
+            self.proc_cpu_log
+                .extend(changed.map(|(pid, total_ns, user_ns)| ProcCpuChange {
+                    row,
+                    pid,
+                    total_ns,
+                    user_ns,
+                }));
         }
     }
 
@@ -789,9 +823,20 @@ impl Telemetry {
     }
 
     /// Per timeline row: per-process `(total_charged_ns, user_ns)`,
-    /// indexed by pid (rows align with [`Self::timeline`]).
-    pub fn timeline_proc_cpu(&self) -> &[Vec<(u64, u64)>] {
-        &self.timeline_proc_cpu
+    /// indexed by pid (rows align with [`Self::timeline`]). Rebuilt from
+    /// the change log on every call, so an exporter calls it once.
+    pub fn timeline_proc_cpu(&self) -> Vec<Vec<(u64, u64)>> {
+        let mut cur = Vec::new();
+        let mut log = self.proc_cpu_log.iter().peekable();
+        let mut rows = Vec::with_capacity(self.proc_cpu_width.len());
+        for (row, &width) in self.proc_cpu_width.iter().enumerate() {
+            cur.resize(width as usize, (0, 0));
+            while let Some(c) = log.next_if(|c| c.row as usize == row) {
+                cur[c.pid as usize] = (c.total_ns, c.user_ns);
+            }
+            rows.push(cur.clone());
+        }
+        rows
     }
 
     /// Host-side drop count at a point.
@@ -970,53 +1015,52 @@ impl Host {
     }
 
     /// Records one metrics-timeline sample (driven from the statclock
-    /// tick): cumulative ledger counters, queue-depth gauges, run-queue
-    /// length and the per-process CPU snapshot. Pure observation.
+    /// tick, after [`Host::refresh_cwnd_gauge`]): cumulative ledger
+    /// counters, queue-depth gauges, run-queue length and the processes
+    /// charged since the last tick. Pure observation; costs the processes
+    /// runnable or charged, not the process count.
     pub(crate) fn sample_timeline(&mut self, now: SimTime) {
         if !self.tele.enabled() {
             return;
         }
         let nic = self.nic.stats();
         let host_dropped = self.tele.host_drops.values().sum::<u64>();
+        let (chan_depth, chan_depth_max) = self.nic.channel_depths();
+        // `pids` holds the charged processes in pid order, then the
+        // runnable ones; the watchdog sees both, the change log the first.
+        let mut pids = std::mem::take(&mut self.tele.tick_pids);
+        self.sched.take_charged(&mut pids);
+        pids.sort_unstable();
+        let charged = pids.len();
+        self.sched.runnable_into(&mut pids);
+        let mut procs = std::mem::take(&mut self.tele.tick_procs);
+        procs.clear();
+        procs.extend(pids.iter().map(|&pid| {
+            let p = self.sched.proc_ref(pid);
+            let runnable = matches!(p.state, ProcState::Runnable | ProcState::Running);
+            (pid.0, runnable, p.acct.total().as_nanos())
+        }));
+        // A pid on both lists yields two equal tuples.
+        procs.sort_unstable();
+        procs.dedup();
         // Feed the watchdog before recording the row so the row's
         // cumulative `anomalies` column includes this tick's detections.
         let sample = WatchdogSample {
             delivered: self.tele.delivered_udp + self.tele.delivered_icmp + self.tele.tcp_frames,
             dropped: host_dropped + nic.ring_drops + nic.early_discards + nic.stall_drops,
             charged_ns: self.sched.total_charged().as_nanos(),
-            user_ns: self
-                .sched
-                .procs()
-                .iter()
-                .map(|p| p.acct.user.as_nanos())
-                .sum(),
+            user_ns: self.sched.total_user().as_nanos(),
             ipq_depth: self.ip_queue.len() as u64,
             ipq_limit: self.cfg.ip_queue_limit as u64,
-            chan_depth_max: self.nic.channel_depth_max() as u64,
+            chan_depth_max: chan_depth_max as u64,
             chan_limit: self.cfg.channel_limit as u64,
-            procs: self
-                .sched
-                .procs()
-                .iter()
-                .map(|p| {
-                    let runnable = matches!(
-                        p.state,
-                        lrp_sched::ProcState::Runnable | lrp_sched::ProcState::Running
-                    );
-                    (p.pid.0, runnable, p.acct.total().as_nanos())
-                })
-                .collect(),
+            procs,
         };
         self.tele
             .watchdog_feed(now, self.cfg.tick.as_nanos(), &sample);
         // Congestion-window gauges: the widest live connection's view
         // (cc_sweep plots per-controller cwnd evolution from these).
-        let (tcp_cwnd, tcp_ssthresh) = self
-            .live_sockets()
-            .filter_map(|s| s.tcp.as_ref())
-            .map(|c| (c.cwnd() as u64, c.ssthresh() as u64))
-            .max()
-            .unwrap_or((0, 0));
+        let (tcp_cwnd, tcp_ssthresh) = self.cwnd_max;
         let values = vec![
             self.tele.delivered_udp,
             self.tele.delivered_icmp,
@@ -1025,21 +1069,23 @@ impl Host {
             nic.ring_drops,
             nic.early_discards,
             self.ip_queue.len() as u64,
-            self.nic.channel_depth_total() as u64,
-            self.nic.channel_depth_max() as u64,
+            chan_depth as u64,
+            chan_depth_max as u64,
             self.sched.runnable_count() as u64,
             self.sched.total_charged().as_nanos(),
             tcp_cwnd,
             tcp_ssthresh,
             self.tele.anomaly_total(),
         ];
-        let proc_cpu = self
-            .sched
-            .procs()
-            .iter()
-            .map(|p| (p.acct.total().as_nanos(), p.acct.user.as_nanos()))
-            .collect();
-        self.tele.timeline_push(now, values, proc_cpu);
+        let sched = &self.sched;
+        let changed = pids[..charged].iter().map(|&pid| {
+            let acct = sched.accounting(pid);
+            (pid.0, acct.total().as_nanos(), acct.user.as_nanos())
+        });
+        self.tele
+            .timeline_push(now, values, sched.procs().len(), changed);
+        self.tele.tick_pids = pids;
+        self.tele.tick_procs = sample.procs;
     }
 
     /// The world minted `span` for an injected frame bound for this host.
@@ -1065,5 +1111,50 @@ impl Host {
         let f = self.nic.ifq_dequeue()?;
         let span = self.tele.ifq_pop_span();
         Some((f, span))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lrp_sim::SplitMix64;
+
+    /// Synthetic ticks through the change log, against a model that
+    /// stores every process in every row, as the series once was kept:
+    /// processes spawn mid-run, some ticks charge nobody, and the rows
+    /// past a small cap are dropped.
+    #[test]
+    fn proc_cpu_change_log_rebuilds_full_rows() {
+        const CAP: usize = 40;
+        let mut tele = Telemetry::new(true);
+        tele.timeline = MetricsTimeline::with_cap(TIMELINE_COLUMNS.to_vec(), CAP);
+        let mut rng = SplitMix64::new(5);
+        let mut acct: Vec<(u64, u64)> = vec![(0, 0); 2];
+        let mut model = Vec::new();
+        for tick in 0..60u64 {
+            if tick % 7 == 3 {
+                acct.push((0, 0));
+            }
+            let mut changed = Vec::new();
+            if !(10..15).contains(&tick) {
+                for (pid, a) in acct.iter_mut().enumerate() {
+                    if rng.next_bool(0.3) {
+                        // Zero-length charges included.
+                        let (user, other) = (rng.next_below(3) * 50, rng.next_below(100));
+                        *a = (a.0 + user + other, a.1 + user);
+                        changed.push((pid as u32, a.0, a.1));
+                    }
+                }
+            }
+            let values = vec![tick; TIMELINE_COLUMNS.len()];
+            let now = SimTime::from_millis(10 * tick);
+            tele.timeline_push(now, values, acct.len(), changed.into_iter());
+            if model.len() < CAP {
+                model.push(acct.clone());
+            }
+        }
+        assert_eq!(tele.timeline().rows().len(), CAP);
+        assert_eq!(tele.timeline().dropped(), 20);
+        assert_eq!(tele.timeline_proc_cpu(), model);
     }
 }

@@ -32,8 +32,10 @@
 //!
 //! Each detection emits one [`AnomalyEvent`] per episode (edge-triggered,
 //! not level-triggered), timestamped in simulated time.
-
-use lrp_sim::FastHashMap;
+//!
+//! A sample lists only the processes that could have changed starvation
+//! state since the previous one (see [`WatchdogSample::procs`]), so a
+//! feed costs the host's activity, not its population.
 
 /// Consecutive qualifying ticks before livelock onset is declared.
 pub const LIVELOCK_STREAK_TICKS: u32 = 3;
@@ -119,8 +121,11 @@ pub struct WatchdogSample {
     pub chan_depth_max: u64,
     /// NI channel frame limit (0 = unbounded, check skipped).
     pub chan_limit: u64,
-    /// Per process: `(pid, runnable, total_charged_ns)`. Runnable means
-    /// on a run queue or on the CPU — not sleeping, not exited.
+    /// `(pid, runnable, total_charged_ns)`, in ascending pid order, for
+    /// every process that is runnable now or was charged (even zero
+    /// time) since the previous sample. Runnable means on a run queue or
+    /// on the CPU — not sleeping, not exited. Any process not listed is
+    /// taken as not runnable, with its total unchanged.
     pub procs: Vec<(u32, bool, u64)>,
 }
 
@@ -132,14 +137,20 @@ struct StarveState {
     flagged: bool,
 }
 
-/// The anomaly detector (one per host, inside [`Telemetry`]
-/// (crate::telemetry::Telemetry)).
+/// The anomaly detector (one per host, inside
+/// [`Telemetry`](crate::telemetry::Telemetry)).
 #[derive(Debug, Default)]
 pub struct Watchdog {
     prev: Option<(u64, u64, u64, u64)>, // delivered, dropped, charged, user
     livelock_streak: u32,
     livelock_active: bool,
-    starve: FastHashMap<u32, StarveState>,
+    /// Per process (indexed by pid): starvation tracking.
+    starve: Vec<StarveState>,
+    /// The pids whose `stalled_ticks` is non-zero, ascending: the only
+    /// unlisted processes a feed has to reset.
+    stalled: Vec<u32>,
+    /// The next feed's `stalled`, built beside it (capacity reused).
+    stalled_next: Vec<u32>,
     ipq_sat_active: bool,
     chan_sat_active: bool,
     events: Vec<AnomalyEvent>,
@@ -189,32 +200,73 @@ impl Watchdog {
         }
     }
 
+    fn emit_starvation(&mut self, t_ns: u64, tick_ns: u64, pid: u32, ticks: u32) {
+        self.emit(AnomalyEvent {
+            t_ns,
+            kind: AnomalyKind::Starvation,
+            pid: Some(pid),
+            detail: "runnable_no_progress",
+            value: ticks as u64 * tick_ns,
+            limit: STARVATION_TICKS as u64 * tick_ns,
+        });
+    }
+
     /// Feeds one statclock-tick sample. `tick_ns` is the sampling period.
     pub fn feed(&mut self, t_ns: u64, tick_ns: u64, s: &WatchdogSample) {
-        // --- starvation: runnable but making no progress -------------
-        for &(pid, runnable, total_ns) in &s.procs {
-            let st = self.starve.entry(pid).or_default();
+        self.feed_starvation(t_ns, tick_ns, &s.procs);
+        self.feed_queues_and_livelock(t_ns, tick_ns, s);
+    }
+
+    /// Starvation: a runnable process making no progress. Listed
+    /// processes are visited in pid order (so are their events); a
+    /// stalled process missing from the list is no longer runnable, so
+    /// its streak ends, and every other unlisted process already has no
+    /// streak and a current total.
+    fn feed_starvation(&mut self, t_ns: u64, tick_ns: u64, procs: &[(u32, bool, u64)]) {
+        let prev = std::mem::take(&mut self.stalled);
+        let mut next = std::mem::take(&mut self.stalled_next);
+        let mut unlisted = prev.iter().copied().peekable();
+        for &(pid, runnable, total_ns) in procs {
+            while let Some(p) = unlisted.next_if(|&p| p < pid) {
+                self.end_streak(p);
+            }
+            unlisted.next_if_eq(&pid);
+            let i = pid as usize;
+            if i >= self.starve.len() {
+                self.starve.resize_with(i + 1, StarveState::default);
+            }
+            let st = &mut self.starve[i];
             if runnable && st.last_total_ns == total_ns {
                 st.stalled_ticks += 1;
+                next.push(pid);
                 if st.stalled_ticks >= STARVATION_TICKS && !st.flagged {
                     st.flagged = true;
-                    let (ticks, limit) = (st.stalled_ticks, STARVATION_TICKS);
-                    self.emit(AnomalyEvent {
-                        t_ns,
-                        kind: AnomalyKind::Starvation,
-                        pid: Some(pid),
-                        detail: "runnable_no_progress",
-                        value: ticks as u64 * tick_ns,
-                        limit: limit as u64 * tick_ns,
-                    });
+                    let ticks = st.stalled_ticks;
+                    self.emit_starvation(t_ns, tick_ns, pid, ticks);
                 }
             } else {
-                st.stalled_ticks = 0;
-                st.flagged = false;
-                st.last_total_ns = total_ns;
+                *st = StarveState {
+                    last_total_ns: total_ns,
+                    ..StarveState::default()
+                };
             }
         }
+        for p in unlisted {
+            self.end_streak(p);
+        }
+        self.stalled = next;
+        self.stalled_next = prev;
+        self.stalled_next.clear();
+    }
 
+    fn end_streak(&mut self, pid: u32) {
+        let st = &mut self.starve[pid as usize];
+        st.stalled_ticks = 0;
+        st.flagged = false;
+    }
+
+    /// Queue-saturation onset, then receiver-livelock onset.
+    fn feed_queues_and_livelock(&mut self, t_ns: u64, tick_ns: u64, s: &WatchdogSample) {
         // --- queue saturation onset ----------------------------------
         if Self::queue_check(&mut self.ipq_sat_active, s.ipq_depth, s.ipq_limit) {
             self.emit(AnomalyEvent {
@@ -394,5 +446,99 @@ mod tests {
             .collect();
         assert_eq!(qs.len(), 2, "{:?}", w.events());
         assert_eq!(qs[0].detail, "ip_queue");
+    }
+
+    /// The watchdog as it was before samples went sparse: every process
+    /// in every sample, starvation state in a map. Queue and livelock
+    /// checks are shared — only the starvation walk differs.
+    #[derive(Default)]
+    struct FullListWatchdog {
+        starve: std::collections::BTreeMap<u32, StarveState>,
+        rest: Watchdog,
+    }
+
+    impl FullListWatchdog {
+        fn feed(&mut self, t_ns: u64, tick_ns: u64, s: &WatchdogSample) {
+            for &(pid, runnable, total_ns) in &s.procs {
+                let st = self.starve.entry(pid).or_default();
+                if runnable && st.last_total_ns == total_ns {
+                    st.stalled_ticks += 1;
+                    if st.stalled_ticks >= STARVATION_TICKS && !st.flagged {
+                        st.flagged = true;
+                        let ticks = st.stalled_ticks;
+                        self.rest.emit_starvation(t_ns, tick_ns, pid, ticks);
+                    }
+                } else {
+                    st.stalled_ticks = 0;
+                    st.flagged = false;
+                    st.last_total_ns = total_ns;
+                }
+            }
+            self.rest.feed_queues_and_livelock(t_ns, tick_ns, s);
+        }
+    }
+
+    /// Random histories fed twice: every process to the full-list
+    /// reference, only the runnable or charged ones to the watchdog. The
+    /// detections — order included — must never differ.
+    #[test]
+    fn sparse_samples_match_full_list_reference() {
+        const PIDS: usize = 8;
+        const TICKS: u64 = 300;
+        let mut starvations = 0;
+        for seed in 1..=24u64 {
+            let mut rng = lrp_sim::SplitMix64::new(seed);
+            // Per pid: the tick it is spawned at (some mid-run), its
+            // total, and its mode — 0 sleeps, 1 runs and makes progress,
+            // 2 is runnable but starved. Modes last tens of ticks, so
+            // stalls outlast `STARVATION_TICKS`.
+            let born: Vec<u64> = (0..PIDS)
+                .map(|_| {
+                    if rng.next_bool(0.5) {
+                        0
+                    } else {
+                        rng.next_below(TICKS / 2)
+                    }
+                })
+                .collect();
+            let mut total = [0u64; PIDS];
+            let mut mode = [0u8; PIDS];
+            let (mut full, mut sparse) = (FullListWatchdog::default(), Watchdog::new());
+            for tick in 0..TICKS {
+                let mut s = sample(0, 0, 0, 0);
+                let mut listed = sample(0, 0, 0, 0);
+                for pid in (0..PIDS).filter(|&p| born[p] <= tick) {
+                    if rng.next_bool(1.0 / 30.0) {
+                        mode[pid] = rng.next_below(3) as u8;
+                    }
+                    let runnable = match mode[pid] {
+                        0 => false,
+                        1 => rng.next_bool(0.7),
+                        _ => true,
+                    };
+                    // Charges land in every mode (an interrupt billed to
+                    // a sleeper, say); a third of them are zero-length,
+                    // and a starved process only ever gets those.
+                    let charged = rng.next_bool(if mode[pid] == 1 { 0.6 } else { 0.1 });
+                    if charged && mode[pid] == 1 && rng.next_below(3) > 0 {
+                        total[pid] += 1 + rng.next_below(TICK);
+                    }
+                    s.procs.push((pid as u32, runnable, total[pid]));
+                    if runnable || charged {
+                        listed.procs.push((pid as u32, runnable, total[pid]));
+                    }
+                }
+                full.feed(tick * TICK, TICK, &s);
+                sparse.feed(tick * TICK, TICK, &listed);
+                assert_eq!(
+                    sparse.events(),
+                    full.rest.events(),
+                    "seed {seed}, tick {tick}"
+                );
+                assert_eq!(sparse.total(), full.rest.total(), "seed {seed}");
+            }
+            starvations += sparse.events().len();
+        }
+        assert!(starvations > 0, "no history ever starved a process");
     }
 }

@@ -628,14 +628,14 @@ impl Nic {
             .sum()
     }
 
-    /// The deepest single live channel right now (telemetry gauge: a hot
-    /// channel backing up shows here before the total does).
-    pub fn channel_depth_max(&self) -> usize {
+    /// Frames queued across all live channels and in the deepest single
+    /// one, in one pass (telemetry gauges: a hot channel backing up shows
+    /// in the maximum before the total does).
+    pub fn channel_depths(&self) -> (usize, usize) {
         self.channels
             .iter()
             .filter_map(|c| c.as_ref().map(|c| c.depth()))
-            .max()
-            .unwrap_or(0)
+            .fold((0, 0), |(total, max), d| (total + d, max.max(d)))
     }
 }
 
@@ -903,6 +903,17 @@ mod tests {
         nic.rx_frame(udp_frame(9000));
         assert_eq!(nic.last_rx_channel(), Some(chan));
         assert_eq!(nic.channel_depth_total(), 1);
+        let hot = nic.create_default_channel();
+        nic.demux
+            .register(
+                FlowKey::listening(proto::UDP, Endpoint::new(LOCAL, 9001)),
+                hot,
+            )
+            .unwrap();
+        nic.rx_frame(udp_frame(9001));
+        nic.rx_frame(udp_frame(9001));
+        assert_eq!(nic.channel_depths(), (3, 2));
+        assert_eq!(nic.last_rx_channel(), Some(hot));
         // A discarded frame clears the marker.
         nic.rx_frame(udp_frame(12345));
         assert_eq!(nic.last_rx_channel(), None);

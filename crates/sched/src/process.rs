@@ -106,6 +106,10 @@ pub struct Process {
     /// Hard CPU affinity: `Some(cpu)` pins the process to one CPU (kernel
     /// threads tied to per-CPU state); `None` lets the balancer migrate it.
     pub affinity: Option<usize>,
+    /// On the scheduler's charged list (see
+    /// [`Scheduler::take_charged`](crate::Scheduler::take_charged)). Kept
+    /// here, beside `acct`, because `charge_on` writes both.
+    pub(crate) charged: bool,
 }
 
 impl Process {
@@ -154,6 +158,7 @@ mod tests {
             nvcsw: 0,
             home_cpu: 0,
             affinity: None,
+            charged: false,
         };
         assert_eq!(p.effective_pri(), 60);
         p.kernel_pri = Some(24);

@@ -110,6 +110,17 @@ impl RunQueue {
         false
     }
 
+    /// Appends every queued process to `out`, best bucket first, FIFO
+    /// within a bucket; visits only the non-empty buckets.
+    pub fn extend_into(&self, out: &mut Vec<Pid>) {
+        let mut qs = self.whichqs;
+        while qs != 0 {
+            let b = qs.trailing_zeros() as usize;
+            out.extend(&self.queues[b]);
+            qs &= qs - 1;
+        }
+    }
+
     /// Number of queued processes.
     pub fn len(&self) -> usize {
         self.len
@@ -191,6 +202,18 @@ mod tests {
         assert_eq!(q.dequeue_where(|p| p != Pid(1)), None);
         assert_eq!(q.len(), 1);
         assert_eq!(q.dequeue(), Some(Pid(1)));
+    }
+
+    #[test]
+    fn extend_into_lists_queue_order() {
+        let mut q = RunQueue::new();
+        q.enqueue(Pid(1), 100);
+        q.enqueue(Pid(2), 24);
+        q.enqueue(Pid(3), 100);
+        q.enqueue_front(Pid(4), 24);
+        let mut out = vec![Pid(9)];
+        q.extend_into(&mut out);
+        assert_eq!(out, [Pid(9), Pid(4), Pid(2), Pid(1), Pid(3)]);
     }
 
     #[test]

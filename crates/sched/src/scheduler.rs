@@ -76,6 +76,16 @@ pub struct Scheduler {
     sleep_heads: FastHashMap<WaitChannel, Pid>,
     /// Per process (indexed by pid): the next sleeper on the same channel.
     sleep_link: Vec<Option<Pid>>,
+    /// User-mode time charged across all processes: the sum of every
+    /// `acct.user`, kept so a statclock sample need not walk `procs`.
+    total_user: SimDuration,
+    /// The processes charged since the last
+    /// [`take_charged`](Self::take_charged), in charge order, each once:
+    /// exactly those whose `Process::charged` mark is set.
+    charged: Vec<Pid>,
+    /// Exactly the processes in `Running` (at most one per CPU), in no
+    /// particular order. With the run queues it is the runnable set.
+    on_cpu: Vec<Pid>,
 }
 
 impl Scheduler {
@@ -91,6 +101,9 @@ impl Scheduler {
             charged_per_cpu: vec![SimDuration::ZERO; config.ncpus],
             sleep_heads: FastHashMap::default(),
             sleep_link: Vec::new(),
+            total_user: SimDuration::ZERO,
+            charged: Vec::new(),
+            on_cpu: Vec::new(),
         }
     }
 
@@ -133,6 +146,7 @@ impl Scheduler {
             nvcsw: 0,
             home_cpu,
             affinity: None,
+            charged: false,
         };
         Self::recompute_pri(&mut p);
         let pri = p.effective_pri();
@@ -229,10 +243,37 @@ impl Scheduler {
         t
     }
 
+    /// User-mode CPU time charged to all processes since start: the sum
+    /// of every process's `acct.user`.
+    pub fn total_user(&self) -> SimDuration {
+        self.total_user
+    }
+
     /// Number of processes queued on run queues right now (excludes the
     /// ones currently on a CPU). An instantaneous gauge for timelines.
     pub fn runnable_count(&self) -> usize {
         self.runqs.iter().map(|q| q.len()).sum()
+    }
+
+    /// Appends every runnable process — queued on a run queue or on a
+    /// CPU — to `out`, in no particular order. Costs the runnable count,
+    /// not the process count.
+    pub fn runnable_into(&self, out: &mut Vec<Pid>) {
+        for q in &self.runqs {
+            q.extend_into(out);
+        }
+        out.extend_from_slice(&self.on_cpu);
+    }
+
+    /// Moves the processes charged since the previous call into `out`
+    /// (cleared first), in charge order, each once. Swaps buffers with
+    /// the scheduler, so a caller that keeps `out` allocates nothing.
+    pub fn take_charged(&mut self, out: &mut Vec<Pid>) {
+        out.clear();
+        std::mem::swap(out, &mut self.charged);
+        for pid in out.iter() {
+            self.procs[pid.0 as usize].charged = false;
+        }
     }
 
     fn recompute_pri(p: &mut Process) {
@@ -255,8 +296,15 @@ impl Scheduler {
     pub fn charge_on(&mut self, cpu: usize, pid: Pid, kind: Account, d: SimDuration) {
         self.total_charged += d;
         self.charged_per_cpu[cpu] += d;
+        if kind == Account::User {
+            self.total_user += d;
+        }
         let tick = self.config.tick;
         let p = &mut self.procs[pid.0 as usize];
+        if !p.charged {
+            p.charged = true;
+            self.charged.push(pid);
+        }
         p.acct.add(kind, d);
         p.estcpu += d.as_nanos() as f64 / tick.as_nanos() as f64;
         // BSD clamps p_estcpu so priorities stay in range.
@@ -328,6 +376,7 @@ impl Scheduler {
     pub fn pick_next_on(&mut self, cpu: usize) -> Option<Pid> {
         if let Some(pid) = self.runqs[cpu].dequeue() {
             self.procs[pid.0 as usize].state = ProcState::Running;
+            self.on_cpu.push(pid);
             return Some(pid);
         }
         for d in 1..self.config.ncpus {
@@ -341,6 +390,7 @@ impl Scheduler {
                 let p = &mut self.procs[pid.0 as usize];
                 p.state = ProcState::Running;
                 p.home_cpu = cpu;
+                self.on_cpu.push(pid);
                 return Some(pid);
             }
         }
@@ -387,6 +437,14 @@ impl Scheduler {
         } else {
             self.runqs[home].enqueue(pid, pri);
         }
+        self.leave_cpu(pid);
+    }
+
+    /// Takes `pid` off the on-CPU list (it stops `Running`).
+    fn leave_cpu(&mut self, pid: Pid) {
+        if let Some(i) = self.on_cpu.iter().position(|&p| p == pid) {
+            self.on_cpu.swap_remove(i);
+        }
     }
 
     /// Puts a process to sleep on a wait channel at the given kernel
@@ -403,8 +461,9 @@ impl Scheduler {
     /// Takes `pid` off whichever queue its state files it on.
     fn unfile(&mut self, pid: Pid) {
         match self.procs[pid.0 as usize].state {
-            // A running process is on no queue.
-            ProcState::Running | ProcState::Exited => {}
+            // A running process is on no queue, only the on-CPU list.
+            ProcState::Running => self.leave_cpu(pid),
+            ProcState::Exited => {}
             ProcState::Runnable => {
                 for q in &mut self.runqs {
                     if q.remove(pid) {
@@ -521,6 +580,47 @@ impl Scheduler {
             if got != want {
                 return Err(format!("{wchan:?}: chain {got:?}, sleeping {want:?}"));
             }
+        }
+        Ok(())
+    }
+
+    /// Recomputes what a statclock sample reads without walking `procs`
+    /// and compares: the on-CPU list is exactly the `Running` processes,
+    /// `total_user` is the sum of every `acct.user`, and the charged list
+    /// holds exactly the marked processes, each once. For invariant
+    /// checks only.
+    pub fn check_activity_index(&self) -> Result<(), String> {
+        let mut on_cpu = self.on_cpu.clone();
+        on_cpu.sort_unstable();
+        let running: Vec<Pid> = self
+            .procs
+            .iter()
+            .filter(|p| p.state == ProcState::Running)
+            .map(|p| p.pid)
+            .collect();
+        if on_cpu != running {
+            return Err(format!("on-CPU list {on_cpu:?}, running {running:?}"));
+        }
+        let user = self
+            .procs
+            .iter()
+            .fold(SimDuration::ZERO, |t, p| t + p.acct.user);
+        if user != self.total_user {
+            return Err(format!(
+                "total_user {:?}, processes sum to {user:?}",
+                self.total_user
+            ));
+        }
+        let mut charged = self.charged.clone();
+        charged.sort_unstable();
+        let marked: Vec<Pid> = self
+            .procs
+            .iter()
+            .filter(|p| p.charged)
+            .map(|p| p.pid)
+            .collect();
+        if charged != marked {
+            return Err(format!("charged list {charged:?}, marked {marked:?}"));
         }
         Ok(())
     }
@@ -831,6 +931,86 @@ mod tests {
         assert_eq!(s.pick_next(), Some(a));
         s.charge(a, Account::User, SimDuration::from_micros(70));
         assert_eq!(s.charged_on(0), s.total_charged());
+    }
+
+    /// The runnable set by brute force: every process on a run queue or
+    /// on a CPU.
+    fn runnable_scan(s: &Scheduler) -> Vec<Pid> {
+        s.procs()
+            .iter()
+            .filter(|p| matches!(p.state, ProcState::Runnable | ProcState::Running))
+            .map(|p| p.pid)
+            .collect()
+    }
+
+    fn runnable_sorted(s: &Scheduler) -> Vec<Pid> {
+        let mut out = Vec::new();
+        s.runnable_into(&mut out);
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn runnable_into_matches_state_scan() {
+        let mut s = smp(2);
+        let check = |s: &Scheduler| {
+            assert_eq!(runnable_sorted(s), runnable_scan(s));
+            assert_eq!(s.check_activity_index(), Ok(()));
+        };
+        let a = s.spawn("a", 0, SimDuration::ZERO); // home 0
+        let b = s.spawn("b", 0, SimDuration::ZERO); // home 1
+        let c = s.spawn("c", 0, SimDuration::ZERO); // home 0
+        let d = s.spawn("d", 0, SimDuration::ZERO); // home 1
+        check(&s);
+        assert_eq!(s.pick_next_on(0), Some(a));
+        assert_eq!(s.pick_next_on(1), Some(b));
+        check(&s);
+        s.requeue(a, true);
+        check(&s);
+        s.sleep(b, WaitChannel(1), PSOCK);
+        check(&s);
+        assert_eq!(s.pick_next_on(1), Some(d));
+        s.sleep(d, WaitChannel(2), PSOCK);
+        check(&s);
+        // CPU 1's queue is empty: it steals from CPU 0's.
+        assert_eq!(s.pick_next_on(1), Some(a));
+        assert_eq!(s.proc_ref(a).home_cpu, 1);
+        check(&s);
+        s.wakeup(WaitChannel(1));
+        check(&s);
+        assert!(s.wake_one(d));
+        check(&s);
+        s.exit(a);
+        check(&s);
+        assert_eq!(s.pick_next_on(0), Some(c));
+        s.exit(c);
+        s.exit(b);
+        check(&s);
+        assert_eq!(runnable_sorted(&s), [d]);
+    }
+
+    #[test]
+    fn take_charged_dedups_and_clears() {
+        let mut s = sched();
+        let a = s.spawn("a", 0, SimDuration::ZERO);
+        let b = s.spawn("b", 0, SimDuration::ZERO);
+        let us = SimDuration::from_micros;
+        s.charge(b, Account::System, us(5));
+        s.charge(a, Account::User, us(7));
+        s.charge(b, Account::User, us(3));
+        s.charge(b, Account::Interrupt, SimDuration::ZERO);
+        assert_eq!(s.check_activity_index(), Ok(()));
+        assert_eq!(s.total_user(), us(10));
+        let mut out = vec![a, a, a];
+        s.take_charged(&mut out);
+        assert_eq!(out, [b, a], "charge order, each once");
+        assert_eq!(s.check_activity_index(), Ok(()));
+        s.take_charged(&mut out);
+        assert!(out.is_empty(), "the list empties on take");
+        s.charge(a, Account::System, us(1));
+        s.take_charged(&mut out);
+        assert_eq!(out, [a], "a cleared mark lets the pid back on");
+        assert_eq!(s.total_user(), us(10));
     }
 
     #[test]

@@ -147,6 +147,9 @@ proptest! {
             // Invariant: the sleeper index is exactly the sleeping set,
             // and membership answers agree with it.
             prop_assert_eq!(s.check_sleeper_index(), Ok(()));
+            // Invariant: the on-CPU list, the user-time total and the
+            // charged list agree with the processes they summarise.
+            prop_assert_eq!(s.check_activity_index(), Ok(()));
             for wchan in 0..4u64 {
                 let sleeping = s
                     .procs()

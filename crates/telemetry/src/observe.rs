@@ -144,17 +144,13 @@ pub fn timeline_json(host: &Host) -> Json {
             Json::Arr(vals)
         })
         .collect();
-    // Per-process series: pid → [[total_ns, user_ns] per row].
-    let nproc = tele
-        .timeline_proc_cpu()
-        .iter()
-        .map(|v| v.len())
-        .max()
-        .unwrap_or(0);
+    // Per-process series: pid → [[total_ns, user_ns] per row]. The rows
+    // are rebuilt from a change log, so once for all pids.
+    let proc_rows = tele.timeline_proc_cpu();
+    let nproc = proc_rows.iter().map(|v| v.len()).max().unwrap_or(0);
     let procs: Vec<Json> = (0..nproc)
         .map(|pid| {
-            let series: Vec<Json> = tele
-                .timeline_proc_cpu()
+            let series: Vec<Json> = proc_rows
                 .iter()
                 .map(|row| {
                     let (tot, user) = row.get(pid).copied().unwrap_or((0, 0));

@@ -8,15 +8,19 @@
 //!   telemetry allocates at most a stated multiple per event of the same
 //!   run with telemetry off;
 //! - the PCB table (DESIGN.md §16): connection churn at a steady table
-//!   size allocates nothing once the table has grown to that size.
+//!   size allocates nothing once the table has grown to that size;
+//! - the statclock sample (DESIGN.md §16): a tick on a host of idle
+//!   processes allocates its timeline row and nothing per process.
 //!
 //! This binary has its own counting `#[global_allocator]` and a single
 //! test, so the counters see the simulation and nothing else.
 
-use lrp::core::{Architecture, CcAlgo};
+use lrp::apps::PingPongServer;
+use lrp::core::{Architecture, CcAlgo, Host, HostConfig, World};
 use lrp::experiments::{fault_sweep, fig3};
 use lrp::net::FaultPlan;
-use lrp::sim::SimTime;
+use lrp::sched::ProcState;
+use lrp::sim::{SimDuration, SimTime};
 use lrp::stack::{PcbTable, SockId};
 use lrp::wire::{proto, Endpoint, FlowKey, Ipv4Addr};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -161,7 +165,48 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
     (20_000..30_000).for_each(&mut cycle);
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
     assert_eq!(allocs, 0, "10 000 PCB churn cycles at {LIVE_PCBS} live");
+
+    // The statclock sample on an idle host: 256 processes blocked in
+    // `recv`, nobody charged. A tick stores one timeline row — its
+    // `values` are the one allocation — and the per-row logs grow by
+    // doubling; nothing process-sized is built.
+    let mut world = World::with_defaults();
+    let mut cfg = HostConfig::new(Architecture::Bsd);
+    cfg.telemetry = true;
+    let mut host = Host::new(cfg, Ipv4Addr::new(10, 0, 0, 2));
+    for i in 0..IDLE_PROCS {
+        host.spawn_app("idle", 0, 0, Box::new(PingPongServer::new(7000 + i)));
+    }
+    world.add_host(host);
+    world.run_until(SimTime::from_secs(1));
+    let host = &mut world.hosts[0];
+    let procs = host.sched.procs();
+    assert_eq!(procs.len(), IDLE_PROCS as usize);
+    assert!(
+        procs
+            .iter()
+            .all(|p| matches!(p.state, ProcState::Sleeping(_))),
+        "every process blocked"
+    );
+    let mut now = world.now;
+    let mut tick = || {
+        now += SimDuration::from_millis(10);
+        host.on_tick(now);
+    };
+    (0..1_000).for_each(|_| tick());
+    let allocs0 = ALLOCS.load(Ordering::Relaxed);
+    (0..IDLE_TICKS).for_each(|_| tick());
+    let per_tick = (ALLOCS.load(Ordering::Relaxed) - allocs0) as f64 / IDLE_TICKS as f64;
+    eprintln!("{per_tick:.4} allocations per tick with {IDLE_PROCS} idle processes");
+    assert!(
+        per_tick <= 1.1,
+        "{per_tick:.3} allocations per tick with {IDLE_PROCS} idle processes"
+    );
 }
+
+/// Processes on the idle host, and the ticks measured on it.
+const IDLE_PROCS: u16 = 256;
+const IDLE_TICKS: u32 = 10_000;
 
 /// Connections alive at once in the PCB churn cycles.
 const LIVE_PCBS: u32 = 500;

@@ -141,7 +141,22 @@ fn timeline_samples_are_periodic_and_monotone() {
     // The blast delivered something and the samples saw it.
     let last = rows.last().unwrap();
     assert!(last.values[col("delivered_udp")] > 0);
-    assert_eq!(tele.timeline_proc_cpu().len(), rows.len());
+    // The per-process series is rebuilt from a change log: every row
+    // must still be a full snapshot. Each process's counters only grow,
+    // and a row's totals sum to the same row's `charged_ns`.
+    let procs = tele.timeline_proc_cpu();
+    assert_eq!(procs.len(), rows.len());
+    for (r, p) in rows.iter().zip(&procs) {
+        let total: u64 = p.iter().map(|&(t, _)| t).sum();
+        assert_eq!(total, r.values[col("charged_ns")], "at {} ns", r.t_ns);
+        assert!(p.iter().all(|&(t, u)| u <= t));
+    }
+    for w in procs.windows(2) {
+        assert!(w[0].len() <= w[1].len(), "a process vanished from a row");
+        for (a, b) in w[0].iter().zip(&w[1]) {
+            assert!(a.0 <= b.0 && a.1 <= b.1, "a process's CPU time decreased");
+        }
+    }
 }
 
 /// Ring-buffer contract at capacity: overflow drops the oldest events,
