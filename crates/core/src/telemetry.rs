@@ -32,8 +32,8 @@ use crate::watchdog::{AnomalyEvent, Watchdog, WatchdogSample};
 use lrp_demux::ChannelId;
 use lrp_sched::{Pid, ProcState};
 use lrp_sim::{
-    CycleAccount, CycleKey, FastHashMap, Histogram, MetricsTimeline, QuantileSketch, SimDuration,
-    SimTime, TraceEvent, TraceRing,
+    CycleAccount, CycleKey, FastHashMap, Histogram, MetricsTimeline, SimDuration, SimTime,
+    TraceEvent, TraceRing,
 };
 use lrp_wire::Frame;
 use std::collections::{BTreeMap, VecDeque};
@@ -140,13 +140,6 @@ pub struct Telemetry {
     pub channel_residency: Histogram,
     /// Enqueue (IP queue / ED channel) → softirq dispatch delay, ns.
     pub softirq_dispatch: Histogram,
-    /// Mergeable sketch shadowing [`Self::arrival_to_deliver`]; backs
-    /// p999/p9999 and cross-host/CPU aggregation.
-    pub arrival_to_deliver_sketch: QuantileSketch,
-    /// Mergeable sketch shadowing [`Self::channel_residency`].
-    pub channel_residency_sketch: QuantileSketch,
-    /// Mergeable sketch shadowing [`Self::softirq_dispatch`].
-    pub softirq_dispatch_sketch: QuantileSketch,
     /// The anomaly watchdog, fed one sample per statclock tick.
     watchdog: Watchdog,
     /// Enqueue timestamps + spans paralleling the BSD IP queue (FIFO,
@@ -249,9 +242,6 @@ impl Telemetry {
             arrival_to_deliver: Histogram::new(),
             channel_residency: Histogram::new(),
             softirq_dispatch: Histogram::new(),
-            arrival_to_deliver_sketch: QuantileSketch::new(),
-            channel_residency_sketch: QuantileSketch::new(),
-            softirq_dispatch_sketch: QuantileSketch::new(),
             watchdog: Watchdog::new(),
             ipq_ts: VecDeque::new(),
             chan_ts: Vec::new(),
@@ -366,7 +356,6 @@ impl Telemetry {
         if self.enabled {
             if let Some((t, span)) = self.ipq_ts.pop_front() {
                 self.softirq_dispatch.record_duration(now - t);
-                self.softirq_dispatch_sketch.record_duration(now - t);
                 self.cur_arrival = Some(t);
                 self.cur_span = span;
                 self.span_ev(now, SP_DEQ, span, cpu);
@@ -406,7 +395,6 @@ impl Telemetry {
             let ts = self.chan_ts.get_mut(chan.0 as usize);
             if let Some((t, span)) = ts.and_then(|q| q.pop_front()) {
                 self.channel_residency.record_duration(now - t);
-                self.channel_residency_sketch.record_duration(now - t);
                 self.cur_arrival = Some(t);
                 self.cur_span = span;
                 self.span_ev(now, SP_DEQ, span, cpu);
@@ -421,7 +409,6 @@ impl Telemetry {
         if self.enabled {
             if let Some(arr) = self.cur_arrival {
                 self.softirq_dispatch.record_duration(now - arr);
-                self.softirq_dispatch_sketch.record_duration(now - arr);
             }
             self.ev(now, "softirq", tag, 0, cpu);
         }
@@ -454,7 +441,6 @@ impl Telemetry {
             self.delivered_udp += 1;
             if let Some(arr) = self.cur_arrival.take() {
                 self.arrival_to_deliver.record_duration(now - arr);
-                self.arrival_to_deliver_sketch.record_duration(now - arr);
             }
             let span = self.cur_span.take();
             slot(&mut self.sock_spans, sock as usize).push_back(span);
@@ -469,7 +455,6 @@ impl Telemetry {
             self.delivered_icmp += 1;
             if let Some(arr) = self.cur_arrival.take() {
                 self.arrival_to_deliver.record_duration(now - arr);
-                self.arrival_to_deliver_sketch.record_duration(now - arr);
             }
             let span = self.cur_span.take();
             self.span_ev(now, SP_DELIVER, span, cpu);

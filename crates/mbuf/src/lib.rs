@@ -1,28 +1,30 @@
-//! BSD-style message buffers (mbufs) for the LRP reproduction.
+//! The frame arena: pooled, reference-counted byte buffers for the
+//! simulator's packets.
 //!
-//! The 4.4BSD network subsystem stores every packet in a chain of fixed-size
-//! `mbuf`s; small amounts of data live inside the mbuf itself, larger
-//! amounts in an attached 2 KB *cluster*. The pool of mbufs is a global,
-//! limited resource — the LRP paper explicitly measures whether packets are
-//! dropped "due to lack of mbufs", so the pool here enforces real limits and
-//! accounts every allocation failure.
-//!
-//! Mbufs auto-return to their pool on drop (the pool is reference-counted
-//! internally), which makes leak-freedom a structural property; the
-//! property tests in this crate verify exact accounting under arbitrary
-//! alloc/free interleavings.
+//! 4.4BSD keeps every packet in mbufs drawn from a global pool; the
+//! simulator keeps every frame and UDP payload in buffers drawn from a
+//! [`FrameArena`]. Both halves of a buffer — the byte vector and the
+//! `Rc` box around it — are recycled, so steady-state traffic does no
+//! allocator work, and every checkout carries a generation-checked
+//! [`BufHandle`], so a double return panics. `lrp-wire`'s `FrameBuf` is
+//! the arena's only front end (see the [`arena`] module).
 //!
 //! # Examples
 //!
 //! ```
-//! use lrp_mbuf::{MbufPool, MbufChain};
+//! use lrp_mbuf::FrameArena;
 //!
-//! let pool = MbufPool::new(64, 32);
-//! let chain = MbufChain::from_bytes(&pool, b"hello world").unwrap();
-//! assert_eq!(chain.len(), 11);
-//! assert_eq!(chain.to_vec(), b"hello world");
-//! drop(chain);
-//! assert_eq!(pool.stats().mbufs_in_use, 0);
+//! let arena = FrameArena::new();
+//! let mut v = arena.take_storage(1500);
+//! v.extend_from_slice(b"frame bytes");
+//! let buf = arena.adopt(v);
+//! assert_eq!(buf.bytes(), b"frame bytes");
+//! arena.reclaim(buf);
+//! // The next frame of the same size reuses the bytes and the box.
+//! let again = arena.adopt(arena.take_storage(1500));
+//! let s = arena.stats();
+//! assert_eq!((s.storage_allocs, s.reuses, s.live), (1, 1, 1));
+//! arena.reclaim(again);
 //! ```
 
 #![warn(missing_docs)]
@@ -30,597 +32,3 @@
 pub mod arena;
 
 pub use arena::{ArenaStats, BufHandle, FrameArena, PooledBuf};
-
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Size of an mbuf structure in 4.4BSD.
-pub const MSIZE: usize = 128;
-/// Bytes of packet data an mbuf can hold internally (MSIZE minus the
-/// header bookkeeping, as in 4.4BSD's `MLEN`).
-pub const MLEN: usize = MSIZE - 20;
-/// Size of an external storage cluster.
-pub const MCLBYTES: usize = 2048;
-/// Leading space reserved in the first mbuf of an outgoing chain so that
-/// protocol headers can be prepended without copying (`max_linkhdr +
-/// max_protohdr` in BSD terms).
-pub const PKT_HEADROOM: usize = 64;
-
-/// Snapshot of pool occupancy and failure counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Mbufs currently allocated.
-    pub mbufs_in_use: usize,
-    /// Clusters currently allocated.
-    pub clusters_in_use: usize,
-    /// High-water mark of mbufs in use.
-    pub mbufs_peak: usize,
-    /// High-water mark of clusters in use.
-    pub clusters_peak: usize,
-    /// Allocation attempts that failed because the mbuf limit was reached.
-    pub mbuf_failures: u64,
-    /// Allocation attempts that failed because the cluster limit was
-    /// reached.
-    pub cluster_failures: u64,
-    /// Total successful mbuf allocations over the pool's lifetime.
-    pub total_allocs: u64,
-}
-
-#[derive(Debug)]
-struct PoolInner {
-    max_mbufs: usize,
-    max_clusters: usize,
-    stats: PoolStats,
-}
-
-/// A capacity-limited mbuf pool.
-///
-/// Cloning the handle shares the same underlying pool.
-#[derive(Clone, Debug)]
-pub struct MbufPool {
-    inner: Rc<RefCell<PoolInner>>,
-}
-
-impl MbufPool {
-    /// Creates a pool that allows at most `max_mbufs` mbufs and
-    /// `max_clusters` clusters simultaneously.
-    pub fn new(max_mbufs: usize, max_clusters: usize) -> Self {
-        MbufPool {
-            inner: Rc::new(RefCell::new(PoolInner {
-                max_mbufs,
-                max_clusters,
-                stats: PoolStats::default(),
-            })),
-        }
-    }
-
-    /// Creates a pool with 4.4BSD-ish defaults (512 mbufs, 256 clusters) —
-    /// the SPARCstation-20 configuration modelled in the experiments.
-    pub fn with_bsd_defaults() -> Self {
-        Self::new(512, 256)
-    }
-
-    /// Allocates one mbuf with internal storage.
-    ///
-    /// Returns `None` (and counts a failure) if the pool is exhausted.
-    pub fn alloc(&self) -> Option<Mbuf> {
-        let mut inner = self.inner.borrow_mut();
-        if inner.stats.mbufs_in_use >= inner.max_mbufs {
-            inner.stats.mbuf_failures += 1;
-            return None;
-        }
-        inner.stats.mbufs_in_use += 1;
-        inner.stats.mbufs_peak = inner.stats.mbufs_peak.max(inner.stats.mbufs_in_use);
-        inner.stats.total_allocs += 1;
-        drop(inner);
-        Some(Mbuf {
-            pool: self.inner.clone(),
-            storage: Storage::Internal(Box::new([0; MLEN])),
-            off: 0,
-            len: 0,
-        })
-    }
-
-    /// Allocates one mbuf with an attached cluster.
-    ///
-    /// Returns `None` (and counts the failure against whichever resource was
-    /// exhausted) if the pool cannot satisfy the request.
-    pub fn alloc_cluster(&self) -> Option<Mbuf> {
-        let mut inner = self.inner.borrow_mut();
-        if inner.stats.mbufs_in_use >= inner.max_mbufs {
-            inner.stats.mbuf_failures += 1;
-            return None;
-        }
-        if inner.stats.clusters_in_use >= inner.max_clusters {
-            inner.stats.cluster_failures += 1;
-            return None;
-        }
-        inner.stats.mbufs_in_use += 1;
-        inner.stats.clusters_in_use += 1;
-        inner.stats.mbufs_peak = inner.stats.mbufs_peak.max(inner.stats.mbufs_in_use);
-        inner.stats.clusters_peak = inner.stats.clusters_peak.max(inner.stats.clusters_in_use);
-        inner.stats.total_allocs += 1;
-        drop(inner);
-        Some(Mbuf {
-            pool: self.inner.clone(),
-            storage: Storage::Cluster(vec![0; MCLBYTES].into_boxed_slice()),
-            off: 0,
-            len: 0,
-        })
-    }
-
-    /// Current pool statistics.
-    pub fn stats(&self) -> PoolStats {
-        self.inner.borrow().stats
-    }
-
-    /// True if at least one mbuf can be allocated right now.
-    pub fn has_space(&self) -> bool {
-        let inner = self.inner.borrow();
-        inner.stats.mbufs_in_use < inner.max_mbufs
-    }
-}
-
-#[derive(Debug)]
-enum Storage {
-    Internal(Box<[u8; MLEN]>),
-    Cluster(Box<[u8]>),
-}
-
-impl Storage {
-    fn capacity(&self) -> usize {
-        match self {
-            Storage::Internal(_) => MLEN,
-            Storage::Cluster(_) => MCLBYTES,
-        }
-    }
-
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Storage::Internal(b) => &b[..],
-            Storage::Cluster(b) => b,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [u8] {
-        match self {
-            Storage::Internal(b) => &mut b[..],
-            Storage::Cluster(b) => b,
-        }
-    }
-}
-
-/// A single message buffer holding a contiguous run of packet bytes.
-///
-/// Returned to its pool automatically on drop.
-#[derive(Debug)]
-pub struct Mbuf {
-    pool: Rc<RefCell<PoolInner>>,
-    storage: Storage,
-    off: usize,
-    len: usize,
-}
-
-impl Drop for Mbuf {
-    fn drop(&mut self) {
-        let mut inner = self.pool.borrow_mut();
-        inner.stats.mbufs_in_use -= 1;
-        if matches!(self.storage, Storage::Cluster(_)) {
-            inner.stats.clusters_in_use -= 1;
-        }
-    }
-}
-
-impl Mbuf {
-    /// Bytes of valid data.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the mbuf holds no data.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total storage capacity (internal or cluster).
-    pub fn capacity(&self) -> usize {
-        self.storage.capacity()
-    }
-
-    /// Unused space after the data region.
-    pub fn tail_room(&self) -> usize {
-        self.capacity() - self.off - self.len
-    }
-
-    /// Unused space before the data region (for header prepends).
-    pub fn head_room(&self) -> usize {
-        self.off
-    }
-
-    /// True if this mbuf uses external cluster storage.
-    pub fn is_cluster(&self) -> bool {
-        matches!(self.storage, Storage::Cluster(_))
-    }
-
-    /// The valid data bytes.
-    pub fn data(&self) -> &[u8] {
-        &self.storage.as_slice()[self.off..self.off + self.len]
-    }
-
-    /// Mutable access to the valid data bytes.
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.storage.as_mut_slice()[self.off..self.off + self.len]
-    }
-
-    /// Reserves `n` bytes of head room by shifting the data offset.
-    ///
-    /// Only valid on an empty mbuf.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mbuf is non-empty or `n` exceeds capacity.
-    pub fn reserve(&mut self, n: usize) {
-        assert!(self.len == 0, "reserve on non-empty mbuf");
-        assert!(n <= self.capacity(), "reserve beyond capacity");
-        self.off = n;
-    }
-
-    /// Appends bytes, returning how many were actually copied (bounded by
-    /// tail room).
-    pub fn append(&mut self, bytes: &[u8]) -> usize {
-        let n = bytes.len().min(self.tail_room());
-        let start = self.off + self.len;
-        self.storage.as_mut_slice()[start..start + n].copy_from_slice(&bytes[..n]);
-        self.len += n;
-        n
-    }
-
-    /// Prepends bytes into head room.
-    ///
-    /// Returns `false` (leaving the mbuf unchanged) if there is not enough
-    /// head room.
-    pub fn prepend(&mut self, bytes: &[u8]) -> bool {
-        if bytes.len() > self.off {
-            return false;
-        }
-        self.off -= bytes.len();
-        self.len += bytes.len();
-        let off = self.off;
-        self.storage.as_mut_slice()[off..off + bytes.len()].copy_from_slice(bytes);
-        true
-    }
-
-    /// Removes `n` bytes from the front of the data (header strip).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the data length.
-    pub fn trim_front(&mut self, n: usize) {
-        assert!(n <= self.len, "trim_front beyond data");
-        self.off += n;
-        self.len -= n;
-    }
-
-    /// Removes `n` bytes from the end of the data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the data length.
-    pub fn trim_back(&mut self, n: usize) {
-        assert!(n <= self.len, "trim_back beyond data");
-        self.len -= n;
-    }
-}
-
-/// A packet: a chain of mbufs with packet-level metadata.
-///
-/// Mirrors BSD's `m_pkthdr`-headed mbuf chain.
-#[derive(Debug, Default)]
-pub struct MbufChain {
-    bufs: Vec<Mbuf>,
-    len: usize,
-}
-
-impl MbufChain {
-    /// Creates an empty chain.
-    pub fn new() -> Self {
-        MbufChain {
-            bufs: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Builds a chain holding a copy of `bytes`, using clusters for bulk
-    /// data as BSD does, with [`PKT_HEADROOM`] reserved in the first mbuf.
-    ///
-    /// Returns `None` if the pool runs out part-way (all partial
-    /// allocations are returned to the pool).
-    pub fn from_bytes(pool: &MbufPool, bytes: &[u8]) -> Option<MbufChain> {
-        let mut chain = MbufChain::new();
-        let mut first = true;
-        let mut rest = bytes;
-        loop {
-            // Choose storage the way m_copyback/sosend do: clusters when
-            // more than MLEN remains.
-            let mut m = if rest.len() > MLEN {
-                pool.alloc_cluster()?
-            } else {
-                pool.alloc()?
-            };
-            if first {
-                // Reserve prepend space, but never so much that a small
-                // payload no longer fits in one mbuf.
-                let headroom = PKT_HEADROOM.min(m.capacity().saturating_sub(rest.len()));
-                m.reserve(headroom);
-                first = false;
-            }
-            let copied = m.append(rest);
-            rest = &rest[copied..];
-            chain.push(m);
-            if rest.is_empty() {
-                return Some(chain);
-            }
-        }
-    }
-
-    /// Appends an mbuf to the end of the chain.
-    pub fn push(&mut self, m: Mbuf) {
-        self.len += m.len();
-        self.bufs.push(m);
-    }
-
-    /// Total packet length in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the chain holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of mbufs in the chain.
-    pub fn buf_count(&self) -> usize {
-        self.bufs.len()
-    }
-
-    /// Number of clusters in the chain.
-    pub fn cluster_count(&self) -> usize {
-        self.bufs.iter().filter(|m| m.is_cluster()).count()
-    }
-
-    /// Copies the packet contents into a contiguous vector.
-    pub fn to_vec(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len);
-        for m in &self.bufs {
-            out.extend_from_slice(m.data());
-        }
-        out
-    }
-
-    /// Prepends a header to the chain, using head room in the first mbuf if
-    /// possible, otherwise allocating a fresh mbuf (BSD's `M_PREPEND`).
-    ///
-    /// Returns `false` if a needed allocation fails; the chain is unchanged
-    /// in that case.
-    pub fn prepend(&mut self, pool: &MbufPool, header: &[u8]) -> bool {
-        if let Some(first) = self.bufs.first_mut() {
-            if header.len() <= first.head_room() && first.prepend(header) {
-                self.len += header.len();
-                return true;
-            }
-        }
-        let Some(mut m) = pool.alloc() else {
-            return false;
-        };
-        if header.len() > m.capacity() {
-            return false;
-        }
-        m.reserve(m.capacity() - header.len());
-        let copied = m.append(header);
-        debug_assert_eq!(copied, header.len());
-        self.len += header.len();
-        self.bufs.insert(0, m);
-        true
-    }
-
-    /// Strips `n` bytes from the front of the packet, freeing emptied mbufs
-    /// (BSD's `m_adj` with a positive count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds the packet length.
-    pub fn trim_front(&mut self, mut n: usize) {
-        assert!(n <= self.len, "trim_front beyond packet");
-        self.len -= n;
-        while n > 0 {
-            let first = self.bufs.first_mut().expect("chain length accounting");
-            let take = n.min(first.len());
-            first.trim_front(take);
-            n -= take;
-            if first.is_empty() {
-                self.bufs.remove(0);
-            }
-        }
-    }
-
-    /// Reads `buf.len()` bytes starting at `offset` into `buf` (BSD's
-    /// `m_copydata`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the requested range exceeds the packet.
-    pub fn copy_out(&self, mut offset: usize, buf: &mut [u8]) {
-        assert!(offset + buf.len() <= self.len, "copy_out beyond packet");
-        let mut written = 0;
-        for m in &self.bufs {
-            if offset >= m.len() {
-                offset -= m.len();
-                continue;
-            }
-            let avail = m.len() - offset;
-            let take = avail.min(buf.len() - written);
-            buf[written..written + take].copy_from_slice(&m.data()[offset..offset + take]);
-            written += take;
-            offset = 0;
-            if written == buf.len() {
-                return;
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pool_limits_enforced() {
-        let pool = MbufPool::new(2, 1);
-        let a = pool.alloc().unwrap();
-        let b = pool.alloc().unwrap();
-        assert!(pool.alloc().is_none());
-        assert_eq!(pool.stats().mbuf_failures, 1);
-        drop(a);
-        assert!(pool.alloc().is_some());
-        drop(b);
-    }
-
-    #[test]
-    fn cluster_limit_separate() {
-        let pool = MbufPool::new(10, 1);
-        let a = pool.alloc_cluster().unwrap();
-        assert!(pool.alloc_cluster().is_none());
-        assert_eq!(pool.stats().cluster_failures, 1);
-        assert!(pool.alloc().is_some(), "plain mbufs still available");
-        drop(a);
-        assert_eq!(pool.stats().clusters_in_use, 0);
-    }
-
-    #[test]
-    fn drop_returns_to_pool() {
-        let pool = MbufPool::new(4, 4);
-        {
-            let _a = pool.alloc().unwrap();
-            let _b = pool.alloc_cluster().unwrap();
-            assert_eq!(pool.stats().mbufs_in_use, 2);
-            assert_eq!(pool.stats().clusters_in_use, 1);
-        }
-        let s = pool.stats();
-        assert_eq!(s.mbufs_in_use, 0);
-        assert_eq!(s.clusters_in_use, 0);
-        assert_eq!(s.mbufs_peak, 2);
-        assert_eq!(s.clusters_peak, 1);
-    }
-
-    #[test]
-    fn append_trim_roundtrip() {
-        let pool = MbufPool::new(4, 4);
-        let mut m = pool.alloc().unwrap();
-        assert_eq!(m.append(b"abcdef"), 6);
-        m.trim_front(2);
-        m.trim_back(1);
-        assert_eq!(m.data(), b"cde");
-    }
-
-    #[test]
-    fn append_bounded_by_capacity() {
-        let pool = MbufPool::new(4, 4);
-        let mut m = pool.alloc().unwrap();
-        let big = vec![7u8; MLEN + 50];
-        assert_eq!(m.append(&big), MLEN);
-        assert_eq!(m.tail_room(), 0);
-    }
-
-    #[test]
-    fn prepend_uses_headroom() {
-        let pool = MbufPool::new(4, 4);
-        let mut m = pool.alloc().unwrap();
-        m.reserve(8);
-        m.append(b"data");
-        assert!(m.prepend(b"hdr:"));
-        assert_eq!(m.data(), b"hdr:data");
-        assert!(!m.prepend(&[0u8; 16]), "insufficient headroom");
-    }
-
-    #[test]
-    fn chain_from_bytes_roundtrip() {
-        let pool = MbufPool::new(64, 32);
-        for size in [0usize, 1, MLEN, MLEN + 1, 5000, 9000] {
-            let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
-            let chain = MbufChain::from_bytes(&pool, &data).unwrap();
-            assert_eq!(chain.len(), size);
-            assert_eq!(chain.to_vec(), data, "size {size}");
-        }
-        assert_eq!(pool.stats().mbufs_in_use, 0);
-    }
-
-    #[test]
-    fn chain_uses_clusters_for_bulk() {
-        let pool = MbufPool::new(64, 32);
-        let chain = MbufChain::from_bytes(&pool, &[0u8; 8000]).unwrap();
-        assert!(chain.cluster_count() >= 3, "bulk data should use clusters");
-        assert!(chain.buf_count() <= 6, "chain should be compact");
-    }
-
-    #[test]
-    fn chain_alloc_failure_is_clean() {
-        let pool = MbufPool::new(1, 0);
-        assert!(MbufChain::from_bytes(&pool, &[0u8; 4000]).is_none());
-        assert_eq!(pool.stats().mbufs_in_use, 0, "partial chain returned");
-    }
-
-    #[test]
-    fn chain_prepend_header() {
-        let pool = MbufPool::new(64, 32);
-        let mut chain = MbufChain::from_bytes(&pool, b"payload").unwrap();
-        assert!(chain.prepend(&pool, b"HDR"));
-        assert_eq!(chain.to_vec(), b"HDRpayload");
-        assert_eq!(chain.len(), 10);
-    }
-
-    #[test]
-    fn chain_prepend_allocates_when_no_headroom() {
-        let pool = MbufPool::new(64, 32);
-        let mut chain = MbufChain::new();
-        let mut m = pool.alloc().unwrap();
-        m.append(b"x");
-        chain.push(m);
-        let hdr = [9u8; 40];
-        assert!(chain.prepend(&pool, &hdr));
-        assert_eq!(chain.len(), 41);
-        assert_eq!(chain.buf_count(), 2);
-        let v = chain.to_vec();
-        assert_eq!(&v[..40], &hdr);
-        assert_eq!(v[40], b'x');
-    }
-
-    #[test]
-    fn chain_trim_front_frees_bufs() {
-        let pool = MbufPool::new(64, 32);
-        let data: Vec<u8> = (0..5000).map(|i| (i % 256) as u8).collect();
-        let mut chain = MbufChain::from_bytes(&pool, &data).unwrap();
-        let before = chain.buf_count();
-        chain.trim_front(3000);
-        assert!(chain.buf_count() < before);
-        assert_eq!(chain.to_vec(), &data[3000..]);
-    }
-
-    #[test]
-    fn chain_copy_out_ranges() {
-        let pool = MbufPool::new(64, 32);
-        let data: Vec<u8> = (0..4000).map(|i| (i % 256) as u8).collect();
-        let chain = MbufChain::from_bytes(&pool, &data).unwrap();
-        let mut buf = [0u8; 100];
-        chain.copy_out(1995, &mut buf);
-        assert_eq!(&buf[..], &data[1995..2095]);
-    }
-
-    #[test]
-    fn empty_chain_behaviour() {
-        let chain = MbufChain::new();
-        assert!(chain.is_empty());
-        assert_eq!(chain.to_vec(), Vec::<u8>::new());
-        assert_eq!(chain.buf_count(), 0);
-    }
-}

@@ -1,114 +1,163 @@
-//! Property tests for mbuf pool accounting and chain operations.
+//! Property tests for the frame arena: exact accounting, no aliasing of
+//! live buffers, and bounded caches under any interleaving of checkouts
+//! and returns.
 
-use lrp_mbuf::{MbufChain, MbufPool, MCLBYTES, MLEN};
+use lrp_mbuf::{FrameArena, PooledBuf};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::rc::Rc;
+
+/// One step of an arena workload.
+#[derive(Clone, Debug)]
+enum Op {
+    /// Build a frame of this many bytes and adopt it.
+    Adopt(usize),
+    /// Share the picked live buffer (a second reference).
+    Share(sample::Index),
+    /// Reclaim the picked reference.
+    Reclaim(sample::Index),
+    /// Take scratch storage of this capacity and give it straight back.
+    Scratch(usize),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0usize..10_000).prop_map(Op::Adopt),
+        any::<sample::Index>().prop_map(Op::Share),
+        any::<sample::Index>().prop_map(Op::Reclaim),
+        (0usize..70_000).prop_map(Op::Scratch),
+    ]
+}
 
 proptest! {
-    /// Any alloc/free interleaving leaves the pool balanced, and in-use
-    /// never exceeds the configured limits.
+    /// `live` is checkouts minus returns, a buffer is retired only when
+    /// its last reference comes back, and the caches stay bounded.
     #[test]
-    fn pool_accounting_exact(ops in proptest::collection::vec(0u8..4, 1..200)) {
-        let pool = MbufPool::new(16, 8);
-        let mut held = Vec::new();
+    fn accounting_is_exact_under_any_interleaving(ops in collection::vec(op(), 1..300)) {
+        let arena = FrameArena::new();
+        let mut refs: Vec<Rc<PooledBuf>> = Vec::new();
         for op in ops {
             match op {
-                0 => {
-                    if let Some(m) = pool.alloc() {
-                        held.push(m);
-                    }
+                Op::Adopt(len) => refs.push(arena.adopt(arena.take_storage(len))),
+                Op::Share(ix) if !refs.is_empty() => {
+                    let r = Rc::clone(&refs[ix.index(refs.len())]);
+                    refs.push(r);
                 }
-                1 => {
-                    if let Some(m) = pool.alloc_cluster() {
-                        held.push(m);
-                    }
+                Op::Reclaim(ix) if !refs.is_empty() => {
+                    arena.reclaim(refs.swap_remove(ix.index(refs.len())));
                 }
-                2 => {
-                    if !held.is_empty() {
-                        held.remove(0);
-                    }
-                }
-                _ => {
-                    held.pop();
-                }
+                Op::Scratch(cap) => arena.give_storage(arena.take_storage(cap)),
+                _ => {}
             }
-            let s = pool.stats();
-            prop_assert_eq!(s.mbufs_in_use, held.len());
-            prop_assert!(s.mbufs_in_use <= 16);
-            prop_assert!(s.clusters_in_use <= 8);
+            let s = arena.stats();
+            let distinct: HashSet<*const PooledBuf> = refs.iter().map(Rc::as_ptr).collect();
+            prop_assert_eq!(s.live, distinct.len());
+            prop_assert_eq!(s.checkouts - s.returns, s.live as u64);
+            prop_assert_eq!(s.checkouts, s.reuses + s.fresh_allocs);
+            prop_assert!(s.cached <= 1024);
+            prop_assert!(s.cached_bytes <= 4 << 20);
         }
-        drop(held);
-        let s = pool.stats();
-        prop_assert_eq!(s.mbufs_in_use, 0);
-        prop_assert_eq!(s.clusters_in_use, 0);
+        for r in refs {
+            arena.reclaim(r);
+        }
+        let s = arena.stats();
+        prop_assert_eq!((s.live, s.checkouts), (0, s.returns));
     }
 
-    /// from_bytes/to_vec is the identity for any payload that fits.
+    /// Recycling never hands a live buffer's bytes to another frame:
+    /// every live buffer still holds what it was built with.
     #[test]
-    fn chain_roundtrip_identity(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
-        let pool = MbufPool::new(4096, 2048);
-        let chain = MbufChain::from_bytes(&pool, &data).expect("pool sized generously");
-        prop_assert_eq!(chain.len(), data.len());
-        prop_assert_eq!(chain.to_vec(), data);
+    fn live_buffers_are_never_aliased(ops in collection::vec(op(), 1..200)) {
+        let arena = FrameArena::new();
+        let mut live: Vec<(Rc<Vec<u8>>, Rc<PooledBuf>)> = Vec::new();
+        let mut next = 0usize;
+        for op in ops {
+            match op {
+                Op::Adopt(len) => {
+                    let want: Vec<u8> = (0..len).map(|i| (next * 31 + i) as u8).collect();
+                    let mut v = arena.take_storage(len);
+                    v.extend_from_slice(&want);
+                    live.push((Rc::new(want), arena.adopt(v)));
+                    next += 1;
+                }
+                Op::Share(ix) if !live.is_empty() => {
+                    let (want, r) = &live[ix.index(live.len())];
+                    let shared = (Rc::clone(want), Rc::clone(r));
+                    live.push(shared);
+                }
+                Op::Reclaim(ix) if !live.is_empty() => {
+                    arena.reclaim(live.swap_remove(ix.index(live.len())).1);
+                }
+                Op::Scratch(cap) => {
+                    let mut v = arena.take_storage(cap);
+                    v.resize(cap, 0xEE);
+                    arena.give_storage(v);
+                }
+                _ => {}
+            }
+            for (want, r) in &live {
+                prop_assert!(r.bytes() == &want[..]);
+            }
+        }
     }
 
-    /// trim_front(n) drops exactly the first n bytes.
+    /// Scratch storage comes back empty, large enough, and from the
+    /// request's own capacity band (less than twice the request).
     #[test]
-    fn chain_trim_front_correct(
-        data in proptest::collection::vec(any::<u8>(), 1..8_000),
-        frac in 0.0f64..1.0,
+    fn storage_is_served_from_its_own_band(
+        caps in collection::vec((1usize..70_000, any::<bool>()), 1..200),
     ) {
-        let pool = MbufPool::new(4096, 2048);
-        let n = ((data.len() as f64) * frac) as usize;
-        let mut chain = MbufChain::from_bytes(&pool, &data).unwrap();
-        chain.trim_front(n);
-        prop_assert_eq!(chain.len(), data.len() - n);
-        prop_assert_eq!(chain.to_vec(), &data[n..]);
+        let arena = FrameArena::new();
+        let mut held = Vec::new();
+        for (cap, keep) in caps {
+            let v = arena.take_storage(cap);
+            prop_assert!(v.is_empty());
+            prop_assert!(v.capacity() >= cap);
+            prop_assert!(v.capacity() < 2 * cap, "cap {} got {}", cap, v.capacity());
+            if keep {
+                held.push(v);
+            } else {
+                arena.give_storage(v);
+            }
+        }
+        for v in held {
+            arena.give_storage(v);
+        }
+        prop_assert!(arena.stats().cached_bytes <= 4 << 20);
     }
 
-    /// copy_out agrees with to_vec for any in-range window.
+    /// Live buffers carry distinct handles, and a slot's generation
+    /// counts the buffers retired from it.
     #[test]
-    fn chain_copy_out_window(
-        data in proptest::collection::vec(any::<u8>(), 1..8_000),
-        a in 0.0f64..1.0,
-        b in 0.0f64..1.0,
-    ) {
-        let pool = MbufPool::new(4096, 2048);
-        let chain = MbufChain::from_bytes(&pool, &data).unwrap();
-        let x = ((data.len() as f64) * a) as usize;
-        let y = ((data.len() as f64) * b) as usize;
-        let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-        let mut buf = vec![0u8; hi - lo];
-        chain.copy_out(lo, &mut buf);
-        prop_assert_eq!(&buf[..], &data[lo..hi]);
-    }
-
-    /// Prepending then converting preserves header + payload.
-    #[test]
-    fn chain_prepend_roundtrip(
-        hdr in proptest::collection::vec(any::<u8>(), 0..64),
-        body in proptest::collection::vec(any::<u8>(), 0..4_000),
-    ) {
-        let pool = MbufPool::new(4096, 2048);
-        let mut chain = MbufChain::from_bytes(&pool, &body).unwrap();
-        prop_assert!(chain.prepend(&pool, &hdr));
-        let v = chain.to_vec();
-        prop_assert_eq!(&v[..hdr.len()], &hdr[..]);
-        prop_assert_eq!(&v[hdr.len()..], &body[..]);
-    }
-
-    /// Chains never waste more than one mbuf versus the optimal cluster
-    /// packing (sanity bound on fragmentation).
-    #[test]
-    fn chain_buf_count_bounded(len in 0usize..30_000) {
-        let pool = MbufPool::new(4096, 2048);
-        let data = vec![0xAB; len];
-        let chain = MbufChain::from_bytes(&pool, &data).unwrap();
-        let optimal = len.div_ceil(MCLBYTES).max(1);
-        // Allow headroom in the first mbuf plus one trailing small mbuf.
-        prop_assert!(
-            chain.buf_count() <= optimal + 2,
-            "len={} bufs={} optimal={}", len, chain.buf_count(), optimal
-        );
-        let _ = MLEN;
+    fn handle_generations_count_retirements(ops in collection::vec(op(), 1..300)) {
+        let arena = FrameArena::new();
+        let mut refs: Vec<Rc<PooledBuf>> = Vec::new();
+        let mut retired: Vec<u32> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Adopt(len) => {
+                    let h = arena.adopt(arena.take_storage(len));
+                    let slot = h.handle().slot();
+                    let times = retired.iter().filter(|&&s| s == slot).count();
+                    prop_assert_eq!(h.handle().generation() as usize, times);
+                    refs.push(h);
+                }
+                Op::Share(ix) if !refs.is_empty() => {
+                    let r = Rc::clone(&refs[ix.index(refs.len())]);
+                    refs.push(r);
+                }
+                Op::Reclaim(ix) if !refs.is_empty() => {
+                    let r = refs.swap_remove(ix.index(refs.len()));
+                    if Rc::strong_count(&r) == 1 {
+                        retired.push(r.handle().slot());
+                    }
+                    arena.reclaim(r);
+                }
+                _ => {}
+            }
+            let handles: HashSet<_> = refs.iter().map(|r| r.handle()).collect();
+            let distinct: HashSet<*const PooledBuf> = refs.iter().map(Rc::as_ptr).collect();
+            prop_assert_eq!(handles.len(), distinct.len());
+        }
     }
 }

@@ -28,7 +28,6 @@
 pub mod event;
 pub mod profile;
 pub mod rng;
-pub mod sketch;
 pub mod stats;
 pub mod time;
 pub mod timeline;
@@ -37,7 +36,6 @@ pub mod trace;
 pub use event::EventQueue;
 pub use profile::{CycleAccount, CycleKey, FastHashMap, FoldHasher};
 pub use rng::SplitMix64;
-pub use sketch::QuantileSketch;
 pub use stats::{Counter, Histogram, RateSeries, TimeWeighted, Welford};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{MetricsTimeline, TimelineRow};

@@ -147,16 +147,92 @@ proptest! {
             let approx = h.quantile(q);
             let rank = ((q * xs.len() as f64).ceil() as usize).clamp(1, xs.len());
             let exact = sorted[rank - 1];
-            // Bucket resolution is ~7%; allow 10% plus small absolute slack.
-            let tolerance = (exact as f64 * 0.10) + 2.0;
+            // Values below 32 are exact; above, within the stated bound.
             prop_assert!(
-                (approx as f64 - exact as f64).abs() <= tolerance,
+                approx.abs_diff(exact) as f64 <= exact as f64 * Histogram::RELATIVE_ERROR,
                 "q={q}: approx {approx} vs exact {exact}"
             );
         }
         prop_assert_eq!(h.count(), xs.len() as u64);
         prop_assert_eq!(h.max(), *sorted.last().unwrap());
         prop_assert_eq!(h.min(), sorted[0]);
+    }
+
+    /// Any split of a sample stream, merged back, is the histogram of the
+    /// whole stream.
+    #[test]
+    fn histogram_merge_of_any_split_is_the_whole(
+        xs in proptest::collection::vec((any::<u64>(), any::<bool>()), 0..300),
+    ) {
+        let (mut whole, mut a, mut b) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for &(x, left) in &xs {
+            whole.record(x);
+            if left { &mut a } else { &mut b }.record(x);
+        }
+        a.merge(&b);
+        prop_assert_eq!(a, whole);
+    }
+
+    /// Merging is commutative and associative: three shards fold to the
+    /// same histogram in any order.
+    #[test]
+    fn histogram_merge_order_is_irrelevant(
+        shards in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..50), 3),
+    ) {
+        let hs: Vec<Histogram> = shards
+            .iter()
+            .map(|xs| {
+                let mut h = Histogram::new();
+                xs.iter().for_each(|&x| h.record(x));
+                h
+            })
+            .collect();
+        let fold = |order: [usize; 3]| {
+            let mut acc = Histogram::new();
+            order.iter().for_each(|&i| acc.merge(&hs[i]));
+            acc
+        };
+        let first = fold([0, 1, 2]);
+        for order in [[2, 1, 0], [1, 2, 0], [0, 2, 1]] {
+            prop_assert_eq!(&fold(order), &first);
+        }
+        let mut right = hs[1].clone();
+        right.merge(&hs[2]);
+        let mut left = hs[0].clone();
+        left.merge(&right);
+        prop_assert_eq!(left, first);
+    }
+
+    /// Quantiles are monotone in `q`, never above the exact maximum, and
+    /// reach it at `q = 1`.
+    #[test]
+    fn histogram_quantiles_monotone_up_to_max(
+        xs in proptest::collection::vec(0u64..1 << 48, 1..300),
+    ) {
+        let mut h = Histogram::new();
+        for &x in &xs {
+            h.record(x);
+        }
+        let mut prev = h.quantile(0.0);
+        for i in 1..=100 {
+            let q = h.quantile(i as f64 / 100.0);
+            prop_assert!(q >= prev, "q{i}: {q} < {prev}");
+            prop_assert!(q <= h.max());
+            prev = q;
+        }
+        prop_assert_eq!(prev, h.max());
+    }
+
+    /// The histogram is a function of the sample multiset: recording the
+    /// same samples in reverse gives the identical state.
+    #[test]
+    fn histogram_is_independent_of_recording_order(
+        xs in proptest::collection::vec(any::<u64>(), 0..300),
+    ) {
+        let (mut fwd, mut rev) = (Histogram::new(), Histogram::new());
+        xs.iter().for_each(|&x| fwd.record(x));
+        xs.iter().rev().for_each(|&x| rev.record(x));
+        prop_assert_eq!(fwd, rev);
     }
 
     /// Rate series conserve events: sum of buckets equals records.

@@ -331,13 +331,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             _ => {
-                // Re-decode UTF-8 from the byte stream: back up and take
-                // the full character.
-                *pos -= 1;
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run up to the next quote or escape in one
+                // piece. Both delimiters are ASCII, so the run ends on a
+                // character boundary and only the run is UTF-8-checked.
+                let start = *pos - 1;
+                while b.get(*pos).is_some_and(|c| !matches!(c, b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -412,5 +413,17 @@ mod tests {
     fn parse_rejects_trailing_garbage() {
         assert!(Json::parse("{} x").is_err());
         assert!(Json::parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn strings_parse_across_multibyte_runs_and_escapes() {
+        let s = "µs → \"ns\"\\tail ✓\u{1}";
+        let back = Json::parse(&Json::str(s).render()).unwrap();
+        assert_eq!(back.as_str(), Some(s));
+        assert_eq!(Json::parse(r#""aéb\/c""#).unwrap().as_str(), Some("aéb/c"));
+        assert_eq!(
+            Json::parse(r#""open µs"#),
+            Err("unterminated string".to_string())
+        );
     }
 }

@@ -23,7 +23,7 @@ pub use observe::{
     span_paths, span_trace_chrome, timeline_gnuplot, timeline_json, SpanPath,
 };
 pub use report::{
-    anomalies_json, conservation_errors, histogram_json, host_report, latency_json, ledger_json,
+    anomalies_json, conservation_errors, histogram_json, host_report, ledger_json,
     report_and_check, sock_stats_json, world_report,
 };
 

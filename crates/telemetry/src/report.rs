@@ -3,15 +3,12 @@
 
 use crate::json::Json;
 use lrp_core::{Host, PacketLedger, SockStats, World};
-use lrp_sim::{Histogram, QuantileSketch};
-
-/// The exact [`Histogram`]'s worst-case relative error: 32 sub-buckets
-/// per octave give bucket widths of at most 1/16 of the lower bound
-/// (quantiles report bucket lower bounds, same convention as the sketch).
-const HISTOGRAM_RELATIVE_ERROR: f64 = 1.0 / 16.0;
+use lrp_sim::Histogram;
 
 /// Summarizes a latency histogram: count, mean and the percentiles the
-/// reports quote. All values are nanoseconds.
+/// reports quote. All values are nanoseconds; each percentile is within
+/// [`Histogram::RELATIVE_ERROR`] below the true sample, and `min`, `max`
+/// and `mean` are exact.
 pub fn histogram_json(h: &Histogram) -> Json {
     if h.count() == 0 {
         return Json::obj(vec![("count", Json::U64(0))]);
@@ -26,65 +23,6 @@ pub fn histogram_json(h: &Histogram) -> Json {
         ("p999", Json::U64(h.quantile(0.999))),
         ("max", Json::U64(h.max())),
     ])
-}
-
-/// A latency report backed by both the exact histogram and its mergeable
-/// sketch shadow: exact percentiles up to p999, sketch percentiles up to
-/// p9999, and a `backend` map stating which structure produced each
-/// percentile so schema consumers can tell them apart.
-///
-/// # Panics
-///
-/// Panics if the sketch disagrees with the exact histogram beyond the
-/// combined relative-error bound — the per-run equivalence pin for the
-/// sketch's correctness.
-pub fn latency_json(h: &Histogram, s: &QuantileSketch) -> Json {
-    assert_eq!(
-        h.count(),
-        s.count(),
-        "histogram and sketch shadow diverged in sample count"
-    );
-    if h.count() > 0 {
-        // Both report lower bounds of the bucket holding the same true
-        // sample v*, so they differ by at most v* · max(eh, es) with
-        // v* ≤ exact/(1 − eh). Small absolute slack for tiny samples.
-        let eh = HISTOGRAM_RELATIVE_ERROR;
-        let e = eh.max(s.relative_error()) / (1.0 - eh);
-        for q in [0.5, 0.9, 0.99, 0.999] {
-            let exact = h.quantile(q);
-            let est = s.quantile(q);
-            let tol = (exact as f64 * e) as u64 + 64;
-            assert!(
-                est.abs_diff(exact) <= tol,
-                "sketch p{q} = {est} vs exact {exact} exceeds tolerance {tol}"
-            );
-        }
-    }
-    let mut obj = histogram_json(h);
-    if let Json::Obj(members) = &mut obj {
-        if h.count() > 0 {
-            members.push((
-                "sketch".to_string(),
-                Json::obj(vec![
-                    ("relative_error", Json::F64(s.relative_error())),
-                    ("p99", Json::U64(s.quantile(0.99))),
-                    ("p999", Json::U64(s.quantile(0.999))),
-                    ("p9999", Json::U64(s.quantile(0.9999))),
-                ]),
-            ));
-            members.push((
-                "backend".to_string(),
-                Json::obj(vec![
-                    ("p50", Json::str("exact")),
-                    ("p90", Json::str("exact")),
-                    ("p99", Json::str("exact")),
-                    ("p999", Json::str("exact")),
-                    ("p9999", Json::str("sketch")),
-                ]),
-            ));
-        }
-    }
-    obj
 }
 
 /// One socket's netstat row.
@@ -275,16 +213,10 @@ pub fn host_report(host: &Host) -> Json {
             Json::obj(vec![
                 (
                     "arrival_to_deliver",
-                    latency_json(&tele.arrival_to_deliver, &tele.arrival_to_deliver_sketch),
+                    histogram_json(&tele.arrival_to_deliver),
                 ),
-                (
-                    "channel_residency",
-                    latency_json(&tele.channel_residency, &tele.channel_residency_sketch),
-                ),
-                (
-                    "softirq_dispatch",
-                    latency_json(&tele.softirq_dispatch, &tele.softirq_dispatch_sketch),
-                ),
+                ("channel_residency", histogram_json(&tele.channel_residency)),
+                ("softirq_dispatch", histogram_json(&tele.softirq_dispatch)),
             ]),
         ),
         ("drops", drops),
@@ -397,4 +329,59 @@ pub fn report_and_check(world: &World, label: &str) -> Json {
         errs.join("\n")
     );
     world_report(world)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn histogram_json_of_empty_is_count_only() {
+        let j = histogram_json(&Histogram::new());
+        assert_eq!(
+            j.render(),
+            Json::obj(vec![("count", Json::U64(0))]).render()
+        );
+    }
+
+    #[test]
+    fn histogram_json_quotes_the_histogram() {
+        let mut h = Histogram::new();
+        for v in [40_000u64, 41_000, 90_000, 1_000_007] {
+            h.record(v);
+        }
+        let j = histogram_json(&h);
+        let keys: Vec<&str> = j
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["count", "mean", "min", "p50", "p90", "p99", "p999", "max"]
+        );
+        let u = |k: &str| j.get(k).and_then(Json::as_u64).unwrap();
+        assert_eq!((u("count"), u("min"), u("max")), (4, 40_000, 1_000_007));
+        assert_eq!(u("p50"), h.quantile(0.5));
+        assert_eq!(u("p90"), h.quantile(0.9));
+        assert_eq!(u("p999"), 1_000_007, "top bucket reports the exact max");
+        assert_eq!(j.get("mean").and_then(Json::as_f64), Some(h.mean()));
+    }
+
+    #[test]
+    fn histogram_json_percentiles_are_ordered() {
+        let mut rng = lrp_sim::SplitMix64::new(5);
+        for n in [1u64, 2, 10, 1_000] {
+            let mut h = Histogram::new();
+            for _ in 0..n {
+                h.record(rng.next_below(1 << 30));
+            }
+            let j = histogram_json(&h);
+            let q = ["p50", "p90", "p99", "p999", "max"]
+                .map(|k| j.get(k).and_then(Json::as_u64).unwrap());
+            assert!(q.windows(2).all(|w| w[0] <= w[1]), "n={n}: {q:?}");
+            assert_eq!(j.get("count").and_then(Json::as_u64), Some(n));
+        }
+    }
 }

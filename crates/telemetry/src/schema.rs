@@ -2,8 +2,9 @@
 //!
 //! Implements the JSON-Schema subset the checked-in
 //! `schemas/results.schema.json` uses: `type` (scalar or list),
-//! `required`, `properties`, `items`, `additionalProperties` (as a
-//! schema applied to keys not listed in `properties`), `enum` (scalar
+//! `required`, `properties`, `items`, `additionalProperties` (a schema
+//! applied to keys not listed in `properties`, or `false` to reject
+//! them), `enum` (scalar
 //! members) and `maximum`. Enough for CI to reject malformed reports
 //! without pulling in an external validator.
 
@@ -78,9 +79,10 @@ fn check(value: &Json, schema: &Json, path: &str, errs: &mut Vec<String>) {
     if let Some(pairs) = value.as_obj() {
         for (key, val) in pairs {
             let sub = props.and_then(|p| p.iter().find(|(k, _)| k == key).map(|(_, s)| s));
-            let sub = sub.or_else(|| schema.get("additionalProperties"));
-            if let Some(sub) = sub {
-                check(val, sub, &format!("{path}.{key}"), errs);
+            match sub.or_else(|| schema.get("additionalProperties")) {
+                Some(Json::Bool(false)) => errs.push(format!("{path}: unexpected key \"{key}\"")),
+                Some(sub) => check(val, sub, &format!("{path}.{key}"), errs),
+                None => {}
             }
         }
     }
@@ -135,8 +137,8 @@ mod tests {
 
     #[test]
     fn enum_accepts_member_rejects_other() {
-        let s = Json::parse(r#"{"enum": ["exact", "sketch"]}"#).unwrap();
-        assert!(validate(&Json::str("exact"), &s, "$").is_empty());
+        let s = Json::parse(r#"{"enum": ["none", "syncache", "cookies"]}"#).unwrap();
+        assert!(validate(&Json::str("cookies"), &s, "$").is_empty());
         let errs = validate(&Json::str("guess"), &s, "$");
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].contains("not in enum"));
@@ -158,5 +160,51 @@ mod tests {
         assert!(validate(&Json::U64(5), &s, "$").is_empty());
         assert!(validate(&Json::F64(5.5), &s, "$").is_empty());
         assert!(!validate(&Json::str("5"), &s, "$").is_empty());
+    }
+
+    #[test]
+    fn additional_properties_false_rejects_unlisted_keys() {
+        let s = Json::parse(
+            r#"{"type": "object", "properties": {"a": {"type": "integer"}},
+                "additionalProperties": false}"#,
+        )
+        .unwrap();
+        assert!(validate(&Json::parse(r#"{"a": 1}"#).unwrap(), &s, "$").is_empty());
+        let errs = validate(&Json::parse(r#"{"a": 1, "b": 2}"#).unwrap(), &s, "$");
+        assert_eq!(errs, ["$: unexpected key \"b\""]);
+    }
+
+    /// The committed envelope admits exactly the keys `histogram_json`
+    /// writes for a latency stage, and nothing beside them.
+    #[test]
+    fn results_schema_pins_the_latency_shape() {
+        let envelope = Json::parse(include_str!("../../../schemas/results.schema.json")).unwrap();
+        let stage = [
+            "hosts",
+            "additionalProperties",
+            "items",
+            "properties",
+            "latency_ns",
+        ]
+        .iter()
+        .try_fold(&envelope, |s, k| {
+            s.get(k).or_else(|| s.get("properties")?.get(k))
+        })
+        .and_then(|s| s.get("additionalProperties"))
+        .expect("latency stage schema");
+        let mut h = lrp_sim::Histogram::new();
+        h.record(12_345);
+        let mut doc = crate::histogram_json(&h);
+        assert!(validate(&doc, stage, "$").is_empty());
+        assert!(validate(
+            &crate::histogram_json(&lrp_sim::Histogram::new()),
+            stage,
+            "$"
+        )
+        .is_empty());
+        if let Json::Obj(members) = &mut doc {
+            members.push(("p9999".to_string(), Json::U64(12_345)));
+        }
+        assert_eq!(validate(&doc, stage, "$"), ["$: unexpected key \"p9999\""]);
     }
 }

@@ -6,7 +6,7 @@
 //! crates for detail:
 //!
 //! - [`sim`] — discrete-event engine, deterministic RNG, statistics.
-//! - [`mbuf`] — BSD-style message buffers.
+//! - [`mbuf`] — the frame arena behind every frame's bytes.
 //! - [`wire`] — IPv4/UDP/TCP/ICMP/ARP wire formats on real bytes.
 //! - [`demux`] — the early packet demultiplexing function of LRP §3.2.
 //! - [`sched`] — 4.3BSD decay-usage scheduler and process model.

@@ -253,3 +253,53 @@ fn rtt_spans_are_complete_per_round() {
         "implausible per-request latency: {mean} ns"
     );
 }
+
+/// Every latency stage in the committed `results/` is one histogram
+/// summary: the keys `histogram_json` writes, percentiles in order.
+#[test]
+fn committed_results_quote_one_histogram_per_latency_stage() {
+    const KEYS: [&str; 8] = ["count", "mean", "min", "p50", "p90", "p99", "p999", "max"];
+    fn walk(j: &Json, stages: &mut usize) {
+        match j {
+            Json::Obj(members) => {
+                for (k, v) in members {
+                    if k != "latency_ns" {
+                        walk(v, stages);
+                        continue;
+                    }
+                    for (stage, h) in v.as_obj().expect("latency_ns is an object") {
+                        let keys: Vec<&str> = h
+                            .as_obj()
+                            .unwrap()
+                            .iter()
+                            .map(|(k, _)| k.as_str())
+                            .collect();
+                        let u = |k: &str| h.get(k).and_then(Json::as_u64).unwrap();
+                        if u("count") == 0 {
+                            assert_eq!(keys, ["count"], "{stage}");
+                            continue;
+                        }
+                        assert_eq!(keys, KEYS, "{stage}");
+                        let q = ["p50", "p90", "p99", "p999", "max"].map(u);
+                        assert!(q.windows(2).all(|w| w[0] <= w[1]), "{stage}: {q:?}");
+                        *stages += 1;
+                    }
+                }
+            }
+            Json::Arr(items) => items.iter().for_each(|v| walk(v, stages)),
+            _ => {}
+        }
+    }
+    let mut files = 0;
+    let mut stages = 0;
+    for entry in std::fs::read_dir(lrp::telemetry::results_dir()).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            walk(&doc, &mut stages);
+            files += 1;
+        }
+    }
+    assert_eq!(files, 13, "one results document per experiment");
+    assert!(stages > 0, "no latency stage found");
+}
