@@ -85,7 +85,7 @@ impl AppLogic for IcmpEchoDaemon {
                 SyscallOp::SendTo {
                     sock: self.sock.expect("socket"),
                     dst: to,
-                    data: reply,
+                    data: reply.into(),
                 }
             }
             _ => self.recv(),
@@ -137,7 +137,7 @@ impl PingClient {
         SyscallOp::SendTo {
             sock: self.sock.expect("socket"),
             dst: self.dst,
-            data: req,
+            data: req.into(),
         }
     }
 }

@@ -188,7 +188,7 @@ impl AppLogic for HttpWorker {
                 self.state = 6;
                 SyscallOp::Send {
                     sock: self.conn.expect("conn"),
-                    data: vec![0x48; self.document_len],
+                    data: lrp_wire::buf::filled(self.document_len, 0x48),
                 }
             }
             (6, SyscallRet::Sent(_)) => SyscallOp::Close {
@@ -289,7 +289,7 @@ impl AppLogic for HttpClient {
                 self.state = 2;
                 SyscallOp::Send {
                     sock: self.sock.expect("socket"),
-                    data: vec![0x47; self.request_len],
+                    data: lrp_wire::buf::filled(self.request_len, 0x47),
                 }
             }
             (1, SyscallRet::Err(_)) => {

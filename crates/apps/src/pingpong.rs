@@ -61,7 +61,7 @@ impl PingPongClient {
         SyscallOp::SendTo {
             sock: self.sock.expect("socket"),
             dst: self.server,
-            data: vec![0x50; self.payload],
+            data: lrp_wire::buf::filled(self.payload, 0x50),
         }
     }
 }
@@ -134,7 +134,7 @@ impl AppLogic for PingPongServer {
             SyscallRet::DataFrom(from, data) => SyscallOp::SendTo {
                 sock: self.sock.expect("socket"),
                 dst: from,
-                data: data.to_vec(),
+                data,
             },
             _ => SyscallOp::Recv {
                 sock: self.sock.expect("socket"),

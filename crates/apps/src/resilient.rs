@@ -17,7 +17,7 @@ use crate::Shared;
 use lrp_core::{AppCtx, AppLogic, Errno, SockProto, SyscallOp, SyscallRet};
 use lrp_sim::{FastHashMap, SimDuration, SimTime, SplitMix64};
 use lrp_stack::SockId;
-use lrp_wire::Endpoint;
+use lrp_wire::{Endpoint, FrameBuf};
 use std::collections::VecDeque;
 
 /// Reply status byte: request served.
@@ -148,10 +148,11 @@ impl ResilientRpcClient {
         }
     }
 
-    fn request_bytes(&self) -> Vec<u8> {
-        let mut data = vec![0x3F; 32];
-        data[..8].copy_from_slice(&self.cur_id.to_le_bytes());
-        data
+    fn request_bytes(&self) -> FrameBuf {
+        let mut data = lrp_wire::buf::storage(32);
+        data.extend_from_slice(&self.cur_id.to_le_bytes());
+        data.resize(32, 0x3F);
+        data.into()
     }
 
     fn send_cur(&mut self) -> SyscallOp {
@@ -333,14 +334,14 @@ impl ResilientRpcServer {
     }
 
     fn reply(&mut self, status: u8) -> SyscallOp {
-        let mut data = Vec::with_capacity(9);
+        let mut data = lrp_wire::buf::storage(9);
         data.extend_from_slice(&self.cur_id.to_le_bytes());
         data.push(status);
         self.state = 5;
         SyscallOp::SendTo {
             sock: self.sock.expect("socket"),
             dst: self.reply_to.take().expect("reply endpoint"),
-            data,
+            data: data.into(),
         }
     }
 }

@@ -101,7 +101,7 @@ impl AppLogic for RpcServer {
                 SyscallOp::SendTo {
                     sock: self.sock.expect("socket"),
                     dst: to,
-                    data: vec![0xAC; 32],
+                    data: lrp_wire::buf::filled(32, 0xAC),
                 }
             }
             _ => SyscallOp::Recv {
@@ -163,7 +163,7 @@ impl AppLogic for PacedRpcClient {
                 SyscallOp::SendTo {
                     sock: self.sock.expect("socket"),
                     dst: self.server,
-                    data: vec![0x3F; 32],
+                    data: lrp_wire::buf::filled(32, 0x3F),
                 }
             }
             (3, _) => {
@@ -221,7 +221,7 @@ impl RpcClient {
             SyscallOp::SendTo {
                 sock: self.sock.expect("socket"),
                 dst: self.server,
-                data: vec![0x3F; 32],
+                data: lrp_wire::buf::filled(32, 0x3F),
             }
         } else {
             SyscallOp::Recv {

@@ -69,7 +69,7 @@ impl TcpBulkSender {
         self.sent += n;
         SyscallOp::Send {
             sock: self.sock.expect("socket"),
-            data: vec![0xBB; n],
+            data: lrp_wire::buf::filled(n, 0xBB),
         }
     }
 }

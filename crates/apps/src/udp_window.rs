@@ -70,12 +70,14 @@ impl UdpWindowSource {
         if self.sent < self.total && self.sent - self.acked < self.window {
             let seq = self.sent;
             self.sent += 1;
-            let mut data = vec![0xDA; self.payload.max(8)];
-            data[..8].copy_from_slice(&seq.to_be_bytes());
+            let len = self.payload.max(8);
+            let mut data = lrp_wire::buf::storage(len);
+            data.extend_from_slice(&seq.to_be_bytes());
+            data.resize(len, 0xDA);
             SyscallOp::SendTo {
                 sock,
                 dst: self.dst,
-                data,
+                data: data.into(),
             }
         } else if self.acked < self.total {
             SyscallOp::Recv { sock, max_len: 64 }
@@ -170,7 +172,7 @@ impl AppLogic for UdpWindowSink {
                 SyscallOp::SendTo {
                     sock: self.sock.expect("socket"),
                     dst: from,
-                    data: data[..8.min(data.len())].to_vec(),
+                    data: data[..8.min(data.len())].into(),
                 }
             }
             _ => SyscallOp::Recv {

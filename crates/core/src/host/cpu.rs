@@ -465,7 +465,7 @@ impl Host {
                     PhaseOut::Run {
                         dur: SimDuration::ZERO,
                         account: Account::System,
-                        next: Cont::SyscallEntry(Box::new(op)),
+                        next: Cont::SyscallEntry(op),
                     }
                 }
                 ProcExec::Cont(cont) => {

@@ -48,9 +48,9 @@ use lrp_nic::{DemuxMode, Nic};
 use lrp_sched::{Account, Pid, SchedConfig, Scheduler, WaitChannel};
 use lrp_sim::{FastHashMap, SimDuration, SimTime};
 use lrp_stack::sockbuf::DatagramQueue;
-use lrp_stack::tcp::{TcpConn, TcpListener, TcpStats};
+use lrp_stack::tcp::{Actions, TcpConn, TcpListener, TcpStats};
 use lrp_stack::{PcbTable, Reassembler, SockId};
-use lrp_wire::{Endpoint, Frame, Ipv4Addr};
+use lrp_wire::{Endpoint, Frame, FrameBuf, Ipv4Addr};
 use pidmap::PidMap;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -247,12 +247,12 @@ pub(crate) enum ProcExec {
 }
 
 /// Kernel continuations: the next phase of an in-progress operation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Cont {
     /// Deliver a result to the app and get its next operation.
     AppNext(SyscallRet),
     /// Begin a system call (pays entry cost).
-    SyscallEntry(Box<SyscallOp>),
+    SyscallEntry(SyscallOp),
     /// Pay the return cost, then `AppNext`.
     SyscallReturn(SyscallRet),
     /// User-mode computation with `remaining` to burn.
@@ -265,7 +265,7 @@ pub(crate) enum Cont {
     /// TCP send: try to buffer more data starting at `off`.
     TcpSend {
         sock: SockId,
-        data: std::rc::Rc<Vec<u8>>,
+        data: FrameBuf,
         off: usize,
     },
     /// Accept: check the accept queue, maybe block.
@@ -451,6 +451,9 @@ pub struct Host {
     pub(crate) rearm_socks: Vec<SockId>,
     /// Reusable buffer for the pids a wakeup returns (always drained).
     pub(crate) woken_scratch: Vec<Pid>,
+    /// Reusable list the TCP machine appends to (empty between calls;
+    /// see `Host::tcp_run`).
+    pub(crate) tcp_acts: Actions,
     /// Early-Demux: channels with frames awaiting softirq processing.
     pub(crate) ed_pending: VecDeque<SockId>,
     /// Timed sleeps.
@@ -584,6 +587,7 @@ impl Host {
             cwnd_rescan: false,
             rearm_socks: Vec::new(),
             woken_scratch: Vec::new(),
+            tcp_acts: Actions::default(),
             ed_pending: VecDeque::new(),
             sleep_until: BTreeMap::new(),
             app_thread: None,
@@ -764,10 +768,9 @@ impl Host {
                 self.sock_mut(sock).chan = None;
             }
             if self.sock(sock).tcp.is_some() {
-                let actions = self.with_conn(sock, |conn| conn.abort());
                 // The Closed event tears the socket down and frees it
                 // (closed_by_app is set).
-                let _ = self.apply_tcp_actions(now, sock, actions);
+                let _ = self.tcp_run(now, sock, |conn, out| conn.abort_into(out));
             } else {
                 self.free_socket(sock);
             }
@@ -1384,7 +1387,8 @@ impl Host {
     pub(crate) fn unblock(&mut self, pid: Pid) {
         if let Some(ex) = self.exec.get_mut(pid) {
             if let ProcExec::Blocked(cont) = ex {
-                let c = cont.clone();
+                // Moved, not cloned: the placeholder is overwritten at once.
+                let c = std::mem::replace(cont, Cont::AppThreadStep);
                 *ex = ProcExec::Cont(c);
                 self.post_ipi(pid);
             }

@@ -487,8 +487,11 @@ impl Host {
             return total + cost.tcp_input;
         }
         total += cost.tcp_input;
-        let actions = self.with_conn(sock, |conn| conn.on_segment(now, &th, body));
-        total += self.apply_tcp_actions(now, sock, actions);
+        total += self
+            .tcp_run(now, sock, |conn, out| {
+                conn.on_segment_into(now, &th, body, out)
+            })
+            .1;
         // TIME_WAIT channel reclamation (NI-LRP §4.2).
         self.maybe_reclaim_channel(sock);
         total
@@ -513,8 +516,11 @@ impl Host {
             if child != lsock {
                 // Retransmitted SYN: let the child handle it.
                 if self.sock_opt(child).and_then(|s| s.tcp.as_ref()).is_some() {
-                    let actions = self.with_conn(child, |conn| conn.on_segment(now, th, &[]));
-                    total += self.apply_tcp_actions(now, child, actions);
+                    total += self
+                        .tcp_run(now, child, |conn, out| {
+                            conn.on_segment_into(now, th, &[], out)
+                        })
+                        .1;
                 }
                 return total;
             }
@@ -581,7 +587,9 @@ impl Host {
         let owner = self.sock(lsock).owner;
         let child = self.alloc_sock(owner, SockProto::Tcp);
         let iss = self.next_iss();
-        let (conn, actions) = TcpConn::accept_syn(self.tcp_config(), local, remote, iss, th, now);
+        let mut acts = std::mem::take(&mut self.tcp_acts);
+        let conn =
+            TcpConn::accept_syn_into(self.tcp_config(), local, remote, iss, th, now, &mut acts);
         {
             let s = self.sock_mut(child);
             s.local = Some(local);
@@ -606,7 +614,8 @@ impl Host {
             let _ = self.nic.demux.register(key, chan);
             self.nic.channel_mut(chan).intr_requested = true;
         }
-        total += self.apply_tcp_actions(now, child, actions);
+        total += self.apply_tcp_actions(now, child, &mut acts);
+        self.tcp_acts = acts;
         total
     }
 
@@ -671,8 +680,11 @@ impl Host {
         if let Some(child) = exact.sock {
             if child != lsock {
                 if self.sock_opt(child).and_then(|s| s.tcp.as_ref()).is_some() {
-                    let actions = self.with_conn(child, |conn| conn.on_segment(now, th, body));
-                    total += self.apply_tcp_actions(now, child, actions);
+                    total += self
+                        .tcp_run(now, child, |conn, out| {
+                            conn.on_segment_into(now, th, body, out)
+                        })
+                        .1;
                 }
                 return total;
             }
@@ -737,31 +749,50 @@ impl Host {
         self.tele.on_cookie_validated(now, cpu);
         self.wake_sock(lsock, super::WC_ACCEPT);
         // Any data riding on the ACK is processed by the new connection.
-        let actions = self.with_conn(child, |conn| conn.on_segment(now, th, body));
-        total += self.apply_tcp_actions(now, child, actions);
+        total += self
+            .tcp_run(now, child, |conn, out| {
+                conn.on_segment_into(now, th, body, out)
+            })
+            .1;
         total
     }
 
-    /// Transmits segments and dispatches events produced by a connection.
-    /// Returns the CPU cost of output processing.
+    /// Runs `f` on `sock`'s connection (through `with_conn`) with the
+    /// host's reusable action list, then transmits the segments and
+    /// dispatches the events `f` appended. Returns `f`'s result and the
+    /// output cost; the list goes back empty, its storage kept.
+    pub(crate) fn tcp_run<R>(
+        &mut self,
+        now: SimTime,
+        sock: SockId,
+        f: impl FnOnce(&mut TcpConn, &mut Actions) -> R,
+    ) -> (R, SimDuration) {
+        let mut acts = std::mem::take(&mut self.tcp_acts);
+        let r = self.with_conn(sock, |conn| f(conn, &mut acts));
+        let cost = self.apply_tcp_actions(now, sock, &mut acts);
+        self.tcp_acts = acts;
+        (r, cost)
+    }
+
+    /// Transmits segments and dispatches events produced by a connection,
+    /// draining both lists. Returns the CPU cost of output processing.
     pub(crate) fn apply_tcp_actions(
         &mut self,
         now: SimTime,
         sock: SockId,
-        actions: Actions,
+        actions: &mut Actions,
     ) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        total += self.tx_segments(sock, actions.segments);
-        for ev in &actions.events {
-            self.handle_conn_event(now, sock, *ev);
+        let total = self.tx_segments(sock, &mut actions.segments);
+        for ev in actions.events.drain(..) {
+            self.handle_conn_event(now, sock, ev);
         }
         total
     }
 
-    /// Builds and enqueues outgoing TCP segments; returns output cost.
-    /// Each payload buffer goes back to the frame arena once its bytes
-    /// are in the datagram.
-    pub(crate) fn tx_segments(&mut self, sock: SockId, segments: Vec<Segment>) -> SimDuration {
+    /// Builds and enqueues outgoing TCP segments, draining `segments`;
+    /// returns output cost. Each payload buffer goes back to the frame
+    /// arena once its bytes are in the datagram.
+    pub(crate) fn tx_segments(&mut self, sock: SockId, segments: &mut Vec<Segment>) -> SimDuration {
         let cost = self.cfg.cost;
         let mut total = SimDuration::ZERO;
         if segments.is_empty() {
@@ -774,7 +805,7 @@ impl Host {
                 s.remote.expect("connected socket has remote"),
             )
         };
-        for seg in segments {
+        for seg in segments.drain(..) {
             let ident = self.next_ident();
             let dgram = tcp::build_datagram(src.addr, dst.addr, &seg.hdr, ident, &seg.payload);
             total += cost.tcp_output
@@ -982,8 +1013,9 @@ impl Host {
         if s.tcp.is_none() {
             return SimDuration::ZERO;
         }
-        let actions = self.with_conn(sock, |conn| conn.on_timer(now));
         let base = SimDuration::from_micros(5);
-        base + self.apply_tcp_actions(now, sock, actions)
+        base + self
+            .tcp_run(now, sock, |conn, out| conn.on_timer_into(now, out))
+            .1
     }
 }

@@ -9,8 +9,7 @@ use lrp_sched::{Account, Pid, WaitChannel, PPAUSE, PSOCK};
 use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::tcp::{TcpConn, TcpListener, TcpState};
 use lrp_stack::SockId;
-use lrp_wire::{proto, udp, Endpoint, FlowKey};
-use std::rc::Rc;
+use lrp_wire::{proto, udp, Endpoint, FlowKey, FrameBuf};
 
 impl Host {
     /// Executes one kernel phase for `pid`: applies its logic and reports
@@ -28,10 +27,10 @@ impl Host {
                 PhaseOut::Run {
                     dur: SimDuration::ZERO,
                     account: Account::System,
-                    next: Cont::SyscallEntry(Box::new(op)),
+                    next: Cont::SyscallEntry(op),
                 }
             }
-            Cont::SyscallEntry(op) => self.begin_op(now, pid, *op),
+            Cont::SyscallEntry(op) => self.begin_op(now, pid, op),
             Cont::SyscallReturn(ret) => {
                 self.sched.return_to_user(pid);
                 PhaseOut::Run {
@@ -229,11 +228,7 @@ impl Host {
                 PhaseOut::Run {
                     dur: entry,
                     account: Account::System,
-                    next: Cont::TcpSend {
-                        sock,
-                        data: Rc::new(data),
-                        off: 0,
-                    },
+                    next: Cont::TcpSend { sock, data, off: 0 },
                 }
             }
             SyscallOp::Recv { sock, max_len } => {
@@ -408,10 +403,9 @@ impl Host {
                     }
                 }
                 let iss = self.next_iss();
-                let mut conn = TcpConn::new(self.tcp_config(), local, dst, iss);
-                let actions = conn.connect(now);
+                let conn = TcpConn::new(self.tcp_config(), local, dst, iss);
                 self.set_conn(sock, Some(conn));
-                let tx = self.tx_segments(sock, actions.segments);
+                let ((), tx) = self.tcp_run(now, sock, |conn, out| conn.connect_into(now, out));
                 PhaseOut::Run {
                     dur: entry + cost.tcp_output + tx,
                     account: Account::System,
@@ -657,9 +651,8 @@ impl Host {
         }
         let conn = self.sock(sock).tcp.as_ref().expect("tcp socket");
         if conn.available() > 0 {
-            let (data, actions) = self.with_conn(sock, |conn| conn.read(max_len));
+            let (data, tx) = self.tcp_run(now, sock, |conn, out| conn.read_into(max_len, out));
             let n = data.len();
-            let tx = self.tx_segments(sock, actions.segments);
             self.stats.tcp_delivered_bytes += n as u64;
             let cpu = self.cur_cpu;
             let owner = self.sock(sock).owner;
@@ -706,7 +699,7 @@ impl Host {
         now: SimTime,
         _pid: Pid,
         sock: SockId,
-        data: Rc<Vec<u8>>,
+        data: FrameBuf,
         off: usize,
     ) -> PhaseOut {
         let cost = self.cfg.cost;
@@ -766,9 +759,10 @@ impl Host {
                 }
             }
         }
-        let (n, actions) = self.with_conn(sock, |conn| conn.write(now, &data[off..]));
-        let nsegs = actions.segments.len() as u64;
-        let tx = self.apply_tcp_actions(now, sock, actions);
+        let ((n, nsegs), tx) = self.tcp_run(now, sock, |conn, out| {
+            let n = conn.write_into(now, &data[off..], out);
+            (n, out.segments.len() as u64)
+        });
         let dur = cost.copy(n) + cost.tcp_output * nsegs.min(1) + tx;
         let new_off = off + n;
         if new_off >= data.len() {
@@ -887,9 +881,10 @@ impl Host {
         let has_tcp = s.tcp.is_some();
         self.sock_mut(sock).closed_by_app = true;
         if has_tcp {
-            let (actions, already_closed) =
-                self.with_conn(sock, |conn| (conn.close(now), conn.is_closed()));
-            let tx = self.apply_tcp_actions(now, sock, actions);
+            let (already_closed, tx) = self.tcp_run(now, sock, |conn, out| {
+                conn.close_into(now, out);
+                conn.is_closed()
+            });
             if already_closed {
                 self.teardown_tcp_sock(sock);
                 self.free_socket(sock);
@@ -930,8 +925,7 @@ impl Host {
                     }
                     self.sock_mut(child).closed_by_app = true;
                     if self.sock(child).tcp.is_some() {
-                        let actions = self.with_conn(child, |conn| conn.abort());
-                        reap += self.apply_tcp_actions(now, child, actions);
+                        reap += self.tcp_run(now, child, |conn, out| conn.abort_into(out)).1;
                     } else {
                         self.free_socket(child);
                     }

@@ -80,15 +80,17 @@ pub enum SyscallOp {
         sock: SockId,
         /// Destination.
         dst: Endpoint,
-        /// Payload.
-        data: Vec<u8>,
+        /// Payload (arena-backed, see [`SyscallOp::Send`]).
+        data: FrameBuf,
     },
     /// Send stream data (TCP) — blocks until fully buffered.
     Send {
         /// Socket.
         sock: SockId,
-        /// Payload.
-        data: Vec<u8>,
+        /// Payload. Build it in [`lrp_wire::buf::storage`]: the kernel
+        /// drops it once the bytes are buffered, which returns the
+        /// storage to the frame arena for the next send.
+        data: FrameBuf,
     },
     /// Receive a datagram (UDP) or stream data (TCP); blocks when empty.
     Recv {

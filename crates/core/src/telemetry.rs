@@ -762,16 +762,16 @@ impl Telemetry {
     pub(crate) fn timeline_push(
         &mut self,
         now: SimTime,
-        values: Vec<u64>,
+        values: &[u64],
         nprocs: usize,
         changed: impl Iterator<Item = (u32, u64, u64)>,
     ) {
         if !self.enabled {
             return;
         }
-        let row = self.timeline.rows().len();
+        let row = self.timeline.len();
         self.timeline.push(now.as_nanos(), values);
-        if self.timeline.rows().len() > row {
+        if self.timeline.len() > row {
             self.proc_cpu_width.push(nprocs as u32);
             let row = row as u32;
             self.proc_cpu_log
@@ -1046,7 +1046,7 @@ impl Host {
         // Congestion-window gauges: the widest live connection's view
         // (cc_sweep plots per-controller cwnd evolution from these).
         let (tcp_cwnd, tcp_ssthresh) = self.cwnd_max;
-        let values = vec![
+        let values = [
             self.tele.delivered_udp,
             self.tele.delivered_icmp,
             self.tele.tcp_frames,
@@ -1068,7 +1068,7 @@ impl Host {
             (pid.0, acct.total().as_nanos(), acct.user.as_nanos())
         });
         self.tele
-            .timeline_push(now, values, sched.procs().len(), changed);
+            .timeline_push(now, &values, sched.procs().len(), changed);
         self.tele.tick_pids = pids;
         self.tele.tick_procs = sample.procs;
     }
@@ -1133,12 +1133,12 @@ mod tests {
             }
             let values = vec![tick; TIMELINE_COLUMNS.len()];
             let now = SimTime::from_millis(10 * tick);
-            tele.timeline_push(now, values, acct.len(), changed.into_iter());
+            tele.timeline_push(now, &values, acct.len(), changed.into_iter());
             if model.len() < CAP {
                 model.push(acct.clone());
             }
         }
-        assert_eq!(tele.timeline().rows().len(), CAP);
+        assert_eq!(tele.timeline().len(), CAP);
         assert_eq!(tele.timeline().dropped(), 20);
         assert_eq!(tele.timeline_proc_cpu(), model);
     }

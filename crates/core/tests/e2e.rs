@@ -57,7 +57,7 @@ impl AppLogic for UdpSender {
                 SyscallOp::SendTo {
                     sock: self.sock.unwrap(),
                     dst: self.dst,
-                    data: self.payload.clone(),
+                    data: self.payload[..].into(),
                 }
             }
         }
@@ -234,7 +234,7 @@ impl AppLogic for TcpClient {
                 self.probe.borrow_mut().events.push("connected".into());
                 SyscallOp::Send {
                     sock: self.sock.unwrap(),
-                    data: self.request.clone(),
+                    data: self.request[..].into(),
                 }
             }
             (2, SyscallRet::Sent(_)) => {
@@ -328,7 +328,7 @@ impl AppLogic for TcpServer {
                 self.state = 5;
                 SyscallOp::Send {
                     sock: self.conn.unwrap(),
-                    data: self.response.clone(),
+                    data: self.response[..].into(),
                 }
             }
             (5, SyscallRet::Sent(_)) => {

@@ -488,7 +488,7 @@ fn interface_queue_backpressure() {
                 dst: Endpoint::new(B, 9000),
                 // 8 KB datagrams: the wire needs ~0.45 ms each, far slower
                 // than the send syscall path produces them.
-                data: vec![0u8; 8_000],
+                data: lrp_wire::buf::filled(8_000, 0),
             }
         }
     }
@@ -957,7 +957,7 @@ fn steady_udp_sends_take_no_fresh_arena_storage() {
                 sock: self.sock.expect("socket"),
                 // Unrouted: each frame is dropped once it leaves the link.
                 dst: Endpoint::new(B, 9000),
-                data: vec![0u8; 64],
+                data: lrp_wire::buf::filled(64, 0),
             }
         }
     }
@@ -1075,7 +1075,7 @@ fn accept_moves_the_childs_pending_work_to_the_acceptor() {
             (3, SyscallRet::Ok) => SyscallOp::Sleep(ms(10)),
             (4, SyscallRet::Ok) => SyscallOp::Send {
                 sock: csock.get().expect("socket"),
-                data: vec![7; 20_000],
+                data: lrp_wire::buf::filled(20_000, 7),
             },
             (_, SyscallRet::Sent(_)) => SyscallOp::Recv {
                 sock: csock.get().expect("socket"),

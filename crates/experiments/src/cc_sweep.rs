@@ -54,9 +54,8 @@ fn cwnd_stats(world: &World) -> (u64, f64, u64, Vec<(u64, u64)>) {
             .expect("timeline column")
     };
     let (ci, si) = (col("tcp_cwnd"), col("tcp_ssthresh"));
-    let rows = tl.rows();
-    let live: Vec<(u64, u64)> = rows
-        .iter()
+    let live: Vec<(u64, u64)> = tl
+        .rows()
         .map(|r| (r.t_ns, r.values[ci]))
         .filter(|&(_, w)| w > 0)
         .collect();
@@ -66,8 +65,8 @@ fn cwnd_stats(world: &World) -> (u64, f64, u64, Vec<(u64, u64)>) {
     } else {
         live.iter().map(|&(_, w)| w).sum::<u64>() as f64 / live.len() as f64
     };
-    let ssthresh_last = rows
-        .iter()
+    let ssthresh_last = tl
+        .rows()
         .rev()
         .map(|r| r.values[si])
         .find(|&s| s > 0)

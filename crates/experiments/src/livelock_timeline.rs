@@ -154,7 +154,7 @@ pub fn user_cpu_share_series(host: &Host, pid: u32) -> Vec<(u64, f64)> {
     let mut out = Vec::with_capacity(rows.len());
     let mut prev_t = 0u64;
     let mut prev_user = 0u64;
-    for (r, procs) in rows.iter().zip(proc_rows) {
+    for (r, procs) in rows.zip(proc_rows) {
         let user = procs.get(pid as usize).map(|&(_, u)| u).unwrap_or(0);
         let dt = r.t_ns.saturating_sub(prev_t);
         if dt > 0 {

@@ -282,11 +282,11 @@ impl LinkFaults {
     /// one entry normally, two if duplicated. Applied per destination at
     /// link-delivery time; an inert plan returns the frame untouched
     /// without consuming any randomness.
-    pub fn apply(&mut self, arrival: SimTime, frame: Frame) -> Vec<(SimTime, Frame)> {
+    pub fn apply(&mut self, arrival: SimTime, frame: Frame) -> Deliveries {
         self.stats.offered += 1;
         if self.plan.is_none() {
             self.stats.delivered += 1;
-            return vec![(arrival, frame)];
+            return Deliveries([Some((arrival, frame)), None]);
         }
 
         // Pause windows are schedule-driven, no randomness involved.
@@ -301,7 +301,7 @@ impl LinkFaults {
 
         if self.lose() {
             self.stats.dropped += 1;
-            return Vec::new();
+            return Deliveries([None, None]);
         }
 
         let mut frame = frame;
@@ -324,17 +324,49 @@ impl LinkFaults {
             self.stats.reordered += 1;
         }
 
-        let mut out = Vec::with_capacity(if duplicate { 2 } else { 1 });
+        self.stats.delivered += 1;
         if duplicate {
             // The copy arrives right behind the original (same instant;
             // FIFO tie-break keeps the order deterministic).
-            out.push((at, frame.clone()));
             self.stats.duplicated += 1;
             self.stats.delivered += 1;
+            return Deliveries([Some((at, frame.clone())), Some((at, frame))]);
         }
-        out.push((at, frame));
-        self.stats.delivered += 1;
-        out
+        Deliveries([Some((at, frame)), None])
+    }
+}
+
+/// What [`LinkFaults::apply`] makes of one frame, held inline: nothing
+/// (lost), one delivery, or two (duplicated), filled from the front.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Deliveries([Option<(SimTime, Frame)>; 2]);
+
+impl Deliveries {
+    /// Number of deliveries (0, 1 or 2).
+    pub fn len(&self) -> usize {
+        self.0.iter().flatten().count()
+    }
+
+    /// True if the frame was lost.
+    pub fn is_empty(&self) -> bool {
+        self.0[0].is_none()
+    }
+}
+
+impl std::ops::Index<usize> for Deliveries {
+    type Output = (SimTime, Frame);
+
+    fn index(&self, i: usize) -> &(SimTime, Frame) {
+        self.0[i].as_ref().expect("delivery index out of range")
+    }
+}
+
+impl IntoIterator for Deliveries {
+    type Item = (SimTime, Frame);
+    type IntoIter = std::iter::Flatten<std::array::IntoIter<Option<(SimTime, Frame)>, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter().flatten()
     }
 }
 

@@ -21,7 +21,7 @@
 
 pub mod fault;
 
-pub use fault::{FaultPlan, FaultStats, LinkFaults, LossModel};
+pub use fault::{Deliveries, FaultPlan, FaultStats, LinkFaults, LossModel};
 
 use lrp_sim::{SimDuration, SimTime, SplitMix64};
 use lrp_wire::Frame;

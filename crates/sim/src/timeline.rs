@@ -11,19 +11,23 @@
 //! counted but not stored.
 
 /// One sampled row: the simulated timestamp plus one value per column.
-#[derive(Clone, Debug)]
-pub struct TimelineRow {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimelineRow<'a> {
     /// Simulated time of the sample, nanoseconds.
     pub t_ns: u64,
     /// Column values, aligned with [`MetricsTimeline::columns`].
-    pub values: Vec<u64>,
+    pub values: &'a [u64],
 }
 
 /// A bounded, fixed-column time-series of `u64` samples.
+///
+/// Rows are stored flat, `1 + columns` words each (the timestamp, then
+/// the values), so recording a row appends to one vector and allocates
+/// only when that vector doubles.
 #[derive(Clone, Debug)]
 pub struct MetricsTimeline {
     columns: Vec<&'static str>,
-    rows: Vec<TimelineRow>,
+    data: Vec<u64>,
     cap: usize,
     dropped: u64,
 }
@@ -42,7 +46,7 @@ impl MetricsTimeline {
     pub fn with_cap(columns: Vec<&'static str>, cap: usize) -> Self {
         Self {
             columns,
-            rows: Vec::new(),
+            data: Vec::new(),
             cap,
             dropped: 0,
         }
@@ -53,20 +57,38 @@ impl MetricsTimeline {
         &self.columns
     }
 
+    fn stride(&self) -> usize {
+        1 + self.columns.len()
+    }
+
     /// Records one row. `values` must be aligned with [`Self::columns`].
     /// Rows past the cap are counted in [`Self::dropped`] and discarded.
-    pub fn push(&mut self, t_ns: u64, values: Vec<u64>) {
+    pub fn push(&mut self, t_ns: u64, values: &[u64]) {
         debug_assert_eq!(values.len(), self.columns.len());
-        if self.rows.len() >= self.cap {
+        if self.len() >= self.cap {
             self.dropped += 1;
             return;
         }
-        self.rows.push(TimelineRow { t_ns, values });
+        self.data.push(t_ns);
+        self.data.extend_from_slice(values);
+    }
+
+    /// Number of stored rows.
+    pub fn len(&self) -> usize {
+        self.data.len() / self.stride()
+    }
+
+    /// True if no row is stored.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
     }
 
     /// Stored rows, in recording order.
-    pub fn rows(&self) -> &[TimelineRow] {
-        &self.rows
+    pub fn rows(&self) -> impl DoubleEndedIterator<Item = TimelineRow<'_>> + ExactSizeIterator {
+        self.data.chunks_exact(self.stride()).map(|r| TimelineRow {
+            t_ns: r[0],
+            values: &r[1..],
+        })
     }
 
     /// Rows discarded because the cap was reached.
@@ -77,7 +99,7 @@ impl MetricsTimeline {
     /// The value of column `name` in row `row`, if both exist.
     pub fn value(&self, row: usize, name: &str) -> Option<u64> {
         let col = self.columns.iter().position(|c| *c == name)?;
-        self.rows.get(row).map(|r| r.values[col])
+        self.data.get(row * self.stride() + 1 + col).copied()
     }
 
     /// Gnuplot-ready rendering: a `#`-prefixed header naming the columns
@@ -90,9 +112,9 @@ impl MetricsTimeline {
             out.push_str(c);
         }
         out.push('\n');
-        for r in &self.rows {
+        for r in self.rows() {
             out.push_str(&format!("{:.6}", r.t_ns as f64 / 1e9));
-            for v in &r.values {
+            for v in r.values {
                 out.push(' ');
                 out.push_str(&v.to_string());
             }
@@ -109,9 +131,9 @@ mod tests {
     #[test]
     fn records_and_reads_back() {
         let mut t = MetricsTimeline::new(vec!["delivered", "depth"]);
-        t.push(10_000_000, vec![5, 2]);
-        t.push(20_000_000, vec![9, 0]);
-        assert_eq!(t.rows().len(), 2);
+        t.push(10_000_000, &[5, 2]);
+        t.push(20_000_000, &[9, 0]);
+        assert_eq!(t.len(), 2);
         assert_eq!(t.value(0, "delivered"), Some(5));
         assert_eq!(t.value(1, "depth"), Some(0));
         assert_eq!(t.value(1, "missing"), None);
@@ -121,7 +143,7 @@ mod tests {
     fn cap_bounds_memory() {
         let mut t = MetricsTimeline::with_cap(vec!["x"], 2);
         for i in 0..5 {
-            t.push(i * 1_000, vec![i]);
+            t.push(i * 1_000, &[i]);
         }
         assert_eq!(t.rows().len(), 2);
         assert_eq!(t.dropped(), 3);
@@ -130,7 +152,7 @@ mod tests {
     #[test]
     fn gnuplot_rendering() {
         let mut t = MetricsTimeline::new(vec!["a", "b"]);
-        t.push(1_500_000_000, vec![1, 2]);
+        t.push(1_500_000_000, &[1, 2]);
         let g = t.gnuplot_columns();
         assert_eq!(g, "# t_s a b\n1.500000 1 2\n");
     }

@@ -169,6 +169,10 @@ pub struct Segment {
 
 /// The result of feeding the machine: segments to send and events to
 /// deliver.
+///
+/// Every entry point has an `*_into` form that appends to a caller-owned
+/// `Actions`, so a host that drains and reuses one list allocates nothing
+/// per call; the by-value forms wrap them for tests and one-off callers.
 #[derive(Debug, Default)]
 pub struct Actions {
     /// Segments to transmit, in order.
@@ -178,9 +182,11 @@ pub struct Actions {
 }
 
 impl Actions {
-    fn merge(&mut self, other: Actions) {
-        self.segments.extend(other.segments);
-        self.events.extend(other.events);
+    /// Runs `f` on an empty list: its result and what it appended.
+    fn collect<R>(f: impl FnOnce(&mut Actions) -> R) -> (R, Actions) {
+        let mut out = Actions::default();
+        let r = f(&mut out);
+        (r, out)
     }
 }
 
@@ -482,16 +488,22 @@ impl TcpConn {
     ///
     /// Panics if the connection is not in `Closed`.
     pub fn connect(&mut self, now: SimTime) -> Actions {
+        Actions::collect(|out| self.connect_into(now, out)).1
+    }
+
+    /// [`connect`](Self::connect), appending to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the connection is not in `Closed`.
+    pub fn connect_into(&mut self, now: SimTime, out: &mut Actions) {
         assert_eq!(self.state, TcpState::Closed, "connect on open connection");
         self.state = TcpState::SynSent;
         self.snd_nxt = self.iss.wrapping_add(1);
         self.snd_max = self.snd_nxt;
         let syn = self.make_seg(flags::SYN, self.iss, Vec::new(), true);
         self.arm_rexmt(now);
-        Actions {
-            segments: vec![syn],
-            events: vec![],
-        }
+        out.segments.push(syn);
     }
 
     /// Creates a connection in `SynReceived` in response to a SYN received
@@ -504,6 +516,19 @@ impl TcpConn {
         syn: &TcpHeader,
         now: SimTime,
     ) -> (TcpConn, Actions) {
+        Actions::collect(|out| TcpConn::accept_syn_into(cfg, local, remote, iss, syn, now, out))
+    }
+
+    /// [`accept_syn`](Self::accept_syn), appending the SYN|ACK to `out`.
+    pub fn accept_syn_into(
+        cfg: TcpConfig,
+        local: Endpoint,
+        remote: Endpoint,
+        iss: u32,
+        syn: &TcpHeader,
+        now: SimTime,
+        out: &mut Actions,
+    ) -> TcpConn {
         let mut c = TcpConn::new(cfg, local, remote, iss);
         c.state = TcpState::SynReceived;
         c.irs = syn.seq;
@@ -517,11 +542,8 @@ impl TcpConn {
         c.snd_max = c.snd_nxt;
         let synack = c.make_seg(flags::SYN | flags::ACK, c.iss, Vec::new(), true);
         c.arm_rexmt(now);
-        let acts = Actions {
-            segments: vec![synack],
-            events: vec![],
-        };
-        (c, acts)
+        out.segments.push(synack);
+        c
     }
 
     /// Creates a connection directly in `Established` from a validated
@@ -591,25 +613,29 @@ impl TcpConn {
 
     /// Fires any timers whose deadline has passed.
     pub fn on_timer(&mut self, now: SimTime) -> Actions {
-        let mut acts = Actions::default();
+        Actions::collect(|out| self.on_timer_into(now, out)).1
+    }
+
+    /// [`on_timer`](Self::on_timer), appending to `out`.
+    pub fn on_timer_into(&mut self, now: SimTime, out: &mut Actions) {
         if let Some(d) = self.timewait_deadline {
             if now >= d {
                 self.timewait_deadline = None;
                 self.state = TcpState::Closed;
-                acts.events.push(ConnEvent::Closed);
-                return acts;
+                out.events.push(ConnEvent::Closed);
+                return;
             }
         }
         if let Some(d) = self.delack_deadline {
             if now >= d {
                 let ack = self.make_ack();
-                acts.segments.push(ack);
+                out.segments.push(ack);
             }
         }
         if let Some(d) = self.rexmt_deadline {
             if now >= d {
                 self.rexmt_deadline = None;
-                acts.merge(self.on_rexmt_timeout(now));
+                self.on_rexmt_timeout(now, out);
             }
         }
         if let Some(d) = self.keepalive_deadline {
@@ -622,24 +648,22 @@ impl TcpConn {
                     // Peer is dead: every probe went unanswered. Surface
                     // TimedOut to the app, then abort (RST + Closed) as
                     // BSD's tcp_drop does on keepalive expiry.
-                    acts.events.push(ConnEvent::TimedOut);
-                    acts.merge(self.abort());
+                    out.events.push(ConnEvent::TimedOut);
+                    self.abort_into(out);
                 } else {
                     // Probe with one garbage byte below the window
                     // (RFC 1122 §4.2.3.6): an alive peer must re-ACK.
                     self.keepalive_probes_sent += 1;
                     let seq = self.snd_una.wrapping_sub(1);
                     let seg = self.make_seg(flags::ACK, seq, vec![0], false);
-                    acts.segments.push(seg);
+                    out.segments.push(seg);
                     self.keepalive_deadline = Some(now + self.cfg.keepalive_intvl);
                 }
             }
         }
-        acts
     }
 
-    fn on_rexmt_timeout(&mut self, now: SimTime) -> Actions {
-        let mut acts = Actions::default();
+    fn on_rexmt_timeout(&mut self, now: SimTime, out: &mut Actions) {
         self.stats.timeouts += 1;
         // A zero-window probe cycle is BSD's persist timer: the peer is
         // alive and acking, so it must not consume the retry budget or the
@@ -648,27 +672,27 @@ impl TcpConn {
             self.snd_wnd == 0 && !self.snd_buf.is_empty() && self.snd_nxt == self.snd_una;
         if persisting {
             self.recovery.on_persist_timeout();
-            acts.merge(self.send_probe(now));
+            self.send_probe(out);
             self.arm_rexmt(now);
-            return acts;
+            return;
         }
         if self.recovery.on_rto_fired(self.cfg.max_retries) {
             self.state = TcpState::Closed;
-            acts.events.push(ConnEvent::TimedOut);
-            acts.events.push(ConnEvent::Closed);
-            return acts;
+            out.events.push(ConnEvent::TimedOut);
+            out.events.push(ConnEvent::Closed);
+            return;
         }
         match self.state {
             TcpState::SynSent => {
                 let syn = self.make_seg(flags::SYN, self.iss, Vec::new(), true);
                 self.stats.retransmits += 1;
-                acts.segments.push(syn);
+                out.segments.push(syn);
                 self.arm_rexmt(now);
             }
             TcpState::SynReceived => {
                 let synack = self.make_seg(flags::SYN | flags::ACK, self.iss, Vec::new(), true);
                 self.stats.retransmits += 1;
-                acts.segments.push(synack);
+                out.segments.push(synack);
                 self.arm_rexmt(now);
             }
             TcpState::Established
@@ -687,21 +711,20 @@ impl TcpConn {
                 if self.fin_seq.is_some_and(|fs| !seq_gt(self.snd_una, fs)) {
                     self.fin_seq = None;
                 }
-                acts.merge(self.output(now, true));
-                if acts.segments.is_empty() {
+                let before = out.segments.len();
+                self.output_into(now, true, out);
+                if out.segments.len() == before {
                     // Nothing to send (e.g. zero window probe case) — probe
                     // with one byte if data is pending.
-                    acts.merge(self.send_probe(now));
+                    self.send_probe(out);
                 }
                 self.arm_rexmt(now);
             }
             _ => {}
         }
-        acts
     }
 
-    fn send_probe(&mut self, _now: SimTime) -> Actions {
-        let mut acts = Actions::default();
+    fn send_probe(&mut self, out: &mut Actions) {
         let data_end = self.snd_base.wrapping_add(self.snd_buf.len() as u32);
         if seq_lt(self.snd_nxt, data_end) {
             let off = self.snd_nxt.wrapping_sub(self.snd_base) as usize;
@@ -709,9 +732,8 @@ impl TcpConn {
             let seq = self.snd_nxt;
             let seg = self.make_seg(flags::ACK | flags::PSH, seq, payload, false);
             self.stats.retransmits += 1;
-            acts.segments.push(seg);
+            out.segments.push(seg);
         }
-        acts
     }
 
     // ---- app interface ----
@@ -719,9 +741,15 @@ impl TcpConn {
     /// Writes application data into the send buffer; returns how many bytes
     /// were accepted and any segments that can be sent immediately.
     pub fn write(&mut self, now: SimTime, data: &[u8]) -> (usize, Actions) {
+        Actions::collect(|out| self.write_into(now, data, out))
+    }
+
+    /// [`write`](Self::write), appending to `out`; returns the bytes
+    /// accepted.
+    pub fn write_into(&mut self, now: SimTime, data: &[u8], out: &mut Actions) -> usize {
         match self.state {
             TcpState::Established | TcpState::CloseWait => {}
-            _ => return (0, Actions::default()),
+            _ => return 0,
         }
         // Idle restart: nothing in flight and nothing buffered means the
         // connection sat quiet — let rate-model controllers resync.
@@ -730,8 +758,8 @@ impl TcpConn {
             self.cc.on_idle_restart(now);
         }
         let n = self.snd_buf.write(data);
-        let acts = self.output(now, false);
-        (n, acts)
+        self.output_into(now, false, out);
+        n
     }
 
     /// Reads up to `n` bytes of in-order data (into frame-arena storage,
@@ -739,8 +767,12 @@ impl TcpConn {
     /// another copy); may emit a window update if the advertised window
     /// grows substantially (BSD policy).
     pub fn read(&mut self, n: usize) -> (Vec<u8>, Actions) {
+        Actions::collect(|out| self.read_into(n, out))
+    }
+
+    /// [`read`](Self::read), appending any window update to `out`.
+    pub fn read_into(&mut self, n: usize, out: &mut Actions) -> Vec<u8> {
         let data = self.rcv_buf.read(n);
-        let mut acts = Actions::default();
         if !data.is_empty() {
             let new_wnd = self.adv_wnd() as u32;
             // Window-update policy: announce if the window grew by two
@@ -752,49 +784,54 @@ impl TcpConn {
                 || new_wnd >= self.last_adv_wnd + (self.cfg.rcv_buf as u32) / 2
             {
                 let ack = self.make_ack();
-                acts.segments.push(ack);
+                out.segments.push(ack);
             }
         }
-        (data, acts)
+        data
     }
 
     /// Initiates a close: sends FIN once all buffered data is out.
     pub fn close(&mut self, now: SimTime) -> Actions {
+        Actions::collect(|out| self.close_into(now, out)).1
+    }
+
+    /// [`close`](Self::close), appending to `out`.
+    pub fn close_into(&mut self, now: SimTime, out: &mut Actions) {
         match self.state {
             TcpState::Established | TcpState::SynReceived => {
                 self.fin_requested = true;
                 self.state = TcpState::FinWait1;
-                self.output(now, false)
+                self.output_into(now, false, out);
             }
             TcpState::CloseWait => {
                 self.fin_requested = true;
                 self.state = TcpState::LastAck;
-                self.output(now, false)
+                self.output_into(now, false, out);
             }
             TcpState::SynSent => {
                 self.state = TcpState::Closed;
-                Actions {
-                    segments: vec![],
-                    events: vec![ConnEvent::Closed],
-                }
+                out.events.push(ConnEvent::Closed);
             }
-            _ => Actions::default(),
+            _ => {}
         }
     }
 
     /// Aborts the connection with a RST.
     pub fn abort(&mut self) -> Actions {
-        let mut acts = Actions::default();
+        Actions::collect(|out| self.abort_into(out)).1
+    }
+
+    /// [`abort`](Self::abort), appending to `out`.
+    pub fn abort_into(&mut self, out: &mut Actions) {
         if !matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
             let seg = self.make_seg(flags::RST | flags::ACK, self.snd_nxt, Vec::new(), false);
-            acts.segments.push(seg);
+            out.segments.push(seg);
         }
         self.state = TcpState::Closed;
         self.keepalive_deadline = None;
         self.rexmt_deadline = None;
         self.delack_deadline = None;
-        acts.events.push(ConnEvent::Closed);
-        acts
+        out.events.push(ConnEvent::Closed);
     }
 
     // ---- output engine ----
@@ -805,7 +842,10 @@ impl TcpConn {
     /// `rexmit` forces sending from `snd_nxt` even if already sent
     /// (retransmission after go-back-N rewind).
     pub fn output(&mut self, now: SimTime, rexmit: bool) -> Actions {
-        let mut acts = Actions::default();
+        Actions::collect(|out| self.output_into(now, rexmit, out)).1
+    }
+
+    fn output_into(&mut self, now: SimTime, rexmit: bool, out: &mut Actions) {
         if !matches!(
             self.state,
             TcpState::Established
@@ -814,7 +854,7 @@ impl TcpConn {
                 | TcpState::Closing
                 | TcpState::LastAck
         ) {
-            return acts;
+            return;
         }
         let data_end = self.snd_base.wrapping_add(self.snd_buf.len() as u32);
         loop {
@@ -841,7 +881,7 @@ impl TcpConn {
                     flags::ACK
                 };
                 let seg = self.make_seg(fl, seq, payload, false);
-                acts.segments.push(seg);
+                out.segments.push(seg);
                 self.snd_nxt = self.snd_nxt.wrapping_add(chunk as u32);
                 if is_rexmit {
                     self.stats.retransmits += 1;
@@ -868,7 +908,7 @@ impl TcpConn {
                 let seq = self.snd_nxt;
                 self.fin_seq = Some(seq);
                 let seg = self.make_seg(flags::FIN | flags::ACK, seq, Vec::new(), false);
-                acts.segments.push(seg);
+                out.segments.push(seg);
                 self.snd_nxt = self.snd_nxt.wrapping_add(1);
                 self.snd_max = self.snd_max.max(self.snd_nxt);
                 if self.rexmt_deadline.is_none() {
@@ -881,15 +921,24 @@ impl TcpConn {
             self.persist_mode = true;
             self.arm_rexmt(now);
         }
-        acts
     }
 
     // ---- input engine ----
 
     /// Processes one arriving segment.
     pub fn on_segment(&mut self, now: SimTime, th: &TcpHeader, payload: &[u8]) -> Actions {
+        Actions::collect(|out| self.on_segment_into(now, th, payload, out)).1
+    }
+
+    /// [`on_segment`](Self::on_segment), appending to `out`.
+    pub fn on_segment_into(
+        &mut self,
+        now: SimTime,
+        th: &TcpHeader,
+        payload: &[u8],
+        out: &mut Actions,
+    ) {
         self.stats.segs_in += 1;
-        let mut acts = Actions::default();
         match self.state {
             TcpState::Closed => {
                 // RFC 793: respond to anything but a RST with a RST.
@@ -900,33 +949,29 @@ impl TcpConn {
                         self.rcv_nxt = th.seq.wrapping_add(payload.len() as u32 + 1);
                         self.make_seg(flags::RST | flags::ACK, 0, Vec::new(), false)
                     };
-                    acts.segments.push(seg);
+                    out.segments.push(seg);
                 }
-                acts
             }
-            TcpState::SynSent => self.on_segment_syn_sent(now, th, &mut acts),
+            TcpState::SynSent => self.on_segment_syn_sent(now, th, out),
             TcpState::TimeWait => {
                 // Re-ACK retransmitted FINs; restart the 2MSL timer.
                 if th.has(flags::FIN) {
                     let ack = self.make_ack();
-                    acts.segments.push(ack);
+                    out.segments.push(ack);
                     self.timewait_deadline = Some(now + self.cfg.time_wait);
                 }
-                acts
             }
-            _ => self.on_segment_synchronized(now, th, payload, &mut acts),
+            _ => self.on_segment_synchronized(now, th, payload, out),
         }
     }
 
-    fn on_segment_syn_sent(&mut self, now: SimTime, th: &TcpHeader, acts: &mut Actions) -> Actions {
-        let mut out = Actions::default();
+    fn on_segment_syn_sent(&mut self, now: SimTime, th: &TcpHeader, out: &mut Actions) {
         if th.has(flags::ACK) && (seq_le(th.ack, self.iss) || seq_gt(th.ack, self.snd_nxt)) {
             if !th.has(flags::RST) {
                 let seg = self.make_seg(flags::RST, th.ack, Vec::new(), false);
                 out.segments.push(seg);
             }
-            out.merge(std::mem::take(acts));
-            return out;
+            return;
         }
         if th.has(flags::RST) {
             if th.has(flags::ACK) {
@@ -934,7 +979,7 @@ impl TcpConn {
                 out.events.push(ConnEvent::Reset);
                 out.events.push(ConnEvent::Closed);
             }
-            return out;
+            return;
         }
         if th.has(flags::SYN) {
             self.irs = th.seq;
@@ -959,7 +1004,7 @@ impl TcpConn {
                 out.events.push(ConnEvent::Established);
                 let ack = self.make_ack();
                 out.segments.push(ack);
-                out.merge(self.output(now, false));
+                self.output_into(now, false, out);
             } else {
                 // Simultaneous open.
                 self.state = TcpState::SynReceived;
@@ -968,7 +1013,6 @@ impl TcpConn {
                 self.arm_rexmt(now);
             }
         }
-        out
     }
 
     fn seq_acceptable(&self, th: &TcpHeader, len: usize) -> bool {
@@ -989,9 +1033,8 @@ impl TcpConn {
         now: SimTime,
         th: &TcpHeader,
         payload: &[u8],
-        acts: &mut Actions,
-    ) -> Actions {
-        let mut out = std::mem::take(acts);
+        out: &mut Actions,
+    ) {
         // Any segment from the peer proves it is alive: restart the
         // keepalive idle clock and forget pending probes.
         self.arm_keepalive(now);
@@ -1002,31 +1045,31 @@ impl TcpConn {
                 out.events.push(ConnEvent::Reset);
                 out.events.push(ConnEvent::Closed);
             }
-            return out;
+            return;
         }
         // Duplicate SYN in SynReceived: retransmit the SYN|ACK.
         if th.has(flags::SYN) && self.state == TcpState::SynReceived && th.seq == self.irs {
             let synack = self.make_seg(flags::SYN | flags::ACK, self.iss, Vec::new(), true);
             self.stats.retransmits += 1;
             out.segments.push(synack);
-            return out;
+            return;
         }
         // Sequence acceptability; unacceptable segments get a bare ACK.
         if !self.seq_acceptable(th, payload.len()) {
             let ack = self.make_ack();
             out.segments.push(ack);
-            return out;
+            return;
         }
         // ACK processing.
         if th.has(flags::ACK) {
-            self.process_ack(now, th, &mut out);
+            self.process_ack(now, th, out);
             if self.state == TcpState::Closed {
-                return out;
+                return;
             }
         }
         // Data.
         if !payload.is_empty() {
-            self.process_data(now, th, payload, &mut out);
+            self.process_data(now, th, payload, out);
         }
         // FIN.
         if th.has(flags::FIN) {
@@ -1055,8 +1098,7 @@ impl TcpConn {
             }
         }
         // Try to push more data out (window may have opened).
-        out.merge(self.output(now, false));
-        out
+        self.output_into(now, false, out);
     }
 
     fn process_ack(&mut self, now: SimTime, th: &TcpHeader, out: &mut Actions) {

@@ -1076,3 +1076,171 @@ fn listener_half_open_tracking_fifo() {
     assert_eq!(l.oldest_half_open(), Some(SockId(1)));
     assert_eq!(l.accept_queue, 1);
 }
+
+/// A segment and an event already in the list before an `*_into` call.
+fn stale() -> Actions {
+    let hdr = TcpHeader {
+        src_port: 1,
+        dst_port: 2,
+        seq: 0,
+        ack: 0,
+        flags: flags::RST,
+        window: 0,
+        mss: None,
+    };
+    Actions {
+        segments: vec![Segment {
+            hdr,
+            payload: vec![0xEE],
+        }],
+        events: vec![ConnEvent::Reset],
+    }
+}
+
+/// One connection driven by the by-value calls and its twin driven by
+/// the `*_into` ones.
+struct Twins {
+    v: TcpConn,
+    i: TcpConn,
+}
+
+impl Twins {
+    /// Runs the by-value call on `v` and the `*_into` call on `i` with a
+    /// non-empty list; asserts the list kept its entry and gained exactly
+    /// what the by-value call returned. Returns that.
+    fn call<R: PartialEq + std::fmt::Debug>(
+        &mut self,
+        by_value: impl FnOnce(&mut TcpConn) -> (R, Actions),
+        into: impl FnOnce(&mut TcpConn, &mut Actions) -> R,
+    ) -> Actions {
+        let (r, expect) = by_value(&mut self.v);
+        let mut out = stale();
+        assert_eq!(into(&mut self.i, &mut out), r);
+        assert_eq!(out.events[0], ConnEvent::Reset, "entry already there kept");
+        assert_eq!(out.events[1..], expect.events[..]);
+        assert_eq!(out.segments.len(), 1 + expect.segments.len());
+        assert_eq!(out.segments[0].payload, [0xEE]);
+        for (got, want) in out.segments[1..].iter().zip(&expect.segments) {
+            assert_eq!((got.hdr, &got.payload), (want.hdr, &want.payload));
+        }
+        expect
+    }
+}
+
+/// Delivers `wire` (`true` = bound for `b`) and every reply to both
+/// twin pairs in lock step, losing the deliveries numbered in `lose`.
+fn twin_pump(
+    a: &mut Twins,
+    b: &mut Twins,
+    now: SimTime,
+    wire: impl IntoIterator<Item = (bool, Segment)>,
+    lose: &[usize],
+) {
+    let mut wire: VecDeque<(bool, Segment)> = wire.into_iter().collect();
+    let mut n = 0;
+    while let Some((to_b, s)) = wire.pop_front() {
+        n += 1;
+        if lose.contains(&n) {
+            continue;
+        }
+        let end = if to_b { &mut *b } else { &mut *a };
+        let acts = end.call(
+            |c| ((), c.on_segment(now, &s.hdr, &s.payload)),
+            |c, out| c.on_segment_into(now, &s.hdr, &s.payload, out),
+        );
+        wire.extend(acts.segments.into_iter().map(|r| (!to_b, r)));
+    }
+}
+
+fn toward(to_b: bool, acts: Actions) -> impl Iterator<Item = (bool, Segment)> {
+    acts.segments.into_iter().map(move |s| (to_b, s))
+}
+
+/// Every `*_into` entry point appends to a list that already holds
+/// something, and appends exactly what its by-value wrapper returns.
+#[test]
+fn into_forms_append_exactly_what_the_wrappers_return() {
+    let mut now = SimTime::ZERO;
+    let conn = || TcpConn::new(cfg(), ep(1, 1000), ep(2, 2000), 100);
+    let mut a = Twins {
+        v: conn(),
+        i: conn(),
+    };
+    let syn = a.call(|c| ((), c.connect(now)), |c, out| c.connect_into(now, out));
+    let syn = &syn.segments[0].hdr;
+    let (l, r) = (ep(2, 2000), ep(1, 1000));
+    let (v, synack) = TcpConn::accept_syn(cfg(), l, r, 900, syn, now);
+    let mut out = stale();
+    let i = TcpConn::accept_syn_into(cfg(), l, r, 900, syn, now, &mut out);
+    let mut b = Twins { v, i };
+    assert_eq!(out.segments.len(), 2);
+    assert_eq!(out.segments[1].hdr, synack.segments[0].hdr);
+    twin_pump(&mut a, &mut b, now, toward(false, synack), &[]);
+    assert_eq!(a.v.state, TcpState::Established);
+    assert_eq!(b.v.state, TcpState::Established);
+
+    // A window of data with its second segment lost: output, duplicate
+    // ACKs, then the timers until the loss is repaired.
+    now += SimDuration::from_millis(1);
+    let data = vec![0x5A; 8 * 1460];
+    let acts = a.call(
+        |c| c.write(now, &data),
+        |c, out| c.write_into(now, &data, out),
+    );
+    twin_pump(&mut a, &mut b, now, toward(true, acts), &[2]);
+    while let Some(t) =
+        a.v.next_deadline()
+            .filter(|&t| t < now + SimDuration::from_secs(5))
+    {
+        now = t;
+        let from_a = a.call(
+            |c| ((), c.on_timer(now)),
+            |c, out| c.on_timer_into(now, out),
+        );
+        let from_b = b.call(
+            |c| ((), c.on_timer(now)),
+            |c, out| c.on_timer_into(now, out),
+        );
+        let wire = toward(true, from_a).chain(toward(false, from_b));
+        twin_pump(&mut a, &mut b, now, wire, &[]);
+    }
+    assert!(a.v.stats.retransmits > 0, "the loss was repaired");
+    assert_eq!(b.v.available(), data.len());
+
+    // The peer acks one segment and closes its window with the rest in
+    // flight: the retransmission timer's go-back-N output sends nothing,
+    // so a one-byte probe goes out instead.
+    let acts = a.call(
+        |c| c.write(now, &data),
+        |c, out| c.write_into(now, &data, out),
+    );
+    let first = &acts.segments[0];
+    let zero_window = TcpHeader {
+        src_port: 2000,
+        dst_port: 1000,
+        seq: a.v.rcv_nxt,
+        ack: first.hdr.seq.wrapping_add(first.payload.len() as u32),
+        flags: flags::ACK,
+        window: 0,
+        mss: None,
+    };
+    a.call(
+        |c| ((), c.on_segment(now, &zero_window, &[])),
+        |c, out| c.on_segment_into(now, &zero_window, &[], out),
+    );
+    now = a.v.next_deadline().expect("retransmission timer");
+    let probe = a.call(
+        |c| ((), c.on_timer(now)),
+        |c, out| c.on_timer_into(now, out),
+    );
+    assert_eq!(probe.segments.len(), 1);
+    assert_eq!(probe.segments[0].payload.len(), 1, "a one-byte probe");
+
+    // A read (with any window update), a close, and an abort.
+    b.call(
+        |c| c.read(usize::MAX),
+        |c, out| c.read_into(usize::MAX, out),
+    );
+    a.call(|c| ((), c.close(now)), |c, out| c.close_into(now, out));
+    b.call(|c| ((), c.abort()), |c, out| c.abort_into(out));
+}

@@ -137,7 +137,6 @@ pub fn timeline_json(host: &Host) -> Json {
     let columns: Vec<Json> = tl.columns().iter().map(|c| Json::str(*c)).collect();
     let rows: Vec<Json> = tl
         .rows()
-        .iter()
         .map(|r| {
             let mut vals = vec![Json::U64(r.t_ns)];
             vals.extend(r.values.iter().map(|v| Json::U64(*v)));

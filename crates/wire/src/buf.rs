@@ -42,6 +42,14 @@ pub fn recycle(v: Vec<u8>) {
     ARENA.with(|a| a.give_storage(v));
 }
 
+/// `len` copies of `byte` in arena storage: a send payload that goes back
+/// to the arena, for the next one, when the kernel drops it.
+pub fn filled(len: usize, byte: u8) -> FrameBuf {
+    let mut v = storage(len);
+    v.resize(len, byte);
+    FrameBuf::from_vec(v)
+}
+
 /// Shared, arena-backed, content-compared frame bytes.
 ///
 /// The inner `Option` is an implementation detail of the destructor
@@ -227,6 +235,17 @@ mod tests {
             "second frame reused the first frame's Rc box"
         );
         assert_eq!(after.live as i64 - before.live as i64, 1);
+    }
+
+    #[test]
+    fn filled_payload_storage_comes_back_for_the_next() {
+        let a = filled(300, 7);
+        assert_eq!(a, [7u8; 300]);
+        let p = a.bytes().as_ptr();
+        drop(a);
+        let b = filled(300, 9);
+        assert_eq!(b, [9u8; 300]);
+        assert_eq!(b.bytes().as_ptr(), p, "the next payload reused the storage");
     }
 
     #[test]

@@ -46,7 +46,7 @@ impl AppLogic for Greeter {
                 SyscallOp::SendTo {
                     sock: self.sock.expect("socket"),
                     dst: Endpoint::new(RECEIVER, PORT),
-                    data: format!("greeting #{}", self.sent).into_bytes(),
+                    data: format!("greeting #{}", self.sent).as_bytes().into(),
                 }
             }
         }

@@ -1,16 +1,19 @@
 //! Allocation discipline pinned by exact allocator counts instead of
 //! wall-clock:
 //!
-//! - the TCP byte path (DESIGN.md §17): a bulk transfer allocates little
-//!   more than the application's own send buffers, and nothing of
-//!   segment size per segment sent;
-//! - the telemetry budget (DESIGN.md §14): on the Figure-3 blast, full
-//!   telemetry allocates at most a stated multiple per event of the same
-//!   run with telemetry off;
+//! - the TCP byte path (DESIGN.md §17): a bulk transfer allocates a
+//!   fraction of a byte per payload byte, nothing of segment size per
+//!   segment sent, and almost nothing per event once warm;
+//! - the host data path (DESIGN.md §17): the Figure-3 blast allocates
+//!   almost nothing per event once warm;
+//! - the telemetry budget (DESIGN.md §14): on the same blast, full
+//!   telemetry allocates at most a stated amount per event, in total and
+//!   over the same run with telemetry off;
 //! - the PCB table (DESIGN.md §16): connection churn at a steady table
 //!   size allocates nothing once the table has grown to that size;
 //! - the statclock sample (DESIGN.md §16): a tick on a host of idle
-//!   processes allocates its timeline row and nothing per process.
+//!   processes appends its timeline row to storage that grows by
+//!   doubling, and allocates nothing per tick or per process.
 //!
 //! This binary has its own counting `#[global_allocator]` and a single
 //! test, so the counters see the simulation and nothing else.
@@ -87,7 +90,11 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
             BYTES.load(Ordering::Relaxed),
             SEGMENT_SIZED.load(Ordering::Relaxed),
         );
+        world.run_until(BULK_WARM_UP);
+        let (allocs0, events0) = (ALLOCS.load(Ordering::Relaxed), world.events_processed());
         world.run_until(SimTime::from_secs(30));
+        let steady = (ALLOCS.load(Ordering::Relaxed) - allocs0) as f64
+            / (world.events_processed() - events0) as f64;
         let bytes = BYTES.load(Ordering::Relaxed) - bytes0;
         let segment_sized = SEGMENT_SIZED.load(Ordering::Relaxed) - segs0;
         let m = metrics.borrow();
@@ -96,14 +103,16 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
             "{arch:?}: transfer incomplete"
         );
 
-        // The sender's `vec![..; 16 KiB]` per send is 1.0 of this, the
-        // world's fixed structures and per-event small change another
-        // 0.55 at this transfer size; a copy into a fresh `Vec` anywhere
-        // on the path (send-buffer peek, receive-buffer read) would add
-        // 1.0 each, as both did before the arena backed them (3.56).
+        // The world's fixed structures and the arena's warm-up read
+        // 0.52-0.55 at this transfer size (release and debug alike); the
+        // bound leaves 0.1 of margin. A fresh `Vec` per send (the sender's
+        // 16 KiB payload before it came from the arena) or a copy into
+        // one anywhere on the path (send-buffer peek, receive-buffer read)
+        // would add 1.0 each.
         let per_byte = bytes as f64 / TOTAL as f64;
+        eprintln!("{arch:?}: {per_byte:.4} bytes per payload byte, {steady:.5} allocations per warm event");
         assert!(
-            per_byte <= 2.0,
+            per_byte <= 0.65,
             "{arch:?}: {per_byte:.3} bytes allocated per payload byte delivered"
         );
         // Payload scratch and frame buffers come from the arena: a few
@@ -113,12 +122,18 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
             segment_sized <= 16,
             "{arch:?}: {segment_sized} segment-sized allocations for {segments} segments"
         );
+        // Warm, the pair's data path reuses every buffer and list: the
+        // release build reads 0.005-0.0065 per event.
+        if RELEASE {
+            assert!(
+                steady <= 0.02,
+                "{arch:?}: {steady:.4} allocations per event past the warm-up"
+            );
+        }
     }
 
-    // The telemetry budget. A throwaway run first warms this thread's
-    // frame arena for the blast's frame sizes, so neither measured run
-    // pays for the other's cold start.
-    fig3_allocs_per_event(Architecture::Bsd, true);
+    // The warm blast, and the telemetry budget on it: what full
+    // telemetry adds per event, and the total it allows.
     for arch in [
         Architecture::Bsd,
         Architecture::SoftLrp,
@@ -128,10 +143,16 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
         let off = fig3_allocs_per_event(arch, false);
         eprintln!("{arch:?}: {on:.4} allocations per event with telemetry on, {off:.4} off");
         assert!(
-            on <= TELEMETRY_ALLOC_BUDGET * off,
+            on - off <= TELEMETRY_ALLOC_BUDGET,
             "{arch:?}: telemetry on allocates {on:.4} per event, off {off:.4}: \
-             over the {TELEMETRY_ALLOC_BUDGET}x budget"
+             over the {TELEMETRY_ALLOC_BUDGET} budget"
         );
+        if RELEASE {
+            assert!(
+                on <= BLAST_ALLOCS_PER_EVENT,
+                "{arch:?}: the warm blast allocates {on:.4} per event"
+            );
+        }
     }
 
     // PCB churn: each cycle retires the oldest connection (by key or by
@@ -167,9 +188,10 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
     assert_eq!(allocs, 0, "10 000 PCB churn cycles at {LIVE_PCBS} live");
 
     // The statclock sample on an idle host: 256 processes blocked in
-    // `recv`, nobody charged. A tick stores one timeline row — its
-    // `values` are the one allocation — and the per-row logs grow by
-    // doubling; nothing process-sized is built.
+    // `recv`, nobody charged. A tick appends one row to the flat timeline
+    // and to the per-row logs, which grow by doubling: 0.0006 allocations
+    // per tick. A `Vec` per row, or anything process-sized, reads 1.0 or
+    // more.
     let mut world = World::with_defaults();
     let mut cfg = HostConfig::new(Architecture::Bsd);
     cfg.telemetry = true;
@@ -199,10 +221,16 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
     let per_tick = (ALLOCS.load(Ordering::Relaxed) - allocs0) as f64 / IDLE_TICKS as f64;
     eprintln!("{per_tick:.4} allocations per tick with {IDLE_PROCS} idle processes");
     assert!(
-        per_tick <= 1.1,
+        per_tick <= 0.01,
         "{per_tick:.3} allocations per tick with {IDLE_PROCS} idle processes"
     );
 }
+
+/// Simulated time before the blast counts as warm.
+const BLAST_WARM_UP: SimTime = SimTime::from_millis(200);
+
+/// Simulated time before a bulk transfer counts as warm.
+const BULK_WARM_UP: SimTime = SimTime::from_millis(50);
 
 /// Processes on the idle host, and the ticks measured on it.
 const IDLE_PROCS: u16 = 256;
@@ -211,17 +239,27 @@ const IDLE_TICKS: u32 = 10_000;
 /// Connections alive at once in the PCB churn cycles.
 const LIVE_PCBS: u32 = 500;
 
-/// Allocations per event with telemetry on, as a multiple of the same
-/// run with telemetry off. Warmed release runs read, on / off:
-/// BSD 0.0557 / 0.0502 (1.11×), SOFT-LRP 0.1073 / 0.1017 (1.06×),
-/// NI-LRP 0.1659 / 0.1604 (1.03×); debug builds read within 0.01× of
-/// those ratios. Without the throwaway run, BSD reads 0.0666 / 0.0502
-/// (1.33×): whichever run comes first pays the arena's cold start.
-const TELEMETRY_ALLOC_BUDGET: f64 = 1.25;
+/// Allocations per event that full telemetry may add on the warm blast.
+/// Release runs read, on / off: BSD 0.0005 / 0.0001, SOFT-LRP and NI-LRP
+/// 0.0003 / 0.0001; debug builds add the same to a larger base (below).
+/// That is under a fifth of the gap measured when the bound was a ratio
+/// of 1.25 (BSD 0.0557 − 0.0502 = 0.0055), and unlike a ratio it
+/// neither grows with `off` nor vanishes as `off` goes to zero.
+const TELEMETRY_ALLOC_BUDGET: f64 = 0.001;
+
+/// Allocations per event on the warm blast with telemetry on.
+const BLAST_ALLOCS_PER_EVENT: f64 = 0.002;
+
+/// The per-event pins hold under release codegen, the benchmark's.
+/// Debug builds re-derive every host index each 251st event
+/// (`Host::check_indexes`), whose scratch sets add 0.02-0.08 allocations
+/// per event; the differences and per-byte and per-tick bounds hold in
+/// both.
+const RELEASE: bool = !cfg!(debug_assertions);
 
 /// Allocations per event over one simulated second of the Figure-3 blast
-/// (12 000 pkts/s, Poisson, seed 7), with every host's telemetry on (as
-/// the experiment builds it) or off.
+/// (12 000 pkts/s, Poisson, seed 7) once past [`BLAST_WARM_UP`], with
+/// every host's telemetry on (as the experiment builds it) or off.
 fn fig3_allocs_per_event(arch: Architecture, telemetry: bool) -> f64 {
     let (mut world, _m) = fig3::build_seeded(arch, 12_000.0, true, 7);
     if !telemetry {
@@ -229,8 +267,9 @@ fn fig3_allocs_per_event(arch: Architecture, telemetry: bool) -> f64 {
             h.set_telemetry(false);
         }
     }
-    let allocs0 = ALLOCS.load(Ordering::Relaxed);
-    world.run_until(SimTime::from_secs(1));
+    world.run_until(BLAST_WARM_UP);
+    let (allocs0, events0) = (ALLOCS.load(Ordering::Relaxed), world.events_processed());
+    world.run_until(BLAST_WARM_UP + SimDuration::from_secs(1));
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
-    allocs as f64 / world.events_processed() as f64
+    allocs as f64 / (world.events_processed() - events0) as f64
 }

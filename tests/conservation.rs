@@ -142,10 +142,10 @@ fn telemetry_does_not_perturb_the_simulation() {
         assert!(on.hosts[0].telemetry().enabled());
         assert!(on.hosts[0].packet_ledger().conserved());
         assert!(on.hosts[0].telemetry().profiler().total() > 0);
-        assert!(!on.hosts[0].telemetry().timeline().rows().is_empty());
+        assert!(!on.hosts[0].telemetry().timeline().is_empty());
         assert!(!off.hosts[0].telemetry().enabled());
         assert_eq!(off.hosts[0].telemetry().profiler().total(), 0);
-        assert!(off.hosts[0].telemetry().timeline().rows().is_empty());
+        assert!(off.hosts[0].telemetry().timeline().is_empty());
     }
 }
 

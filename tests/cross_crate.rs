@@ -44,7 +44,7 @@ impl AppLogic for SerialClient {
                 self.state = 3;
                 SyscallOp::Send {
                     sock: self.sock.unwrap(),
-                    data: b"req".to_vec(),
+                    data: b"req"[..].into(),
                 }
             }
             (3, SyscallRet::Sent(_)) => {
@@ -122,7 +122,7 @@ impl AppLogic for OneShotServer {
                 self.state = 5;
                 SyscallOp::Send {
                     sock: self.conn.unwrap(),
-                    data: vec![0x5A; 500],
+                    data: lrp::wire::buf::filled(500, 0x5A),
                 }
             }
             (5, SyscallRet::Sent(_)) => {

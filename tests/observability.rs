@@ -117,7 +117,7 @@ fn timeline_samples_are_periodic_and_monotone() {
     let tele = r.world.hosts[0].telemetry();
     let tl = tele.timeline();
     assert_eq!(tl.columns(), TIMELINE_COLUMNS);
-    let rows = tl.rows();
+    let rows: Vec<_> = tl.rows().collect();
     assert!(rows.len() >= 40, "only {} samples in 500 ms", rows.len());
     assert_eq!(tl.dropped(), 0);
 

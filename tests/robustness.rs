@@ -85,7 +85,7 @@ impl AppLogic for TcpProbe {
                 self.state = 3;
                 SyscallOp::Send {
                     sock: self.sock.expect("socket"),
-                    data: vec![0xAB; 1024],
+                    data: lrp::wire::buf::filled(1024, 0xAB),
                 }
             }
             (3, SyscallRet::Sent(_)) => {
