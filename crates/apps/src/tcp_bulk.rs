@@ -5,7 +5,7 @@ use crate::Shared;
 use lrp_core::{AppCtx, AppLogic, SockProto, SyscallOp, SyscallRet};
 use lrp_sim::SimTime;
 use lrp_stack::SockId;
-use lrp_wire::Endpoint;
+use lrp_wire::{Endpoint, FrameBuf};
 
 /// Metrics recorded by the receiver.
 #[derive(Debug, Default)]
@@ -34,12 +34,16 @@ impl TcpBulkMetrics {
 
 /// Connects and streams `total` bytes in `chunk`-byte writes.
 ///
+/// Every full write sends the same arena buffer: the kernel queues it by
+/// reference, so a write costs a reference count, not a fill. Only a
+/// short final chunk gets its own buffer.
+///
 /// Starts after a short delay so the receiver's `listen` is in place (a
 /// lost first SYN costs a full RTO and would distort short measurements).
 pub struct TcpBulkSender {
     dst: Endpoint,
     total: usize,
-    chunk: usize,
+    chunk: FrameBuf,
     sock: Option<SockId>,
     sent: usize,
     state: u8,
@@ -52,7 +56,7 @@ impl TcpBulkSender {
         TcpBulkSender {
             dst,
             total,
-            chunk,
+            chunk: lrp_wire::buf::filled(chunk, 0xBB),
             sock: None,
             sent: 0,
             state: 255,
@@ -60,16 +64,21 @@ impl TcpBulkSender {
     }
 
     fn send_next(&mut self) -> SyscallOp {
-        let n = self.chunk.min(self.total - self.sent);
+        let n = self.chunk.len().min(self.total - self.sent);
         if n == 0 {
             return SyscallOp::Close {
                 sock: self.sock.expect("socket"),
             };
         }
         self.sent += n;
+        let data = if n == self.chunk.len() {
+            self.chunk.clone()
+        } else {
+            lrp_wire::buf::filled(n, 0xBB)
+        };
         SyscallOp::Send {
             sock: self.sock.expect("socket"),
-            data: lrp_wire::buf::filled(n, 0xBB),
+            data,
         }
     }
 }

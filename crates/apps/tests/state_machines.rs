@@ -6,7 +6,7 @@ use lrp_apps::*;
 use lrp_core::{AppCtx, AppLogic, SockProto, SyscallOp, SyscallRet};
 use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::SockId;
-use lrp_wire::{Endpoint, Ipv4Addr};
+use lrp_wire::{Endpoint, FrameBuf, Ipv4Addr};
 
 fn ctx() -> AppCtx {
     AppCtx {
@@ -343,12 +343,22 @@ fn tcp_bulk_sender_chunks_then_closes() {
     let _ = app.resume(ctx(), SyscallRet::Ok); // Startup sleep.
     let _ = app.resume(ctx(), SyscallRet::Socket(SockId(1)));
     let mut op = app.resume(ctx(), SyscallRet::Ok); // Connected.
-    let mut total = 0;
+    let mut sends = Vec::new();
     while let SyscallOp::Send { data, .. } = op {
-        total += data.len();
         op = app.resume(ctx(), SyscallRet::Sent(data.len()));
+        sends.push(data);
     }
-    assert_eq!(total, 2500);
+    let lens: Vec<usize> = sends.iter().map(|d| d.len()).collect();
+    assert_eq!(lens, [1000, 1000, 500]);
+    assert!(sends.iter().all(|d| d.iter().all(|&b| b == 0xBB)));
+    assert!(
+        FrameBuf::ptr_eq(&sends[0], &sends[1]),
+        "full chunks share one buffer"
+    );
+    assert!(
+        !FrameBuf::ptr_eq(&sends[1], &sends[2]),
+        "the short last chunk is its own"
+    );
     assert!(matches!(op, SyscallOp::Close { .. }));
     assert!(matches!(app.resume(ctx(), SyscallRet::Ok), SyscallOp::Exit));
 }

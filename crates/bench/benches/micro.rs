@@ -71,48 +71,53 @@ fn bench_checksum(c: &mut Criterion) {
     g.finish();
 }
 
-/// The socket buffer's three movers at `tcp_bulk`'s sizes: a 16 KiB
-/// application write, an MSS-sized transmit peek and a 16 KiB read, on a
-/// 32 KiB ring whose contents straddle the wrap point.
+/// The socket buffer's three movers at `tcp_bulk`'s sizes, on a 32 KiB
+/// chain of 16 KiB application payloads: adopting a write (by
+/// reference), copying an MSS-sized segment payload out of two slices
+/// into frame storage, and a 16 KiB read.
 fn bench_sockbuf(c: &mut Criterion) {
     use lrp_stack::sockbuf::ByteBuffer;
-    use lrp_wire::buf::recycle;
+    use lrp_wire::buf::{filled, recycle};
+    use lrp_wire::{tcp::PayloadBuf, FrameSlice};
     const CHUNK: usize = 16 * 1024;
     const MSS: usize = 9140;
-    let chunk = vec![0xBBu8; CHUNK];
-    // Fill the ring so its storage reaches full size, then leave 8 KiB
-    // three quarters of the way round: the next 16 KiB write wraps.
-    let three_quarters_round = || {
-        let mut ring = ByteBuffer::new(2 * CHUNK);
-        ring.write(&chunk);
-        ring.write(&chunk);
-        ring.discard(CHUNK + CHUNK / 2);
-        ring
+    let chunk = filled(CHUNK, 0xBB);
+    let write = |buf: &mut ByteBuffer| buf.adopt(FrameSlice::new(chunk.clone(), 0..CHUNK));
+    // Two payloads queued, the first half read: the buffered bytes
+    // straddle the boundary between the two slices.
+    let half_read = || {
+        let mut buf = ByteBuffer::new(2 * CHUNK);
+        write(&mut buf);
+        write(&mut buf);
+        buf.discard(CHUNK / 2);
+        buf
     };
     let mut g = c.benchmark_group("sockbuf");
     g.throughput(Throughput::Bytes(CHUNK as u64));
-    g.bench_function("write_16KiB", |b| {
-        // Every other write wraps.
-        let mut ring = three_quarters_round();
+    g.bench_function("adopt_16KiB", |b| {
+        let mut buf = half_read();
         b.iter(|| {
-            black_box(ring.write(&chunk));
-            ring.discard(CHUNK);
+            black_box(write(&mut buf));
+            buf.discard(CHUNK);
         })
     });
     g.bench_function("read_16KiB", |b| {
-        // The refill is the cost `write_16KiB` reports on its own.
-        let mut ring = three_quarters_round();
+        // The refill is the cost `adopt_16KiB` reports on its own.
+        let mut buf = half_read();
         b.iter(|| {
-            ring.write(&chunk);
-            recycle(black_box(ring.read(CHUNK)));
+            write(&mut buf);
+            recycle(black_box(buf.read(CHUNK)));
         })
     });
     g.throughput(Throughput::Bytes(MSS as u64));
-    g.bench_function("peek_mss_across_wrap", |b| {
+    g.bench_function("peek_mss_across_slices", |b| {
         // Bytes 4 096..13 236 of 24 KiB buffered, split at 8 192.
-        let mut ring = three_quarters_round();
-        ring.write(&chunk);
-        b.iter(|| recycle(black_box(ring.peek_at(CHUNK / 4, MSS))))
+        let buf = half_read();
+        b.iter(|| {
+            let mut p = PayloadBuf::with_capacity(MSS);
+            buf.peek_into(CHUNK / 4, MSS, &mut p);
+            black_box(p)
+        })
     });
     g.finish();
 }

@@ -13,7 +13,7 @@ use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::sockbuf::Datagram;
 use lrp_stack::tcp::{cookie, Actions, ConnEvent, Segment, TcpConn};
 use lrp_stack::{ReasmOutcome, SockId};
-use lrp_wire::{icmp, ipv4, proto, tcp, udp, Endpoint, FlowKey, Frame};
+use lrp_wire::{icmp, ipv4, proto, tcp, udp, Endpoint, FlowKey, Frame, FrameBuf, FrameSlice};
 use std::borrow::Cow;
 
 /// Execution context of protocol processing: determines cost discounts
@@ -123,7 +123,21 @@ impl Host {
         }
         match ih.proto {
             proto::UDP => total + self.udp_deliver(now, &ih, &payload, ctx),
-            proto::TCP => total + self.tcp_deliver(now, &ih, &payload, ctx),
+            proto::TCP => {
+                // TCP queues arrived data by reference: hand it the
+                // segment as a slice of the frame (or of the datagram
+                // reassembly built).
+                let seg = match payload {
+                    Cow::Borrowed(p) => {
+                        FrameSlice::new(bytes.clone(), ipv4::HEADER_LEN..ipv4::HEADER_LEN + p.len())
+                    }
+                    Cow::Owned(p) => {
+                        let n = p.len();
+                        FrameSlice::new(FrameBuf::from_vec(p), 0..n)
+                    }
+                };
+                total + self.tcp_deliver(now, &ih, seg, ctx)
+            }
             proto::ICMP => total + self.icmp_deliver(now, &ih, &payload, ctx),
             _ => {
                 // Unknown protocols are dropped after IP input.
@@ -419,7 +433,7 @@ impl Host {
         &mut self,
         now: SimTime,
         ih: &ipv4::Ipv4Header,
-        payload: &[u8],
+        seg: FrameSlice,
         ctx: ProtoCtx,
     ) -> SimDuration {
         // The whole frame is charged to TCP input from here on; per-drop
@@ -430,15 +444,18 @@ impl Host {
             self.tele.on_tcp_frame(now, cpu);
         }
         let cost = self.cfg.cost;
-        let mut total = cost.csum(payload.len());
-        if !tcp::verify_checksum(ih.src, ih.dst, payload) {
+        let mut total = cost.csum(seg.len());
+        if !tcp::verify_checksum(ih.src, ih.dst, &seg) {
             self.stats.drop_at(DropPoint::BadPacket);
             return total;
         }
-        let Ok((th, body)) = tcp::parse(payload) else {
+        let Ok((th, data)) = tcp::parse(&seg) else {
             self.stats.drop_at(DropPoint::BadPacket);
             return total;
         };
+        let header_len = seg.len() - data.len();
+        let mut body = seg;
+        body.advance(header_len);
         let local = Endpoint::new(ih.dst, th.dst_port);
         let remote = Endpoint::new(ih.src, th.src_port);
         let sock = match ctx {
@@ -489,7 +506,7 @@ impl Host {
         total += cost.tcp_input;
         total += self
             .tcp_run(now, sock, |conn, out| {
-                conn.on_segment_into(now, &th, body, out)
+                conn.on_segment_slice_into(now, &th, body, out)
             })
             .1;
         // TIME_WAIT channel reclamation (NI-LRP §4.2).
@@ -668,7 +685,7 @@ impl Host {
         local: Endpoint,
         remote: Endpoint,
         th: &tcp::TcpHeader,
-        body: &[u8],
+        body: FrameSlice,
     ) -> SimDuration {
         let cost = self.cfg.cost;
         let mut total = cost.tcp_input;
@@ -682,7 +699,7 @@ impl Host {
                 if self.sock_opt(child).and_then(|s| s.tcp.as_ref()).is_some() {
                     total += self
                         .tcp_run(now, child, |conn, out| {
-                            conn.on_segment_into(now, th, body, out)
+                            conn.on_segment_slice_into(now, th, body, out)
                         })
                         .1;
                 }
@@ -751,7 +768,7 @@ impl Host {
         // Any data riding on the ACK is processed by the new connection.
         total += self
             .tcp_run(now, child, |conn, out| {
-                conn.on_segment_into(now, th, body, out)
+                conn.on_segment_slice_into(now, th, body, out)
             })
             .1;
         total
@@ -789,9 +806,9 @@ impl Host {
         total
     }
 
-    /// Builds and enqueues outgoing TCP segments, draining `segments`;
-    /// returns output cost. Each payload buffer goes back to the frame
-    /// arena once its bytes are in the datagram.
+    /// Frames and enqueues outgoing TCP segments, draining `segments`;
+    /// returns output cost. Each payload becomes its frame: the headers
+    /// are written into its headroom.
     pub(crate) fn tx_segments(&mut self, sock: SockId, segments: &mut Vec<Segment>) -> SimDuration {
         let cost = self.cfg.cost;
         let mut total = SimDuration::ZERO;
@@ -807,15 +824,14 @@ impl Host {
         };
         for seg in segments.drain(..) {
             let ident = self.next_ident();
-            let dgram = tcp::build_datagram(src.addr, dst.addr, &seg.hdr, ident, &seg.payload);
             total += cost.tcp_output
                 + cost.csum(seg.payload.len() + 20)
                 + cost.ip_output
                 + cost.driver_tx_per_pkt;
+            let dgram = seg.payload.frame(src.addr, dst.addr, &seg.hdr, ident);
             if !self.ifq_enqueue_spanned(Frame::ipv4(dgram), None) {
                 self.stats.drop_at(DropPoint::IfQueue);
             }
-            lrp_wire::buf::recycle(seg.payload);
         }
         total
     }

@@ -9,7 +9,7 @@ use lrp_sched::{Account, Pid, WaitChannel, PPAUSE, PSOCK};
 use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::tcp::{TcpConn, TcpListener, TcpState};
 use lrp_stack::SockId;
-use lrp_wire::{proto, udp, Endpoint, FlowKey, FrameBuf};
+use lrp_wire::{proto, udp, Endpoint, FlowKey, FrameBuf, FrameSlice};
 
 impl Host {
     /// Executes one kernel phase for `pid`: applies its logic and reports
@@ -760,7 +760,7 @@ impl Host {
             }
         }
         let ((n, nsegs), tx) = self.tcp_run(now, sock, |conn, out| {
-            let n = conn.write_into(now, &data[off..], out);
+            let n = conn.write_slice_into(now, FrameSlice::new(data.clone(), off..data.len()), out);
             (n, out.segments.len() as u64)
         });
         let dur = cost.copy(n) + cost.tcp_output * nsegs.min(1) + tx;

@@ -87,9 +87,10 @@ pub enum SyscallOp {
     Send {
         /// Socket.
         sock: SockId,
-        /// Payload. Build it in [`lrp_wire::buf::storage`]: the kernel
-        /// drops it once the bytes are buffered, which returns the
-        /// storage to the frame arena for the next send.
+        /// Payload. Build it in [`lrp_wire::buf::storage`]: the send
+        /// buffer holds it by reference until the peer acknowledges the
+        /// bytes, and the last drop returns the storage to the frame
+        /// arena for the next send. Sending clones of one buffer is free.
         data: FrameBuf,
     },
     /// Receive a datagram (UDP) or stream data (TCP); blocks when empty.

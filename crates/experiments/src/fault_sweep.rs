@@ -65,7 +65,7 @@ pub fn bernoulli_plan(seed: u64, rate: f64) -> FaultPlan {
 }
 
 /// Bursty loss with stationary rate `rate`: mean bad-state residence
-/// [`BURST_LEN`] frames, in-burst loss [`BAD_LOSS`].
+/// 16 frames, in-burst loss 0.6.
 pub fn burst_plan(seed: u64, rate: f64) -> FaultPlan {
     if rate == 0.0 {
         return FaultPlan::none();

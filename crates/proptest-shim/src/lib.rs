@@ -252,7 +252,7 @@ impl_tuple_strategy! {
 pub mod collection {
     use super::*;
 
-    /// Size bound for [`vec`]: a fixed size or a range of sizes.
+    /// Size bound for [`vec()`]: a fixed size or a range of sizes.
     pub trait SizeRange {
         /// Draws a length.
         fn pick(&self, rng: &mut TestRng) -> usize;

@@ -7,8 +7,9 @@
 //! gauges; rate computation (delta over interval) is left to exporters so
 //! the recorded data stays raw.
 //!
-//! Memory is bounded: past [`MetricsTimeline::cap`] rows, new samples are
-//! counted but not stored.
+//! Memory is bounded: past the row cap ([`DEFAULT_TIMELINE_CAP`], or the
+//! one given to [`MetricsTimeline::with_cap`]), new samples are counted
+//! but not stored.
 
 /// One sampled row: the simulated timestamp plus one value per column.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

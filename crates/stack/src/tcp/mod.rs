@@ -41,8 +41,8 @@
 use crate::sockbuf::ByteBuffer;
 use crate::SockId;
 use lrp_sim::{SimDuration, SimTime};
-use lrp_wire::tcp::{flags, seq_ge, seq_gt, seq_le, seq_lt, TcpHeader};
-use lrp_wire::{Endpoint, FrameBuf};
+use lrp_wire::tcp::{flags, seq_ge, seq_gt, seq_le, seq_lt, PayloadBuf, TcpHeader};
+use lrp_wire::{Endpoint, FrameSlice};
 use std::collections::{BTreeMap, VecDeque};
 
 pub mod ack;
@@ -161,10 +161,9 @@ pub enum ConnEvent {
 pub struct Segment {
     /// The TCP header.
     pub hdr: TcpHeader,
-    /// Segment payload, in frame-arena storage: whoever consumes the
-    /// segment hands it back with [`lrp_wire::buf::recycle`] once the
-    /// bytes are in a datagram (dropping it instead is only slower).
-    pub payload: Vec<u8>,
+    /// Segment payload, copied from the send buffer into storage with
+    /// header room in front, so the host frames it in place.
+    pub payload: PayloadBuf,
 }
 
 /// The result of feeding the machine: segments to send and events to
@@ -316,9 +315,9 @@ pub struct TcpConn {
     irs: u32,
     rcv_nxt: u32,
     rcv_buf: ByteBuffer,
-    /// Out-of-order segments by sequence number (arena-backed: a drained
-    /// stash goes back to the frame arena when it drops).
-    ooo: BTreeMap<u32, FrameBuf>,
+    /// Out-of-order segments by sequence number, held by reference into
+    /// the frames they arrived in.
+    ooo: BTreeMap<u32, FrameSlice>,
     /// Last window we advertised (for update decisions).
     last_adv_wnd: u32,
 
@@ -455,7 +454,9 @@ impl TcpConn {
         self.rcv_buf.space().min(65_535) as u16
     }
 
-    fn make_seg(&mut self, fl: u8, seq: u32, payload: Vec<u8>, with_mss: bool) -> Segment {
+    /// A segment from us carrying `payload`; a SYN carries the MSS
+    /// option.
+    fn make_seg(&mut self, fl: u8, seq: u32, payload: PayloadBuf) -> Segment {
         self.stats.segs_out += 1;
         let wnd = self.adv_wnd();
         self.last_adv_wnd = wnd as u32;
@@ -471,15 +472,28 @@ impl TcpConn {
                 },
                 flags: fl,
                 window: wnd,
-                mss: if with_mss { Some(self.cfg.mss) } else { None },
+                mss: (fl & flags::SYN != 0).then_some(self.cfg.mss),
             },
             payload,
         }
     }
 
+    /// A segment without data.
+    fn make_ctl(&mut self, fl: u8, seq: u32) -> Segment {
+        self.make_seg(fl, seq, PayloadBuf::with_capacity(0))
+    }
+
+    /// Send-buffer bytes `[off, off + n)` copied into a segment payload:
+    /// the one copy on the send side.
+    fn send_payload(&self, off: usize, n: usize) -> PayloadBuf {
+        let mut p = PayloadBuf::with_capacity(n);
+        self.snd_buf.peek_into(off, n, &mut p);
+        p
+    }
+
     fn make_ack(&mut self) -> Segment {
         self.delack_deadline = None;
-        self.make_seg(flags::ACK, self.snd_nxt, Vec::new(), false)
+        self.make_ctl(flags::ACK, self.snd_nxt)
     }
 
     /// Begins an active open. Must be called in `Closed`.
@@ -501,7 +515,7 @@ impl TcpConn {
         self.state = TcpState::SynSent;
         self.snd_nxt = self.iss.wrapping_add(1);
         self.snd_max = self.snd_nxt;
-        let syn = self.make_seg(flags::SYN, self.iss, Vec::new(), true);
+        let syn = self.make_ctl(flags::SYN, self.iss);
         self.arm_rexmt(now);
         out.segments.push(syn);
     }
@@ -540,7 +554,7 @@ impl TcpConn {
         c.snd_wnd = syn.window as u32;
         c.snd_nxt = iss.wrapping_add(1);
         c.snd_max = c.snd_nxt;
-        let synack = c.make_seg(flags::SYN | flags::ACK, c.iss, Vec::new(), true);
+        let synack = c.make_ctl(flags::SYN | flags::ACK, c.iss);
         c.arm_rexmt(now);
         out.segments.push(synack);
         c
@@ -655,7 +669,7 @@ impl TcpConn {
                     // (RFC 1122 §4.2.3.6): an alive peer must re-ACK.
                     self.keepalive_probes_sent += 1;
                     let seq = self.snd_una.wrapping_sub(1);
-                    let seg = self.make_seg(flags::ACK, seq, vec![0], false);
+                    let seg = self.make_seg(flags::ACK, seq, PayloadBuf::from(&[0][..]));
                     out.segments.push(seg);
                     self.keepalive_deadline = Some(now + self.cfg.keepalive_intvl);
                 }
@@ -684,13 +698,13 @@ impl TcpConn {
         }
         match self.state {
             TcpState::SynSent => {
-                let syn = self.make_seg(flags::SYN, self.iss, Vec::new(), true);
+                let syn = self.make_ctl(flags::SYN, self.iss);
                 self.stats.retransmits += 1;
                 out.segments.push(syn);
                 self.arm_rexmt(now);
             }
             TcpState::SynReceived => {
-                let synack = self.make_seg(flags::SYN | flags::ACK, self.iss, Vec::new(), true);
+                let synack = self.make_ctl(flags::SYN | flags::ACK, self.iss);
                 self.stats.retransmits += 1;
                 out.segments.push(synack);
                 self.arm_rexmt(now);
@@ -728,9 +742,9 @@ impl TcpConn {
         let data_end = self.snd_base.wrapping_add(self.snd_buf.len() as u32);
         if seq_lt(self.snd_nxt, data_end) {
             let off = self.snd_nxt.wrapping_sub(self.snd_base) as usize;
-            let payload = self.snd_buf.peek_at(off, 1);
+            let payload = self.send_payload(off, 1);
             let seq = self.snd_nxt;
-            let seg = self.make_seg(flags::ACK | flags::PSH, seq, payload, false);
+            let seg = self.make_seg(flags::ACK | flags::PSH, seq, payload);
             self.stats.retransmits += 1;
             out.segments.push(seg);
         }
@@ -745,8 +759,15 @@ impl TcpConn {
     }
 
     /// [`write`](Self::write), appending to `out`; returns the bytes
-    /// accepted.
+    /// accepted. What fits is first copied into arena storage.
     pub fn write_into(&mut self, now: SimTime, data: &[u8], out: &mut Actions) -> usize {
+        let n = data.len().min(self.snd_buf.space());
+        self.write_slice_into(now, FrameSlice::from(&data[..n]), out)
+    }
+
+    /// [`write_into`](Self::write_into) of bytes the send buffer holds by
+    /// reference (4.4BSD's `sosend` queueing the user's mbufs).
+    pub fn write_slice_into(&mut self, now: SimTime, data: FrameSlice, out: &mut Actions) -> usize {
         match self.state {
             TcpState::Established | TcpState::CloseWait => {}
             _ => return 0,
@@ -757,7 +778,7 @@ impl TcpConn {
         if self.snd_buf.is_empty() && self.snd_nxt == self.snd_una {
             self.cc.on_idle_restart(now);
         }
-        let n = self.snd_buf.write(data);
+        let n = self.snd_buf.adopt(data);
         self.output_into(now, false, out);
         n
     }
@@ -824,7 +845,7 @@ impl TcpConn {
     /// [`abort`](Self::abort), appending to `out`.
     pub fn abort_into(&mut self, out: &mut Actions) {
         if !matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
-            let seg = self.make_seg(flags::RST | flags::ACK, self.snd_nxt, Vec::new(), false);
+            let seg = self.make_ctl(flags::RST | flags::ACK, self.snd_nxt);
             out.segments.push(seg);
         }
         self.state = TcpState::Closed;
@@ -871,7 +892,7 @@ impl TcpConn {
             let chunk = usable.min(avail).min(self.mss_effective as usize);
             if chunk > 0 {
                 let off = self.snd_nxt.wrapping_sub(self.snd_base) as usize;
-                let payload = self.snd_buf.peek_at(off, chunk);
+                let payload = self.send_payload(off, chunk);
                 let seq = self.snd_nxt;
                 let is_rexmit = seq_lt(seq, self.snd_max);
                 let push = off + chunk == self.snd_buf.len();
@@ -880,7 +901,7 @@ impl TcpConn {
                 } else {
                     flags::ACK
                 };
-                let seg = self.make_seg(fl, seq, payload, false);
+                let seg = self.make_seg(fl, seq, payload);
                 out.segments.push(seg);
                 self.snd_nxt = self.snd_nxt.wrapping_add(chunk as u32);
                 if is_rexmit {
@@ -907,7 +928,7 @@ impl TcpConn {
             if flight < wnd || rexmit {
                 let seq = self.snd_nxt;
                 self.fin_seq = Some(seq);
-                let seg = self.make_seg(flags::FIN | flags::ACK, seq, Vec::new(), false);
+                let seg = self.make_ctl(flags::FIN | flags::ACK, seq);
                 out.segments.push(seg);
                 self.snd_nxt = self.snd_nxt.wrapping_add(1);
                 self.snd_max = self.snd_max.max(self.snd_nxt);
@@ -930,12 +951,26 @@ impl TcpConn {
         Actions::collect(|out| self.on_segment_into(now, th, payload, out)).1
     }
 
-    /// [`on_segment`](Self::on_segment), appending to `out`.
+    /// [`on_segment`](Self::on_segment), appending to `out`. A payload is
+    /// first copied into arena storage.
     pub fn on_segment_into(
         &mut self,
         now: SimTime,
         th: &TcpHeader,
         payload: &[u8],
+        out: &mut Actions,
+    ) {
+        self.on_segment_slice_into(now, th, FrameSlice::from(payload), out);
+    }
+
+    /// [`on_segment_into`](Self::on_segment_into) of a payload held in
+    /// the frame it arrived in: in-order and out-of-order data are queued
+    /// by reference.
+    pub fn on_segment_slice_into(
+        &mut self,
+        now: SimTime,
+        th: &TcpHeader,
+        payload: FrameSlice,
         out: &mut Actions,
     ) {
         self.stats.segs_in += 1;
@@ -944,10 +979,10 @@ impl TcpConn {
                 // RFC 793: respond to anything but a RST with a RST.
                 if !th.has(flags::RST) {
                     let seg = if th.has(flags::ACK) {
-                        self.make_seg(flags::RST, th.ack, Vec::new(), false)
+                        self.make_ctl(flags::RST, th.ack)
                     } else {
                         self.rcv_nxt = th.seq.wrapping_add(payload.len() as u32 + 1);
-                        self.make_seg(flags::RST | flags::ACK, 0, Vec::new(), false)
+                        self.make_ctl(flags::RST | flags::ACK, 0)
                     };
                     out.segments.push(seg);
                 }
@@ -968,7 +1003,7 @@ impl TcpConn {
     fn on_segment_syn_sent(&mut self, now: SimTime, th: &TcpHeader, out: &mut Actions) {
         if th.has(flags::ACK) && (seq_le(th.ack, self.iss) || seq_gt(th.ack, self.snd_nxt)) {
             if !th.has(flags::RST) {
-                let seg = self.make_seg(flags::RST, th.ack, Vec::new(), false);
+                let seg = self.make_ctl(flags::RST, th.ack);
                 out.segments.push(seg);
             }
             return;
@@ -1008,7 +1043,7 @@ impl TcpConn {
             } else {
                 // Simultaneous open.
                 self.state = TcpState::SynReceived;
-                let synack = self.make_seg(flags::SYN | flags::ACK, self.iss, Vec::new(), true);
+                let synack = self.make_ctl(flags::SYN | flags::ACK, self.iss);
                 out.segments.push(synack);
                 self.arm_rexmt(now);
             }
@@ -1032,15 +1067,16 @@ impl TcpConn {
         &mut self,
         now: SimTime,
         th: &TcpHeader,
-        payload: &[u8],
+        payload: FrameSlice,
         out: &mut Actions,
     ) {
+        let len = payload.len();
         // Any segment from the peer proves it is alive: restart the
         // keepalive idle clock and forget pending probes.
         self.arm_keepalive(now);
         // RST: kill the connection if plausibly in-window.
         if th.has(flags::RST) {
-            if self.seq_acceptable(th, payload.len().max(1)) || th.seq == self.rcv_nxt {
+            if self.seq_acceptable(th, len.max(1)) || th.seq == self.rcv_nxt {
                 self.state = TcpState::Closed;
                 out.events.push(ConnEvent::Reset);
                 out.events.push(ConnEvent::Closed);
@@ -1049,13 +1085,13 @@ impl TcpConn {
         }
         // Duplicate SYN in SynReceived: retransmit the SYN|ACK.
         if th.has(flags::SYN) && self.state == TcpState::SynReceived && th.seq == self.irs {
-            let synack = self.make_seg(flags::SYN | flags::ACK, self.iss, Vec::new(), true);
+            let synack = self.make_ctl(flags::SYN | flags::ACK, self.iss);
             self.stats.retransmits += 1;
             out.segments.push(synack);
             return;
         }
         // Sequence acceptability; unacceptable segments get a bare ACK.
-        if !self.seq_acceptable(th, payload.len()) {
+        if !self.seq_acceptable(th, len) {
             let ack = self.make_ack();
             out.segments.push(ack);
             return;
@@ -1068,12 +1104,12 @@ impl TcpConn {
             }
         }
         // Data.
-        if !payload.is_empty() {
+        if len > 0 {
             self.process_data(now, th, payload, out);
         }
         // FIN.
         if th.has(flags::FIN) {
-            let fin_seq = th.seq.wrapping_add(payload.len() as u32);
+            let fin_seq = th.seq.wrapping_add(len as u32);
             if fin_seq == self.rcv_nxt {
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
                 out.events.push(ConnEvent::PeerClosed);
@@ -1198,14 +1234,14 @@ impl TcpConn {
         if seq_lt(self.snd_una, data_end) {
             let off = self.snd_una.wrapping_sub(self.snd_base) as usize;
             let n = (self.mss_effective as usize).min(self.snd_buf.len() - off);
-            let payload = self.snd_buf.peek_at(off, n);
+            let payload = self.send_payload(off, n);
             let seq = self.snd_una;
-            let seg = self.make_seg(flags::ACK, seq, payload, false);
+            let seg = self.make_seg(flags::ACK, seq, payload);
             self.stats.retransmits += 1;
             out.segments.push(seg);
         } else if let Some(fs) = self.fin_seq {
             if self.snd_una == fs {
-                let seg = self.make_seg(flags::FIN | flags::ACK, fs, Vec::new(), false);
+                let seg = self.make_ctl(flags::FIN | flags::ACK, fs);
                 self.stats.retransmits += 1;
                 out.segments.push(seg);
             }
@@ -1213,7 +1249,13 @@ impl TcpConn {
         self.arm_rexmt(now);
     }
 
-    fn process_data(&mut self, now: SimTime, th: &TcpHeader, payload: &[u8], out: &mut Actions) {
+    fn process_data(
+        &mut self,
+        now: SimTime,
+        th: &TcpHeader,
+        mut data: FrameSlice,
+        out: &mut Actions,
+    ) {
         if !matches!(
             self.state,
             TcpState::Established | TcpState::FinWait1 | TcpState::FinWait2
@@ -1221,7 +1263,6 @@ impl TcpConn {
             return;
         }
         let mut seq = th.seq;
-        let mut data = payload;
         // Trim old data.
         if seq_lt(seq, self.rcv_nxt) {
             let skip = self.rcv_nxt.wrapping_sub(seq) as usize;
@@ -1232,11 +1273,11 @@ impl TcpConn {
                 out.segments.push(ack);
                 return;
             }
-            data = &data[skip..];
+            data.advance(skip);
             seq = self.rcv_nxt;
         }
         if seq == self.rcv_nxt {
-            let n = self.rcv_buf.write(data);
+            let n = self.rcv_buf.adopt(data);
             // Data beyond buffer space is dropped (sender exceeded our
             // advertised window).
             self.rcv_nxt = self.rcv_nxt.wrapping_add(n as u32);
@@ -1249,10 +1290,11 @@ impl TcpConn {
                 if seq_gt(oseq, self.rcv_nxt) {
                     break;
                 }
-                let (oseq, od) = self.ooo.pop_first().expect("non-empty");
+                let (oseq, mut od) = self.ooo.pop_first().expect("non-empty");
                 let skip = self.rcv_nxt.wrapping_sub(oseq) as usize;
                 if skip < od.len() {
-                    let m = self.rcv_buf.write(&od[skip..]);
+                    od.advance(skip);
+                    let m = self.rcv_buf.adopt(od);
                     self.rcv_nxt = self.rcv_nxt.wrapping_add(m as u32);
                     self.stats.bytes_in += m as u64;
                 }
@@ -1270,7 +1312,7 @@ impl TcpConn {
             // Out of order: stash, then ask the strategy about dup-ACK
             // emission (the sender's fast retransmit depends on it).
             if self.ooo.len() < 64 {
-                self.ooo.entry(seq).or_insert_with(|| data.into());
+                self.ooo.entry(seq).or_insert(data);
             }
             match self.ack_policy.on_out_of_order(now) {
                 AckDecision::Now => {

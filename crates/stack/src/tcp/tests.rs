@@ -2,7 +2,7 @@
 //! between two connections with controllable loss.
 
 use super::*;
-use lrp_wire::Ipv4Addr;
+use lrp_wire::{FrameBuf, Ipv4Addr};
 
 fn ep(last: u8, port: u16) -> Endpoint {
     Endpoint::new(Ipv4Addr::new(10, 0, 0, last), port)
@@ -465,6 +465,53 @@ fn out_of_order_segments_reassembled() {
     let acts = d.b.on_segment(d.now, &seg1.hdr, &seg1.payload);
     assert!(acts.events.contains(&ConnEvent::DataReady));
     assert_eq!(d.b.read(100).0, b"AAAABBBB");
+}
+
+/// `payload` in a frame-like buffer (40 header bytes in front), held by
+/// reference.
+fn in_frame(payload: &[u8]) -> FrameSlice {
+    let bytes = [&[0u8; 40][..], payload].concat();
+    FrameSlice::new(FrameBuf::from(&bytes[..]), 40..bytes.len())
+}
+
+#[test]
+fn send_buffer_holds_the_applications_storage() {
+    let mut d = established(Driver::new(cfg()));
+    let app = FrameBuf::from(&[0xBB; 4000][..]);
+    let mut out = Actions::default();
+    let n =
+        d.a.write_slice_into(d.now, FrameSlice::new(app.clone(), 0..4000), &mut out);
+    assert_eq!(n, 4000);
+    assert!(d.a.snd_buf.holds(&app), "queued by reference");
+    // The segments sent from it are copies in their own storage.
+    assert_eq!(out.segments[0].payload, [0xBB; 1460]);
+    let mut out = Actions::default();
+    d.a.write_slice_into(d.now, FrameSlice::new(app.clone(), 1000..4000), &mut out);
+    assert_eq!(d.a.snd_buf.len(), 7000, "a partial write's rest");
+}
+
+#[test]
+fn arrived_payloads_are_held_in_their_frames() {
+    let mut d = established(Driver::new(cfg()));
+    // Two segments inside the initial window, each long enough to adopt.
+    let (_, acts1) = d.a.write(d.now, &[b'A'; 600]);
+    let (_, acts2) = d.a.write(d.now, &[b'B'; 600]);
+    let (s1, s2) = (&acts1.segments[0], &acts2.segments[0]);
+    let (f1, f2) = (in_frame(&s1.payload), in_frame(&s2.payload));
+    let mut out = Actions::default();
+    d.b.on_segment_slice_into(d.now, &s2.hdr, f2.clone(), &mut out);
+    assert!(
+        d.b.ooo
+            .values()
+            .any(|o| FrameBuf::ptr_eq(o.buf(), f2.buf())),
+        "out-of-order stash holds the frame"
+    );
+    d.b.on_segment_slice_into(d.now, &s1.hdr, f1.clone(), &mut out);
+    assert!(d.b.rcv_buf.holds(f1.buf()), "in-order payload held");
+    assert!(d.b.rcv_buf.holds(f2.buf()), "drained stash held");
+    assert!(d.b.ooo.is_empty());
+    let want = [[b'A'; 600], [b'B'; 600]].concat();
+    assert_eq!(d.b.read(usize::MAX).0, want);
 }
 
 #[test]
@@ -1091,7 +1138,7 @@ fn stale() -> Actions {
     Actions {
         segments: vec![Segment {
             hdr,
-            payload: vec![0xEE],
+            payload: PayloadBuf::from(&[0xEE][..]),
         }],
         events: vec![ConnEvent::Reset],
     }

@@ -44,7 +44,13 @@ fn lossy_transfer(payload: &[u8], drops: &[bool], delays: &[u8]) -> Vec<u8> {
             &[],
         );
         let t = now.as_nanos() + 100_000 + extra_us * 1_000;
-        queue.push(std::cmp::Reverse((t, *seqno, dir, hdr_bytes, seg.payload)));
+        queue.push(std::cmp::Reverse((
+            t,
+            *seqno,
+            dir,
+            hdr_bytes,
+            seg.payload.to_vec(),
+        )));
         *seqno += 1;
     };
     // Handshake (not subject to loss so every case converges fast).

@@ -8,6 +8,10 @@
 //! back to the arena for the next packet, so steady-state traffic
 //! leaves the allocator alone.
 //!
+//! A [`FrameSlice`] is a byte range of one, held by reference: the unit
+//! a TCP socket buffer queues, so payload bytes stay where they arrived
+//! (or where the application built them) until they are copied out.
+//!
 //! The buffer is immutable through `Deref`; the rare writer (fault
 //! injection corrupting a byte) goes through [`FrameBuf::make_mut`],
 //! which copies only when the bytes are shared. Equality is by content,
@@ -39,7 +43,9 @@ pub fn storage(cap: usize) -> Vec<u8> {
 
 /// Returns scratch storage that did not become a frame.
 pub fn recycle(v: Vec<u8>) {
-    ARENA.with(|a| a.give_storage(v));
+    // During thread teardown the arena may already be gone; the storage
+    // then just frees normally.
+    let _ = ARENA.try_with(|a| a.give_storage(v));
 }
 
 /// `len` copies of `byte` in arena storage: a send payload that goes back
@@ -78,15 +84,18 @@ impl FrameBuf {
     /// Mutable access, copy-on-write: clones the bytes first if any
     /// other `FrameBuf` shares them.
     pub fn make_mut(&mut self) -> &mut Vec<u8> {
-        let unique = Rc::get_mut(self.0.as_mut().expect("live")).is_some();
-        if !unique {
+        if self.get_mut().is_none() {
             let mut copy = storage(self.bytes().len());
             copy.extend_from_slice(self.bytes());
             *self = FrameBuf::from_vec(copy);
         }
-        Rc::get_mut(self.0.as_mut().expect("live"))
-            .expect("unique after copy")
-            .vec_mut()
+        self.get_mut().expect("unique after copy")
+    }
+
+    /// Mutable access without a copy: `None` while any other `FrameBuf`
+    /// shares the bytes.
+    pub fn get_mut(&mut self) -> Option<&mut Vec<u8>> {
+        Rc::get_mut(self.0.as_mut().expect("live")).map(PooledBuf::vec_mut)
     }
 
     /// True if both handles share the same storage (for tests asserting
@@ -132,6 +141,97 @@ impl From<&[u8]> for FrameBuf {
         let mut v = storage(s.len());
         v.extend_from_slice(s);
         FrameBuf::from_vec(v)
+    }
+}
+
+/// A byte range of a shared [`FrameBuf`]: the unit a socket buffer
+/// queues (4.4BSD's mbuf pointing into a cluster).
+///
+/// Cloning, trimming and queueing a slice move a reference, never the
+/// bytes; [`Deref`](std::ops::Deref) yields exactly the range.
+#[derive(Clone)]
+pub struct FrameSlice {
+    buf: FrameBuf,
+    start: usize,
+    end: usize,
+}
+
+impl FrameSlice {
+    /// The bytes `range` of `buf`, held by reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not within `buf`.
+    pub fn new(buf: FrameBuf, range: std::ops::Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "slice {range:?} outside a {}-byte buffer",
+            buf.len()
+        );
+        FrameSlice {
+            buf,
+            start: range.start,
+            end: range.end,
+        }
+    }
+
+    /// The buffer the slice points into.
+    pub fn buf(&self) -> &FrameBuf {
+        &self.buf
+    }
+
+    /// Drops the first `n` bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds the slice.
+    pub fn advance(&mut self, n: usize) {
+        assert!(n <= self.len(), "advance beyond slice");
+        self.start += n;
+    }
+
+    /// Keeps only the first `n` bytes (no-op if the slice is shorter).
+    pub fn truncate(&mut self, n: usize) {
+        self.end = self.end.min(self.start + n);
+    }
+
+    /// Appends as much of `bytes` as fits in place: only when the slice
+    /// ends its buffer, no other `FrameBuf` shares the buffer, and its
+    /// storage has spare capacity (it never grows). Returns the number
+    /// of bytes appended.
+    pub fn extend_in_place(&mut self, bytes: &[u8]) -> usize {
+        if self.end != self.buf.len() {
+            return 0;
+        }
+        let Some(v) = self.buf.get_mut() else {
+            return 0;
+        };
+        let n = bytes.len().min(v.capacity() - v.len());
+        v.extend_from_slice(&bytes[..n]);
+        self.end += n;
+        n
+    }
+}
+
+impl std::ops::Deref for FrameSlice {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+}
+
+impl From<&[u8]> for FrameSlice {
+    /// A copy of `bytes` in arena storage.
+    fn from(bytes: &[u8]) -> Self {
+        let buf = FrameBuf::from(bytes);
+        FrameSlice::new(buf, 0..bytes.len())
+    }
+}
+
+impl std::fmt::Debug for FrameSlice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
     }
 }
 
@@ -246,6 +346,37 @@ mod tests {
         let b = filled(300, 9);
         assert_eq!(b, [9u8; 300]);
         assert_eq!(b.bytes().as_ptr(), p, "the next payload reused the storage");
+    }
+
+    #[test]
+    fn slices_share_and_trim_without_copying() {
+        let a: FrameBuf = b"headerpayload".to_vec().into();
+        let mut s = FrameSlice::new(a.clone(), 6..13);
+        assert_eq!(&*s, b"payload");
+        assert!(FrameBuf::ptr_eq(s.buf(), &a));
+        s.advance(3);
+        s.truncate(2);
+        assert_eq!(&*s, b"lo");
+        assert_eq!(format!("{s:?}"), format!("{:?}", b"lo"));
+    }
+
+    #[test]
+    fn extend_in_place_only_at_the_unshared_end_with_room() {
+        let mut v = storage(8);
+        v.extend_from_slice(b"ab");
+        let cap = v.capacity();
+        let mut s = FrameSlice::new(FrameBuf::from_vec(v), 0..2);
+        let other = s.buf().clone();
+        assert_eq!(s.extend_in_place(b"cd"), 0, "shared");
+        drop(other);
+        assert_eq!(s.extend_in_place(b"cd"), 2);
+        assert_eq!(&*s, b"abcd");
+        let fill = vec![b'x'; cap];
+        assert_eq!(s.extend_in_place(&fill), cap - 4, "never grows the storage");
+        assert_eq!(s.buf().len(), cap);
+        let mut head = FrameSlice::new(s.buf().clone(), 0..1);
+        drop(s);
+        assert_eq!(head.extend_in_place(b"z"), 0, "does not end its buffer");
     }
 
     #[test]

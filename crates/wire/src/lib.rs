@@ -34,7 +34,7 @@ pub mod ipv4;
 pub mod tcp;
 pub mod udp;
 
-pub use buf::{frame_arena_stats, FrameBuf};
+pub use buf::{frame_arena_stats, FrameBuf, FrameSlice};
 pub use frame::Frame;
 pub use std::net::Ipv4Addr;
 

@@ -57,12 +57,12 @@ impl TcpHeader {
     }
 }
 
-/// Appends the segment (header + options + payload) to `out` and
-/// checksums it where it lies.
-fn encode_into(out: &mut Vec<u8>, src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, payload: &[u8]) {
-    let at = out.len();
+/// Writes the header (with options) into the front of `seg`, whose
+/// remaining bytes are the payload, and checksums the segment in place:
+/// the one TCP encoder.
+fn encode_in_place(seg: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader) {
     let hlen = h.wire_len();
-    let mut hdr = [0u8; HEADER_LEN + 4];
+    let mut hdr = [0u8; HEADER_LEN + MSS_OPTION_LEN];
     hdr[0..2].copy_from_slice(&h.src_port.to_be_bytes());
     hdr[2..4].copy_from_slice(&h.dst_port.to_be_bytes());
     hdr[4..8].copy_from_slice(&h.seq.to_be_bytes());
@@ -76,25 +76,123 @@ fn encode_into(out: &mut Vec<u8>, src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, p
         hdr[21] = 4; // Length.
         hdr[22..24].copy_from_slice(&mss.to_be_bytes());
     }
-    out.extend_from_slice(&hdr[..hlen]);
-    out.extend_from_slice(payload);
+    // Fixed-length copies: a variable one is a `memcpy` call per segment.
+    seg[..HEADER_LEN].copy_from_slice(&hdr[..HEADER_LEN]);
+    if hlen > HEADER_LEN {
+        seg[HEADER_LEN..hlen].copy_from_slice(&hdr[HEADER_LEN..]);
+    }
     let mut c = Checksum::new();
-    c.add_pseudo_header(src, dst, proto::TCP, (hlen + payload.len()) as u16);
-    c.add(&out[at..]);
+    c.add_pseudo_header(src, dst, proto::TCP, seg.len() as u16);
+    c.add(seg);
     let sum = c.finish();
-    out[at + 16..at + 18].copy_from_slice(&sum.to_be_bytes());
+    seg[16..18].copy_from_slice(&sum.to_be_bytes());
+}
+
+/// Length of the MSS option, the only option this module writes.
+const MSS_OPTION_LEN: usize = 4;
+
+/// Bytes in front of a [`PayloadBuf`]'s payload: an IPv4 header and an
+/// option-free TCP header.
+pub const HEADROOM: usize = ipv4::HEADER_LEN + HEADER_LEN;
+
+/// A segment payload in frame-arena storage, with [`HEADROOM`] bytes in
+/// front of it for the headers, so framing it writes the headers in
+/// place and never moves the payload.
+///
+/// Derefs to exactly the payload bytes; equality is by payload content.
+/// The storage goes back to the arena when the buffer drops, unless
+/// [`frame`](Self::frame) turned it into a datagram.
+pub struct PayloadBuf(Vec<u8>);
+
+impl PayloadBuf {
+    /// An empty payload with room for `cap` bytes. A SYN's MSS option
+    /// fits without the storage growing, since it never carries data.
+    pub fn with_capacity(cap: usize) -> Self {
+        let mut v = crate::buf::storage(HEADROOM + cap.max(MSS_OPTION_LEN));
+        v.extend_from_slice(&[0; HEADROOM]);
+        PayloadBuf(v)
+    }
+
+    /// Appends `bytes` to the payload.
+    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    /// Frames the payload as the datagram `src` → `dst` carrying header
+    /// `h` in IP datagram `ident`: both headers are written into the
+    /// headroom and the segment is checksummed where it lies. A SYN's
+    /// MSS option is inserted in front of the (empty) payload first.
+    pub fn frame(mut self, src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, ident: u16) -> Vec<u8> {
+        let mut v = std::mem::take(&mut self.0);
+        if h.mss.is_some() {
+            v.splice(HEADROOM..HEADROOM, [0; MSS_OPTION_LEN]);
+        }
+        let (ip, seg) = v.split_at_mut(ipv4::HEADER_LEN);
+        let ih = ipv4::Ipv4Header::new(src, dst, proto::TCP, ident, seg.len());
+        ip.copy_from_slice(&ih.encode());
+        encode_in_place(seg, src, dst, h);
+        v
+    }
+}
+
+impl std::ops::Deref for PayloadBuf {
+    type Target = [u8];
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        &self.0[HEADROOM..]
+    }
+}
+
+impl Drop for PayloadBuf {
+    fn drop(&mut self) {
+        crate::buf::recycle(std::mem::take(&mut self.0));
+    }
+}
+
+impl Clone for PayloadBuf {
+    fn clone(&self) -> Self {
+        PayloadBuf::from(&**self)
+    }
+}
+
+impl From<&[u8]> for PayloadBuf {
+    fn from(bytes: &[u8]) -> Self {
+        let mut p = PayloadBuf::with_capacity(bytes.len());
+        p.extend_from_slice(bytes);
+        p
+    }
+}
+
+impl std::fmt::Debug for PayloadBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+impl PartialEq for PayloadBuf {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<const N: usize> PartialEq<[u8; N]> for PayloadBuf {
+    fn eq(&self, other: &[u8; N]) -> bool {
+        **self == *other
+    }
 }
 
 /// Encodes a TCP segment (header + options + payload) with a valid
 /// checksum.
 pub fn build(src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, payload: &[u8]) -> Vec<u8> {
     let mut out = crate::buf::storage(h.wire_len() + payload.len());
-    encode_into(&mut out, src, dst, h, payload);
+    out.resize(h.wire_len(), 0);
+    out.extend_from_slice(payload);
+    encode_in_place(&mut out, src, dst, h);
     out
 }
 
-/// Builds a complete IP datagram carrying a TCP segment: IP header, TCP
-/// header and payload are written once, into one arena buffer.
+/// Builds a complete IP datagram carrying a TCP segment: the payload is
+/// copied once into a [`PayloadBuf`], which is then framed in place.
 pub fn build_datagram(
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -102,12 +200,7 @@ pub fn build_datagram(
     ident: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    let seg_len = h.wire_len() + payload.len();
-    let ih = ipv4::Ipv4Header::new(src, dst, proto::TCP, ident, seg_len);
-    let mut out = crate::buf::storage(ipv4::HEADER_LEN + seg_len);
-    out.extend_from_slice(&ih.encode());
-    encode_into(&mut out, src, dst, h, payload);
-    out
+    PayloadBuf::from(payload).frame(src, dst, h, ident)
 }
 
 /// Parses a TCP segment into `(header, payload)`.
@@ -308,6 +401,27 @@ mod tests {
                     payload.len()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn framing_writes_the_headers_without_moving_the_payload() {
+        let (s, d) = addrs();
+        let mut syn = header();
+        syn.flags = flags::SYN;
+        syn.mss = Some(9140);
+        for (h, payload) in [(header(), &b"hello"[..]), (syn, b"")] {
+            let p = PayloadBuf::from(payload);
+            assert_eq!(&*p, payload);
+            let (at, cap) = (p.as_ptr(), p.0.capacity());
+            let dgram = p.frame(s, d, &h, 42);
+            assert_eq!(dgram.capacity(), cap, "framed without growing");
+            let body = &dgram[HEADROOM + h.wire_len() - HEADER_LEN..];
+            assert_eq!(body, payload);
+            if !payload.is_empty() {
+                assert_eq!(body.as_ptr(), at, "payload framed where it lay");
+            }
+            assert_eq!(dgram, build_datagram(s, d, &h, 42, payload));
         }
     }
 
