@@ -103,7 +103,7 @@ pub struct HostConfig {
     /// uniprocessor host bit-for-bit; larger values enable per-CPU run
     /// queues, multi-queue RX steering and IPI-based cross-CPU wakeups.
     pub ncpus: usize,
-    /// Record telemetry (packet-lifecycle trace, per-stage latency
+    /// Record telemetry (causal request spans, per-stage latency
     /// histograms, frame-disposition ledger). Pure observation: the cost
     /// model, scheduling decisions and all simulated outcomes are
     /// bit-identical with telemetry on or off.

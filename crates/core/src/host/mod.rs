@@ -762,7 +762,7 @@ impl Host {
             // longer exists — `owner_dead`, not `flushed`.
             if let Some(c) = self.sock(sock).chan {
                 if self.nic.channel_exists(c) {
-                    self.destroy_channel_owner_dead(now, c);
+                    self.destroy_channel_owner_dead(c);
                 }
                 self.chan_to_sock.remove(&c);
                 self.sock_mut(sock).chan = None;
@@ -815,14 +815,14 @@ impl Host {
         self.nic.set_faults(plan);
         // (2) Flush accepted-but-undelivered frames.
         let ring = self.nic.ring_depth() as u64;
-        self.tele.on_reboot_flush(now, ring);
+        self.tele.on_reboot_flush(ring);
         self.nic.set_rx_queues(self.cfg.ncpus);
         for chan in self.nic.channel_ids() {
-            self.reboot_flush_channel(now, chan);
+            self.reboot_flush_channel(chan);
         }
         let ipq = self.ip_queue.len() as u64;
         self.ip_queue.clear();
-        self.tele.on_reboot_flush(now, ipq);
+        self.tele.on_reboot_flush(ipq);
         let _ = self.nic.ifq_clear();
         self.tele.on_reboot_clear_sidecars();
         // (3) Kill every process, applications first (in pid order), then
@@ -1307,7 +1307,7 @@ impl Host {
             for _ in 0..frags {
                 self.stats.drop_at(DropPoint::Reasm);
             }
-            self.tele.on_reasm_expired(now, frags);
+            self.tele.on_reasm_expired(frags);
             self.next_reasm_sweep = now + SimDuration::from_secs(1);
         }
         // Receive timeouts: fire only if the armed deadline is still

@@ -41,23 +41,7 @@ impl Host {
     /// Full input processing for one IP frame. Returns the CPU cost; all
     /// state changes are applied immediately.
     pub(crate) fn ip_deliver(&mut self, now: SimTime, frame: Frame, ctx: ProtoCtx) -> SimDuration {
-        let d = self.ip_deliver_inner(now, frame, ctx);
-        if self.tele.enabled() {
-            let stage = match ctx {
-                ProtoCtx::BsdSoftirq => "bsd-softirq",
-                ProtoCtx::EarlyDemuxSoftirq { .. } => "ed-softirq",
-                ProtoCtx::Lrp { lazy: true, .. } => "lrp-lazy",
-                ProtoCtx::Lrp { .. } => "lrp-thread",
-            };
-            let cpu = self.cur_cpu;
-            self.tele.on_proto(now, cpu, stage, d);
-        }
-        d
-    }
-
-    fn ip_deliver_inner(&mut self, now: SimTime, frame: Frame, ctx: ProtoCtx) -> SimDuration {
         let cost = self.cfg.cost;
-        let cpu = self.cur_cpu;
         let lazy = matches!(ctx, ProtoCtx::Lrp { lazy: true, .. });
         let scale = |d: SimDuration| if lazy { cost.lazy(d) } else { d };
         let mut total = scale(cost.ip_input + cost.proto_bytes(frame.len()));
@@ -66,13 +50,13 @@ impl Host {
             Frame::Arp(_) => {
                 // ARP handled by the proxy daemon path; count and ignore
                 // here.
-                self.tele.on_arp(now, cpu);
+                self.tele.on_arp();
                 return total;
             }
         };
         let Ok((first_hdr, first_payload)) = ipv4::parse(&bytes) else {
             self.stats.drop_at(DropPoint::BadPacket);
-            self.tele.on_drop(now, cpu, DropPoint::BadPacket);
+            self.tele.on_drop(DropPoint::BadPacket);
             return total;
         };
         // Fragment reassembly; whole datagrams pass straight through —
@@ -92,7 +76,7 @@ impl Host {
                 ReasmOutcome::Incomplete => {
                     // This frame is now held by the reassembler (the
                     // completing frame inherits the delivery disposition).
-                    self.tele.on_reasm_absorbed(now, cpu);
+                    self.tele.on_reasm_absorbed();
                     // In LRP, the missing fragments may already be waiting
                     // on the special NI fragment channel (§3.2).
                     if self.cfg.arch.is_lrp() {
@@ -105,7 +89,7 @@ impl Host {
                 }
                 ReasmOutcome::Dropped => {
                     self.stats.drop_at(DropPoint::Reasm);
-                    self.tele.on_drop(now, cpu, DropPoint::Reasm);
+                    self.tele.on_drop(DropPoint::Reasm);
                     None
                 }
             }
@@ -118,7 +102,7 @@ impl Host {
         // Packets for another host: IP forwarding (BSD path — under LRP
         // the demux function already routed them to the forward channel).
         if ih.dst != self.addr {
-            self.tele.on_forwarded(now, cpu);
+            self.tele.on_forwarded();
             return total + self.do_forward(&bytes);
         }
         match ih.proto {
@@ -142,7 +126,7 @@ impl Host {
             _ => {
                 // Unknown protocols are dropped after IP input.
                 self.stats.drop_at(DropPoint::NoSocket);
-                self.tele.on_drop(now, cpu, DropPoint::NoSocket);
+                self.tele.on_drop(DropPoint::NoSocket);
                 total
             }
         }
@@ -184,14 +168,13 @@ impl Host {
         }
         let frame = self.chan_dequeue(now, chan)?;
         let cost = self.cfg.cost;
-        let cpu = self.cur_cpu;
         let d = match &frame {
             Frame::Ipv4(b) => {
-                self.tele.on_forwarded(now, cpu);
+                self.tele.on_forwarded();
                 cost.ip_input + self.do_forward(b)
             }
             Frame::Arp(_) => {
-                self.tele.on_arp(now, cpu);
+                self.tele.on_arp();
                 cost.ip_input
             }
         };
@@ -213,12 +196,12 @@ impl Host {
         let mut total = scale(cost.udp_input) + scale(cost.csum(payload.len()));
         if lrp_wire::icmp::parse(payload).is_err() {
             self.stats.drop_at(DropPoint::BadPacket);
-            self.tele.on_drop(now, cpu, DropPoint::BadPacket);
+            self.tele.on_drop(DropPoint::BadPacket);
             return total;
         }
         let Some(sock) = self.icmp_sock.filter(|s| self.sock_opt(*s).is_some()) else {
             self.stats.drop_at(DropPoint::NoSocket);
-            self.tele.on_drop(now, cpu, DropPoint::NoSocket);
+            self.tele.on_drop(DropPoint::NoSocket);
             return total;
         };
         let rightful = self.sock(sock).owner;
@@ -228,19 +211,18 @@ impl Host {
             payload: payload.into(),
         };
         if self.sock_mut(sock).rcvq.enqueue(dgram) {
-            self.tele.on_icmp_delivered(now, cpu, sock.0 as u64);
+            self.tele.on_icmp_delivered(now, cpu);
             if !lazy {
                 total += scale(cost.sock_enqueue);
                 if self.sched.has_sleeper(sock_wchan(sock, WC_RECV)) {
                     total += cost.wakeup;
-                    self.tele.on_wakeup(now, cpu, sock.0 as u64);
                     self.wake_sock(sock, WC_RECV);
                 }
             }
         } else {
             self.stats.drop_at(DropPoint::SockBuf);
             self.sock_mut(sock).drops_sockbuf += 1;
-            self.tele.on_drop(now, cpu, DropPoint::SockBuf);
+            self.tele.on_drop(DropPoint::SockBuf);
         }
         total
     }
@@ -266,21 +248,17 @@ impl Host {
                     total +=
                         self.udp_deliver(now, &ih, &payload, ProtoCtx::Lrp { sock, lazy: false });
                     if self.sched.has_sleeper(sock_wchan(sock, WC_RECV)) {
-                        let cpu = self.cur_cpu;
-                        self.tele.on_wakeup(now, cpu, sock.0 as u64);
                         self.wake_sock(sock, WC_RECV);
                     }
                 } else {
                     self.stats.drop_at(DropPoint::NoSocket);
-                    let cpu = self.cur_cpu;
-                    self.tele.on_drop(now, cpu, DropPoint::NoSocket);
+                    self.tele.on_drop(DropPoint::NoSocket);
                 }
             } else {
                 // A completed non-UDP datagram has no receiver on this
                 // path; its completing frame stays with the reassembler
                 // bucket.
-                let cpu = self.cur_cpu;
-                self.tele.on_reasm_absorbed(now, cpu);
+                self.tele.on_reasm_absorbed();
             }
         }
         total
@@ -322,8 +300,7 @@ impl Host {
                 }
             }
             if !completer {
-                let cpu = self.cur_cpu;
-                self.tele.on_reasm_absorbed(now, cpu);
+                self.tele.on_reasm_absorbed();
             }
         }
         (total, done)
@@ -343,7 +320,7 @@ impl Host {
         let mut total = scale(cost.udp_input);
         let Ok((uh, body)) = udp::parse(payload) else {
             self.stats.drop_at(DropPoint::BadPacket);
-            self.tele.on_drop(now, cpu, DropPoint::BadPacket);
+            self.tele.on_drop(DropPoint::BadPacket);
             return total;
         };
         // Checksum verification (skipped when the sender disabled it).
@@ -351,7 +328,7 @@ impl Host {
             total += scale(cost.csum(payload.len()));
             if !udp::verify_checksum(ih.src, ih.dst, payload) {
                 self.stats.drop_at(DropPoint::BadPacket);
-                self.tele.on_drop(now, cpu, DropPoint::BadPacket);
+                self.tele.on_drop(DropPoint::BadPacket);
                 return total;
             }
         }
@@ -378,7 +355,7 @@ impl Host {
             // Closed port: drop the datagram (its own ledger disposition)
             // and answer with ICMP port unreachable (RFC 1122 §4.1.3.1).
             self.stats.drop_at(DropPoint::PortUnreach);
-            self.tele.on_drop(now, cpu, DropPoint::PortUnreach);
+            self.tele.on_drop(DropPoint::PortUnreach);
             total += scale(cost.ip_output + cost.driver_tx_per_pkt);
             // Quoted context: the offending IP header + leading 8 bytes of
             // its payload (the UDP header).
@@ -415,7 +392,6 @@ impl Host {
                 // Wake a blocked receiver (sowakeup).
                 if self.sched.has_sleeper(sock_wchan(sock, WC_RECV)) {
                     total += cost.wakeup;
-                    self.tele.on_wakeup(now, cpu, sock.0 as u64);
                     self.wake_sock(sock, WC_RECV);
                 }
             }
@@ -424,7 +400,7 @@ impl Host {
             // socket queue — the waste LRP eliminates.
             self.stats.drop_at(DropPoint::SockBuf);
             self.sock_mut(sock).drops_sockbuf += 1;
-            self.tele.on_drop(now, cpu, DropPoint::SockBuf);
+            self.tele.on_drop(DropPoint::SockBuf);
         }
         total
     }
@@ -439,10 +415,7 @@ impl Host {
         // The whole frame is charged to TCP input from here on; per-drop
         // ledger granularity stops at the transport boundary (segments are
         // not 1:1 with user-visible deliveries).
-        {
-            let cpu = self.cur_cpu;
-            self.tele.on_tcp_frame(now, cpu);
-        }
+        self.tele.on_tcp_frame();
         let cost = self.cfg.cost;
         let mut total = cost.csum(seg.len());
         if !tcp::verify_checksum(ih.src, ih.dst, &seg) {
@@ -595,8 +568,7 @@ impl Host {
                     .expect("listener")
                     .on_syn_dropped();
                 self.stats.drop_at(DropPoint::Backlog);
-                let cpu = self.cur_cpu;
-                self.tele.on_backlog_drop(now, cpu);
+                self.tele.on_backlog_drop();
                 return total;
             }
         }
@@ -689,7 +661,6 @@ impl Host {
     ) -> SimDuration {
         let cost = self.cfg.cost;
         let mut total = cost.tcp_input;
-        let cpu = self.cur_cpu;
         // An exact-match child already owns this flow (e.g. the peer
         // retransmitted the ACK after the first copy established it):
         // hand the segment over rather than re-deriving a connection.
@@ -715,7 +686,7 @@ impl Host {
                 .as_mut()
                 .expect("listener")
                 .on_cookie_rejected();
-            self.tele.on_cookie_rejected(now, cpu);
+            self.tele.on_cookie_rejected();
             return total;
         };
         // Valid cookie, but the accept queue still bounds admission: a
@@ -729,7 +700,7 @@ impl Host {
                     .expect("listener")
                     .on_syn_dropped();
                 self.stats.drop_at(DropPoint::Backlog);
-                self.tele.on_backlog_drop(now, cpu);
+                self.tele.on_backlog_drop();
                 return total;
             }
         }
@@ -763,7 +734,7 @@ impl Host {
             .on_cookie_child_established();
         self.sock_mut(lsock).accept_q.push_back(child);
         self.stats.tcp_accepted += 1;
-        self.tele.on_cookie_validated(now, cpu);
+        self.tele.on_cookie_validated();
         self.wake_sock(lsock, super::WC_ACCEPT);
         // Any data riding on the ACK is processed by the new connection.
         total += self

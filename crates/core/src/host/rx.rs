@@ -43,7 +43,7 @@ impl Host {
             Architecture::Bsd => {
                 match self.nic.rx_frame_at(now.as_nanos(), frame) {
                     RxOutcome::Interrupt(rxq) => {
-                        self.tele.on_rx(now, self.nic.stats().rx_frames, span);
+                        self.tele.on_rx(now, span);
                         // Driver: drain the ring batch (one frame unless
                         // coalescing held earlier ones back), then mbuf
                         // encapsulation into the shared IP queue; drop
@@ -55,11 +55,10 @@ impl Host {
                         for f in batch.drain(..) {
                             if self.ip_queue.len() >= self.cfg.ip_queue_limit {
                                 self.stats.drop_at(DropPoint::IpQueue);
-                                self.tele.on_drop(now, rxq % ncpus, DropPoint::IpQueue);
+                                self.tele.on_drop(DropPoint::IpQueue);
                             } else {
                                 self.ip_queue.push_back(f);
-                                let depth = self.ip_queue.len();
-                                self.tele.on_ipq_enqueue(now, depth, span);
+                                self.tele.on_ipq_enqueue(now, span);
                             }
                         }
                         self.rx_scratch = batch;
@@ -70,26 +69,18 @@ impl Host {
                             "rx-intr",
                         );
                     }
-                    RxOutcome::Dropped(NicDrop::Stalled) => {
-                        self.stats.drop_at(DropPoint::NicStall);
-                        self.tele.on_nic_drop(now, "NicStall");
-                    }
-                    RxOutcome::Dropped(_) => {
-                        self.stats.drop_at(DropPoint::RxRing);
-                        self.tele.on_nic_drop(now, "RxRing");
-                    }
+                    RxOutcome::Dropped(NicDrop::Stalled) => self.stats.drop_at(DropPoint::NicStall),
+                    RxOutcome::Dropped(_) => self.stats.drop_at(DropPoint::RxRing),
                     // Interrupt coalescing: the frame sits in the ring
                     // until the next uncoalesced interrupt batches it in.
                     // (Its span is lost — a documented trace limitation.)
-                    RxOutcome::Queued => {
-                        self.tele.on_rx(now, self.nic.stats().rx_frames, span);
-                    }
+                    RxOutcome::Queued => self.tele.on_rx(now, span),
                 }
             }
             Architecture::EarlyDemux | Architecture::SoftLrp => {
                 match self.nic.rx_frame_at(now.as_nanos(), frame) {
                     RxOutcome::Interrupt(rxq) => {
-                        self.tele.on_rx(now, self.nic.stats().rx_frames, span);
+                        self.tele.on_rx(now, span);
                         // Drain the ring batch and demux each frame in
                         // arrival order; the handler's cost covers the
                         // whole batch (per-frame driver + demux work).
@@ -110,18 +101,10 @@ impl Host {
                             "rx-intr",
                         );
                     }
-                    RxOutcome::Dropped(NicDrop::Stalled) => {
-                        self.stats.drop_at(DropPoint::NicStall);
-                        self.tele.on_nic_drop(now, "NicStall");
-                    }
-                    RxOutcome::Dropped(_) => {
-                        self.stats.drop_at(DropPoint::RxRing);
-                        self.tele.on_nic_drop(now, "RxRing");
-                    }
+                    RxOutcome::Dropped(NicDrop::Stalled) => self.stats.drop_at(DropPoint::NicStall),
+                    RxOutcome::Dropped(_) => self.stats.drop_at(DropPoint::RxRing),
                     // Coalesced: held in the ring until the next interrupt.
-                    RxOutcome::Queued => {
-                        self.tele.on_rx(now, self.nic.stats().rx_frames, span);
-                    }
+                    RxOutcome::Queued => self.tele.on_rx(now, span),
                 }
             }
             Architecture::NiLrp => {
@@ -130,7 +113,7 @@ impl Host {
                 // requested.
                 match self.nic.rx_frame_at(now.as_nanos(), frame) {
                     RxOutcome::Interrupt(rxq) => {
-                        self.tele.on_rx(now, self.nic.stats().rx_frames, span);
+                        self.tele.on_rx(now, span);
                         if let Some(chan) = self.nic.last_rx_channel() {
                             self.tele.on_chan_enqueue(now, rxq % ncpus, chan, span);
                             self.note_chan_enqueue(chan);
@@ -144,21 +127,16 @@ impl Host {
                         self.raise_hw_on(now, rxq % ncpus, cost.hw_intr_ni, "ni-intr");
                     }
                     RxOutcome::Queued => {
-                        self.tele.on_rx(now, self.nic.stats().rx_frames, span);
+                        self.tele.on_rx(now, span);
                         if let Some(chan) = self.nic.last_rx_channel() {
                             self.tele.on_chan_enqueue(now, 0, chan, span);
                             self.note_chan_enqueue(chan);
                         }
                     }
-                    RxOutcome::Dropped(NicDrop::Stalled) => {
-                        self.stats.drop_at(DropPoint::NicStall);
-                        self.tele.on_nic_drop(now, "NicStall");
-                    }
-                    RxOutcome::Dropped(_) => {
-                        // Early packet discard on the NIC: by design, no
-                        // host work at all. NIC stats carry the count.
-                        self.tele.on_nic_drop(now, "EarlyDiscard");
-                    }
+                    RxOutcome::Dropped(NicDrop::Stalled) => self.stats.drop_at(DropPoint::NicStall),
+                    // Early packet discard on the NIC: by design, no host
+                    // work at all. NIC stats carry the count.
+                    RxOutcome::Dropped(_) => {}
                 }
             }
         }
@@ -193,19 +171,18 @@ impl Host {
             }
             Verdict::NoMatch => {
                 self.stats.drop_at(DropPoint::NoSocket);
-                self.tele.on_drop(now, cpu, DropPoint::NoSocket);
+                self.tele.on_drop(DropPoint::NoSocket);
                 return extra;
             }
             Verdict::Malformed => {
                 self.stats.drop_at(DropPoint::BadPacket);
-                self.tele.on_drop(now, cpu, DropPoint::BadPacket);
+                self.tele.on_drop(DropPoint::BadPacket);
                 return extra;
             }
         };
-        self.tele.on_demux(now, cpu, chan);
         if !self.nic.channel_exists(chan) {
             self.stats.drop_at(DropPoint::Channel);
-            self.tele.on_drop(now, cpu, DropPoint::Channel);
+            self.tele.on_drop(DropPoint::Channel);
             return extra;
         }
         // Forwarded traffic wakes the forwarding daemon.
@@ -222,7 +199,7 @@ impl Host {
                 if rcvq_full || self.nic.channel(chan).is_full() {
                     self.stats.drop_at(DropPoint::Channel);
                     self.sock_mut(s).drops_channel += 1;
-                    self.tele.on_drop(now, cpu, DropPoint::Channel);
+                    self.tele.on_drop(DropPoint::Channel);
                     return extra;
                 }
             }
@@ -233,7 +210,7 @@ impl Host {
             if let Some(s) = sock {
                 self.sock_mut(s).drops_channel += 1;
             }
-            self.tele.on_drop(now, cpu, DropPoint::Channel);
+            self.tele.on_drop(DropPoint::Channel);
             return extra;
         }
         self.tele.on_chan_enqueue(now, cpu, chan, span);
@@ -419,8 +396,7 @@ impl Host {
                     if !self.nic.channel(chan).is_empty() {
                         self.ed_pending.push_back(sock);
                     }
-                    let cpu = self.cur_cpu;
-                    self.tele.note_softirq_dispatch(now, cpu, "ed-input");
+                    self.tele.note_softirq_dispatch(now);
                     let d = self.ip_deliver(now, frame, ProtoCtx::EarlyDemuxSoftirq { sock });
                     return Some((cost.softirq_dispatch + d, "ed-input"));
                 }

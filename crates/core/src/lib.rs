@@ -34,9 +34,7 @@ pub use hostfault::{CrashEvent, FaultKind, HostFaultPlan};
 pub use syscall::{
     AppCtx, AppLogic, Errno, ListenStats, SockProto, SockStats, SyscallOp, SyscallRet,
 };
-pub use telemetry::{
-    PacketLedger, SpanEvent, SpanId, Telemetry, DEFAULT_TRACE_CAP, TIMELINE_COLUMNS,
-};
+pub use telemetry::{PacketLedger, SpanEvent, SpanId, Telemetry, TIMELINE_COLUMNS};
 pub use watchdog::{AnomalyEvent, AnomalyKind, Watchdog, WatchdogSample};
 pub use world::{Event, World};
 

@@ -1,9 +1,9 @@
-//! Host telemetry: packet-lifecycle tracing, per-stage latency histograms,
+//! Host telemetry: causal request spans, per-stage latency histograms,
 //! and a frame-disposition ledger for the packet-conservation self-check.
 //!
 //! Everything in this module is *pure observation*. Hooks are called from
 //! the host's packet path at logic time; they record into side structures
-//! (a [`TraceRing`], [`Histogram`]s, counters and timestamp sidecars) and
+//! (the span log, [`Histogram`]s, counters and timestamp sidecars) and
 //! never touch the cost model, the scheduler, queue contents or any RNG —
 //! so a run with telemetry enabled is bit-identical, in simulated time and
 //! in every statistic, to the same run with it disabled. The determinism
@@ -31,19 +31,9 @@ use crate::host::{DropPoint, Host};
 use crate::watchdog::{AnomalyEvent, Watchdog, WatchdogSample};
 use lrp_demux::ChannelId;
 use lrp_sched::{Pid, ProcState};
-use lrp_sim::{
-    CycleAccount, CycleKey, FastHashMap, Histogram, MetricsTimeline, SimDuration, SimTime,
-    TraceEvent, TraceRing,
-};
+use lrp_sim::{CycleAccount, CycleKey, FastHashMap, Histogram, MetricsTimeline, SimTime};
 use lrp_wire::Frame;
 use std::collections::{BTreeMap, VecDeque};
-
-/// Default trace-ring capacity, in events. Sized to stay L2-resident
-/// (~80 KB of [`TraceEvent`]s): the ring sits on the per-packet hot path
-/// and a larger tail buffer measurably slows the simulator down by
-/// streaming every record through the cache (DESIGN.md §14's telemetry
-/// overhead budget was measured with this default).
-pub const DEFAULT_TRACE_CAP: usize = 2_048;
 
 /// Maximum stored span events per host; further events are counted in
 /// [`Telemetry::span_events_dropped`] and discarded.
@@ -132,8 +122,6 @@ fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: bool,
-    /// Packet-lifecycle event ring.
-    pub trace: TraceRing,
     /// NIC arrival → socket-buffer delivery latency (UDP/ICMP), ns.
     pub arrival_to_deliver: Histogram,
     /// Time frames spend queued on NI channels, ns.
@@ -238,7 +226,6 @@ impl Telemetry {
     pub fn new(enabled: bool) -> Self {
         Telemetry {
             enabled,
-            trace: TraceRing::new(if enabled { DEFAULT_TRACE_CAP } else { 0 }),
             arrival_to_deliver: Histogram::new(),
             channel_residency: Histogram::new(),
             softirq_dispatch: Histogram::new(),
@@ -283,17 +270,6 @@ impl Telemetry {
         self.enabled
     }
 
-    fn ev(&mut self, t: SimTime, kind: &'static str, stage: &'static str, id: u64, cpu: usize) {
-        self.trace.record(TraceEvent {
-            t_ns: t.as_nanos(),
-            kind,
-            stage,
-            id,
-            cpu: cpu as u32,
-            dur_ns: 0,
-        });
-    }
-
     /// Appends one span event, bounded by [`SPAN_LOG_CAP`].
     fn span_ev(&mut self, now: SimTime, stage: u8, span: Option<SpanId>, cpu: usize) {
         let Some(span) = span else { return };
@@ -316,36 +292,25 @@ impl Telemetry {
         }
     }
 
-    /// A frame arrived at the NIC (rx-DMA). `ordinal` is the NIC's frame
-    /// counter; `span` is the causal span riding with the frame.
-    pub(crate) fn on_rx(&mut self, now: SimTime, ordinal: u64, span: Option<SpanId>) {
+    /// A frame arrived at the NIC (rx-DMA); `span` is the causal span
+    /// riding with the frame.
+    pub(crate) fn on_rx(&mut self, now: SimTime, span: Option<SpanId>) {
         if self.enabled {
-            self.ev(now, "rx-dma", "link", ordinal, 0);
             self.span_ev(now, SP_RX, span, 0);
         }
     }
 
-    /// A frame died on the NIC (ring overrun / early discard). Ledger
-    /// counts come from NIC statistics; this only traces.
-    pub(crate) fn on_nic_drop(&mut self, now: SimTime, stage: &'static str) {
-        if self.enabled {
-            self.ev(now, "drop", stage, 0, 0);
-        }
-    }
-
-    /// A host-side frame drop: ledger + trace.
-    pub(crate) fn on_drop(&mut self, now: SimTime, cpu: usize, p: DropPoint) {
+    /// A host-side frame drop, counted in the ledger.
+    pub(crate) fn on_drop(&mut self, p: DropPoint) {
         if self.enabled {
             *self.host_drops.entry(p).or_insert(0) += 1;
-            self.ev(now, "drop", p.name(), 0, cpu);
         }
     }
 
     /// A frame entered the BSD shared IP queue.
-    pub(crate) fn on_ipq_enqueue(&mut self, now: SimTime, depth: usize, span: Option<SpanId>) {
+    pub(crate) fn on_ipq_enqueue(&mut self, now: SimTime, span: Option<SpanId>) {
         if self.enabled {
             self.ipq_ts.push_back((now, span));
-            self.ev(now, "enqueue", "ip-queue", depth as u64, 0);
             self.span_ev(now, SP_ENQ, span, 0);
         }
     }
@@ -360,15 +325,6 @@ impl Telemetry {
                 self.cur_span = span;
                 self.span_ev(now, SP_DEQ, span, cpu);
             }
-            self.ev(now, "softirq", "ip-input", 0, cpu);
-        }
-    }
-
-    /// The demux function matched a frame to a channel (host interrupt
-    /// handler, SOFT-LRP / Early-Demux).
-    pub(crate) fn on_demux(&mut self, now: SimTime, cpu: usize, chan: ChannelId) {
-        if self.enabled {
-            self.ev(now, "demux", "match", chan.0 as u64, cpu);
         }
     }
 
@@ -383,7 +339,6 @@ impl Telemetry {
     ) {
         if self.enabled {
             slot(&mut self.chan_ts, chan.0 as usize).push_back((now, span));
-            self.ev(now, "enqueue", "channel", chan.0 as u64, cpu);
             self.span_ev(now, SP_ENQ, span, cpu);
         }
     }
@@ -399,39 +354,16 @@ impl Telemetry {
                 self.cur_span = span;
                 self.span_ev(now, SP_DEQ, span, cpu);
             }
-            self.ev(now, "dequeue", "channel", chan.0 as u64, cpu);
         }
     }
 
     /// An eager softirq (Early-Demux) dispatched the just-dequeued frame:
     /// the channel residency *is* the dispatch delay.
-    pub(crate) fn note_softirq_dispatch(&mut self, now: SimTime, cpu: usize, tag: &'static str) {
+    pub(crate) fn note_softirq_dispatch(&mut self, now: SimTime) {
         if self.enabled {
             if let Some(arr) = self.cur_arrival {
                 self.softirq_dispatch.record_duration(now - arr);
             }
-            self.ev(now, "softirq", tag, 0, cpu);
-        }
-    }
-
-    /// Protocol processing of one frame finished; `dur` is its modelled
-    /// CPU cost (recorded as a span event).
-    pub(crate) fn on_proto(
-        &mut self,
-        now: SimTime,
-        cpu: usize,
-        stage: &'static str,
-        dur: SimDuration,
-    ) {
-        if self.enabled {
-            self.trace.record(TraceEvent {
-                t_ns: now.as_nanos(),
-                kind: "proto",
-                stage,
-                id: 0,
-                cpu: cpu as u32,
-                dur_ns: dur.as_nanos(),
-            });
         }
     }
 
@@ -445,12 +377,11 @@ impl Telemetry {
             let span = self.cur_span.take();
             slot(&mut self.sock_spans, sock as usize).push_back(span);
             self.span_ev(now, SP_DELIVER, span, cpu);
-            self.ev(now, "deliver", "udp", sock, cpu);
         }
     }
 
     /// An ICMP message landed in the proxy daemon's raw socket.
-    pub(crate) fn on_icmp_delivered(&mut self, now: SimTime, cpu: usize, sock: u64) {
+    pub(crate) fn on_icmp_delivered(&mut self, now: SimTime, cpu: usize) {
         if self.enabled {
             self.delivered_icmp += 1;
             if let Some(arr) = self.cur_arrival.take() {
@@ -458,54 +389,49 @@ impl Telemetry {
             }
             let span = self.cur_span.take();
             self.span_ev(now, SP_DELIVER, span, cpu);
-            self.ev(now, "deliver", "icmp", sock, cpu);
         }
     }
 
     /// A frame entered TCP input processing.
-    pub(crate) fn on_tcp_frame(&mut self, now: SimTime, cpu: usize) {
+    pub(crate) fn on_tcp_frame(&mut self) {
         if self.enabled {
             self.tcp_frames += 1;
             self.cur_arrival = None;
             self.cur_span = None;
-            self.ev(now, "deliver", "tcp", 0, cpu);
         }
     }
 
     /// A frame was handed to IP forwarding.
-    pub(crate) fn on_forwarded(&mut self, now: SimTime, cpu: usize) {
+    pub(crate) fn on_forwarded(&mut self) {
         if self.enabled {
             self.forwarded += 1;
             self.cur_arrival = None;
             self.cur_span = None;
-            self.ev(now, "deliver", "forward", 0, cpu);
         }
     }
 
     /// An ARP frame was counted and ignored.
-    pub(crate) fn on_arp(&mut self, now: SimTime, cpu: usize) {
+    pub(crate) fn on_arp(&mut self) {
         if self.enabled {
             self.arp_frames += 1;
             self.cur_arrival = None;
             self.cur_span = None;
-            self.ev(now, "deliver", "arp", 0, cpu);
         }
     }
 
     /// A fragment was absorbed by the reassembler (or unparseable channel
     /// drainage was discarded).
-    pub(crate) fn on_reasm_absorbed(&mut self, now: SimTime, cpu: usize) {
+    pub(crate) fn on_reasm_absorbed(&mut self) {
         if self.enabled {
             self.reasm_absorbed += 1;
             self.cur_arrival = None;
             self.cur_span = None;
-            self.ev(now, "deliver", "reasm", 0, cpu);
         }
     }
 
     /// A reassembly flow expired holding `frames` absorbed fragments:
     /// re-attribute them from the absorbed bucket to the expired bucket.
-    pub(crate) fn on_reasm_expired(&mut self, now: SimTime, frames: u64) {
+    pub(crate) fn on_reasm_expired(&mut self, frames: u64) {
         if self.enabled && frames > 0 {
             debug_assert!(
                 self.reasm_absorbed >= frames,
@@ -513,7 +439,6 @@ impl Telemetry {
             );
             self.reasm_absorbed = self.reasm_absorbed.saturating_sub(frames);
             self.reasm_expired += frames;
-            self.ev(now, "drop", "ReasmExpired", frames, 0);
         }
     }
 
@@ -527,13 +452,10 @@ impl Telemetry {
 
     /// A crashed process's channel was unmapped with `n` frames still
     /// queued: they died with their owner.
-    pub(crate) fn on_chan_owner_dead(&mut self, now: SimTime, chan: ChannelId, n: usize) {
+    pub(crate) fn on_chan_owner_dead(&mut self, chan: ChannelId, n: usize) {
         if self.enabled {
             self.owner_dead += n as u64;
             self.clear_chan_ts(chan);
-            if n > 0 {
-                self.ev(now, "drop", "OwnerDead", n as u64, 0);
-            }
         }
     }
 
@@ -547,12 +469,11 @@ impl Telemetry {
     /// input: re-attribute its frame from the TCP bucket to the
     /// backlog-overflow drop bucket (mirrors the reassembly-expiry
     /// re-attribution — the ledger stays conserved).
-    pub(crate) fn on_backlog_drop(&mut self, now: SimTime, cpu: usize) {
+    pub(crate) fn on_backlog_drop(&mut self) {
         if self.enabled {
             debug_assert!(self.tcp_frames > 0, "backlog drop outside TCP input");
             self.tcp_frames = self.tcp_frames.saturating_sub(1);
             *self.host_drops.entry(DropPoint::Backlog).or_insert(0) += 1;
-            self.ev(now, "drop", DropPoint::Backlog.name(), 0, cpu);
         }
     }
 
@@ -560,33 +481,30 @@ impl Telemetry {
     /// connection statelessly: re-attribute the frame from the TCP
     /// bucket to its own disposition (same pattern as
     /// [`Self::on_backlog_drop`]).
-    pub(crate) fn on_cookie_validated(&mut self, now: SimTime, cpu: usize) {
+    pub(crate) fn on_cookie_validated(&mut self) {
         if self.enabled {
             debug_assert!(self.tcp_frames > 0, "cookie ACK outside TCP input");
             self.tcp_frames = self.tcp_frames.saturating_sub(1);
             self.cookie_validated += 1;
-            self.ev(now, "deliver", "cookie-ok", 0, cpu);
         }
     }
 
     /// A handshake ACK's SYN cookie failed validation (stale, forged, or
     /// a bare ACK sprayed at the listener): re-attribute the frame from
     /// the TCP bucket to the rejected-cookie disposition.
-    pub(crate) fn on_cookie_rejected(&mut self, now: SimTime, cpu: usize) {
+    pub(crate) fn on_cookie_rejected(&mut self) {
         if self.enabled {
             debug_assert!(self.tcp_frames > 0, "cookie ACK outside TCP input");
             self.tcp_frames = self.tcp_frames.saturating_sub(1);
             self.cookie_rejected += 1;
-            self.ev(now, "drop", "CookieRejected", 0, cpu);
         }
     }
 
     /// Whole-host reboot: `n` frames that were sitting in NIC receive
     /// rings, an NI channel, or the shared IP queue die with the kernel.
-    pub(crate) fn on_reboot_flush(&mut self, now: SimTime, n: u64) {
-        if self.enabled && n > 0 {
+    pub(crate) fn on_reboot_flush(&mut self, n: u64) {
+        if self.enabled {
             self.reboot_flushed += n;
-            self.ev(now, "drop", "RebootFlushed", n, 0);
         }
     }
 
@@ -602,13 +520,6 @@ impl Telemetry {
         self.last_recv_span.fill(None);
         self.cur_arrival = None;
         self.cur_span = None;
-    }
-
-    /// A blocked receiver was woken for delivered data.
-    pub(crate) fn on_wakeup(&mut self, now: SimTime, cpu: usize, sock: u64) {
-        if self.enabled {
-            self.ev(now, "wakeup", "recv", sock, cpu);
-        }
     }
 
     /// A receive call returned data to the application. `pid` is the
@@ -628,7 +539,6 @@ impl Telemetry {
                     }
                 }
             }
-            self.ev(now, "recv", "return", sock, cpu);
         }
     }
 
@@ -977,9 +887,9 @@ impl Host {
 
     /// Destroys a crashed process's NI channel, accounting any
     /// still-queued frames to the `owner_dead` bucket.
-    pub(crate) fn destroy_channel_owner_dead(&mut self, now: SimTime, chan: ChannelId) {
+    pub(crate) fn destroy_channel_owner_dead(&mut self, chan: ChannelId) {
         let n = self.nic.channel(chan).depth();
-        self.tele.on_chan_owner_dead(now, chan, n);
+        self.tele.on_chan_owner_dead(chan, n);
         self.note_chan_empty(chan);
         self.nic.destroy_channel(chan);
     }
@@ -989,13 +899,13 @@ impl Host {
     /// (per-socket channels are destroyed by the socket teardown that
     /// follows; the fragment and proxy channels are permanent and merely
     /// emptied). Returns the number of frames flushed.
-    pub(crate) fn reboot_flush_channel(&mut self, now: SimTime, chan: ChannelId) -> u64 {
+    pub(crate) fn reboot_flush_channel(&mut self, chan: ChannelId) -> u64 {
         let mut n = 0u64;
         while self.nic.channel_mut(chan).dequeue().is_some() {
             n += 1;
         }
         self.note_chan_empty(chan);
-        self.tele.on_reboot_flush(now, n);
+        self.tele.on_reboot_flush(n);
         n
     }
 
@@ -1103,6 +1013,20 @@ impl Host {
 mod tests {
     use super::*;
     use lrp_sim::SplitMix64;
+
+    /// The span log, the host's one per-packet record, keeps the first
+    /// `SPAN_LOG_CAP` events and counts every one it turns away.
+    #[test]
+    fn span_log_is_bounded() {
+        let mut tele = Telemetry::new(true);
+        for i in 0..SPAN_LOG_CAP as u64 + 3 {
+            tele.on_span_inject(SimTime::from_nanos(i), i);
+        }
+        let log = tele.span_log();
+        assert_eq!(log.len(), SPAN_LOG_CAP);
+        assert_eq!(tele.span_events_dropped, 3);
+        assert_eq!(log.last().unwrap().span, SPAN_LOG_CAP as u64 - 1);
+    }
 
     /// Synthetic ticks through the change log, against a model that
     /// stores every process in every row, as the series once was kept:

@@ -7,13 +7,6 @@ use lrp_net::{FaultPlan, FaultStats, Injector, LinkConfig, LinkFaults, TxLink};
 use lrp_sim::{EventQueue, SimDuration, SimTime};
 use lrp_wire::{ipv4, Frame, Ipv4Addr};
 use std::collections::HashMap;
-use std::sync::OnceLock;
-
-/// Event tracing (`LRP_TRACE=1`), checked once per process.
-fn trace_enabled() -> bool {
-    static TRACE: OnceLock<bool> = OnceLock::new();
-    *TRACE.get_or_init(|| std::env::var("LRP_TRACE").is_ok())
-}
 
 /// One captured frame: `(arrival time, destination host, summary)`.
 pub type CaptureEntry = (SimTime, usize, String);
@@ -276,14 +269,9 @@ impl World {
     /// included).
     pub fn run_until(&mut self, t_end: SimTime) {
         self.start();
-        // Set LRP_TRACE=1 to stream every event to stderr (debugging).
-        let trace = trace_enabled();
         while let Some((t, ev)) = self.queue.pop_before(t_end) {
             self.now = t;
             self.events += 1;
-            if trace {
-                eprintln!("[{}] {:?}", t.as_micros(), ev);
-            }
             match ev {
                 Event::Frame(h, frame, span) => {
                     if let Some((limit, log)) = &mut self.capture {

@@ -2,15 +2,18 @@
 //!
 //! Usage: `fig3 [SECONDS] [--trace]`
 //!
-//! `--trace` additionally exports the packet trace of the representative
-//! overloaded NI-LRP run as `results/fig3-nilrp.trace.jsonl` (one event
-//! per line) and `results/fig3-nilrp.trace.json` (chrome://tracing).
-//! Traces are an on-demand debugging aid, not a checked-in result, so
-//! the default run no longer writes them.
+//! `--trace` additionally exports the span log of the representative
+//! overloaded NI-LRP run as `results/fig3-nilrp.trace.json`, a
+//! chrome://tracing (Perfetto) trace: one slice per recorded stage, tied
+//! per request by flow arrows keyed on the span id. Traces are an
+//! on-demand debugging aid, not a checked-in result, so the default run
+//! does not write them.
 
 use lrp_experiments::fig3;
 use lrp_sim::SimTime;
-use lrp_telemetry::{experiment_json, report_and_check, write_results, write_trace, Json};
+use lrp_telemetry::{
+    experiment_json, report_and_check, span_trace_chrome, write_artifact, write_results, Json,
+};
 
 /// Offered rate of the representative instrumented runs: deep in the
 /// livelock region of Figure 3.
@@ -28,7 +31,7 @@ fn main() {
     println!("{}", fig3::render(&results));
 
     // One instrumented overload run per architecture: conservation check,
-    // per-host report, and (for NI-LRP, with --trace) the packet trace.
+    // per-host report, and (for NI-LRP, with --trace) the span trace.
     let mut hosts = Vec::new();
     for arch in lrp_experiments::all_architectures() {
         let (mut world, _metrics) = fig3::build(arch, OVERLOAD_PPS, false);
@@ -36,9 +39,9 @@ fn main() {
         let label = format!("overload-{}", arch.name());
         let report = report_and_check(&world, &label);
         if trace && arch == lrp_core::Architecture::NiLrp {
-            let (jsonl, chrome) = write_trace("fig3-nilrp", &world.hosts[0].telemetry().trace)
+            let path = write_artifact("fig3-nilrp.trace", "json", &span_trace_chrome(&world))
                 .expect("write fig3 trace");
-            eprintln!("wrote {} and {}", jsonl.display(), chrome.display());
+            eprintln!("wrote {}", path.display());
         }
         hosts.push((label, report));
     }

@@ -2,8 +2,8 @@
 //!
 //! This crate provides the deterministic foundation every other crate builds
 //! on: simulated time ([`SimTime`], [`SimDuration`]), a stable-ordered event
-//! queue ([`EventQueue`]), a seedable pseudo-random number generator
-//! ([`SplitMix64`]) and measurement primitives ([`stats`]).
+//! queue ([`EventQueue`]), a seeded RNG ([`SplitMix64`]), measurement
+//! primitives ([`stats`]), the cycle account ([`profile`]) and [`timeline`].
 //!
 //! Determinism is a hard requirement: two runs of the same experiment with
 //! the same seed must produce identical results, so that the paper's figures
@@ -31,12 +31,10 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod timeline;
-pub mod trace;
 
 pub use event::EventQueue;
 pub use profile::{CycleAccount, CycleKey, FastHashMap, FoldHasher};
 pub use rng::SplitMix64;
-pub use stats::{Counter, Histogram, RateSeries, TimeWeighted, Welford};
+pub use stats::{Histogram, RateSeries, Welford};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{MetricsTimeline, TimelineRow};
-pub use trace::{TraceEvent, TraceRing};

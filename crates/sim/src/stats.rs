@@ -2,39 +2,11 @@
 //!
 //! Everything here is deliberately simple and allocation-light:
 //!
-//! - [`Counter`] — monotonically increasing event counts with named drops.
 //! - [`Welford`] — streaming mean / variance (for latency summaries).
 //! - [`Histogram`] — log-bucketed latency histogram with percentiles.
-//! - [`TimeWeighted`] — time-weighted average of a gauge (queue lengths).
 //! - [`RateSeries`] — per-interval event rates (throughput-over-time plots).
 
 use crate::time::{SimDuration, SimTime};
-
-/// A simple monotonically increasing counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    pub const fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// Streaming mean and variance via Welford's algorithm.
 #[derive(Clone, Copy, Debug, Default)]
@@ -292,58 +264,6 @@ impl Histogram {
     }
 }
 
-/// Time-weighted average of a gauge, e.g. a queue length.
-#[derive(Clone, Copy, Debug)]
-pub struct TimeWeighted {
-    value: f64,
-    last_change: SimTime,
-    weighted_sum: f64,
-    start: SimTime,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Creates a gauge with initial value 0 at time `start`.
-    pub fn new(start: SimTime) -> Self {
-        TimeWeighted {
-            value: 0.0,
-            last_change: start,
-            weighted_sum: 0.0,
-            start,
-            max: 0.0,
-        }
-    }
-
-    /// Sets the gauge to `value` at time `now`.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        let dt = now.since(self.last_change).as_nanos() as f64;
-        self.weighted_sum += self.value * dt;
-        self.value = value;
-        self.last_change = now;
-        self.max = self.max.max(value);
-    }
-
-    /// Current gauge value.
-    pub fn current(&self) -> f64 {
-        self.value
-    }
-
-    /// Largest value the gauge has held.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Time-weighted average over `[start, now]`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let total = now.since(self.start).as_nanos() as f64;
-        if total == 0.0 {
-            return self.value;
-        }
-        let dt = now.since(self.last_change).as_nanos() as f64;
-        (self.weighted_sum + self.value * dt) / total
-    }
-}
-
 /// Event counts bucketed into fixed time intervals, for rate-over-time
 /// series (e.g. delivered packets per second during an overload run).
 #[derive(Clone, Debug)]
@@ -404,14 +324,6 @@ impl RateSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn welford_known_values() {
@@ -480,18 +392,6 @@ mod tests {
         let q = h.quantile(0.5);
         let err = (q as f64 - v as f64).abs() / v as f64;
         assert!(err < 0.10, "bucket error {err} too large (q={q})");
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let t0 = SimTime::ZERO;
-        let mut g = TimeWeighted::new(t0);
-        g.set(SimTime::from_micros(0), 10.0);
-        g.set(SimTime::from_micros(10), 20.0);
-        // 10us at 10, then 10us at 20 => average 15 over 20us.
-        assert!((g.average(SimTime::from_micros(20)) - 15.0).abs() < 1e-9);
-        assert_eq!(g.max(), 20.0);
-        assert_eq!(g.current(), 20.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! contents of `schemas/`:
 //!
 //! - `schemas/results.schema.json` — the envelope schema; every
-//!   `results/*.json` document (except `*.trace.json` chrome exports)
-//!   must conform to it.
+//!   `results/*.json` document (except the `*.trace.json` span-log
+//!   export `fig3 --trace` writes) must conform to it.
 //! - `schemas/<exp>.data.schema.json` — an experiment-specific pin; the
 //!   `data` member of `results/<exp>.json` must conform to it. A data
 //!   schema whose result file does not exist is an **orphan** and fails
@@ -25,8 +25,8 @@ fn schemas_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../schemas")
 }
 
-/// Collects `results/*.json`, skipping the `*.trace.json` exports (those
-/// are chrome://tracing documents with a different shape).
+/// Collects `results/*.json`, skipping the `*.trace.json` exports (the
+/// span log as a chrome://tracing event array, a different shape).
 fn result_files() -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(results_dir())
         .ok()

@@ -1,8 +1,8 @@
 //! Experiment telemetry output: hand-rolled JSON ([`Json`]), report
 //! builders over [`lrp_core::Host`] telemetry ([`host_report`],
 //! [`world_report`]), the packet-conservation self-check
-//! ([`report_and_check`]), packet-trace export, and a minimal schema
-//! validator ([`schema::validate`]) used by CI.
+//! ([`report_and_check`]), the observability exports ([`observe`]), and
+//! a minimal schema validator ([`schema::validate`]) used by CI.
 //!
 //! Every experiment binary ends the same way: build its figure/table as
 //! before, then emit `results/<name>.json` via [`write_results`] with the
@@ -27,7 +27,6 @@ pub use report::{
     report_and_check, sock_stats_json, world_report,
 };
 
-use lrp_sim::TraceRing;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -71,19 +70,6 @@ pub fn write_artifact(name: &str, ext: &str, content: &str) -> io::Result<PathBu
     let path = dir.join(format!("{name}.{ext}"));
     std::fs::write(&path, content)?;
     Ok(path)
-}
-
-/// Writes a packet trace in both export formats:
-/// `results/<name>.trace.jsonl` (one event per line) and
-/// `results/<name>.trace.json` (chrome://tracing / Perfetto).
-pub fn write_trace(name: &str, ring: &TraceRing) -> io::Result<(PathBuf, PathBuf)> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let jsonl = dir.join(format!("{name}.trace.jsonl"));
-    std::fs::write(&jsonl, ring.to_jsonl())?;
-    let chrome = dir.join(format!("{name}.trace.json"));
-    std::fs::write(&chrome, ring.to_chrome_trace(0))?;
-    Ok((jsonl, chrome))
 }
 
 #[cfg(test)]

@@ -353,9 +353,43 @@ mod tests {
     fn chrome_trace_is_valid_json_shape() {
         let mut w = World::with_defaults();
         w.add_host(mini_host());
-        let s = span_trace_chrome(&w);
-        assert!(s.starts_with('[') && s.ends_with(']'));
+        assert_eq!(span_trace_chrome(&w), "[]");
         let b = span_breakdown_json(&w, "recv");
         assert_eq!(b.get("spans").unwrap().as_u64(), Some(0));
+
+        // The fig3 --trace export: 50 ms of NI-LRP overload (the
+        // injector starts at 50 ms).
+        let (mut w, _) = lrp_experiments::fig3::build(Architecture::NiLrp, 20_000.0, false);
+        w.run_until(lrp_sim::SimTime::from_millis(100));
+        let total: usize = w.hosts.iter().map(|h| h.telemetry().span_log().len()).sum();
+        assert!(total > 1_000, "overload records spans: {total}");
+        let doc = Json::parse(&span_trace_chrome(&w)).expect("chrome trace parses");
+        fn ph(e: &Json) -> &str {
+            e.get("ph").and_then(Json::as_str).unwrap()
+        }
+        let evs = doc.as_arr().unwrap();
+        assert_eq!(evs.iter().filter(|e| ph(e) == "X").count(), total);
+        // Per span id, its flow phases and times in output order.
+        let mut flows: BTreeMap<u64, (String, Vec<f64>)> = BTreeMap::new();
+        for e in evs.iter().filter(|e| ph(e) != "X") {
+            let (phases, times) = flows
+                .entry(e.get("id").and_then(Json::as_u64).unwrap())
+                .or_default();
+            phases.push_str(ph(e));
+            times.push(e.get("ts").and_then(Json::as_f64).unwrap());
+        }
+        assert_eq!(flows.values().map(|(p, _)| p.len()).sum::<usize>(), total);
+        for (id, (phases, times)) in &flows {
+            let ok = match phases.as_bytes() {
+                [b's'] => true,
+                [b's', mid @ .., b'f'] => mid.iter().all(|&c| c == b't'),
+                _ => false,
+            };
+            assert!(ok, "span {id}: flow phases {phases}");
+            assert!(
+                times.windows(2).all(|t| t[0] <= t[1]),
+                "span {id} out of time order"
+            );
+        }
     }
 }

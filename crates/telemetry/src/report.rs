@@ -276,13 +276,6 @@ pub fn host_report(host: &Host) -> Json {
                 ("per_process", Json::Arr(per_process)),
             ]),
         ),
-        (
-            "trace",
-            Json::obj(vec![
-                ("recorded", Json::U64(tele.trace.recorded())),
-                ("stored", Json::U64(tele.trace.len() as u64)),
-            ]),
-        ),
     ])
 }
 

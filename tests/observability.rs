@@ -1,14 +1,14 @@
 //! Tier-1 tests for the time-resolved observability layer: the
 //! simulated-cycle profiler (cross-checked against the scheduler's own
 //! accounting), the CPU-charge attribution report (the paper's
-//! mis-accounting claim, pinned), the metrics timeline, causal request
-//! spans, and the bounded trace ring.
+//! mis-accounting claim, pinned), the metrics timeline and causal request
+//! spans.
 
 use std::collections::BTreeMap;
 
-use lrp::core::{Architecture, HostConfig, DEFAULT_TRACE_CAP, TIMELINE_COLUMNS};
+use lrp::core::{Architecture, HostConfig, TIMELINE_COLUMNS};
 use lrp::experiments::{livelock_timeline as lt, table1};
-use lrp::sim::{SimTime, TraceEvent, TraceRing};
+use lrp::sim::SimTime;
 use lrp::telemetry::{attribution_json, folded_stacks, span_breakdown_json, span_paths, Json};
 
 /// The profiler is fed at the same charging choke point as the
@@ -157,47 +157,6 @@ fn timeline_samples_are_periodic_and_monotone() {
             assert!(a.0 <= b.0 && a.1 <= b.1, "a process's CPU time decreased");
         }
     }
-}
-
-/// Ring-buffer contract at capacity: overflow drops the oldest events,
-/// the drop counter is exact, memory stays bounded.
-#[test]
-fn trace_ring_overflow_drops_oldest() {
-    let mut ring = TraceRing::new(4);
-    for i in 0..10u64 {
-        ring.record(TraceEvent {
-            t_ns: i,
-            kind: "rx-dma",
-            stage: "test",
-            id: i,
-            cpu: 0,
-            dur_ns: 0,
-        });
-    }
-    assert_eq!(ring.len(), 4);
-    assert_eq!(ring.recorded(), 10);
-    assert_eq!(ring.overwritten(), 6);
-    let ts: Vec<u64> = ring.iter().map(|e| e.t_ns).collect();
-    assert_eq!(ts, vec![6, 7, 8, 9], "oldest events must go first");
-}
-
-/// Under a fig3-scale overload the host's trace ring wraps: it must stay
-/// at its configured capacity with the loss accounted for, and the
-/// retained window must be the most recent events.
-#[test]
-fn trace_ring_is_bounded_under_overload() {
-    let r = lt::run_arch(Architecture::Bsd, SimTime::from_secs(1));
-    let ring = &r.world.hosts[0].telemetry().trace;
-    assert!(
-        ring.recorded() > DEFAULT_TRACE_CAP as u64,
-        "overload run recorded only {} events — not enough to wrap",
-        ring.recorded()
-    );
-    assert_eq!(ring.len(), DEFAULT_TRACE_CAP);
-    assert_eq!(ring.overwritten(), ring.recorded() - ring.len() as u64);
-    // The retained window is the tail of the run, not the head.
-    let first_kept = ring.iter().next().unwrap().t_ns;
-    assert!(first_kept > 0, "ring still holds the very first event");
 }
 
 /// Causal request spans over the RTT workload: every ping-pong round is
