@@ -3,10 +3,13 @@
 # count against its budget. A line counts when it is in a .rs file outside
 # tests/ and benches/ and is neither blank nor a `//` comment (doc comments
 # included); in-file #[cfg(test)] modules count. Prints one row per crate
-# and exits non-zero if a crate is over its budget or has no budget row.
+# and exits non-zero if a crate's count differs from its budget or a crate
+# has no budget row.
 #
-# The table below is the one set of budgets. A change that grows a crate
-# raises its row and says why; a change that shrinks one lowers it.
+# The table below is the one set of budgets, and a ratchet: a change that
+# grows a crate raises its row and says why; a change that shrinks one
+# must lower it, so a saving cannot be spent later without a visible edit
+# here.
 #
 #     ci/lines.sh
 set -eu
@@ -27,12 +30,15 @@ while read -r crate budget; do
     if [ "$n" -gt "$budget" ]; then
         echo "lines: $crate $n > budget $budget" >&2
         status=1
+    elif [ "$n" -lt "$budget" ]; then
+        echo "lines: $crate $n < budget $budget; lower its row" >&2
+        status=1
     fi
     printf '%-16s %6d / %6d\n' "$crate" "$n" "$budget"
 done <<'EOF'
 apps 1704
 bench 0
-core 5801
+core 5581
 criterion-shim 126
 demux 427
 experiments 3818

@@ -2,7 +2,15 @@
 
 use crate::cost::CostModel;
 use lrp_sim::SimDuration;
-use lrp_stack::tcp::{CcAlgo, TcpConfig};
+use lrp_stack::tcp::TcpConfig;
+
+/// The statclock period: the world ticks every host this often, the
+/// scheduler accrues `estcpu` and decays priorities in these units, and
+/// the watchdog samples once per tick.
+pub const TICK: SimDuration = SimDuration::from_millis(10);
+
+/// The round-robin quantum for processes of equal priority.
+pub const QUANTUM: SimDuration = SimDuration::from_millis(100);
 
 /// The four network-subsystem architectures compared in the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -64,25 +72,14 @@ pub struct HostConfig {
     pub arch: Architecture,
     /// CPU cost model.
     pub cost: CostModel,
-    /// TCP parameters.
+    /// TCP parameters of every connection on this host, its congestion
+    /// controller ([`TcpConfig::cc`]) included.
     pub tcp: TcpConfig,
-    /// Congestion controller every TCP connection on this host is created
-    /// with (stamped into [`TcpConfig::cc`] at connection creation). The
-    /// default, NewReno, is bit-identical to the pre-modular stack.
-    pub tcp_cc: CcAlgo,
-    /// Shared IP queue limit (BSD; `ipqmaxlen` = 50 in 4.4BSD).
-    pub ip_queue_limit: usize,
     /// NI channel receive-queue limit, in packets.
     pub channel_limit: usize,
-    /// UDP socket receive-buffer limit, in bytes.
-    pub sockbuf_limit: usize,
-    /// Compute UDP checksums (the paper's UDP tests disable them).
-    pub udp_checksum: bool,
     /// LRP: perform the redundant PCB lookup anyway (the paper's Figure 5
     /// control, eliminating demux-efficiency bias).
     pub redundant_pcb_lookup: bool,
-    /// LRP: run the minimal-priority idle protocol thread (§3.3).
-    pub idle_thread: bool,
     /// LRP: run the asynchronous protocol processing (APP) thread for TCP
     /// (§3.4). Disabling it is the paper's thought experiment: receiver
     /// processing only in `recv` context, at most one congestion window
@@ -91,14 +88,6 @@ pub struct HostConfig {
     /// NI-LRP: reclaim a connection's NI channel when it enters TIME_WAIT
     /// (§4.2 scaling discussion).
     pub time_wait_channel_reclaim: bool,
-    /// Maximum sockets/channels.
-    pub max_sockets: usize,
-    /// Link MTU (ATM LAN: 9180).
-    pub mtu: usize,
-    /// Statclock tick.
-    pub tick: SimDuration,
-    /// Round-robin quantum.
-    pub quantum: SimDuration,
     /// Number of simulated CPUs. 1 (the default) reproduces the classic
     /// uniprocessor host bit-for-bit; larger values enable per-CPU run
     /// queues, multi-queue RX steering and IPI-based cross-CPU wakeups.
@@ -127,19 +116,10 @@ impl HostConfig {
             arch,
             cost: CostModel::sparc20(),
             tcp: TcpConfig::default(),
-            tcp_cc: CcAlgo::NewReno,
-            ip_queue_limit: 50,
             channel_limit: 64,
-            sockbuf_limit: 41_600,
-            udp_checksum: false,
             redundant_pcb_lookup: false,
-            idle_thread: true,
             tcp_app_processing: true,
             time_wait_channel_reclaim: true,
-            max_sockets: 4096,
-            mtu: 9180,
-            tick: SimDuration::from_millis(10),
-            quantum: SimDuration::from_millis(100),
             ncpus: 1,
             telemetry: false,
             syn_cache: false,
@@ -178,8 +158,6 @@ mod tests {
     #[test]
     fn defaults_sane() {
         let c = HostConfig::new(Architecture::SoftLrp);
-        assert_eq!(c.ip_queue_limit, 50);
         assert!(c.channel_limit > 0);
-        assert!(c.mtu >= 9000, "ATM LAN MTU");
     }
 }

@@ -111,52 +111,44 @@ impl Host {
             Some(r) if matches!(r.kind, WorkKind::Hw) => {
                 // Interrupts queue behind the current handler.
                 self.cpus[cpu].pending_hw.push_back((cost, victim, stage));
+                return;
             }
             Some(_) => {
                 // Preempt: settle and suspend the current chunk.
                 let (kind, charge, meta, remaining) =
                     self.settle_running(now, cpu).expect("running chunk");
-                match kind {
-                    WorkKind::Soft => {
-                        self.cpus[cpu].susp_soft = Some(Suspended {
-                            kind,
-                            charge,
-                            meta,
-                            remaining,
-                        });
-                    }
-                    WorkKind::Proc { .. } => {
-                        self.cpus[cpu].susp_proc = Some(Suspended {
-                            kind,
-                            charge,
-                            meta,
-                            remaining,
-                        });
-                    }
+                let c = &mut self.cpus[cpu];
+                let slot = match kind {
+                    WorkKind::Soft => &mut c.susp_soft,
+                    WorkKind::Proc { .. } => &mut c.susp_proc,
                     WorkKind::Hw => unreachable!("handled above"),
-                }
-                self.stats.hw_chunks += 1;
-                self.start_chunk(
-                    now,
-                    cpu,
-                    WorkKind::Hw,
-                    victim.map(|p| (p, Account::Interrupt)),
-                    ChunkMeta::stage(stage),
-                    cost,
-                );
+                };
+                *slot = Some(Suspended {
+                    kind,
+                    charge,
+                    meta,
+                    remaining,
+                });
             }
-            None => {
-                self.stats.hw_chunks += 1;
-                self.start_chunk(
-                    now,
-                    cpu,
-                    WorkKind::Hw,
-                    victim.map(|p| (p, Account::Interrupt)),
-                    ChunkMeta::stage(stage),
-                    cost,
-                );
-            }
+            None => {}
         }
+        self.start_hw(now, cpu, cost, victim, stage);
+    }
+
+    /// Starts a hardware-interrupt chunk on idle `cpu`, charged to the
+    /// process it interrupted, if any.
+    fn start_hw(
+        &mut self,
+        now: SimTime,
+        cpu: usize,
+        cost: SimDuration,
+        victim: Option<Pid>,
+        stage: &'static str,
+    ) {
+        self.stats.hw_chunks += 1;
+        let charge = victim.map(|p| (p, Account::Interrupt));
+        let meta = ChunkMeta::stage(stage);
+        self.start_chunk(now, cpu, WorkKind::Hw, charge, meta, cost);
     }
 
     /// The process whose context underlies `cpu`'s current activity (for
@@ -311,27 +303,12 @@ impl Host {
         loop {
             // 1. Hardware interrupts first.
             if let Some((cost, victim, stage)) = self.cpus[cpu].pending_hw.pop_front() {
-                self.stats.hw_chunks += 1;
-                self.start_chunk(
-                    now,
-                    cpu,
-                    WorkKind::Hw,
-                    victim.map(|p| (p, Account::Interrupt)),
-                    ChunkMeta::stage(stage),
-                    cost,
-                );
+                self.start_hw(now, cpu, cost, victim, stage);
                 return;
             }
             // 2. Suspended softirq resumes.
             if let Some(s) = self.cpus[cpu].susp_soft.take() {
-                self.cpus[cpu].bump();
-                self.cpus[cpu].running = Some(Running {
-                    kind: s.kind,
-                    charge: s.charge,
-                    meta: s.meta,
-                    started: now,
-                    ends: now + s.remaining,
-                });
+                self.start_chunk(now, cpu, s.kind, s.charge, s.meta, s.remaining);
                 return;
             }
             // 3. New softirq job (BSD / Early-Demux protocol work, and
@@ -396,14 +373,8 @@ impl Host {
                     self.preempt_to_exec(pid, next, s.remaining, account, charge_pid, s.meta);
                     continue;
                 }
-                self.cpus[cpu].bump();
-                self.cpus[cpu].running = Some(Running {
-                    kind: WorkKind::Proc { pid, next },
-                    charge: s.charge,
-                    meta: s.meta,
-                    started: now,
-                    ends: now + s.remaining,
-                });
+                let kind = WorkKind::Proc { pid, next };
+                self.start_chunk(now, cpu, kind, s.charge, s.meta, s.remaining);
                 return;
             }
             // 5. Ask the scheduler (own run queue first, then idle-steal).

@@ -52,8 +52,8 @@ impl Host {
     }
 
     /// `chan` was just drained or is about to be destroyed: its socket
-    /// leaves the ready set. A socket being freed has left it already
-    /// (`free_socket`), so a socket found here is still in the table.
+    /// leaves the ready set. The socket is still in the table:
+    /// `free_socket` closes the channel before it takes the slot.
     pub(crate) fn note_chan_empty(&mut self, chan: ChannelId) {
         if let Some(&sock) = self.chan_to_sock.get(&chan) {
             if self.ready_socks.remove(&sock) {

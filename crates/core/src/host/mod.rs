@@ -5,7 +5,7 @@
 //! # Execution model
 //!
 //! The host is driven by the [`World`](crate::world::World): frames arrive
-//! via [`Host::on_frame`], CPU work completions via
+//! via [`Host::on_frame_span`], CPU work completions via
 //! [`Host::on_cpu_complete`], kernel timers via [`Host::on_timer`], and
 //! the statclock via [`Host::on_tick`]. The host never blocks; it models
 //! each CPU as a resource executing *work chunks* with three preemption
@@ -40,7 +40,7 @@ mod proto;
 mod rx;
 mod syscalls;
 
-use crate::config::{Architecture, HostConfig};
+use crate::config::{Architecture, HostConfig, QUANTUM, TICK};
 use crate::hostfault::{FaultKind, HostFaultPlan, HostFaultState};
 use crate::syscall::{AppLogic, Errno, SockProto, SyscallOp, SyscallRet};
 use lrp_demux::ChannelId;
@@ -50,7 +50,7 @@ use lrp_sim::{FastHashMap, SimDuration, SimTime};
 use lrp_stack::sockbuf::DatagramQueue;
 use lrp_stack::tcp::{Actions, TcpConn, TcpListener, TcpStats};
 use lrp_stack::{PcbTable, Reassembler, SockId};
-use lrp_wire::{Endpoint, Frame, FrameBuf, Ipv4Addr};
+use lrp_wire::{Endpoint, FlowKey, Frame, FrameBuf, Ipv4Addr};
 use pidmap::PidMap;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -151,6 +151,21 @@ impl HostStats {
         self.drops.values().sum()
     }
 }
+
+/// The BSD shared IP queue's limit, in frames (`ipqmaxlen` in 4.4BSD).
+pub(crate) const IP_QUEUE_LIMIT: usize = 50;
+
+/// UDP socket receive-buffer limit, in bytes.
+const SOCKBUF_LIMIT: usize = 41_600;
+
+/// Maximum sockets, and so NI channels and demux filters, per host.
+const MAX_SOCKETS: usize = 4096;
+
+/// Interval between scheduler decay passes (`schedcpu` runs at 1 Hz).
+const DECAY_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Statclock ticks per decay pass.
+const DECAY_TICKS: u64 = DECAY_INTERVAL.as_nanos() / TICK.as_nanos();
 
 /// Wait-channel kinds hung off a socket.
 pub(crate) const WC_RECV: u64 = 0;
@@ -525,6 +540,15 @@ pub(crate) struct RestartSpec {
     factory: Box<dyn Fn() -> Box<dyn AppLogic>>,
 }
 
+/// Fresh telemetry for the host at `addr`. Host-minted span ids are tagged
+/// with the address's last octet so spans from different hosts never
+/// collide.
+fn host_telemetry(enabled: bool, addr: Ipv4Addr) -> crate::telemetry::Telemetry {
+    let mut tele = crate::telemetry::Telemetry::new(enabled);
+    tele.set_span_tag((1u64 << 63) | ((addr.octets()[3] as u64) << 48));
+    tele
+}
+
 /// Removes and returns the earliest entry of a deadline map if it is due.
 fn pop_due<V>(map: &mut BTreeMap<SimTime, V>, now: SimTime) -> Option<V> {
     let first = map.first_entry()?;
@@ -552,13 +576,13 @@ impl Host {
             Architecture::NiLrp => DemuxMode::Ni,
         };
         assert!(cfg.ncpus > 0, "a host needs at least one CPU");
-        let mut nic = Nic::new(demux_mode, addr, cfg.max_sockets);
+        let mut nic = Nic::new(demux_mode, addr, MAX_SOCKETS);
         nic.set_default_channel_limit(cfg.channel_limit);
         nic.set_rx_queues(cfg.ncpus);
         let sched_cfg = SchedConfig {
-            tick: cfg.tick,
-            quantum: cfg.quantum,
-            decay_interval: SimDuration::from_secs(1),
+            tick: TICK,
+            quantum: QUANTUM,
+            decay_interval: DECAY_INTERVAL,
             ncpus: cfg.ncpus,
         };
         let mut host = Host {
@@ -604,7 +628,7 @@ impl Host {
             pending_charge: None,
             live_socks: BTreeSet::new(),
             chan_to_sock: FastHashMap::default(),
-            tele: crate::telemetry::Telemetry::new(cfg.telemetry),
+            tele: host_telemetry(cfg.telemetry, addr),
             recv_deadlines: BTreeMap::new(),
             recv_seq: PidMap::default(),
             recv_deadline_seq: 0,
@@ -618,38 +642,52 @@ impl Host {
             reboot_log: Vec::new(),
             forwarding_nice: 0,
         };
-        // Host-minted span ids: tagged with the address's last octet so
-        // spans from different hosts never collide.
-        host.tele
-            .set_span_tag((1u64 << 63) | ((addr.octets()[3] as u64) << 48));
-        if host.cfg.arch == Architecture::NiLrp {
-            // Demand interrupts for the shared fragment channel so a
-            // blocked receiver learns about misordered fragments.
-            let frag = host.nic.fragment_channel;
-            host.nic.channel_mut(frag).intr_requested = true;
-        }
-        if host.cfg.arch.is_lrp() {
-            // The dedicated kernel process for asynchronous TCP protocol
-            // processing (§3.4); priority pinned dynamically to the owning
-            // application's priority.
-            if host.cfg.tcp_app_processing {
-                let app = host.sched.spawn_fixed("app-thread", lrp_sched::PUSER);
-                host.exec.insert(app, ProcExec::Cont(Cont::AppThreadStep));
-                // Kernel threads drain global protocol state; pin them to
-                // CPU 0 so the idle-steal balancer cannot migrate them.
-                host.sched.set_affinity(app, Some(0));
-                host.app_thread = Some(app);
-            }
-            if host.cfg.idle_thread {
-                // Minimal-priority thread that performs protocol
-                // processing when the CPU would otherwise idle (§3.3).
-                let idle = host.sched.spawn_fixed("idle-proto", 126);
-                host.exec.insert(idle, ProcExec::Cont(Cont::IdleThreadStep));
-                host.sched.set_affinity(idle, Some(0));
-                host.idle_thread = Some(idle);
-            }
-        }
+        host.spawn_kernel_threads();
         host
+    }
+
+    /// Starts what the LRP kernel runs of its own, where it is not running
+    /// yet: NI-LRP's demand interrupt on the shared fragment channel, so
+    /// a blocked receiver learns about misordered fragments; then the
+    /// APP thread (§3.4, unless ablated), the idle protocol thread (§3.3)
+    /// and, once forwarding is on, the forwarding daemon (§3.5). The
+    /// spawn order fixes their pids. Kernel threads drain global protocol
+    /// state, so each is pinned to CPU 0, out of the idle-steal
+    /// balancer's reach.
+    fn spawn_kernel_threads(&mut self) {
+        if !self.cfg.arch.is_lrp() {
+            return;
+        }
+        let ni = self.cfg.arch == Architecture::NiLrp;
+        if ni {
+            let frag = self.nic.fragment_channel;
+            self.nic.channel_mut(frag).intr_requested = true;
+        }
+        let start = |host: &mut Host, pid: Pid, step: Cont| {
+            host.exec.insert(pid, ProcExec::Cont(step));
+            host.sched.set_affinity(pid, Some(0));
+            Some(pid)
+        };
+        if self.cfg.tcp_app_processing && self.app_thread.is_none() {
+            // Its priority is pinned to the owning applications' (§3.4).
+            let pid = self.sched.spawn_fixed("app-thread", lrp_sched::PUSER);
+            self.app_thread = start(self, pid, Cont::AppThreadStep);
+        }
+        if self.idle_thread.is_none() {
+            let pid = self.sched.spawn_fixed("idle-proto", 126);
+            self.idle_thread = start(self, pid, Cont::IdleThreadStep);
+        }
+        if self.forwarding_enabled && self.forward_daemon.is_none() {
+            let pid = self
+                .sched
+                .spawn("ipfwd", self.forwarding_nice, SimDuration::ZERO);
+            self.forward_daemon = start(self, pid, Cont::ForwardStep);
+            // The forward proxy channel belongs to the NIC, not a socket:
+            // it outlives a reboot, but its interrupt needs arming.
+            if let Some(chan) = self.nic.proxies().forward.filter(|_| ni) {
+                self.nic.channel_mut(chan).intr_requested = true;
+            }
+        }
     }
 
     /// Spawns an application process.
@@ -740,11 +778,7 @@ impl Host {
         if matches!(self.exec.get(pid), Some(ProcExec::Exited)) || !self.apps.contains_key(pid) {
             return;
         }
-        self.exec.insert(pid, ProcExec::Exited);
-        self.sched.exit(pid);
-        self.apps.remove(pid);
-        self.recv_seq.remove(pid);
-        self.crash_log.push((now, pid));
+        self.kill(now, pid);
         let owned: Vec<SockId> = self
             .live_sockets()
             .filter(|s| s.owner == pid)
@@ -760,13 +794,7 @@ impl Host {
             // Unmap the NI channel before protocol teardown: frames
             // still queued there were accepted for a process that no
             // longer exists — `owner_dead`, not `flushed`.
-            if let Some(c) = self.sock(sock).chan {
-                if self.nic.channel_exists(c) {
-                    self.destroy_channel_owner_dead(c);
-                }
-                self.chan_to_sock.remove(&c);
-                self.sock_mut(sock).chan = None;
-            }
+            self.close_channel(sock, true);
             if self.sock(sock).tcp.is_some() {
                 // The Closed event tears the socket down and frees it
                 // (closed_by_app is set).
@@ -774,6 +802,19 @@ impl Host {
             } else {
                 self.free_socket(sock);
             }
+        }
+    }
+
+    /// Ends process `pid` on the spot: it is marked exited (pending
+    /// continuations evaporate, wakeups no-op) and leaves the scheduler;
+    /// an application also leaves the application table and enters the
+    /// crash log.
+    fn kill(&mut self, now: SimTime, pid: Pid) {
+        self.exec.insert(pid, ProcExec::Exited);
+        self.sched.exit(pid);
+        self.recv_seq.remove(pid);
+        if self.apps.remove(pid).is_some() {
+            self.crash_log.push((now, pid));
         }
     }
 
@@ -828,20 +869,13 @@ impl Host {
         // (3) Kill every process, applications first (in pid order), then
         // the kernel daemons.
         let pids: Vec<Pid> = self.apps.keys().collect();
-        for pid in pids {
-            self.exec.insert(pid, ProcExec::Exited);
-            self.sched.exit(pid);
-            self.apps.remove(pid);
-            self.crash_log.push((now, pid));
-        }
         let daemons = [
             self.app_thread.take(),
             self.idle_thread.take(),
             self.forward_daemon.take(),
         ];
-        for t in daemons.into_iter().flatten() {
-            self.exec.insert(t, ProcExec::Exited);
-            self.sched.exit(t);
+        for pid in pids.into_iter().chain(daemons.into_iter().flatten()) {
+            self.kill(now, pid);
         }
         // (4) All sockets go cold — freed directly, no protocol goodbye.
         // The per-socket channels were drained in (2), so the `flushed`
@@ -881,41 +915,7 @@ impl Host {
     /// fresh incarnation.
     fn complete_boot(&mut self, now: SimTime) {
         self.boot_at = None;
-        if self.cfg.arch == Architecture::NiLrp {
-            let frag = self.nic.fragment_channel;
-            self.nic.channel_mut(frag).intr_requested = true;
-        }
-        if self.cfg.arch.is_lrp() {
-            if self.cfg.tcp_app_processing {
-                let app = self.sched.spawn_fixed("app-thread", lrp_sched::PUSER);
-                self.exec.insert(app, ProcExec::Cont(Cont::AppThreadStep));
-                self.sched.set_affinity(app, Some(0));
-                self.app_thread = Some(app);
-            }
-            if self.cfg.idle_thread {
-                let idle = self.sched.spawn_fixed("idle-proto", 126);
-                self.exec.insert(idle, ProcExec::Cont(Cont::IdleThreadStep));
-                self.sched.set_affinity(idle, Some(0));
-                self.idle_thread = Some(idle);
-            }
-            if self.forwarding_enabled {
-                let pid = self
-                    .sched
-                    .spawn("ipfwd", self.forwarding_nice, SimDuration::ZERO);
-                self.exec.insert(pid, ProcExec::Cont(Cont::ForwardStep));
-                self.sched.set_affinity(pid, Some(0));
-                self.forward_daemon = Some(pid);
-                // The forward proxy channel belongs to the NIC, not a
-                // socket — it survived; only re-arm its interrupt.
-                if self.cfg.arch == Architecture::NiLrp {
-                    if let Some(chan) = self.nic.proxies().forward {
-                        if self.nic.channel_exists(chan) {
-                            self.nic.channel_mut(chan).intr_requested = true;
-                        }
-                    }
-                }
-            }
-        }
+        self.spawn_kernel_threads();
         let olds: Vec<Pid> = self.restartable.keys().collect();
         for old in olds {
             self.restart_process(now, old);
@@ -993,16 +993,6 @@ impl Host {
         self.nic.stats().rx_frames
     }
 
-    /// The TCP parameters new connections on this host are created with:
-    /// [`HostConfig::tcp`] stamped with the host's congestion-controller
-    /// selection ([`HostConfig::tcp_cc`]).
-    pub(crate) fn tcp_config(&self) -> lrp_stack::tcp::TcpConfig {
-        lrp_stack::tcp::TcpConfig {
-            cc: self.cfg.tcp_cc,
-            ..self.cfg.tcp
-        }
-    }
-
     /// Host-wide TCP counters: closed-connection totals folded at socket
     /// free plus every live connection's current statistics.
     pub fn tcp_totals(&self) -> TcpStats {
@@ -1060,7 +1050,6 @@ impl Host {
 
     pub(crate) fn alloc_sock(&mut self, owner: Pid, proto: SockProto) -> SockId {
         let id = SockId(self.sockets.len() as u32);
-        let limit = self.cfg.sockbuf_limit;
         self.live_socks.insert(id);
         if proto != SockProto::Tcp {
             self.dgram_socks.insert(id);
@@ -1072,7 +1061,7 @@ impl Host {
             local: None,
             remote: None,
             chan: None,
-            rcvq: DatagramQueue::new(limit),
+            rcvq: DatagramQueue::new(SOCKBUF_LIMIT),
             tcp: None,
             cwnd_key: None,
             cwnd_dirty: false,
@@ -1176,9 +1165,7 @@ impl Host {
     /// (bench harness: measure the same world with telemetry on vs. off).
     /// Call before running the world — recorded state is discarded.
     pub fn set_telemetry(&mut self, enabled: bool) {
-        self.tele = crate::telemetry::Telemetry::new(enabled);
-        self.tele
-            .set_span_tag((1u64 << 63) | ((self.addr.octets()[3] as u64) << 48));
+        self.tele = host_telemetry(enabled, self.addr);
     }
 
     /// Iterates live sockets (allocation order).
@@ -1188,9 +1175,40 @@ impl Host {
             .filter_map(|id| self.sockets[id.0 as usize].as_ref())
     }
 
-    /// Records that `chan` now belongs to `sock`.
-    pub(crate) fn bind_channel(&mut self, chan: lrp_demux::ChannelId, sock: SockId) {
+    /// Gives `sock` its own NI channel (§3.1), mapped back to the socket,
+    /// its demand interrupt requested when `arm`, and installs the demux
+    /// filter `key`, if any. Returns the channel and whether the filter
+    /// went in.
+    pub(crate) fn open_channel(
+        &mut self,
+        sock: SockId,
+        key: Option<FlowKey>,
+        arm: bool,
+    ) -> (ChannelId, bool) {
+        let chan = self.nic.create_default_channel();
+        self.sock_mut(sock).chan = Some(chan);
         self.chan_to_sock.insert(chan, sock);
+        if arm {
+            self.nic.channel_mut(chan).intr_requested = true;
+        }
+        let filtered = key.is_none_or(|k| self.nic.demux.register(k, chan).is_ok());
+        (chan, filtered)
+    }
+
+    /// Takes `sock`'s NI channel away: destroyed, with its still-queued
+    /// frames ledgered as `owner_dead` (the owner crashed) or `flushed`,
+    /// and unmapped.
+    pub(crate) fn close_channel(&mut self, sock: SockId, owner_dead: bool) {
+        let Some(chan) = self.sock_mut(sock).chan.take() else {
+            return;
+        };
+        if self.nic.channel_exists(chan) {
+            let n = self.nic.channel(chan).depth();
+            self.tele.on_chan_destroy(chan, n, owner_dead);
+            self.note_chan_empty(chan);
+            self.nic.destroy_channel(chan);
+        }
+        self.chan_to_sock.remove(&chan);
     }
 
     pub(crate) fn next_iss(&mut self) -> u32 {
@@ -1229,15 +1247,9 @@ impl Host {
         self.forwarding_enabled = true;
         self.forwarding_nice = nice;
         if self.cfg.arch.is_lrp() {
-            let pid = self.sched.spawn("ipfwd", nice, SimDuration::ZERO);
-            self.exec.insert(pid, ProcExec::Cont(Cont::ForwardStep));
-            self.sched.set_affinity(pid, Some(0));
-            self.forward_daemon = Some(pid);
             let chan = self.nic.create_default_channel();
             self.nic.set_forward_proxy(chan);
-            if self.cfg.arch == Architecture::NiLrp {
-                self.nic.channel_mut(chan).intr_requested = true;
-            }
+            self.spawn_kernel_threads();
         }
     }
 
@@ -1248,7 +1260,7 @@ impl Host {
         self.ticks += 1;
         self.refresh_cwnd_gauge();
         self.sample_timeline(now);
-        if self.ticks.is_multiple_of(100) {
+        if self.ticks.is_multiple_of(DECAY_TICKS) {
             self.sched.decay();
             if let Some(t) = self.app_thread {
                 self.update_app_thread_pri(t);

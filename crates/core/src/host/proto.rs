@@ -6,9 +6,10 @@
 //! CPU cost*; the caller turns that cost into a work chunk charged
 //! according to its architecture's policy.
 
-use super::{sock_wchan, DropPoint, Host, WC_CONNECT, WC_RECV, WC_SEND};
+use super::{sock_wchan, DropPoint, Host, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
 use crate::config::{Architecture, SynCookies};
 use crate::syscall::{Errno, SockProto};
+use crate::telemetry::SpanId;
 use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::sockbuf::Datagram;
 use lrp_stack::tcp::{cookie, Actions, ConnEvent, Segment, TcpConn};
@@ -55,8 +56,7 @@ impl Host {
             }
         };
         let Ok((first_hdr, first_payload)) = ipv4::parse(&bytes) else {
-            self.stats.drop_at(DropPoint::BadPacket);
-            self.tele.on_drop(DropPoint::BadPacket);
+            self.drop_frame(DropPoint::BadPacket);
             return total;
         };
         // Fragment reassembly; whole datagrams pass straight through —
@@ -88,8 +88,7 @@ impl Host {
                     }
                 }
                 ReasmOutcome::Dropped => {
-                    self.stats.drop_at(DropPoint::Reasm);
-                    self.tele.on_drop(DropPoint::Reasm);
+                    self.drop_frame(DropPoint::Reasm);
                     None
                 }
             }
@@ -125,8 +124,7 @@ impl Host {
             proto::ICMP => total + self.icmp_deliver(now, &ih, &payload, ctx),
             _ => {
                 // Unknown protocols are dropped after IP input.
-                self.stats.drop_at(DropPoint::NoSocket);
-                self.tele.on_drop(DropPoint::NoSocket);
+                self.drop_frame(DropPoint::NoSocket);
                 total
             }
         }
@@ -151,12 +149,8 @@ impl Host {
             return cost.ip_forward;
         }
         ih.ttl -= 1;
-        let out = ipv4::build_datagram(&ih, payload);
-        let total = cost.ip_forward + cost.ip_output + cost.driver_tx_per_pkt;
-        if !self.ifq_enqueue_spanned(Frame::ipv4(out), None) {
-            self.stats.drop_at(DropPoint::IfQueue);
-        }
-        total
+        self.ifq_enqueue_spanned(Frame::ipv4(ipv4::build_datagram(&ih, payload)), None);
+        cost.ip_forward + cost.ip_output + cost.driver_tx_per_pkt
     }
 
     /// The forwarding daemon processes one frame from the forward channel;
@@ -195,13 +189,11 @@ impl Host {
         let scale = |d: SimDuration| if lazy { cost.lazy(d) } else { d };
         let mut total = scale(cost.udp_input) + scale(cost.csum(payload.len()));
         if lrp_wire::icmp::parse(payload).is_err() {
-            self.stats.drop_at(DropPoint::BadPacket);
-            self.tele.on_drop(DropPoint::BadPacket);
+            self.drop_frame(DropPoint::BadPacket);
             return total;
         }
         let Some(sock) = self.icmp_sock.filter(|s| self.sock_opt(*s).is_some()) else {
-            self.stats.drop_at(DropPoint::NoSocket);
-            self.tele.on_drop(DropPoint::NoSocket);
+            self.drop_frame(DropPoint::NoSocket);
             return total;
         };
         let rightful = self.sock(sock).owner;
@@ -220,9 +212,8 @@ impl Host {
                 }
             }
         } else {
-            self.stats.drop_at(DropPoint::SockBuf);
+            self.drop_frame(DropPoint::SockBuf);
             self.sock_mut(sock).drops_sockbuf += 1;
-            self.tele.on_drop(DropPoint::SockBuf);
         }
         total
     }
@@ -251,8 +242,7 @@ impl Host {
                         self.wake_sock(sock, WC_RECV);
                     }
                 } else {
-                    self.stats.drop_at(DropPoint::NoSocket);
-                    self.tele.on_drop(DropPoint::NoSocket);
+                    self.drop_frame(DropPoint::NoSocket);
                 }
             } else {
                 // A completed non-UDP datagram has no receiver on this
@@ -319,16 +309,14 @@ impl Host {
         let scale = |d: SimDuration| if lazy { cost.lazy(d) } else { d };
         let mut total = scale(cost.udp_input);
         let Ok((uh, body)) = udp::parse(payload) else {
-            self.stats.drop_at(DropPoint::BadPacket);
-            self.tele.on_drop(DropPoint::BadPacket);
+            self.drop_frame(DropPoint::BadPacket);
             return total;
         };
         // Checksum verification (skipped when the sender disabled it).
         if uh.checksum != 0 {
             total += scale(cost.csum(payload.len()));
             if !udp::verify_checksum(ih.src, ih.dst, payload) {
-                self.stats.drop_at(DropPoint::BadPacket);
-                self.tele.on_drop(DropPoint::BadPacket);
+                self.drop_frame(DropPoint::BadPacket);
                 return total;
             }
         }
@@ -354,8 +342,7 @@ impl Host {
         let Some(sock) = sock.filter(|s| self.sock_opt(*s).is_some()) else {
             // Closed port: drop the datagram (its own ledger disposition)
             // and answer with ICMP port unreachable (RFC 1122 §4.1.3.1).
-            self.stats.drop_at(DropPoint::PortUnreach);
-            self.tele.on_drop(DropPoint::PortUnreach);
+            self.drop_frame(DropPoint::PortUnreach);
             total += scale(cost.ip_output + cost.driver_tx_per_pkt);
             // Quoted context: the offending IP header + leading 8 bytes of
             // its payload (the UDP header).
@@ -369,9 +356,7 @@ impl Host {
             };
             let reply = icmp::build_datagram(self.addr, ih.src, 0, &msg);
             self.stats.icmp_unreach_sent += 1;
-            if !self.ifq_enqueue_spanned(Frame::ipv4(reply), None) {
-                self.stats.drop_at(DropPoint::IfQueue);
-            }
+            self.ifq_enqueue_spanned(Frame::ipv4(reply), None);
             return total;
         };
         // The rightful receiver is now known; note it so the chunk that
@@ -398,9 +383,8 @@ impl Host {
         } else {
             // BSD pays everything above and only now discovers the full
             // socket queue — the waste LRP eliminates.
-            self.stats.drop_at(DropPoint::SockBuf);
+            self.drop_frame(DropPoint::SockBuf);
             self.sock_mut(sock).drops_sockbuf += 1;
-            self.tele.on_drop(DropPoint::SockBuf);
         }
         total
     }
@@ -498,22 +482,10 @@ impl Host {
         th: &tcp::TcpHeader,
     ) -> SimDuration {
         let cost = self.cfg.cost;
-        let mut total = cost.tcp_syn;
-        // Duplicate SYN for an embryonic connection? Find the child by
-        // exact PCB key.
-        let exact = self.pcb.lookup(proto::TCP, local, remote);
-        if let Some(child) = exact.sock {
-            if child != lsock {
-                // Retransmitted SYN: let the child handle it.
-                if self.sock_opt(child).and_then(|s| s.tcp.as_ref()).is_some() {
-                    total += self
-                        .tcp_run(now, child, |conn, out| {
-                            conn.on_segment_into(now, th, &[], out)
-                        })
-                        .1;
-                }
-                return total;
-            }
+        let total = cost.tcp_syn;
+        // A retransmitted SYN for an embryonic connection.
+        if let Some(d) = self.deliver_to_child(now, lsock, local, remote, th, None) {
+            return total + d;
         }
         let can = self
             .sock(lsock)
@@ -573,39 +545,69 @@ impl Host {
             }
         }
         // Admit: create the child socket + connection.
-        let owner = self.sock(lsock).owner;
-        let child = self.alloc_sock(owner, SockProto::Tcp);
         let iss = self.next_iss();
         let mut acts = std::mem::take(&mut self.tcp_acts);
-        let conn =
-            TcpConn::accept_syn_into(self.tcp_config(), local, remote, iss, th, now, &mut acts);
-        {
-            let s = self.sock_mut(child);
-            s.local = Some(local);
-            s.remote = Some(remote);
-            s.parent = Some(lsock);
+        let conn = TcpConn::accept_syn_into(self.cfg.tcp, local, remote, iss, th, now, &mut acts);
+        let child = self.install_child(lsock, local, remote, conn);
+        let l = self.sock_mut(lsock).listener.as_mut().expect("listener");
+        l.on_syn_admitted();
+        l.track_half_open(child);
+        let d = self.apply_tcp_actions(now, child, &mut acts);
+        self.tcp_acts = acts;
+        total + d
+    }
+
+    /// An exact-match child of listener `lsock` already owns the flow (a
+    /// retransmitted SYN, or a handshake ACK whose first copy established
+    /// it): the segment, with `body` (none for a SYN), is the child's.
+    /// Returns its cost, `None` if no child owns the flow.
+    fn deliver_to_child(
+        &mut self,
+        now: SimTime,
+        lsock: SockId,
+        local: Endpoint,
+        remote: Endpoint,
+        th: &tcp::TcpHeader,
+        body: Option<&FrameSlice>,
+    ) -> Option<SimDuration> {
+        let child = self.pcb.lookup(proto::TCP, local, remote).sock?;
+        if child == lsock {
+            return None;
         }
+        if self.sock_opt(child).and_then(|s| s.tcp.as_ref()).is_none() {
+            return Some(SimDuration::ZERO);
+        }
+        let run = self.tcp_run(now, child, |conn, out| match body {
+            Some(body) => conn.on_segment_slice_into(now, th, body.clone(), out),
+            None => conn.on_segment_into(now, th, &[], out),
+        });
+        Some(run.1)
+    }
+
+    /// Installs `conn` as a passive child of listener `lsock`: a socket of
+    /// the listener's owner with its exact PCB key and, off BSD, its own
+    /// NI channel and filter, the demand interrupt armed for the APP
+    /// thread.
+    fn install_child(
+        &mut self,
+        lsock: SockId,
+        local: Endpoint,
+        remote: Endpoint,
+        conn: TcpConn,
+    ) -> SockId {
+        let owner = self.sock(lsock).owner;
+        let child = self.alloc_sock(owner, SockProto::Tcp);
+        let s = self.sock_mut(child);
+        s.local = Some(local);
+        s.remote = Some(remote);
+        s.parent = Some(lsock);
         self.set_conn(child, Some(conn));
-        {
-            let l = self.sock_mut(lsock).listener.as_mut().expect("listener");
-            l.on_syn_admitted();
-            l.track_half_open(child);
-        }
-        // PCB entry (exact match) for the child.
         let key = FlowKey::new(proto::TCP, local, remote);
         let _ = self.pcb.insert(key, child);
-        // LRP / Early-Demux: give the child its own NI channel + filter,
-        // with the demand interrupt armed for the APP thread.
         if self.cfg.arch != Architecture::Bsd {
-            let chan = self.nic.create_default_channel();
-            self.sock_mut(child).chan = Some(chan);
-            self.bind_channel(chan, child);
-            let _ = self.nic.demux.register(key, chan);
-            self.nic.channel_mut(chan).intr_requested = true;
+            self.open_channel(child, Some(key), true);
         }
-        total += self.apply_tcp_actions(now, child, &mut acts);
-        self.tcp_acts = acts;
-        total
+        child
     }
 
     /// Emits a stateless cookie SYN|ACK for a SYN at `lsock`. The segment
@@ -635,9 +637,7 @@ impl Host {
         };
         let ident = self.next_ident();
         let dgram = tcp::build_datagram(local.addr, remote.addr, &hdr, ident, &[]);
-        if !self.ifq_enqueue_spanned(Frame::ipv4(dgram), None) {
-            self.stats.drop_at(DropPoint::IfQueue);
-        }
+        self.ifq_enqueue_spanned(Frame::ipv4(dgram), None);
         self.sock_mut(lsock)
             .listener
             .as_mut()
@@ -661,21 +661,9 @@ impl Host {
     ) -> SimDuration {
         let cost = self.cfg.cost;
         let mut total = cost.tcp_input;
-        // An exact-match child already owns this flow (e.g. the peer
-        // retransmitted the ACK after the first copy established it):
-        // hand the segment over rather than re-deriving a connection.
-        let exact = self.pcb.lookup(proto::TCP, local, remote);
-        if let Some(child) = exact.sock {
-            if child != lsock {
-                if self.sock_opt(child).and_then(|s| s.tcp.as_ref()).is_some() {
-                    total += self
-                        .tcp_run(now, child, |conn, out| {
-                            conn.on_segment_slice_into(now, th, body, out)
-                        })
-                        .1;
-                }
-                return total;
-            }
+        // Hand the segment over rather than re-deriving a connection.
+        if let Some(d) = self.deliver_to_child(now, lsock, local, remote, th, Some(&body)) {
+            return total + d;
         }
         let key = cookie::host_key(self.addr);
         let Some(mss) = cookie::decode(key, local, remote, th.ack.wrapping_sub(1), now) else {
@@ -705,28 +693,11 @@ impl Host {
             }
         }
         // Reconstruct the child the stateless SYN|ACK stood in for.
-        let owner = self.sock(lsock).owner;
-        let child = self.alloc_sock(owner, SockProto::Tcp);
-        let conn = TcpConn::cookie_established(self.tcp_config(), local, remote, th, mss, now);
-        {
-            let s = self.sock_mut(child);
-            s.local = Some(local);
-            s.remote = Some(remote);
-            s.parent = Some(lsock);
-            // Established from birth: never counted into the SYN queue,
-            // reported straight into the accept queue below.
-            s.established_reported = true;
-        }
-        self.set_conn(child, Some(conn));
-        let key = FlowKey::new(proto::TCP, local, remote);
-        let _ = self.pcb.insert(key, child);
-        if self.cfg.arch != Architecture::Bsd {
-            let chan = self.nic.create_default_channel();
-            self.sock_mut(child).chan = Some(chan);
-            self.bind_channel(chan, child);
-            let _ = self.nic.demux.register(key, chan);
-            self.nic.channel_mut(chan).intr_requested = true;
-        }
+        let conn = TcpConn::cookie_established(self.cfg.tcp, local, remote, th, mss, now);
+        let child = self.install_child(lsock, local, remote, conn);
+        // Established from birth: never counted into the SYN queue,
+        // reported straight into the accept queue below.
+        self.sock_mut(child).established_reported = true;
         self.sock_mut(lsock)
             .listener
             .as_mut()
@@ -735,7 +706,7 @@ impl Host {
         self.sock_mut(lsock).accept_q.push_back(child);
         self.stats.tcp_accepted += 1;
         self.tele.on_cookie_validated();
-        self.wake_sock(lsock, super::WC_ACCEPT);
+        self.wake_sock(lsock, WC_ACCEPT);
         // Any data riding on the ACK is processed by the new connection.
         total += self
             .tcp_run(now, child, |conn, out| {
@@ -777,6 +748,20 @@ impl Host {
         total
     }
 
+    /// Enqueues an outgoing frame on the NIC interface queue, keeping the
+    /// telemetry span sidecar aligned. The single choke point for
+    /// transmit enqueues. Returns false when the queue was full: the
+    /// frame is dropped and counted.
+    pub(crate) fn ifq_enqueue_spanned(&mut self, frame: Frame, span: Option<SpanId>) -> bool {
+        let ok = self.nic.ifq_enqueue(frame);
+        if ok {
+            self.tele.on_ifq_enqueue(span);
+        } else {
+            self.stats.drop_at(DropPoint::IfQueue);
+        }
+        ok
+    }
+
     /// Frames and enqueues outgoing TCP segments, draining `segments`;
     /// returns output cost. Each payload becomes its frame: the headers
     /// are written into its headroom.
@@ -800,9 +785,7 @@ impl Host {
                 + cost.ip_output
                 + cost.driver_tx_per_pkt;
             let dgram = seg.payload.frame(src.addr, dst.addr, &seg.hdr, ident);
-            if !self.ifq_enqueue_spanned(Frame::ipv4(dgram), None) {
-                self.stats.drop_at(DropPoint::IfQueue);
-            }
+            self.ifq_enqueue_spanned(Frame::ipv4(dgram), None);
         }
         total
     }
@@ -824,7 +807,7 @@ impl Host {
                                 l.untrack_half_open(sock);
                             }
                             self.stats.tcp_accepted += 1;
-                            self.wake_sock(p, super::WC_ACCEPT);
+                            self.wake_sock(p, WC_ACCEPT);
                         }
                     }
                 } else {
@@ -847,14 +830,10 @@ impl Host {
                 if s.err.is_none() {
                     s.err = Some(errno);
                 }
-                self.wake_sock(sock, WC_RECV);
-                self.wake_sock(sock, WC_SEND);
-                self.wake_sock(sock, WC_CONNECT);
+                self.wake_tcp_waiters(sock, false);
             }
             ConnEvent::Closed => {
-                self.wake_sock(sock, WC_RECV);
-                self.wake_sock(sock, WC_SEND);
-                self.wake_sock(sock, WC_CONNECT);
+                self.wake_tcp_waiters(sock, false);
                 self.teardown_tcp_sock(sock);
             }
         }
@@ -863,6 +842,21 @@ impl Host {
     /// Wakes all sleepers on a socket wait channel.
     pub(crate) fn wake_sock(&mut self, sock: SockId, kind: u64) {
         self.wake_channel(sock_wchan(sock, kind));
+    }
+
+    /// Wakes every call that may sleep on TCP socket `sock`: receive,
+    /// send, accept and connect, in that order (a connection's accept
+    /// channel has no sleepers) — then, with `acceptor`, whoever accepts
+    /// on an embryonic child's listener.
+    pub(crate) fn wake_tcp_waiters(&mut self, sock: SockId, acceptor: bool) {
+        for kind in [WC_RECV, WC_SEND, WC_ACCEPT, WC_CONNECT] {
+            self.wake_sock(sock, kind);
+        }
+        if acceptor {
+            if let Some(parent) = self.sock(sock).parent {
+                self.wake_sock(parent, WC_ACCEPT);
+            }
+        }
     }
 
     /// NI-LRP: reclaim the NI channel of a connection entering TIME_WAIT.
@@ -874,16 +868,13 @@ impl Host {
         if s.chan_reclaimed || !s.tcp.as_ref().is_some_and(|t| t.in_time_wait()) {
             return;
         }
-        let (Some(chan), Some(local), Some(remote)) = (s.chan, s.local, s.remote) else {
+        let (Some(_), Some(local), Some(remote)) = (s.chan, s.local, s.remote) else {
             return;
         };
         let key = FlowKey::new(proto::TCP, local, remote);
         let _ = self.nic.demux.unregister(&key);
-        self.destroy_channel_flushed(chan);
-        self.chan_to_sock.remove(&chan);
-        let s = self.sock_mut(sock);
-        s.chan = None;
-        s.chan_reclaimed = true;
+        self.close_channel(sock, false);
+        self.sock_mut(sock).chan_reclaimed = true;
     }
 
     /// Final teardown once a connection leaves the state machine: removes
@@ -895,7 +886,6 @@ impl Host {
         let reported = s.established_reported;
         let local = s.local;
         let remote = s.remote;
-        let chan = s.chan;
         let closed = s.closed_by_app;
         // Embryonic child died before the handshake completed.
         if let Some(p) = parent {
@@ -915,13 +905,7 @@ impl Host {
                 let _ = self.nic.demux.unregister(&key);
             }
         }
-        if let Some(c) = chan {
-            if self.nic.channel_exists(c) {
-                self.destroy_channel_flushed(c);
-            }
-            self.chan_to_sock.remove(&c);
-            self.sock_mut(sock).chan = None;
-        }
+        self.close_channel(sock, false);
         // Free the slot only when the application has also closed it, so
         // in-flight syscall continuations never dangle. An orphaned child
         // (never accepted) is freed immediately.
@@ -933,14 +917,13 @@ impl Host {
 
     /// Releases a socket table slot and all remaining kernel state.
     pub(crate) fn free_socket(&mut self, sock: SockId) {
-        let Some(s) = self.sockets.get_mut(sock.0 as usize).and_then(|x| x.take()) else {
+        if self.sock_opt(sock).is_none() {
             return;
-        };
-        // Leave the ready set and the timer queue now: the channel
-        // teardown below no longer finds the socket to name its owner.
-        if self.ready_socks.remove(&sock) {
-            self.note_owner_work(s.owner, s.proto, false);
         }
+        // The channel goes first, taking the socket out of the ready set
+        // while the table still names its owner.
+        self.close_channel(sock, false);
+        let s = self.sockets[sock.0 as usize].take().expect("checked");
         if s.timer_queued {
             self.tcp_timer_work.retain(|&x| x != sock);
             self.note_owner_work(s.owner, s.proto, false);
@@ -978,12 +961,6 @@ impl Host {
                     let _ = self.nic.demux.unregister(&key);
                 }
             }
-        }
-        if let Some(c) = s.chan {
-            if self.nic.channel_exists(c) {
-                self.destroy_channel_flushed(c);
-            }
-            self.chan_to_sock.remove(&c);
         }
         self.live_socks.remove(&sock);
         self.dgram_socks.remove(&sock);

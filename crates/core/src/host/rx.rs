@@ -2,7 +2,7 @@
 //! work — the point where the four architectures diverge.
 
 use super::index::next_sock;
-use super::{sock_wchan, DropPoint, Host, WC_RECV};
+use super::{sock_wchan, DropPoint, Host, IP_QUEUE_LIMIT, WC_RECV};
 use crate::config::Architecture;
 use crate::host::proto::ProtoCtx;
 use crate::telemetry::SpanId;
@@ -22,125 +22,85 @@ use lrp_wire::Frame;
 const RX_BATCH: usize = 16;
 
 impl Host {
-    /// A frame arrives from the link.
+    /// A frame arrives from the link, carrying the causal-trace span
+    /// minted at injection (if any). The span is observational metadata
+    /// only: it never influences queueing or cost decisions.
     ///
     /// Interrupt-handler *logic* runs here (hardware interrupts preempt
     /// everything instantly); the handler's CPU *cost* then occupies a
     /// CPU via the interrupt-preemption machinery. On SMP, each RX queue
     /// interrupts its target CPU (`rxq % ncpus`) — the RSS steering that
     /// spreads flows across processors.
-    pub fn on_frame(&mut self, now: SimTime, frame: Frame) {
-        self.on_frame_span(now, frame, None);
-    }
-
-    /// Like [`Host::on_frame`], carrying the causal-trace span of the
-    /// frame (if one was minted at injection). The span is observational
-    /// metadata only: it never influences queueing or cost decisions.
     pub fn on_frame_span(&mut self, now: SimTime, frame: Frame, span: Option<SpanId>) {
         let cost = self.cfg.cost;
-        let ncpus = self.cpus.len();
-        match self.cfg.arch {
-            Architecture::Bsd => {
-                match self.nic.rx_frame_at(now.as_nanos(), frame) {
-                    RxOutcome::Interrupt(rxq) => {
-                        self.tele.on_rx(now, span);
-                        // Driver: drain the ring batch (one frame unless
-                        // coalescing held earlier ones back), then mbuf
-                        // encapsulation into the shared IP queue; drop
-                        // (after the driver work!) if full.
-                        let mut batch = std::mem::take(&mut self.rx_scratch);
-                        self.nic.ring_drain_into(rxq, RX_BATCH, &mut batch);
-                        debug_assert!(!batch.is_empty(), "frame just queued");
-                        let n = batch.len() as u64;
-                        for f in batch.drain(..) {
-                            if self.ip_queue.len() >= self.cfg.ip_queue_limit {
-                                self.stats.drop_at(DropPoint::IpQueue);
-                                self.tele.on_drop(DropPoint::IpQueue);
-                            } else {
-                                self.ip_queue.push_back(f);
-                                self.tele.on_ipq_enqueue(now, span);
-                            }
-                        }
-                        self.rx_scratch = batch;
-                        self.raise_hw_on(
-                            now,
-                            rxq % ncpus,
-                            cost.hw_intr + cost.driver_rx_per_pkt * n,
-                            "rx-intr",
-                        );
+        match self.nic.rx_frame_at(now.as_nanos(), frame) {
+            RxOutcome::Interrupt(rxq) => {
+                self.tele.on_rx(now, span);
+                let cpu = rxq % self.cpus.len();
+                self.cur_cpu = cpu;
+                if self.cfg.arch == Architecture::NiLrp {
+                    // Demux, early discard and queueing all happened on
+                    // the NIC processor; the host pays only for the
+                    // interrupt it requested.
+                    if let Some(chan) = self.nic.last_rx_channel() {
+                        self.tele.on_chan_enqueue(now, cpu, chan, span);
+                        self.note_chan_enqueue(chan);
+                        self.note_intr_fired(chan);
                     }
-                    RxOutcome::Dropped(NicDrop::Stalled) => self.stats.drop_at(DropPoint::NicStall),
-                    RxOutcome::Dropped(_) => self.stats.drop_at(DropPoint::RxRing),
-                    // Interrupt coalescing: the frame sits in the ring
-                    // until the next uncoalesced interrupt batches it in.
-                    // (Its span is lost — a documented trace limitation.)
-                    RxOutcome::Queued => self.tele.on_rx(now, span),
+                    self.ni_interrupt_wakeups();
+                    self.raise_hw_on(now, cpu, cost.hw_intr_ni, "ni-intr");
+                } else {
+                    self.rx_interrupt(now, rxq, cpu, span);
                 }
             }
-            Architecture::EarlyDemux | Architecture::SoftLrp => {
-                match self.nic.rx_frame_at(now.as_nanos(), frame) {
-                    RxOutcome::Interrupt(rxq) => {
-                        self.tele.on_rx(now, span);
-                        // Drain the ring batch and demux each frame in
-                        // arrival order; the handler's cost covers the
-                        // whole batch (per-frame driver + demux work).
-                        let mut batch = std::mem::take(&mut self.rx_scratch);
-                        self.nic.ring_drain_into(rxq, RX_BATCH, &mut batch);
-                        debug_assert!(!batch.is_empty(), "frame just queued");
-                        self.cur_cpu = rxq % ncpus;
-                        let n = batch.len() as u64;
-                        let mut d = SimDuration::ZERO;
-                        for f in batch.drain(..) {
-                            d += self.soft_demux_deliver(now, f, span);
-                        }
-                        self.rx_scratch = batch;
-                        self.raise_hw_on(
-                            now,
-                            rxq % ncpus,
-                            cost.hw_intr + cost.driver_rx_per_pkt * n + d,
-                            "rx-intr",
-                        );
-                    }
-                    RxOutcome::Dropped(NicDrop::Stalled) => self.stats.drop_at(DropPoint::NicStall),
-                    RxOutcome::Dropped(_) => self.stats.drop_at(DropPoint::RxRing),
-                    // Coalesced: held in the ring until the next interrupt.
-                    RxOutcome::Queued => self.tele.on_rx(now, span),
+            RxOutcome::Queued => {
+                self.tele.on_rx(now, span);
+                // NI-LRP: queued on a channel without an interrupt.
+                // Otherwise coalesced: held in the ring until the next
+                // interrupt drains it, without its span.
+                if let Some(chan) = self.nic.last_rx_channel() {
+                    self.tele.on_chan_enqueue(now, 0, chan, span);
+                    self.note_chan_enqueue(chan);
                 }
             }
-            Architecture::NiLrp => {
-                // Demux, early discard and queueing all happen on the NIC
-                // processor: zero host cost unless an interrupt was
-                // requested.
-                match self.nic.rx_frame_at(now.as_nanos(), frame) {
-                    RxOutcome::Interrupt(rxq) => {
-                        self.tele.on_rx(now, span);
-                        if let Some(chan) = self.nic.last_rx_channel() {
-                            self.tele.on_chan_enqueue(now, rxq % ncpus, chan, span);
-                            self.note_chan_enqueue(chan);
-                            self.note_intr_fired(chan);
-                        }
-                        // Wake whoever requested notification for the
-                        // newly non-empty channel. We do not know which
-                        // channel fired; wake receivers with pending data.
-                        self.cur_cpu = rxq % ncpus;
-                        self.ni_interrupt_wakeups();
-                        self.raise_hw_on(now, rxq % ncpus, cost.hw_intr_ni, "ni-intr");
-                    }
-                    RxOutcome::Queued => {
-                        self.tele.on_rx(now, span);
-                        if let Some(chan) = self.nic.last_rx_channel() {
-                            self.tele.on_chan_enqueue(now, 0, chan, span);
-                            self.note_chan_enqueue(chan);
-                        }
-                    }
-                    RxOutcome::Dropped(NicDrop::Stalled) => self.stats.drop_at(DropPoint::NicStall),
-                    // Early packet discard on the NIC: by design, no host
-                    // work at all. NIC stats carry the count.
-                    RxOutcome::Dropped(_) => {}
-                }
-            }
+            RxOutcome::Dropped(NicDrop::Stalled) => self.stats.drop_at(DropPoint::NicStall),
+            RxOutcome::Dropped(NicDrop::RingOverrun) => self.stats.drop_at(DropPoint::RxRing),
+            // Early packet discard on the NIC (NI-LRP): by design, no host
+            // work at all. NIC stats carry the count.
+            RxOutcome::Dropped(_) => {}
         }
         self.kick(now);
+    }
+
+    /// The receive interrupt handler (BSD, Early-Demux, SOFT-LRP): drains
+    /// the ring batch — one frame unless coalescing held earlier ones
+    /// back — into the shared IP queue (BSD; a full queue drops the frame
+    /// after its per-frame handler work) or through the host's demux, in
+    /// arrival order. The handler's cost covers the whole batch.
+    fn rx_interrupt(&mut self, now: SimTime, rxq: usize, cpu: usize, span: Option<SpanId>) {
+        let cost = self.cfg.cost;
+        let mut batch = std::mem::take(&mut self.rx_scratch);
+        self.nic.ring_drain_into(rxq, RX_BATCH, &mut batch);
+        debug_assert!(!batch.is_empty(), "frame just queued");
+        let n = batch.len();
+        // `span` belongs to the frame that raised the interrupt, the last
+        // one queued: the batch's last frame, if the drain reached the
+        // end of the ring. Held frames lost theirs on arrival.
+        let tail = n < RX_BATCH || self.nic.ring_depth() == 0;
+        let mut d = cost.hw_intr + cost.driver_rx_per_pkt * n as u64;
+        for (i, f) in batch.drain(..).enumerate() {
+            let span = span.filter(|_| tail && i + 1 == n);
+            if self.cfg.arch != Architecture::Bsd {
+                d += self.soft_demux_deliver(now, f, span);
+            } else if self.ip_queue.len() >= IP_QUEUE_LIMIT {
+                self.drop_frame(DropPoint::IpQueue);
+            } else {
+                self.ip_queue.push_back(f);
+                self.tele.on_ipq_enqueue(now, span);
+            }
+        }
+        self.rx_scratch = batch;
+        self.raise_hw_on(now, cpu, d, "rx-intr");
     }
 
     /// Host-interrupt-handler demux (SOFT-LRP and Early-Demux): classify,
@@ -170,19 +130,16 @@ impl Host {
                 .unwrap_or(self.nic.fragment_channel)
             }
             Verdict::NoMatch => {
-                self.stats.drop_at(DropPoint::NoSocket);
-                self.tele.on_drop(DropPoint::NoSocket);
+                self.drop_frame(DropPoint::NoSocket);
                 return extra;
             }
             Verdict::Malformed => {
-                self.stats.drop_at(DropPoint::BadPacket);
-                self.tele.on_drop(DropPoint::BadPacket);
+                self.drop_frame(DropPoint::BadPacket);
                 return extra;
             }
         };
         if !self.nic.channel_exists(chan) {
-            self.stats.drop_at(DropPoint::Channel);
-            self.tele.on_drop(DropPoint::Channel);
+            self.drop_frame(DropPoint::Channel);
             return extra;
         }
         // Forwarded traffic wakes the forwarding daemon.
@@ -197,20 +154,18 @@ impl Host {
                 let sk = self.sock(s);
                 let rcvq_full = sk.rcvq.space() < frame.len();
                 if rcvq_full || self.nic.channel(chan).is_full() {
-                    self.stats.drop_at(DropPoint::Channel);
+                    self.drop_frame(DropPoint::Channel);
                     self.sock_mut(s).drops_channel += 1;
-                    self.tele.on_drop(DropPoint::Channel);
                     return extra;
                 }
             }
         }
         let was_empty = self.nic.channel(chan).is_empty();
         if !self.nic.channel_mut(chan).enqueue(frame) {
-            self.stats.drop_at(DropPoint::Channel);
+            self.drop_frame(DropPoint::Channel);
             if let Some(s) = sock {
                 self.sock_mut(s).drops_channel += 1;
             }
-            self.tele.on_drop(DropPoint::Channel);
             return extra;
         }
         self.tele.on_chan_enqueue(now, cpu, chan, span);
@@ -244,13 +199,7 @@ impl Host {
                             // — for an embryonic child, the acceptor
                             // sleeps on the parent listener.
                             extra += cost.wakeup;
-                            self.wake_sock(s, WC_RECV);
-                            self.wake_sock(s, super::WC_SEND);
-                            self.wake_sock(s, super::WC_ACCEPT);
-                            self.wake_sock(s, super::WC_CONNECT);
-                            if let Some(parent) = self.sock(s).parent {
-                                self.wake_sock(parent, super::WC_ACCEPT);
-                            }
+                            self.wake_tcp_waiters(s, true);
                         }
                     } else if self.sched.has_sleeper(sock_wchan(s, WC_RECV)) {
                         extra += cost.wakeup;
@@ -311,13 +260,7 @@ impl Host {
             if self.sock(sock).proto == crate::syscall::SockProto::Tcp {
                 any_tcp = true;
                 if self.app_thread.is_none() {
-                    self.wake_sock(sock, WC_RECV);
-                    self.wake_sock(sock, super::WC_SEND);
-                    self.wake_sock(sock, super::WC_ACCEPT);
-                    self.wake_sock(sock, super::WC_CONNECT);
-                    if let Some(parent) = self.sock(sock).parent {
-                        self.wake_sock(parent, super::WC_ACCEPT);
-                    }
+                    self.wake_tcp_waiters(sock, true);
                 }
             } else if self.sched.has_sleeper(sock_wchan(sock, WC_RECV)) {
                 self.wake_sock(sock, WC_RECV);

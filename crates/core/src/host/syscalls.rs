@@ -2,7 +2,7 @@
 //! cost-bearing kernel phases, with architecture-specific receive paths.
 
 use super::{sock_wchan, Cont, Host, PhaseOut, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
-use crate::config::Architecture;
+use crate::config::{Architecture, QUANTUM};
 use crate::host::proto::ProtoCtx;
 use crate::syscall::{AppCtx, Errno, SockProto, SyscallOp, SyscallRet};
 use lrp_sched::{Account, Pid, WaitChannel, PPAUSE, PSOCK};
@@ -10,6 +10,13 @@ use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::tcp::{TcpConn, TcpListener, TcpState};
 use lrp_stack::SockId;
 use lrp_wire::{proto, udp, Endpoint, FlowKey, FrameBuf, FrameSlice};
+
+/// Link MTU (the paper's ATM LAN): sends fragment above it.
+const MTU: usize = 9180;
+
+/// Sent UDP datagrams carry no checksum, as in the paper's UDP tests
+/// (received ones are verified when they carry one).
+const UDP_CHECKSUM: bool = false;
 
 impl Host {
     /// Executes one kernel phase for `pid`: applies its logic and reports
@@ -40,7 +47,7 @@ impl Host {
                 }
             }
             Cont::ComputeSlice(remaining) => {
-                let slice = remaining.min(self.cfg.quantum);
+                let slice = remaining.min(QUANTUM);
                 let left = remaining - slice;
                 let next = if left.is_zero() {
                     Cont::AppNext(SyscallRet::Ok)
@@ -301,12 +308,9 @@ impl Host {
             SockProto::Icmp => {
                 // Raw ICMP proxy socket (§3.5): no PCB entry; all ICMP
                 // traffic routes to its channel / queue.
-                let local = Endpoint::new(self.addr, 0);
-                self.sock_mut(sock).local = Some(local);
+                self.sock_mut(sock).local = Some(Endpoint::new(self.addr, 0));
                 if self.cfg.arch != Architecture::Bsd {
-                    let chan = self.nic.create_default_channel();
-                    self.sock_mut(sock).chan = Some(chan);
-                    self.bind_channel(chan, sock);
+                    let (chan, _) = self.open_channel(sock, None, false);
                     self.nic.set_icmp_proxy(chan);
                 }
                 self.icmp_sock = Some(sock);
@@ -321,18 +325,12 @@ impl Host {
         self.sock_mut(sock).local = Some(local);
         // LRP / Early-Demux: binding creates the NI channel and installs
         // the demux filter (§3.1).
-        if self.cfg.arch != Architecture::Bsd {
-            let chan = self.nic.create_default_channel();
-            self.sock_mut(sock).chan = Some(chan);
-            self.bind_channel(chan, sock);
-            if self.nic.demux.register(key, chan).is_err() {
-                return SyscallRet::Err(Errno::NoBufs);
-            }
-            // TCP channels are drained by the APP thread, which may be
-            // asleep right now: arm the demand interrupt from the start.
-            if ip_proto == proto::TCP {
-                self.nic.channel_mut(chan).intr_requested = true;
-            }
+        // TCP channels are drained by the APP thread, which may be asleep
+        // right now: arm the demand interrupt from the start.
+        if self.cfg.arch != Architecture::Bsd
+            && !self.open_channel(sock, Some(key), ip_proto == proto::TCP).1
+        {
+            return SyscallRet::Err(Errno::NoBufs);
         }
         SyscallRet::Ok
     }
@@ -403,7 +401,7 @@ impl Host {
                     }
                 }
                 let iss = self.next_iss();
-                let conn = TcpConn::new(self.tcp_config(), local, dst, iss);
+                let conn = TcpConn::new(self.cfg.tcp, local, dst, iss);
                 self.set_conn(sock, Some(conn));
                 let ((), tx) = self.tcp_run(now, sock, |conn, out| conn.connect_into(now, out));
                 PhaseOut::Run {
@@ -415,21 +413,33 @@ impl Host {
         }
     }
 
-    fn phase_connect_check(&mut self, _now: SimTime, _pid: Pid, sock: SockId) -> PhaseOut {
-        // Ablation A4: without the APP thread, handshake segments are
-        // processed lazily in the blocked connect call.
-        if self.cfg.arch.is_lrp() && !self.cfg.tcp_app_processing {
-            if let Some(chan) = self.sock_opt(sock).and_then(|s| s.chan) {
-                if self.nic.channel_exists(chan) {
-                    if let Some(frame) = self.chan_dequeue(_now, chan) {
-                        let dur = self.ip_deliver(_now, frame, ProtoCtx::Lrp { sock, lazy: true });
-                        return PhaseOut::Run {
-                            dur,
-                            account: Account::System,
-                            next: Cont::ConnectCheck { sock },
-                        };
-                    }
-                }
+    /// LRP's lazy input in a blocked call: if `sock`'s NI channel holds a
+    /// frame, dequeue it and run it through the delivery path in the
+    /// caller's context. Returns the cost, `None` with nothing queued.
+    fn lazy_input(&mut self, now: SimTime, sock: SockId) -> Option<SimDuration> {
+        let chan = self.sock_opt(sock)?.chan?;
+        if !self.nic.channel_exists(chan) {
+            return None;
+        }
+        let frame = self.chan_dequeue(now, chan)?;
+        Some(self.ip_deliver(now, frame, ProtoCtx::Lrp { sock, lazy: true }))
+    }
+
+    /// Ablation A4: without the APP thread, TCP input runs only lazily,
+    /// in the calls that block on a socket (§3.4's rejected design).
+    fn tcp_input_in_calls(&self) -> bool {
+        self.cfg.arch.is_lrp() && !self.cfg.tcp_app_processing
+    }
+
+    fn phase_connect_check(&mut self, now: SimTime, _pid: Pid, sock: SockId) -> PhaseOut {
+        // A4: the handshake segments.
+        if self.tcp_input_in_calls() {
+            if let Some(dur) = self.lazy_input(now, sock) {
+                return PhaseOut::Run {
+                    dur,
+                    account: Account::System,
+                    next: Cont::ConnectCheck { sock },
+                };
             }
         }
         let Some(s) = self.sock_opt(sock) else {
@@ -497,18 +507,15 @@ impl Host {
             local.port,
             dst.port,
             data,
-            self.cfg.udp_checksum,
+            UDP_CHECKSUM,
         );
-        let frames =
-            lrp_wire::ipv4::fragment(local.addr, dst.addr, proto::UDP, ident, &seg, self.cfg.mtu);
+        let frames = lrp_wire::ipv4::fragment(local.addr, dst.addr, proto::UDP, ident, &seg, MTU);
         // The fragments copied the segment: its arena scratch goes back.
         lrp_wire::buf::recycle(seg);
         let nfrags = frames.len() as u64;
-        let mut dur = cost.copy(data.len()) + cost.udp_output;
-        if self.cfg.udp_checksum {
-            dur += cost.csum(data.len());
-        }
-        dur += (cost.ip_output + cost.driver_tx_per_pkt) * nfrags;
+        let dur = cost.copy(data.len())
+            + cost.udp_output
+            + (cost.ip_output + cost.driver_tx_per_pkt) * nfrags;
         // Causal trace: the reply continues the span of the request this
         // process most recently received (or mints a fresh one).
         let owner = self.sock(sock).owner;
@@ -516,10 +523,7 @@ impl Host {
         let span = self.tele.on_tx(now, cpu, owner.0);
         let mut dropped = false;
         for f in frames {
-            if !self.ifq_enqueue_spanned(lrp_wire::Frame::ipv4(f), span) {
-                self.stats.drop_at(super::DropPoint::IfQueue);
-                dropped = true;
-            }
+            dropped |= !self.ifq_enqueue_spanned(lrp_wire::Frame::ipv4(f), span);
         }
         let ret = if dropped {
             SyscallRet::Err(Errno::NoBufs)
@@ -534,18 +538,14 @@ impl Host {
     fn do_icmp_send(&mut self, dst: Endpoint, data: &[u8]) -> (SimDuration, SyscallRet) {
         let cost = self.cfg.cost;
         let ident = self.next_ident();
-        let frames =
-            lrp_wire::ipv4::fragment(self.addr, dst.addr, proto::ICMP, ident, data, self.cfg.mtu);
+        let frames = lrp_wire::ipv4::fragment(self.addr, dst.addr, proto::ICMP, ident, data, MTU);
         let nfrags = frames.len() as u64;
         let dur = cost.copy(data.len())
             + cost.udp_output
             + (cost.ip_output + cost.driver_tx_per_pkt) * nfrags;
         let mut dropped = false;
         for f in frames {
-            if !self.ifq_enqueue_spanned(lrp_wire::Frame::ipv4(f), None) {
-                self.stats.drop_at(super::DropPoint::IfQueue);
-                dropped = true;
-            }
+            dropped |= !self.ifq_enqueue_spanned(lrp_wire::Frame::ipv4(f), None);
         }
         let ret = if dropped {
             SyscallRet::Err(Errno::NoBufs)
@@ -599,17 +599,12 @@ impl Host {
         }
         // LRP: lazily process one raw packet from the NI channel.
         if self.cfg.arch.is_lrp() {
-            if let Some(chan) = self.sock(sock).chan {
-                if self.nic.channel_exists(chan) {
-                    if let Some(frame) = self.chan_dequeue(now, chan) {
-                        let dur = self.ip_deliver(now, frame, ProtoCtx::Lrp { sock, lazy: true });
-                        return PhaseOut::Run {
-                            dur,
-                            account: Account::System,
-                            next: Cont::RecvCheck { sock, max_len },
-                        };
-                    }
-                }
+            if let Some(dur) = self.lazy_input(now, sock) {
+                return PhaseOut::Run {
+                    dur,
+                    account: Account::System,
+                    next: Cont::RecvCheck { sock, max_len },
+                };
             }
             // Misordered fragments may be parked on the special fragment
             // channel (§3.2): reassemble and route them before sleeping.
@@ -633,20 +628,14 @@ impl Host {
 
     fn phase_tcp_recv(&mut self, now: SimTime, sock: SockId, max_len: usize) -> PhaseOut {
         let cost = self.cfg.cost;
-        // Ablation A4: without the APP thread, TCP receiver processing
-        // happens only here, in the receive call (§3.4's rejected design).
-        if self.cfg.arch.is_lrp() && !self.cfg.tcp_app_processing {
-            if let Some(chan) = self.sock(sock).chan {
-                if self.nic.channel_exists(chan) {
-                    if let Some(frame) = self.chan_dequeue(now, chan) {
-                        let dur = self.ip_deliver(now, frame, ProtoCtx::Lrp { sock, lazy: true });
-                        return PhaseOut::Run {
-                            dur,
-                            account: Account::System,
-                            next: Cont::RecvCheck { sock, max_len },
-                        };
-                    }
-                }
+        // A4: TCP receiver processing happens here, in the receive call.
+        if self.tcp_input_in_calls() {
+            if let Some(dur) = self.lazy_input(now, sock) {
+                return PhaseOut::Run {
+                    dur,
+                    account: Account::System,
+                    next: Cont::RecvCheck { sock, max_len },
+                };
             }
         }
         let conn = self.sock(sock).tcp.as_ref().expect("tcp socket");
@@ -735,28 +724,21 @@ impl Host {
                 };
             }
         }
-        // Ablation A4: without the APP thread, ACKs are processed lazily
-        // in the send call too (any-socket-syscall processing); otherwise
-        // a window-stalled sender would deadlock with its peer.
-        if self.cfg.arch.is_lrp()
-            && !self.cfg.tcp_app_processing
-            && self
-                .sock(sock)
-                .tcp
-                .as_ref()
-                .is_some_and(|t| t.send_space() == 0)
-        {
-            if let Some(chan) = self.sock(sock).chan {
-                if self.nic.channel_exists(chan) {
-                    if let Some(frame) = self.chan_dequeue(now, chan) {
-                        let dur = self.ip_deliver(now, frame, ProtoCtx::Lrp { sock, lazy: true });
-                        return PhaseOut::Run {
-                            dur,
-                            account: Account::System,
-                            next: Cont::TcpSend { sock, data, off },
-                        };
-                    }
-                }
+        // A4: ACKs are processed lazily in the send call too (any-socket-
+        // syscall processing); otherwise a window-stalled sender would
+        // deadlock with its peer.
+        let stalled = self
+            .sock(sock)
+            .tcp
+            .as_ref()
+            .is_some_and(|t| t.send_space() == 0);
+        if stalled && self.tcp_input_in_calls() {
+            if let Some(dur) = self.lazy_input(now, sock) {
+                return PhaseOut::Run {
+                    dur,
+                    account: Account::System,
+                    next: Cont::TcpSend { sock, data, off },
+                };
             }
         }
         let ((n, nsegs), tx) = self.tcp_run(now, sock, |conn, out| {
@@ -791,7 +773,7 @@ impl Host {
         }
     }
 
-    fn phase_accept(&mut self, _now: SimTime, _pid: Pid, sock: SockId) -> PhaseOut {
+    fn phase_accept(&mut self, now: SimTime, pid: Pid, sock: SockId) -> PhaseOut {
         let cost = self.cfg.cost;
         let Some(s) = self.sock_opt(sock) else {
             return PhaseOut::Run {
@@ -807,37 +789,16 @@ impl Host {
                 next: Cont::SyscallReturn(SyscallRet::Err(Errno::Invalid)),
             };
         }
-        // Ablation A4: without the APP thread, handshake processing (the
-        // SYN on the listener's channel, the final ACK on an embryonic
-        // child's channel) happens lazily in the accept call itself.
-        if self.cfg.arch.is_lrp()
-            && !self.cfg.tcp_app_processing
-            && self.sock(sock).accept_q.is_empty()
-        {
-            let mut targets: Vec<SockId> = vec![sock];
-            targets.extend(
-                self.sockets
-                    .iter()
-                    .flatten()
-                    .filter(|s| s.parent == Some(sock))
-                    .map(|s| s.id),
-            );
+        // A4: handshake processing (the SYN on the listener's channel, the
+        // final ACK on an embryonic child's channel) happens lazily in the
+        // accept call itself.
+        if self.tcp_input_in_calls() && self.sock(sock).accept_q.is_empty() {
+            let children = self.live_sockets().filter(|s| s.parent == Some(sock));
+            let targets: Vec<SockId> = std::iter::once(sock)
+                .chain(children.map(|s| s.id))
+                .collect();
             for t in targets {
-                let Some(chan) = self.sock(t).chan else {
-                    continue;
-                };
-                if !self.nic.channel_exists(chan) {
-                    continue;
-                }
-                if let Some(frame) = self.chan_dequeue(_now, chan) {
-                    let dur = self.ip_deliver(
-                        _now,
-                        frame,
-                        ProtoCtx::Lrp {
-                            sock: t,
-                            lazy: true,
-                        },
-                    );
+                if let Some(dur) = self.lazy_input(now, t) {
                     return PhaseOut::Run {
                         dur,
                         account: Account::System,
@@ -852,7 +813,7 @@ impl Host {
             }
             // The accepting process becomes the owner (charging target).
             if self.sock_opt(child).is_some() {
-                self.set_owner(child, _pid);
+                self.set_owner(child, pid);
                 return PhaseOut::Run {
                     dur: cost.accept_sock,
                     account: Account::System,

@@ -300,13 +300,6 @@ impl Telemetry {
         }
     }
 
-    /// A host-side frame drop, counted in the ledger.
-    pub(crate) fn on_drop(&mut self, p: DropPoint) {
-        if self.enabled {
-            *self.host_drops.entry(p).or_insert(0) += 1;
-        }
-    }
-
     /// A frame entered the BSD shared IP queue.
     pub(crate) fn on_ipq_enqueue(&mut self, now: SimTime, span: Option<SpanId>) {
         if self.enabled {
@@ -442,26 +435,20 @@ impl Telemetry {
         }
     }
 
-    /// A channel was destroyed with `n` frames still queued.
-    pub(crate) fn on_chan_flush(&mut self, chan: ChannelId, n: usize) {
+    /// A channel was destroyed with `n` frames still queued: they died
+    /// with their crashed owner (`owner_dead`) or were flushed by an
+    /// orderly close.
+    pub(crate) fn on_chan_destroy(&mut self, chan: ChannelId, n: usize, owner_dead: bool) {
         if self.enabled {
-            self.flushed += n as u64;
-            self.clear_chan_ts(chan);
-        }
-    }
-
-    /// A crashed process's channel was unmapped with `n` frames still
-    /// queued: they died with their owner.
-    pub(crate) fn on_chan_owner_dead(&mut self, chan: ChannelId, n: usize) {
-        if self.enabled {
-            self.owner_dead += n as u64;
-            self.clear_chan_ts(chan);
-        }
-    }
-
-    fn clear_chan_ts(&mut self, chan: ChannelId) {
-        if let Some(q) = self.chan_ts.get_mut(chan.0 as usize) {
-            q.clear();
+            let bucket = if owner_dead {
+                &mut self.owner_dead
+            } else {
+                &mut self.flushed
+            };
+            *bucket += n as u64;
+            if let Some(q) = self.chan_ts.get_mut(chan.0 as usize) {
+                q.clear();
+            }
         }
     }
 
@@ -876,22 +863,15 @@ impl Host {
         f
     }
 
-    /// Destroys an NI channel, accounting any still-queued frames as
-    /// flushed.
-    pub(crate) fn destroy_channel_flushed(&mut self, chan: ChannelId) {
-        let n = self.nic.channel(chan).depth();
-        self.tele.on_chan_flush(chan, n);
-        self.note_chan_empty(chan);
-        self.nic.destroy_channel(chan);
-    }
-
-    /// Destroys a crashed process's NI channel, accounting any
-    /// still-queued frames to the `owner_dead` bucket.
-    pub(crate) fn destroy_channel_owner_dead(&mut self, chan: ChannelId) {
-        let n = self.nic.channel(chan).depth();
-        self.tele.on_chan_owner_dead(chan, n);
-        self.note_chan_empty(chan);
-        self.nic.destroy_channel(chan);
+    /// A frame the host accepted dies at `p`: counted in host statistics
+    /// and in the ledger's host-drop bucket. Drops outside the ledger
+    /// (on the NIC, in TCP after its frame was counted, on the forward
+    /// and transmit paths, at reassembly expiry) call `stats.drop_at`.
+    pub(crate) fn drop_frame(&mut self, p: DropPoint) {
+        self.stats.drop_at(p);
+        if self.tele.enabled() {
+            *self.tele.host_drops.entry(p).or_insert(0) += 1;
+        }
     }
 
     /// Whole-host reboot: drains one NI channel's still-queued frames
@@ -946,13 +926,13 @@ impl Host {
             charged_ns: self.sched.total_charged().as_nanos(),
             user_ns: self.sched.total_user().as_nanos(),
             ipq_depth: self.ip_queue.len() as u64,
-            ipq_limit: self.cfg.ip_queue_limit as u64,
+            ipq_limit: crate::host::IP_QUEUE_LIMIT as u64,
             chan_depth_max: chan_depth_max as u64,
             chan_limit: self.cfg.channel_limit as u64,
             procs,
         };
         self.tele
-            .watchdog_feed(now, self.cfg.tick.as_nanos(), &sample);
+            .watchdog_feed(now, crate::config::TICK.as_nanos(), &sample);
         // Congestion-window gauges: the widest live connection's view
         // (cc_sweep plots per-controller cwnd evolution from these).
         let (tcp_cwnd, tcp_ssthresh) = self.cwnd_max;
@@ -986,18 +966,6 @@ impl Host {
     /// The world minted `span` for an injected frame bound for this host.
     pub(crate) fn note_injected_span(&mut self, now: SimTime, span: SpanId) {
         self.tele.on_span_inject(now, span);
-    }
-
-    /// Enqueues an outgoing frame on the NIC interface queue, keeping the
-    /// telemetry span sidecar aligned. The single choke point for
-    /// transmit enqueues. Returns false when the queue was full (the
-    /// frame is dropped; the caller accounts it).
-    pub(crate) fn ifq_enqueue_spanned(&mut self, frame: Frame, span: Option<SpanId>) -> bool {
-        let ok = self.nic.ifq_enqueue(frame);
-        if ok {
-            self.tele.on_ifq_enqueue(span);
-        }
-        ok
     }
 
     /// Dequeues the next outgoing frame plus its riding span (called by

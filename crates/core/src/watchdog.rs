@@ -48,7 +48,7 @@ pub const LIVELOCK_PEGGED_PCT: u64 = 90;
 pub const LIVELOCK_PROTO_PCT: u64 = 75;
 
 /// Consecutive no-progress ticks before a runnable process is declared
-/// starved (25 ticks × 10 ms statclock = 250 ms).
+/// starved (25 ticks of [`TICK`](crate::config::TICK): 250 ms).
 pub const STARVATION_TICKS: u32 = 25;
 
 /// Percent of a queue's limit at which saturation onset fires.

@@ -1,10 +1,11 @@
 //! The simulation world: hosts, links, injectors and the global event
 //! loop.
 
+use crate::config::TICK;
 use crate::host::Host;
 use crate::telemetry::SpanId;
 use lrp_net::{FaultPlan, FaultStats, Injector, LinkConfig, LinkFaults, TxLink};
-use lrp_sim::{EventQueue, SimDuration, SimTime};
+use lrp_sim::{EventQueue, SimTime};
 use lrp_wire::{ipv4, Frame, Ipv4Addr};
 use std::collections::HashMap;
 
@@ -65,7 +66,6 @@ pub struct World {
     /// Per host, per CPU: the generation last scheduled.
     cpu_gen: Vec<Vec<u64>>,
     link_cfg: LinkConfig,
-    tick: SimDuration,
     started: bool,
     /// Events processed by `run_until` (all kinds), for wall-clock
     /// benchmarks: events/sec = events_processed / elapsed.
@@ -90,7 +90,6 @@ impl World {
             timer_at: Vec::new(),
             cpu_gen: Vec::new(),
             link_cfg,
-            tick: SimDuration::from_millis(10),
             started: false,
             events: 0,
             capture: None,
@@ -201,7 +200,7 @@ impl World {
         self.started = true;
         for i in 0..self.hosts.len() {
             self.hosts[i].start(self.now);
-            self.schedule(self.now + self.tick, Event::Tick(i));
+            self.schedule(self.now + TICK, Event::Tick(i));
             self.post_host(i);
         }
         for i in 0..self.injectors.len() {
@@ -293,7 +292,7 @@ impl World {
                 }
                 Event::Tick(h) => {
                     self.hosts[h].on_tick(t);
-                    self.schedule(t + self.tick, Event::Tick(h));
+                    self.schedule(t + TICK, Event::Tick(h));
                     self.post_host(h);
                 }
                 Event::LinkFree(h) => {

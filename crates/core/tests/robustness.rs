@@ -227,8 +227,7 @@ fn corrupted_packet_flood() {
 /// pre-processes queued UDP packets so a later `recv` finds them ready.
 #[test]
 fn idle_thread_preprocesses_when_idle() {
-    let mut cfg = HostConfig::new(Architecture::NiLrp);
-    cfg.idle_thread = true;
+    let cfg = HostConfig::new(Architecture::NiLrp);
     let sock = Rc::new(RefCell::new(None));
     let got = Rc::new(RefCell::new(0u64));
     let mut world = World::with_defaults();
@@ -1129,7 +1128,11 @@ fn accept_moves_the_childs_pending_work_to_the_acceptor() {
         mss: None,
     };
     let host = &mut world.hosts[b];
-    host.on_frame(now, Frame::ipv4(tcp::build_datagram(A, B, &syn, 1, &[])));
+    host.on_frame_span(
+        now,
+        Frame::ipv4(tcp::build_datagram(A, B, &syn, 1, &[])),
+        None,
+    );
     if let Err(e) = host.check_indexes() {
         panic!("after the SYN: {e}");
     }

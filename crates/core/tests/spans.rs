@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use lrp_apps::{BlastSink, Shared, SinkMetrics};
 use lrp_core::{Architecture, Host, HostConfig, SpanEvent, World};
 use lrp_net::{Injector, Pattern};
+use lrp_nic::NicFaultPlan;
 use lrp_sim::SimTime;
 use lrp_wire::{udp, Frame, Ipv4Addr};
 
@@ -183,6 +184,39 @@ fn overload_span_log_agrees_with_the_ledger() {
             "{arch}: the overload shed nothing"
         );
         for (span, stages) in paths(&log) {
+            assert_eq!(
+                stages,
+                FULL_PATH[..stages.len()],
+                "{arch}: span {span:#x} left the path"
+            );
+        }
+    }
+}
+
+/// Under interrupt coalescing one interrupt drains a batch of frames, but
+/// only the frame that raised it brought its span along: each span still
+/// runs at most once through each queue, and always along the path.
+#[test]
+fn coalesced_batches_keep_one_span_per_frame() {
+    for arch in [
+        Architecture::Bsd,
+        Architecture::EarlyDemux,
+        Architecture::SoftLrp,
+    ] {
+        let (mut world, metrics) = blast(arch, true, 20_000.0, 300);
+        world.hosts[0].nic.set_faults(NicFaultPlan {
+            coalesce_ns: 200_000,
+            ..NicFaultPlan::none()
+        });
+        world.run_until(SimTime::from_millis(600));
+        let log = world.hosts[0].telemetry().span_log();
+        assert!(metrics.borrow().received > 0, "{arch}: nothing delivered");
+        assert!(count(&log, "deliver") > 0, "{arch}: no span delivered");
+        for (span, stages) in paths(&log) {
+            for stage in ["enq", "deliver", "recv"] {
+                let n = stages.iter().filter(|&&s| s == stage).count();
+                assert!(n <= 1, "{arch}: span {span:#x} has {n} `{stage}`");
+            }
             assert_eq!(
                 stages,
                 FULL_PATH[..stages.len()],

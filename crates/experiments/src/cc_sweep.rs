@@ -1,7 +1,7 @@
 //! Congestion-controller sweep: every pluggable controller × every
 //! architecture × the fault-sweep loss profiles.
 //!
-//! The modular-TCP seam (`CongestionControl` behind `HostConfig::tcp_cc`)
+//! The modular-TCP seam (`CongestionControl` behind `HostConfig::tcp.cc`)
 //! makes the controller a first-class experimental variable. This sweep
 //! reruns the fault-sweep bulk transfer with NewReno, Cubic and BBR-lite
 //! under identical deterministic fault sequences — per (profile) cell the

@@ -121,7 +121,7 @@ pub fn build_cc(
     let mut world = World::with_defaults();
     let metrics = shared::<TcpBulkMetrics>();
     let mut cfg = crate::host_config(arch);
-    cfg.tcp_cc = cc;
+    cfg.tcp.cc = cc;
     let mut a = Host::new(cfg, HOST_A);
     a.spawn_app(
         "tcp-src",

@@ -24,7 +24,8 @@
 use lrp_sim::SimTime;
 
 /// Selects the congestion controller a connection is created with
-/// (plumbed from `HostConfig::tcp_cc` through [`super::TcpConfig::cc`]).
+/// (a host sets it for all its connections as `HostConfig::tcp.cc`, its
+/// [`super::TcpConfig::cc`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum CcAlgo {
     /// 4.4BSD NewReno: slow start, congestion avoidance, fast recovery.

@@ -270,3 +270,58 @@ fn latency_stages_follow_the_receive_path() {
         assert_eq!((chan, soft), want, "{arch:?}: (channel, softirq) samples");
     }
 }
+
+/// Ablation A4 (no APP thread, §3.4): TCP input then runs only lazily in
+/// the blocked connect, accept, send and receive calls. A bulk transfer
+/// and an HTTP run cover all four on both LRP architectures; the ledger
+/// balances on both hosts and the outcomes are pinned. On NI-LRP the bulk
+/// receiver never gets a byte: a TCP call blocks without re-arming its
+/// channel's demand interrupt, so only a fresh (armed) channel's first
+/// frame wakes anyone — enough for short HTTP connections, not a stream.
+#[test]
+fn lazy_tcp_without_app_thread_balances_and_is_pinned() {
+    use lrp::apps::{TcpBulkMetrics, TcpBulkReceiver, TcpBulkSender};
+    use lrp::experiments::{fig5, HOST_A, HOST_B};
+    use lrp::wire::Endpoint;
+    // (architecture, bulk bytes received, bulk done, HTTP transactions)
+    let pinned = [
+        (Architecture::SoftLrp, 4_188_956, false, 685),
+        (Architecture::NiLrp, 0, false, 795),
+    ];
+    for (arch, bytes, done, http) in pinned {
+        let mut cfg = lrp::experiments::host_config(arch);
+        cfg.tcp_app_processing = false;
+
+        let mut world = World::with_defaults();
+        let metrics = shared::<TcpBulkMetrics>();
+        let mut a = Host::new(cfg, HOST_A);
+        let dst = Endpoint::new(HOST_B, 6400);
+        a.spawn_app(
+            "src",
+            0,
+            0,
+            Box::new(TcpBulkSender::new(dst, 4 << 20, 16_384)),
+        );
+        let mut b = Host::new(cfg, HOST_B);
+        b.spawn_app(
+            "sink",
+            0,
+            0,
+            Box::new(TcpBulkReceiver::new(6400, metrics.clone())),
+        );
+        world.add_host(a);
+        world.add_host(b);
+        world.run_until(SimTime::from_secs(2));
+        let errs = conservation_errors(&world);
+        assert!(errs.is_empty(), "{arch}: bulk: {errs:?}");
+        let m = metrics.borrow();
+        assert_eq!((m.bytes, m.done), (bytes, done), "{arch}: bulk");
+
+        let (mut world, metrics) = fig5::build_with_config(cfg, 0.0);
+        world.run_until(SimTime::from_secs(1));
+        let errs = conservation_errors(&world);
+        assert!(errs.is_empty(), "{arch}: http: {errs:?}");
+        let transactions: u64 = metrics.iter().map(|m| m.borrow().transactions).sum();
+        assert_eq!(transactions, http, "{arch}: http");
+    }
+}

@@ -253,7 +253,10 @@ fn committed_results_quote_one_histogram_per_latency_stage() {
     let mut stages = 0;
     for entry in std::fs::read_dir(lrp::telemetry::results_dir()).unwrap() {
         let path = entry.unwrap().path();
-        if path.extension().is_some_and(|e| e == "json") {
+        // `fig3 --trace` exports (`*.trace.json`, gitignored) are span
+        // logs, not results documents.
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.ends_with(".json") && !name.ends_with(".trace.json") {
             let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
             walk(&doc, &mut stages);
             files += 1;
