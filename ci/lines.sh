@@ -38,17 +38,17 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1704
 bench 0
-core 5581
+core 5736
 criterion-shim 126
 demux 427
 experiments 3818
 mbuf 366
 net 672
-nic 694
+nic 722
 proptest-shim 448
 sched 1055
 sim 1528
-stack 4214
+stack 4197
 telemetry 1481
 wire 1793
 EOF

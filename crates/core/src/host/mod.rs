@@ -34,6 +34,7 @@
 //! bit-for-bit.
 
 mod cpu;
+mod deadlines;
 mod index;
 mod pidmap;
 mod proto;
@@ -43,6 +44,7 @@ mod syscalls;
 use crate::config::{Architecture, HostConfig, QUANTUM, TICK};
 use crate::hostfault::{FaultKind, HostFaultPlan, HostFaultState};
 use crate::syscall::{AppLogic, Errno, SockProto, SyscallOp, SyscallRet};
+use deadlines::DeadlineHeap;
 use lrp_demux::ChannelId;
 use lrp_nic::{DemuxMode, Nic};
 use lrp_sched::{Account, Pid, SchedConfig, Scheduler, WaitChannel};
@@ -432,10 +434,17 @@ pub struct Host {
     /// Membership is mirrored in `Socket::timer_queued`.
     pub(crate) tcp_timer_work: VecDeque<SockId>,
     /// TCP deadline index: `(tcp.next_deadline(), id)` for every live
-    /// socket whose connection has a timer armed. Re-keyed wherever a
-    /// `TcpConn` is mutated, installed or dropped, so finding the next
-    /// timer never folds over the socket table.
-    pub(crate) tcp_deadlines: BTreeSet<(SimTime, SockId)>,
+    /// socket whose connection has a timer armed and that is not in
+    /// `tcp_timer_work`. Re-keyed wherever a `TcpConn` is mutated,
+    /// installed or dropped and wherever a socket leaves the work queue,
+    /// so the next timer is the heap's top.
+    pub(crate) tcp_deadlines: DeadlineHeap,
+    /// Storage of finished connections, released and ready for the next
+    /// `set_conn`, so churn at a steady connection count builds every
+    /// connection without allocating. At most `CONN_POOL_MAX`. Boxed
+    /// because the boxes are what `Socket::tcp` reuses.
+    #[allow(clippy::vec_box)]
+    pub(crate) conn_pool: Vec<Box<TcpConn>>,
     /// Ready-channel set: sockets whose NI channel exists and holds
     /// frames. Maintained at channel enqueue, dequeue and destroy; the
     /// LRP threads and the NI interrupt handler iterate it in ascending
@@ -601,7 +610,8 @@ impl Host {
             ip_queue: VecDeque::new(),
             rx_scratch: Vec::new(),
             tcp_timer_work: VecDeque::new(),
-            tcp_deadlines: BTreeSet::new(),
+            tcp_deadlines: DeadlineHeap::default(),
+            conn_pool: Vec::new(),
             ready_socks: BTreeSet::new(),
             owner_work: BTreeMap::new(),
             dgram_socks: BTreeSet::new(),
@@ -958,34 +968,22 @@ impl Host {
     /// The earliest kernel-timer deadline (TCP timers, timed sleeps,
     /// reassembly sweeps).
     pub fn next_timer_deadline(&self) -> Option<SimTime> {
-        let mut min: Option<SimTime> = None;
-        let mut fold = |t: Option<SimTime>| {
-            min = match (min, t) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, None) => a,
-                (None, b) => b,
-            };
-        };
-        // A socket whose timer work is already queued must not keep
-        // re-arming the world's timer event (its deadline stays in the
-        // past until the protocol context runs the work).
-        fold(
-            self.tcp_deadlines
-                .iter()
-                .find(|(_, id)| !self.sock(*id).timer_queued)
-                .map(|(t, _)| *t),
-        );
-        fold(self.sleep_until.keys().next().copied());
-        fold(self.recv_deadlines.keys().next().copied());
-        fold(self.restart_at.keys().next().copied());
-        fold(self.boot_at);
-        if let Some(f) = &self.fault {
-            fold(f.next_at());
-        }
-        if self.reasm.pending() > 0 {
-            fold(Some(self.next_reasm_sweep));
-        }
-        min
+        // A socket whose timer work is already queued is out of the TCP
+        // index, so it does not keep re-arming the world's timer event
+        // (its deadline stays in the past until the protocol context
+        // runs the work).
+        [
+            self.tcp_deadlines.peek().map(|(t, _)| t),
+            self.sleep_until.keys().next().copied(),
+            self.recv_deadlines.keys().next().copied(),
+            self.restart_at.keys().next().copied(),
+            self.boot_at,
+            self.fault.as_ref().and_then(|f| f.next_at()),
+            (self.reasm.pending() > 0).then_some(self.next_reasm_sweep),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
     }
 
     /// Total packets the NIC has accepted from the link.
@@ -1289,17 +1287,12 @@ impl Host {
         // TCP timers: queue protocol work for due connections. The index
         // yields them by deadline; the batch is queued in socket order.
         let queued = self.tcp_timer_work.len();
-        for &(_, id) in self.tcp_deadlines.range(..=(now, SockId(u32::MAX))) {
-            let s = self.sockets[id.0 as usize].as_mut().expect("live socket");
-            if !s.timer_queued {
-                s.timer_queued = true;
-                self.tcp_timer_work.push_back(id);
-                // `note_owner_work`, inlined: the loop borrows the
-                // deadline index.
-                if s.proto == SockProto::Tcp {
-                    *self.owner_work.entry(s.owner).or_insert(0) += 1;
-                }
-            }
+        while let Some(id) = self.tcp_deadlines.pop_due(now) {
+            let s = self.sock_mut(id);
+            s.timer_queued = true;
+            let (owner, proto) = (s.owner, s.proto);
+            self.tcp_timer_work.push_back(id);
+            self.note_owner_work(owner, proto, true);
         }
         if self.tcp_timer_work.len() > queued + 1 {
             self.tcp_timer_work.make_contiguous()[queued..].sort_unstable();

@@ -937,8 +937,9 @@ impl Host {
         if self.cwnd_max_sock == Some(sock) {
             self.cwnd_rescan = true;
         }
-        if let Some(conn) = &s.tcp {
+        if let Some(conn) = s.tcp {
             self.stats.tcp_closed.absorb(&conn.stats);
+            self.recycle_conn(conn);
         }
         self.pcb.remove_socket(sock);
         if s.proto == SockProto::Icmp && self.icmp_sock == Some(sock) {
@@ -964,8 +965,7 @@ impl Host {
         }
         self.live_socks.remove(&sock);
         self.dgram_socks.remove(&sock);
-        let deadline = s.tcp.as_ref().and_then(|c| c.next_deadline());
-        self.rekey_deadline(sock, deadline, None);
+        self.tcp_deadlines.set(sock, None);
         self.ed_pending.retain(|&x| x != sock);
     }
 

@@ -23,6 +23,8 @@
 
 use lrp_demux::{ChannelId, DemuxTable, Verdict};
 use lrp_wire::{Frame, Ipv4Addr};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Where the demultiplexing function executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,17 +134,23 @@ pub struct NiChannel {
     /// discards SYNs with no host work.
     pub processing_enabled: bool,
     stats: ChannelStats,
+    /// False once destroyed: the slot then keeps only the queue's storage
+    /// for the next channel created in it.
+    live: bool,
 }
 
 impl NiChannel {
-    fn new(id: ChannelId, limit: usize) -> Self {
+    /// A fresh channel queueing into `queue`'s (empty) storage.
+    fn new(id: ChannelId, limit: usize, queue: std::collections::VecDeque<Frame>) -> Self {
+        debug_assert!(queue.is_empty());
         NiChannel {
             id,
-            queue: std::collections::VecDeque::new(),
+            queue,
             limit,
             intr_requested: false,
             processing_enabled: true,
             stats: ChannelStats::default(),
+            live: true,
         }
     }
 
@@ -253,7 +261,10 @@ pub struct Nic {
     /// always land on the same ring.
     rx_rings: Vec<std::collections::VecDeque<Frame>>,
     rx_ring_limit: usize,
-    channels: Vec<Option<NiChannel>>,
+    /// Channel `i` in slot `i`, destroyed ones included.
+    channels: Vec<NiChannel>,
+    /// The destroyed channels' slots, lowest first.
+    free_slots: BinaryHeap<Reverse<u32>>,
     /// The special channel for non-first IP fragments (always present).
     pub fragment_channel: ChannelId,
     ifq: std::collections::VecDeque<Frame>,
@@ -286,6 +297,7 @@ impl Nic {
             rx_rings: vec![std::collections::VecDeque::new()],
             rx_ring_limit: DEFAULT_RX_RING,
             channels: Vec::new(),
+            free_slots: BinaryHeap::new(),
             fragment_channel: ChannelId(0),
             ifq: std::collections::VecDeque::new(),
             ifq_limit: DEFAULT_IFQ_LIMIT,
@@ -352,19 +364,19 @@ impl Nic {
         self.stats
     }
 
-    /// Creates a channel with an explicit queue limit.
+    /// Creates a channel with an explicit queue limit, in the lowest
+    /// destroyed slot if there is one (NI resources are finite); the new
+    /// channel inherits that slot's queue storage.
     pub fn create_channel(&mut self, limit: usize) -> ChannelId {
-        // Reuse a freed slot if available (NI resources are finite).
-        for (i, slot) in self.channels.iter_mut().enumerate() {
-            if slot.is_none() {
-                let id = ChannelId(i as u32);
-                *slot = Some(NiChannel::new(id, limit));
-                return id;
-            }
-        }
-        let id = ChannelId(self.channels.len() as u32);
-        self.channels.push(Some(NiChannel::new(id, limit)));
-        id
+        let Some(Reverse(slot)) = self.free_slots.pop() else {
+            let id = ChannelId(self.channels.len() as u32);
+            self.channels
+                .push(NiChannel::new(id, limit, Default::default()));
+            return id;
+        };
+        let ch = &mut self.channels[slot as usize];
+        *ch = NiChannel::new(ChannelId(slot), limit, std::mem::take(&mut ch.queue));
+        ch.id
     }
 
     /// Creates a channel with the default queue limit.
@@ -380,24 +392,28 @@ impl Nic {
     /// Panics if asked to destroy the fragment channel.
     pub fn destroy_channel(&mut self, id: ChannelId) {
         assert_ne!(id, self.fragment_channel, "fragment channel is permanent");
-        if let Some(slot) = self.channels.get_mut(id.0 as usize) {
-            *slot = None;
+        if let Some(ch) = self.channels.get_mut(id.0 as usize).filter(|c| c.live) {
+            ch.live = false;
+            ch.queue.clear();
+            self.free_slots.push(Reverse(id.0));
         }
+    }
+
+    /// The live channels, in id order.
+    fn live(&self) -> impl Iterator<Item = &NiChannel> {
+        self.channels.iter().filter(|c| c.live)
     }
 
     /// Number of live channels (including the fragment channel).
     pub fn channel_count(&self) -> usize {
-        self.channels.iter().filter(|c| c.is_some()).count()
+        self.live().count()
     }
 
     /// The ids of all live channels, in id order (includes the permanent
     /// fragment channel). Used by whole-host reboot to flush every
     /// channel coherently.
     pub fn channel_ids(&self) -> Vec<ChannelId> {
-        self.channels
-            .iter()
-            .filter_map(|c| c.as_ref().map(|c| c.id))
-            .collect()
+        self.live().map(|c| c.id).collect()
     }
 
     /// Accesses a channel.
@@ -406,8 +422,8 @@ impl Nic {
     ///
     /// Panics if the channel does not exist.
     pub fn channel(&self, id: ChannelId) -> &NiChannel {
-        self.channels[id.0 as usize]
-            .as_ref()
+        Some(&self.channels[id.0 as usize])
+            .filter(|c| c.live)
             .expect("channel exists")
     }
 
@@ -417,16 +433,14 @@ impl Nic {
     ///
     /// Panics if the channel does not exist.
     pub fn channel_mut(&mut self, id: ChannelId) -> &mut NiChannel {
-        self.channels[id.0 as usize]
-            .as_mut()
+        Some(&mut self.channels[id.0 as usize])
+            .filter(|c| c.live)
             .expect("channel exists")
     }
 
     /// True if the channel id refers to a live channel.
     pub fn channel_exists(&self, id: ChannelId) -> bool {
-        self.channels
-            .get(id.0 as usize)
-            .is_some_and(|c| c.is_some())
+        self.channels.get(id.0 as usize).is_some_and(|c| c.live)
     }
 
     /// Installs an injected-fault plan on the device.
@@ -532,7 +546,7 @@ impl Nic {
                     self.stats.early_discards += 1;
                     return RxOutcome::Dropped(NicDrop::NoMatch);
                 }
-                let ch = self.channels[chan.0 as usize].as_mut().expect("checked");
+                let ch = &mut self.channels[chan.0 as usize];
                 let was_empty = ch.is_empty();
                 if !ch.enqueue(frame) {
                     self.stats.early_discards += 1;
@@ -622,19 +636,15 @@ impl Nic {
     /// Total frames queued across all live channels (telemetry: in-flight
     /// frames for the packet-conservation ledger).
     pub fn channel_depth_total(&self) -> usize {
-        self.channels
-            .iter()
-            .filter_map(|c| c.as_ref().map(|c| c.depth()))
-            .sum()
+        self.live().map(|c| c.depth()).sum()
     }
 
     /// Frames queued across all live channels and in the deepest single
     /// one, in one pass (telemetry gauges: a hot channel backing up shows
     /// in the maximum before the total does).
     pub fn channel_depths(&self) -> (usize, usize) {
-        self.channels
-            .iter()
-            .filter_map(|c| c.as_ref().map(|c| c.depth()))
+        self.live()
+            .map(|c| c.depth())
             .fold((0, 0), |(total, max), d| (total + d, max.max(d)))
     }
 }
@@ -676,6 +686,7 @@ impl Nic {
 mod tests {
     use super::*;
     use lrp_wire::{proto, udp, Endpoint, FlowKey};
+    use proptest::prelude::*;
 
     const LOCAL: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
     const PEER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -847,6 +858,36 @@ mod tests {
         assert_eq!(nic.channel_count(), 1);
         let b = nic.create_default_channel();
         assert_eq!(b, a, "slot reused");
+    }
+
+    proptest! {
+        /// Over interleaved creates and destroys, ids come out exactly as
+        /// a scan for the lowest empty slot hands them out, and a
+        /// recreated channel starts empty with the new limit.
+        fn channel_ids_are_the_lowest_free_slot(
+            ops in proptest::collection::vec((proptest::bool::weighted(0.5), 0usize..12), 1..200),
+        ) {
+            let mut nic = Nic::new(DemuxMode::Ni, LOCAL, 8);
+            // The slots a scanning allocator would see: `true` = live.
+            let mut slots = vec![true];
+            for (create, pick) in ops {
+                if create {
+                    let want = slots.iter().position(|&l| !l).unwrap_or(slots.len());
+                    slots.resize(slots.len().max(want + 1), true);
+                    slots[want] = true;
+                    let id = nic.create_channel(pick + 1);
+                    prop_assert_eq!(id, ChannelId(want as u32));
+                    prop_assert!(nic.channel(id).is_empty());
+                    prop_assert_eq!(nic.channel(id).limit(), pick + 1);
+                    nic.channel_mut(id).enqueue(udp_frame(7));
+                } else if let Some(i) = (1..slots.len()).filter(|&i| slots[i]).nth(pick) {
+                    slots[i] = false;
+                    nic.destroy_channel(ChannelId(i as u32));
+                }
+                let live = (0..slots.len()).filter(|&i| slots[i]).map(|i| ChannelId(i as u32));
+                prop_assert_eq!(nic.channel_ids(), live.collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

@@ -293,6 +293,14 @@ impl ByteBuffer {
         }
     }
 
+    /// Takes over `spent`'s chain storage, emptied, so the first appends
+    /// here do not grow a chain of their own. `self` must be empty.
+    pub fn reuse(&mut self, spent: ByteBuffer) {
+        debug_assert!(self.is_empty(), "reuse into a non-empty buffer");
+        self.slices = spent.slices;
+        self.slices.clear();
+    }
+
     /// True if some buffered slice points into `buf` (for tests that a
     /// buffer holds bytes by reference).
     #[cfg(test)]

@@ -1,15 +1,15 @@
-//! The ACK-emission seam: when to acknowledge received data.
+//! The ACK-emission policy: when to acknowledge received data.
 //!
-//! [`AckStrategy`] decides *whether* an ACK goes out now or rides the
-//! delayed-ACK timer; the PCB core owns the timer itself (the deadline
-//! lives next to the other connection timers) and the ACK construction.
-//! Protocol-mandated ACKs — re-ACKs of old data, the challenge ACK for an
-//! unacceptable sequence number, the ACK of a FIN — are not policy and
-//! stay in the core.
+//! [`AckEveryOther`] decides *whether* an ACK goes out now or rides the
+//! delayed-ACK timer; the PCB core holds it inline, owns the timer itself
+//! (the deadline lives next to the other connection timers) and builds
+//! the ACK. Protocol-mandated ACKs — re-ACKs of old data, the challenge
+//! ACK for an unacceptable sequence number, the ACK of a FIN — are not
+//! policy and stay in the core.
 
 use lrp_sim::{SimDuration, SimTime};
 
-/// The strategy's verdict for one received segment.
+/// The policy's verdict for one received segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AckDecision {
     /// Emit an ACK immediately (this also clears any pending delayed
@@ -19,26 +19,16 @@ pub enum AckDecision {
     Delay(SimTime),
 }
 
-/// Decides ACK emission for in-order and out-of-order arrivals.
-///
-/// State ownership: a strategy may keep whatever history it wants, but it
-/// never constructs segments and never touches the timer directly — it
-/// only returns a decision. `pending` tells it whether a delayed ACK is
-/// already armed.
-pub trait AckStrategy: std::fmt::Debug {
-    /// In-order payload was accepted into the receive buffer.
-    fn on_in_order_data(&mut self, now: SimTime, pending: Option<SimTime>) -> AckDecision;
-
-    /// An out-of-order segment was stashed: duplicate-ACK emission
-    /// policy (fast retransmit at the sender depends on these).
-    fn on_out_of_order(&mut self, now: SimTime) -> AckDecision;
-}
-
 /// 4.4BSD's ack-every-other policy, extracted verbatim from the
 /// pre-refactor monolith: the first in-order segment arms the delayed-ACK
-/// timer, the second finds it armed and acks immediately; out-of-order
-/// segments always produce an immediate duplicate ACK. `delack: None`
-/// degenerates to ack-every-segment.
+/// timer, the second finds it armed and acks immediately. `delack: None`
+/// degenerates to ack-every-segment. Out-of-order segments are not
+/// policy: the core always answers them with an immediate duplicate ACK
+/// (fast retransmit at the sender depends on these).
+///
+/// The policy never constructs segments and never touches the timer; it
+/// only returns a decision. `pending` tells it whether a delayed ACK is
+/// already armed.
 #[derive(Debug)]
 pub struct AckEveryOther {
     /// Delayed-ACK timer duration; `None` acks every segment.
@@ -50,18 +40,13 @@ impl AckEveryOther {
     pub fn new(delack: Option<SimDuration>) -> Self {
         AckEveryOther { delack }
     }
-}
 
-impl AckStrategy for AckEveryOther {
-    fn on_in_order_data(&mut self, now: SimTime, pending: Option<SimTime>) -> AckDecision {
+    /// In-order payload was accepted into the receive buffer.
+    pub fn on_in_order_data(&self, now: SimTime, pending: Option<SimTime>) -> AckDecision {
         match self.delack {
             Some(d) if pending.is_none() => AckDecision::Delay(now + d),
             _ => AckDecision::Now,
         }
-    }
-
-    fn on_out_of_order(&mut self, _now: SimTime) -> AckDecision {
-        AckDecision::Now
     }
 }
 
@@ -71,20 +56,18 @@ mod tests {
 
     #[test]
     fn ack_every_other_alternates() {
-        let mut s = AckEveryOther::new(Some(SimDuration::from_millis(200)));
+        let s = AckEveryOther::new(Some(SimDuration::from_millis(200)));
         let t0 = SimTime::ZERO;
         // First segment: delay. Second (timer pending): ack now.
         let d = s.on_in_order_data(t0, None);
         assert_eq!(d, AckDecision::Delay(t0 + SimDuration::from_millis(200)));
         let d2 = s.on_in_order_data(t0, Some(t0 + SimDuration::from_millis(200)));
         assert_eq!(d2, AckDecision::Now);
-        // OOO always acks immediately (dup ACK).
-        assert_eq!(s.on_out_of_order(t0), AckDecision::Now);
     }
 
     #[test]
     fn no_delack_acks_every_segment() {
-        let mut s = AckEveryOther::new(None);
+        let s = AckEveryOther::new(None);
         assert_eq!(s.on_in_order_data(SimTime::ZERO, None), AckDecision::Now);
     }
 }

@@ -1,4 +1,4 @@
-//! The congestion-control seam: window management behind a stable trait.
+//! The congestion-control seam: window management behind one enum.
 //!
 //! [`CongestionControl`] owns the congestion window and slow-start
 //! threshold; the PCB core owns everything else (sequence space, buffers,
@@ -8,7 +8,8 @@
 //! reset, and every hook reads time exclusively from its arguments so any
 //! controller is as deterministic as the simulation itself.
 //!
-//! Three controllers ship behind the seam:
+//! Three controllers ship behind the seam, one variant each, held inline
+//! in the connection (no box per connection):
 //!
 //! - [`NewReno`] — the 4.4BSD slow start / congestion avoidance / fast
 //!   recovery arithmetic extracted verbatim from the pre-refactor
@@ -60,11 +61,11 @@ impl CcAlgo {
     /// Builds the controller. `mss` seeds the initial window; `cap` is
     /// the hard window ceiling (twice the send buffer, matching the
     /// pre-refactor clamp).
-    pub fn build(self, mss: usize, cap: usize) -> Box<dyn CongestionControl> {
+    pub fn build(self, mss: usize, cap: usize) -> CongestionControl {
         match self {
-            CcAlgo::NewReno => Box::new(NewReno::new(mss, cap)),
-            CcAlgo::Cubic => Box::new(Cubic::new(mss, cap)),
-            CcAlgo::BbrLite => Box::new(BbrLite::new(mss, cap)),
+            CcAlgo::NewReno => CongestionControl::NewReno(NewReno::new(mss, cap)),
+            CcAlgo::Cubic => CongestionControl::Cubic(Cubic::new(mss, cap)),
+            CcAlgo::BbrLite => CongestionControl::BbrLite(BbrLite::new(mss, cap)),
         }
     }
 }
@@ -75,52 +76,104 @@ impl std::fmt::Display for CcAlgo {
     }
 }
 
-/// A pluggable congestion controller.
+/// A connection's congestion controller.
 ///
 /// State ownership: the controller owns `cwnd` and `ssthresh` and nothing
 /// else; it must not assume it sees every segment, only the loss-signal
 /// hooks below. The PCB core calls the hooks at exactly the points the
 /// monolithic implementation mutated its inline window fields, so a
 /// controller reproducing that arithmetic is bit-identical to it.
-pub trait CongestionControl: std::fmt::Debug {
-    /// Which algorithm this is (for reports and result JSON).
-    fn algo(&self) -> CcAlgo;
+#[derive(Debug)]
+pub enum CongestionControl {
+    /// See [`NewReno`].
+    NewReno(NewReno),
+    /// See [`Cubic`].
+    Cubic(Cubic),
+    /// See [`BbrLite`].
+    BbrLite(BbrLite),
+}
 
+/// Evaluates `$e` with `$c` bound to whichever controller `$cc` holds.
+macro_rules! each {
+    ($cc:expr, $c:ident => $e:expr) => {
+        match $cc {
+            CongestionControl::NewReno($c) => $e,
+            CongestionControl::Cubic($c) => $e,
+            CongestionControl::BbrLite($c) => $e,
+        }
+    };
+}
+
+impl CongestionControl {
     /// Current congestion window, bytes. Always ≥ 1 MSS.
-    fn cwnd(&self) -> usize;
+    pub fn cwnd(&self) -> usize {
+        each!(self, c => c.cwnd)
+    }
 
     /// Current slow-start threshold, bytes. Always ≥ 2 MSS.
-    fn ssthresh(&self) -> usize;
+    pub fn ssthresh(&self) -> usize {
+        each!(self, c => c.ssthresh)
+    }
 
     /// MSS (re)negotiated during the handshake: the window restarts at
     /// one segment of the new size.
-    fn on_mss_negotiated(&mut self, mss: usize);
+    pub fn on_mss_negotiated(&mut self, mss: usize) {
+        each!(self, c => {
+            c.mss = mss;
+            c.cwnd = mss;
+            // Keeps the ssthresh ≥ 2 MSS invariant if the MSS grew. A
+            // no-op during a real handshake (ssthresh is still the initial
+            // 65 535), so NewReno stays bit-identical to the monolith.
+            c.ssthresh = c.ssthresh.max(2 * mss);
+        })
+    }
 
     /// A new-data ACK arrived. `acked` is the number of bytes this ACK
     /// newly acknowledged; `rtt_s` carries the Karn-filtered RTT sample
     /// if this ACK produced one (at most one per window).
-    fn on_ack(&mut self, now: SimTime, acked: usize, rtt_s: Option<f64>);
+    pub fn on_ack(&mut self, now: SimTime, acked: usize, rtt_s: Option<f64>) {
+        each!(self, c => c.on_ack(now, acked, rtt_s))
+    }
 
     /// Loss inferred from three duplicate ACKs (fast retransmit).
     /// `flight` is the number of bytes in flight when the signal fired.
-    fn on_loss(&mut self, now: SimTime, flight: usize);
+    pub fn on_loss(&mut self, flight: usize) {
+        each!(self, c => c.on_loss(flight))
+    }
 
     /// The retransmission timer fired. `flight` as in
     /// [`on_loss`](Self::on_loss).
-    fn on_rto(&mut self, now: SimTime, flight: usize);
+    pub fn on_rto(&mut self, flight: usize) {
+        each!(self, c => c.on_rto(flight))
+    }
 
     /// The connection sat idle (nothing in flight, empty send buffer) and
     /// the application is writing again. Controllers with rate models may
     /// restart them; NewReno deliberately does nothing, preserving
     /// bit-identity with the pre-refactor code.
-    fn on_idle_restart(&mut self, now: SimTime);
+    pub fn on_idle_restart(&mut self) {
+        match self {
+            CongestionControl::NewReno(_) => {}
+            CongestionControl::Cubic(c) => c.epoch = None,
+            // Stale rate samples would span the idle gap; restart sampling.
+            CongestionControl::BbrLite(b) => {
+                b.rate_anchor = None;
+                b.cycle_idx = 0;
+                b.cycle_start = None;
+            }
+        }
+    }
 
     /// Deterministic pacing-rate hint: the multiple of `cwnd / RTT` the
     /// controller would pace at, ×1024. The simulated output engine does
     /// not pace (it is window-limited only), so this is advisory —
     /// surfaced to telemetry so rate-based controllers are observable.
-    fn pacing_gain_x1024(&self) -> u32 {
-        1024
+    pub fn pacing_gain_x1024(&self) -> u32 {
+        match self {
+            CongestionControl::BbrLite(b) if b.startup => BBR_STARTUP_GAIN_X1024,
+            CongestionControl::BbrLite(b) => BBR_GAIN_CYCLE_X1024[b.cycle_idx],
+            _ => 1024,
+        }
     }
 }
 
@@ -147,29 +200,6 @@ impl NewReno {
             ssthresh: 65_535,
         }
     }
-}
-
-impl CongestionControl for NewReno {
-    fn algo(&self) -> CcAlgo {
-        CcAlgo::NewReno
-    }
-
-    fn cwnd(&self) -> usize {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> usize {
-        self.ssthresh
-    }
-
-    fn on_mss_negotiated(&mut self, mss: usize) {
-        self.mss = mss;
-        self.cwnd = mss;
-        // Keeps the ssthresh ≥ 2 MSS invariant if the MSS grew. A no-op
-        // during a real handshake (ssthresh is still the initial 65 535),
-        // so NewReno stays bit-identical to the monolith.
-        self.ssthresh = self.ssthresh.max(2 * mss);
-    }
 
     fn on_ack(&mut self, _now: SimTime, _acked: usize, _rtt_s: Option<f64>) {
         if self.cwnd < self.ssthresh {
@@ -180,17 +210,15 @@ impl CongestionControl for NewReno {
         self.cwnd = self.cwnd.min(self.cap);
     }
 
-    fn on_loss(&mut self, _now: SimTime, flight: usize) {
+    fn on_loss(&mut self, flight: usize) {
         self.ssthresh = (flight / 2).max(2 * self.mss);
         self.cwnd = self.ssthresh + 3 * self.mss;
     }
 
-    fn on_rto(&mut self, _now: SimTime, flight: usize) {
+    fn on_rto(&mut self, flight: usize) {
         self.ssthresh = (flight / 2).max(2 * self.mss);
         self.cwnd = self.mss;
     }
-
-    fn on_idle_restart(&mut self, _now: SimTime) {}
 }
 
 // ---- Cubic ----
@@ -238,26 +266,6 @@ impl Cubic {
         let mssf = self.mss as f64;
         (CUBIC_C * (t - self.k).powi(3) + self.w_max / mssf) * mssf
     }
-}
-
-impl CongestionControl for Cubic {
-    fn algo(&self) -> CcAlgo {
-        CcAlgo::Cubic
-    }
-
-    fn cwnd(&self) -> usize {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> usize {
-        self.ssthresh
-    }
-
-    fn on_mss_negotiated(&mut self, mss: usize) {
-        self.mss = mss;
-        self.cwnd = mss;
-        self.ssthresh = self.ssthresh.max(2 * mss);
-    }
 
     fn on_ack(&mut self, now: SimTime, _acked: usize, _rtt_s: Option<f64>) {
         if self.cwnd < self.ssthresh {
@@ -292,7 +300,7 @@ impl CongestionControl for Cubic {
         self.cwnd = self.cwnd.min(self.cap);
     }
 
-    fn on_loss(&mut self, _now: SimTime, _flight: usize) {
+    fn on_loss(&mut self, _flight: usize) {
         let w = self.cwnd as f64;
         // Fast convergence: remember a *lower* peak when the window never
         // regained the previous one, ceding bandwidth to new flows.
@@ -306,14 +314,10 @@ impl CongestionControl for Cubic {
         self.epoch = None;
     }
 
-    fn on_rto(&mut self, _now: SimTime, _flight: usize) {
+    fn on_rto(&mut self, _flight: usize) {
         self.w_max = self.cwnd as f64;
         self.ssthresh = ((self.cwnd as f64 * CUBIC_BETA) as usize).max(2 * self.mss);
         self.cwnd = self.mss;
-        self.epoch = None;
-    }
-
-    fn on_idle_restart(&mut self, _now: SimTime) {
         self.epoch = None;
     }
 }
@@ -385,26 +389,6 @@ impl BbrLite {
     fn bdp(&self) -> f64 {
         self.min_rtt.map_or(0.0, |r| self.btl_bw * r)
     }
-}
-
-impl CongestionControl for BbrLite {
-    fn algo(&self) -> CcAlgo {
-        CcAlgo::BbrLite
-    }
-
-    fn cwnd(&self) -> usize {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> usize {
-        self.ssthresh
-    }
-
-    fn on_mss_negotiated(&mut self, mss: usize) {
-        self.mss = mss;
-        self.cwnd = mss;
-        self.ssthresh = self.ssthresh.max(2 * mss);
-    }
 
     fn on_ack(&mut self, now: SimTime, acked: usize, rtt_s: Option<f64>) {
         self.delivered += acked as u64;
@@ -453,13 +437,13 @@ impl CongestionControl for BbrLite {
         self.cwnd = self.cwnd.clamp(self.mss, self.cap);
     }
 
-    fn on_loss(&mut self, _now: SimTime, _flight: usize) {
+    fn on_loss(&mut self, _flight: usize) {
         // BBR does not treat isolated loss as a congestion signal; trim
         // modestly so a persistently lossy path still sheds load.
         self.cwnd = (self.cwnd - self.cwnd / 4).max(self.mss).min(self.cap);
     }
 
-    fn on_rto(&mut self, _now: SimTime, flight: usize) {
+    fn on_rto(&mut self, flight: usize) {
         // The model was wrong enough to stall the pipe: rebuild it.
         self.ssthresh = (flight / 2).max(2 * self.mss);
         self.btl_bw = 0.0;
@@ -468,21 +452,6 @@ impl CongestionControl for BbrLite {
         self.cycle_start = None;
         self.startup = true;
         self.cwnd = self.mss;
-    }
-
-    fn on_idle_restart(&mut self, _now: SimTime) {
-        // Stale rate samples would span the idle gap; restart sampling.
-        self.rate_anchor = None;
-        self.cycle_idx = 0;
-        self.cycle_start = None;
-    }
-
-    fn pacing_gain_x1024(&self) -> u32 {
-        if self.startup {
-            BBR_STARTUP_GAIN_X1024
-        } else {
-            BBR_GAIN_CYCLE_X1024[self.cycle_idx]
-        }
     }
 }
 
@@ -500,10 +469,10 @@ mod tests {
 
     #[test]
     fn newreno_exits_slow_start_at_ssthresh() {
-        let mut cc = NewReno::new(MSS, CAP);
+        let mut cc = CcAlgo::NewReno.build(MSS, CAP);
         // Pull ssthresh down via a loss so the exit is observable.
-        cc.on_loss(SimTime::ZERO, 8 * MSS); // ssthresh = 4*MSS, cwnd = 7*MSS
-        cc.on_rto(SimTime::ZERO, 8 * MSS); // ssthresh = 4*MSS, cwnd = MSS
+        cc.on_loss(8 * MSS); // ssthresh = 4*MSS, cwnd = 7*MSS
+        cc.on_rto(8 * MSS); // ssthresh = 4*MSS, cwnd = MSS
         assert_eq!(cc.ssthresh(), 4 * MSS);
         // Slow start: one MSS per ACK while below ssthresh.
         let mut deltas = Vec::new();
@@ -522,7 +491,7 @@ mod tests {
     #[test]
     fn newreno_matches_monolith_arithmetic() {
         // The exact expressions the monolith used, replayed side by side.
-        let mut cc = NewReno::new(MSS, CAP);
+        let mut cc = CcAlgo::NewReno.build(MSS, CAP);
         let (mut cwnd, mut ssthresh) = (MSS, 65_535usize);
         for i in 0..200u64 {
             match i % 50 {
@@ -530,13 +499,13 @@ mod tests {
                     let flight = 9 * MSS;
                     ssthresh = (flight / 2).max(2 * MSS);
                     cwnd = ssthresh + 3 * MSS;
-                    cc.on_loss(t(i), flight);
+                    cc.on_loss(flight);
                 }
                 23 => {
                     let flight = 5 * MSS;
                     ssthresh = (flight / 2).max(2 * MSS);
                     cwnd = MSS;
-                    cc.on_rto(t(i), flight);
+                    cc.on_rto(flight);
                 }
                 _ => {
                     if cwnd < ssthresh {
@@ -555,13 +524,13 @@ mod tests {
 
     #[test]
     fn cubic_growth_is_concave_then_convex_around_w_max() {
-        let mut cc = Cubic::new(MSS, 1 << 20);
+        let mut cc = CcAlgo::Cubic.build(MSS, 1 << 20);
         // Get into avoidance with a meaningful w_max: grow, then lose.
         for i in 0..40 {
             cc.on_ack(t(i), MSS, None);
         }
         let w_before_loss = cc.cwnd();
-        cc.on_loss(t(100), w_before_loss);
+        cc.on_loss(w_before_loss);
         // Replay ACKs on a fixed 10 ms cadence and record the window.
         // Long enough that the convex segment past w_max is as wide as
         // the concave climb back to it.
@@ -602,23 +571,23 @@ mod tests {
 
     #[test]
     fn cubic_fast_convergence_lowers_the_peak() {
-        let mut cc = Cubic::new(MSS, 1 << 20);
+        let mut cc = CcAlgo::Cubic.build(MSS, 1 << 20);
         for i in 0..40 {
             cc.on_ack(t(i), MSS, None);
         }
         let w1 = cc.cwnd();
-        cc.on_loss(t(50), w1);
+        cc.on_loss(w1);
         let w_after_first = cc.cwnd();
         // Second loss before regaining the peak: ssthresh must land
         // *below* beta times the first peak (bandwidth ceded).
-        cc.on_loss(t(60), w_after_first);
+        cc.on_loss(w_after_first);
         assert!(cc.ssthresh() < (w1 as f64 * CUBIC_BETA) as usize);
         assert!(cc.ssthresh() >= 2 * MSS);
     }
 
     #[test]
     fn bbr_lite_steady_state_window_is_bounded_by_the_model() {
-        let mut cc = BbrLite::new(MSS, 1 << 24);
+        let mut cc = CcAlgo::BbrLite.build(MSS, 1 << 24);
         // Synthetic steady path: 10 MB/s delivery, 20 ms RTT, one ACK of
         // one MSS every 100 µs of simulated time.
         let rate = 10_000_000.0; // bytes/s
@@ -652,13 +621,13 @@ mod tests {
 
     #[test]
     fn bbr_lite_rto_resets_the_model() {
-        let mut cc = BbrLite::new(MSS, 1 << 24);
+        let mut cc = CcAlgo::BbrLite.build(MSS, 1 << 24);
         let mut now = SimTime::ZERO;
         for _ in 0..1_000u32 {
             now += lrp_sim::SimDuration::from_micros(100);
             cc.on_ack(now, MSS, Some(0.02));
         }
-        cc.on_rto(now, 10 * MSS);
+        cc.on_rto(10 * MSS);
         assert_eq!(cc.cwnd(), MSS);
         assert_eq!(cc.ssthresh(), 5 * MSS);
         assert_eq!(cc.pacing_gain_x1024(), BBR_STARTUP_GAIN_X1024);
@@ -722,9 +691,9 @@ mod tests {
                         now += lrp_sim::SimDuration::from_micros(dt_us);
                         cc.on_ack(now, acked, rtt_us.map(|u| u as f64 / 1e6));
                     }
-                    Ev::Loss { flight_segs } => cc.on_loss(now, flight_segs * mss),
-                    Ev::Rto { flight_segs } => cc.on_rto(now, flight_segs * mss),
-                    Ev::Idle => cc.on_idle_restart(now),
+                    Ev::Loss { flight_segs } => cc.on_loss(flight_segs * mss),
+                    Ev::Rto { flight_segs } => cc.on_rto(flight_segs * mss),
+                    Ev::Idle => cc.on_idle_restart(),
                     Ev::Mss { mss: m } => {
                         mss = m;
                         cc.on_mss_negotiated(m);

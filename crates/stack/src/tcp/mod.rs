@@ -14,14 +14,18 @@
 //!   bookkeeping, buffers, timers, and the output engine. [`TcpConn`]
 //!   owns every sequence number; the seams below never touch one.
 //! - [`cc`] — [`cc::CongestionControl`]: `cwnd`/`ssthresh` ownership
-//!   behind on-ack/on-loss/on-RTO/on-idle-restart hooks, with three
+//!   behind on-ack/on-loss/on-RTO/on-idle-restart hooks, an enum of three
 //!   controllers ([`cc::NewReno`] default, [`cc::Cubic`],
-//!   [`cc::BbrLite`]) selected by [`TcpConfig::cc`].
-//! - [`ack`] — [`ack::AckStrategy`]: delayed-ACK policy and dup-ACK
-//!   emission ([`ack::AckEveryOther`], BSD's ack-every-other).
-//! - [`recovery`] — [`recovery::LossRecovery`]: Karn/Jacobson RTT
+//!   [`cc::BbrLite`]) selected by [`TcpConfig::cc`] and held inline.
+//! - [`ack`] — [`ack::AckEveryOther`]: BSD's ack-every-other delayed-ACK
+//!   policy.
+//! - [`recovery`] — [`recovery::RenoRecovery`]: Karn/Jacobson RTT
 //!   sampling, RTO clamping, exponential backoff, retry budget, and
-//!   dup-ACK counting ([`recovery::RenoRecovery`]).
+//!   dup-ACK counting.
+//!
+//! All three are held inline in the connection, so the storage a
+//! connection owns is itself and its socket buffers' chains;
+//! [`TcpConn::release`] and [`TcpConn::renew`] let a host reuse both.
 //!
 //! Under the default modules the machine is bit-identical to the
 //! pre-refactor monolithic `tcp.rs` — pinned by `tests/determinism.rs`,
@@ -50,11 +54,9 @@ pub mod cc;
 pub mod cookie;
 pub mod recovery;
 
-pub use ack::{AckDecision, AckStrategy};
+pub use ack::{AckDecision, AckEveryOther};
 pub use cc::{CcAlgo, CongestionControl};
-pub use recovery::{LossRecovery, RenoRecovery};
-
-use ack::AckEveryOther;
+pub use recovery::RenoRecovery;
 
 /// TCP connection states (RFC 793).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -322,9 +324,9 @@ pub struct TcpConn {
     last_adv_wnd: u32,
 
     /// Congestion control: owns `cwnd` and `ssthresh`.
-    cc: Box<dyn CongestionControl>,
-    /// ACK-emission policy.
-    ack_policy: Box<dyn AckStrategy>,
+    cc: CongestionControl,
+    /// Delayed-ACK policy.
+    ack_policy: AckEveryOther,
     /// Loss recovery: RTT estimation, backoff, dup-ACK counting.
     pub(crate) recovery: RenoRecovery,
 
@@ -368,7 +370,7 @@ impl TcpConn {
             ooo: BTreeMap::new(),
             last_adv_wnd: cfg.rcv_buf as u32,
             cc: cfg.cc.build(mss as usize, cfg.snd_buf * 2),
-            ack_policy: Box::new(AckEveryOther::new(cfg.delack)),
+            ack_policy: AckEveryOther::new(cfg.delack),
             recovery: RenoRecovery::new(cfg.rto_init),
             rexmt_deadline: None,
             delack_deadline: None,
@@ -377,6 +379,26 @@ impl TcpConn {
             keepalive_probes_sent: 0,
             persist_mode: false,
         }
+    }
+
+    /// Drops everything this finished connection still holds (buffered
+    /// bytes, out-of-order segments), keeping the socket buffers' chain
+    /// storage for [`renew`](Self::renew).
+    pub fn release(&mut self) {
+        self.snd_buf.discard(self.snd_buf.len());
+        self.rcv_buf.discard(self.rcv_buf.len());
+        self.ooo.clear();
+    }
+
+    /// Becomes `fresh`, a connection just built by one of the
+    /// constructors, in this released connection's storage: the result
+    /// equals `fresh` field for field, and its socket buffers keep the
+    /// chain capacity this one grew, so its first appends do not
+    /// allocate.
+    pub fn renew(&mut self, fresh: TcpConn) {
+        let spent = std::mem::replace(self, fresh);
+        self.snd_buf.reuse(spent.snd_buf);
+        self.rcv_buf.reuse(spent.rcv_buf);
     }
 
     /// The effective maximum segment size after MSS negotiation.
@@ -397,11 +419,6 @@ impl TcpConn {
     /// Current slow-start threshold in bytes.
     pub fn ssthresh(&self) -> usize {
         self.cc.ssthresh()
-    }
-
-    /// The congestion controller this connection runs.
-    pub fn cc_algo(&self) -> CcAlgo {
-        self.cc.algo()
     }
 
     /// The controller's advisory pacing gain, ×1024 (see
@@ -427,8 +444,8 @@ impl TcpConn {
             state: self.state,
             srtt_ns: self.recovery.srtt.map_or(0, |s| (s * 1e9) as u64),
             rttvar_ns: (self.recovery.rttvar * 1e9) as u64,
-            rto_ns: self.recovery.rto().as_nanos(),
-            retries: self.recovery.retries(),
+            rto_ns: self.recovery.rto.as_nanos(),
+            retries: self.recovery.retries,
             cwnd: self.cc.cwnd() as u64,
             ssthresh: self.cc.ssthresh() as u64,
             snd_q: self.snd_buf.len() as u64,
@@ -716,7 +733,7 @@ impl TcpConn {
             | TcpState::LastAck => {
                 // Collapse the window: classic timeout response.
                 let flight = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
-                self.cc.on_rto(now, flight);
+                self.cc.on_rto(flight);
                 self.recovery.reset_dup_acks();
                 // Go-back-N: rewind and retransmit from snd_una.
                 self.snd_nxt = self.snd_una;
@@ -776,7 +793,7 @@ impl TcpConn {
         // connection sat quiet — let rate-model controllers resync.
         // NewReno's hook is a no-op, preserving bit-identity.
         if self.snd_buf.is_empty() && self.snd_nxt == self.snd_una {
-            self.cc.on_idle_restart(now);
+            self.cc.on_idle_restart();
         }
         let n = self.snd_buf.adopt(data);
         self.output_into(now, false, out);
@@ -1226,7 +1243,7 @@ impl TcpConn {
     fn fast_retransmit(&mut self, now: SimTime, out: &mut Actions) {
         self.stats.fast_retransmits += 1;
         let flight = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
-        self.cc.on_loss(now, flight);
+        self.cc.on_loss(flight);
         // Karn: the retransmission must not be timed.
         self.recovery.on_retransmit();
         // Retransmit the lost segment.
@@ -1299,8 +1316,8 @@ impl TcpConn {
                     self.stats.bytes_in += m as u64;
                 }
             }
-            // ACK policy: the strategy decides between an immediate ACK
-            // and the delayed-ACK timer (BSD acks every other segment).
+            // ACK policy: an immediate ACK or the delayed-ACK timer (BSD
+            // acks every other segment).
             match self.ack_policy.on_in_order_data(now, self.delack_deadline) {
                 AckDecision::Now => {
                     let ack = self.make_ack();
@@ -1309,18 +1326,13 @@ impl TcpConn {
                 AckDecision::Delay(deadline) => self.delack_deadline = Some(deadline),
             }
         } else {
-            // Out of order: stash, then ask the strategy about dup-ACK
-            // emission (the sender's fast retransmit depends on it).
+            // Out of order: stash, and send the duplicate ACK now (the
+            // sender's fast retransmit depends on it).
             if self.ooo.len() < 64 {
                 self.ooo.entry(seq).or_insert(data);
             }
-            match self.ack_policy.on_out_of_order(now) {
-                AckDecision::Now => {
-                    let ack = self.make_ack();
-                    out.segments.push(ack);
-                }
-                AckDecision::Delay(deadline) => self.delack_deadline = Some(deadline),
-            }
+            let ack = self.make_ack();
+            out.segments.push(ack);
         }
         let _ = th;
     }

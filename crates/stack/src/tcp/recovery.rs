@@ -1,7 +1,7 @@
 //! The loss-recovery seam: RTT estimation, retransmission backoff, and
 //! duplicate-ACK accounting.
 //!
-//! [`LossRecovery`] owns the Jacobson/Karn RTT machinery (`srtt`,
+//! [`RenoRecovery`] owns the Jacobson/Karn RTT machinery (`srtt`,
 //! `rttvar`, the clamped RTO), the exponential-backoff shift, the
 //! retry budget, the duplicate-ACK counter, and the one-probe-per-window
 //! RTT timing slot Karn's rule invalidates on retransmission. The PCB
@@ -9,68 +9,16 @@
 //! including the lost-FIN `fin_seq` reset) but consults this module for
 //! every timing and counting decision on that path.
 //!
-//! [`RenoRecovery`] is the extracted 4.4BSD implementation and the only
-//! one shipped; the PCB holds it concretely (static dispatch on the
-//! per-segment hot path), with the trait pinning the contract for
-//! alternative recovery schemes.
+//! It is the extracted 4.4BSD implementation, held inline by the PCB.
+//! Its hooks may mutate only the recovery state itself — never the
+//! window (that is [`super::cc::CongestionControl`]'s) and never sequence
+//! numbers (the PCB's).
 
 use super::TcpConfig;
 use lrp_sim::{SimDuration, SimTime};
 
 /// Duplicate-ACK threshold triggering fast retransmit.
 const DUP_ACK_THRESHOLD: u32 = 3;
-
-/// RTT estimation, RTO backoff and dup-ACK counting behind one contract.
-///
-/// Hooks may mutate only the recovery state itself — never the window
-/// (that is [`super::cc::CongestionControl`]'s) and never sequence
-/// numbers (the PCB's).
-pub trait LossRecovery: std::fmt::Debug {
-    /// Smoothed RTT, seconds (`None` before the first sample).
-    fn srtt_s(&self) -> Option<f64>;
-
-    /// Current (unbacked-off) retransmission timeout.
-    fn rto(&self) -> SimDuration;
-
-    /// Consecutive-retransmission count since the last new ACK.
-    fn retries(&self) -> u32;
-
-    /// Duplicate ACKs counted since the last new ACK.
-    fn dup_acks(&self) -> u32;
-
-    /// The timeout to arm the retransmission timer with: the RTO scaled
-    /// by the exponential backoff, clamped to the configured bounds.
-    fn rexmt_timeout(&self, cfg: &TcpConfig) -> SimDuration;
-
-    /// Feeds one Karn-filtered RTT sample (seconds) into the Jacobson
-    /// estimator and re-derives the clamped RTO.
-    fn on_rtt_sample(&mut self, sample_s: f64, cfg: &TcpConfig);
-
-    /// Counts a duplicate ACK; true exactly when the count reaches the
-    /// fast-retransmit threshold.
-    fn on_dup_ack(&mut self) -> bool;
-
-    /// A new-data ACK arrived: dup-ACK count, retry budget and backoff
-    /// all reset.
-    fn on_new_ack(&mut self);
-
-    /// The retransmission timer fired while zero-window probing: backoff
-    /// grows (capped — the peer is alive, merely slow) without consuming
-    /// the retry budget, and Karn invalidates the RTT probe.
-    fn on_persist_timeout(&mut self);
-
-    /// The retransmission timer fired for real. Returns `true` when the
-    /// retry budget is exhausted (the caller kills the connection);
-    /// otherwise the backoff grows and Karn invalidates the RTT probe.
-    fn on_rto_fired(&mut self, max_retries: u32) -> bool;
-
-    /// A segment is being retransmitted outside the RTO path (fast
-    /// retransmit): Karn's rule — never time a retransmitted segment.
-    fn on_retransmit(&mut self);
-
-    /// Clears the dup-ACK counter (window collapse on RTO).
-    fn reset_dup_acks(&mut self);
-}
 
 /// The 4.4BSD recovery state extracted verbatim from the pre-refactor
 /// monolith. Fields are crate-visible so the in-tree unit tests can
@@ -108,33 +56,19 @@ impl RenoRecovery {
             retries: 0,
         }
     }
-}
 
-impl LossRecovery for RenoRecovery {
-    fn srtt_s(&self) -> Option<f64> {
-        self.srtt
-    }
-
-    fn rto(&self) -> SimDuration {
-        self.rto
-    }
-
-    fn retries(&self) -> u32 {
-        self.retries
-    }
-
-    fn dup_acks(&self) -> u32 {
-        self.dup_ack_count
-    }
-
-    fn rexmt_timeout(&self, cfg: &TcpConfig) -> SimDuration {
+    /// The timeout to arm the retransmission timer with: the RTO scaled
+    /// by the exponential backoff, clamped to the configured bounds.
+    pub fn rexmt_timeout(&self, cfg: &TcpConfig) -> SimDuration {
         self.rto
             .mul_f64((1u64 << self.backoff_shift.min(12)) as f64)
             .min(cfg.rto_max)
             .max(cfg.rto_min)
     }
 
-    fn on_rtt_sample(&mut self, sample_s: f64, cfg: &TcpConfig) {
+    /// Feeds one Karn-filtered RTT sample (seconds) into the Jacobson
+    /// estimator and re-derives the clamped RTO.
+    pub fn on_rtt_sample(&mut self, sample_s: f64, cfg: &TcpConfig) {
         match self.srtt {
             None => {
                 self.srtt = Some(sample_s);
@@ -152,23 +86,33 @@ impl LossRecovery for RenoRecovery {
             .min(cfg.rto_max);
     }
 
-    fn on_dup_ack(&mut self) -> bool {
+    /// Counts a duplicate ACK; true exactly when the count reaches the
+    /// fast-retransmit threshold.
+    pub fn on_dup_ack(&mut self) -> bool {
         self.dup_ack_count += 1;
         self.dup_ack_count == DUP_ACK_THRESHOLD
     }
 
-    fn on_new_ack(&mut self) {
+    /// A new-data ACK arrived: dup-ACK count, retry budget and backoff
+    /// all reset.
+    pub fn on_new_ack(&mut self) {
         self.dup_ack_count = 0;
         self.retries = 0;
         self.backoff_shift = 0;
     }
 
-    fn on_persist_timeout(&mut self) {
+    /// The retransmission timer fired while zero-window probing: backoff
+    /// grows (capped — the peer is alive, merely slow) without consuming
+    /// the retry budget, and Karn invalidates the RTT probe.
+    pub fn on_persist_timeout(&mut self) {
         self.backoff_shift = (self.backoff_shift + 1).min(6);
         self.rtt_probe = None;
     }
 
-    fn on_rto_fired(&mut self, max_retries: u32) -> bool {
+    /// The retransmission timer fired for real. Returns `true` when the
+    /// retry budget is exhausted (the caller kills the connection);
+    /// otherwise the backoff grows and Karn invalidates the RTT probe.
+    pub fn on_rto_fired(&mut self, max_retries: u32) -> bool {
         self.retries += 1;
         if self.retries > max_retries {
             return true;
@@ -179,11 +123,14 @@ impl LossRecovery for RenoRecovery {
         false
     }
 
-    fn on_retransmit(&mut self) {
+    /// A segment is being retransmitted outside the RTO path (fast
+    /// retransmit): Karn's rule — never time a retransmitted segment.
+    pub fn on_retransmit(&mut self) {
         self.rtt_probe = None;
     }
 
-    fn reset_dup_acks(&mut self) {
+    /// Clears the dup-ACK counter (window collapse on RTO).
+    pub fn reset_dup_acks(&mut self) {
         self.dup_ack_count = 0;
     }
 }
@@ -226,6 +173,6 @@ mod tests {
         assert!(r.on_dup_ack());
         assert!(!r.on_dup_ack(), "fires only at exactly the threshold");
         r.on_new_ack();
-        assert_eq!(r.dup_acks(), 0);
+        assert_eq!(r.dup_ack_count, 0);
     }
 }

@@ -1291,3 +1291,42 @@ fn into_forms_append_exactly_what_the_wrappers_return() {
     a.call(|c| ((), c.close(now)), |c, out| c.close_into(now, out));
     b.call(|c| ((), c.abort()), |c, out| c.abort_into(out));
 }
+
+/// A finished connection with both socket buffers and the out-of-order
+/// stash holding data, released for reuse.
+fn spent_conn() -> TcpConn {
+    let mut d = established(Driver::new(cfg()));
+    let _ = d.b.write(d.now, &[b'C'; 4000]);
+    let segs: Vec<Segment> = (0..3)
+        .map(|_| d.a.write(d.now, &[b'A'; 400]).1.segments.remove(0))
+        .collect();
+    let mut b = d.b;
+    for s in [&segs[0], &segs[2]] {
+        let _ = b.on_segment(d.now, &s.hdr, &s.payload);
+    }
+    assert!(b.available() > 0 && b.send_space() < cfg().snd_buf && !b.ooo.is_empty());
+    b.release();
+    b
+}
+
+#[test]
+fn renewed_connection_equals_a_fresh_one() {
+    let (local, remote, now) = (ep(2, 2000), ep(1, 1000), SimTime::from_millis(3));
+    let syn = TcpConn::new(cfg(), remote, local, 5).connect(now).segments[0].hdr;
+    let ack = TcpHeader {
+        flags: flags::ACK,
+        ack: 78,
+        mss: None,
+        ..syn
+    };
+    let builds: [&dyn Fn() -> TcpConn; 3] = [
+        &|| TcpConn::new(cfg(), local, remote, 77),
+        &|| TcpConn::accept_syn(cfg(), local, remote, 77, &syn, now).0,
+        &|| TcpConn::cookie_established(cfg(), local, remote, &ack, 536, now),
+    ];
+    for build in builds {
+        let mut c = spent_conn();
+        c.renew(build());
+        assert_eq!(format!("{c:?}"), format!("{:?}", build()));
+    }
+}
