@@ -42,7 +42,7 @@ core 5736
 criterion-shim 126
 demux 427
 experiments 3818
-mbuf 366
+mbuf 421
 net 672
 nic 722
 proptest-shim 448
@@ -50,7 +50,7 @@ sched 1055
 sim 1528
 stack 4197
 telemetry 1481
-wire 1793
+wire 1824
 EOF
 printf '%-16s %6d\n' total "$total"
 for dir in crates/*/; do

@@ -16,6 +16,15 @@
 //! thread-local arena (`lrp-wire`'s `FrameBuf`) is responsible for
 //! calling [`FrameArena::reclaim`] when a buffer's last reference
 //! drops.
+//!
+//! A buffer carries one more bit: the *TCP-summed mark*, which says
+//! "these bytes are exactly an IPv4+TCP datagram whose TCP checksum the
+//! framer wrote, and nothing has written to them since". Only
+//! `lrp-wire`'s TCP framer sets it, on storage it alone owns; every
+//! path to `&mut` bytes ([`PooledBuf::vec_mut`]) clears it, and
+//! [`FrameArena::adopt`] starts every checkout unmarked. A receiver
+//! that finds the mark on a whole segment may skip summing it (Linux's
+//! `CHECKSUM_UNNECESSARY` for loopback), because the sum cannot fail.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -42,9 +51,14 @@ fn band(capacity: usize) -> usize {
     capacity.ilog2() as usize
 }
 
+/// Largest generation; the next wraps to 0. One bit short of `u32`, so a
+/// [`PooledBuf`] packs its generation and its mark into one word.
+const MAX_GEN: u32 = u32::MAX >> 1;
+
 /// Identity of one checked-out buffer: which slot it came from and the
 /// slot's generation at checkout. Returning with a stale generation
-/// (double return, forged handle) panics.
+/// (double return, forged handle) panics. Generations count modulo
+/// 2^31.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BufHandle {
     slot: u32,
@@ -94,25 +108,56 @@ pub struct ArenaStats {
 #[derive(Debug)]
 pub struct PooledBuf {
     storage: Vec<u8>,
-    handle: BufHandle,
+    slot: u32,
+    /// The generation at checkout, shifted left by one; bit 0 is the
+    /// TCP-summed mark (see the module docs). One word, so the mark
+    /// costs no space.
+    gen_mark: u32,
 }
 
 impl PooledBuf {
+    /// Unmarked storage with checkout identity `handle`.
+    fn new(storage: Vec<u8>, handle: BufHandle) -> Self {
+        PooledBuf {
+            storage,
+            slot: handle.slot,
+            gen_mark: handle.gen << 1,
+        }
+    }
+
     /// The buffer contents.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
         &self.storage
     }
 
-    /// Mutable access to the underlying vector.
+    /// Mutable access to the underlying vector. Clears the TCP-summed
+    /// mark: the caller may change the bytes.
     #[inline]
     pub fn vec_mut(&mut self) -> &mut Vec<u8> {
+        self.gen_mark &= !1;
         &mut self.storage
+    }
+
+    /// True if the TCP framer checksummed these bytes and nothing has
+    /// had mutable access to them since.
+    #[inline]
+    pub fn tcp_summed(&self) -> bool {
+        self.gen_mark & 1 == 1
+    }
+
+    /// Sets the TCP-summed mark. For `lrp-wire`'s TCP framer, which
+    /// calls it on a buffer it has just filled and holds uniquely.
+    pub fn mark_tcp_summed(&mut self) {
+        self.gen_mark |= 1;
     }
 
     /// The buffer's arena identity.
     pub fn handle(&self) -> BufHandle {
-        self.handle
+        BufHandle {
+            slot: self.slot,
+            gen: self.gen_mark >> 1,
+        }
     }
 }
 
@@ -157,7 +202,7 @@ impl ArenaInner {
             "stale or double buffer return (slot {})",
             handle.slot
         );
-        *gen = gen.wrapping_add(1);
+        *gen = (*gen + 1) & MAX_GEN;
         self.free_slots.push(handle.slot);
         self.stats.returns += 1;
         self.stats.live -= 1;
@@ -218,14 +263,13 @@ impl FrameArena {
             Some(mut rc) => {
                 inner.stats.reuses += 1;
                 inner.stats.cached = inner.rc_cache.len();
-                let buf = Rc::get_mut(&mut rc).expect("cached Rc is unique");
-                buf.storage = storage;
-                buf.handle = handle;
+                *Rc::get_mut(&mut rc).expect("cached Rc is unique") =
+                    PooledBuf::new(storage, handle);
                 rc
             }
             None => {
                 inner.stats.fresh_allocs += 1;
-                Rc::new(PooledBuf { storage, handle })
+                Rc::new(PooledBuf::new(storage, handle))
             }
         }
     }
@@ -241,7 +285,7 @@ impl FrameArena {
             return; // Still shared: just drop this reference.
         };
         let mut inner = self.inner.borrow_mut();
-        inner.retire(buf.handle);
+        inner.retire(buf.handle());
         inner.give_storage(std::mem::take(&mut buf.storage));
         if inner.rc_cache.len() < MAX_CACHED {
             inner.rc_cache.push(rc);
@@ -312,6 +356,23 @@ mod tests {
     }
 
     #[test]
+    fn the_mark_clears_on_mutable_access_and_on_reuse() {
+        let arena = FrameArena::new();
+        let mut a = arena.adopt(vec![1u8, 2]);
+        assert!(!a.tcp_summed(), "checkouts start unmarked");
+        let buf = Rc::get_mut(&mut a).expect("unique");
+        buf.mark_tcp_summed();
+        assert!(buf.tcp_summed());
+        buf.vec_mut();
+        assert!(!buf.tcp_summed(), "mutable access clears the mark");
+        buf.mark_tcp_summed();
+        arena.reclaim(a);
+        let b = arena.adopt(vec![3u8]);
+        assert_eq!(arena.stats().reuses, 1);
+        assert!(!b.tcp_summed(), "a reused box starts unmarked");
+    }
+
+    #[test]
     fn generations_advance_per_slot() {
         let arena = FrameArena::new();
         let a = arena.adopt(vec![1]);
@@ -327,6 +388,30 @@ mod tests {
     }
 
     #[test]
+    fn generations_wrap_below_the_mark_bit() {
+        let arena = FrameArena::new();
+        let a = arena.adopt(Vec::new());
+        let slot = a.handle().slot() as usize;
+        arena.reclaim(a);
+        arena.inner.borrow_mut().generations[slot] = MAX_GEN;
+        let mut b = arena.adopt(Vec::new());
+        assert_eq!(b.handle().generation(), MAX_GEN);
+        Rc::get_mut(&mut b).expect("unique").mark_tcp_summed();
+        assert_eq!(
+            b.handle().generation(),
+            MAX_GEN,
+            "the mark is not the generation"
+        );
+        arena.reclaim(b);
+        assert_eq!(arena.adopt(Vec::new()).handle().generation(), 0, "wrapped");
+        assert_eq!(
+            std::mem::size_of::<PooledBuf>(),
+            32,
+            "the mark costs no space"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "stale or double buffer return")]
     fn double_return_panics() {
         let arena = FrameArena::new();
@@ -334,10 +419,7 @@ mod tests {
         let handle = a.handle();
         arena.reclaim(a);
         // Forge a second return of the same (slot, generation).
-        let forged = Rc::new(PooledBuf {
-            storage: Vec::new(),
-            handle,
-        });
+        let forged = Rc::new(PooledBuf::new(Vec::new(), handle));
         arena.reclaim(forged);
     }
 

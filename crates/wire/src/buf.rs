@@ -17,6 +17,14 @@
 //! which copies only when the bytes are shared. Equality is by content,
 //! so swapping `Vec<u8>` for `FrameBuf` changes no observable
 //! behaviour.
+//!
+//! A buffer the TCP framer ([`crate::tcp::PayloadBuf::frame`]) built
+//! carries the arena's TCP-summed mark, and keeps it for as long as no
+//! one takes `&mut` to its bytes: [`FrameBuf::get_mut`],
+//! [`FrameBuf::make_mut`] and [`FrameSlice::extend_in_place`] all clear
+//! it (a copy made for a shared buffer starts unmarked; the original
+//! keeps its mark and its bytes). Nothing outside this crate can set it,
+//! so [`crate::tcp::verify_segment`] may trust it.
 
 use lrp_mbuf::{ArenaStats, FrameArena, PooledBuf};
 use std::rc::Rc;
@@ -70,6 +78,16 @@ impl FrameBuf {
         FrameBuf(Some(ARENA.with(|a| a.adopt(v))))
     }
 
+    /// Wraps a datagram the TCP framer has just built and summed, with
+    /// the TCP-summed mark set.
+    pub(crate) fn framed_tcp(v: Vec<u8>) -> Self {
+        let mut buf = FrameBuf::from_vec(v);
+        Rc::get_mut(buf.0.as_mut().expect("live"))
+            .expect("a fresh buffer is unique")
+            .mark_tcp_summed();
+        buf
+    }
+
     #[inline]
     fn inner(&self) -> &Rc<PooledBuf> {
         self.0.as_ref().expect("live FrameBuf always holds its Rc")
@@ -82,7 +100,8 @@ impl FrameBuf {
     }
 
     /// Mutable access, copy-on-write: clones the bytes first if any
-    /// other `FrameBuf` shares them.
+    /// other `FrameBuf` shares them. Clears the TCP-summed mark (a copy
+    /// never had it).
     pub fn make_mut(&mut self) -> &mut Vec<u8> {
         if self.get_mut().is_none() {
             let mut copy = storage(self.bytes().len());
@@ -93,7 +112,7 @@ impl FrameBuf {
     }
 
     /// Mutable access without a copy: `None` while any other `FrameBuf`
-    /// shares the bytes.
+    /// shares the bytes. Clears the TCP-summed mark.
     pub fn get_mut(&mut self) -> Option<&mut Vec<u8>> {
         Rc::get_mut(self.0.as_mut().expect("live")).map(PooledBuf::vec_mut)
     }
@@ -195,10 +214,21 @@ impl FrameSlice {
         self.end = self.end.min(self.start + n);
     }
 
+    /// True if the slice is exactly the TCP segment of a datagram the
+    /// TCP framer built, which nothing has written to since: its buffer
+    /// carries the TCP-summed mark and the slice runs from the end of
+    /// the (option-free) IP header to the end of the buffer.
+    pub(crate) fn is_framed_tcp_segment(&self) -> bool {
+        self.buf.inner().tcp_summed()
+            && self.start == crate::ipv4::HEADER_LEN
+            && self.end == self.buf.len()
+    }
+
     /// Appends as much of `bytes` as fits in place: only when the slice
     /// ends its buffer, no other `FrameBuf` shares the buffer, and its
     /// storage has spare capacity (it never grows). Returns the number
-    /// of bytes appended.
+    /// of bytes appended. On an unshared buffer it clears the buffer's
+    /// TCP-summed mark, even when nothing fits.
     pub fn extend_in_place(&mut self, bytes: &[u8]) -> usize {
         if self.end != self.buf.len() {
             return 0;

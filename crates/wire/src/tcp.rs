@@ -1,5 +1,16 @@
 //! TCP segment encoding and parsing, with the MSS option.
+//!
+//! Each segment is summed once. [`PayloadBuf::frame`], the framer on the
+//! host's transmit path, writes the checksum and hands back a
+//! [`FrameBuf`] with the arena's TCP-summed mark set; the receiver's
+//! [`verify_segment`] trusts a segment whose buffer still carries the
+//! mark, since nothing can have changed bytes that no one has had `&mut`
+//! to (see [`crate::buf`]). Every other segment — reassembled,
+//! forwarded, copied, corrupted, or built by [`build_datagram`] — is
+//! summed. Debug builds sum the trusted ones too and assert the answers
+//! agree.
 
+use crate::buf::{FrameBuf, FrameSlice};
 use crate::checksum::Checksum;
 use crate::{ipv4, proto, Ipv4Addr, WireError};
 
@@ -122,7 +133,15 @@ impl PayloadBuf {
     /// `h` in IP datagram `ident`: both headers are written into the
     /// headroom and the segment is checksummed where it lies. A SYN's
     /// MSS option is inserted in front of the (empty) payload first.
-    pub fn frame(mut self, src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, ident: u16) -> Vec<u8> {
+    ///
+    /// The frame carries the TCP-summed mark, so [`verify_segment`] at
+    /// the receiver need not sum it again.
+    pub fn frame(self, src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, ident: u16) -> FrameBuf {
+        FrameBuf::framed_tcp(self.into_datagram(src, dst, h, ident))
+    }
+
+    /// [`frame`](Self::frame)'s bytes, as a plain vector.
+    fn into_datagram(mut self, src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, ident: u16) -> Vec<u8> {
         let mut v = std::mem::take(&mut self.0);
         if h.mss.is_some() {
             v.splice(HEADROOM..HEADROOM, [0; MSS_OPTION_LEN]);
@@ -193,6 +212,8 @@ pub fn build(src: Ipv4Addr, dst: Ipv4Addr, h: &TcpHeader, payload: &[u8]) -> Vec
 
 /// Builds a complete IP datagram carrying a TCP segment: the payload is
 /// copied once into a [`PayloadBuf`], which is then framed in place.
+///
+/// The result is plain bytes, so a receiver always sums it.
 pub fn build_datagram(
     src: Ipv4Addr,
     dst: Ipv4Addr,
@@ -200,7 +221,7 @@ pub fn build_datagram(
     ident: u16,
     payload: &[u8],
 ) -> Vec<u8> {
-    PayloadBuf::from(payload).frame(src, dst, h, ident)
+    PayloadBuf::from(payload).into_datagram(src, dst, h, ident)
 }
 
 /// Parses a TCP segment into `(header, payload)`.
@@ -272,6 +293,31 @@ pub fn verify_checksum(src: Ipv4Addr, dst: Ipv4Addr, tcp_bytes: &[u8]) -> bool {
     c.add_pseudo_header(src, dst, proto::TCP, tcp_bytes.len() as u16);
     c.add(tcp_bytes);
     c.finish() == 0
+}
+
+/// True if `seg` is the whole IP payload of a frame [`PayloadBuf::frame`]
+/// built for `src` → `dst`, which nothing has written to since: its
+/// checksum is then known to verify without summing it.
+pub fn trusts_segment(src: Ipv4Addr, dst: Ipv4Addr, seg: &FrameSlice) -> bool {
+    // The mark vouches for the sum over the addresses the framer wrote
+    // into the IP header, so those must be the ones asked about.
+    seg.is_framed_tcp_segment()
+        && seg.buf()[12..16] == src.octets()
+        && seg.buf()[16..20] == dst.octets()
+}
+
+/// Verifies the checksum of `seg`, a TCP segment `src` → `dst` held by
+/// reference: the answer of [`verify_checksum`], found without summing
+/// when [`trusts_segment`] holds.
+pub fn verify_segment(src: Ipv4Addr, dst: Ipv4Addr, seg: &FrameSlice) -> bool {
+    if trusts_segment(src, dst, seg) {
+        debug_assert!(
+            verify_checksum(src, dst, seg),
+            "a framed TCP segment changed without losing its TCP-summed mark"
+        );
+        return true;
+    }
+    verify_checksum(src, dst, seg)
 }
 
 /// Sequence-space comparison: true if `a < b` modulo 2^32 (RFC 793 style).
@@ -414,7 +460,7 @@ mod tests {
             let p = PayloadBuf::from(payload);
             assert_eq!(&*p, payload);
             let (at, cap) = (p.as_ptr(), p.0.capacity());
-            let dgram = p.frame(s, d, &h, 42);
+            let dgram = p.into_datagram(s, d, &h, 42);
             assert_eq!(dgram.capacity(), cap, "framed without growing");
             let body = &dgram[HEADROOM + h.wire_len() - HEADER_LEN..];
             assert_eq!(body, payload);

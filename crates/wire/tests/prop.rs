@@ -1,11 +1,35 @@
 //! Property tests: encode∘decode identity, checksum detection, and
 //! fragmentation/reassembly identity at the wire level.
 
-use lrp_wire::{checksum, icmp, ipv4, proto, tcp, udp, Ipv4Addr};
+use lrp_wire::{checksum, icmp, ipv4, proto, tcp, udp, FrameBuf, FrameSlice, Ipv4Addr};
 use proptest::prelude::*;
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     any::<[u8; 4]>().prop_map(|o| Ipv4Addr::new(o[0], o[1], o[2], o[3]))
+}
+
+/// `payload` framed as the host's transmit path frames it, with a few
+/// bytes of spare capacity so the frame can be extended in place.
+fn framed(
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    h: &tcp::TcpHeader,
+    ident: u16,
+    payload: &[u8],
+) -> FrameBuf {
+    let mut p = tcp::PayloadBuf::with_capacity(payload.len() + 8);
+    p.extend_from_slice(payload);
+    p.frame(src, dst, h, ident)
+}
+
+/// The TCP segment of a framed datagram: the whole IP payload.
+fn segment(b: &FrameBuf) -> FrameSlice {
+    FrameSlice::new(b.clone(), ipv4::HEADER_LEN..b.len())
+}
+
+/// True if `verify_segment` gives `verify_checksum`'s answer on `seg`.
+fn agrees(src: Ipv4Addr, dst: Ipv4Addr, seg: &FrameSlice) -> bool {
+    tcp::verify_segment(src, dst, seg) == tcp::verify_checksum(src, dst, seg)
 }
 
 proptest! {
@@ -94,6 +118,96 @@ proptest! {
         let (ph, body) = tcp::parse(&seg).unwrap();
         prop_assert_eq!(ph, h);
         prop_assert_eq!(body, &payload[..]);
+    }
+
+    #[test]
+    fn framed_tcp_segments_are_trusted_only_while_untouched(
+        src in arb_addr(),
+        dst in arb_addr(),
+        sp in any::<u16>(),
+        dp in any::<u16>(),
+        seq in any::<u32>(),
+        ack in any::<u32>(),
+        fl in 0u8..0x40,
+        window in any::<u16>(),
+        syn_mss in proptest::option::of(536u16..=9180),
+        data in proptest::collection::vec(any::<u8>(), 0..=1460),
+        ident in any::<u16>(),
+        at in any::<proptest::sample::Index>(),
+        bit in 0u8..8,
+        extra in any::<u8>(),
+    ) {
+        // A SYN carries the MSS option and no data, as the stack sends it.
+        let (flags, mss, payload) = match syn_mss {
+            Some(m) => (fl | tcp::flags::SYN, Some(m), &[][..]),
+            None => (fl & !tcp::flags::SYN, None, &data[..]),
+        };
+        let h = tcp::TcpHeader {
+            src_port: sp, dst_port: dp, seq, ack, flags, window, mss,
+        };
+        let frame = || framed(src, dst, &h, ident, payload);
+        let trusted = |seg: &FrameSlice| tcp::trusts_segment(src, dst, seg);
+        let flip = |v: &mut Vec<u8>| {
+            let i = at.index(v.len());
+            v[i] ^= 1 << bit;
+        };
+
+        // Untouched: trusted, and the sum agrees.
+        let b = frame();
+        prop_assert!(trusted(&segment(&b)));
+        prop_assert!(tcp::verify_checksum(src, dst, &segment(&b)));
+        prop_assert!(tcp::verify_segment(src, dst, &segment(&b)));
+
+        // One bit flipped through `make_mut` on the only reference.
+        let mut b = frame();
+        flip(b.make_mut());
+        prop_assert!(!trusted(&segment(&b)));
+        prop_assert!(agrees(src, dst, &segment(&b)));
+
+        // Through `make_mut` on a shared buffer (a duplicated frame): the
+        // copy is written, the original keeps its bytes and its mark.
+        let original = frame();
+        let mut copy = original.clone();
+        flip(copy.make_mut());
+        prop_assert!(trusted(&segment(&original)));
+        prop_assert!(tcp::verify_segment(src, dst, &segment(&original)));
+        prop_assert!(!trusted(&segment(&copy)));
+        prop_assert!(agrees(src, dst, &segment(&copy)));
+
+        // Through `get_mut`.
+        let mut b = frame();
+        flip(b.get_mut().expect("unique"));
+        prop_assert!(!trusted(&segment(&b)));
+        prop_assert!(agrees(src, dst, &segment(&b)));
+
+        // Through `FrameSlice::extend_in_place`, which grows the segment.
+        let mut seg = segment(&frame());
+        prop_assert_eq!(seg.extend_in_place(&[extra]), 1);
+        prop_assert!(!trusted(&seg));
+        prop_assert!(agrees(src, dst, &seg));
+
+        // Never trusted: a byte copy, a `build_datagram` frame, a slice
+        // that is not the whole IP payload, other addresses.
+        let b = frame();
+        let copy = FrameBuf::from(&b[..]);
+        let built = FrameBuf::from(tcp::build_datagram(src, dst, &h, ident, payload));
+        prop_assert_eq!(&built, &b);
+        for other in [&copy, &built] {
+            prop_assert!(!trusted(&segment(other)));
+            prop_assert!(tcp::verify_segment(src, dst, &segment(other)));
+        }
+        for range in [0..b.len(), ipv4::HEADER_LEN..b.len() - 1, ipv4::HEADER_LEN + 1..b.len()] {
+            let part = FrameSlice::new(b.clone(), range);
+            prop_assert!(!trusted(&part));
+            prop_assert!(agrees(src, dst, &part));
+        }
+        if src != dst {
+            prop_assert!(!tcp::trusts_segment(dst, src, &segment(&b)));
+            prop_assert_eq!(
+                tcp::verify_segment(dst, src, &segment(&b)),
+                tcp::verify_checksum(dst, src, &segment(&b))
+            );
+        }
     }
 
     #[test]
