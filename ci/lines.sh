@@ -38,18 +38,18 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1704
 bench 0
-core 5736
+core 5737
 criterion-shim 126
 demux 427
-experiments 3818
+experiments 3565
 mbuf 421
 net 672
-nic 722
-proptest-shim 448
+nic 723
+proptest-shim 450
 sched 1055
 sim 1528
-stack 4197
-telemetry 1481
+stack 4198
+telemetry 1466
 wire 1824
 EOF
 printf '%-16s %6d\n' total "$total"

@@ -164,6 +164,7 @@ mod tests {
         /// deadline (`ms` ≥ 50: none), 2 fires the timer at `ms` (the
         /// due sockets queue work), 3 runs the lowest queued socket's
         /// work, 4 frees the socket.
+        #[test]
         fn heap_matches_the_btreeset_model(
             ops in proptest::collection::vec((0u8..5, 0..SOCKS, 0u64..60), 1..300),
         ) {

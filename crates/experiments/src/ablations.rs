@@ -3,10 +3,11 @@
 //! These go beyond the paper's own figures: each one isolates one LRP
 //! mechanism and shows what breaks without it.
 
-use crate::fig3;
+use crate::{fig3, Output};
 use lrp_core::{Architecture, Host, World};
 use lrp_net::{Injector, Pattern};
 use lrp_sim::{SimDuration, SimTime};
+use lrp_telemetry::Json;
 use lrp_wire::{tcp, udp, Frame, Ipv4Addr};
 
 /// A generic named series of (x, y) points.
@@ -430,4 +431,86 @@ pub fn render(title: &str, series: &[Series]) -> String {
         out.push_str(&crate::plot::table(&["x", "y"], &rows));
     }
     out
+}
+
+/// The registry entry: A1–A8, each table under its title and its series
+/// under its key, plus Figure 3's overload run per architecture (the
+/// workload most ablations perturb) as a conservation spot-check.
+pub fn output() -> Output {
+    let d = SimTime::from_secs(2);
+    let sections = [
+        (
+            "A1: lazy vs eager (delivered pkts/s under overload)",
+            "a1_lazy_vs_eager",
+            a1_lazy_vs_eager(d),
+        ),
+        (
+            "A2: channel queue depth",
+            "a2_queue_depth",
+            vec![a2_queue_depth(d)],
+        ),
+        (
+            "A3: soft-demux cost sensitivity",
+            "a3_demux_cost",
+            vec![a3_demux_cost(d)],
+        ),
+        (
+            "A4: TCP APP thread on/off (Mb/s)",
+            "a4_app_thread",
+            a4_app_thread(),
+        ),
+        (
+            "A5: control-packet flood vs early discard",
+            "a5_control_flood",
+            a5_control_flood(d),
+        ),
+        (
+            "A6: NI channel TIME_WAIT reclamation (channels in use)",
+            "a6_time_wait_reclaim",
+            a6_time_wait_reclaim(SimTime::from_secs(6)),
+        ),
+        (
+            "A7: forwarding daemon priority (gateway under 12k pkts/s transit)",
+            "a7_forwarding_priority",
+            a7_forwarding_priority(SimTime::from_secs(3)),
+        ),
+        (
+            "A8: technology trend — BSD livelock onset vs link capacity",
+            "a8_technology_trend",
+            a8_technology_trend(SimTime::from_secs(2)),
+        ),
+    ];
+    let text = sections
+        .iter()
+        .map(|(title, _, series)| render(title, series))
+        .collect::<Vec<_>>()
+        .join("\n")
+        + "\n";
+    let series_json = |series: &[Series]| {
+        crate::arr(series, |s| {
+            let points = crate::arr(&s.points, |&(x, y)| {
+                Json::Arr(vec![Json::F64(x), Json::F64(y)])
+            });
+            Json::obj(vec![
+                ("name", Json::str(s.name.clone())),
+                ("points", points),
+            ])
+        })
+    };
+    let data = Json::Obj(
+        sections
+            .iter()
+            .map(|(_, key, series)| (key.to_string(), series_json(series)))
+            .collect(),
+    );
+    let hosts = crate::all_architectures()
+        .into_iter()
+        .map(|arch| {
+            crate::report(
+                format!("overload-{}", arch.name()),
+                &fig3::overload_run(arch),
+            )
+        })
+        .collect();
+    Output::new(text, vec![("duration_s", Json::U64(2))], data, hosts)
 }

@@ -17,8 +17,10 @@
 //! is transparent to the sender's control loop.
 
 use crate::fault_sweep::{self, SweepPoint};
+use crate::Output;
 use lrp_core::{Architecture, CcAlgo, World};
 use lrp_sim::SimTime;
+use lrp_telemetry::Json;
 
 /// One measured cell: the sweep point plus the sender's cwnd evolution.
 #[derive(Clone, Debug)]
@@ -102,18 +104,10 @@ pub fn measure_cell(
     }
 }
 
-/// Runs the full sweep: controller × architecture × fault profile, all at
-/// [`RATE`]. `quick` shrinks the transfer for CI.
-pub fn run(quick: bool) -> Vec<CcCell> {
-    // Transfer sizes match the fault sweep's: long enough that the loss
-    // profiles bite (the link carries large segments, so a small
-    // transfer offers the fault stage only a few dozen frames and a
-    // lucky seed sails through loss-free).
-    let (total, cap) = if quick {
-        (1 << 20, SimTime::from_secs(60))
-    } else {
-        (4 << 20, SimTime::from_secs(180))
-    };
+/// Runs the sweep: controller × architecture × fault profile, all at
+/// [`RATE`], a 1 MiB transfer capped at 60 simulated seconds per cell.
+pub fn run() -> Vec<CcCell> {
+    let (total, cap) = (1 << 20, SimTime::from_secs(60));
     let mut out = Vec::new();
     for cc in CcAlgo::all() {
         for arch in crate::all_architectures() {
@@ -126,8 +120,8 @@ pub fn run(quick: bool) -> Vec<CcCell> {
 }
 
 /// One fixed seed per profile: every controller and architecture faces
-/// the identical fault sequence. The burst seed is chosen so the quick
-/// 1 MB transfer actually traverses a Gilbert–Elliott bad state — burst
+/// the identical fault sequence. The burst seed is chosen so the
+/// 1 MiB transfer actually traverses a Gilbert–Elliott bad state — burst
 /// onsets are rare (≈0.8 expected per transfer at the stationary rate),
 /// and a seed whose run is loss-free would make the profile vacuous.
 pub fn profile_seeds() -> [(&'static str, u64); 3] {
@@ -175,4 +169,39 @@ pub fn render(cells: &[CcCell]) -> String {
         &rows,
     ));
     out
+}
+
+/// The registry entry: the sweep, plus one instrumented run per
+/// controller (SOFT-LRP under bursty loss at 5%): every injected fault
+/// must be attributed and both ledgers must balance whatever the
+/// controller.
+pub fn output() -> Output {
+    let cells = run();
+    let hosts = CcAlgo::all()
+        .into_iter()
+        .map(|cc| {
+            let plan = fault_sweep::burst_plan(0xCC05, 0.05);
+            let (mut world, _metrics) =
+                fault_sweep::build_cc(Architecture::SoftLrp, cc, plan, 256 << 10);
+            world.run_until(SimTime::from_secs(30));
+            crate::report(format!("burst05-softlrp-{}", cc.name()), &world)
+        })
+        .collect();
+    let cells_json = crate::arr(&cells, |c| {
+        let mut fields = vec![("cc", Json::str(c.point.cc.name()))];
+        fields.extend(fault_sweep::point_fields(&c.point));
+        let timeline = crate::arr(&c.cwnd_timeline, |&(t_ns, cwnd)| {
+            Json::obj(vec![("t_ns", Json::U64(t_ns)), ("cwnd", Json::U64(cwnd))])
+        });
+        fields.extend([
+            ("cwnd_max", Json::U64(c.cwnd_max)),
+            ("cwnd_mean", Json::F64(c.cwnd_mean)),
+            ("ssthresh_last", Json::U64(c.ssthresh_last)),
+            ("cwnd_timeline", timeline),
+        ]);
+        Json::obj(fields)
+    });
+    let params = vec![("quick", Json::Bool(true)), ("rate", Json::F64(RATE))];
+    let data = Json::obj(vec![("cells", cells_json)]);
+    Output::new(render(&cells), params, data, hosts)
 }

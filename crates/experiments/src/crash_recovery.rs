@@ -21,12 +21,13 @@
 //!   let the flood starve everyone. The headline number is the
 //!   SOFT-LRP/BSD goodput ratio during the attack.
 
-use crate::{HOST_A, HOST_B};
+use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{
     shared, ClientStats, ResilientRpcClient, ResilientRpcServer, RetryPolicy, ServerStats, Shared,
 };
 use lrp_core::{Architecture, CrashEvent, DropPoint, Host, HostFaultPlan, World};
 use lrp_sim::{SimDuration, SimTime};
+use lrp_telemetry::Json;
 use lrp_wire::Endpoint;
 
 /// UDP port of the resilient RPC server.
@@ -174,14 +175,6 @@ pub fn collect_recovery(
     }
 }
 
-/// The recovery scenario across all architectures.
-pub fn run_recovery(duration: SimTime) -> Vec<RecoveryPoint> {
-    crate::all_architectures()
-        .into_iter()
-        .map(|arch| measure_recovery(arch, duration))
-        .collect()
-}
-
 /// Runs the flood scenario for one architecture: Figure 5's build with
 /// the SYN cache switched on.
 pub fn measure_flood(arch: Architecture, syn_pps: f64, duration: SimTime) -> FloodPoint {
@@ -308,4 +301,62 @@ pub fn render(recovery: &[RecoveryPoint], flood: &[FloodPoint]) -> String {
         goodput_ratio(flood)
     ));
     out
+}
+
+/// The registry entry: both scenarios, recovery for 1 simulated second
+/// and the flood for 1.5. The recovery runs are the instrumented ones:
+/// crash teardown must attribute every frame (the `owner_dead` bucket
+/// included).
+pub fn output() -> Output {
+    const RECOVERY_MS: u64 = 1_000;
+    const FLOOD_MS: u64 = 1_500;
+    let mut recovery = Vec::new();
+    let mut hosts = Vec::new();
+    for arch in crate::all_architectures() {
+        let (mut world, cstats, sstats) = build_recovery(arch);
+        world.run_until(SimTime::from_millis(RECOVERY_MS));
+        hosts.push(crate::report(format!("crash-{}", arch.name()), &world));
+        recovery.push(collect_recovery(arch, &world, &cstats, &sstats));
+    }
+    let flood = run_flood(SimTime::from_millis(FLOOD_MS));
+    let recovery_json = crate::arr(&recovery, |p| {
+        Json::obj(vec![
+            ("arch", Json::str(p.arch.name())),
+            ("crash_ms", Json::F64(p.crash_ms)),
+            ("restart_ms", Json::F64(p.restart_ms)),
+            ("recovery_ms", p.recovery_ms.map_or(Json::Null, Json::F64)),
+            ("completions", Json::U64(p.completions)),
+            ("retries", Json::U64(p.retries)),
+            ("timeouts", Json::U64(p.timeouts)),
+            ("giveups", Json::U64(p.giveups)),
+            ("busy_replies", Json::U64(p.busy_replies)),
+            ("served", Json::U64(p.served)),
+            ("shed", Json::U64(p.shed)),
+            ("owner_dead", Json::U64(p.owner_dead)),
+            ("conserved", Json::Bool(p.conserved)),
+        ])
+    });
+    let flood_json = crate::arr(&flood, |p| {
+        Json::obj(vec![
+            ("arch", Json::str(p.arch.name())),
+            ("syn_pps", Json::F64(p.syn_pps)),
+            ("http_tps", Json::F64(p.http_tps)),
+            ("failures", Json::U64(p.failures)),
+            ("backlog_drops", Json::U64(p.backlog_drops)),
+            ("syn_cache_evictions", Json::U64(p.syn_cache_evictions)),
+            ("conserved", Json::Bool(p.conserved)),
+        ])
+    });
+    let data = Json::obj(vec![
+        ("recovery", recovery_json),
+        ("flood", flood_json),
+        ("ratio_lrp_over_bsd", Json::F64(goodput_ratio(&flood))),
+    ]);
+    let params = vec![
+        ("quick", Json::Bool(true)),
+        ("recovery_duration_ms", Json::U64(RECOVERY_MS)),
+        ("flood_duration_ms", Json::U64(FLOOD_MS)),
+        ("flood_pps", Json::F64(FLOOD_PPS)),
+    ];
+    Output::new(render(&recovery, &flood), params, data, hosts)
 }

@@ -9,11 +9,12 @@
 //! at its saturation rate while 4.4BSD wastes the same lossy arrivals in
 //! interrupt context.
 
-use crate::{HOST_A, HOST_B};
+use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{shared, Shared, TcpBulkMetrics, TcpBulkReceiver, TcpBulkSender};
 use lrp_core::{Architecture, CcAlgo, DropPoint, Host, World};
 use lrp_net::FaultPlan;
 use lrp_sim::SimTime;
+use lrp_telemetry::Json;
 use lrp_wire::Endpoint;
 
 /// One measured cell of the TCP sweep.
@@ -207,14 +208,10 @@ pub fn measure_cc_world(
     (point, world)
 }
 
-/// Runs the full sweep: every architecture x profile x rate. `quick`
-/// shrinks the transfer for CI.
-pub fn run(quick: bool) -> Vec<SweepPoint> {
-    let (total, cap) = if quick {
-        (1 << 20, SimTime::from_secs(60))
-    } else {
-        (4 << 20, SimTime::from_secs(180))
-    };
+/// Runs the sweep: every architecture x profile x rate, a 4 MiB transfer
+/// capped at 180 simulated seconds per cell.
+pub fn run() -> Vec<SweepPoint> {
+    let (total, cap) = (4 << 20, SimTime::from_secs(180));
     let mut out = Vec::new();
     for arch in crate::all_architectures() {
         for (pi, (name, mk)) in profiles().into_iter().enumerate() {
@@ -333,4 +330,56 @@ pub fn render(points: &[SweepPoint], udp: &[UdpBurstPoint]) -> String {
         &udp_rows,
     ));
     out
+}
+
+/// The JSON fields of one TCP sweep cell, in document order.
+pub(crate) fn point_fields(p: &SweepPoint) -> Vec<(&'static str, Json)> {
+    vec![
+        ("arch", Json::str(p.arch.name())),
+        ("profile", Json::str(p.profile)),
+        ("rate", Json::F64(p.rate)),
+        ("goodput_mbps", Json::F64(p.goodput_mbps)),
+        ("bytes", Json::U64(p.bytes)),
+        ("done", Json::Bool(p.done)),
+        ("retransmits", Json::U64(p.retransmits)),
+        ("fast_retransmits", Json::U64(p.fast_retransmits)),
+        ("timeouts", Json::U64(p.timeouts)),
+        ("checksum_drops", Json::U64(p.checksum_drops)),
+        ("conserved", Json::Bool(p.conserved)),
+    ]
+}
+
+/// The registry entry: the sweep, the UDP burst run at 5 simulated
+/// seconds, plus one instrumented run per architecture under bursty loss
+/// at 5%: every injected fault must be attributed and both ledgers must
+/// balance.
+pub fn output() -> Output {
+    const UDP_SECS: u64 = 5;
+    let points = run();
+    let udp = run_udp_burst(SimTime::from_secs(UDP_SECS));
+    let hosts = crate::all_architectures()
+        .into_iter()
+        .map(|arch| {
+            let (mut world, _metrics) = build(arch, burst_plan(0xFA05, 0.05), 256 << 10);
+            world.run_until(SimTime::from_secs(30));
+            crate::report(format!("burst05-{}", arch.name()), &world)
+        })
+        .collect();
+    let udp_json = crate::arr(&udp, |p| {
+        Json::obj(vec![
+            ("arch", Json::str(p.arch.name())),
+            ("offered_pps", Json::F64(p.offered)),
+            ("delivered_pps", Json::F64(p.delivered)),
+            ("link_dropped", Json::U64(p.link_dropped)),
+        ])
+    });
+    let data = Json::obj(vec![
+        ("tcp", crate::arr(&points, |p| Json::obj(point_fields(p)))),
+        ("udp_burst", udp_json),
+    ]);
+    let params = vec![
+        ("quick", Json::Bool(false)),
+        ("udp_duration_s", Json::U64(UDP_SECS)),
+    ];
+    Output::new(render(&points, &udp) + "\n", params, data, hosts)
 }

@@ -7,11 +7,12 @@
 //! declines only slightly (demux overhead); Early-Demux is stable but
 //! delivers only 40–65 % of SOFT-LRP.
 
-use crate::HOST_B;
+use crate::{Output, HOST_B};
 use lrp_apps::{shared, BlastSink, Shared, SinkMetrics};
 use lrp_core::{Architecture, Host, World};
 use lrp_net::{Injector, Pattern};
 use lrp_sim::SimTime;
+use lrp_telemetry::{span_trace_chrome, Json};
 use lrp_wire::{udp, Frame, Ipv4Addr};
 
 /// One measured point.
@@ -160,4 +161,45 @@ pub fn render(results: &[(Architecture, Vec<Point>)]) -> String {
         18,
     ));
     out
+}
+
+/// Offered rate of the representative instrumented runs: deep in the
+/// livelock region of Figure 3.
+const OVERLOAD_PPS: f64 = 20_000.0;
+
+/// One architecture's representative instrumented run: 1 simulated
+/// second at [`OVERLOAD_PPS`].
+pub(crate) fn overload_run(arch: Architecture) -> World {
+    let (mut world, _metrics) = build(arch, OVERLOAD_PPS, false);
+    world.run_until(SimTime::from_secs(1));
+    world
+}
+
+/// The span log of the overloaded NI-LRP run as a chrome://tracing
+/// (Perfetto) trace: one slice per recorded stage, tied per request by
+/// flow arrows keyed on the span id.
+pub fn overload_trace() -> String {
+    span_trace_chrome(&overload_run(Architecture::NiLrp))
+}
+
+/// The registry entry: the figure at 3 simulated seconds per point, plus
+/// one instrumented overload run per architecture.
+pub fn output() -> Output {
+    const SECS: u64 = 3;
+    let results = run(SimTime::from_secs(SECS));
+    let hosts = crate::all_architectures()
+        .into_iter()
+        .map(|arch| crate::report(format!("overload-{}", arch.name()), &overload_run(arch)))
+        .collect();
+    let data = crate::arch_series(&results, |p| {
+        Json::obj(vec![
+            ("offered_pps", Json::F64(p.offered)),
+            ("delivered_pps", Json::F64(p.delivered)),
+        ])
+    });
+    let params = vec![
+        ("duration_s", Json::U64(SECS)),
+        ("overload_pps", Json::F64(OVERLOAD_PPS)),
+    ];
+    Output::new(render(&results) + "\n", params, data, hosts)
 }

@@ -19,7 +19,7 @@
 //! Both machines run a `nice +20` compute-bound process, as in the paper,
 //! to avoid idle-loop artifacts.
 
-use crate::{HOST_A, HOST_B};
+use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{
     shared, BlastSink, ComputeHog, PingPongClient, PingPongMetrics, PingPongServer, Shared,
     SinkMetrics,
@@ -27,6 +27,7 @@ use lrp_apps::{
 use lrp_core::{Architecture, Host, World};
 use lrp_net::{Injector, Pattern};
 use lrp_sim::SimTime;
+use lrp_telemetry::Json;
 use lrp_wire::{udp, Frame, Ipv4Addr};
 
 /// One measured point.
@@ -185,4 +186,36 @@ pub fn render(results: &[(Architecture, Vec<Point>)]) -> String {
         16,
     ));
     out
+}
+
+/// Background blast rate of the representative instrumented runs (the
+/// top of the paper's latency hump).
+const BACKGROUND_PPS: f64 = 8_000.0;
+
+/// The registry entry: the figure at 2 000 ping-pong rounds per point,
+/// plus one instrumented run per architecture at 8 000 pkts/s of
+/// background.
+pub fn output() -> Output {
+    const ROUNDS: u64 = 2_000;
+    let results = run(ROUNDS);
+    let hosts = crate::main_architectures()
+        .into_iter()
+        .map(|arch| {
+            let (mut world, _pp) = build(arch, BACKGROUND_PPS, 500);
+            world.run_until(SimTime::from_secs(2));
+            crate::report(format!("background-{}", arch.name()), &world)
+        })
+        .collect();
+    let data = crate::arch_series(&results, |p| {
+        Json::obj(vec![
+            ("background_pps", Json::F64(p.background_pps)),
+            ("rtt_us", Json::F64(p.rtt_us)),
+            ("p99_us", Json::F64(p.p99_us)),
+        ])
+    });
+    let params = vec![
+        ("rounds", Json::U64(ROUNDS)),
+        ("background_pps", Json::F64(BACKGROUND_PPS)),
+    ];
+    Output::new(render(&results) + "\n", params, data, hosts)
 }

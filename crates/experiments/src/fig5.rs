@@ -18,13 +18,14 @@
 //! and the LRP kernel performs a redundant PCB lookup to remove the
 //! demux-efficiency bias.
 
-use crate::{HOST_A, HOST_B};
+use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{
     shared, DummyListener, HttpClient, HttpMetrics, HttpWorker, Shared, SharedListener,
 };
 use lrp_core::{Architecture, Host, HostConfig, World};
 use lrp_net::{Injector, Pattern};
 use lrp_sim::{SimDuration, SimTime};
+use lrp_telemetry::Json;
 use lrp_wire::{tcp, Endpoint, Frame, Ipv4Addr};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -242,4 +243,59 @@ pub fn render(results: &[(Architecture, Vec<Point>)]) -> String {
         16,
     ));
     out
+}
+
+/// SYN-flood rate of the console measurement and the representative
+/// instrumented runs.
+const FLOOD_PPS: f64 = 10_000.0;
+
+/// The registry entry: the figure at 10 simulated seconds per point, plus
+/// at 10 000 SYN/s the console responsiveness of 4.4BSD and SOFT-LRP and
+/// one instrumented run per architecture.
+pub fn output() -> Output {
+    const SECS: u64 = 10;
+    let results = run(SimTime::from_secs(SECS));
+    let mut text = render(&results);
+    text.push_str(
+        "\nConsole responsiveness at 10k SYN/s (mean scheduling lag of an\n\
+         interactive process on the server; the paper: BSD console dead,\n\
+         LRP console responsive):\n",
+    );
+    let mut console = Vec::new();
+    for arch in [Architecture::Bsd, Architecture::SoftLrp] {
+        let (lag, served) = measure_console_lag(arch, FLOOD_PPS, SimTime::from_secs(3));
+        let name = arch.name();
+        // ~300 wakeups expected over 3 s at a 10 ms period.
+        text += &if served < 30 {
+            format!("  {name:9}: DEAD ({served} of ~300 wakeups served)\n")
+        } else {
+            format!("  {name:9}: responsive, mean lag {lag:>6.0} us ({served} wakeups)\n")
+        };
+        console.push(Json::obj(vec![
+            ("arch", Json::str(name)),
+            ("mean_lag_us", Json::F64(lag)),
+            ("wakeups_served", Json::U64(served)),
+        ]));
+    }
+    let hosts = results
+        .iter()
+        .map(|&(arch, _)| {
+            let (mut world, _metrics) = build(arch, FLOOD_PPS);
+            world.run_until(SimTime::from_secs(1));
+            crate::report(format!("flood-{}", arch.name()), &world)
+        })
+        .collect();
+    let series = crate::arch_series(&results, |p| {
+        Json::obj(vec![
+            ("syn_pps", Json::F64(p.syn_pps)),
+            ("http_tps", Json::F64(p.http_tps)),
+            ("fail_rate", Json::F64(p.fail_rate)),
+        ])
+    });
+    let data = Json::obj(vec![("series", series), ("console", Json::Arr(console))]);
+    let params = vec![
+        ("duration_s", Json::U64(SECS)),
+        ("flood_pps", Json::F64(FLOOD_PPS)),
+    ];
+    Output::new(text, params, data, hosts)
 }

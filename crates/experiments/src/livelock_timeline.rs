@@ -18,14 +18,14 @@
 //! other than the datagrams' receiver, while the LRP architectures bill
 //! essentially all of it to the receiver.
 
-use crate::HOST_B;
+use crate::{Output, HOST_B};
 use lrp_apps::{shared, BlastSink, MeteredCompute, Shared, SinkMetrics};
-use lrp_core::{Architecture, Host, World};
+use lrp_core::{AnomalyKind, Architecture, Host, World};
 use lrp_net::{Injector, Pattern};
 use lrp_sim::SimTime;
 use lrp_telemetry::{
-    anomalies_json, attribution_json, misattributed_fraction, span_breakdown_json, timeline_json,
-    Json,
+    anomalies_json, attribution_json, folded_stacks, misattributed_fraction, span_breakdown_json,
+    timeline_gnuplot, timeline_json, Json,
 };
 use lrp_wire::{udp, Frame, Ipv4Addr};
 
@@ -291,6 +291,72 @@ pub fn render(runs: &[ArchRun]) -> String {
         70,
         18,
     ));
+    out
+}
+
+/// The registry entry: every architecture for 1 simulated second, with
+/// per architecture the flamegraph folded stacks and the gnuplot
+/// timeline columns of the server as sidecars.
+///
+/// It asserts two headline claims, so a regression fails the run. The
+/// paper's accounting claim: BSD bills a large share of protocol cycles
+/// to a non-receiver; the LRP architectures bill (essentially) all of
+/// them to the receiver. The watchdog's: under the Figure-3 blast, BSD
+/// trips receiver-livelock onset and NI-LRP never does — the detector,
+/// not a human reading the timeline, distinguishes livelock from a busy
+/// but healthy host.
+pub fn output() -> Output {
+    const SECS: u64 = 1;
+    let runs = run(SimTime::from_secs(SECS));
+    let mut hosts = Vec::new();
+    let mut sidecars = Vec::new();
+    for r in &runs {
+        hosts.push(crate::report(format!("blast-{}", r.arch.name()), &r.world));
+        let host = &r.world.hosts[0];
+        let tag = arch_slug(r.arch);
+        let stem = format!("livelock_timeline-{tag}");
+        sidecars.push((format!("{stem}.folded"), folded_stacks(host, tag)));
+        sidecars.push((format!("{stem}.gnuplot"), timeline_gnuplot(host)));
+
+        match r.arch {
+            Architecture::Bsd => assert!(
+                r.misattributed > 0.20,
+                "BSD misattributed only {:.1}% of protocol cycles",
+                r.misattributed * 100.0
+            ),
+            Architecture::SoftLrp | Architecture::NiLrp => assert!(
+                r.misattributed < 0.01,
+                "{} misattributed {:.1}% of protocol cycles",
+                r.arch.name(),
+                r.misattributed * 100.0
+            ),
+            _ => {}
+        }
+        let onsets = host
+            .telemetry()
+            .anomalies()
+            .iter()
+            .filter(|e| e.kind == AnomalyKind::LivelockOnset)
+            .count();
+        match r.arch {
+            Architecture::Bsd => assert!(
+                onsets >= 1,
+                "watchdog detected no livelock onset on BSD under the blast"
+            ),
+            Architecture::NiLrp => {
+                assert_eq!(onsets, 0, "watchdog false-fired livelock onset on NI-LRP")
+            }
+            _ => {}
+        }
+    }
+    let params = vec![
+        ("duration_s", Json::U64(SECS)),
+        ("offered_pps", Json::F64(OFFERED_PPS)),
+        ("seed", Json::U64(SEED)),
+        ("quick", Json::Bool(true)),
+    ];
+    let mut out = Output::new(render(&runs), params, data_json(&runs), hosts);
+    out.sidecars = sidecars;
     out
 }
 

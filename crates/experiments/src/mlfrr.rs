@@ -6,8 +6,10 @@
 //! rate with Poisson arrivals (deterministic arrivals would make MLFRR
 //! collapse onto the saturation throughput exactly).
 
+use crate::Output;
 use lrp_core::{Architecture, DropPoint};
 use lrp_sim::SimTime;
+use lrp_telemetry::Json;
 
 /// The measured MLFRR for one architecture.
 #[derive(Clone, Copy, Debug)]
@@ -83,4 +85,30 @@ pub fn render(rows: &[Row]) -> String {
         &table_rows,
     ));
     out
+}
+
+/// The registry entry: the comparison at 2 simulated seconds per probe,
+/// plus one instrumented run per architecture at its measured MLFRR.
+pub fn output() -> Output {
+    const SECS: u64 = 2;
+    let rows = run(SimTime::from_secs(SECS));
+    // Re-run each architecture at its measured MLFRR (Poisson arrivals,
+    // as in the search) and verify the ledger balances there too.
+    let hosts = rows
+        .iter()
+        .map(|row| {
+            let rate = if row.mlfrr > 0.0 { row.mlfrr } else { 1_000.0 };
+            let (mut world, _metrics) = crate::fig3::build(row.arch, rate, true);
+            world.run_until(SimTime::from_secs(1));
+            crate::report(format!("mlfrr-{}", row.arch.name()), &world)
+        })
+        .collect();
+    let data = crate::arr(&rows, |r| {
+        Json::obj(vec![
+            ("arch", Json::str(r.arch.name())),
+            ("mlfrr_pps", Json::F64(r.mlfrr)),
+        ])
+    });
+    let params = vec![("duration_s", Json::U64(SECS))];
+    Output::new(render(&rows) + "\n", params, data, hosts)
 }

@@ -9,11 +9,12 @@
 //! processing scale with added CPUs, while BSD's shared IP queue and
 //! eager softirq work collapse on every CPU at once under overload.
 
-use crate::HOST_B;
+use crate::{Output, HOST_B};
 use lrp_apps::{shared, BlastSink, Shared, SinkMetrics};
 use lrp_core::{Architecture, Host, HostConfig, World};
 use lrp_net::{Injector, Pattern};
 use lrp_sim::{SimDuration, SimTime};
+use lrp_telemetry::Json;
 use lrp_wire::{udp, Frame, Ipv4Addr};
 
 /// The source address blast packets claim to come from.
@@ -232,6 +233,54 @@ pub fn render(rows: &[ScaleRow]) -> String {
         ));
     }
     out
+}
+
+/// Aggregate offered rate of the representative instrumented runs.
+const OVERLOAD_PPS: f64 = 40_000.0;
+/// CPU count of the representative instrumented runs.
+const NCPUS: usize = 4;
+
+/// The registry entry: the sweep at 1 simulated second per point, plus
+/// one instrumented 4-CPU overload run per architecture (the
+/// ledger must balance even with RSS-steered multi-queue receive).
+pub fn output() -> Output {
+    const SECS: u64 = 1;
+    let rows = run(SimTime::from_secs(SECS));
+    let hosts = crate::main_architectures()
+        .into_iter()
+        .map(|arch| {
+            let (mut world, _b, _metrics) = build(arch, NCPUS, OVERLOAD_PPS, 7);
+            world.run_until(SimTime::from_secs(1));
+            crate::report(format!("smp{}-{}", NCPUS, arch.name()), &world)
+        })
+        .collect();
+    let data = crate::arr(&rows, |r| {
+        let points = crate::arr(&r.points, |p| {
+            Json::obj(vec![
+                ("offered_pps", Json::F64(p.offered)),
+                ("delivered_pps", Json::F64(p.delivered)),
+                ("cpu_util", crate::arr(&p.cpu_util, |&u| Json::F64(u))),
+                ("ipis", Json::U64(p.ipis)),
+                ("charge_ok", Json::Bool(p.charge_ok)),
+            ])
+        });
+        Json::obj(vec![
+            ("arch", Json::str(r.arch.name())),
+            ("ncpus", Json::U64(r.ncpus as u64)),
+            ("peak_pps", Json::F64(r.peak())),
+            (
+                "livelock_onset_pps",
+                r.livelock_onset().map_or(Json::Null, Json::F64),
+            ),
+            ("points", points),
+        ])
+    });
+    let params = vec![
+        ("duration_s", Json::U64(SECS)),
+        ("overload_pps", Json::F64(OVERLOAD_PPS)),
+        ("ncpus", Json::U64(NCPUS as u64)),
+    ];
+    Output::new(render(&rows) + "\n", params, data, hosts)
 }
 
 #[cfg(test)]

@@ -29,13 +29,14 @@
 //! chain — while the attacker keeps spraying. Measured: time back to
 //! the first served request and steady tail goodput.
 
-use crate::{HOST_A, HOST_B};
+use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{shared, HttpClient, HttpMetrics, HttpWorker, Shared, SharedListener};
 use lrp_core::{
     Architecture, CrashEvent, DropPoint, Host, HostConfig, HostFaultPlan, SynCookies, World,
 };
 use lrp_net::{Injector, Pattern};
 use lrp_sim::{SimDuration, SimTime};
+use lrp_telemetry::Json;
 use lrp_wire::{tcp, Endpoint, Frame, Ipv4Addr};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -340,12 +341,8 @@ pub fn measure(arch: Architecture, defense: Defense, syn_pps: f64, duration: Sim
 /// listener channel overflows indiscriminately and *no* stateless
 /// defense can tell a legitimate SYN from a spoofed one (the same
 /// saturation Figure 5 shows collapsing BSD at 10 000 SYN/s).
-pub fn sweep_rates(quick: bool) -> Vec<f64> {
-    if quick {
-        vec![0.0, 2_500.0]
-    } else {
-        vec![0.0, 250.0, 1_000.0, 2_500.0]
-    }
+pub fn sweep_rates() -> Vec<f64> {
+    vec![0.0, 250.0, 1_000.0, 2_500.0]
 }
 
 /// Runs the full matrix: rate × architecture × defense.
@@ -419,8 +416,8 @@ pub fn find(points: &[Point], arch: Architecture, defense: Defense, rate: f64) -
 }
 
 /// Generation-time headline checks; returns the violated claims (empty
-/// when every headline holds). Asserted by the binary before the
-/// results are written, so a regression can never emit a green artifact.
+/// when every headline holds). Asserted by [`output`] before anything
+/// is written, so a regression can never emit a green artifact.
 pub fn check_headlines(points: &[Point], reboot: &RebootPoint) -> Vec<String> {
     let mut bad = Vec::new();
     let top = points.iter().map(|p| p.syn_pps).fold(0.0f64, f64::max);
@@ -535,4 +532,83 @@ pub fn render(points: &[Point], reboot: &RebootPoint) -> String {
         reboot.nic_stall_drops,
     ));
     out
+}
+
+/// The registry entry: the sweep at 3 simulated seconds per cell, the
+/// reboot scenario over 4 (room after the boot for the clients' RTO
+/// backoff to drain), and instrumented host reports of the cookie
+/// defense at the top rate for every architecture (the headline cells)
+/// plus the reboot run, `reboot_flushed` bucket included. The headline
+/// claims of [`check_headlines`] are asserted.
+pub fn output() -> Output {
+    const SWEEP_MS: u64 = 3_000;
+    const REBOOT_MS: u64 = 4_000;
+    let sweep_duration = SimTime::from_millis(SWEEP_MS);
+    let rates = sweep_rates();
+    let top = rates.iter().copied().fold(0.0f64, f64::max);
+    let points = run_sweep(&rates, sweep_duration);
+    let mut hosts: Vec<_> = crate::main_architectures()
+        .into_iter()
+        .map(|arch| {
+            let (mut world, _metrics) = build(config(arch, Defense::Cookies), top, None);
+            world.run_until(sweep_duration);
+            crate::report(format!("flood-{}-cookies", arch.name()), &world)
+        })
+        .collect();
+    let (reboot, reboot_world) =
+        measure_reboot(Architecture::NiLrp, top, SimTime::from_millis(REBOOT_MS));
+    hosts.push(crate::report(
+        format!("reboot-{}", reboot.arch.name()),
+        &reboot_world,
+    ));
+
+    let violations = check_headlines(&points, &reboot);
+    for v in &violations {
+        eprintln!("HEADLINE VIOLATION: {v}");
+    }
+    assert!(violations.is_empty(), "syn_flood headline claims violated");
+
+    let sweep = crate::arr(&points, |p| {
+        Json::obj(vec![
+            ("arch", Json::str(p.arch.name())),
+            ("defense", Json::str(p.defense.name())),
+            ("syn_pps", Json::F64(p.syn_pps)),
+            ("http_tps", Json::F64(p.http_tps)),
+            (
+                "p99_connect_ms",
+                p.p99_connect_ms.map_or(Json::Null, Json::F64),
+            ),
+            ("failures", Json::U64(p.failures)),
+            ("backlog_drops", Json::U64(p.backlog_drops)),
+            ("syn_cache_evictions", Json::U64(p.syn_cache_evictions)),
+            ("cookies_sent", Json::U64(p.cookies_sent)),
+            ("cookies_validated", Json::U64(p.cookies_validated)),
+            ("cookies_rejected", Json::U64(p.cookies_rejected)),
+            ("conserved", Json::Bool(p.conserved)),
+        ])
+    });
+    let reboot_json = Json::obj(vec![
+        ("arch", Json::str(reboot.arch.name())),
+        ("syn_pps", Json::F64(reboot.syn_pps)),
+        ("reboot_ms", Json::F64(reboot.reboot_ms)),
+        ("boot_ms", Json::F64(reboot.boot_ms)),
+        (
+            "recovery_ms",
+            reboot.recovery_ms.map_or(Json::Null, Json::F64),
+        ),
+        ("tps_before", Json::F64(reboot.tps_before)),
+        ("tps_after", Json::F64(reboot.tps_after)),
+        ("reboot_flushed", Json::U64(reboot.reboot_flushed)),
+        ("nic_stall_drops", Json::U64(reboot.nic_stall_drops)),
+        ("conserved", Json::Bool(reboot.conserved)),
+    ]);
+    let params = vec![
+        ("quick", Json::Bool(false)),
+        ("sweep_duration_ms", Json::U64(SWEEP_MS)),
+        ("reboot_duration_ms", Json::U64(REBOOT_MS)),
+        ("rates", crate::arr(&rates, |&r| Json::F64(r))),
+        ("top_rate", Json::F64(top)),
+    ];
+    let data = Json::obj(vec![("sweep", sweep), ("reboot", reboot_json)]);
+    Output::new(render(&points, &reboot), params, data, hosts)
 }

@@ -4,13 +4,14 @@
 //! Demonstrates the paper's point that LRP's overload robustness costs
 //! nothing at low load.
 
-use crate::{HOST_A, HOST_B};
+use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{
     shared, PingPongClient, PingPongMetrics, PingPongServer, Shared, TcpBulkMetrics,
     TcpBulkReceiver, TcpBulkSender, UdpWindowMetrics, UdpWindowSink, UdpWindowSource,
 };
 use lrp_core::{Architecture, Host, HostConfig, World};
 use lrp_sim::SimTime;
+use lrp_telemetry::{span_breakdown_json, Json};
 use lrp_wire::Endpoint;
 
 /// One measured row of Table 1.
@@ -148,20 +149,16 @@ pub fn measure_tcp_mbps(cfg: HostConfig, total: usize) -> f64 {
     m.mbps()
 }
 
-/// Runs the full table. `quick` reduces message counts for CI.
-pub fn run(quick: bool) -> Vec<Row> {
-    let (rounds, dgrams, tcp_bytes) = if quick {
-        (500, 300, 2 << 20)
-    } else {
-        (10_000, 3_000, 24 << 20)
-    };
+/// Runs the table: 10 000 ping-pong rounds, 3 000 datagrams and a
+/// 24 MiB TCP transfer per system.
+pub fn run() -> Vec<Row> {
     systems()
         .into_iter()
         .map(|(name, cfg)| Row {
             system: name,
-            rtt_us: measure_rtt(cfg, rounds),
-            udp_mbps: measure_udp_mbps(cfg, dgrams),
-            tcp_mbps: measure_tcp_mbps(cfg, tcp_bytes),
+            rtt_us: measure_rtt(cfg, 10_000),
+            udp_mbps: measure_udp_mbps(cfg, 3_000),
+            tcp_mbps: measure_tcp_mbps(cfg, 24 << 20),
         })
         .collect()
 }
@@ -197,4 +194,47 @@ pub fn render(rows: &[Row]) -> String {
         &table_rows,
     ));
     out
+}
+
+/// Ping-pong rounds of the instrumented span-breakdown run.
+const SPAN_ROUNDS: u64 = 100;
+
+/// The registry entry: the table, plus per system one instrumented
+/// sliding-window UDP transfer and one instrumented RTT run whose
+/// per-request (span) critical path goes into the row: every ping-pong
+/// datagram carries a span id from the client's send through the
+/// server's receive and reply back to the client, and the breakdown
+/// reports the mean/max latency of each pipeline leg.
+pub fn output() -> Output {
+    let rows = run();
+    let mut hosts = Vec::new();
+    let mut breakdowns = Vec::new();
+    for (name, cfg) in systems() {
+        let (mut world, metrics) = build_udp(cfg, 300);
+        world.run_until(SimTime::from_secs(60));
+        assert!(metrics.borrow().done, "udp transfer incomplete: {name}");
+        hosts.push(crate::report(format!("udp-{name}"), &world));
+
+        let (mut world, metrics) = build_rtt(cfg, SPAN_ROUNDS);
+        world.run_until(SimTime::from_millis(10 * SPAN_ROUNDS + 1_000));
+        assert!(metrics.borrow().done, "rtt run incomplete: {name}");
+        hosts.push(crate::report(format!("rtt-{name}"), &world));
+        breakdowns.push(span_breakdown_json(&world, "recv"));
+    }
+    let data = Json::Arr(
+        rows.iter()
+            .zip(breakdowns)
+            .map(|(r, breakdown)| {
+                Json::obj(vec![
+                    ("system", Json::str(r.system)),
+                    ("rtt_us", Json::F64(r.rtt_us)),
+                    ("udp_mbps", Json::F64(r.udp_mbps)),
+                    ("tcp_mbps", Json::F64(r.tcp_mbps)),
+                    ("rtt_span_breakdown", breakdown),
+                ])
+            })
+            .collect(),
+    );
+    let params = vec![("quick", Json::Bool(false))];
+    Output::new(render(&rows) + "\n", params, data, hosts)
 }

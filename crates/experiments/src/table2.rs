@@ -14,10 +14,11 @@
 //!   the RPC traffic to whoever runs — usually the worker — depressing
 //!   its priority.
 
-use crate::{HOST_A, HOST_B, HOST_C};
+use crate::{Output, HOST_A, HOST_B, HOST_C};
 use lrp_apps::{shared, PacedRpcClient, RpcClient, RpcMetrics, RpcServer, Shared};
 use lrp_core::{Architecture, Host, Pid, World};
 use lrp_sim::{SimDuration, SimTime};
+use lrp_telemetry::Json;
 use lrp_wire::Endpoint;
 
 /// The per-request computation of the two RPC servers for each variant.
@@ -263,4 +264,29 @@ pub fn render(rows: &[Row]) -> String {
         &table_rows,
     ));
     out
+}
+
+/// The registry entry: the table, plus one instrumented Medium-variant
+/// run per system, driven at the calibration rate for a bounded window.
+pub fn output() -> Output {
+    let rows = run();
+    let hosts = crate::main_architectures()
+        .into_iter()
+        .map(|arch| {
+            let variant = Variant::Medium;
+            let mut s = build(arch, variant, variant.calibration_gap());
+            s.world.run_until(SimTime::from_secs(2));
+            crate::report(format!("rpc-medium-{}", arch.name()), &s.world)
+        })
+        .collect();
+    let data = crate::arr(&rows, |r| {
+        Json::obj(vec![
+            ("variant", Json::str(r.variant.name())),
+            ("system", Json::str(r.system)),
+            ("worker_elapsed_s", Json::F64(r.worker_elapsed_s)),
+            ("rpc_rate", Json::F64(r.rpc_rate)),
+            ("worker_share", Json::F64(r.worker_share)),
+        ])
+    });
+    Output::new(render(&rows) + "\n", Vec::new(), data, hosts)
 }

@@ -33,6 +33,7 @@ proptest! {
 
     /// Long-run empirical loss converges on the stationary probability
     /// `pi_bad * loss_bad + pi_good * loss_good`.
+    #[test]
     fn long_run_loss_matches_stationary_probability(
         seed in any::<u32>(),
         p_gb in 0.02f64..0.3,
@@ -59,6 +60,7 @@ proptest! {
     /// With `loss_bad = 1` and `loss_good = 0`, every loss run is exactly
     /// one bad-state residency, so the mean run of consecutive drops must
     /// match the geometric mean residency `1 / p_bg`.
+    #[test]
     fn burst_length_matches_transition_parameters(
         seed in any::<u32>(),
         p_gb in 0.01f64..0.1,

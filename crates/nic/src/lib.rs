@@ -864,6 +864,7 @@ mod tests {
         /// Over interleaved creates and destroys, ids come out exactly as
         /// a scan for the lowest empty slot hands them out, and a
         /// recreated channel starts empty with the new limit.
+        #[test]
         fn channel_ids_are_the_lowest_free_slot(
             ops in proptest::collection::vec((proptest::bool::weighted(0.5), 0usize..12), 1..200),
         ) {

@@ -494,9 +494,12 @@ impl<T> Strategy for OneOf<T> {
 }
 
 /// Defines property tests. Each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` that runs the body `cases` times with generated
+/// becomes a function that runs the body `cases` times with generated
 /// inputs. Failures panic with the case number (deterministic: rerun
 /// reproduces the same inputs).
+///
+/// As with upstream proptest, the call site writes `#[test]` on each
+/// property and the macro adds none: a property without it is not a test.
 #[macro_export]
 macro_rules! proptest {
     // With a config header.
@@ -509,7 +512,6 @@ macro_rules! proptest {
     ) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let config: $crate::ProptestConfig = $config;
                 let mut rng = $crate::TestRng::new($crate::seed_for(stringify!($name)));
@@ -578,15 +580,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
+        #[test]
         fn vec_len_respected(v in collection::vec(any::<u8>(), 0..16usize)) {
             prop_assert!(v.len() < 16);
         }
 
+        #[test]
         fn tuple_and_map((a, b) in (any::<u16>(), 1u16..16).prop_map(|(x, y)| (x, y))) {
             prop_assert!((1..16).contains(&b));
             let _ = a;
         }
 
+        #[test]
         fn index_in_bounds(ix in any::<sample::Index>(), len in 1usize..50) {
             prop_assert!(ix.index(len) < len);
         }

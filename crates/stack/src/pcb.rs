@@ -554,6 +554,7 @@ mod tests {
         /// Every answer of the indexed table equals the list scan's, after
         /// every operation of a random sequence long enough to compact the
         /// slots several times.
+        #[test]
         fn indexed_table_matches_the_linear_scan(
             ops in collection::vec((0u8..5, 0usize..12, 0u32..6), 300..600usize)
         ) {

@@ -3,7 +3,7 @@
 //!
 //! - `schemas/results.schema.json` — the envelope schema; every
 //!   `results/*.json` document (except the `*.trace.json` span-log
-//!   export `fig3 --trace` writes) must conform to it.
+//!   export `lrp-exp --trace` writes) must conform to it.
 //! - `schemas/<exp>.data.schema.json` — an experiment-specific pin; the
 //!   `data` member of `results/<exp>.json` must conform to it. A data
 //!   schema whose result file does not exist is an **orphan** and fails

@@ -4,8 +4,7 @@
 //! ([`report_and_check`]), the observability exports ([`observe`]), and
 //! a minimal schema validator ([`schema::validate`]) used by CI.
 //!
-//! Every experiment binary ends the same way: build its figure/table as
-//! before, then emit `results/<name>.json` via [`write_results`] with the
+//! Every experiment's results document is an [`experiment_json`]: the
 //! numeric data plus a per-host report from a representative instrumented
 //! run — after [`report_and_check`] has verified that every frame the NIC
 //! accepted is accounted for exactly once (DESIGN.md §7).
@@ -27,7 +26,6 @@ pub use report::{
     report_and_check, sock_stats_json, world_report,
 };
 
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// The repository's `results/` directory (resolved relative to this
@@ -50,26 +48,6 @@ pub fn experiment_json(
         ("data", data),
         ("hosts", Json::Obj(hosts)),
     ])
-}
-
-/// Writes `results/<name>.json` and returns its path.
-pub fn write_results(name: &str, doc: &Json) -> io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    std::fs::write(&path, doc.render())?;
-    Ok(path)
-}
-
-/// Writes an arbitrary text artifact `results/<name>.<ext>` (folded
-/// flamegraph stacks, gnuplot columns, chrome traces) and returns its
-/// path.
-pub fn write_artifact(name: &str, ext: &str, content: &str) -> io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.{ext}"));
-    std::fs::write(&path, content)?;
-    Ok(path)
 }
 
 #[cfg(test)]

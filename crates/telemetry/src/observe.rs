@@ -357,7 +357,7 @@ mod tests {
         let b = span_breakdown_json(&w, "recv");
         assert_eq!(b.get("spans").unwrap().as_u64(), Some(0));
 
-        // The fig3 --trace export: 50 ms of NI-LRP overload (the
+        // The `lrp-exp --trace` export: 50 ms of NI-LRP overload (the
         // injector starts at 50 ms).
         let (mut w, _) = lrp_experiments::fig3::build(Architecture::NiLrp, 20_000.0, false);
         w.run_until(lrp_sim::SimTime::from_millis(100));

@@ -1,5 +1,5 @@
 //! Report builders: turn a finished [`World`]'s hosts into the JSON
-//! structure every experiment binary emits next to its text output.
+//! structure every experiment writes next to its text output.
 
 use crate::json::Json;
 use lrp_core::{Host, PacketLedger, SockStats, World};

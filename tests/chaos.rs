@@ -150,6 +150,7 @@ fn run_digest(arch: Architecture, sched: &Schedule) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
+    #[test]
     fn chaos_soak(
         seed in any::<u32>(),
         pps in 2_000.0f64..8_000.0,
@@ -304,6 +305,7 @@ fn run_crash_digest(arch: Architecture, sched: &CrashSchedule) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
+    #[test]
     fn crash_chaos(
         seed in any::<u32>(),
         server_crash_ms in 100u64..400,
@@ -687,6 +689,7 @@ proptest! {
     /// flight: no panic, ledgers conserved (`owner_dead` absorbing
     /// whatever the dead process had queued), and the same kill time is
     /// bit-identical on every architecture.
+    #[test]
     fn syn_sent_crash_chaos(
         kill_us in 3_000u64..9_000,
         seed in any::<u32>(),
@@ -911,6 +914,7 @@ proptest! {
     /// both ledgers conserved (`reboot_flushed` and `nic_stall_drops`
     /// absorbing the teardown and the dead-NIC window), and the same
     /// schedule is bit-identical on every architecture.
+    #[test]
     fn reboot_during_flood_chaos(
         syn_pps in 500.0f64..2_500.0,
         reboot_ms in 200u64..800,

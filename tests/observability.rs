@@ -93,18 +93,18 @@ fn charge_attribution_pins_the_paper_claim() {
 }
 
 /// Folded flamegraph stacks of the pinned sub-run (NI-LRP, 1 simulated
-/// second, seed 7 — the CI quick run) against the checked-in golden file.
-/// Regenerate with:
-/// `cargo run --release -p lrp-experiments --bin livelock_timeline -- --quick`
-/// and copy `results/livelock_timeline-nilrp.folded` over the golden.
+/// second, seed 7) against the committed
+/// `results/livelock_timeline-nilrp.folded`, which the experiment driver
+/// regenerates with:
+/// `cargo run --release --offline --locked -p lrp-experiments -- livelock_timeline`
 #[test]
 fn folded_stacks_match_golden() {
     let r = lt::run_arch(Architecture::NiLrp, SimTime::from_secs(1));
     let folded = folded_stacks(&r.world.hosts[0], "nilrp");
-    let golden = include_str!("golden/livelock_timeline.folded");
+    let golden = include_str!("../results/livelock_timeline-nilrp.folded");
     assert_eq!(
         folded, golden,
-        "folded stacks diverge from tests/golden/livelock_timeline.folded"
+        "folded stacks diverge from results/livelock_timeline-nilrp.folded"
     );
 }
 
@@ -253,7 +253,7 @@ fn committed_results_quote_one_histogram_per_latency_stage() {
     let mut stages = 0;
     for entry in std::fs::read_dir(lrp::telemetry::results_dir()).unwrap() {
         let path = entry.unwrap().path();
-        // `fig3 --trace` exports (`*.trace.json`, gitignored) are span
+        // `lrp-exp --trace` exports (`*.trace.json`, gitignored) are span
         // logs, not results documents.
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if name.ends_with(".json") && !name.ends_with(".trace.json") {
