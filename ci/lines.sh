@@ -36,18 +36,18 @@ while read -r crate budget; do
     fi
     printf '%-16s %6d / %6d\n' "$crate" "$n" "$budget"
 done <<'EOF'
-apps 1704
+apps 1701
 bench 0
-core 5737
+core 5538
 criterion-shim 126
 demux 427
-experiments 3565
+experiments 3561
 mbuf 421
-net 672
-nic 723
+net 666
+nic 714
 proptest-shim 450
 sched 1055
-sim 1528
+sim 1519
 stack 4198
 telemetry 1466
 wire 1824

@@ -91,11 +91,6 @@ pub struct ClientStats {
 }
 
 impl ClientStats {
-    /// Completions at or after `t` — e.g. after a server restart.
-    pub fn completions_since(&self, t: SimTime) -> u64 {
-        self.completions.iter().filter(|&&c| c >= t).count() as u64
-    }
-
     /// The first completion at or after `t`.
     pub fn first_completion_since(&self, t: SimTime) -> Option<SimTime> {
         self.completions.iter().copied().find(|&c| c >= t)

@@ -433,11 +433,7 @@ impl Host {
                 ProcExec::Start => {
                     let ctx = crate::syscall::AppCtx { now, pid };
                     let op = self.apps.get_mut(pid).expect("app for process").start(ctx);
-                    PhaseOut::Run {
-                        dur: SimDuration::ZERO,
-                        account: Account::System,
-                        next: Cont::SyscallEntry(op),
-                    }
+                    PhaseOut::sys(SimDuration::ZERO, Cont::SyscallEntry(op))
                 }
                 ProcExec::Cont(cont) => {
                     let stage = cont.stage();

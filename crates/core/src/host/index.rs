@@ -10,7 +10,7 @@
 //! replaced a table scan visits in ascending `SockId`, the order the scan
 //! had.
 
-use super::{Host, Socket};
+use super::{sock_wchan, Host, Socket, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
 use crate::syscall::SockProto;
 use lrp_demux::ChannelId;
 use lrp_sched::{Pid, WaitChannel};
@@ -218,6 +218,18 @@ impl Host {
         self.woken_scratch = woken;
     }
 
+    /// Whether a process is blocked in a call that drains `s`'s channel
+    /// without the APP thread: any call on `s`, or an accept on the
+    /// listener that spawned it.
+    fn drainer_asleep(&self, s: &Socket) -> bool {
+        let kinds = [WC_RECV, WC_SEND, WC_ACCEPT, WC_CONNECT];
+        kinds
+            .iter()
+            .any(|&k| self.sched.has_sleeper(sock_wchan(s.id, k)))
+            || s.parent
+                .is_some_and(|p| self.sched.has_sleeper(sock_wchan(p, WC_ACCEPT)))
+    }
+
     /// Recomputes every index by brute force and compares it with the
     /// maintained one; `Err` names the first divergence. The table scans
     /// the indexes replaced live on only here: [`World::run_until`] runs
@@ -260,16 +272,19 @@ impl Host {
             if s.timer_queued {
                 queued.push(s.id);
             }
-            // Every TCP channel is armed unless its interrupt fired and
-            // the re-arm is pending (only the NI firmware ever clears it).
+            // A TCP channel may be disarmed (only the NI firmware clears
+            // the flag) with no re-arm pending only while its drainer is
+            // awake: with the APP thread, never (a fired channel is listed
+            // for the thread's re-arm); without it (A4), while no process
+            // is blocked in a call that drains it, which arms it first.
             if let Some(c) = chan {
                 if s.proto == SockProto::Tcp
-                    && self.app_thread.is_some()
                     && !self.nic.channel(c).intr_requested
                     && !self.rearm_socks.contains(&s.id)
+                    && (self.app_thread.is_some() || self.drainer_asleep(s))
                 {
                     return Err(format!(
-                        "{:?}: TCP channel disarmed, no re-arm pending",
+                        "{:?}: TCP channel disarmed, no re-arm pending, its drainer asleep",
                         s.id
                     ));
                 }

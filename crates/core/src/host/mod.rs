@@ -336,6 +336,22 @@ pub(crate) enum PhaseOut {
     Done,
 }
 
+impl PhaseOut {
+    /// Bills `dur` as system time, then continues with `next`.
+    pub(crate) fn sys(dur: SimDuration, next: Cont) -> Self {
+        PhaseOut::Run {
+            dur,
+            account: Account::System,
+            next,
+        }
+    }
+
+    /// Bills `dur` as system time, then returns `ret` from the call.
+    pub(crate) fn ret(dur: SimDuration, ret: SyscallRet) -> Self {
+        PhaseOut::sys(dur, Cont::SyscallReturn(ret))
+    }
+}
+
 /// CPU work kinds.
 #[derive(Debug)]
 pub(crate) enum WorkKind {

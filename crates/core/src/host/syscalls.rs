@@ -31,20 +31,12 @@ impl Host {
                     .get_mut(pid)
                     .expect("app for process")
                     .resume(ctx, ret);
-                PhaseOut::Run {
-                    dur: SimDuration::ZERO,
-                    account: Account::System,
-                    next: Cont::SyscallEntry(op),
-                }
+                PhaseOut::sys(SimDuration::ZERO, Cont::SyscallEntry(op))
             }
             Cont::SyscallEntry(op) => self.begin_op(now, pid, op),
             Cont::SyscallReturn(ret) => {
                 self.sched.return_to_user(pid);
-                PhaseOut::Run {
-                    dur: cost.syscall_return,
-                    account: Account::System,
-                    next: Cont::AppNext(ret),
-                }
+                PhaseOut::sys(cost.syscall_return, Cont::AppNext(ret))
             }
             Cont::ComputeSlice(remaining) => {
                 let slice = remaining.min(QUANTUM);
@@ -79,21 +71,15 @@ impl Host {
                     }
                 }
             }
-            Cont::RecvCheck { sock, max_len } => self.phase_recv_check(now, pid, sock, max_len),
-            Cont::TcpSend { sock, data, off } => self.phase_tcp_send(now, pid, sock, data, off),
+            Cont::RecvCheck { sock, max_len } => self.phase_recv_check(now, sock, max_len),
+            Cont::TcpSend { sock, data, off } => self.phase_tcp_send(now, sock, data, off),
             Cont::AcceptCheck { sock } => self.phase_accept(now, pid, sock),
-            Cont::ConnectCheck { sock } => self.phase_connect_check(now, pid, sock),
+            Cont::ConnectCheck { sock } => self.phase_connect_check(now, sock),
             Cont::AppThreadStep => match self.app_thread_step(now) {
                 Some((dur, owner)) => {
-                    // Charge to the owning application (§3.4); the chunk's
-                    // charge target is overridden below via a trick: we
-                    // run the APP thread chunk but account to the owner.
+                    // Charge to the owning application (§3.4).
                     self.charge_override(pid, owner);
-                    PhaseOut::Run {
-                        dur,
-                        account: Account::System,
-                        next: Cont::AppThreadStep,
-                    }
+                    PhaseOut::sys(dur, Cont::AppThreadStep)
                 }
                 None => {
                     self.charge_override(pid, pid);
@@ -109,17 +95,13 @@ impl Host {
                     self.rearm_socks = fired;
                     PhaseOut::Block {
                         wchan: super::WC_APP_THREAD,
-                        pri: lrp_sched::PSOCK,
+                        pri: PSOCK,
                         resume: Cont::AppThreadStep,
                     }
                 }
             },
             Cont::ForwardStep => match self.forward_step(now) {
-                Some(dur) => PhaseOut::Run {
-                    dur,
-                    account: Account::System,
-                    next: Cont::ForwardStep,
-                },
+                Some(dur) => PhaseOut::sys(dur, Cont::ForwardStep),
                 None => {
                     if self.cfg.arch == Architecture::NiLrp {
                         if let Some(chan) = self.nic.proxies().forward {
@@ -138,11 +120,7 @@ impl Host {
             Cont::IdleThreadStep => match self.idle_thread_step(now) {
                 Some((dur, owner)) => {
                     self.charge_override(pid, owner);
-                    PhaseOut::Run {
-                        dur,
-                        account: Account::System,
-                        next: Cont::IdleThreadStep,
-                    }
+                    PhaseOut::sys(dur, Cont::IdleThreadStep)
                 }
                 None => {
                     self.charge_override(pid, pid);
@@ -179,73 +157,32 @@ impl Host {
             }
             SyscallOp::Socket(p) => {
                 let sock = self.alloc_sock(pid, p);
-                PhaseOut::Run {
-                    dur: entry + cost.accept_sock,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(SyscallRet::Socket(sock)),
-                }
+                PhaseOut::ret(entry + cost.accept_sock, SyscallRet::Socket(sock))
             }
             SyscallOp::Bind { sock, port } => {
-                let ret = self.do_bind(sock, port);
-                PhaseOut::Run {
-                    dur: entry + cost.accept_sock,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(ret),
-                }
+                PhaseOut::ret(entry + cost.accept_sock, self.do_bind(sock, port))
             }
             SyscallOp::Listen { sock, backlog } => {
-                let ret = self.do_listen(sock, backlog);
-                PhaseOut::Run {
-                    dur: entry + cost.accept_sock,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(ret),
-                }
+                PhaseOut::ret(entry + cost.accept_sock, self.do_listen(sock, backlog))
             }
-            SyscallOp::Connect { sock, dst } => self.do_connect(now, pid, sock, dst, entry),
-            SyscallOp::Accept { sock } => PhaseOut::Run {
-                dur: entry,
-                account: Account::System,
-                next: Cont::AcceptCheck { sock },
-            },
-            SyscallOp::SendTo { sock, dst, data } => {
-                let (dur, ret) = self.do_udp_send(now, sock, dst, &data);
-                PhaseOut::Run {
-                    dur: entry + dur,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(ret),
-                }
-            }
+            SyscallOp::Connect { sock, dst } => self.do_connect(now, sock, dst, entry),
+            SyscallOp::Accept { sock } => PhaseOut::sys(entry, Cont::AcceptCheck { sock }),
+            SyscallOp::SendTo { sock, dst, data } => self.do_ip_send(now, sock, dst, &data, entry),
             SyscallOp::Send { sock, data } => {
-                if self.sock_opt(sock).and_then(|s| s.tcp.as_ref()).is_none() {
-                    // Connected UDP socket: send to the default remote.
-                    if let Some(dst) = self.sock_opt(sock).and_then(|s| s.remote) {
-                        let (dur, ret) = self.do_udp_send(now, sock, dst, &data);
-                        return PhaseOut::Run {
-                            dur: entry + dur,
-                            account: Account::System,
-                            next: Cont::SyscallReturn(ret),
-                        };
-                    }
-                    return PhaseOut::Run {
-                        dur: entry,
-                        account: Account::System,
-                        next: Cont::SyscallReturn(SyscallRet::Err(Errno::Invalid)),
-                    };
-                }
-                PhaseOut::Run {
-                    dur: entry,
-                    account: Account::System,
-                    next: Cont::TcpSend { sock, data, off: 0 },
+                let s = self.sock_opt(sock);
+                if s.is_some_and(|s| s.tcp.is_some()) {
+                    PhaseOut::sys(entry, Cont::TcpSend { sock, data, off: 0 })
+                } else if let Some(dst) = s.and_then(|s| s.remote) {
+                    // Connected datagram socket: send to the default remote.
+                    self.do_ip_send(now, sock, dst, &data, entry)
+                } else {
+                    PhaseOut::ret(entry, SyscallRet::Err(Errno::Invalid))
                 }
             }
             SyscallOp::Recv { sock, max_len } => {
                 // A plain receive invalidates any armed receive timeout.
                 self.recv_seq.remove(pid);
-                PhaseOut::Run {
-                    dur: entry,
-                    account: Account::System,
-                    next: Cont::RecvCheck { sock, max_len },
-                }
+                PhaseOut::sys(entry, Cont::RecvCheck { sock, max_len })
             }
             SyscallOp::RecvTimeout {
                 sock,
@@ -262,38 +199,21 @@ impl Host {
                     .entry(now + timeout)
                     .or_default()
                     .push((pid, sock, seq));
-                PhaseOut::Run {
-                    dur: entry,
-                    account: Account::System,
-                    next: Cont::RecvCheck { sock, max_len },
-                }
+                PhaseOut::sys(entry, Cont::RecvCheck { sock, max_len })
             }
             SyscallOp::SockDepth { sock } => {
-                let depth = self.sock_depth(sock);
-                PhaseOut::Run {
-                    dur: entry,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(SyscallRet::Depth(depth)),
-                }
+                PhaseOut::ret(entry, SyscallRet::Depth(self.sock_depth(sock)))
             }
             SyscallOp::SockStats { sock } => {
                 let ret = match self.sock_stats_of(sock) {
                     Some(st) => SyscallRet::Stats(Box::new(st)),
                     None => SyscallRet::Err(Errno::Invalid),
                 };
-                PhaseOut::Run {
-                    dur: entry,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(ret),
-                }
+                PhaseOut::ret(entry, ret)
             }
             SyscallOp::Close { sock } => {
                 let dur = self.do_close(now, sock);
-                PhaseOut::Run {
-                    dur: entry + dur,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(SyscallRet::Ok),
-                }
+                PhaseOut::ret(entry + dur, SyscallRet::Ok)
             }
         }
     }
@@ -349,73 +269,97 @@ impl Host {
         SyscallRet::Ok
     }
 
+    /// `sock`'s local endpoint, bound to an ephemeral port first if it
+    /// has none (the implicit bind of `connect` and `sendto`).
+    fn bind_implicit(&mut self, sock: SockId) -> Result<Endpoint, SyscallRet> {
+        if self.sock(sock).local.is_none() {
+            let port = self.next_ephemeral();
+            let r = self.do_bind(sock, port);
+            if r != SyscallRet::Ok {
+                return Err(r);
+            }
+        }
+        Ok(self.sock(sock).local.expect("bound above"))
+    }
+
     fn do_connect(
         &mut self,
         now: SimTime,
-        _pid: Pid,
         sock: SockId,
         dst: Endpoint,
         entry: SimDuration,
     ) -> PhaseOut {
         let cost = self.cfg.cost;
-        let Some(s) = self.sock_opt(sock) else {
-            return PhaseOut::Run {
-                dur: entry,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Err(Errno::Invalid)),
-            };
+        let Some(sproto) = self.sock_opt(sock).map(|s| s.proto) else {
+            return PhaseOut::ret(entry, SyscallRet::Err(Errno::Invalid));
         };
-        let sproto = s.proto;
-        // Implicit bind to an ephemeral port.
-        if self.sock(sock).local.is_none() {
-            let port = self.next_ephemeral();
-            let r = self.do_bind(sock, port);
-            if r != SyscallRet::Ok {
-                return PhaseOut::Run {
-                    dur: entry,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(r),
-                };
-            }
-        }
-        let local = self.sock(sock).local.expect("bound above");
+        let local = match self.bind_implicit(sock) {
+            Ok(local) => local,
+            Err(r) => return PhaseOut::ret(entry, r),
+        };
         self.sock_mut(sock).remote = Some(dst);
-        match sproto {
-            SockProto::Udp | SockProto::Icmp => {
-                // Connected datagram/raw socket: remember the default
-                // destination.
-                PhaseOut::Run {
-                    dur: entry + cost.accept_sock,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(SyscallRet::Ok),
-                }
-            }
-            SockProto::Tcp => {
-                let ip_proto = proto::TCP;
-                let key = FlowKey::new(ip_proto, local, dst);
-                let _ = self.pcb.insert(key, sock);
-                if self.cfg.arch != Architecture::Bsd {
-                    // The connected socket's channel gets an exact filter.
-                    if let Some(chan) = self.sock(sock).chan {
-                        let _ = self.nic.demux.register(key, chan);
-                    }
-                }
-                let iss = self.next_iss();
-                let conn = TcpConn::new(self.cfg.tcp, local, dst, iss);
-                self.set_conn(sock, Some(conn));
-                let ((), tx) = self.tcp_run(now, sock, |conn, out| conn.connect_into(now, out));
-                PhaseOut::Run {
-                    dur: entry + cost.tcp_output + tx,
-                    account: Account::System,
-                    next: Cont::ConnectCheck { sock },
-                }
+        if sproto != SockProto::Tcp {
+            // Connected datagram/raw socket: remember the default
+            // destination.
+            return PhaseOut::ret(entry + cost.accept_sock, SyscallRet::Ok);
+        }
+        let key = FlowKey::new(proto::TCP, local, dst);
+        let _ = self.pcb.insert(key, sock);
+        if self.cfg.arch != Architecture::Bsd {
+            // The connected socket's channel gets an exact filter.
+            if let Some(chan) = self.sock(sock).chan {
+                let _ = self.nic.demux.register(key, chan);
             }
         }
+        let iss = self.next_iss();
+        let conn = TcpConn::new(self.cfg.tcp, local, dst, iss);
+        self.set_conn(sock, Some(conn));
+        let ((), tx) = self.tcp_run(now, sock, |conn, out| conn.connect_into(now, out));
+        PhaseOut::sys(entry + cost.tcp_output + tx, Cont::ConnectCheck { sock })
     }
 
-    /// LRP's lazy input in a blocked call: if `sock`'s NI channel holds a
-    /// frame, dequeue it and run it through the delivery path in the
-    /// caller's context. Returns the cost, `None` with nothing queued.
+    /// Whether a call on `sock` drains the socket's NI channel itself
+    /// (LRP's lazy input): on LRP, always for a datagram socket; for TCP
+    /// only without the APP thread (ablation A4, §3.4's rejected design),
+    /// where the calls that block on a socket are TCP's only input.
+    fn drains_own_channel(&self, sock: SockId) -> bool {
+        self.cfg.arch.is_lrp()
+            && self
+                .sock_opt(sock)
+                .is_some_and(|s| s.proto != SockProto::Tcp || !self.cfg.tcp_app_processing)
+    }
+
+    /// The sockets whose channels a call on `sock` drains besides its
+    /// own: for a listener, the children it spawned (the SYN arrives on
+    /// the listener's channel, the handshake's final ACK on the embryonic
+    /// child's); none otherwise.
+    fn children(&self, sock: SockId) -> Vec<SockId> {
+        if self.sock(sock).listener.is_none() {
+            return Vec::new();
+        }
+        let children = self.live_sockets().filter(|s| s.parent == Some(sock));
+        children.map(|s| s.id).collect()
+    }
+
+    /// LRP's lazy input in a blocked call: when the call drains its own
+    /// channel, runs the next frame queued there (failing that, on the
+    /// first of its `children`' channels that holds one) through the
+    /// delivery path in the caller's context, then continues with
+    /// `again`. `None` when there is nothing to process.
+    fn lazy_step(&mut self, now: SimTime, sock: SockId, again: Cont) -> Option<PhaseOut> {
+        if !self.drains_own_channel(sock) {
+            return None;
+        }
+        let children = self.children(sock);
+        let dur = std::iter::once(sock)
+            .chain(children)
+            .find_map(|t| self.lazy_input(now, t))?;
+        Some(PhaseOut::sys(dur, again))
+    }
+
+    /// Dequeues one frame from `sock`'s NI channel, if it holds one, and
+    /// runs it through the delivery path in the caller's context; returns
+    /// the cost.
     fn lazy_input(&mut self, now: SimTime, sock: SockId) -> Option<SimDuration> {
         let chan = self.sock_opt(sock)?.chan?;
         if !self.nic.channel_exists(chan) {
@@ -425,102 +369,97 @@ impl Host {
         Some(self.ip_deliver(now, frame, ProtoCtx::Lrp { sock, lazy: true }))
     }
 
-    /// Ablation A4: without the APP thread, TCP input runs only lazily,
-    /// in the calls that block on a socket (§3.4's rejected design).
-    fn tcp_input_in_calls(&self) -> bool {
-        self.cfg.arch.is_lrp() && !self.cfg.tcp_app_processing
+    /// Blocks the caller on `sock`'s wait channel `kind`, to resume with
+    /// `resume`. A call that drains its own channel first requests the
+    /// demand interrupt of every channel its lazy step walks: on NI-LRP
+    /// nothing else wakes it when a frame arrives.
+    fn sleep_on(&mut self, sock: SockId, kind: u64, resume: Cont) -> PhaseOut {
+        if self.drains_own_channel(sock) {
+            for s in std::iter::once(sock).chain(self.children(sock)) {
+                self.request_channel_interrupt(s);
+            }
+        }
+        PhaseOut::Block {
+            wchan: sock_wchan(sock, kind),
+            pri: PSOCK,
+            resume,
+        }
     }
 
-    fn phase_connect_check(&mut self, now: SimTime, _pid: Pid, sock: SockId) -> PhaseOut {
+    fn phase_connect_check(&mut self, now: SimTime, sock: SockId) -> PhaseOut {
         // A4: the handshake segments.
-        if self.tcp_input_in_calls() {
-            if let Some(dur) = self.lazy_input(now, sock) {
-                return PhaseOut::Run {
-                    dur,
-                    account: Account::System,
-                    next: Cont::ConnectCheck { sock },
-                };
-            }
+        if let Some(out) = self.lazy_step(now, sock, Cont::ConnectCheck { sock }) {
+            return out;
         }
         let Some(s) = self.sock_opt(sock) else {
-            return PhaseOut::Run {
-                dur: SimDuration::ZERO,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Err(Errno::ConnReset)),
-            };
+            return PhaseOut::ret(SimDuration::ZERO, SyscallRet::Err(Errno::ConnReset));
         };
         match s.tcp.as_ref().map(|t| t.state) {
-            Some(TcpState::Established)
-            | Some(TcpState::FinWait1)
-            | Some(TcpState::FinWait2)
-            | Some(TcpState::CloseWait) => PhaseOut::Run {
-                dur: SimDuration::ZERO,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Ok),
-            },
+            Some(
+                TcpState::Established
+                | TcpState::FinWait1
+                | TcpState::FinWait2
+                | TcpState::CloseWait,
+            ) => PhaseOut::ret(SimDuration::ZERO, SyscallRet::Ok),
             Some(TcpState::Closed) | None => {
-                let e = self.sock(sock).err.unwrap_or(Errno::ConnRefused);
-                PhaseOut::Run {
-                    dur: SimDuration::ZERO,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(SyscallRet::Err(e)),
-                }
+                let e = s.err.unwrap_or(Errno::ConnRefused);
+                PhaseOut::ret(SimDuration::ZERO, SyscallRet::Err(e))
             }
-            _ => PhaseOut::Block {
-                wchan: sock_wchan(sock, WC_CONNECT),
-                pri: PSOCK,
-                resume: Cont::ConnectCheck { sock },
-            },
+            _ => self.sleep_on(sock, WC_CONNECT, Cont::ConnectCheck { sock }),
         }
     }
 
-    fn do_udp_send(
+    /// Sends `data` to `dst` from a datagram socket, fragmented above the
+    /// MTU: a UDP socket (bound implicitly if need be) wraps it in a UDP
+    /// header, a raw ICMP socket sends it as the complete ICMP message.
+    fn do_ip_send(
         &mut self,
         now: SimTime,
         sock: SockId,
         dst: Endpoint,
         data: &[u8],
-    ) -> (SimDuration, SyscallRet) {
+        entry: SimDuration,
+    ) -> PhaseOut {
         let cost = self.cfg.cost;
-        let Some(s) = self.sock_opt(sock) else {
-            return (SimDuration::ZERO, SyscallRet::Err(Errno::Invalid));
-        };
-        if s.proto == SockProto::Icmp {
-            return self.do_icmp_send(dst, data);
-        }
-        if s.proto != SockProto::Udp {
-            return (SimDuration::ZERO, SyscallRet::Err(Errno::Invalid));
-        }
-        // Implicit bind.
-        if self.sock(sock).local.is_none() {
-            let port = self.next_ephemeral();
-            let r = self.do_bind(sock, port);
-            if r != SyscallRet::Ok {
-                return (SimDuration::ZERO, r);
+        let seg = match self.sock_opt(sock).map(|s| s.proto) {
+            Some(SockProto::Icmp) => None,
+            Some(SockProto::Udp) => {
+                let local = match self.bind_implicit(sock) {
+                    Ok(local) => local,
+                    Err(r) => return PhaseOut::ret(entry, r),
+                };
+                Some(udp::build(
+                    local.addr,
+                    dst.addr,
+                    local.port,
+                    dst.port,
+                    data,
+                    UDP_CHECKSUM,
+                ))
             }
-        }
-        let local = self.sock(sock).local.expect("bound");
+            _ => return PhaseOut::ret(entry, SyscallRet::Err(Errno::Invalid)),
+        };
+        let is_udp = seg.is_some();
+        let ip_proto = if is_udp { proto::UDP } else { proto::ICMP };
         let ident = self.next_ident();
-        let seg = udp::build(
-            local.addr,
-            dst.addr,
-            local.port,
-            dst.port,
-            data,
-            UDP_CHECKSUM,
-        );
-        let frames = lrp_wire::ipv4::fragment(local.addr, dst.addr, proto::UDP, ident, &seg, MTU);
+        let payload = seg.as_deref().unwrap_or(data);
+        let frames = lrp_wire::ipv4::fragment(self.addr, dst.addr, ip_proto, ident, payload, MTU);
         // The fragments copied the segment: its arena scratch goes back.
-        lrp_wire::buf::recycle(seg);
+        if let Some(seg) = seg {
+            lrp_wire::buf::recycle(seg);
+        }
         let nfrags = frames.len() as u64;
         let dur = cost.copy(data.len())
             + cost.udp_output
             + (cost.ip_output + cost.driver_tx_per_pkt) * nfrags;
-        // Causal trace: the reply continues the span of the request this
+        // Causal trace: a UDP reply continues the span of the request this
         // process most recently received (or mints a fresh one).
-        let owner = self.sock(sock).owner;
-        let cpu = self.cur_cpu;
-        let span = self.tele.on_tx(now, cpu, owner.0);
+        let span = if is_udp {
+            let owner = self.sock(sock).owner;
+            self.tele.on_tx(now, self.cur_cpu, owner.0)
+        } else {
+            None
+        };
         let mut dropped = false;
         for f in frames {
             dropped |= !self.ifq_enqueue_spanned(lrp_wire::Frame::ipv4(f), span);
@@ -530,215 +469,120 @@ impl Host {
         } else {
             SyscallRet::Sent(data.len())
         };
-        (dur, ret)
-    }
-
-    /// Sends a raw ICMP message (the payload is the complete ICMP
-    /// message bytes) to `dst`.
-    fn do_icmp_send(&mut self, dst: Endpoint, data: &[u8]) -> (SimDuration, SyscallRet) {
-        let cost = self.cfg.cost;
-        let ident = self.next_ident();
-        let frames = lrp_wire::ipv4::fragment(self.addr, dst.addr, proto::ICMP, ident, data, MTU);
-        let nfrags = frames.len() as u64;
-        let dur = cost.copy(data.len())
-            + cost.udp_output
-            + (cost.ip_output + cost.driver_tx_per_pkt) * nfrags;
-        let mut dropped = false;
-        for f in frames {
-            dropped |= !self.ifq_enqueue_spanned(lrp_wire::Frame::ipv4(f), None);
-        }
-        let ret = if dropped {
-            SyscallRet::Err(Errno::NoBufs)
-        } else {
-            SyscallRet::Sent(data.len())
-        };
-        (dur, ret)
+        PhaseOut::ret(entry + dur, ret)
     }
 
     /// The receive phase: delivers ready data, lazily processes raw
     /// channel packets (LRP), or blocks.
-    fn phase_recv_check(
-        &mut self,
-        now: SimTime,
-        _pid: Pid,
-        sock: SockId,
-        max_len: usize,
-    ) -> PhaseOut {
+    fn phase_recv_check(&mut self, now: SimTime, sock: SockId, max_len: usize) -> PhaseOut {
         let cost = self.cfg.cost;
         let Some(s) = self.sock_opt(sock) else {
-            return PhaseOut::Run {
-                dur: SimDuration::ZERO,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Err(Errno::Invalid)),
-            };
+            return PhaseOut::ret(SimDuration::ZERO, SyscallRet::Err(Errno::Invalid));
         };
-        let is_tcp = s.tcp.is_some();
-        if is_tcp {
+        if s.tcp.is_some() {
             return self.phase_tcp_recv(now, sock, max_len);
         }
         // UDP: ready data first.
-        if !self.sock(sock).rcvq.is_empty() {
-            let d = self.sock_mut(sock).rcvq.dequeue().expect("checked");
+        if let Some(d) = self.sock_mut(sock).rcvq.dequeue() {
             let n = d.payload.len().min(max_len);
-            let dur = cost.sock_dequeue + cost.copy(n);
-            let cpu = self.cur_cpu;
             let owner = self.sock(sock).owner;
-            self.tele.on_recv(now, cpu, sock.0 as u64, owner.0);
+            self.tele.on_recv(now, self.cur_cpu, sock.0 as u64, owner.0);
             // A user buffer smaller than the datagram truncates it (copy);
             // the common full-size receive hands the buffer over as-is.
             let payload = if n < d.payload.len() {
-                lrp_wire::FrameBuf::from(&d.payload[..n])
+                FrameBuf::from(&d.payload[..n])
             } else {
                 d.payload
             };
-            return PhaseOut::Run {
-                dur,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::DataFrom(d.from, payload)),
-            };
+            let ret = SyscallRet::DataFrom(d.from, payload);
+            return PhaseOut::ret(cost.sock_dequeue + cost.copy(n), ret);
         }
         // LRP: lazily process one raw packet from the NI channel.
-        if self.cfg.arch.is_lrp() {
-            if let Some(dur) = self.lazy_input(now, sock) {
-                return PhaseOut::Run {
-                    dur,
-                    account: Account::System,
-                    next: Cont::RecvCheck { sock, max_len },
-                };
-            }
-            // Misordered fragments may be parked on the special fragment
-            // channel (§3.2): reassemble and route them before sleeping.
-            if !self.nic.channel(self.nic.fragment_channel).is_empty() {
-                let dur = self.pump_fragment_channel(now);
-                return PhaseOut::Run {
-                    dur: dur.max(SimDuration::from_nanos(1)),
-                    account: Account::System,
-                    next: Cont::RecvCheck { sock, max_len },
-                };
-            }
-            // Ask the NI to interrupt when the channel goes non-empty.
-            self.request_channel_interrupt(sock);
+        if let Some(out) = self.lazy_step(now, sock, Cont::RecvCheck { sock, max_len }) {
+            return out;
         }
-        PhaseOut::Block {
-            wchan: sock_wchan(sock, WC_RECV),
-            pri: PSOCK,
-            resume: Cont::RecvCheck { sock, max_len },
+        // Misordered fragments may be parked on the special fragment
+        // channel (§3.2): reassemble and route them before sleeping.
+        if self.drains_own_channel(sock) && !self.nic.channel(self.nic.fragment_channel).is_empty()
+        {
+            let dur = self
+                .pump_fragment_channel(now)
+                .max(SimDuration::from_nanos(1));
+            return PhaseOut::sys(dur, Cont::RecvCheck { sock, max_len });
         }
+        self.sleep_on(sock, WC_RECV, Cont::RecvCheck { sock, max_len })
     }
 
     fn phase_tcp_recv(&mut self, now: SimTime, sock: SockId, max_len: usize) -> PhaseOut {
         let cost = self.cfg.cost;
         // A4: TCP receiver processing happens here, in the receive call.
-        if self.tcp_input_in_calls() {
-            if let Some(dur) = self.lazy_input(now, sock) {
-                return PhaseOut::Run {
-                    dur,
-                    account: Account::System,
-                    next: Cont::RecvCheck { sock, max_len },
-                };
-            }
+        if let Some(out) = self.lazy_step(now, sock, Cont::RecvCheck { sock, max_len }) {
+            return out;
         }
         let conn = self.sock(sock).tcp.as_ref().expect("tcp socket");
         if conn.available() > 0 {
             let (data, tx) = self.tcp_run(now, sock, |conn, out| conn.read_into(max_len, out));
             let n = data.len();
             self.stats.tcp_delivered_bytes += n as u64;
-            let cpu = self.cur_cpu;
             let owner = self.sock(sock).owner;
-            self.tele.on_recv(now, cpu, sock.0 as u64, owner.0);
-            return PhaseOut::Run {
-                dur: cost.sock_dequeue + cost.copy(n) + tx,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Data(data.into())),
-            };
+            self.tele.on_recv(now, self.cur_cpu, sock.0 as u64, owner.0);
+            let dur = cost.sock_dequeue + cost.copy(n) + tx;
+            return PhaseOut::ret(dur, SyscallRet::Data(data.into()));
         }
         // A dead connection reports *why* it died (RST, retransmit
         // give-up, keepalive abort) — after any buffered data has been
         // drained above, and before the orderly-EOF path below can
         // mistake an abort for end-of-stream.
         if let Some(e) = self.sock(sock).err {
-            return PhaseOut::Run {
-                dur: cost.sock_dequeue,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Err(e)),
-            };
+            return PhaseOut::ret(cost.sock_dequeue, SyscallRet::Err(e));
         }
         // End of stream or dead connection?
-        let state = self.sock(sock).tcp.as_ref().expect("tcp").state;
-        match state {
+        match self.sock(sock).tcp.as_ref().expect("tcp").state {
             TcpState::CloseWait
             | TcpState::Closing
             | TcpState::LastAck
             | TcpState::TimeWait
-            | TcpState::Closed => PhaseOut::Run {
-                dur: cost.sock_dequeue,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Data(Vec::new().into())),
-            },
-            _ => PhaseOut::Block {
-                wchan: sock_wchan(sock, WC_RECV),
-                pri: PSOCK,
-                resume: Cont::RecvCheck { sock, max_len },
-            },
+            | TcpState::Closed => {
+                PhaseOut::ret(cost.sock_dequeue, SyscallRet::Data(Vec::new().into()))
+            }
+            _ => self.sleep_on(sock, WC_RECV, Cont::RecvCheck { sock, max_len }),
         }
     }
 
     fn phase_tcp_send(
         &mut self,
         now: SimTime,
-        _pid: Pid,
         sock: SockId,
         data: FrameBuf,
         off: usize,
     ) -> PhaseOut {
         let cost = self.cfg.cost;
         let Some(s) = self.sock_opt(sock) else {
-            return PhaseOut::Run {
-                dur: SimDuration::ZERO,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Err(Errno::ConnReset)),
-            };
+            return PhaseOut::ret(SimDuration::ZERO, SyscallRet::Err(Errno::ConnReset));
         };
-        let Some(state) = s.tcp.as_ref().map(|t| t.state) else {
-            return PhaseOut::Run {
-                dur: SimDuration::ZERO,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Err(Errno::Invalid)),
-            };
+        let Some(conn) = s.tcp.as_ref() else {
+            return PhaseOut::ret(SimDuration::ZERO, SyscallRet::Err(Errno::Invalid));
         };
-        match state {
+        let stalled = conn.send_space() == 0;
+        match conn.state {
             TcpState::Established | TcpState::CloseWait => {}
             TcpState::Closed | TcpState::TimeWait => {
-                let e = self.sock(sock).err.unwrap_or(Errno::ConnReset);
-                return PhaseOut::Run {
-                    dur: SimDuration::ZERO,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(SyscallRet::Err(e)),
-                };
+                let e = s.err.unwrap_or(Errno::ConnReset);
+                return PhaseOut::ret(SimDuration::ZERO, SyscallRet::Err(e));
             }
-            _ => {
-                return PhaseOut::Block {
-                    wchan: sock_wchan(sock, WC_SEND),
-                    pri: PSOCK,
-                    resume: Cont::TcpSend { sock, data, off },
-                };
-            }
+            _ => return self.sleep_on(sock, WC_SEND, Cont::TcpSend { sock, data, off }),
         }
         // A4: ACKs are processed lazily in the send call too (any-socket-
         // syscall processing); otherwise a window-stalled sender would
         // deadlock with its peer.
-        let stalled = self
-            .sock(sock)
-            .tcp
-            .as_ref()
-            .is_some_and(|t| t.send_space() == 0);
-        if stalled && self.tcp_input_in_calls() {
-            if let Some(dur) = self.lazy_input(now, sock) {
-                return PhaseOut::Run {
-                    dur,
-                    account: Account::System,
-                    next: Cont::TcpSend { sock, data, off },
-                };
+        if stalled {
+            let again = Cont::TcpSend {
+                sock,
+                data: data.clone(),
+                off,
+            };
+            if let Some(out) = self.lazy_step(now, sock, again) {
+                return out;
             }
         }
         let ((n, nsegs), tx) = self.tcp_run(now, sock, |conn, out| {
@@ -748,63 +592,31 @@ impl Host {
         let dur = cost.copy(n) + cost.tcp_output * nsegs.min(1) + tx;
         let new_off = off + n;
         if new_off >= data.len() {
-            let total = data.len();
-            PhaseOut::Run {
-                dur,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Sent(total)),
-            }
+            PhaseOut::ret(dur, SyscallRet::Sent(data.len()))
         } else if n > 0 {
-            PhaseOut::Run {
+            PhaseOut::sys(
                 dur,
-                account: Account::System,
-                next: Cont::TcpSend {
+                Cont::TcpSend {
                     sock,
                     data,
                     off: new_off,
                 },
-            }
+            )
         } else {
-            PhaseOut::Block {
-                wchan: sock_wchan(sock, WC_SEND),
-                pri: PSOCK,
-                resume: Cont::TcpSend { sock, data, off },
-            }
+            self.sleep_on(sock, WC_SEND, Cont::TcpSend { sock, data, off })
         }
     }
 
     fn phase_accept(&mut self, now: SimTime, pid: Pid, sock: SockId) -> PhaseOut {
         let cost = self.cfg.cost;
-        let Some(s) = self.sock_opt(sock) else {
-            return PhaseOut::Run {
-                dur: SimDuration::ZERO,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Err(Errno::Invalid)),
-            };
-        };
-        if s.listener.is_none() {
-            return PhaseOut::Run {
-                dur: SimDuration::ZERO,
-                account: Account::System,
-                next: Cont::SyscallReturn(SyscallRet::Err(Errno::Invalid)),
-            };
+        if self.sock_opt(sock).is_none_or(|s| s.listener.is_none()) {
+            return PhaseOut::ret(SimDuration::ZERO, SyscallRet::Err(Errno::Invalid));
         }
-        // A4: handshake processing (the SYN on the listener's channel, the
-        // final ACK on an embryonic child's channel) happens lazily in the
-        // accept call itself.
-        if self.tcp_input_in_calls() && self.sock(sock).accept_q.is_empty() {
-            let children = self.live_sockets().filter(|s| s.parent == Some(sock));
-            let targets: Vec<SockId> = std::iter::once(sock)
-                .chain(children.map(|s| s.id))
-                .collect();
-            for t in targets {
-                if let Some(dur) = self.lazy_input(now, t) {
-                    return PhaseOut::Run {
-                        dur,
-                        account: Account::System,
-                        next: Cont::AcceptCheck { sock },
-                    };
-                }
+        // A4: handshake processing happens lazily in the accept call
+        // itself.
+        if self.sock(sock).accept_q.is_empty() {
+            if let Some(out) = self.lazy_step(now, sock, Cont::AcceptCheck { sock }) {
+                return out;
             }
         }
         if let Some(child) = self.sock_mut(sock).accept_q.pop_front() {
@@ -814,24 +626,12 @@ impl Host {
             // The accepting process becomes the owner (charging target).
             if self.sock_opt(child).is_some() {
                 self.set_owner(child, pid);
-                return PhaseOut::Run {
-                    dur: cost.accept_sock,
-                    account: Account::System,
-                    next: Cont::SyscallReturn(SyscallRet::Accepted(child)),
-                };
+                return PhaseOut::ret(cost.accept_sock, SyscallRet::Accepted(child));
             }
             // The child died while queued; try again.
-            return PhaseOut::Run {
-                dur: cost.accept_sock,
-                account: Account::System,
-                next: Cont::AcceptCheck { sock },
-            };
+            return PhaseOut::sys(cost.accept_sock, Cont::AcceptCheck { sock });
         }
-        PhaseOut::Block {
-            wchan: sock_wchan(sock, WC_ACCEPT),
-            pri: PSOCK,
-            resume: Cont::AcceptCheck { sock },
-        }
+        self.sleep_on(sock, WC_ACCEPT, Cont::AcceptCheck { sock })
     }
 
     fn do_close(&mut self, now: SimTime, sock: SockId) -> SimDuration {

@@ -127,9 +127,12 @@ pub fn a3_demux_cost(duration: SimTime) -> Series {
     }
 }
 
-/// A4 — TCP asynchronous protocol processing (APP) on/off: bulk TCP
-/// throughput collapses to roughly one window per receive call without it
-/// (§3.4's argument for why TCP cannot be fully lazy).
+/// A4 — TCP asynchronous protocol processing (APP) on/off: without it a
+/// bulk transfer still streams as fast (its segments and ACKs are
+/// processed lazily in the blocked `send`/`recv` calls) but never ends
+/// cleanly: once the sender stops making socket calls, nothing processes
+/// the final ACK/FIN exchange (§3.4's argument for why TCP cannot be
+/// fully lazy).
 pub fn a4_app_thread() -> Vec<Series> {
     let mut out = Vec::new();
     for app in [true, false] {

@@ -21,6 +21,7 @@
 //!   let the flood starve everyone. The headline number is the
 //!   SOFT-LRP/BSD goodput ratio during the attack.
 
+use crate::syn_flood::Defense;
 use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{
     shared, ClientStats, ResilientRpcClient, ResilientRpcServer, RetryPolicy, ServerStats, Shared,
@@ -178,10 +179,7 @@ pub fn collect_recovery(
 /// Runs the flood scenario for one architecture: Figure 5's build with
 /// the SYN cache switched on.
 pub fn measure_flood(arch: Architecture, syn_pps: f64, duration: SimTime) -> FloodPoint {
-    let mut cfg = crate::host_config(arch);
-    cfg.tcp.time_wait = SimDuration::from_millis(500);
-    cfg.redundant_pcb_lookup = arch.is_lrp();
-    cfg.syn_cache = true;
+    let cfg = crate::syn_flood::config(arch, Defense::SynCache);
     let (mut world, metrics) = crate::fig5::build_with_config(cfg, syn_pps);
     world.run_until(duration);
     let span = duration.as_secs_f64() - 0.5;

@@ -51,13 +51,18 @@ pub struct Point {
     pub fail_rate: f64,
 }
 
-/// Builds the scenario; returns the world and the per-client metrics.
-pub fn build(arch: Architecture, syn_pps: f64) -> (World, Vec<Shared<HttpMetrics>>) {
+/// Host configuration with the paper's controls: TIME_WAIT shortened to
+/// 500 ms, and a redundant PCB lookup on LRP.
+pub fn config(arch: Architecture) -> HostConfig {
     let mut cfg = crate::host_config(arch);
-    // The paper's controls.
     cfg.tcp.time_wait = SimDuration::from_millis(500);
     cfg.redundant_pcb_lookup = arch.is_lrp();
-    build_with_config(cfg, syn_pps)
+    cfg
+}
+
+/// Builds the scenario; returns the world and the per-client metrics.
+pub fn build(arch: Architecture, syn_pps: f64) -> (World, Vec<Shared<HttpMetrics>>) {
+    build_with_config(config(arch), syn_pps)
 }
 
 /// The paper's informal observation: under the flood "the server console
@@ -66,10 +71,7 @@ pub fn build(arch: Architecture, syn_pps: f64) -> (World, Vec<Shared<HttpMetrics
 /// wakeups served)`. A console that never gets the CPU serves ~zero
 /// wakeups — it is dead, whatever its "lag" claims.
 pub fn measure_console_lag(arch: Architecture, syn_pps: f64, duration: SimTime) -> (f64, u64) {
-    let mut cfg = crate::host_config(arch);
-    cfg.tcp.time_wait = SimDuration::from_millis(500);
-    cfg.redundant_pcb_lookup = arch.is_lrp();
-    let (mut world, _m) = build_with_config(cfg, syn_pps);
+    let (mut world, _m) = build_with_config(config(arch), syn_pps);
     let lag = lrp_apps::shared::<lrp_sim::Welford>();
     // The console runs on the server host (index 1 in build()).
     world.hosts[1].spawn_app(

@@ -154,9 +154,7 @@ pub struct RebootPoint {
 /// Host configuration for one cell of the matrix: Figure-5 controls
 /// (short TIME_WAIT, redundant PCB lookup on LRP) plus the defense.
 pub fn config(arch: Architecture, defense: Defense) -> HostConfig {
-    let mut cfg = crate::host_config(arch);
-    cfg.tcp.time_wait = SimDuration::from_millis(500);
-    cfg.redundant_pcb_lookup = arch.is_lrp();
+    let mut cfg = crate::fig5::config(arch);
     defense.apply(&mut cfg);
     cfg
 }

@@ -336,11 +336,6 @@ impl Nic {
         self.rx_rings = (0..n).map(|_| std::collections::VecDeque::new()).collect();
     }
 
-    /// Number of RX queues.
-    pub fn rx_queues(&self) -> usize {
-        self.rx_rings.len()
-    }
-
     /// The RX queue a frame steers to: the RSS hash of its flow key, or
     /// queue 0 for traffic with no transport flow (fragments, ARP, ICMP,
     /// forwarded and malformed frames).
@@ -572,11 +567,6 @@ impl Nic {
         self.rx_rings.iter_mut().find_map(|r| r.pop_front())
     }
 
-    /// Takes the next frame from a specific RX queue's ring.
-    pub fn ring_dequeue_from(&mut self, rxq: usize) -> Option<Frame> {
-        self.rx_rings[rxq].pop_front()
-    }
-
     /// Drains up to `max` frames from RX queue `rxq` into `out`,
     /// preserving arrival order (the driver's per-interrupt ring batch).
     /// `out` is a caller-owned scratch buffer so the hot path reuses its
@@ -619,11 +609,6 @@ impl Nic {
         let n = self.ifq.len();
         self.ifq.clear();
         n
-    }
-
-    /// Frames currently waiting to transmit.
-    pub fn ifq_depth(&self) -> usize {
-        self.ifq.len()
     }
 
     /// The channel the most recent [`Nic::rx_frame`] enqueued into, if any
