@@ -38,19 +38,19 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1701
 bench 0
-core 5538
+core 5647
 criterion-shim 126
 demux 427
-experiments 3561
+experiments 3518
 mbuf 421
 net 666
-nic 714
+nic 801
 proptest-shim 450
-sched 1055
-sim 1519
+sched 1059
+sim 1608
 stack 4198
 telemetry 1466
-wire 1824
+wire 1887
 EOF
 printf '%-16s %6d\n' total "$total"
 for dir in crates/*/; do

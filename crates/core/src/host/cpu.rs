@@ -12,10 +12,6 @@ impl Cpu {
     }
 }
 
-/// The outcome of settling a running chunk: its kind, charge target,
-/// profiler metadata, and unfinished duration.
-type Settled = (WorkKind, Option<(Pid, Account)>, ChunkMeta, SimDuration);
-
 fn account_label(a: Account) -> &'static str {
     match a {
         Account::User => "user",
@@ -25,22 +21,37 @@ fn account_label(a: Account) -> &'static str {
 }
 
 impl Host {
-    /// Charges elapsed time of the chunk running on `cpu` up to `now`,
-    /// feeds the simulated-cycle profiler, and returns the remaining
+    /// Charges elapsed time of the chunk running on `cpu` up to `now`
+    /// and feeds the simulated-cycle profiler. The chunk stays where it
+    /// is, for the caller to take what it needs; returns its unfinished
     /// duration.
-    fn settle_running(&mut self, now: SimTime, cpu: usize) -> Option<Settled> {
-        let r = self.cpus[cpu].running.take()?;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cpu` is idle.
+    fn settle_running(&mut self, now: SimTime, cpu: usize) -> SimDuration {
+        let Host {
+            cpus,
+            sched,
+            tele,
+            app_thread,
+            idle_thread,
+            ..
+        } = self;
+        let c = &mut cpus[cpu];
+        let r = c.running.as_ref().expect("a running chunk");
         let elapsed = now.since(r.started);
         let total = r.ends.since(r.started);
         let remaining = total.saturating_sub(elapsed);
         let used = elapsed.min(total);
-        self.cpus[cpu].busy += used;
-        if let Some((pid, account)) = r.charge {
-            if !used.is_zero() {
-                self.sched.charge_on(cpu, pid, account, used);
-            }
+        if used.is_zero() {
+            return remaining;
         }
-        if !used.is_zero() {
+        c.busy += used;
+        if let Some((pid, account)) = r.charge {
+            sched.charge_on(cpu, pid, account, used);
+        }
+        if tele.enabled() {
             // Profiler context: what kind of execution the cycles belong
             // to. Kernel threads get their own contexts — they are the
             // paper's LRP mechanism, not ordinary processes.
@@ -48,9 +59,9 @@ impl Host {
                 WorkKind::Hw => "interrupt",
                 WorkKind::Soft => "softirq",
                 WorkKind::Proc { pid, .. } => {
-                    if Some(*pid) == self.app_thread {
+                    if Some(*pid) == *app_thread {
                         "app-thread"
-                    } else if Some(*pid) == self.idle_thread {
+                    } else if Some(*pid) == *idle_thread {
                         "idle-thread"
                     } else if matches!(r.charge, Some((_, Account::User))) {
                         "user"
@@ -60,7 +71,7 @@ impl Host {
                 }
             };
             let billed = r.charge.map(|(p, a)| (p.0, account_label(a)));
-            self.tele.on_cycles(
+            tele.on_cycles(
                 cpu,
                 context,
                 r.meta.stage,
@@ -69,7 +80,20 @@ impl Host {
                 used.as_nanos(),
             );
         }
-        Some((r.kind, r.charge, r.meta, remaining))
+        remaining
+    }
+
+    /// Settles the chunk running on `cpu` and takes it off, suspended
+    /// with what it has left to run.
+    fn suspend_running(&mut self, now: SimTime, cpu: usize) -> Suspended {
+        let remaining = self.settle_running(now, cpu);
+        let r = self.cpus[cpu].running.take().expect("settled above");
+        Suspended {
+            kind: r.kind,
+            charge: r.charge,
+            meta: r.meta,
+            remaining,
+        }
     }
 
     fn start_chunk(
@@ -83,6 +107,7 @@ impl Host {
     ) {
         debug_assert!(self.cpus[cpu].running.is_none(), "CPU already busy");
         self.cpus[cpu].bump();
+        self.cpus_started |= 1 << cpu;
         self.cpus[cpu].running = Some(Running {
             kind,
             charge,
@@ -115,20 +140,14 @@ impl Host {
             }
             Some(_) => {
                 // Preempt: settle and suspend the current chunk.
-                let (kind, charge, meta, remaining) =
-                    self.settle_running(now, cpu).expect("running chunk");
+                let s = self.suspend_running(now, cpu);
                 let c = &mut self.cpus[cpu];
-                let slot = match kind {
+                let slot = match s.kind {
                     WorkKind::Soft => &mut c.susp_soft,
                     WorkKind::Proc { .. } => &mut c.susp_proc,
                     WorkKind::Hw => unreachable!("handled above"),
                 };
-                *slot = Some(Suspended {
-                    kind,
-                    charge,
-                    meta,
-                    remaining,
-                });
+                *slot = Some(s);
             }
             None => {}
         }
@@ -169,18 +188,13 @@ impl Host {
 
     /// CPU completion event: `gen` guards against stale events.
     pub fn on_cpu_complete(&mut self, now: SimTime, cpu: usize, gen: u64) {
-        if gen != self.cpus[cpu].gen || self.cpus[cpu].running.is_none() {
+        let c = &self.cpus[cpu];
+        if gen != c.gen || c.running.as_ref().is_none_or(|r| r.ends > now) {
             return; // Stale event (chunk was preempted/replaced).
         }
-        if self.cpus[cpu]
-            .running
-            .as_ref()
-            .is_some_and(|r| r.ends > now)
-        {
-            return; // Stale (should not happen with gen check).
-        }
         self.cur_cpu = cpu;
-        let (kind, _, _, _) = self.settle_running(now, cpu).expect("checked");
+        self.settle_running(now, cpu);
+        let kind = self.cpus[cpu].running.take().expect("checked").kind;
         match kind {
             WorkKind::Hw | WorkKind::Soft => {}
             WorkKind::Proc { pid, next } => {
@@ -220,14 +234,8 @@ impl Host {
             let pid = *pid;
             let pri = self.sched.proc_ref(pid).effective_pri();
             if self.sched.should_preempt_on(cpu, pri) {
-                let (kind, charge, meta, remaining) =
-                    self.settle_running(now, cpu).expect("running");
-                let WorkKind::Proc { pid, next } = kind else {
-                    unreachable!()
-                };
-                let account = charge.map(|(_, a)| a).unwrap_or(Account::System);
-                let charge_pid = charge.map(|(p, _)| p).unwrap_or(pid);
-                self.preempt_to_exec(pid, next, remaining, account, charge_pid, meta);
+                let s = self.suspend_running(now, cpu);
+                self.preempt_suspended(s);
                 preempted = true;
             }
         }
@@ -236,33 +244,27 @@ impl Host {
         }
     }
 
-    /// Saves a preempted process phase back into its exec state and
+    /// Saves a preempted process chunk back into its exec state and
     /// requeues the process.
-    #[allow(clippy::too_many_arguments)]
-    fn preempt_to_exec(
-        &mut self,
-        pid: Pid,
-        next: Cont,
-        remaining: SimDuration,
-        account: Account,
-        charge: Pid,
-        meta: ChunkMeta,
-    ) {
+    fn preempt_suspended(&mut self, s: Suspended) {
+        let WorkKind::Proc { pid, next } = s.kind else {
+            unreachable!("only process chunks are preempted")
+        };
         // A crash between suspension and this save point must win: the
         // preempted phase of an exited process is discarded, not saved.
         if matches!(self.exec.get(pid), Some(ProcExec::Exited)) {
             return;
         }
-        if remaining.is_zero() {
+        if s.remaining.is_zero() {
             self.exec.insert(pid, ProcExec::Cont(next));
         } else {
             self.exec.insert(
                 pid,
                 ProcExec::Chunk {
-                    remaining,
-                    account,
-                    charge,
-                    meta,
+                    remaining: s.remaining,
+                    account: s.charge.map_or(Account::System, |(_, a)| a),
+                    charge: s.charge.map_or(pid, |(p, _)| p),
+                    meta: s.meta,
                     next,
                 },
             );
@@ -367,14 +369,15 @@ impl Host {
                     continue;
                 }
                 let pri = self.sched.proc_ref(pid).effective_pri();
+                let s = Suspended {
+                    kind: WorkKind::Proc { pid, next },
+                    ..s
+                };
                 if self.sched.should_preempt_on(cpu, pri) {
-                    let account = s.charge.map(|(_, a)| a).unwrap_or(Account::System);
-                    let charge_pid = s.charge.map(|(p, _)| p).unwrap_or(pid);
-                    self.preempt_to_exec(pid, next, s.remaining, account, charge_pid, s.meta);
+                    self.preempt_suspended(s);
                     continue;
                 }
-                let kind = WorkKind::Proc { pid, next };
-                self.start_chunk(now, cpu, kind, s.charge, s.meta, s.remaining);
+                self.start_chunk(now, cpu, s.kind, s.charge, s.meta, s.remaining);
                 return;
             }
             // 5. Ask the scheduler (own run queue first, then idle-steal).

@@ -294,6 +294,14 @@ impl Host {
         self.tcp_deadlines
             .check(&deadlines)
             .map_err(|e| format!("deadline heap: {e}"))?;
+        if let Some(cached) = self.kernel_timer_at {
+            let folded = self.kernel_timer_min();
+            if cached != folded {
+                return Err(format!(
+                    "kernel timer cache {cached:?}, its sources say {folded:?}"
+                ));
+            }
+        }
         if !self.ready_socks.iter().eq(&ready) {
             return Err(format!(
                 "ready set {:?}, non-empty channels {ready:?}",
@@ -345,6 +353,7 @@ impl Host {
                 self.owner_work
             ));
         }
+        self.nic.check_depth_gauge()?;
         self.pcb
             .check_indexes()
             .map_err(|e| format!("PCB table: {e}"))?;

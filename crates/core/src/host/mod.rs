@@ -437,6 +437,9 @@ pub struct Host {
     pub(crate) exec: PidMap<ProcExec>,
     /// The simulated CPUs (length `cfg.ncpus`).
     pub(crate) cpus: Vec<Cpu>,
+    /// One bit per CPU that started a chunk since the world last took
+    /// the set: the only CPUs whose completion event can be new.
+    pub(crate) cpus_started: u64,
     /// The CPU whose context the host is currently executing in (set at
     /// every entry point; used for cross-CPU wakeup detection and per-CPU
     /// scheduler queries from syscall phases).
@@ -498,6 +501,10 @@ pub struct Host {
     pub(crate) ed_pending: VecDeque<SockId>,
     /// Timed sleeps.
     pub(crate) sleep_until: BTreeMap<SimTime, Vec<Pid>>,
+    /// The earliest kernel-timer deadline outside `tcp_deadlines`, once
+    /// computed (`kernel_timer_min`); `None` after a change to any of
+    /// its six sources (`timers_changed`).
+    pub(crate) kernel_timer_at: Option<Option<SimTime>>,
     pub(crate) app_thread: Option<Pid>,
     pub(crate) idle_thread: Option<Pid>,
     /// The raw socket of the ICMP proxy daemon (§3.5), if one is bound.
@@ -601,6 +608,7 @@ impl Host {
             Architecture::NiLrp => DemuxMode::Ni,
         };
         assert!(cfg.ncpus > 0, "a host needs at least one CPU");
+        assert!(cfg.ncpus <= 64, "one bit of `cpus_started` per CPU");
         let mut nic = Nic::new(demux_mode, addr, MAX_SOCKETS);
         nic.set_default_channel_limit(cfg.channel_limit);
         nic.set_rx_queues(cfg.ncpus);
@@ -622,6 +630,7 @@ impl Host {
             apps: PidMap::default(),
             exec: PidMap::default(),
             cpus: (0..cfg.ncpus).map(|_| Cpu::default()).collect(),
+            cpus_started: 0,
             cur_cpu: 0,
             ip_queue: VecDeque::new(),
             rx_scratch: Vec::new(),
@@ -640,6 +649,7 @@ impl Host {
             tcp_acts: Actions::default(),
             ed_pending: VecDeque::new(),
             sleep_until: BTreeMap::new(),
+            kernel_timer_at: None,
             app_thread: None,
             idle_thread: None,
             icmp_sock: None,
@@ -763,6 +773,7 @@ impl Host {
     /// Attaches an end-host fault plan. The inert plan detaches (and
     /// draws no RNG, keeping fault-free runs bit-identical).
     pub fn set_fault_plan(&mut self, plan: &HostFaultPlan) {
+        self.timers_changed();
         self.fault = if plan.is_none() {
             None
         } else {
@@ -934,6 +945,7 @@ impl Host {
         }
         self.reboot_log.push(now);
         self.boot_at = Some(boot_at);
+        self.timers_changed();
     }
 
     /// Boot completion: recreates the kernel daemons exactly as
@@ -975,6 +987,12 @@ impl Host {
         c.running.as_ref().map(|r| (r.ends, c.gen))
     }
 
+    /// Takes the set of CPUs that started a chunk since the last call,
+    /// one bit per CPU: the world schedules completions for these only.
+    pub(crate) fn take_started_cpus(&mut self) -> u64 {
+        std::mem::take(&mut self.cpus_started)
+    }
+
     /// Time `cpu` has spent executing work chunks (for utilization
     /// reports; divide by elapsed simulated time).
     pub fn cpu_busy(&self, cpu: usize) -> SimDuration {
@@ -982,14 +1000,31 @@ impl Host {
     }
 
     /// The earliest kernel-timer deadline (TCP timers, timed sleeps,
-    /// reassembly sweeps).
-    pub fn next_timer_deadline(&self) -> Option<SimTime> {
+    /// reassembly sweeps). The TCP index's top is read as it stands (a
+    /// connection re-keys it on most segments); the other six sources
+    /// are folded once per change to them.
+    pub fn next_timer_deadline(&mut self) -> Option<SimTime> {
         // A socket whose timer work is already queued is out of the TCP
         // index, so it does not keep re-arming the world's timer event
         // (its deadline stays in the past until the protocol context
         // runs the work).
+        let kernel = match self.kernel_timer_at {
+            Some(at) => at,
+            None => *self.kernel_timer_at.insert(self.kernel_timer_min()),
+        };
+        let tcp = self.tcp_deadlines.peek().map(|(t, _)| t);
+        tcp.into_iter().chain(kernel).min()
+    }
+
+    /// One of `kernel_timer_min`'s sources changed: the next
+    /// `next_timer_deadline` folds them again.
+    pub(crate) fn timers_changed(&mut self) {
+        self.kernel_timer_at = None;
+    }
+
+    /// The earliest deadline among the timers outside the TCP index.
+    fn kernel_timer_min(&self) -> Option<SimTime> {
         [
-            self.tcp_deadlines.peek().map(|(t, _)| t),
             self.sleep_until.keys().next().copied(),
             self.recv_deadlines.keys().next().copied(),
             self.restart_at.keys().next().copied(),
@@ -1288,6 +1323,8 @@ impl Host {
     pub fn on_timer(&mut self, now: SimTime) {
         // Kernel timers fire on the boot CPU.
         self.cur_cpu = 0;
+        // Due entries come off every source below.
+        self.timers_changed();
         // Boot completion first: a rebooting host has no other live
         // timers, and anything due at the same instant should see the
         // freshly booted kernel.

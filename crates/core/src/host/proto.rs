@@ -63,6 +63,8 @@ impl Host {
         // borrowed from the frame, so the common path copies nothing here.
         let completed: Option<(ipv4::Ipv4Header, Cow<'_, [u8]>)> = if first_hdr.is_fragment() {
             total += scale(cost.ip_reasm_per_frag);
+            // The reassembler's pending count gates its sweep timer.
+            self.timers_changed();
             match self.reasm.input(now, &first_hdr, first_payload) {
                 ReasmOutcome::Complete {
                     payload: p,
@@ -272,6 +274,7 @@ impl Host {
             let mut completer = false;
             if let Frame::Ipv4(b) = f {
                 if let Ok((fh, fp)) = ipv4::parse(&b) {
+                    self.timers_changed();
                     if let ReasmOutcome::Complete {
                         payload,
                         src,

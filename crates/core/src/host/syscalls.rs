@@ -149,6 +149,7 @@ impl Host {
             SyscallOp::Sleep(d) => {
                 let wake_at = now + d;
                 self.sleep_until.entry(wake_at).or_default().push(pid);
+                self.timers_changed();
                 PhaseOut::Block {
                     wchan: WaitChannel(0xFFFF_0000 + pid.0 as u64),
                     pri: PPAUSE,
@@ -199,6 +200,7 @@ impl Host {
                     .entry(now + timeout)
                     .or_default()
                     .push((pid, sock, seq));
+                self.timers_changed();
                 PhaseOut::sys(entry, Cont::RecvCheck { sock, max_len })
             }
             SyscallOp::SockDepth { sock } => {

@@ -31,7 +31,7 @@ use crate::host::{DropPoint, Host};
 use crate::watchdog::{AnomalyEvent, Watchdog, WatchdogSample};
 use lrp_demux::ChannelId;
 use lrp_sched::{Pid, ProcState};
-use lrp_sim::{CycleAccount, CycleKey, FastHashMap, Histogram, MetricsTimeline, SimTime};
+use lrp_sim::{CycleAccount, CycleKey, FastHashMap, Histogram, MetricsTimeline, SimTime, Tally};
 use lrp_wire::Frame;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -166,7 +166,7 @@ pub struct Telemetry {
     /// charge-attribution ledger behind the paper's accounting claim.
     /// Hashed, since the pairs grow with the host's processes; sorted on
     /// export.
-    proto_attr: FastHashMap<(Option<u32>, u32), u64>,
+    proto_attr: Tally<(Option<u32>, u32)>,
     /// Rightful owner (raw pid) of the protocol work most recently
     /// performed at job-creation time; consumed when its chunk starts.
     pending_proto_owner: Option<u32>,
@@ -242,7 +242,7 @@ impl Telemetry {
             span_log: Vec::new(),
             span_events_dropped: 0,
             profiler: CycleAccount::new(),
-            proto_attr: FastHashMap::default(),
+            proto_attr: Tally::default(),
             pending_proto_owner: None,
             timeline: MetricsTimeline::new(TIMELINE_COLUMNS.to_vec()),
             proc_cpu_log: Vec::new(),
@@ -633,8 +633,7 @@ impl Telemetry {
             ns,
         );
         if let Some(owner) = owner {
-            let key = (billed.map(|(pid, _)| pid), owner);
-            *self.proto_attr.entry(key).or_insert(0) += ns;
+            self.proto_attr.add((billed.map(|(pid, _)| pid), owner), ns);
         }
     }
 
@@ -648,7 +647,7 @@ impl Telemetry {
     /// no process context (charged to nobody — e.g. interrupts taken
     /// while idle).
     pub fn proto_attribution(&self) -> BTreeMap<(Option<u32>, u32), u64> {
-        self.proto_attr.iter().map(|(&k, &v)| (k, v)).collect()
+        self.proto_attr.iter().collect()
     }
 
     /// Records one timeline row (values aligned with

@@ -8,26 +8,88 @@ use lrp_net::{FaultPlan, FaultStats, Injector, LinkConfig, LinkFaults, TxLink};
 use lrp_sim::{EventQueue, SimTime};
 use lrp_wire::{ipv4, Frame, Ipv4Addr};
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 
 /// One captured frame: `(arrival time, destination host, summary)`.
 pub type CaptureEntry = (SimTime, usize, String);
 
-/// Global simulation events.
+/// Global simulation events. Host, CPU and injector indices are `u32`
+/// and a span is never 0 (the world and the hosts mint them tagged), so
+/// an event is 32 bytes: the queue moves every one at least twice.
 #[derive(Debug)]
 pub enum Event {
     /// A frame arrives at a host's NIC, with its causal-trace span (if
     /// any). The span is observational: it never alters simulation state.
-    Frame(usize, Frame, Option<SpanId>),
+    Frame(u32, Frame, Option<NonZeroU64>),
     /// A work chunk completes on `(host, cpu)` (generation-guarded).
-    Cpu(usize, usize, u64),
+    Cpu(u32, u32, u64),
     /// A host kernel timer may be due.
-    Timer(usize),
+    Timer(u32),
     /// Statclock tick for a host.
-    Tick(usize),
+    Tick(u32),
     /// A host's transmit link became free.
-    LinkFree(usize),
+    LinkFree(u32),
     /// A traffic injector fires.
-    Inject(usize),
+    Inject(u32),
+}
+
+/// The variants' names, in [`Event::kind`] order.
+#[cfg(debug_assertions)]
+const EVENT_KINDS: [&str; 6] = ["Frame", "Cpu", "Timer", "Tick", "LinkFree", "Inject"];
+
+impl Event {
+    /// The variant's index in `EVENT_KINDS`.
+    #[cfg(debug_assertions)]
+    fn kind(&self) -> usize {
+        match self {
+            Event::Frame(..) => 0,
+            Event::Cpu(..) => 1,
+            Event::Timer(_) => 2,
+            Event::Tick(_) => 3,
+            Event::LinkFree(_) => 4,
+            Event::Inject(_) => 5,
+        }
+    }
+}
+
+/// Debug builds panic when this many events in a row share one instant:
+/// a zero-time event storm, where something keeps rescheduling itself
+/// without simulated time moving. 100x the longest run any test reaches.
+#[cfg(debug_assertions)]
+const STORM_LIMIT: u32 = 60_200;
+
+/// Counts the events of the current instant and which kinds they were
+/// (one bit per `EVENT_KINDS` entry).
+#[cfg(debug_assertions)]
+#[derive(Default)]
+struct StormGuard {
+    at: Option<SimTime>,
+    run: u32,
+    kinds: u8,
+}
+
+#[cfg(debug_assertions)]
+impl StormGuard {
+    fn note(&mut self, t: SimTime, ev: &Event) {
+        if self.at != Some(t) {
+            *self = StormGuard {
+                at: Some(t),
+                ..StormGuard::default()
+            };
+        }
+        self.run += 1;
+        self.kinds |= 1 << ev.kind();
+        if self.run > STORM_LIMIT {
+            let kinds: Vec<&str> = (0..EVENT_KINDS.len())
+                .filter(|k| self.kinds & (1 << k) != 0)
+                .map(|k| EVENT_KINDS[k])
+                .collect();
+            panic!(
+                "zero-time event storm: {} events at {t:?}, kinds {kinds:?}",
+                self.run
+            );
+        }
+    }
 }
 
 /// The world: owns hosts, one uplink per host, routing and injectors.
@@ -137,7 +199,10 @@ impl World {
     /// Schedules a frame's arrival at `dst`, passing it through the
     /// destination's fault stage if one is installed.
     fn deliver(&mut self, arrival: SimTime, dst: usize, frame: Frame, span: Option<SpanId>) {
-        match &mut self.faults[dst] {
+        debug_assert_ne!(span, Some(0), "spans are minted non-zero");
+        let span = span.and_then(NonZeroU64::new);
+        let (faults, dst) = (&mut self.faults[dst], dst as u32);
+        match faults {
             None => {
                 self.queue.schedule(arrival, Event::Frame(dst, frame, span));
             }
@@ -200,36 +265,42 @@ impl World {
         self.started = true;
         for i in 0..self.hosts.len() {
             self.hosts[i].start(self.now);
-            self.schedule(self.now + TICK, Event::Tick(i));
+            self.schedule(self.now + TICK, Event::Tick(i as u32));
             self.post_host(i);
         }
         for i in 0..self.injectors.len() {
             if let Some(t) = self.injectors[i].1.next_fire() {
-                self.schedule(t, Event::Inject(i));
+                self.schedule(t, Event::Inject(i as u32));
             }
         }
     }
 
-    /// After any host interaction: schedule its CPU completion, its next
-    /// kernel timer, and pull frames onto its link.
+    /// After a host handled an event: schedule a completion for each CPU
+    /// that started a chunk since, a timer event if its earliest deadline
+    /// moved before the one scheduled, and pull frames onto its link.
+    /// Nothing else a host event does can need a new event.
     fn post_host(&mut self, h: usize) {
-        // CPU completions, one event per busy CPU.
-        for c in 0..self.hosts[h].ncpus() {
+        let mut started = self.hosts[h].take_started_cpus();
+        while started != 0 {
+            let c = started.trailing_zeros() as usize;
+            started &= started - 1;
+            // A CPU that started a chunk and is idle again (preempted by
+            // a crash, say) has nothing to complete.
             if let Some((t, gen)) = self.hosts[h].cpu_event_on(c) {
-                if gen != self.cpu_gen[h][c] {
-                    self.cpu_gen[h][c] = gen;
-                    self.schedule(t, Event::Cpu(h, c, gen));
-                }
+                debug_assert_ne!(
+                    gen, self.cpu_gen[h][c],
+                    "a started chunk bumps its generation"
+                );
+                self.cpu_gen[h][c] = gen;
+                self.schedule(t, Event::Cpu(h as u32, c as u32, gen));
             }
         }
-        // Kernel timer.
         if let Some(t) = self.hosts[h].next_timer_deadline() {
             if t < self.timer_at[h] {
                 self.timer_at[h] = t;
-                self.schedule(t.max(self.now), Event::Timer(h));
+                self.schedule(t.max(self.now), Event::Timer(h as u32));
             }
         }
-        // Transmit.
         self.pump_link(h);
     }
 
@@ -246,19 +317,28 @@ impl World {
         if let Some(dst) = self.route_of(&frame, Some(h)) {
             self.deliver(arrival, dst, frame, span);
         }
-        self.schedule(done, Event::LinkFree(h));
+        self.schedule(done, Event::LinkFree(h as u32));
     }
 
+    /// The host a frame sent by `origin` goes to. Only the destination
+    /// address is read: the frame comes from a host's interface queue,
+    /// so the host built its header, and the fault stage that could
+    /// damage it runs after routing.
     fn route_of(&self, frame: &Frame, origin: Option<usize>) -> Option<usize> {
         match frame {
             Frame::Ipv4(b) => {
-                let h = ipv4::Ipv4Header::decode(b).ok()?;
-                if let Some(&gw) = self.via_routes.get(&h.dst) {
+                debug_assert!(
+                    ipv4::Ipv4Header::decode(b).is_ok(),
+                    "a host queued a datagram with a bad header"
+                );
+                let dst: [u8; 4] = b.get(16..20)?.try_into().ok()?;
+                let dst = Ipv4Addr::from(dst);
+                if let Some(&gw) = self.via_routes.get(&dst) {
                     if origin != Some(gw) {
                         return Some(gw);
                     }
                 }
-                self.routes.get(&h.dst).copied()
+                self.routes.get(&dst).copied()
             }
             Frame::Arp(_) => None, // Broadcast ARP is not routed in the world.
         }
@@ -268,39 +348,45 @@ impl World {
     /// included).
     pub fn run_until(&mut self, t_end: SimTime) {
         self.start();
+        #[cfg(debug_assertions)]
+        let mut storm = StormGuard::default();
         while let Some((t, ev)) = self.queue.pop_before(t_end) {
             self.now = t;
             self.events += 1;
+            #[cfg(debug_assertions)]
+            storm.note(t, &ev);
             match ev {
                 Event::Frame(h, frame, span) => {
+                    let h = h as usize;
                     if let Some((limit, log)) = &mut self.capture {
                         if log.len() < *limit {
                             log.push((t, h, frame.describe()));
                         }
                     }
-                    self.hosts[h].on_frame_span(t, frame, span);
+                    self.hosts[h].on_frame_span(t, frame, span.map(NonZeroU64::get));
                     self.post_host(h);
                 }
                 Event::Cpu(h, c, gen) => {
-                    self.hosts[h].on_cpu_complete(t, c, gen);
+                    let h = h as usize;
+                    self.hosts[h].on_cpu_complete(t, c as usize, gen);
                     self.post_host(h);
                 }
                 Event::Timer(h) => {
+                    let h = h as usize;
                     self.timer_at[h] = SimTime::NEVER;
                     self.hosts[h].on_timer(t);
                     self.post_host(h);
                 }
                 Event::Tick(h) => {
-                    self.hosts[h].on_tick(t);
+                    self.hosts[h as usize].on_tick(t);
                     self.schedule(t + TICK, Event::Tick(h));
-                    self.post_host(h);
+                    self.post_host(h as usize);
                 }
-                Event::LinkFree(h) => {
-                    self.pump_link(h);
-                    self.post_host(h);
-                }
+                // The link, not the host, changed: nothing else can be
+                // due.
+                Event::LinkFree(h) => self.pump_link(h as usize),
                 Event::Inject(i) => {
-                    let (target, inj) = &mut self.injectors[i];
+                    let (target, inj) = &mut self.injectors[i as usize];
                     let target = *target;
                     // Mint the causal span before firing: injector index
                     // in the high bits, per-injector sequence below.
@@ -326,6 +412,14 @@ impl World {
                     if let Err(e) = host.check_indexes() {
                         panic!("host {h} index out of step by the event at {t:?}: {e}");
                     }
+                    for c in 0..host.ncpus() {
+                        if let Some((_, gen)) = host.cpu_event_on(c) {
+                            assert!(
+                                gen == self.cpu_gen[h][c] || host.cpus_started & (1 << c) != 0,
+                                "host {h} cpu {c}: generation {gen} runs unscheduled at {t:?}"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -343,6 +437,12 @@ mod tests {
         let mut w = World::with_defaults();
         w.run_until(SimTime::from_millis(10));
         assert!(w.now >= SimTime::from_millis(10));
+    }
+
+    #[test]
+    fn an_event_is_32_bytes_and_queues_in_48() {
+        const { assert!(std::mem::size_of::<Event>() <= 32) };
+        const { assert!(EventQueue::<Event>::ENTRY_BYTES <= 48) };
     }
 
     #[test]

@@ -58,18 +58,9 @@ pub fn build_seeded(
     } else {
         Pattern::FixedRate { pps: offered_pps }
     };
+    let blast = udp::Template::new(BLAST_SRC, HOST_B, 6000, BLAST_PORT, &[0; PAYLOAD]);
     let inj = Injector::new(pattern, SimTime::from_millis(50), seed, move |seq| {
-        let mut payload = [0u8; PAYLOAD];
-        payload[..8].copy_from_slice(&seq.to_be_bytes());
-        Frame::ipv4(udp::build_datagram(
-            BLAST_SRC,
-            HOST_B,
-            6000,
-            BLAST_PORT,
-            (seq & 0xFFFF) as u16,
-            &payload,
-            false,
-        ))
+        Frame::ipv4(blast.stamp((seq & 0xFFFF) as u16, seq))
     });
     world.add_injector(b, inj);
     (world, metrics)

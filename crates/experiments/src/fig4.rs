@@ -84,25 +84,14 @@ pub fn build(
     world.add_host(a);
     let bidx = world.add_host(b);
     if background_pps > 0.0 {
+        let frames = udp::Template::new(BLAST_SRC, HOST_B, 6001, BLAST_PORT, &[0; 14]);
         let inj = Injector::new(
             Pattern::FixedRate {
                 pps: background_pps,
             },
             SimTime::from_millis(20),
             11,
-            move |seq| {
-                let mut payload = [0u8; 14];
-                payload[..8].copy_from_slice(&seq.to_be_bytes());
-                Frame::ipv4(udp::build_datagram(
-                    BLAST_SRC,
-                    HOST_B,
-                    6001,
-                    BLAST_PORT,
-                    (seq & 0xFFFF) as u16,
-                    &payload,
-                    false,
-                ))
-            },
+            move |seq| Frame::ipv4(frames.stamp((seq & 0xFFFF) as u16, seq)),
         );
         world.add_injector(bidx, inj);
     }

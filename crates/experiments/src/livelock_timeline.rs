@@ -59,23 +59,12 @@ pub fn build(arch: Architecture, seed: u64) -> (World, Shared<SinkMetrics>, Shar
         Box::new(MeteredCompute::new(slices.clone())),
     );
     let b = world.add_host(server);
+    let blast = udp::Template::new(BLAST_SRC, HOST_B, 6000, BLAST_PORT, &[0; PAYLOAD]);
     let inj = Injector::new(
         Pattern::Poisson { pps: OFFERED_PPS },
         SimTime::from_millis(50),
         seed,
-        move |seq| {
-            let mut payload = [0u8; PAYLOAD];
-            payload[..8].copy_from_slice(&seq.to_be_bytes());
-            Frame::ipv4(udp::build_datagram(
-                BLAST_SRC,
-                HOST_B,
-                6000,
-                BLAST_PORT,
-                (seq & 0xFFFF) as u16,
-                &payload,
-                false,
-            ))
-        },
+        move |seq| Frame::ipv4(blast.stamp((seq & 0xFFFF) as u16, seq)),
     );
     world.add_injector(b, inj);
     (world, metrics, slices)

@@ -101,25 +101,13 @@ pub fn build(
     let b = world.add_host(server);
     let per_flow = offered_pps / FLOWS as f64;
     for i in 0..FLOWS {
-        let port = BASE_PORT + i as u16;
-        let sport = 6000 + i as u16;
+        let (sport, port) = (6000 + i as u16, BASE_PORT + i as u16);
+        let blast = udp::Template::new(BLAST_SRC, HOST_B, sport, port, &[0; PAYLOAD]);
         let inj = Injector::new(
             Pattern::Poisson { pps: per_flow },
             SimTime::from_millis(50),
             seed.wrapping_add(i as u64),
-            move |seq| {
-                let mut payload = [0u8; PAYLOAD];
-                payload[..8].copy_from_slice(&seq.to_be_bytes());
-                Frame::ipv4(udp::build_datagram(
-                    BLAST_SRC,
-                    HOST_B,
-                    sport,
-                    port,
-                    (seq & 0xFFFF) as u16,
-                    &payload,
-                    false,
-                ))
-            },
+            move |seq| Frame::ipv4(blast.stamp((seq & 0xFFFF) as u16, seq)),
         );
         world.add_injector(b, inj);
     }

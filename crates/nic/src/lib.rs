@@ -23,8 +23,10 @@
 
 use lrp_demux::{ChannelId, DemuxTable, Verdict};
 use lrp_wire::{Frame, Ipv4Addr};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 /// Where the demultiplexing function executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -118,6 +120,43 @@ pub struct ChannelStats {
     pub peak_depth: usize,
 }
 
+/// The frames queued across a NIC's live channels and the deepest
+/// channel's depth, kept at every enqueue, dequeue and destroy instead
+/// of walked per statclock tick. The maximum comes from a count of
+/// channels per depth, which the channel limits bound.
+#[derive(Debug, Default)]
+struct DepthGauge {
+    total: usize,
+    /// Index `d`: the live channels holding `d` frames (slot 0 unused).
+    at_depth: Vec<u32>,
+    max: usize,
+}
+
+impl DepthGauge {
+    /// Makes room for channels up to `limit` deep, so the counts never
+    /// grow while frames flow.
+    fn reserve(&mut self, limit: usize) {
+        if self.at_depth.len() <= limit {
+            self.at_depth.resize(limit + 1, 0);
+        }
+    }
+
+    /// One channel went from `from` frames to `to`.
+    fn moved(&mut self, from: usize, to: usize) {
+        if from > 0 {
+            self.at_depth[from] -= 1;
+        }
+        if to > 0 {
+            self.at_depth[to] += 1;
+        }
+        self.total = self.total + to - from;
+        self.max = self.max.max(to);
+        while self.max > 0 && self.at_depth[self.max] == 0 {
+            self.max -= 1;
+        }
+    }
+}
+
 /// A network-interface channel (§3.1): a receive queue shared between the
 /// NIC and the kernel, with a demand-interrupt flag.
 #[derive(Debug)]
@@ -126,6 +165,8 @@ pub struct NiChannel {
     pub id: ChannelId,
     queue: std::collections::VecDeque<Frame>,
     limit: usize,
+    /// The NIC's depth gauge, which every change to `queue` moves.
+    gauge: Rc<RefCell<DepthGauge>>,
     /// When true, the NIC raises a host interrupt on the empty→non-empty
     /// transition (a blocked receiver is waiting).
     pub intr_requested: bool,
@@ -140,13 +181,21 @@ pub struct NiChannel {
 }
 
 impl NiChannel {
-    /// A fresh channel queueing into `queue`'s (empty) storage.
-    fn new(id: ChannelId, limit: usize, queue: std::collections::VecDeque<Frame>) -> Self {
+    /// A fresh channel queueing into `queue`'s (empty) storage, counted
+    /// by `gauge`.
+    fn new(
+        id: ChannelId,
+        limit: usize,
+        queue: std::collections::VecDeque<Frame>,
+        gauge: Rc<RefCell<DepthGauge>>,
+    ) -> Self {
         debug_assert!(queue.is_empty());
+        gauge.borrow_mut().reserve(limit);
         NiChannel {
             id,
             queue,
             limit,
+            gauge,
             intr_requested: false,
             processing_enabled: true,
             stats: ChannelStats::default(),
@@ -186,8 +235,10 @@ impl NiChannel {
             return false;
         }
         self.queue.push_back(frame);
+        let depth = self.queue.len();
+        self.gauge.borrow_mut().moved(depth - 1, depth);
         self.stats.enqueued += 1;
-        self.stats.peak_depth = self.stats.peak_depth.max(self.queue.len());
+        self.stats.peak_depth = self.stats.peak_depth.max(depth);
         true
     }
 
@@ -195,9 +246,19 @@ impl NiChannel {
     pub fn dequeue(&mut self) -> Option<Frame> {
         let f = self.queue.pop_front();
         if f.is_some() {
+            let depth = self.queue.len();
+            self.gauge.borrow_mut().moved(depth + 1, depth);
             self.stats.dequeued += 1;
         }
         f
+    }
+
+    /// Drops every queued frame and takes the channel out of the gauge:
+    /// it is being destroyed.
+    fn retire(&mut self) {
+        self.gauge.borrow_mut().moved(self.queue.len(), 0);
+        self.queue.clear();
+        self.live = false;
     }
 
     /// Peeks at the oldest frame without removing it.
@@ -263,6 +324,8 @@ pub struct Nic {
     rx_ring_limit: usize,
     /// Channel `i` in slot `i`, destroyed ones included.
     channels: Vec<NiChannel>,
+    /// Depths across the live channels, shared with each of them.
+    depths: Rc<RefCell<DepthGauge>>,
     /// The destroyed channels' slots, lowest first.
     free_slots: BinaryHeap<Reverse<u32>>,
     /// The special channel for non-first IP fragments (always present).
@@ -297,6 +360,7 @@ impl Nic {
             rx_rings: vec![std::collections::VecDeque::new()],
             rx_ring_limit: DEFAULT_RX_RING,
             channels: Vec::new(),
+            depths: Rc::default(),
             free_slots: BinaryHeap::new(),
             fragment_channel: ChannelId(0),
             ifq: std::collections::VecDeque::new(),
@@ -323,6 +387,7 @@ impl Nic {
     /// Overrides the default per-channel queue limit for future channels.
     pub fn set_default_channel_limit(&mut self, limit: usize) {
         self.default_channel_limit = limit;
+        self.depths.borrow_mut().reserve(limit);
     }
 
     /// Configures `n` RX queues (each with its own DMA ring), dropping any
@@ -363,14 +428,15 @@ impl Nic {
     /// destroyed slot if there is one (NI resources are finite); the new
     /// channel inherits that slot's queue storage.
     pub fn create_channel(&mut self, limit: usize) -> ChannelId {
+        let gauge = self.depths.clone();
         let Some(Reverse(slot)) = self.free_slots.pop() else {
             let id = ChannelId(self.channels.len() as u32);
             self.channels
-                .push(NiChannel::new(id, limit, Default::default()));
+                .push(NiChannel::new(id, limit, Default::default(), gauge));
             return id;
         };
         let ch = &mut self.channels[slot as usize];
-        *ch = NiChannel::new(ChannelId(slot), limit, std::mem::take(&mut ch.queue));
+        *ch = NiChannel::new(ChannelId(slot), limit, std::mem::take(&mut ch.queue), gauge);
         ch.id
     }
 
@@ -388,8 +454,7 @@ impl Nic {
     pub fn destroy_channel(&mut self, id: ChannelId) {
         assert_ne!(id, self.fragment_channel, "fragment channel is permanent");
         if let Some(ch) = self.channels.get_mut(id.0 as usize).filter(|c| c.live) {
-            ch.live = false;
-            ch.queue.clear();
+            ch.retire();
             self.free_slots.push(Reverse(id.0));
         }
     }
@@ -621,16 +686,32 @@ impl Nic {
     /// Total frames queued across all live channels (telemetry: in-flight
     /// frames for the packet-conservation ledger).
     pub fn channel_depth_total(&self) -> usize {
-        self.live().map(|c| c.depth()).sum()
+        self.depths.borrow().total
     }
 
     /// Frames queued across all live channels and in the deepest single
-    /// one, in one pass (telemetry gauges: a hot channel backing up shows
-    /// in the maximum before the total does).
+    /// one (telemetry gauges: a hot channel backing up shows in the
+    /// maximum before the total does). Kept as frames move, not walked.
     pub fn channel_depths(&self) -> (usize, usize) {
-        self.live()
+        let g = self.depths.borrow();
+        (g.total, g.max)
+    }
+
+    /// Walks the live channels and compares their depths with
+    /// [`channel_depths`](Self::channel_depths); `Err` names the
+    /// difference.
+    pub fn check_depth_gauge(&self) -> Result<(), String> {
+        let walked = self
+            .live()
             .map(|c| c.depth())
-            .fold((0, 0), |(total, max), d| (total + d, max.max(d)))
+            .fold((0, 0), |(total, max), d| (total + d, max.max(d)));
+        if walked != self.channel_depths() {
+            return Err(format!(
+                "channel depth gauge (total, max) {:?}, channels hold {walked:?}",
+                self.channel_depths()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -872,6 +953,36 @@ mod tests {
                 }
                 let live = (0..slots.len()).filter(|&i| slots[i]).map(|i| ChannelId(i as u32));
                 prop_assert_eq!(nic.channel_ids(), live.collect::<Vec<_>>());
+            }
+        }
+    }
+
+    proptest! {
+        /// Under random creates, destroys, enqueues and dequeues, the
+        /// depth gauges equal a walk over the live channels.
+        #[test]
+        fn depth_gauges_equal_the_walk(
+            ops in proptest::collection::vec((0u8..4, 0usize..8, 1usize..6), 1..300),
+        ) {
+            let mut nic = Nic::new(DemuxMode::Ni, LOCAL, 8);
+            for (op, pick, limit) in ops {
+                let live = nic.channel_ids();
+                let id = live[pick % live.len()];
+                match op {
+                    0 => {
+                        nic.create_channel(limit);
+                    }
+                    1 if id != nic.fragment_channel => nic.destroy_channel(id),
+                    2 => {
+                        nic.channel_mut(id).enqueue(udp_frame(7));
+                    }
+                    _ => {
+                        nic.channel_mut(id).dequeue();
+                    }
+                }
+                prop_assert_eq!(nic.check_depth_gauge(), Ok(()));
+                let walked: usize = nic.channel_ids().iter().map(|&c| nic.channel(c).depth()).sum();
+                prop_assert_eq!(nic.channel_depth_total(), walked);
             }
         }
     }

@@ -5,6 +5,10 @@ use crate::runq::RunQueue;
 use crate::{PRI_MAX, PUSER};
 use lrp_sim::{FastHashMap, SimDuration};
 
+/// The clamp on `estcpu`: BSD keeps `p_estcpu` within a byte so
+/// priorities stay in range.
+const ESTCPU_MAX: f64 = 255.0;
+
 /// Scheduler tuning parameters (4.3BSD defaults).
 #[derive(Clone, Copy, Debug)]
 pub struct SchedConfig {
@@ -306,9 +310,14 @@ impl Scheduler {
             self.charged.push(pid);
         }
         p.acct.add(kind, d);
+        // At the clamp, adding a non-negative amount and clamping gives
+        // 255.0 again, and `nice` is written only at spawn: the priority
+        // stands as it is.
+        if p.estcpu == ESTCPU_MAX {
+            return;
+        }
         p.estcpu += d.as_nanos() as f64 / tick.as_nanos() as f64;
-        // BSD clamps p_estcpu so priorities stay in range.
-        p.estcpu = p.estcpu.min(255.0);
+        p.estcpu = p.estcpu.min(ESTCPU_MAX);
         Self::recompute_pri(p);
     }
 
@@ -330,7 +339,7 @@ impl Scheduler {
             if p.state == ProcState::Exited {
                 continue;
             }
-            p.estcpu = (p.estcpu * factor + p.nice.max(0) as f64).min(255.0);
+            p.estcpu = (p.estcpu * factor + p.nice.max(0) as f64).min(ESTCPU_MAX);
             Self::recompute_pri(p);
         }
         // Re-sort queued processes under their new priorities.

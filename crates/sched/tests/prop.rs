@@ -214,3 +214,136 @@ proptest! {
         prop_assert!(s.proc_ref(a).user_pri <= PUSER + 2);
     }
 }
+
+/// One step of the `estcpu` differential test.
+#[derive(Debug, Clone)]
+enum UsageOp {
+    Spawn { nice: i8 },
+    Charge { which: u8, kind: u8, ns: u64 },
+    Decay,
+    Exit { which: u8 },
+}
+
+/// Mostly charges of 0 to 2 ticks, so processes run into the clamp and
+/// stay there; spawns, decays and exits are rare.
+fn arb_usage_op() -> impl Strategy<Value = UsageOp> {
+    (
+        0u32..1000,
+        -20i8..=20,
+        any::<u8>(),
+        0u8..3,
+        0u64..=20_000_000,
+    )
+        .prop_map(|(roll, nice, which, kind, ns)| match roll {
+            0..=2 => UsageOp::Spawn { nice },
+            3..=4 => UsageOp::Decay,
+            5 => UsageOp::Exit { which },
+            _ => UsageOp::Charge { which, kind, ns },
+        })
+}
+
+/// The `estcpu` chain as it stood before the clamp shortcut: every
+/// charge adds and clamps in `f64`, every charge and decay recomputes
+/// the priority.
+#[derive(Debug)]
+struct UsageModel {
+    nice: i8,
+    estcpu: f64,
+    user_pri: u8,
+    exited: bool,
+}
+
+impl UsageModel {
+    fn recompute(&mut self) {
+        let raw = PUSER as f64 + self.estcpu / 4.0 + 2.0 * self.nice as f64;
+        self.user_pri = raw.clamp(PUSER as f64, PRI_MAX as f64) as u8;
+    }
+}
+
+/// Differential test: random spawn, charge (all three accounts, 0 to 2
+/// ticks), decay and exit sequences leave every process's `estcpu` bit
+/// for bit, and its user priority, where a copy of the plain `f64`
+/// chain leaves them. Pins the shortcut `charge_on` takes at the clamp.
+#[test]
+fn estcpu_matches_the_plain_f64_chain() {
+    let seed = proptest::seed_for("estcpu_matches_the_plain_f64_chain");
+    println!("seed {seed:#018x}");
+    let mut rng = TestRng::new(seed);
+    let ops = proptest::collection::vec(arb_usage_op(), 1..4000);
+    let tick = SchedConfig::default().tick.as_nanos();
+    let mut clamped_charges = 0u64;
+    for case in 0..128 {
+        let mut s = Scheduler::new(SchedConfig::default());
+        let mut model: Vec<UsageModel> = Vec::new();
+        let mut pids: Vec<Pid> = Vec::new();
+        let mut ops = ops.generate(&mut rng);
+        ops.insert(0, UsageOp::Spawn { nice: 0 });
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                UsageOp::Spawn { nice } => {
+                    pids.push(s.spawn("p", nice, SimDuration::ZERO));
+                    let mut m = UsageModel {
+                        nice,
+                        estcpu: 0.0,
+                        user_pri: 0,
+                        exited: false,
+                    };
+                    m.recompute();
+                    model.push(m);
+                }
+                UsageOp::Charge { which, kind, ns } => {
+                    let i = which as usize % pids.len();
+                    if model[i].exited {
+                        continue;
+                    }
+                    let kind = match kind {
+                        0 => Account::User,
+                        1 => Account::System,
+                        _ => Account::Interrupt,
+                    };
+                    s.charge(pids[i], kind, SimDuration::from_nanos(ns));
+                    let m = &mut model[i];
+                    clamped_charges += u64::from(m.estcpu == 255.0);
+                    m.estcpu += ns as f64 / tick as f64;
+                    m.estcpu = m.estcpu.min(255.0);
+                    m.recompute();
+                }
+                UsageOp::Decay => {
+                    s.decay();
+                    let load = s.load_avg();
+                    let factor = (2.0 * load) / (2.0 * load + 1.0);
+                    for m in model.iter_mut().filter(|m| !m.exited) {
+                        m.estcpu = (m.estcpu * factor + m.nice.max(0) as f64).min(255.0);
+                        m.recompute();
+                    }
+                }
+                UsageOp::Exit { which } => {
+                    let i = which as usize % pids.len();
+                    s.exit(pids[i]);
+                    model[i].exited = true;
+                }
+            }
+            for (pid, m) in pids.iter().zip(&model) {
+                let p = s.proc_ref(*pid);
+                prop_assert_eq!(
+                    (p.estcpu.to_bits(), p.user_pri),
+                    (m.estcpu.to_bits(), m.user_pri),
+                    "seed {:#018x} case {} step {}: {:?} estcpu {} vs {}",
+                    seed,
+                    case,
+                    step,
+                    pid,
+                    p.estcpu,
+                    m.estcpu
+                );
+            }
+        }
+    }
+    // The property says something only if the clamp was reached often.
+    prop_assert!(
+        clamped_charges > 1000,
+        "{} clamped charges",
+        clamped_charges
+    );
+    println!("{clamped_charges} charges at the clamp");
+}

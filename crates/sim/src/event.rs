@@ -65,6 +65,11 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes per queued event: the event, its `(time, seq)` key, and no
+    /// more when `E` has a niche for the vacant slot's `None`. Every
+    /// sift moves entries of this size.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<E>>();
+
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
@@ -214,6 +219,13 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    #[test]
+    fn a_32_byte_event_with_a_niche_queues_in_48() {
+        type Event = (std::num::NonZeroU64, [u64; 3]);
+        const { assert!(std::mem::size_of::<Event>() == 32) };
+        const { assert!(EventQueue::<Event>::ENTRY_BYTES <= 48) };
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod time;
 pub mod timeline;
 
 pub use event::EventQueue;
-pub use profile::{CycleAccount, CycleKey, FastHashMap, FoldHasher};
+pub use profile::{CycleAccount, CycleKey, FastHashMap, FoldHasher, MemoKey, Tally};
 pub use rng::SplitMix64;
 pub use stats::{Histogram, RateSeries, Welford};
 pub use time::{SimDuration, SimTime};

@@ -13,13 +13,14 @@
 //!
 //! `add` sits on the CPU engine's charging hot path, so accumulation is
 //! keyed by the *pointer identity* of the static labels (a cheap integer
-//! hash, no string comparisons); every export merges and sorts by label
-//! content, so iteration order — and therefore every report — stays
-//! deterministic even if the compiler hands out several addresses for
-//! one literal.
+//! hash, no string comparisons), and a key seen recently is summed in a
+//! [`Tally`]'s memo without probing the hash map; every
+//! export merges and sorts by label content, so iteration order — and
+//! therefore every report — stays deterministic even if the compiler
+//! hands out several addresses for one literal.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// One attribution key: where a slice of charged time landed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -72,30 +73,135 @@ impl Hasher for FoldHasher {
 /// for integer-keyed lookups (pids, socket ids, channel ids).
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
 
-/// Pointer-identity form of a [`CycleKey`]: label addresses instead of
-/// label contents. `billed` is offset by one so `None` is 0.
-type IdKey = (u32, usize, usize, u64, usize);
+/// A key a [`Tally`] can memoise: `memo_line` spreads keys over the
+/// memo's lines (any cheap function of the key will do; a poor one
+/// costs hash probes, never correctness).
+pub trait MemoKey: Copy + Eq + Hash {
+    /// A well-mixed word from the key; its top bits pick the line.
+    fn memo_line(&self) -> u64;
+}
 
-fn id_key(k: &CycleKey) -> IdKey {
-    (
-        k.cpu,
-        k.context.as_ptr() as usize,
-        k.stage.as_ptr() as usize,
-        k.billed.map(|p| p as u64 + 1).unwrap_or(0),
-        k.account.map(|a| a.as_ptr() as usize).unwrap_or(0),
-    )
+impl MemoKey for (Option<u32>, u32) {
+    fn memo_line(&self) -> u64 {
+        let billed = self.0.map_or(0, |p| p as u64 + 1);
+        ((billed << 32) | self.1 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+/// Lines in a [`Tally`]'s memo (a power of two).
+const MEMO_LINES: usize = 64;
+
+/// Amounts summed by key: a hash map with a direct-mapped write-back
+/// memo in front. Interrupt, softirq and process chunks alternate on a
+/// busy host, so a one-entry memo would miss on most of them; with one
+/// line per recently seen key, an `add` is a multiply, a compare and an
+/// add, and the map is probed only to write back the amount of a key a
+/// colliding one evicts.
+#[derive(Clone, Debug)]
+pub struct Tally<K> {
+    map: FastHashMap<K, u64>,
+    /// Each line: a key and the amount added under it since it came in,
+    /// not yet in `map`.
+    memo: [Option<(K, u64)>; MEMO_LINES],
+}
+
+impl<K: MemoKey> Default for Tally<K> {
+    fn default() -> Self {
+        Tally {
+            map: FastHashMap::default(),
+            memo: [None; MEMO_LINES],
+        }
+    }
+}
+
+impl<K: MemoKey> Tally<K> {
+    fn line(key: &K) -> usize {
+        (key.memo_line() >> (64 - MEMO_LINES.trailing_zeros())) as usize
+    }
+
+    /// Adds `n` under `key`.
+    #[inline]
+    pub fn add(&mut self, key: K, n: u64) {
+        match &mut self.memo[Self::line(&key)] {
+            Some((k, v)) if *k == key => *v += n,
+            line => {
+                if let Some((k, v)) = line.replace((key, n)) {
+                    *self.map.entry(k).or_insert(0) += v;
+                }
+            }
+        }
+    }
+
+    /// Every key with its total, each once, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, u64)> + '_ {
+        let pending = |k: &K| match self.memo[Self::line(k)] {
+            Some((m, v)) if m == *k => v,
+            _ => 0,
+        };
+        let written = self.map.iter().map(move |(k, v)| (*k, v + pending(k)));
+        let unwritten = self.memo.iter().flatten().copied();
+        written.chain(unwritten.filter(|(k, _)| !self.map.contains_key(k)))
+    }
+}
+
+/// A [`CycleKey`] that compares and hashes by the identity of its
+/// labels (address, and length for equality), not their contents.
+#[derive(Clone, Copy, Debug)]
+struct ById(CycleKey);
+
+impl ById {
+    /// The cpu and the billed pid in one word (`None` billed is 0), and
+    /// the label addresses (`None` account is 0).
+    fn words(&self) -> [u64; 4] {
+        let k = &self.0;
+        let billed = k.billed.map_or(0, |p| p as u64 + 1);
+        [
+            ((k.cpu as u64) << 40) ^ billed,
+            k.context.as_ptr() as u64,
+            k.stage.as_ptr() as u64,
+            k.account.map_or(0, |a| a.as_ptr() as u64),
+        ]
+    }
+}
+
+impl PartialEq for ById {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.0, &other.0);
+        a.cpu == b.cpu
+            && a.billed == b.billed
+            && std::ptr::eq(a.stage, b.stage)
+            && std::ptr::eq(a.context, b.context)
+            && match (a.account, b.account) {
+                (Some(x), Some(y)) => std::ptr::eq(x, y),
+                (x, y) => x.is_none() && y.is_none(),
+            }
+    }
+}
+
+impl Eq for ById {}
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for w in self.words() {
+            state.write_u64(w);
+        }
+    }
+}
+
+impl MemoKey for ById {
+    fn memo_line(&self) -> u64 {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let [cpu_billed, context, stage, account] = self.words();
+        let labels = (context ^ stage.rotate_left(21) ^ account.rotate_left(42)).wrapping_mul(K);
+        (labels ^ cpu_billed).wrapping_mul(K)
+    }
 }
 
 /// Deterministic accumulator of charged simulated nanoseconds.
 #[derive(Clone, Debug, Default)]
 pub struct CycleAccount {
-    /// Accumulated entries, insertion-ordered; exports merge + sort.
-    entries: Vec<(CycleKey, u64)>,
-    index: HashMap<IdKey, usize, BuildHasherDefault<FoldHasher>>,
-    /// Memo of the most recent `(id-key, slot)`: consecutive chunks on a
-    /// busy host usually bill to the same key, and the hot path skips the
-    /// hash-map probe entirely when they do.
-    last: Option<(IdKey, usize)>,
+    /// Keyed by label identity; exports merge by content and sort.
+    tally: Tally<ById>,
 }
 
 impl CycleAccount {
@@ -110,33 +216,18 @@ impl CycleAccount {
         if ns == 0 {
             return;
         }
-        let id = id_key(&key);
-        if let Some((last_id, slot)) = self.last {
-            if last_id == id {
-                self.entries[slot].1 += ns;
-                return;
-            }
-        }
-        let slot = match self.index.entry(id) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let slot = *e.get();
-                self.entries[slot].1 += ns;
-                slot
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let slot = self.entries.len();
-                v.insert(slot);
-                self.entries.push((key, ns));
-                slot
-            }
-        };
-        self.last = Some((id, slot));
+        self.tally.add(ById(key), ns);
+    }
+
+    /// Every entry by label identity.
+    fn entries(&self) -> impl Iterator<Item = (CycleKey, u64)> + '_ {
+        self.tally.iter().map(|(k, v)| (k.0, v))
     }
 
     /// All entries merged by key content, in deterministic (key) order.
     fn merged(&self) -> BTreeMap<CycleKey, u64> {
         let mut out = BTreeMap::new();
-        for &(k, v) in &self.entries {
+        for (k, v) in self.entries() {
             *out.entry(k).or_insert(0) += v;
         }
         out
@@ -149,13 +240,13 @@ impl CycleAccount {
 
     /// Total nanoseconds recorded.
     pub fn total(&self) -> u64 {
-        self.entries.iter().map(|&(_, v)| v).sum()
+        self.entries().map(|(_, v)| v).sum()
     }
 
     /// Nanoseconds recorded per billed pid (unbilled time excluded).
     pub fn per_billed(&self) -> BTreeMap<u32, u64> {
         let mut out = BTreeMap::new();
-        for &(k, v) in &self.entries {
+        for (k, v) in self.entries() {
             if let Some(pid) = k.billed {
                 *out.entry(pid).or_insert(0) += v;
             }
@@ -166,7 +257,7 @@ impl CycleAccount {
     /// Nanoseconds recorded per context label.
     pub fn per_context(&self) -> BTreeMap<&'static str, u64> {
         let mut out = BTreeMap::new();
-        for &(k, v) in &self.entries {
+        for (k, v) in self.entries() {
             *out.entry(k.context).or_insert(0) += v;
         }
         out
@@ -178,7 +269,7 @@ impl CycleAccount {
     /// processes.
     pub fn folded(&self, host: &str) -> String {
         let mut merged: BTreeMap<String, u64> = BTreeMap::new();
-        for &(k, v) in &self.entries {
+        for (k, v) in self.entries() {
             let frame = format!("{host};cpu{};{};{}", k.cpu, k.context, k.stage);
             *merged.entry(frame).or_insert(0) += v;
         }
@@ -219,6 +310,29 @@ mod tests {
         assert_eq!(per.get(&1), Some(&150));
         assert_eq!(per.get(&2), Some(&20));
         assert_eq!(a.per_context().get(&"interrupt"), Some(&30));
+    }
+
+    #[test]
+    fn tally_totals_equal_a_map_through_evictions() {
+        // Far more keys than memo lines, revisited in a scrambled order:
+        // every add lands on a hit, a cold line or an eviction.
+        let mut t = Tally::default();
+        let mut model = BTreeMap::new();
+        let mut x: u64 = 1;
+        for i in 0..20_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (
+                (x >> 60 != 0).then_some((x >> 40) as u32 % 7),
+                (x >> 33) as u32 % 23,
+            );
+            t.add(key, i);
+            *model.entry(key).or_insert(0) += i;
+        }
+        let got: Vec<_> = t.iter().collect();
+        assert_eq!(got.len(), model.len(), "each key once");
+        assert_eq!(got.into_iter().collect::<BTreeMap<_, _>>(), model);
     }
 
     #[test]
