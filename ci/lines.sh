@@ -38,7 +38,7 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1701
 bench 0
-core 5647
+core 5808
 criterion-shim 126
 demux 427
 experiments 3518
@@ -46,7 +46,7 @@ mbuf 421
 net 666
 nic 801
 proptest-shim 450
-sched 1059
+sched 1050
 sim 1608
 stack 4198
 telemetry 1466

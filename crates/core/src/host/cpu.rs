@@ -197,27 +197,58 @@ impl Host {
         let kind = self.cpus[cpu].running.take().expect("checked").kind;
         match kind {
             WorkKind::Hw | WorkKind::Soft => {}
-            WorkKind::Proc { pid, next } => {
-                // A process crashed mid-chunk finishes the chunk (the
-                // cycles were already spent) but its continuation
-                // evaporates — nothing may resurrect an exited process.
-                if !matches!(self.exec.get(pid), Some(ProcExec::Exited)) {
-                    // The process continues with the next phase: requeue at
-                    // the front of its bucket so it resumes immediately
-                    // unless higher-priority work (interrupt, softirq,
-                    // better process) claims the CPU first.
-                    self.exec.insert(pid, ProcExec::Cont(next));
-                    self.sched.requeue(pid, true);
+            // A process crashed mid-chunk finishes the chunk (the cycles
+            // were already spent) but its continuation evaporates —
+            // nothing may resurrect an exited process.
+            WorkKind::Proc { pid, .. } if matches!(self.exec.get(pid), Some(ProcExec::Exited)) => {}
+            // Nothing outranks it: it continues in place, exactly as the
+            // requeue below and `dispatch` would have resumed it.
+            WorkKind::Proc { pid, next } if self.keeps_cpu(cpu, pid) => {
+                debug_assert!(
+                    self.exec.get(pid).is_none(),
+                    "a running process has no exec entry"
+                );
+                if self.begin_proc(now, cpu, pid, ProcExec::Cont(next)) {
+                    return;
                 }
+            }
+            WorkKind::Proc { pid, next } => {
+                // The process continues with the next phase: requeue at
+                // the front of its bucket so it resumes immediately
+                // unless higher-priority work (interrupt, softirq, better
+                // process) claims the CPU first.
+                self.exec.insert(pid, ProcExec::Cont(next));
+                self.sched.requeue(pid, true);
             }
         }
         self.dispatch(now);
     }
 
-    /// Finds work for every idle CPU (used after enqueuing work from
-    /// timers etc.).
-    pub(crate) fn kick(&mut self, now: SimTime) {
-        self.dispatch(now);
+    /// True when `pid`, whose chunk just finished on `cpu`, is what
+    /// `dispatch` would give `cpu` again, so it keeps the CPU without a
+    /// requeue and pick (4.3BSD: a running process gives the CPU up only
+    /// to something that outranks it). `dispatch_on` must find nothing
+    /// before its scheduler step (the job getters change nothing when
+    /// their queues are empty); the requeued process must come first out
+    /// of this CPU's queue; and no other CPU may be idle, since
+    /// `dispatch` serves idle CPUs in index order and one could steal
+    /// the process or take the work first. DESIGN §18 has each reason.
+    fn keeps_cpu(&self, cpu: usize, pid: Pid) -> bool {
+        let c = &self.cpus[cpu];
+        let p = self.sched.proc_ref(pid);
+        c.pending_hw.is_empty()
+            && c.susp_soft.is_none()
+            && c.susp_proc.is_none()
+            && self.tcp_timer_work.is_empty()
+            && self.ip_queue.is_empty()
+            && self.ed_pending.is_empty()
+            && p.home_cpu == cpu
+            && !self.sched.should_preempt_on(cpu, p.effective_pri())
+            && self
+                .cpus
+                .iter()
+                .enumerate()
+                .all(|(i, c)| i == cpu || c.running.is_some())
     }
 
     /// Mid-chunk preemption test for the processes running on each CPU
@@ -382,7 +413,8 @@ impl Host {
             }
             // 5. Ask the scheduler (own run queue first, then idle-steal).
             if let Some(pid) = self.sched.pick_next_on(cpu) {
-                if self.begin_proc(now, cpu, pid) {
+                let ex = self.exec.remove(pid).unwrap_or(ProcExec::Exited);
+                if self.begin_proc(now, cpu, pid, ex) {
                     return;
                 }
                 continue;
@@ -400,10 +432,11 @@ impl Host {
         }
     }
 
-    /// Runs phases for a process that just got `cpu` until one of them
-    /// yields a cost-bearing chunk (returns true) or the process blocks /
-    /// exits / yields (returns false).
-    fn begin_proc(&mut self, now: SimTime, cpu: usize, pid: Pid) -> bool {
+    /// Runs phases for a process that just got `cpu`, starting from `ex`
+    /// (taken out of `exec`, or the continuation of the chunk it just
+    /// finished), until one of them yields a cost-bearing chunk (returns
+    /// true) or the process blocks / exits / yields (returns false).
+    fn begin_proc(&mut self, now: SimTime, cpu: usize, pid: Pid, mut ex: ProcExec) -> bool {
         // Context-switch accounting: switching to a different process
         // costs switch time plus a cache reload for the incoming working
         // set, scaled by how long the process has been off the CPU (a
@@ -427,7 +460,6 @@ impl Host {
             self.cpus[cpu].last_on_cpu = Some(pid);
         }
         loop {
-            let ex = self.exec.remove(pid).unwrap_or(ProcExec::Exited);
             // Profiler metadata for the chunk this phase may produce: a
             // resumed chunk carries its original metadata; a fresh phase
             // is labelled by its continuation.
@@ -481,7 +513,7 @@ impl Host {
                     if total.is_zero() {
                         // Zero-cost transition: immediately execute the
                         // next phase.
-                        self.exec.insert(pid, ProcExec::Cont(next));
+                        ex = ProcExec::Cont(next);
                         continue;
                     }
                     let mut meta = carried_meta.unwrap_or(ChunkMeta::stage("start"));
@@ -516,5 +548,137 @@ impl Host {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{Architecture, HostConfig};
+    use crate::syscall::{AppCtx, AppLogic, SyscallOp, SyscallRet};
+    use lrp_wire::{udp, Frame, Ipv4Addr};
+
+    const ADDR: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
+
+    /// Computes for ever in 1 ms calls, after a 10 ms nap if `nap`. No
+    /// chunk ends at a quantum boundary, where the round-robin check
+    /// would yield to a queued process whichever path the chunk's end
+    /// took.
+    struct Spin {
+        nap: bool,
+    }
+
+    impl AppLogic for Spin {
+        fn start(&mut self, ctx: AppCtx) -> SyscallOp {
+            if self.nap {
+                return SyscallOp::Sleep(SimDuration::from_millis(10));
+            }
+            self.resume(ctx, SyscallRet::Ok)
+        }
+        fn resume(&mut self, _: AppCtx, _: SyscallRet) -> SyscallOp {
+            SyscallOp::Compute(SimDuration::from_millis(1))
+        }
+    }
+
+    fn bsd_host(ncpus: usize) -> Host {
+        let mut cfg = HostConfig::new(Architecture::Bsd);
+        cfg.ncpus = ncpus;
+        Host::new(cfg, ADDR)
+    }
+
+    /// Completes the chunk running on `cpu`, at the time it ends.
+    fn finish(h: &mut Host, cpu: usize) {
+        let (t, gen) = h.cpu_event_on(cpu).expect("a chunk runs");
+        h.on_cpu_complete(t, cpu, gen);
+    }
+
+    fn proc_on(h: &Host, cpu: usize) -> Option<Pid> {
+        match h.cpus[cpu].running.as_ref()?.kind {
+            WorkKind::Proc { pid, .. } => Some(pid),
+            _ => None,
+        }
+    }
+
+    /// Runs a lone process through its first chunks, which continue in
+    /// place: it stays on `cpu` and off every run queue.
+    fn settle_in(h: &mut Host, cpu: usize, pid: Pid) {
+        for _ in 0..3 {
+            finish(h, cpu);
+            assert_eq!(proc_on(h, cpu), Some(pid));
+            assert_eq!(h.sched.proc_ref(pid).state, ProcState::Running);
+        }
+    }
+
+    /// A frame left on BSD's IP queue while a process computes (as
+    /// another CPU's interrupt leaves it) is protocol work at softirq
+    /// level: when the chunk ends, the process is requeued and the
+    /// softirq runs before it continues.
+    #[test]
+    fn a_pending_softirq_runs_before_the_process_continues() {
+        let mut h = bsd_host(1);
+        let a = h.spawn_app("spin", 0, 0, Box::new(Spin { nap: false }));
+        h.start(SimTime::ZERO);
+        settle_in(&mut h, 0, a);
+        let datagram = udp::build_datagram(ADDR, ADDR, 6000, 9000, 1, &[0; 14], false);
+        h.ip_queue.push_back(Frame::ipv4(datagram));
+        h.tele.on_ipq_enqueue(SimTime::ZERO, None);
+        finish(&mut h, 0);
+        let running = h.cpus[0].running.as_ref().expect("the softirq runs");
+        assert!(matches!(running.kind, WorkKind::Soft));
+        assert!(h.ip_queue.is_empty());
+        assert_eq!(h.sched.proc_ref(a).state, ProcState::Runnable);
+        assert_eq!(h.sched.runnable_count(), 1);
+        finish(&mut h, 0);
+        assert_eq!(proc_on(&h, 0), Some(a));
+    }
+
+    /// A better-priority process woken while another computes takes the
+    /// CPU when the chunk ends; the process whose chunk ended waits on
+    /// the run queue.
+    #[test]
+    fn a_better_process_queued_during_the_chunk_runs_first() {
+        let mut h = bsd_host(1);
+        let napper = h.spawn_app("napper", 0, 0, Box::new(Spin { nap: true }));
+        let a = h.spawn_app("spin", 10, 0, Box::new(Spin { nap: false }));
+        h.start(SimTime::ZERO);
+        // The napper runs first (nice 0 beats nice 10) and goes to sleep.
+        while h.sched.proc_ref(napper).state == ProcState::Running {
+            finish(&mut h, 0);
+        }
+        let wake = h.next_timer_deadline().expect("the nap's timer");
+        // `a` runs until it is in the chunk the nap ends in.
+        while h.cpu_event_on(0).expect("a computes").0 <= wake {
+            assert_eq!(proc_on(&h, 0), Some(a));
+            finish(&mut h, 0);
+        }
+        h.on_timer(wake);
+        assert_eq!(proc_on(&h, 0), Some(a), "a wakeup does not preempt");
+        assert_eq!(h.sched.proc_ref(napper).state, ProcState::Runnable);
+        finish(&mut h, 0);
+        assert_eq!(proc_on(&h, 0), Some(napper));
+        assert_eq!(h.sched.proc_ref(a).state, ProcState::Runnable);
+    }
+
+    /// With a second CPU idle, a finished chunk goes through the run
+    /// queue even with nothing better queued: the idle CPU, dispatched
+    /// first, steals the process, and its old CPU runs the work queued
+    /// behind it.
+    #[test]
+    fn an_idle_cpu_dispatches_first_and_steals_the_process() {
+        let mut h = bsd_host(2);
+        let a = h.spawn_app("spin", 0, 0, Box::new(Spin { nap: false }));
+        let b = h.spawn_app("behind", 10, 0, Box::new(Spin { nap: false }));
+        // Both pinned to CPU 1, so CPU 0 has nothing it may take.
+        h.sched.set_affinity(a, Some(1));
+        h.sched.set_affinity(b, Some(1));
+        h.start(SimTime::ZERO);
+        assert_eq!(proc_on(&h, 1), Some(a));
+        assert!(h.cpus[0].running.is_none());
+        // Released mid-chunk: CPU 0 may now steal `a` from CPU 1's queue.
+        h.sched.set_affinity(a, None);
+        finish(&mut h, 1);
+        assert_eq!(proc_on(&h, 0), Some(a));
+        assert_eq!(h.sched.proc_ref(a).home_cpu, 0);
+        assert_eq!(proc_on(&h, 1), Some(b));
     }
 }

@@ -863,7 +863,7 @@ impl Host {
         self.restartable.insert(pid, spec);
         self.reincarnation.insert(old, pid);
         self.restart_log.push((now, old, pid));
-        self.kick(now);
+        self.dispatch(now);
         Some(pid)
     }
 
@@ -1436,7 +1436,7 @@ impl Host {
                 }
             }
         }
-        self.kick(now);
+        self.dispatch(now);
     }
 
     /// Transitions a woken process from `Blocked` to its continuation.

@@ -69,7 +69,7 @@ impl Host {
             // work at all. NIC stats carry the count.
             RxOutcome::Dropped(_) => {}
         }
-        self.kick(now);
+        self.dispatch(now);
     }
 
     /// The receive interrupt handler (BSD, Early-Demux, SOFT-LRP): drains

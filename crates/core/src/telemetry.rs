@@ -58,7 +58,7 @@ pub struct SpanEvent {
     pub cpu: u32,
 }
 
-/// Span path stage names, indexed by the packed stage byte.
+/// Span path stage names, indexed by the packed stage bits.
 const SPAN_STAGES: [&str; 7] = ["inject", "rx", "enq", "deq", "deliver", "recv", "tx"];
 const SP_INJECT: u8 = 0;
 const SP_RX: u8 = 1;
@@ -68,16 +68,40 @@ const SP_DELIVER: u8 = 4;
 const SP_RECV: u8 = 5;
 const SP_TX: u8 = 6;
 
-/// In-memory form of one span event: 24 bytes instead of [`SpanEvent`]'s
-/// 32. The span log takes several entries per packet on the hot path, so
-/// the packing is a measurable slice of the telemetry overhead budget;
-/// [`Telemetry::span_log`] unpacks on export.
+/// In-memory form of one span event: 16 bytes instead of [`SpanEvent`]'s
+/// 32, the span and one word `t_ns << 9 | cpu << 3 | stage`. The span
+/// log takes several entries per packet on the hot path, so the packing
+/// is most of its memory; [`Telemetry::span_log`] unpacks on export. An
+/// event past [`PackedSpanEvent::T_LIMIT`] or on a CPU at or past
+/// [`PackedSpanEvent::CPU_LIMIT`] does not fit and is counted in
+/// [`Telemetry::span_events_dropped`].
 #[derive(Clone, Copy, Debug)]
-struct PackedSpanEvent {
+pub(crate) struct PackedSpanEvent {
     span: SpanId,
-    t_ns: u64,
-    cpu: u16,
-    stage: u8,
+    word: u64,
+}
+
+impl PackedSpanEvent {
+    /// First time, in ns, that does not fit (about 417 simulated days).
+    pub(crate) const T_LIMIT: u64 = 1 << 55;
+    /// First CPU index that does not fit.
+    pub(crate) const CPU_LIMIT: usize = 64;
+
+    fn pack(span: SpanId, t_ns: u64, cpu: usize, stage: u8) -> Option<Self> {
+        (t_ns < Self::T_LIMIT && cpu < Self::CPU_LIMIT).then_some(PackedSpanEvent {
+            span,
+            word: (t_ns << 9) | ((cpu as u64) << 3) | u64::from(stage),
+        })
+    }
+
+    fn unpack(self) -> SpanEvent {
+        SpanEvent {
+            span: self.span,
+            t_ns: self.word >> 9,
+            stage: SPAN_STAGES[(self.word & 7) as usize],
+            cpu: ((self.word >> 3) & 63) as u32,
+        }
+    }
 }
 
 /// Column names of the per-host metrics timeline, in recording order.
@@ -270,19 +294,14 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Appends one span event, bounded by [`SPAN_LOG_CAP`].
+    /// Appends one span event, bounded by [`SPAN_LOG_CAP`] and by what
+    /// [`PackedSpanEvent`] can hold.
     fn span_ev(&mut self, now: SimTime, stage: u8, span: Option<SpanId>, cpu: usize) {
         let Some(span) = span else { return };
-        if self.span_log.len() >= SPAN_LOG_CAP {
-            self.span_events_dropped += 1;
-            return;
+        match PackedSpanEvent::pack(span, now.as_nanos(), cpu, stage) {
+            Some(p) if self.span_log.len() < SPAN_LOG_CAP => self.span_log.push(p),
+            _ => self.span_events_dropped += 1,
         }
-        self.span_log.push(PackedSpanEvent {
-            span,
-            t_ns: now.as_nanos(),
-            cpu: cpu as u16,
-            stage,
-        });
     }
 
     /// A traffic injector minted `span` for a frame bound for this host.
@@ -582,15 +601,7 @@ impl Telemetry {
     /// Recorded span events, in time order (unpacked from the compact
     /// in-memory form).
     pub fn span_log(&self) -> Vec<SpanEvent> {
-        self.span_log
-            .iter()
-            .map(|p| SpanEvent {
-                span: p.span,
-                t_ns: p.t_ns,
-                stage: SPAN_STAGES[p.stage as usize],
-                cpu: p.cpu as u32,
-            })
-            .collect()
+        self.span_log.iter().map(|p| p.unpack()).collect()
     }
 
     /// Protocol work for the socket owned by `owner` was just performed
@@ -993,6 +1004,31 @@ mod tests {
         assert_eq!(log.len(), SPAN_LOG_CAP);
         assert_eq!(tele.span_events_dropped, 3);
         assert_eq!(log.last().unwrap().span, SPAN_LOG_CAP as u64 - 1);
+    }
+
+    /// The packed word's limits: the last time and CPU that fit come
+    /// back exactly, and an event past either is counted, not stored.
+    #[test]
+    fn span_events_round_trip_at_the_packing_limits() {
+        let mut tele = Telemetry::new(true);
+        let last = SimTime::from_nanos(PackedSpanEvent::T_LIMIT - 1);
+        let cpu = PackedSpanEvent::CPU_LIMIT - 1;
+        tele.span_ev(last, SP_TX, Some(u64::MAX), cpu);
+        tele.span_ev(
+            SimTime::from_nanos(PackedSpanEvent::T_LIMIT),
+            SP_TX,
+            Some(1),
+            0,
+        );
+        tele.span_ev(SimTime::ZERO, SP_TX, Some(2), PackedSpanEvent::CPU_LIMIT);
+        let want = SpanEvent {
+            span: u64::MAX,
+            t_ns: (1 << 55) - 1,
+            stage: "tx",
+            cpu: 63,
+        };
+        assert_eq!(tele.span_log(), [want]);
+        assert_eq!(tele.span_events_dropped, 2);
     }
 
     /// Synthetic ticks through the change log, against a model that

@@ -445,6 +445,26 @@ mod tests {
         const { assert!(EventQueue::<Event>::ENTRY_BYTES <= 48) };
     }
 
+    /// The other per-event records, pinned as `Event` is: `Running` is
+    /// written for every chunk a CPU starts, `ProcExec` for every process
+    /// parked off a CPU, and `PackedSpanEvent` for every span-log entry.
+    #[test]
+    fn a_chunk_is_88_bytes_an_exec_72_and_a_span_event_16() {
+        use crate::host::{ProcExec, Running};
+        use crate::telemetry::PackedSpanEvent;
+        use std::mem::size_of;
+        let sizes = [
+            size_of::<Running>(),
+            size_of::<ProcExec>(),
+            size_of::<PackedSpanEvent>(),
+        ];
+        println!(
+            "Running {} B, ProcExec {} B, PackedSpanEvent {} B",
+            sizes[0], sizes[1], sizes[2]
+        );
+        assert_eq!(sizes, [88, 72, 16]);
+    }
+
     #[test]
     fn add_host_routes_by_address() {
         let mut w = World::with_defaults();

@@ -95,10 +95,6 @@ pub struct Process {
     /// another process ran: models its cache working set (Table 2's
     /// memory-locality effect). Zero for processes with negligible state.
     pub cache_reload: SimDuration,
-    /// Number of involuntary context switches (preemptions) suffered.
-    pub nivcsw: u64,
-    /// Number of voluntary context switches (sleeps).
-    pub nvcsw: u64,
     /// The CPU whose run queue this process is filed on when runnable.
     /// Assigned round-robin at spawn; updated when the idle-steal balancer
     /// migrates the process. Always 0 on a uniprocessor.
@@ -154,8 +150,6 @@ mod tests {
             state: ProcState::Runnable,
             acct: CpuAccounting::default(),
             cache_reload: SimDuration::ZERO,
-            nivcsw: 0,
-            nvcsw: 0,
             home_cpu: 0,
             affinity: None,
             charged: false,

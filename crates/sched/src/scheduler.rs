@@ -146,8 +146,6 @@ impl Scheduler {
             state: ProcState::Runnable,
             acct: CpuAccounting::default(),
             cache_reload,
-            nivcsw: 0,
-            nvcsw: 0,
             home_cpu,
             affinity: None,
             charged: false,
@@ -441,7 +439,6 @@ impl Scheduler {
         p.state = ProcState::Runnable;
         let (pri, home) = (p.effective_pri(), p.home_cpu);
         if front {
-            p.nivcsw += 1;
             self.runqs[home].enqueue_front(pid, pri);
         } else {
             self.runqs[home].enqueue(pid, pri);
@@ -463,7 +460,6 @@ impl Scheduler {
         let p = &mut self.procs[pid.0 as usize];
         p.state = ProcState::Sleeping(wchan);
         p.kernel_pri = Some(pri);
-        p.nvcsw += 1;
         self.sleep_link[pid.0 as usize] = self.sleep_heads.insert(wchan, pid);
     }
 
@@ -548,7 +544,6 @@ impl Scheduler {
         self.leave_sleepq(pid, wchan);
         let p = &mut self.procs[pid.0 as usize];
         p.state = ProcState::Runnable;
-        p.nvcsw += 1;
         let (pri, home) = (p.effective_pri(), p.home_cpu);
         self.runqs[home].enqueue(pid, pri);
         true

@@ -347,3 +347,97 @@ fn estcpu_matches_the_plain_f64_chain() {
     );
     println!("{clamped_charges} charges at the clamp");
 }
+
+/// What a run queue holds, for comparing before and after: every queued
+/// process in queue order, each queue's best bucket, and every home CPU
+/// (a queued process is on its home CPU's queue).
+fn queues(s: &Scheduler) -> (Vec<Pid>, Vec<Option<u8>>, Vec<usize>) {
+    let mut queued = Vec::new();
+    s.runnable_into(&mut queued);
+    queued.truncate(s.runnable_count());
+    let best = (0..s.ncpus()).map(|c| s.best_queued_pri_on(c)).collect();
+    let homes = s.procs().iter().map(|p| p.home_cpu).collect();
+    (queued, best, homes)
+}
+
+/// Differential test of the rule a host uses to let a process whose
+/// chunk ended keep its CPU: over random run queues — one to four CPUs,
+/// user, kernel and fixed priorities, pinned and unpinned processes,
+/// sleepers — a running process does not preempt on its home CPU
+/// exactly when `requeue(pid, true)` then `pick_next_on(home)` gives it
+/// back and leaves every queue as it was.
+#[test]
+fn unpreempted_is_exactly_what_requeue_and_pick_give_back() {
+    let seed = proptest::seed_for("unpreempted_is_exactly_what_requeue_and_pick_give_back");
+    println!("seed {seed:#018x}");
+    let mut rng = TestRng::new(seed);
+    let (mut tried, mut kept) = (0, 0);
+    for case in 0..2000 {
+        let ncpus = 1 + rng.below(4) as usize;
+        let mut s = Scheduler::new(SchedConfig {
+            ncpus,
+            ..SchedConfig::default()
+        });
+        for _ in 0..1 + rng.below(12) {
+            let pid = s.spawn("p", rng.below(41) as i8 - 20, SimDuration::ZERO);
+            let used = SimDuration::from_millis(rng.below(3000));
+            s.charge(pid, Account::User, used);
+            match rng.below(6) {
+                0 => s.set_fixed_pri(pid, Some(rng.below(u64::from(PRI_MAX) + 1) as u8)),
+                1 => s.set_affinity(pid, Some(rng.below(ncpus as u64) as usize)),
+                2 | 3 => {
+                    let pri = rng.below(u64::from(PUSER)) as u8;
+                    s.sleep(pid, WaitChannel(u64::from(pid.0)), pri);
+                    if rng.below(2) == 0 {
+                        s.wake_one(pid);
+                    }
+                }
+                _ => {}
+            }
+        }
+        // Some CPUs run a process; the one under test is the last picked.
+        let mut running = None;
+        for cpu in 0..ncpus {
+            if rng.below(2) == 0 || running.is_none() {
+                running = s.pick_next_on(cpu).or(running);
+            }
+        }
+        let Some(pid) = running else { continue };
+        // Its priority may have moved while it ran.
+        match rng.below(4) {
+            0 => s.charge(
+                pid,
+                Account::User,
+                SimDuration::from_millis(rng.below(1000)),
+            ),
+            1 => s.return_to_user(pid),
+            _ => {}
+        }
+        let p = s.proc_ref(pid);
+        let (home, pri) = (p.home_cpu, p.effective_pri());
+        let unpreempted = !s.should_preempt_on(home, pri);
+        let before = queues(&s);
+        s.requeue(pid, true);
+        let given_back = s.pick_next_on(home) == Some(pid) && queues(&s) == before;
+        prop_assert_eq!(
+            unpreempted,
+            given_back,
+            "seed {:#018x} case {}: {:?} at pri {} on CPU {}",
+            seed,
+            case,
+            pid,
+            pri,
+            home
+        );
+        tried += 1;
+        kept += u32::from(given_back);
+    }
+    // Both answers must be common for the equivalence to say anything.
+    prop_assert!(
+        kept > tried / 10 && kept < tried * 9 / 10,
+        "{} of {} given back",
+        kept,
+        tried
+    );
+    println!("{kept} of {tried} given back");
+}
