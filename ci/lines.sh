@@ -38,7 +38,7 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1701
 bench 0
-core 5808
+core 6080
 criterion-shim 126
 demux 427
 experiments 3518

@@ -109,7 +109,7 @@ impl Host {
     ///
     /// Panics if the socket is gone or has no connection.
     pub(crate) fn with_conn<R>(&mut self, sock: SockId, f: impl FnOnce(&mut TcpConn) -> R) -> R {
-        let s = self.sockets[sock.0 as usize].as_mut().expect("live socket");
+        let s = self.sockets.get_mut(sock).expect("live socket");
         Self::mark_cwnd_dirty(&mut self.cwnd_dirty, s);
         let filed = !s.timer_queued;
         let conn = s.tcp.as_mut().expect("tcp socket");
@@ -134,7 +134,7 @@ impl Host {
             None => Box::new(fresh),
         });
         let new = conn.as_ref().and_then(|c| c.next_deadline());
-        let s = self.sockets[sock.0 as usize].as_mut().expect("live socket");
+        let s = self.sockets.get_mut(sock).expect("live socket");
         Self::mark_cwnd_dirty(&mut self.cwnd_dirty, s);
         if !s.timer_queued {
             self.tcp_deadlines.set(sock, new);
@@ -167,9 +167,7 @@ impl Host {
     /// when the socket holding the maximum fell or was freed.
     pub(crate) fn refresh_cwnd_gauge(&mut self) {
         for sock in self.cwnd_dirty.drain(..) {
-            let s = self.sockets[sock.0 as usize]
-                .as_mut()
-                .expect("freed sockets leave the dirty list");
+            let s = (self.sockets.get_mut(sock)).expect("freed sockets leave the dirty list");
             s.cwnd_dirty = false;
             s.cwnd_key = conn_cwnd_key(s);
             match s.cwnd_key {
@@ -184,10 +182,8 @@ impl Host {
             }
         }
         if std::mem::take(&mut self.cwnd_rescan) {
-            let widest = self
-                .live_socks
-                .iter()
-                .filter_map(|&id| Some((self.sock(id).cwnd_key?, id)))
+            let widest = (self.sockets.iter())
+                .filter_map(|(id, s)| Some((s.cwnd_key?, id)))
                 .max();
             self.cwnd_max = widest.map_or((0, 0), |(k, _)| k);
             self.cwnd_max_sock = widest.map(|(_, id)| id);
@@ -245,7 +241,18 @@ impl Host {
         let mut queued = Vec::new();
         let mut dirty = Vec::new();
         let mut widest = None;
-        for s in self.live_sockets() {
+        let mut listening = 0;
+        (self.sockets.check()).map_err(|e| format!("socket table: {e}"))?;
+        for (id, s) in self.sockets.iter() {
+            if s.id != id {
+                return Err(format!("socket table: {:?} in the slot of {id:?}", s.id));
+            }
+            if let Some(i) = s.listen {
+                listening += 1;
+                if self.listeners[i as usize].is_none() {
+                    return Err(format!("{id:?}: listener entry {i} is empty"));
+                }
+            }
             let deadline = s.tcp.as_ref().and_then(|c| c.next_deadline());
             if !s.timer_queued {
                 deadlines.extend(deadline.map(|t| (t, s.id)));
@@ -301,6 +308,12 @@ impl Host {
                     "kernel timer cache {cached:?}, its sources say {folded:?}"
                 ));
             }
+        }
+        let entries = self.listeners.iter().flatten().count();
+        if listening != entries {
+            return Err(format!(
+                "{entries} listener entries, {listening} listening sockets"
+            ));
         }
         if !self.ready_socks.iter().eq(&ready) {
             return Err(format!(

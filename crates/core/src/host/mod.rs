@@ -39,6 +39,7 @@ mod index;
 mod pidmap;
 mod proto;
 mod rx;
+mod socktab;
 mod syscalls;
 
 use crate::config::{Architecture, HostConfig, QUANTUM, TICK};
@@ -54,6 +55,7 @@ use lrp_stack::tcp::{Actions, TcpConn, TcpListener, TcpStats};
 use lrp_stack::{PcbTable, Reassembler, SockId};
 use lrp_wire::{Endpoint, FlowKey, Frame, FrameBuf, Ipv4Addr};
 use pidmap::PidMap;
+use socktab::SockTable;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Where a packet was dropped — the paper's instrumentation distinguishes
@@ -202,8 +204,8 @@ pub(crate) struct Socket {
     /// TCP connection state. Mutated only through [`Host::with_conn`] and
     /// [`Host::set_conn`], which keep the host's deadline index and cwnd
     /// gauge in step.
-    /// Boxed so the socket table's slots — dead ones included — do not
-    /// each carry half a kilobyte of connection.
+    /// Boxed so the socket table's slots do not each carry half a
+    /// kilobyte of connection.
     pub tcp: Option<Box<TcpConn>>,
     /// The connection's `(cwnd, ssthresh)` as the cwnd gauge last read
     /// it (`None` without a connection); current unless `cwnd_dirty`.
@@ -213,10 +215,8 @@ pub(crate) struct Socket {
     pub cwnd_dirty: bool,
     /// This socket is queued in `Host::tcp_timer_work` (at most once).
     pub timer_queued: bool,
-    /// Listening state.
-    pub listener: Option<TcpListener>,
-    /// Completed connections awaiting accept (socket ids).
-    pub accept_q: VecDeque<SockId>,
+    /// Where its listening state is in `Host::listeners`, if it listens.
+    pub listen: Option<u32>,
     /// For passive children: the listening socket.
     pub parent: Option<SockId>,
     /// Child has been counted into the parent's accept queue.
@@ -236,6 +236,14 @@ pub(crate) struct Socket {
     /// Frames dropped at this socket's full NI channel (or by Early-Demux
     /// socket-queue feedback at the interrupt handler).
     pub drops_channel: u64,
+}
+
+/// A listening socket's state (`Host::listeners`).
+#[derive(Debug)]
+pub(crate) struct Listen {
+    pub state: TcpListener,
+    /// Completed connections awaiting accept (socket ids).
+    pub accept_q: VecDeque<SockId>,
 }
 
 /// Per-process execution state.
@@ -432,7 +440,13 @@ pub struct Host {
     pub stats: HostStats,
     pub(crate) pcb: PcbTable,
     pub(crate) reasm: Reassembler,
-    pub(crate) sockets: Vec<Option<Socket>>,
+    /// The sockets alive, by id (`host/socktab.rs`).
+    pub(crate) sockets: SockTable<Socket>,
+    /// Listening sockets' state, at the index `Socket::listen` names; a
+    /// freed listener's entry goes to the next `listen`. Outside the
+    /// socket table so that its slots stay small, and in one `Vec` so
+    /// that a host of many listeners pays no allocation per listener.
+    pub(crate) listeners: Vec<Option<Listen>>,
     pub(crate) apps: PidMap<Box<dyn AppLogic>>,
     pub(crate) exec: PidMap<ProcExec>,
     /// The simulated CPUs (length `cfg.ncpus`).
@@ -525,9 +539,6 @@ pub struct Host {
     /// Charge target for the next process chunk, when it differs from the
     /// running thread (APP/idle kernel threads billing socket owners).
     pub(crate) pending_charge: Option<Pid>,
-    /// Index of live sockets (the `sockets` Vec keeps dead slots; scans
-    /// must stay proportional to *live* sockets, not history).
-    pub(crate) live_socks: BTreeSet<SockId>,
     /// Channel → socket index (replaces linear scans per packet).
     pub(crate) chan_to_sock: FastHashMap<lrp_demux::ChannelId, SockId>,
     /// Telemetry state (no-op unless `cfg.telemetry`).
@@ -626,7 +637,8 @@ impl Host {
             stats: HostStats::default(),
             pcb: PcbTable::new(),
             reasm: Reassembler::new(16, SimDuration::from_secs(30)),
-            sockets: Vec::new(),
+            sockets: SockTable::default(),
+            listeners: Vec::new(),
             apps: PidMap::default(),
             exec: PidMap::default(),
             cpus: (0..cfg.ncpus).map(|_| Cpu::default()).collect(),
@@ -662,7 +674,6 @@ impl Host {
             ticks: 0,
             next_reasm_sweep: SimTime::from_secs(1),
             pending_charge: None,
-            live_socks: BTreeSet::new(),
             chan_to_sock: FastHashMap::default(),
             tele: host_telemetry(cfg.telemetry, addr),
             recv_deadlines: BTreeMap::new(),
@@ -917,8 +928,7 @@ impl Host {
         // (4) All sockets go cold — freed directly, no protocol goodbye.
         // The per-socket channels were drained in (2), so the `flushed`
         // bucket gains nothing here.
-        let socks: Vec<SockId> = self.live_socks.iter().copied().collect();
-        for sock in socks {
+        while let Some(sock) = self.sockets.first() {
             self.free_socket(sock);
         }
         self.reasm = Reassembler::new(16, SimDuration::from_secs(30));
@@ -1058,9 +1068,10 @@ impl Host {
     /// non-zero when [`HostConfig::syn_cache`] is on and the backlog
     /// overflowed).
     pub fn syn_cache_evictions(&self) -> u64 {
-        self.live_sockets()
-            .filter_map(|s| s.listener.as_ref())
-            .map(|l| l.syn_cache_evictions)
+        self.listeners
+            .iter()
+            .flatten()
+            .map(|l| l.state.syn_cache_evictions)
             .sum()
     }
 
@@ -1069,7 +1080,7 @@ impl Host {
     /// [`HostConfig::syn_cookies`] engaged).
     pub fn cookie_totals(&self) -> (u64, u64, u64) {
         let mut t = (0, 0, 0);
-        for l in self.live_sockets().filter_map(|s| s.listener.as_ref()) {
+        for l in self.listeners.iter().flatten().map(|l| &l.state) {
             t.0 += l.cookies_sent;
             t.1 += l.cookies_validated;
             t.2 += l.cookies_rejected;
@@ -1079,31 +1090,23 @@ impl Host {
 
     /// Looks up a socket's owner (None if the socket is gone).
     pub fn socket_owner(&self, sock: SockId) -> Option<Pid> {
-        self.sockets
-            .get(sock.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map(|s| s.owner)
+        self.sockets.get(sock).map(|s| s.owner)
     }
 
     pub(crate) fn sock(&self, id: SockId) -> &Socket {
-        self.sockets[id.0 as usize].as_ref().expect("live socket")
+        self.sockets.get(id).expect("live socket")
     }
 
     pub(crate) fn sock_mut(&mut self, id: SockId) -> &mut Socket {
-        self.sockets[id.0 as usize].as_mut().expect("live socket")
+        self.sockets.get_mut(id).expect("live socket")
     }
 
     pub(crate) fn sock_opt(&self, id: SockId) -> Option<&Socket> {
-        self.sockets.get(id.0 as usize).and_then(|s| s.as_ref())
+        self.sockets.get(id)
     }
 
     pub(crate) fn alloc_sock(&mut self, owner: Pid, proto: SockProto) -> SockId {
-        let id = SockId(self.sockets.len() as u32);
-        self.live_socks.insert(id);
-        if proto != SockProto::Tcp {
-            self.dgram_socks.insert(id);
-        }
-        self.sockets.push(Some(Socket {
+        let id = self.sockets.insert(|id| Socket {
             id,
             owner,
             proto,
@@ -1115,8 +1118,7 @@ impl Host {
             cwnd_key: None,
             cwnd_dirty: false,
             timer_queued: false,
-            listener: None,
-            accept_q: VecDeque::new(),
+            listen: None,
             parent: None,
             established_reported: false,
             closed_by_app: false,
@@ -1124,8 +1126,22 @@ impl Host {
             err: None,
             drops_sockbuf: 0,
             drops_channel: 0,
-        }));
+        });
+        if proto != SockProto::Tcp {
+            self.dgram_socks.insert(id);
+        }
         id
+    }
+
+    /// `sock`'s listening state, if it is a live listener.
+    pub(crate) fn listening(&self, sock: SockId) -> Option<&Listen> {
+        let i = self.sock_opt(sock)?.listen?;
+        self.listeners[i as usize].as_ref()
+    }
+
+    pub(crate) fn listening_mut(&mut self, sock: SockId) -> Option<&mut Listen> {
+        let i = self.sock_opt(sock)?.listen?;
+        self.listeners[i as usize].as_mut()
     }
 
     /// Receive-side queue depth of a socket: buffered datagrams plus
@@ -1151,6 +1167,7 @@ impl Host {
             Some(c) if self.nic.channel_exists(c) => self.nic.channel(c).depth(),
             _ => 0,
         };
+        let listen = self.listening(sock);
         let recv_q = match &s.tcp {
             Some(conn) => conn.available(),
             None => s.rcvq.len(),
@@ -1164,21 +1181,23 @@ impl Host {
             chan_depth,
             drops_sockbuf: s.drops_sockbuf,
             drops_channel: s.drops_channel,
-            listen: s.listener.as_ref().map(|l| crate::syscall::ListenStats {
-                backlog: l.backlog,
-                syn_queue: l.syn_queue,
-                accept_queue: l.accept_queue,
-                half_open: l.half_open.len(),
-                syn_drops: l.syn_drops,
-                syn_cache_evictions: l.syn_cache_evictions,
-                cookies_sent: l.cookies_sent,
-                cookies_validated: l.cookies_validated,
-                cookies_rejected: l.cookies_rejected,
-            }),
+            listen: listen
+                .map(|l| &l.state)
+                .map(|l| crate::syscall::ListenStats {
+                    backlog: l.backlog,
+                    syn_queue: l.syn_queue,
+                    accept_queue: l.accept_queue,
+                    half_open: l.half_open.len(),
+                    syn_drops: l.syn_drops,
+                    syn_cache_evictions: l.syn_cache_evictions,
+                    cookies_sent: l.cookies_sent,
+                    cookies_validated: l.cookies_validated,
+                    cookies_rejected: l.cookies_rejected,
+                }),
             tcp: s.tcp.as_ref().map(|conn| conn.sock_stats()).or_else(|| {
                 // A listener has no connection object; report its state
                 // machine position anyway.
-                s.listener.as_ref().map(|_| {
+                listen.map(|l| {
                     let mut st = lrp_stack::TcpSockStats {
                         state: lrp_stack::TcpState::Listen,
                         srtt_ns: 0,
@@ -1194,7 +1213,7 @@ impl Host {
                         timeouts: 0,
                         dup_acks: 0,
                     };
-                    st.rcv_q = s.accept_q.len() as u64;
+                    st.rcv_q = l.accept_q.len() as u64;
                     st
                 })
             }),
@@ -1204,9 +1223,9 @@ impl Host {
     /// The whole-host netstat dump: a [`SockStats`](crate::SockStats)
     /// snapshot for every live socket, in socket-id order.
     pub fn host_netstat(&self) -> Vec<crate::syscall::SockStats> {
-        self.live_socks
+        self.sockets
             .iter()
-            .filter_map(|&id| self.sock_stats_of(id))
+            .filter_map(|(id, _)| self.sock_stats_of(id))
             .collect()
     }
 
@@ -1219,9 +1238,7 @@ impl Host {
 
     /// Iterates live sockets (allocation order).
     pub(crate) fn live_sockets(&self) -> impl Iterator<Item = &Socket> + '_ {
-        self.live_socks
-            .iter()
-            .filter_map(|id| self.sockets[id.0 as usize].as_ref())
+        self.sockets.iter().map(|(_, s)| s)
     }
 
     /// Gives `sock` its own NI channel (§3.1), mapped back to the socket,

@@ -445,15 +445,14 @@ impl Host {
         let rightful = self.sock(sock).owner;
         self.tele.note_proto_owner(rightful.0);
         // Listening socket: SYN handling.
-        if self.sock(sock).listener.is_some() && th.has(tcp::flags::SYN) && !th.has(tcp::flags::ACK)
-        {
+        if self.sock(sock).listen.is_some() && th.has(tcp::flags::SYN) && !th.has(tcp::flags::ACK) {
             return total + self.tcp_handle_syn(now, sock, local, remote, &th);
         }
         // A bare ACK at a *listening* socket with cookies enabled is the
         // returning half of a stateless handshake: no child exists yet —
         // the cookie in the ACK field *is* the connection state.
         if self.cfg.syn_cookies != SynCookies::Off
-            && self.sock(sock).listener.is_some()
+            && self.sock(sock).listen.is_some()
             && th.has(tcp::flags::ACK)
             && !th.has(tcp::flags::SYN)
             && !th.has(tcp::flags::RST)
@@ -493,10 +492,9 @@ impl Host {
             return total + d;
         }
         let can = self
-            .sock(lsock)
-            .listener
-            .as_ref()
+            .listening(lsock)
             .expect("listener")
+            .state
             .can_accept_syn();
         // Stateless SYN cookies: answer with a SYN|ACK whose sequence
         // number encodes the connection (no child socket, no half-open
@@ -517,16 +515,15 @@ impl Host {
             // fresh SYN (bounded table, oldest-first), instead of letting
             // a flood of never-completing handshakes freeze the backlog.
             let victim = if self.cfg.syn_cache {
-                self.sock(lsock)
-                    .listener
-                    .as_ref()
+                self.listening(lsock)
                     .expect("listener")
+                    .state
                     .oldest_half_open()
             } else {
                 None
             };
             if let Some(victim) = victim {
-                let l = self.sock_mut(lsock).listener.as_mut().expect("listener");
+                let l = &mut self.listening_mut(lsock).expect("listener").state;
                 l.untrack_half_open(victim);
                 l.on_syn_cache_evict();
                 if self.sock_opt(victim).is_some() {
@@ -539,10 +536,9 @@ impl Host {
                 }
                 // Fall through to admit the new SYN below.
             } else {
-                self.sock_mut(lsock)
-                    .listener
-                    .as_mut()
+                self.listening_mut(lsock)
                     .expect("listener")
+                    .state
                     .on_syn_dropped();
                 self.stats.drop_at(DropPoint::Backlog);
                 self.tele.on_backlog_drop();
@@ -554,7 +550,7 @@ impl Host {
         let mut acts = std::mem::take(&mut self.tcp_acts);
         let conn = TcpConn::accept_syn_into(self.cfg.tcp, local, remote, iss, th, now, &mut acts);
         let child = self.install_child(lsock, local, remote, conn);
-        let l = self.sock_mut(lsock).listener.as_mut().expect("listener");
+        let l = &mut self.listening_mut(lsock).expect("listener").state;
         l.on_syn_admitted();
         l.track_half_open(child);
         let d = self.apply_tcp_actions(now, child, &mut acts);
@@ -643,10 +639,9 @@ impl Host {
         let ident = self.next_ident();
         let dgram = tcp::build_datagram(local.addr, remote.addr, &hdr, ident, &[]);
         self.ifq_enqueue_spanned(Frame::ipv4(dgram), None);
-        self.sock_mut(lsock)
-            .listener
-            .as_mut()
+        self.listening_mut(lsock)
             .expect("listener")
+            .state
             .on_cookie_sent();
         cost.tcp_output + cost.csum(20) + cost.ip_output + cost.driver_tx_per_pkt
     }
@@ -674,10 +669,9 @@ impl Host {
         let Some(mss) = cookie::decode(key, local, remote, th.ack.wrapping_sub(1), now) else {
             // Forged or expired cookie: silent drop, separately ledgered —
             // under a flood this is the common case and must stay cheap.
-            self.sock_mut(lsock)
-                .listener
-                .as_mut()
+            self.listening_mut(lsock)
                 .expect("listener")
+                .state
                 .on_cookie_rejected();
             self.tele.on_cookie_rejected();
             return total;
@@ -685,12 +679,11 @@ impl Host {
         // Valid cookie, but the accept queue still bounds admission: a
         // listener nobody accepts from must not grow without limit.
         {
-            let l = self.sock(lsock).listener.as_ref().expect("listener");
+            let l = &self.listening(lsock).expect("listener").state;
             if l.accept_queue >= l.backlog {
-                self.sock_mut(lsock)
-                    .listener
-                    .as_mut()
+                self.listening_mut(lsock)
                     .expect("listener")
+                    .state
                     .on_syn_dropped();
                 self.stats.drop_at(DropPoint::Backlog);
                 self.tele.on_backlog_drop();
@@ -703,12 +696,9 @@ impl Host {
         // Established from birth: never counted into the SYN queue,
         // reported straight into the accept queue below.
         self.sock_mut(child).established_reported = true;
-        self.sock_mut(lsock)
-            .listener
-            .as_mut()
-            .expect("listener")
-            .on_cookie_child_established();
-        self.sock_mut(lsock).accept_q.push_back(child);
+        let l = self.listening_mut(lsock).expect("listener");
+        l.state.on_cookie_child_established();
+        l.accept_q.push_back(child);
         self.stats.tcp_accepted += 1;
         self.tele.on_cookie_validated();
         self.wake_sock(lsock, WC_ACCEPT);
@@ -806,10 +796,10 @@ impl Host {
                     if !self.sock(sock).established_reported {
                         self.sock_mut(sock).established_reported = true;
                         if self.sock_opt(p).is_some() {
-                            self.sock_mut(p).accept_q.push_back(sock);
-                            if let Some(l) = self.sock_mut(p).listener.as_mut() {
-                                l.on_child_established();
-                                l.untrack_half_open(sock);
+                            if let Some(l) = self.listening_mut(p) {
+                                l.accept_q.push_back(sock);
+                                l.state.on_child_established();
+                                l.state.untrack_half_open(sock);
                             }
                             self.stats.tcp_accepted += 1;
                             self.wake_sock(p, WC_ACCEPT);
@@ -895,11 +885,9 @@ impl Host {
         // Embryonic child died before the handshake completed.
         if let Some(p) = parent {
             if !reported {
-                if let Some(ps) = self.sockets.get_mut(p.0 as usize).and_then(|x| x.as_mut()) {
-                    if let Some(l) = ps.listener.as_mut() {
-                        l.on_child_failed();
-                        l.untrack_half_open(sock);
-                    }
+                if let Some(l) = self.listening_mut(p) {
+                    l.state.on_child_failed();
+                    l.state.untrack_half_open(sock);
                 }
             }
         }
@@ -928,7 +916,7 @@ impl Host {
         // The channel goes first, taking the socket out of the ready set
         // while the table still names its owner.
         self.close_channel(sock, false);
-        let s = self.sockets[sock.0 as usize].take().expect("checked");
+        let s = self.sockets.take(sock).expect("checked");
         if s.timer_queued {
             self.tcp_timer_work.retain(|&x| x != sock);
             self.note_owner_work(s.owner, s.proto, false);
@@ -941,6 +929,9 @@ impl Host {
         }
         if self.cwnd_max_sock == Some(sock) {
             self.cwnd_rescan = true;
+        }
+        if let Some(i) = s.listen {
+            self.listeners[i as usize] = None;
         }
         if let Some(conn) = s.tcp {
             self.stats.tcp_closed.absorb(&conn.stats);
@@ -957,7 +948,7 @@ impl Host {
                 if self.cfg.arch != Architecture::Bsd {
                     let _ = self.nic.demux.unregister(&key);
                 }
-            } else if s.listener.is_some() || s.parent.is_none() {
+            } else if s.listen.is_some() || s.parent.is_none() {
                 // The wildcard key belongs to whoever *bound* the port: a
                 // listener, or an actively-opened socket (implicit bind at
                 // connect). A passive child shares `local` with its
@@ -968,7 +959,6 @@ impl Host {
                 }
             }
         }
-        self.live_socks.remove(&sock);
         self.dgram_socks.remove(&sock);
         self.tcp_deadlines.set(sock, None);
         self.ed_pending.retain(|&x| x != sock);

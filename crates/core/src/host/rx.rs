@@ -380,7 +380,7 @@ impl Host {
         }
         self.ready_socks.iter().any(|&id| {
             let s = self.sock(id);
-            s.tcp.is_none() && s.listener.is_none() && s.rcvq.space() > 0
+            s.tcp.is_none() && s.listen.is_none() && s.rcvq.space() > 0
         })
     }
 
@@ -413,7 +413,7 @@ impl Host {
                 continue;
             }
             let chan = self.sock(sock).chan.expect("ready socket has a channel");
-            if let Some(l) = &self.sock(sock).listener {
+            if let Some(l) = self.listening(sock).map(|l| &l.state) {
                 // §3.4: protocol processing is disabled for listeners
                 // whose backlog is exhausted; the channel then fills and
                 // the NI discards further SYNs without host work. With

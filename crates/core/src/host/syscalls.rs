@@ -1,7 +1,7 @@
 //! The system-call phase machine: decomposes each operation into
 //! cost-bearing kernel phases, with architecture-specific receive paths.
 
-use super::{sock_wchan, Cont, Host, PhaseOut, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
+use super::{sock_wchan, Cont, Host, Listen, PhaseOut, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
 use crate::config::{Architecture, QUANTUM};
 use crate::host::proto::ProtoCtx;
 use crate::syscall::{AppCtx, Errno, SockProto, SyscallOp, SyscallRet};
@@ -10,6 +10,7 @@ use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::tcp::{TcpConn, TcpListener, TcpState};
 use lrp_stack::SockId;
 use lrp_wire::{proto, udp, Endpoint, FlowKey, FrameBuf, FrameSlice};
+use std::collections::VecDeque;
 
 /// Link MTU (the paper's ATM LAN): sends fragment above it.
 const MTU: usize = 9180;
@@ -267,7 +268,20 @@ impl Host {
         if s.proto != SockProto::Tcp {
             return SyscallRet::Err(Errno::Invalid);
         }
-        self.sock_mut(sock).listener = Some(TcpListener::new(local, backlog));
+        let state = TcpListener::new(local, backlog);
+        if let Some(l) = self.listening_mut(sock) {
+            l.state = state;
+            return SyscallRet::Ok;
+        }
+        let i = (self.listeners.iter().position(Option::is_none)).unwrap_or_else(|| {
+            self.listeners.push(None);
+            self.listeners.len() - 1
+        });
+        self.listeners[i] = Some(Listen {
+            state,
+            accept_q: VecDeque::new(),
+        });
+        self.sock_mut(sock).listen = Some(i as u32);
         SyscallRet::Ok
     }
 
@@ -336,7 +350,7 @@ impl Host {
     /// the listener's channel, the handshake's final ACK on the embryonic
     /// child's); none otherwise.
     fn children(&self, sock: SockId) -> Vec<SockId> {
-        if self.sock(sock).listener.is_none() {
+        if self.sock(sock).listen.is_none() {
             return Vec::new();
         }
         let children = self.live_sockets().filter(|s| s.parent == Some(sock));
@@ -611,20 +625,19 @@ impl Host {
 
     fn phase_accept(&mut self, now: SimTime, pid: Pid, sock: SockId) -> PhaseOut {
         let cost = self.cfg.cost;
-        if self.sock_opt(sock).is_none_or(|s| s.listener.is_none()) {
+        if self.sock_opt(sock).is_none_or(|s| s.listen.is_none()) {
             return PhaseOut::ret(SimDuration::ZERO, SyscallRet::Err(Errno::Invalid));
         }
         // A4: handshake processing happens lazily in the accept call
         // itself.
-        if self.sock(sock).accept_q.is_empty() {
+        if self.listening(sock).expect("listener").accept_q.is_empty() {
             if let Some(out) = self.lazy_step(now, sock, Cont::AcceptCheck { sock }) {
                 return out;
             }
         }
-        if let Some(child) = self.sock_mut(sock).accept_q.pop_front() {
-            if let Some(l) = self.sock_mut(sock).listener.as_mut() {
-                l.on_accept();
-            }
+        let l = self.listening_mut(sock).expect("listener");
+        if let Some(child) = l.accept_q.pop_front() {
+            l.state.on_accept();
             // The accepting process becomes the owner (charging target).
             if self.sock_opt(child).is_some() {
                 self.set_owner(child, pid);
@@ -662,17 +675,15 @@ impl Host {
             // flood would leak every child socket, its NI channel and the
             // frames queued on it.
             let mut reap = SimDuration::ZERO;
-            if self.sock(sock).listener.is_some() {
+            if self.sock(sock).listen.is_some() {
                 while let Some(victim) = self
-                    .sock(sock)
-                    .listener
-                    .as_ref()
-                    .and_then(|l| l.oldest_half_open())
+                    .listening(sock)
+                    .and_then(|l| l.state.oldest_half_open())
                 {
                     if self.sock_opt(victim).is_none() {
                         // Stale entry: drop it and keep draining.
-                        if let Some(l) = self.sock_mut(sock).listener.as_mut() {
-                            l.untrack_half_open(victim);
+                        if let Some(l) = self.listening_mut(sock) {
+                            l.state.untrack_half_open(victim);
                         }
                         continue;
                     }
@@ -681,7 +692,8 @@ impl Host {
                     self.set_conn(victim, None);
                     self.teardown_tcp_sock(victim);
                 }
-                let pending: Vec<SockId> = self.sock(sock).accept_q.iter().copied().collect();
+                let listen = self.listening(sock).expect("listener");
+                let pending: Vec<SockId> = listen.accept_q.iter().copied().collect();
                 for child in pending {
                     if self.sock_opt(child).is_none() {
                         continue;
@@ -693,12 +705,8 @@ impl Host {
                         self.free_socket(child);
                     }
                 }
-                if let Some(s) = self
-                    .sockets
-                    .get_mut(sock.0 as usize)
-                    .and_then(|x| x.as_mut())
-                {
-                    s.accept_q.clear();
+                if let Some(l) = self.listening_mut(sock) {
+                    l.accept_q.clear();
                 }
             }
             // UDP (or the reaped listener): free immediately.

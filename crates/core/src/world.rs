@@ -465,6 +465,10 @@ mod tests {
         assert_eq!(sizes, [88, 72, 16]);
     }
 
+    /// A socket-table slot, in a page of `PAGE` whether live or not
+    /// (listener state is in `Host::listeners`).
+    const _: () = assert!(std::mem::size_of::<Option<crate::host::Socket>>() == 184);
+
     #[test]
     fn add_host_routes_by_address() {
         let mut w = World::with_defaults();
