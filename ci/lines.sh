@@ -38,18 +38,18 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1701
 bench 0
-core 6080
+core 6025
 criterion-shim 126
 demux 427
 experiments 3518
 mbuf 421
 net 666
-nic 801
+nic 805
 proptest-shim 450
 sched 1050
 sim 1608
-stack 4198
-telemetry 1466
+stack 4177
+telemetry 1281
 wire 1887
 EOF
 printf '%-16s %6d\n' total "$total"

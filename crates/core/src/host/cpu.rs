@@ -620,8 +620,11 @@ mod tests {
         h.start(SimTime::ZERO);
         settle_in(&mut h, 0, a);
         let datagram = udp::build_datagram(ADDR, ADDR, 6000, 9000, 1, &[0; 14], false);
-        h.ip_queue.push_back(Frame::ipv4(datagram));
-        h.tele.on_ipq_enqueue(SimTime::ZERO, None);
+        let stamp = lrp_nic::Stamp {
+            at: SimTime::ZERO,
+            span: None,
+        };
+        h.ip_queue.push_back((Frame::ipv4(datagram), stamp));
         finish(&mut h, 0);
         let running = h.cpus[0].running.as_ref().expect("the softirq runs");
         assert!(matches!(running.kind, WorkKind::Soft));

@@ -458,8 +458,9 @@ pub struct Host {
     /// every entry point; used for cross-CPU wakeup detection and per-CPU
     /// scheduler queries from syscall phases).
     pub(crate) cur_cpu: usize,
-    /// BSD shared IP queue.
-    pub(crate) ip_queue: VecDeque<Frame>,
+    /// BSD shared IP queue: each frame with its stamp (queued at the
+    /// receive interrupt).
+    pub(crate) ip_queue: VecDeque<(Frame, lrp_nic::Stamp)>,
     /// Reusable scratch buffer for the driver's per-interrupt ring batch
     /// (capacity persists across interrupts; contents are always drained).
     pub(crate) rx_scratch: Vec<Frame>,
@@ -588,7 +589,8 @@ pub(crate) struct RestartSpec {
 /// collide.
 fn host_telemetry(enabled: bool, addr: Ipv4Addr) -> crate::telemetry::Telemetry {
     let mut tele = crate::telemetry::Telemetry::new(enabled);
-    tele.set_span_tag((1u64 << 63) | ((addr.octets()[3] as u64) << 48));
+    let tag = (1u64 << 63) | ((addr.octets()[3] as u64) << 48);
+    tele.set_span_tag(std::num::NonZeroU64::new(tag).expect("bit 63 is set"));
     tele
 }
 
@@ -913,7 +915,7 @@ impl Host {
         self.ip_queue.clear();
         self.tele.on_reboot_flush(ipq);
         let _ = self.nic.ifq_clear();
-        self.tele.on_reboot_clear_sidecars();
+        self.tele.on_reboot();
         // (3) Kill every process, applications first (in pid order), then
         // the kernel daemons.
         let pids: Vec<Pid> = self.apps.keys().collect();
@@ -1270,7 +1272,7 @@ impl Host {
         };
         if self.nic.channel_exists(chan) {
             let n = self.nic.channel(chan).depth();
-            self.tele.on_chan_destroy(chan, n, owner_dead);
+            self.tele.on_chan_destroy(n, owner_dead);
             self.note_chan_empty(chan);
             self.nic.destroy_channel(chan);
         }

@@ -9,13 +9,14 @@
 use super::{sock_wchan, DropPoint, Host, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
 use crate::config::{Architecture, SynCookies};
 use crate::syscall::{Errno, SockProto};
-use crate::telemetry::SpanId;
+use lrp_nic::Stamp;
 use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::sockbuf::Datagram;
 use lrp_stack::tcp::{cookie, Actions, ConnEvent, Segment, TcpConn};
 use lrp_stack::{ReasmOutcome, SockId};
 use lrp_wire::{icmp, ipv4, proto, tcp, udp, Endpoint, FlowKey, Frame, FrameBuf, FrameSlice};
 use std::borrow::Cow;
+use std::num::NonZeroU64;
 
 /// Execution context of protocol processing: determines cost discounts
 /// and whether the BSD PCB lookup is performed.
@@ -38,10 +39,21 @@ pub(crate) enum ProtoCtx {
     },
 }
 
+/// A datagram a fragment drain completed: its header, its payload, and
+/// the stamp its delivery reports — the completing frame's if the drain
+/// ended on it, else none.
+type Reassembled = (ipv4::Ipv4Header, Vec<u8>, Option<Stamp>);
+
 impl Host {
-    /// Full input processing for one IP frame. Returns the CPU cost; all
-    /// state changes are applied immediately.
-    pub(crate) fn ip_deliver(&mut self, now: SimTime, frame: Frame, ctx: ProtoCtx) -> SimDuration {
+    /// Full input processing for one IP frame, dequeued with `stamp`.
+    /// Returns the CPU cost; all state changes are applied immediately.
+    pub(crate) fn ip_deliver(
+        &mut self,
+        now: SimTime,
+        frame: Frame,
+        stamp: Stamp,
+        ctx: ProtoCtx,
+    ) -> SimDuration {
         let cost = self.cfg.cost;
         let lazy = matches!(ctx, ProtoCtx::Lrp { lazy: true, .. });
         let scale = |d: SimDuration| if lazy { cost.lazy(d) } else { d };
@@ -59,6 +71,9 @@ impl Host {
             self.drop_frame(DropPoint::BadPacket);
             return total;
         };
+        // The stamp a delivered datagram reports: this frame's, unless a
+        // fragment drain completes the datagram instead.
+        let mut stamp = Some(stamp);
         // Fragment reassembly; whole datagrams pass straight through —
         // borrowed from the frame, so the common path copies nothing here.
         let completed: Option<(ipv4::Ipv4Header, Cow<'_, [u8]>)> = if first_hdr.is_fragment() {
@@ -84,7 +99,10 @@ impl Host {
                     if self.cfg.arch.is_lrp() {
                         let (extra, done) = self.drain_fragment_channel(now);
                         total += if lazy { cost.lazy(extra) } else { extra };
-                        done.map(|(h, p)| (h, Cow::Owned(p)))
+                        done.map(|(h, p, s)| {
+                            stamp = s;
+                            (h, Cow::Owned(p))
+                        })
                     } else {
                         None
                     }
@@ -107,7 +125,7 @@ impl Host {
             return total + self.do_forward(&bytes);
         }
         match ih.proto {
-            proto::UDP => total + self.udp_deliver(now, &ih, &payload, ctx),
+            proto::UDP => total + self.udp_deliver(now, &ih, &payload, stamp, ctx),
             proto::TCP => {
                 // TCP queues arrived data by reference: hand it the
                 // segment as a slice of the frame (or of the datagram
@@ -123,7 +141,7 @@ impl Host {
                 };
                 total + self.tcp_deliver(now, &ih, seg, ctx)
             }
-            proto::ICMP => total + self.icmp_deliver(now, &ih, &payload, ctx),
+            proto::ICMP => total + self.icmp_deliver(now, &ih, &payload, stamp, ctx),
             _ => {
                 // Unknown protocols are dropped after IP input.
                 self.drop_frame(DropPoint::NoSocket);
@@ -151,7 +169,7 @@ impl Host {
             return cost.ip_forward;
         }
         ih.ttl -= 1;
-        self.ifq_enqueue_spanned(Frame::ipv4(ipv4::build_datagram(&ih, payload)), None);
+        self.ifq_enqueue(Frame::ipv4(ipv4::build_datagram(&ih, payload)), None);
         cost.ip_forward + cost.ip_output + cost.driver_tx_per_pkt
     }
 
@@ -162,7 +180,7 @@ impl Host {
         if !self.nic.channel_exists(chan) {
             return None;
         }
-        let frame = self.chan_dequeue(now, chan)?;
+        let (frame, _) = self.chan_dequeue(now, chan)?;
         let cost = self.cfg.cost;
         let d = match &frame {
             Frame::Ipv4(b) => {
@@ -177,12 +195,14 @@ impl Host {
         Some(d)
     }
 
-    /// Delivers an ICMP message to the proxy daemon's raw socket (§3.5).
+    /// Delivers an ICMP message to the proxy daemon's raw socket (§3.5),
+    /// as a datagram without a span.
     fn icmp_deliver(
         &mut self,
         now: SimTime,
         ih: &ipv4::Ipv4Header,
         payload: &[u8],
+        stamp: Option<Stamp>,
         ctx: ProtoCtx,
     ) -> SimDuration {
         let cost = self.cfg.cost;
@@ -203,9 +223,10 @@ impl Host {
         let dgram = Datagram {
             from: Endpoint::new(ih.src, 0),
             payload: payload.into(),
+            span: None,
         };
         if self.sock_mut(sock).rcvq.enqueue(dgram) {
-            self.tele.on_icmp_delivered(now, cpu);
+            self.tele.on_icmp_delivered(now, cpu, stamp);
             if !lazy {
                 total += scale(cost.sock_enqueue);
                 if self.sched.has_sleeper(sock_wchan(sock, WC_RECV)) {
@@ -225,7 +246,7 @@ impl Host {
     /// table, since the fragment channel is shared). Returns the cost.
     pub(crate) fn pump_fragment_channel(&mut self, now: SimTime) -> SimDuration {
         let (mut total, done) = self.drain_fragment_channel(now);
-        if let Some((ih, payload)) = done {
+        if let Some((ih, payload, stamp)) = done {
             // Resolve the destination socket exactly as the demux function
             // would have, had the transport header been present.
             if ih.proto == proto::UDP {
@@ -238,8 +259,8 @@ impl Host {
                         .and_then(|c| self.sock_of_channel(c))
                 });
                 if let Some(sock) = sock {
-                    total +=
-                        self.udp_deliver(now, &ih, &payload, ProtoCtx::Lrp { sock, lazy: false });
+                    let ctx = ProtoCtx::Lrp { sock, lazy: false };
+                    total += self.udp_deliver(now, &ih, &payload, stamp, ctx);
                     if self.sched.has_sleeper(sock_wchan(sock, WC_RECV)) {
                         self.wake_sock(sock, WC_RECV);
                     }
@@ -259,14 +280,11 @@ impl Host {
     /// Pulls queued fragments from the special NI fragment channel into
     /// the reassembler (LRP §3.2). Returns the cost and a completed
     /// datagram if the drain finished one.
-    fn drain_fragment_channel(
-        &mut self,
-        now: SimTime,
-    ) -> (SimDuration, Option<(ipv4::Ipv4Header, Vec<u8>)>) {
+    fn drain_fragment_channel(&mut self, now: SimTime) -> (SimDuration, Option<Reassembled>) {
         let mut total = SimDuration::ZERO;
         let mut done = None;
         let frag_chan = self.nic.fragment_channel;
-        while let Some(f) = self.chan_dequeue(now, frag_chan) {
+        while let Some((f, stamp)) = self.chan_dequeue(now, frag_chan) {
             total += self.cfg.cost.ip_reasm_per_frag;
             // Every drained frame is absorbed by the reassembler except
             // the one that completes the returned datagram — that frame's
@@ -286,6 +304,7 @@ impl Host {
                             done = Some((
                                 ipv4::Ipv4Header::new(src, dst, pr, 0, payload.len()),
                                 payload,
+                                None,
                             ));
                             completer = true;
                         }
@@ -295,15 +314,20 @@ impl Host {
             if !completer {
                 self.tele.on_reasm_absorbed();
             }
+            if let Some(d) = &mut done {
+                d.2 = completer.then_some(stamp);
+            }
         }
         (total, done)
     }
 
+    /// Delivers a UDP datagram whose delivery reports `stamp`.
     fn udp_deliver(
         &mut self,
         now: SimTime,
         ih: &ipv4::Ipv4Header,
         payload: &[u8],
+        stamp: Option<Stamp>,
         ctx: ProtoCtx,
     ) -> SimDuration {
         let cost = self.cfg.cost;
@@ -359,7 +383,7 @@ impl Host {
             };
             let reply = icmp::build_datagram(self.addr, ih.src, 0, &msg);
             self.stats.icmp_unreach_sent += 1;
-            self.ifq_enqueue_spanned(Frame::ipv4(reply), None);
+            self.ifq_enqueue(Frame::ipv4(reply), None);
             return total;
         };
         // The rightful receiver is now known; note it so the chunk that
@@ -369,12 +393,13 @@ impl Host {
         let dgram = Datagram {
             from: remote,
             payload: body.into(),
+            span: stamp.and_then(|s| s.span),
         };
         let nbytes = dgram.payload.len() as u64;
         if self.sock_mut(sock).rcvq.enqueue(dgram) {
             self.stats.udp_delivered += 1;
             self.stats.udp_delivered_bytes += nbytes;
-            self.tele.on_udp_delivered(now, cpu, sock.0 as u64);
+            self.tele.on_udp_delivered(now, cpu, stamp);
             if !lazy {
                 total += scale(cost.sock_enqueue);
                 // Wake a blocked receiver (sowakeup).
@@ -638,7 +663,7 @@ impl Host {
         };
         let ident = self.next_ident();
         let dgram = tcp::build_datagram(local.addr, remote.addr, &hdr, ident, &[]);
-        self.ifq_enqueue_spanned(Frame::ipv4(dgram), None);
+        self.ifq_enqueue(Frame::ipv4(dgram), None);
         self.listening_mut(lsock)
             .expect("listener")
             .state
@@ -743,15 +768,12 @@ impl Host {
         total
     }
 
-    /// Enqueues an outgoing frame on the NIC interface queue, keeping the
-    /// telemetry span sidecar aligned. The single choke point for
-    /// transmit enqueues. Returns false when the queue was full: the
-    /// frame is dropped and counted.
-    pub(crate) fn ifq_enqueue_spanned(&mut self, frame: Frame, span: Option<SpanId>) -> bool {
-        let ok = self.nic.ifq_enqueue(frame);
-        if ok {
-            self.tele.on_ifq_enqueue(span);
-        } else {
+    /// Enqueues an outgoing frame, with its causal-trace span, on the NIC
+    /// interface queue. Returns false when the queue was full: the frame
+    /// is dropped and counted.
+    pub(crate) fn ifq_enqueue(&mut self, frame: Frame, span: Option<NonZeroU64>) -> bool {
+        let ok = self.nic.ifq_enqueue(frame, span);
+        if !ok {
             self.stats.drop_at(DropPoint::IfQueue);
         }
         ok
@@ -780,7 +802,7 @@ impl Host {
                 + cost.ip_output
                 + cost.driver_tx_per_pkt;
             let dgram = seg.payload.frame(src.addr, dst.addr, &seg.hdr, ident);
-            self.ifq_enqueue_spanned(Frame::ipv4(dgram), None);
+            self.ifq_enqueue(Frame::ipv4(dgram), None);
         }
         total
     }
@@ -921,7 +943,6 @@ impl Host {
             self.tcp_timer_work.retain(|&x| x != sock);
             self.note_owner_work(s.owner, s.proto, false);
         }
-        self.tele.on_sock_close(sock.0 as u64);
         // The cwnd gauge forgets the socket; its maximum is recomputed
         // at the next tick if this socket held it.
         if s.cwnd_dirty {

@@ -5,13 +5,13 @@ use super::index::next_sock;
 use super::{sock_wchan, DropPoint, Host, IP_QUEUE_LIMIT, WC_RECV};
 use crate::config::Architecture;
 use crate::host::proto::ProtoCtx;
-use crate::telemetry::SpanId;
 use lrp_demux::{ChannelId, Verdict};
-use lrp_nic::{NicDrop, RxOutcome};
+use lrp_nic::{NicDrop, RxOutcome, Stamp};
 use lrp_sched::Pid;
 use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::SockId;
 use lrp_wire::Frame;
+use std::num::NonZeroU64;
 
 /// Maximum receive-ring frames the driver hands to the kernel per
 /// interrupt (BSD / SOFT-LRP / Early-Demux). Without interrupt coalescing
@@ -31,9 +31,9 @@ impl Host {
     /// CPU via the interrupt-preemption machinery. On SMP, each RX queue
     /// interrupts its target CPU (`rxq % ncpus`) — the RSS steering that
     /// spreads flows across processors.
-    pub fn on_frame_span(&mut self, now: SimTime, frame: Frame, span: Option<SpanId>) {
+    pub fn on_frame_span(&mut self, now: SimTime, frame: Frame, span: Option<NonZeroU64>) {
         let cost = self.cfg.cost;
-        match self.nic.rx_frame_at(now.as_nanos(), frame) {
+        match self.nic.rx_frame_spanned(now.as_nanos(), frame, span) {
             RxOutcome::Interrupt(rxq) => {
                 self.tele.on_rx(now, span);
                 let cpu = rxq % self.cpus.len();
@@ -43,7 +43,7 @@ impl Host {
                     // the NIC processor; the host pays only for the
                     // interrupt it requested.
                     if let Some(chan) = self.nic.last_rx_channel() {
-                        self.tele.on_chan_enqueue(now, cpu, chan, span);
+                        self.tele.on_enqueue(now, cpu, span);
                         self.note_chan_enqueue(chan);
                         self.note_intr_fired(chan);
                     }
@@ -59,7 +59,7 @@ impl Host {
                 // Otherwise coalesced: held in the ring until the next
                 // interrupt drains it, without its span.
                 if let Some(chan) = self.nic.last_rx_channel() {
-                    self.tele.on_chan_enqueue(now, 0, chan, span);
+                    self.tele.on_enqueue(now, 0, span);
                     self.note_chan_enqueue(chan);
                 }
             }
@@ -77,7 +77,7 @@ impl Host {
     /// back — into the shared IP queue (BSD; a full queue drops the frame
     /// after its per-frame handler work) or through the host's demux, in
     /// arrival order. The handler's cost covers the whole batch.
-    fn rx_interrupt(&mut self, now: SimTime, rxq: usize, cpu: usize, span: Option<SpanId>) {
+    fn rx_interrupt(&mut self, now: SimTime, rxq: usize, cpu: usize, span: Option<NonZeroU64>) {
         let cost = self.cfg.cost;
         let mut batch = std::mem::take(&mut self.rx_scratch);
         self.nic.ring_drain_into(rxq, RX_BATCH, &mut batch);
@@ -90,13 +90,14 @@ impl Host {
         let mut d = cost.hw_intr + cost.driver_rx_per_pkt * n as u64;
         for (i, f) in batch.drain(..).enumerate() {
             let span = span.filter(|_| tail && i + 1 == n);
+            let stamp = Stamp { at: now, span };
             if self.cfg.arch != Architecture::Bsd {
-                d += self.soft_demux_deliver(now, f, span);
+                d += self.soft_demux_deliver(now, f, stamp);
             } else if self.ip_queue.len() >= IP_QUEUE_LIMIT {
                 self.drop_frame(DropPoint::IpQueue);
             } else {
-                self.ip_queue.push_back(f);
-                self.tele.on_ipq_enqueue(now, span);
+                self.ip_queue.push_back((f, stamp));
+                self.tele.on_enqueue(now, 0, span);
             }
         }
         self.rx_scratch = batch;
@@ -106,29 +107,20 @@ impl Host {
     /// Host-interrupt-handler demux (SOFT-LRP and Early-Demux): classify,
     /// enqueue or discard, wake receivers. Returns the extra handler cost
     /// beyond the base interrupt cost.
-    fn soft_demux_deliver(
-        &mut self,
-        now: SimTime,
-        frame: Frame,
-        span: Option<SpanId>,
-    ) -> SimDuration {
+    fn soft_demux_deliver(&mut self, now: SimTime, frame: Frame, stamp: Stamp) -> SimDuration {
         let cost = self.cfg.cost;
         let cpu = self.cur_cpu;
         let mut extra = cost.demux_per_pkt;
         let verdict = self.nic.demux.classify(&frame);
+        let frag = self.nic.fragment_channel;
         let chan = match verdict {
             Verdict::Endpoint(c) => c,
-            Verdict::Fragment => self.nic.fragment_channel,
-            Verdict::IcmpDaemon | Verdict::ArpDaemon | Verdict::Forward => {
-                // Proxy daemons: queue on their channel if registered.
-                let p = self.nic.proxies();
-                match verdict {
-                    Verdict::IcmpDaemon => p.icmp,
-                    Verdict::ArpDaemon => p.arp,
-                    _ => p.forward,
-                }
-                .unwrap_or(self.nic.fragment_channel)
-            }
+            // Proxy daemons: queue on their channel if registered. ARP,
+            // which has none, and the unregistered share the fragment
+            // channel.
+            Verdict::IcmpDaemon => self.nic.proxies().icmp.unwrap_or(frag),
+            Verdict::Forward => self.nic.proxies().forward.unwrap_or(frag),
+            Verdict::Fragment | Verdict::ArpDaemon => frag,
             Verdict::NoMatch => {
                 self.drop_frame(DropPoint::NoSocket);
                 return extra;
@@ -161,14 +153,14 @@ impl Host {
             }
         }
         let was_empty = self.nic.channel(chan).is_empty();
-        if !self.nic.channel_mut(chan).enqueue(frame) {
+        if !self.nic.channel_mut(chan).enqueue(frame, stamp) {
             self.drop_frame(DropPoint::Channel);
             if let Some(s) = sock {
                 self.sock_mut(s).drops_channel += 1;
             }
             return extra;
         }
-        self.tele.on_chan_enqueue(now, cpu, chan, span);
+        self.tele.on_enqueue(now, cpu, stamp.span);
         self.note_chan_enqueue(chan);
         match self.cfg.arch {
             Architecture::EarlyDemux => {
@@ -316,10 +308,9 @@ impl Host {
         }
         match self.cfg.arch {
             Architecture::Bsd => {
-                let frame = self.ip_queue.pop_front()?;
-                let cpu = self.cur_cpu;
-                self.tele.on_ipq_dequeue(now, cpu);
-                let d = self.ip_deliver(now, frame, ProtoCtx::BsdSoftirq);
+                let (frame, stamp) = self.ip_queue.pop_front()?;
+                self.tele.on_ipq_dequeue(now, self.cur_cpu, stamp);
+                let d = self.ip_deliver(now, frame, stamp, ProtoCtx::BsdSoftirq);
                 Some((cost.softirq_dispatch + d, "ip-input"))
             }
             Architecture::EarlyDemux => {
@@ -332,15 +323,16 @@ impl Host {
                     if !self.nic.channel_exists(chan) {
                         continue;
                     }
-                    let Some(frame) = self.chan_dequeue(now, chan) else {
+                    let Some((frame, stamp)) = self.chan_dequeue(now, chan) else {
                         continue;
                     };
                     // More frames pending? Re-queue for fairness.
                     if !self.nic.channel(chan).is_empty() {
                         self.ed_pending.push_back(sock);
                     }
-                    self.tele.note_softirq_dispatch(now);
-                    let d = self.ip_deliver(now, frame, ProtoCtx::EarlyDemuxSoftirq { sock });
+                    self.tele.note_softirq_dispatch(now, stamp);
+                    let ctx = ProtoCtx::EarlyDemuxSoftirq { sock };
+                    let d = self.ip_deliver(now, frame, stamp, ctx);
                     return Some((cost.softirq_dispatch + d, "ed-input"));
                 }
                 None
@@ -392,8 +384,8 @@ impl Host {
             let udp = s.proto != crate::syscall::SockProto::Tcp;
             (udp && s.rcvq.space() > 0).then_some((id, s.chan?, s.owner))
         })?;
-        let frame = self.chan_dequeue(now, chan)?;
-        let d = self.ip_deliver(now, frame, ProtoCtx::Lrp { sock, lazy: false });
+        let (frame, stamp) = self.chan_dequeue(now, chan)?;
+        let d = self.ip_deliver(now, frame, stamp, ProtoCtx::Lrp { sock, lazy: false });
         // Wake a blocked receiver now that processed data is ready.
         if self.sched.has_sleeper(sock_wchan(sock, WC_RECV)) {
             self.wake_sock(sock, WC_RECV);
@@ -427,11 +419,11 @@ impl Host {
                     continue;
                 }
             }
-            let Some(frame) = self.chan_dequeue(now, chan) else {
+            let Some((frame, stamp)) = self.chan_dequeue(now, chan) else {
                 continue;
             };
             let owner = self.sock(sock).owner;
-            let d = self.ip_deliver(now, frame, ProtoCtx::Lrp { sock, lazy: false });
+            let d = self.ip_deliver(now, frame, stamp, ProtoCtx::Lrp { sock, lazy: false });
             return Some((d, owner));
         }
         None

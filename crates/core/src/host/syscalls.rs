@@ -381,8 +381,8 @@ impl Host {
         if !self.nic.channel_exists(chan) {
             return None;
         }
-        let frame = self.chan_dequeue(now, chan)?;
-        Some(self.ip_deliver(now, frame, ProtoCtx::Lrp { sock, lazy: true }))
+        let (frame, stamp) = self.chan_dequeue(now, chan)?;
+        Some(self.ip_deliver(now, frame, stamp, ProtoCtx::Lrp { sock, lazy: true }))
     }
 
     /// Blocks the caller on `sock`'s wait channel `kind`, to resume with
@@ -478,7 +478,7 @@ impl Host {
         };
         let mut dropped = false;
         for f in frames {
-            dropped |= !self.ifq_enqueue_spanned(lrp_wire::Frame::ipv4(f), span);
+            dropped |= !self.ifq_enqueue(lrp_wire::Frame::ipv4(f), span);
         }
         let ret = if dropped {
             SyscallRet::Err(Errno::NoBufs)
@@ -502,7 +502,7 @@ impl Host {
         if let Some(d) = self.sock_mut(sock).rcvq.dequeue() {
             let n = d.payload.len().min(max_len);
             let owner = self.sock(sock).owner;
-            self.tele.on_recv(now, self.cur_cpu, sock.0 as u64, owner.0);
+            self.tele.on_recv(now, self.cur_cpu, d.span, owner.0);
             // A user buffer smaller than the datagram truncates it (copy);
             // the common full-size receive hands the buffer over as-is.
             let payload = if n < d.payload.len() {
@@ -540,8 +540,6 @@ impl Host {
             let (data, tx) = self.tcp_run(now, sock, |conn, out| conn.read_into(max_len, out));
             let n = data.len();
             self.stats.tcp_delivered_bytes += n as u64;
-            let owner = self.sock(sock).owner;
-            self.tele.on_recv(now, self.cur_cpu, sock.0 as u64, owner.0);
             let dur = cost.sock_dequeue + cost.copy(n) + tx;
             return PhaseOut::ret(dur, SyscallRet::Data(data.into()));
         }

@@ -3,8 +3,8 @@
 //!
 //! Everything in this module is *pure observation*. Hooks are called from
 //! the host's packet path at logic time; they record into side structures
-//! (the span log, [`Histogram`]s, counters and timestamp sidecars) and
-//! never touch the cost model, the scheduler, queue contents or any RNG —
+//! (the span log, [`Histogram`]s and counters) and never touch the cost
+//! model, the scheduler, queue contents or any RNG —
 //! so a run with telemetry enabled is bit-identical, in simulated time and
 //! in every statistic, to the same run with it disabled. The determinism
 //! goldens in `tests/determinism.rs` enforce this: the experiment builders
@@ -30,10 +30,12 @@
 use crate::host::{DropPoint, Host};
 use crate::watchdog::{AnomalyEvent, Watchdog, WatchdogSample};
 use lrp_demux::ChannelId;
+use lrp_nic::Stamp;
 use lrp_sched::{Pid, ProcState};
 use lrp_sim::{CycleAccount, CycleKey, FastHashMap, Histogram, MetricsTimeline, SimTime, Tally};
 use lrp_wire::Frame;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::num::NonZeroU64;
 
 /// Maximum stored span events per host; further events are counted in
 /// [`Telemetry::span_events_dropped`] and discarded.
@@ -41,8 +43,10 @@ pub const SPAN_LOG_CAP: usize = 1 << 20;
 
 /// A causal request span identifier. Minted by the world at the traffic
 /// injector (`(injector + 1) << 48 | seq`) or by a sending host
-/// (`1 << 63 | addr-octet << 48 | seq`), and carried alongside — never
-/// inside — the frame through NIC, queues, sockets and replies.
+/// (`1 << 63 | addr-octet << 48 | seq`), so never 0, and carried beside —
+/// never inside — the frame: in the event that brings it, in each queue
+/// entry that holds it ([`Stamp`]), in the datagram it delivers, and on
+/// the reply.
 pub type SpanId = u64;
 
 /// One recorded point on a request span's path.
@@ -133,15 +137,6 @@ struct ProcCpuChange {
     user_ns: u64,
 }
 
-/// The slot for dense id `i` in a sidecar indexed by id, grown to reach
-/// it.
-fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
-    if i >= v.len() {
-        v.resize_with(i + 1, T::default);
-    }
-    &mut v[i]
-}
-
 /// Per-host telemetry state (see the module docs).
 #[derive(Debug)]
 pub struct Telemetry {
@@ -154,29 +149,12 @@ pub struct Telemetry {
     pub softirq_dispatch: Histogram,
     /// The anomaly watchdog, fed one sample per statclock tick.
     watchdog: Watchdog,
-    /// Enqueue timestamps + spans paralleling the BSD IP queue (FIFO,
-    /// tail-drop before enqueue — mirrors the frame queue exactly).
-    ipq_ts: VecDeque<(SimTime, Option<SpanId>)>,
-    /// Enqueue timestamps + spans paralleling each NI channel's frame
-    /// queue, indexed by `ChannelId` (the NIC reuses the lowest free id,
-    /// so a destroyed channel's slot is emptied, not freed).
-    chan_ts: Vec<VecDeque<(SimTime, Option<SpanId>)>>,
-    /// NIC arrival time of the frame most recently dequeued for protocol
-    /// processing (consumed by the delivery hook).
-    cur_arrival: Option<SimTime>,
-    /// Span of the frame most recently dequeued for protocol processing.
-    cur_span: Option<SpanId>,
-    /// Spans paralleling each socket's receive queue, indexed by raw
-    /// sock id (pushed at delivery, popped at recv).
-    sock_spans: Vec<VecDeque<Option<SpanId>>>,
-    /// Spans paralleling the NIC interface (transmit) queue.
-    ifq_spans: VecDeque<Option<SpanId>>,
     /// Per process, indexed by raw pid: the span of the last datagram it
     /// received, consumed by its next send — a reply continues the
     /// request's span.
-    last_recv_span: Vec<Option<SpanId>>,
+    last_recv_span: Vec<Option<NonZeroU64>>,
     /// Tag prefix for spans minted at this host's send path.
-    span_tag: SpanId,
+    span_tag: NonZeroU64,
     /// Sequence counter for host-minted spans.
     local_span_seq: u64,
     /// Recorded span events, in time order (packed; unpacked on export).
@@ -254,14 +232,8 @@ impl Telemetry {
             channel_residency: Histogram::new(),
             softirq_dispatch: Histogram::new(),
             watchdog: Watchdog::new(),
-            ipq_ts: VecDeque::new(),
-            chan_ts: Vec::new(),
-            cur_arrival: None,
-            cur_span: None,
-            sock_spans: Vec::new(),
-            ifq_spans: VecDeque::new(),
             last_recv_span: Vec::new(),
-            span_tag: 1 << 63,
+            span_tag: NonZeroU64::new(1 << 63).expect("non-zero"),
             local_span_seq: 0,
             span_log: Vec::new(),
             span_events_dropped: 0,
@@ -296,16 +268,16 @@ impl Telemetry {
 
     /// Appends one span event, bounded by [`SPAN_LOG_CAP`] and by what
     /// [`PackedSpanEvent`] can hold.
-    fn span_ev(&mut self, now: SimTime, stage: u8, span: Option<SpanId>, cpu: usize) {
+    fn span_ev(&mut self, now: SimTime, stage: u8, span: Option<NonZeroU64>, cpu: usize) {
         let Some(span) = span else { return };
-        match PackedSpanEvent::pack(span, now.as_nanos(), cpu, stage) {
+        match PackedSpanEvent::pack(span.get(), now.as_nanos(), cpu, stage) {
             Some(p) if self.span_log.len() < SPAN_LOG_CAP => self.span_log.push(p),
             _ => self.span_events_dropped += 1,
         }
     }
 
     /// A traffic injector minted `span` for a frame bound for this host.
-    pub(crate) fn on_span_inject(&mut self, now: SimTime, span: SpanId) {
+    pub(crate) fn on_span_inject(&mut self, now: SimTime, span: NonZeroU64) {
         if self.enabled {
             self.span_ev(now, SP_INJECT, Some(span), 0);
         }
@@ -313,94 +285,69 @@ impl Telemetry {
 
     /// A frame arrived at the NIC (rx-DMA); `span` is the causal span
     /// riding with the frame.
-    pub(crate) fn on_rx(&mut self, now: SimTime, span: Option<SpanId>) {
+    pub(crate) fn on_rx(&mut self, now: SimTime, span: Option<NonZeroU64>) {
         if self.enabled {
             self.span_ev(now, SP_RX, span, 0);
         }
     }
 
-    /// A frame entered the BSD shared IP queue.
-    pub(crate) fn on_ipq_enqueue(&mut self, now: SimTime, span: Option<SpanId>) {
+    /// A frame entered the BSD shared IP queue or an NI channel (by the
+    /// host handler or by NI firmware).
+    pub(crate) fn on_enqueue(&mut self, now: SimTime, cpu: usize, span: Option<NonZeroU64>) {
         if self.enabled {
-            self.ipq_ts.push_back((now, span));
-            self.span_ev(now, SP_ENQ, span, 0);
-        }
-    }
-
-    /// The softirq took a frame off the IP queue: dispatch-delay sample
-    /// and arrival bookkeeping.
-    pub(crate) fn on_ipq_dequeue(&mut self, now: SimTime, cpu: usize) {
-        if self.enabled {
-            if let Some((t, span)) = self.ipq_ts.pop_front() {
-                self.softirq_dispatch.record_duration(now - t);
-                self.cur_arrival = Some(t);
-                self.cur_span = span;
-                self.span_ev(now, SP_DEQ, span, cpu);
-            }
-        }
-    }
-
-    /// A frame was enqueued on an NI channel (by the host handler or by
-    /// NI firmware).
-    pub(crate) fn on_chan_enqueue(
-        &mut self,
-        now: SimTime,
-        cpu: usize,
-        chan: ChannelId,
-        span: Option<SpanId>,
-    ) {
-        if self.enabled {
-            slot(&mut self.chan_ts, chan.0 as usize).push_back((now, span));
             self.span_ev(now, SP_ENQ, span, cpu);
         }
     }
 
-    /// A frame left an NI channel for protocol processing: residency
-    /// sample and arrival bookkeeping.
-    pub(crate) fn on_chan_dequeue(&mut self, now: SimTime, cpu: usize, chan: ChannelId) {
+    /// The softirq took a frame stamped `stamp` off the IP queue:
+    /// dispatch-delay sample.
+    pub(crate) fn on_ipq_dequeue(&mut self, now: SimTime, cpu: usize, stamp: Stamp) {
         if self.enabled {
-            let ts = self.chan_ts.get_mut(chan.0 as usize);
-            if let Some((t, span)) = ts.and_then(|q| q.pop_front()) {
-                self.channel_residency.record_duration(now - t);
-                self.cur_arrival = Some(t);
-                self.cur_span = span;
-                self.span_ev(now, SP_DEQ, span, cpu);
-            }
+            self.softirq_dispatch.record_duration(now - stamp.at);
+            self.span_ev(now, SP_DEQ, stamp.span, cpu);
         }
     }
 
-    /// An eager softirq (Early-Demux) dispatched the just-dequeued frame:
-    /// the channel residency *is* the dispatch delay.
-    pub(crate) fn note_softirq_dispatch(&mut self, now: SimTime) {
+    /// A frame stamped `stamp` left an NI channel for protocol
+    /// processing: residency sample.
+    pub(crate) fn on_chan_dequeue(&mut self, now: SimTime, cpu: usize, stamp: Stamp) {
         if self.enabled {
-            if let Some(arr) = self.cur_arrival {
-                self.softirq_dispatch.record_duration(now - arr);
-            }
+            self.channel_residency.record_duration(now - stamp.at);
+            self.span_ev(now, SP_DEQ, stamp.span, cpu);
+        }
+    }
+
+    /// An eager softirq (Early-Demux) dispatched a frame just dequeued
+    /// from its channel: the channel residency *is* the dispatch delay.
+    pub(crate) fn note_softirq_dispatch(&mut self, now: SimTime, stamp: Stamp) {
+        if self.enabled {
+            self.softirq_dispatch.record_duration(now - stamp.at);
+        }
+    }
+
+    /// A datagram landed in a socket receive buffer, delivered by a frame
+    /// stamped `stamp` (`None` when the frame that completed it is not
+    /// known).
+    fn on_delivered(&mut self, now: SimTime, cpu: usize, stamp: Option<Stamp>) {
+        if let Some(stamp) = stamp {
+            self.arrival_to_deliver.record_duration(now - stamp.at);
+            self.span_ev(now, SP_DELIVER, stamp.span, cpu);
         }
     }
 
     /// A UDP datagram landed in a socket receive buffer.
-    pub(crate) fn on_udp_delivered(&mut self, now: SimTime, cpu: usize, sock: u64) {
+    pub(crate) fn on_udp_delivered(&mut self, now: SimTime, cpu: usize, stamp: Option<Stamp>) {
         if self.enabled {
             self.delivered_udp += 1;
-            if let Some(arr) = self.cur_arrival.take() {
-                self.arrival_to_deliver.record_duration(now - arr);
-            }
-            let span = self.cur_span.take();
-            slot(&mut self.sock_spans, sock as usize).push_back(span);
-            self.span_ev(now, SP_DELIVER, span, cpu);
+            self.on_delivered(now, cpu, stamp);
         }
     }
 
     /// An ICMP message landed in the proxy daemon's raw socket.
-    pub(crate) fn on_icmp_delivered(&mut self, now: SimTime, cpu: usize) {
+    pub(crate) fn on_icmp_delivered(&mut self, now: SimTime, cpu: usize, stamp: Option<Stamp>) {
         if self.enabled {
             self.delivered_icmp += 1;
-            if let Some(arr) = self.cur_arrival.take() {
-                self.arrival_to_deliver.record_duration(now - arr);
-            }
-            let span = self.cur_span.take();
-            self.span_ev(now, SP_DELIVER, span, cpu);
+            self.on_delivered(now, cpu, stamp);
         }
     }
 
@@ -408,8 +355,6 @@ impl Telemetry {
     pub(crate) fn on_tcp_frame(&mut self) {
         if self.enabled {
             self.tcp_frames += 1;
-            self.cur_arrival = None;
-            self.cur_span = None;
         }
     }
 
@@ -417,8 +362,6 @@ impl Telemetry {
     pub(crate) fn on_forwarded(&mut self) {
         if self.enabled {
             self.forwarded += 1;
-            self.cur_arrival = None;
-            self.cur_span = None;
         }
     }
 
@@ -426,8 +369,6 @@ impl Telemetry {
     pub(crate) fn on_arp(&mut self) {
         if self.enabled {
             self.arp_frames += 1;
-            self.cur_arrival = None;
-            self.cur_span = None;
         }
     }
 
@@ -436,8 +377,6 @@ impl Telemetry {
     pub(crate) fn on_reasm_absorbed(&mut self) {
         if self.enabled {
             self.reasm_absorbed += 1;
-            self.cur_arrival = None;
-            self.cur_span = None;
         }
     }
 
@@ -457,7 +396,7 @@ impl Telemetry {
     /// A channel was destroyed with `n` frames still queued: they died
     /// with their crashed owner (`owner_dead`) or were flushed by an
     /// orderly close.
-    pub(crate) fn on_chan_destroy(&mut self, chan: ChannelId, n: usize, owner_dead: bool) {
+    pub(crate) fn on_chan_destroy(&mut self, n: usize, owner_dead: bool) {
         if self.enabled {
             let bucket = if owner_dead {
                 &mut self.owner_dead
@@ -465,9 +404,6 @@ impl Telemetry {
                 &mut self.flushed
             };
             *bucket += n as u64;
-            if let Some(q) = self.chan_ts.get_mut(chan.0 as usize) {
-                q.clear();
-            }
         }
     }
 
@@ -514,58 +450,42 @@ impl Telemetry {
         }
     }
 
-    /// Whole-host reboot: drop every queue sidecar in lockstep with the
-    /// queues themselves (rings, channels, IP queue, transmit queue,
-    /// reply-span associations). Socket sidecars are cleared socket by
-    /// socket through [`Self::on_sock_close`]. Unconditional — the
-    /// sidecars are empty when telemetry is off, so this is a no-op then.
-    pub(crate) fn on_reboot_clear_sidecars(&mut self) {
-        self.ipq_ts.clear();
-        self.chan_ts.iter_mut().for_each(VecDeque::clear);
-        self.ifq_spans.clear();
+    /// Whole-host reboot: every process dies, so no later send continues
+    /// a span received before it. Unconditional — the table is empty
+    /// when telemetry is off.
+    pub(crate) fn on_reboot(&mut self) {
         self.last_recv_span.fill(None);
-        self.cur_arrival = None;
-        self.cur_span = None;
     }
 
-    /// A receive call returned data to the application. `pid` is the
-    /// receiving process; a subsequent send by it continues this span —
-    /// unless this host minted the span itself, in which case the
-    /// request has come back to its originator, the round trip is
-    /// complete, and the next send starts a fresh span (otherwise a
-    /// ping-pong session would chain every round into one giant span).
-    pub(crate) fn on_recv(&mut self, now: SimTime, cpu: usize, sock: u64, pid: u32) {
+    /// A receive call returned a datagram that `span` delivered to the
+    /// application. `pid` is the receiving process; a subsequent send by
+    /// it continues this span — unless this host minted the span itself,
+    /// in which case the request has come back to its originator, the
+    /// round trip is complete, and the next send starts a fresh span
+    /// (otherwise a ping-pong session would chain every round into one
+    /// giant span).
+    pub(crate) fn on_recv(&mut self, now: SimTime, cpu: usize, span: Option<NonZeroU64>, pid: u32) {
         if self.enabled {
-            let spans = self.sock_spans.get_mut(sock as usize);
-            if let Some(span) = spans.and_then(|q| q.pop_front()) {
-                self.span_ev(now, SP_RECV, span, cpu);
-                if let Some(s) = span {
-                    if s >> 48 != self.span_tag >> 48 {
-                        *slot(&mut self.last_recv_span, pid as usize) = Some(s);
-                    }
+            self.span_ev(now, SP_RECV, span, cpu);
+            if let Some(s) = span.filter(|s| s.get() >> 48 != self.span_tag.get() >> 48) {
+                let pid = pid as usize;
+                if pid >= self.last_recv_span.len() {
+                    self.last_recv_span.resize(pid + 1, None);
                 }
+                self.last_recv_span[pid] = Some(s);
             }
         }
     }
 
-    /// A socket is being freed: drop its span sidecar (any still-queued
-    /// datagrams' spans end here). Socket ids are never reused, so the
-    /// slot's storage goes too.
-    pub(crate) fn on_sock_close(&mut self, sock: u64) {
-        if let Some(q) = self.sock_spans.get_mut(sock as usize) {
-            *q = VecDeque::new();
-        }
-    }
-
     /// Sets the prefix for host-minted spans (from the host address).
-    pub(crate) fn set_span_tag(&mut self, tag: SpanId) {
+    pub(crate) fn set_span_tag(&mut self, tag: NonZeroU64) {
         self.span_tag = tag;
     }
 
     /// A process is sending a datagram: returns the span to ride on the
     /// outgoing frame. A reply (the process received earlier) continues
     /// the request's span; an originating send mints a fresh one.
-    pub(crate) fn on_tx(&mut self, now: SimTime, cpu: usize, pid: u32) -> Option<SpanId> {
+    pub(crate) fn on_tx(&mut self, now: SimTime, cpu: usize, pid: u32) -> Option<NonZeroU64> {
         if !self.enabled {
             return None;
         }
@@ -582,20 +502,6 @@ impl Telemetry {
         };
         self.span_ev(now, SP_TX, Some(span), cpu);
         Some(span)
-    }
-
-    /// A frame entered the NIC interface (transmit) queue: keep the span
-    /// sidecar aligned. Call only on successful enqueue.
-    pub(crate) fn on_ifq_enqueue(&mut self, span: Option<SpanId>) {
-        if self.enabled {
-            self.ifq_spans.push_back(span);
-        }
-    }
-
-    /// The world took a frame off the interface queue for transmission:
-    /// pop the riding span.
-    pub(crate) fn ifq_pop_span(&mut self) -> Option<SpanId> {
-        self.ifq_spans.pop_front().flatten()
     }
 
     /// Recorded span events, in time order (unpacked from the compact
@@ -857,20 +763,16 @@ impl Host {
         }
     }
 
-    /// Dequeues a frame from an NI channel, recording channel residency.
-    /// The single choke point for channel dequeues keeps the telemetry
-    /// timestamp sidecars aligned with the frame queues.
-    pub(crate) fn chan_dequeue(&mut self, now: SimTime, chan: ChannelId) -> Option<Frame> {
+    /// Dequeues a frame and its stamp from an NI channel for protocol
+    /// processing, recording channel residency.
+    pub(crate) fn chan_dequeue(&mut self, now: SimTime, chan: ChannelId) -> Option<(Frame, Stamp)> {
         let ch = self.nic.channel_mut(chan);
-        let f = ch.dequeue();
-        if f.is_some() {
-            if ch.is_empty() {
-                self.note_chan_empty(chan);
-            }
-            let cpu = self.cur_cpu;
-            self.tele.on_chan_dequeue(now, cpu, chan);
+        let (frame, stamp) = ch.dequeue()?;
+        if ch.is_empty() {
+            self.note_chan_empty(chan);
         }
-        f
+        self.tele.on_chan_dequeue(now, self.cur_cpu, stamp);
+        Some((frame, stamp))
     }
 
     /// A frame the host accepted dies at `p`: counted in host statistics
@@ -974,16 +876,8 @@ impl Host {
     }
 
     /// The world minted `span` for an injected frame bound for this host.
-    pub(crate) fn note_injected_span(&mut self, now: SimTime, span: SpanId) {
+    pub(crate) fn note_injected_span(&mut self, now: SimTime, span: NonZeroU64) {
         self.tele.on_span_inject(now, span);
-    }
-
-    /// Dequeues the next outgoing frame plus its riding span (called by
-    /// the world's link pump).
-    pub fn ifq_dequeue_spanned(&mut self) -> Option<(Frame, Option<SpanId>)> {
-        let f = self.nic.ifq_dequeue()?;
-        let span = self.tele.ifq_pop_span();
-        Some((f, span))
     }
 }
 
@@ -997,13 +891,13 @@ mod tests {
     #[test]
     fn span_log_is_bounded() {
         let mut tele = Telemetry::new(true);
-        for i in 0..SPAN_LOG_CAP as u64 + 3 {
-            tele.on_span_inject(SimTime::from_nanos(i), i);
+        for i in 1..=SPAN_LOG_CAP as u64 + 3 {
+            tele.on_span_inject(SimTime::from_nanos(i), NonZeroU64::new(i).unwrap());
         }
         let log = tele.span_log();
         assert_eq!(log.len(), SPAN_LOG_CAP);
         assert_eq!(tele.span_events_dropped, 3);
-        assert_eq!(log.last().unwrap().span, SPAN_LOG_CAP as u64 - 1);
+        assert_eq!(log.last().unwrap().span, SPAN_LOG_CAP as u64);
     }
 
     /// The packed word's limits: the last time and CPU that fit come
@@ -1013,14 +907,19 @@ mod tests {
         let mut tele = Telemetry::new(true);
         let last = SimTime::from_nanos(PackedSpanEvent::T_LIMIT - 1);
         let cpu = PackedSpanEvent::CPU_LIMIT - 1;
-        tele.span_ev(last, SP_TX, Some(u64::MAX), cpu);
+        tele.span_ev(last, SP_TX, NonZeroU64::new(u64::MAX), cpu);
         tele.span_ev(
             SimTime::from_nanos(PackedSpanEvent::T_LIMIT),
             SP_TX,
-            Some(1),
+            NonZeroU64::new(1),
             0,
         );
-        tele.span_ev(SimTime::ZERO, SP_TX, Some(2), PackedSpanEvent::CPU_LIMIT);
+        tele.span_ev(
+            SimTime::ZERO,
+            SP_TX,
+            NonZeroU64::new(2),
+            PackedSpanEvent::CPU_LIMIT,
+        );
         let want = SpanEvent {
             span: u64::MAX,
             t_ns: (1 << 55) - 1,

@@ -3,7 +3,6 @@
 
 use crate::config::TICK;
 use crate::host::Host;
-use crate::telemetry::SpanId;
 use lrp_net::{FaultPlan, FaultStats, Injector, LinkConfig, LinkFaults, TxLink};
 use lrp_sim::{EventQueue, SimTime};
 use lrp_wire::{ipv4, Frame, Ipv4Addr};
@@ -198,9 +197,7 @@ impl World {
 
     /// Schedules a frame's arrival at `dst`, passing it through the
     /// destination's fault stage if one is installed.
-    fn deliver(&mut self, arrival: SimTime, dst: usize, frame: Frame, span: Option<SpanId>) {
-        debug_assert_ne!(span, Some(0), "spans are minted non-zero");
-        let span = span.and_then(NonZeroU64::new);
+    fn deliver(&mut self, arrival: SimTime, dst: usize, frame: Frame, span: Option<NonZeroU64>) {
         let (faults, dst) = (&mut self.faults[dst], dst as u32);
         match faults {
             None => {
@@ -310,7 +307,7 @@ impl World {
         if !self.links[h].idle_at(self.now) {
             return;
         }
-        let Some((frame, span)) = self.hosts[h].ifq_dequeue_spanned() else {
+        let Some((frame, span)) = self.hosts[h].nic.ifq_dequeue() else {
             return;
         };
         let (done, arrival) = self.links[h].transmit(self.now, &frame);
@@ -363,7 +360,7 @@ impl World {
                             log.push((t, h, frame.describe()));
                         }
                     }
-                    self.hosts[h].on_frame_span(t, frame, span.map(NonZeroU64::get));
+                    self.hosts[h].on_frame_span(t, frame, span);
                     self.post_host(h);
                 }
                 Event::Cpu(h, c, gen) => {
@@ -390,7 +387,8 @@ impl World {
                     let target = *target;
                     // Mint the causal span before firing: injector index
                     // in the high bits, per-injector sequence below.
-                    let span: SpanId = ((i as u64 + 1) << 48) | inj.emitted();
+                    let span = NonZeroU64::new(((i as u64 + 1) << 48) | inj.emitted())
+                        .expect("the injector tag is non-zero");
                     let frame = inj.fire();
                     let next = inj.next_fire();
                     let latency = self.link_cfg.latency;
@@ -463,6 +461,27 @@ mod tests {
             sizes[0], sizes[1], sizes[2]
         );
         assert_eq!(sizes, [88, 72, 16]);
+    }
+
+    /// A queued receive frame, on an NI channel or BSD's IP queue, is its
+    /// 16-byte frame and a 16-byte stamp; a datagram in a socket buffer
+    /// carries its span in 8 bytes beside its endpoint and payload.
+    #[test]
+    fn a_queued_frame_is_32_bytes_and_a_datagram_24() {
+        use lrp_nic::Stamp;
+        use lrp_stack::sockbuf::Datagram;
+        use std::mem::size_of;
+        let sizes = [
+            size_of::<Frame>(),
+            size_of::<(Frame, Stamp)>(),
+            size_of::<(lrp_wire::Endpoint, lrp_wire::FrameBuf)>(),
+            size_of::<Datagram>(),
+        ];
+        println!(
+            "Frame {} B, queued {} B, datagram {} B of {} B",
+            sizes[0], sizes[1], sizes[3], sizes[2]
+        );
+        assert_eq!(sizes, [16, 32, 16, 24]);
     }
 
     /// A socket-table slot, in a page of `PAGE` whether live or not

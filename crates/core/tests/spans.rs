@@ -7,10 +7,14 @@
 use std::collections::BTreeMap;
 
 use lrp_apps::{BlastSink, Shared, SinkMetrics};
-use lrp_core::{Architecture, Host, HostConfig, SpanEvent, World};
+use lrp_core::{
+    AppCtx, AppLogic, Architecture, Host, HostConfig, SockProto, SpanEvent, SyscallOp, SyscallRet,
+    World,
+};
 use lrp_net::{Injector, Pattern};
 use lrp_nic::NicFaultPlan;
-use lrp_sim::SimTime;
+use lrp_sim::{SimDuration, SimTime};
+use lrp_stack::SockId;
 use lrp_wire::{udp, Frame, Ipv4Addr};
 
 const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
@@ -251,4 +255,93 @@ fn span_log_is_time_ordered_and_matches_the_histograms() {
         };
         assert_eq!(queue_wait.count(), count(&log, "deq"), "{arch}");
     }
+}
+
+/// Binds a UDP socket to port 9000 and computes while frames queue on
+/// its channel, closes it with them still queued, then binds a fresh
+/// socket to port 9001 and receives one datagram on it.
+struct ReopenAndReceive {
+    step: u32,
+    sock: Option<SockId>,
+}
+
+impl AppLogic for ReopenAndReceive {
+    fn start(&mut self, _ctx: AppCtx) -> SyscallOp {
+        SyscallOp::Socket(SockProto::Udp)
+    }
+    fn resume(&mut self, _ctx: AppCtx, ret: SyscallRet) -> SyscallOp {
+        if let SyscallRet::Socket(s) = ret {
+            self.sock = Some(s);
+        }
+        let sock = self.sock.expect("a socket first");
+        self.step += 1;
+        match self.step {
+            1 => SyscallOp::Bind { sock, port: 9000 },
+            2 => SyscallOp::Compute(SimDuration::from_millis(30)),
+            3 => SyscallOp::Close { sock },
+            4 => SyscallOp::Socket(SockProto::Udp),
+            5 => SyscallOp::Bind { sock, port: 9001 },
+            6 => SyscallOp::Recv { sock, max_len: 64 },
+            _ => SyscallOp::Exit,
+        }
+    }
+}
+
+/// `count` datagrams to `port` on B, one a millisecond from `start_ms`.
+fn datagrams(port: u16, start_ms: u64, count: u64) -> Injector {
+    let frame = move |seq: u64| {
+        Frame::ipv4(udp::build_datagram(
+            A, B, 6000, port, seq as u16, &[0; 14], false,
+        ))
+    };
+    Injector::new(
+        Pattern::FixedRate { pps: 1_000.0 },
+        SimTime::from_millis(start_ms),
+        3,
+        frame,
+    )
+    .stop_at(SimTime::from_millis(start_ms + count - 1) + SimDuration::from_micros(500))
+}
+
+/// A channel destroyed while it still holds frames leaves nothing behind
+/// for the channel that reuses its id: the one frame through the new
+/// channel is its one residency sample, and the sample is that frame's
+/// own wait (dequeue minus enqueue in the span log).
+#[test]
+fn a_reused_channel_id_times_only_its_own_frames() {
+    let mut cfg = HostConfig::new(Architecture::NiLrp);
+    cfg.telemetry = true;
+    let mut host = Host::new(cfg, B);
+    let app = ReopenAndReceive {
+        step: 0,
+        sock: None,
+    };
+    host.spawn_app("reopen", 0, 0, Box::new(app));
+    let mut world = World::with_defaults();
+    let b = world.add_host(host);
+    world.add_injector(b, datagrams(9000, 5, 3));
+    world.add_injector(b, datagrams(9001, 50, 1));
+    world.run_until(SimTime::from_millis(20));
+    let chans = world.hosts[b].nic.channel_ids();
+    let held = *chans.last().expect("the socket's channel");
+    assert_eq!(world.hosts[b].nic.channel(held).depth(), 3);
+    world.run_until(SimTime::from_millis(100));
+    let h = &world.hosts[b];
+    assert_eq!(h.nic.channel_ids(), chans, "the new channel reuses the id");
+    let tele = h.telemetry();
+    assert_eq!(tele.flushed, 3, "the held frames died with their channel");
+    assert_eq!(tele.delivered_udp, 1);
+    let res = &tele.channel_residency;
+    assert_eq!(res.count(), 1);
+    let log = tele.span_log();
+    let inject = log.iter().rfind(|e| e.stage == "inject");
+    let span = inject.expect("the frame to port 9001").span;
+    let at = |stage| {
+        log.iter()
+            .find(|e| e.span == span && e.stage == stage)
+            .unwrap_or_else(|| panic!("no {stage}"))
+            .t_ns
+    };
+    assert_eq!(res.max(), at("deq") - at("enq"));
+    assert!(res.max() > 0, "the frame waited for its receiver");
 }

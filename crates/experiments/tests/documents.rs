@@ -2,8 +2,11 @@
 //! registry entry: the document names its experiment, conforms to the
 //! envelope schema and to the experiment's data schema where one exists,
 //! and every host report in it passed the packet-conservation
-//! self-check. CI's `validate_results` applies the same gates to the
-//! freshly regenerated files; here they hold for the committed ones.
+//! self-check. Beside them: every file in `schemas/` is the envelope or
+//! the data schema of a registry entry, and the livelock timeline shows
+//! the paper's headline asymmetry as detected anomalies. CI regenerates
+//! the documents and requires them byte-identical to the committed ones,
+//! so these gates hold for the regenerated files too.
 
 use std::path::{Path, PathBuf};
 
@@ -82,4 +85,72 @@ documents! {
     crash_recovery,
     cc_sweep,
     livelock_timeline,
+}
+
+/// Every file in `schemas/` is the envelope or the data schema of a
+/// registry entry with a committed document: a schema added without its
+/// experiment, left behind by a renamed one, or misnamed would otherwise
+/// silently stop being checked.
+#[test]
+fn every_schema_belongs_to_a_document() {
+    let names: Vec<&str> = lrp_experiments::EXPERIMENTS
+        .iter()
+        .map(|e| e.name)
+        .collect();
+    let mut errs = Vec::new();
+    for entry in std::fs::read_dir(schemas_dir()).unwrap() {
+        let file = entry.unwrap().file_name().into_string().unwrap();
+        if file == "results.schema.json" {
+            continue;
+        }
+        match file.strip_suffix(".data.schema.json") {
+            Some(exp)
+                if names.contains(&exp) && results_dir().join(format!("{exp}.json")).exists() => {}
+            Some(_) => errs.push(format!(
+                "schemas/{file}: orphan, no registry entry's document"
+            )),
+            None => errs.push(format!(
+                "schemas/{file}: neither results.schema.json nor <exp>.data.schema.json"
+            )),
+        }
+    }
+    assert!(errs.is_empty(), "{errs:#?}");
+}
+
+/// `livelock_onset` anomalies the watchdog recorded for `arch` in the
+/// livelock timeline document.
+fn livelock_onsets(doc: &Json, arch: &str) -> usize {
+    let entry = doc
+        .get("data")
+        .and_then(Json::as_arr)
+        .and_then(|d| {
+            d.iter()
+                .find(|e| e.get("arch").and_then(Json::as_str) == Some(arch))
+        })
+        .unwrap_or_else(|| panic!("livelock_timeline has no {arch} entry"));
+    let events = entry
+        .get("anomalies")
+        .and_then(|a| a.get("events"))
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("livelock_timeline: no anomaly events for {arch}"));
+    events
+        .iter()
+        .filter(|e| e.get("kind").and_then(Json::as_str) == Some("livelock_onset"))
+        .count()
+}
+
+/// The paper's headline as the watchdog sees it: under the blast 4.4BSD
+/// trips livelock onset, NI-LRP never does.
+#[test]
+fn the_watchdog_sees_bsd_livelock_and_ni_lrp_never() {
+    let doc = load(&results_dir().join("livelock_timeline.json"));
+    assert!(
+        livelock_onsets(&doc, "4.4BSD") > 0,
+        "4.4BSD shows no livelock_onset"
+    );
+    assert_eq!(
+        livelock_onsets(&doc, "NI-LRP"),
+        0,
+        "NI-LRP shows livelock_onset"
+    );
 }

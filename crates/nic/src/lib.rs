@@ -22,11 +22,24 @@
 #![warn(missing_docs)]
 
 use lrp_demux::{ChannelId, DemuxTable, Verdict};
+use lrp_sim::SimTime;
 use lrp_wire::{Frame, Ipv4Addr};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 use std::rc::Rc;
+
+/// What a queued receive frame carries beside its bytes: when it was
+/// queued, and the causal-trace span riding with it. Observational only:
+/// nothing the NIC or the host decides reads it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Stamp {
+    /// When the frame was queued.
+    pub at: SimTime,
+    /// The frame's causal-trace span, if it has one (spans are never 0).
+    pub span: Option<NonZeroU64>,
+}
 
 /// Where the demultiplexing function executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -163,7 +176,7 @@ impl DepthGauge {
 pub struct NiChannel {
     /// This channel's id.
     pub id: ChannelId,
-    queue: std::collections::VecDeque<Frame>,
+    queue: std::collections::VecDeque<(Frame, Stamp)>,
     limit: usize,
     /// The NIC's depth gauge, which every change to `queue` moves.
     gauge: Rc<RefCell<DepthGauge>>,
@@ -186,7 +199,7 @@ impl NiChannel {
     fn new(
         id: ChannelId,
         limit: usize,
-        queue: std::collections::VecDeque<Frame>,
+        queue: std::collections::VecDeque<(Frame, Stamp)>,
         gauge: Rc<RefCell<DepthGauge>>,
     ) -> Self {
         debug_assert!(queue.is_empty());
@@ -228,13 +241,14 @@ impl NiChannel {
         self.stats
     }
 
-    /// Enqueues a frame; returns false (and counts a drop) if full.
-    pub fn enqueue(&mut self, frame: Frame) -> bool {
+    /// Enqueues a frame with its stamp; returns false (and counts a drop)
+    /// if full.
+    pub fn enqueue(&mut self, frame: Frame, stamp: Stamp) -> bool {
         if self.is_full() {
             self.stats.dropped_full += 1;
             return false;
         }
-        self.queue.push_back(frame);
+        self.queue.push_back((frame, stamp));
         let depth = self.queue.len();
         self.gauge.borrow_mut().moved(depth - 1, depth);
         self.stats.enqueued += 1;
@@ -242,8 +256,8 @@ impl NiChannel {
         true
     }
 
-    /// Dequeues the oldest frame.
-    pub fn dequeue(&mut self) -> Option<Frame> {
+    /// Dequeues the oldest frame and its stamp.
+    pub fn dequeue(&mut self) -> Option<(Frame, Stamp)> {
         let f = self.queue.pop_front();
         if f.is_some() {
             let depth = self.queue.len();
@@ -263,7 +277,7 @@ impl NiChannel {
 
     /// Peeks at the oldest frame without removing it.
     pub fn peek(&self) -> Option<&Frame> {
-        self.queue.front()
+        self.queue.front().map(|(f, _)| f)
     }
 }
 
@@ -330,7 +344,8 @@ pub struct Nic {
     free_slots: BinaryHeap<Reverse<u32>>,
     /// The special channel for non-first IP fragments (always present).
     pub fragment_channel: ChannelId,
-    ifq: std::collections::VecDeque<Frame>,
+    /// The interface (transmit) queue, each frame with its span.
+    ifq: std::collections::VecDeque<(Frame, Option<NonZeroU64>)>,
     ifq_limit: usize,
     default_channel_limit: usize,
     proxy: ProxyChannels,
@@ -531,14 +546,26 @@ impl Nic {
         self.rx_frame_at(0, frame)
     }
 
+    /// Delivers a frame without a span from the link to the NIC at
+    /// `now_ns` nanoseconds of simulated time: [`Nic::rx_frame_spanned`].
+    pub fn rx_frame_at(&mut self, now_ns: u64, frame: Frame) -> RxOutcome {
+        self.rx_frame_spanned(now_ns, frame, None)
+    }
+
     /// Delivers a frame from the link to the NIC at `now_ns` nanoseconds
-    /// of simulated time (used by the injected-fault windows; everything
-    /// else is time-free mechanism).
+    /// of simulated time, carrying the causal-trace `span`. The time
+    /// drives the injected-fault windows and stamps a frame queued on a
+    /// channel; everything else is time-free mechanism.
     ///
     /// The returned [`RxOutcome`] tells the host whether an interrupt was
     /// raised. In NI-demux mode classification happens here, on the NIC's
     /// own processor; the host learns nothing about discarded frames.
-    pub fn rx_frame_at(&mut self, now_ns: u64, frame: Frame) -> RxOutcome {
+    pub fn rx_frame_spanned(
+        &mut self,
+        now_ns: u64,
+        frame: Frame,
+        span: Option<NonZeroU64>,
+    ) -> RxOutcome {
         self.stats.rx_frames += 1;
         self.last_rx_chan = None;
         if self.faults.stalled_at(now_ns) {
@@ -568,47 +595,30 @@ impl Nic {
             DemuxMode::Ni => {
                 let verdict = self.demux.classify(&frame);
                 let chan = match verdict {
-                    Verdict::Endpoint(c) => c,
-                    Verdict::Fragment => self.fragment_channel,
+                    Verdict::Endpoint(c) => Some(c),
+                    Verdict::Fragment => Some(self.fragment_channel),
                     // Proxy daemon channels must be registered by the host
-                    // via `register_proxy`; unregistered protocols drop.
-                    Verdict::IcmpDaemon => match self.proxy.icmp {
-                        Some(c) => c,
-                        None => {
-                            self.stats.early_discards += 1;
-                            return RxOutcome::Dropped(NicDrop::NoMatch);
-                        }
-                    },
-                    Verdict::ArpDaemon => match self.proxy.arp {
-                        Some(c) => c,
-                        None => {
-                            self.stats.early_discards += 1;
-                            return RxOutcome::Dropped(NicDrop::NoMatch);
-                        }
-                    },
-                    Verdict::Forward => match self.proxy.forward {
-                        Some(c) => c,
-                        None => {
-                            self.stats.early_discards += 1;
-                            return RxOutcome::Dropped(NicDrop::NoMatch);
-                        }
-                    },
-                    Verdict::NoMatch => {
-                        self.stats.early_discards += 1;
-                        return RxOutcome::Dropped(NicDrop::NoMatch);
-                    }
+                    // (`set_icmp_proxy`, `set_forward_proxy`); unregistered
+                    // protocols, ARP among them, drop.
+                    Verdict::IcmpDaemon => self.proxy.icmp,
+                    Verdict::Forward => self.proxy.forward,
+                    Verdict::ArpDaemon | Verdict::NoMatch => None,
                     Verdict::Malformed => {
                         self.stats.early_discards += 1;
                         return RxOutcome::Dropped(NicDrop::Malformed);
                     }
                 };
-                if !self.channel_exists(chan) {
+                let Some(chan) = chan.filter(|&c| self.channel_exists(c)) else {
                     self.stats.early_discards += 1;
                     return RxOutcome::Dropped(NicDrop::NoMatch);
-                }
+                };
                 let ch = &mut self.channels[chan.0 as usize];
                 let was_empty = ch.is_empty();
-                if !ch.enqueue(frame) {
+                let stamp = Stamp {
+                    at: SimTime::from_nanos(now_ns),
+                    span,
+                };
+                if !ch.enqueue(frame, stamp) {
                     self.stats.early_discards += 1;
                     return RxOutcome::Dropped(NicDrop::ChannelFull);
                 }
@@ -647,19 +657,19 @@ impl Nic {
         self.rx_rings.iter().map(|r| r.len()).sum()
     }
 
-    /// Enqueues a frame for transmission; returns false (counting a drop)
-    /// if the interface queue is full.
-    pub fn ifq_enqueue(&mut self, frame: Frame) -> bool {
+    /// Enqueues a frame for transmission with its causal-trace span;
+    /// returns false (counting a drop) if the interface queue is full.
+    pub fn ifq_enqueue(&mut self, frame: Frame, span: Option<NonZeroU64>) -> bool {
         if self.ifq.len() >= self.ifq_limit {
             self.stats.ifq_drops += 1;
             return false;
         }
-        self.ifq.push_back(frame);
+        self.ifq.push_back((frame, span));
         true
     }
 
-    /// Takes the next frame for the link to transmit.
-    pub fn ifq_dequeue(&mut self) -> Option<Frame> {
+    /// Takes the next frame, and its span, for the link to transmit.
+    pub fn ifq_dequeue(&mut self) -> Option<(Frame, Option<NonZeroU64>)> {
         let f = self.ifq.pop_front();
         if f.is_some() {
             self.stats.tx_frames += 1;
@@ -720,8 +730,6 @@ impl Nic {
 pub struct ProxyChannels {
     /// ICMP daemon channel.
     pub icmp: Option<ChannelId>,
-    /// ARP daemon channel.
-    pub arp: Option<ChannelId>,
     /// IP-forwarding daemon channel.
     pub forward: Option<ChannelId>,
 }
@@ -730,11 +738,6 @@ impl Nic {
     /// Registers a proxy daemon channel for ICMP.
     pub fn set_icmp_proxy(&mut self, c: ChannelId) {
         self.proxy.icmp = Some(c);
-    }
-
-    /// Registers a proxy daemon channel for ARP.
-    pub fn set_arp_proxy(&mut self, c: ChannelId) {
-        self.proxy.arp = Some(c);
     }
 
     /// Registers a proxy daemon channel for IP forwarding.
@@ -756,6 +759,10 @@ mod tests {
 
     const LOCAL: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
     const PEER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+    const STAMP: Stamp = Stamp {
+        at: SimTime::ZERO,
+        span: None,
+    };
 
     fn udp_frame(dport: u16) -> Frame {
         Frame::ipv4(udp::build_datagram(PEER, LOCAL, 5, dport, 1, b"hi", true))
@@ -946,7 +953,7 @@ mod tests {
                     prop_assert_eq!(id, ChannelId(want as u32));
                     prop_assert!(nic.channel(id).is_empty());
                     prop_assert_eq!(nic.channel(id).limit(), pick + 1);
-                    nic.channel_mut(id).enqueue(udp_frame(7));
+                    nic.channel_mut(id).enqueue(udp_frame(7), STAMP);
                 } else if let Some(i) = (1..slots.len()).filter(|&i| slots[i]).nth(pick) {
                     slots[i] = false;
                     nic.destroy_channel(ChannelId(i as u32));
@@ -974,7 +981,7 @@ mod tests {
                     }
                     1 if id != nic.fragment_channel => nic.destroy_channel(id),
                     2 => {
-                        nic.channel_mut(id).enqueue(udp_frame(7));
+                        nic.channel_mut(id).enqueue(udp_frame(7), STAMP);
                     }
                     _ => {
                         nic.channel_mut(id).dequeue();
@@ -991,9 +998,9 @@ mod tests {
     fn ifq_limit_enforced() {
         let mut nic = Nic::new(DemuxMode::None, LOCAL, 8);
         for _ in 0..DEFAULT_IFQ_LIMIT {
-            assert!(nic.ifq_enqueue(udp_frame(1)));
+            assert!(nic.ifq_enqueue(udp_frame(1), None));
         }
-        assert!(!nic.ifq_enqueue(udp_frame(1)));
+        assert!(!nic.ifq_enqueue(udp_frame(1), None));
         assert_eq!(nic.stats().ifq_drops, 1);
         let mut n = 0;
         while nic.ifq_dequeue().is_some() {
@@ -1049,9 +1056,17 @@ mod tests {
             )
             .unwrap();
         nic.rx_frame(udp_frame(9001));
-        nic.rx_frame(udp_frame(9001));
+        let span = NonZeroU64::new(7);
+        nic.rx_frame_spanned(40, udp_frame(9001), span);
         assert_eq!(nic.channel_depths(), (3, 2));
         assert_eq!(nic.last_rx_channel(), Some(hot));
+        // The firmware stamps each frame it queues.
+        let at = SimTime::from_nanos(40);
+        assert_eq!(nic.channel_mut(hot).dequeue().unwrap().1, STAMP);
+        assert_eq!(
+            nic.channel_mut(hot).dequeue().unwrap().1,
+            Stamp { at, span }
+        );
         // A discarded frame clears the marker.
         nic.rx_frame(udp_frame(12345));
         assert_eq!(nic.last_rx_channel(), None);

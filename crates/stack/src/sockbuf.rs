@@ -21,6 +21,7 @@
 use lrp_wire::tcp::PayloadBuf;
 use lrp_wire::{Endpoint, FrameBuf, FrameSlice};
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 /// Minimum buffer space one datagram occupies: a small packet still
 /// consumes a whole mbuf, and BSD's `sbspace` accounts for that (`sb_mbcnt`
@@ -28,7 +29,8 @@ use std::collections::VecDeque;
 /// hundred small packets rather than thousands.
 pub const DGRAM_MIN_SPACE: usize = 128;
 
-/// A received datagram: source endpoint and payload.
+/// A received datagram: source endpoint, payload, and the causal-trace
+/// span of the frame that delivered it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Datagram {
     /// Sender endpoint.
@@ -36,6 +38,8 @@ pub struct Datagram {
     /// Payload bytes (arena-backed: queueing and dequeueing a datagram
     /// moves a reference-counted buffer, never copies the bytes).
     pub payload: FrameBuf,
+    /// The delivering frame's span, if it had one (observational only).
+    pub span: Option<NonZeroU64>,
 }
 
 /// Statistics for a datagram queue.
@@ -316,21 +320,19 @@ mod tests {
     use proptest::prelude::*;
     use proptest::sample::Index;
 
-    fn from() -> Endpoint {
-        Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 1234)
+    fn dgram(payload: Vec<u8>) -> Datagram {
+        Datagram {
+            from: Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 1234),
+            payload: payload.into(),
+            span: None,
+        }
     }
 
     #[test]
     fn dgram_queue_fifo() {
         let mut q = DatagramQueue::new(1000);
-        q.enqueue(Datagram {
-            from: from(),
-            payload: b"a".to_vec().into(),
-        });
-        q.enqueue(Datagram {
-            from: from(),
-            payload: b"b".to_vec().into(),
-        });
+        q.enqueue(dgram(b"a".to_vec()));
+        q.enqueue(dgram(b"b".to_vec()));
         assert_eq!(q.dequeue().unwrap().payload, b"a");
         assert_eq!(q.dequeue().unwrap().payload, b"b");
         assert!(q.dequeue().is_none());
@@ -339,30 +341,18 @@ mod tests {
     #[test]
     fn dgram_queue_byte_limit() {
         let mut q = DatagramQueue::new(300);
-        assert!(q.enqueue(Datagram {
-            from: from(),
-            payload: vec![0; 200].into()
-        }));
-        assert!(!q.enqueue(Datagram {
-            from: from(),
-            payload: vec![0; 200].into()
-        }));
+        assert!(q.enqueue(dgram(vec![0; 200])));
+        assert!(!q.enqueue(dgram(vec![0; 200])));
         assert_eq!(q.stats().dropped_full, 1);
         assert_eq!(q.space(), 100);
         q.dequeue();
-        assert!(q.enqueue(Datagram {
-            from: from(),
-            payload: vec![0; 200].into()
-        }));
+        assert!(q.enqueue(dgram(vec![0; 200])));
     }
 
     #[test]
     fn dgram_queue_tracks_peak_depth() {
         let mut q = DatagramQueue::new(1000);
-        let d = || Datagram {
-            from: from(),
-            payload: b"x".to_vec().into(),
-        };
+        let d = || dgram(b"x".to_vec());
         assert_eq!(q.stats().peak_depth, 0);
         q.enqueue(d());
         q.enqueue(d());
@@ -379,18 +369,9 @@ mod tests {
     #[test]
     fn dgram_small_packets_cost_an_mbuf() {
         let mut q = DatagramQueue::new(2 * DGRAM_MIN_SPACE);
-        assert!(q.enqueue(Datagram {
-            from: from(),
-            payload: vec![7].into()
-        }));
-        assert!(q.enqueue(Datagram {
-            from: from(),
-            payload: vec![7].into()
-        }));
-        assert!(!q.enqueue(Datagram {
-            from: from(),
-            payload: vec![7].into()
-        }));
+        assert!(q.enqueue(dgram(vec![7])));
+        assert!(q.enqueue(dgram(vec![7])));
+        assert!(!q.enqueue(dgram(vec![7])));
         assert_eq!(q.bytes(), 2 * DGRAM_MIN_SPACE);
     }
 
