@@ -93,9 +93,10 @@ pub struct HostConfig {
     /// queues, multi-queue RX steering and IPI-based cross-CPU wakeups.
     pub ncpus: usize,
     /// Record telemetry (causal request spans, per-stage latency
-    /// histograms, frame-disposition ledger). Pure observation: the cost
-    /// model, scheduling decisions and all simulated outcomes are
-    /// bit-identical with telemetry on or off.
+    /// histograms, cycle profiler, metrics timeline, watchdog). Pure
+    /// observation: the cost model, scheduling decisions and all
+    /// simulated outcomes are bit-identical with telemetry on or off.
+    /// The frame-disposition ledger is host state and counts either way.
     pub telemetry: bool,
     /// SYN-flood defense: when the listen backlog's half-open budget is
     /// full, evict the *oldest* half-open connection to admit the new SYN

@@ -227,14 +227,15 @@ impl Host {
     }
 
     /// Recomputes every index by brute force and compares it with the
-    /// maintained one; `Err` names the first divergence. The table scans
+    /// maintained one, and checks that the packet ledger balances; `Err`
+    /// names the first divergence. The table scans
     /// the indexes replaced live on only here: [`World::run_until`] runs
     /// this every few hundred events under `debug_assertions`, and the
     /// chaos tests call it right after crash, reboot and listener-close
     /// steps.
     ///
     /// [`World::run_until`]: crate::world::World::run_until
-    pub fn check_indexes(&self) -> Result<(), String> {
+    pub fn check_invariants(&self) -> Result<(), String> {
         let mut deadlines = Vec::new();
         let mut ready = Vec::new();
         let mut dgram = Vec::new();
@@ -367,6 +368,7 @@ impl Host {
             ));
         }
         self.nic.check_depth_gauge()?;
+        self.check_ledger()?;
         self.pcb
             .check_indexes()
             .map_err(|e| format!("PCB table: {e}"))?;

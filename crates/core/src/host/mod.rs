@@ -36,6 +36,7 @@
 mod cpu;
 mod deadlines;
 mod index;
+mod ledger;
 mod pidmap;
 mod proto;
 mod rx;
@@ -46,6 +47,7 @@ use crate::config::{Architecture, HostConfig, QUANTUM, TICK};
 use crate::hostfault::{FaultKind, HostFaultPlan, HostFaultState};
 use crate::syscall::{AppLogic, Errno, SockProto, SyscallOp, SyscallRet};
 use deadlines::DeadlineHeap;
+pub use ledger::PacketLedger;
 use lrp_demux::ChannelId;
 use lrp_nic::{DemuxMode, Nic};
 use lrp_sched::{Account, Pid, SchedConfig, Scheduler, WaitChannel};
@@ -93,21 +95,25 @@ pub enum DropPoint {
 }
 
 impl DropPoint {
+    /// Stable names used in telemetry output, indexed by `DropPoint as
+    /// usize`.
+    pub(crate) const NAMES: [&'static str; 11] = [
+        "RxRing",
+        "Channel",
+        "IpQueue",
+        "SockBuf",
+        "BadPacket",
+        "NoSocket",
+        "Backlog",
+        "Reasm",
+        "IfQueue",
+        "NicStall",
+        "PortUnreach",
+    ];
+
     /// Stable name used in telemetry output.
     pub fn name(self) -> &'static str {
-        match self {
-            DropPoint::RxRing => "RxRing",
-            DropPoint::Channel => "Channel",
-            DropPoint::IpQueue => "IpQueue",
-            DropPoint::SockBuf => "SockBuf",
-            DropPoint::BadPacket => "BadPacket",
-            DropPoint::NoSocket => "NoSocket",
-            DropPoint::Backlog => "Backlog",
-            DropPoint::Reasm => "Reasm",
-            DropPoint::IfQueue => "IfQueue",
-            DropPoint::NicStall => "NicStall",
-            DropPoint::PortUnreach => "PortUnreach",
-        }
+        Self::NAMES[self as usize]
     }
 }
 
@@ -438,6 +444,13 @@ pub struct Host {
     pub nic: Nic,
     /// Aggregate statistics.
     pub stats: HostStats,
+    /// The host's buckets of the frame-disposition ledger (`host/ledger.rs`),
+    /// counted on every host. The NIC's buckets, `in_flight` and
+    /// `delivered_udp` (which is `stats.udp_delivered`) stay 0 here and
+    /// `host_drops` empty: [`Host::packet_ledger`] fills them in.
+    pub(crate) ledger: PacketLedger,
+    /// The ledger's host drops, indexed by `DropPoint as usize`.
+    pub(crate) ledger_drops: [u64; DropPoint::NAMES.len()],
     pub(crate) pcb: PcbTable,
     pub(crate) reasm: Reassembler,
     /// The sockets alive, by id (`host/socktab.rs`).
@@ -637,6 +650,8 @@ impl Host {
             sched: Scheduler::new(sched_cfg),
             nic,
             stats: HostStats::default(),
+            ledger: PacketLedger::default(),
+            ledger_drops: [0; DropPoint::NAMES.len()],
             pcb: PcbTable::new(),
             reasm: Reassembler::new(16, SimDuration::from_secs(30)),
             sockets: SockTable::default(),
@@ -905,15 +920,13 @@ impl Host {
         plan.stall_ns.push((now.as_nanos(), boot_at.as_nanos()));
         self.nic.set_faults(plan);
         // (2) Flush accepted-but-undelivered frames.
-        let ring = self.nic.ring_depth() as u64;
-        self.tele.on_reboot_flush(ring);
+        self.ledger.reboot_flushed += self.nic.ring_depth() as u64;
         self.nic.set_rx_queues(self.cfg.ncpus);
         for chan in self.nic.channel_ids() {
             self.reboot_flush_channel(chan);
         }
-        let ipq = self.ip_queue.len() as u64;
+        self.ledger.reboot_flushed += self.ip_queue.len() as u64;
         self.ip_queue.clear();
-        self.tele.on_reboot_flush(ipq);
         let _ = self.nic.ifq_clear();
         self.tele.on_reboot();
         // (3) Kill every process, applications first (in pid order), then
@@ -1271,8 +1284,12 @@ impl Host {
             return;
         };
         if self.nic.channel_exists(chan) {
-            let n = self.nic.channel(chan).depth();
-            self.tele.on_chan_destroy(n, owner_dead);
+            let n = self.nic.channel(chan).depth() as u64;
+            if owner_dead {
+                self.ledger.owner_dead += n;
+            } else {
+                self.ledger.flushed += n;
+            }
             self.note_chan_empty(chan);
             self.nic.destroy_channel(chan);
         }
@@ -1384,7 +1401,12 @@ impl Host {
             for _ in 0..frags {
                 self.stats.drop_at(DropPoint::Reasm);
             }
-            self.tele.on_reasm_expired(frags);
+            debug_assert!(
+                self.ledger.reasm_absorbed >= frags,
+                "expired more fragments than were absorbed"
+            );
+            self.ledger.reasm_absorbed = self.ledger.reasm_absorbed.saturating_sub(frags);
+            self.ledger.reasm_expired += frags;
             self.next_reasm_sweep = now + SimDuration::from_secs(1);
         }
         // Receive timeouts: fire only if the armed deadline is still

@@ -63,7 +63,7 @@ impl Host {
             Frame::Arp(_) => {
                 // ARP handled by the proxy daemon path; count and ignore
                 // here.
-                self.tele.on_arp();
+                self.ledger.arp_frames += 1;
                 return total;
             }
         };
@@ -93,7 +93,7 @@ impl Host {
                 ReasmOutcome::Incomplete => {
                     // This frame is now held by the reassembler (the
                     // completing frame inherits the delivery disposition).
-                    self.tele.on_reasm_absorbed();
+                    self.ledger.reasm_absorbed += 1;
                     // In LRP, the missing fragments may already be waiting
                     // on the special NI fragment channel (§3.2).
                     if self.cfg.arch.is_lrp() {
@@ -121,7 +121,7 @@ impl Host {
         // Packets for another host: IP forwarding (BSD path — under LRP
         // the demux function already routed them to the forward channel).
         if ih.dst != self.addr {
-            self.tele.on_forwarded();
+            self.ledger.forwarded += 1;
             return total + self.do_forward(&bytes);
         }
         match ih.proto {
@@ -184,11 +184,11 @@ impl Host {
         let cost = self.cfg.cost;
         let d = match &frame {
             Frame::Ipv4(b) => {
-                self.tele.on_forwarded();
+                self.ledger.forwarded += 1;
                 cost.ip_input + self.do_forward(b)
             }
             Frame::Arp(_) => {
-                self.tele.on_arp();
+                self.ledger.arp_frames += 1;
                 cost.ip_input
             }
         };
@@ -226,7 +226,8 @@ impl Host {
             span: None,
         };
         if self.sock_mut(sock).rcvq.enqueue(dgram) {
-            self.tele.on_icmp_delivered(now, cpu, stamp);
+            self.ledger.delivered_icmp += 1;
+            self.tele.on_delivered(now, cpu, stamp);
             if !lazy {
                 total += scale(cost.sock_enqueue);
                 if self.sched.has_sleeper(sock_wchan(sock, WC_RECV)) {
@@ -271,7 +272,7 @@ impl Host {
                 // A completed non-UDP datagram has no receiver on this
                 // path; its completing frame stays with the reassembler
                 // bucket.
-                self.tele.on_reasm_absorbed();
+                self.ledger.reasm_absorbed += 1;
             }
         }
         total
@@ -312,7 +313,7 @@ impl Host {
                 }
             }
             if !completer {
-                self.tele.on_reasm_absorbed();
+                self.ledger.reasm_absorbed += 1;
             }
             if let Some(d) = &mut done {
                 d.2 = completer.then_some(stamp);
@@ -399,7 +400,7 @@ impl Host {
         if self.sock_mut(sock).rcvq.enqueue(dgram) {
             self.stats.udp_delivered += 1;
             self.stats.udp_delivered_bytes += nbytes;
-            self.tele.on_udp_delivered(now, cpu, stamp);
+            self.tele.on_delivered(now, cpu, stamp);
             if !lazy {
                 total += scale(cost.sock_enqueue);
                 // Wake a blocked receiver (sowakeup).
@@ -427,7 +428,7 @@ impl Host {
         // The whole frame is charged to TCP input from here on; per-drop
         // ledger granularity stops at the transport boundary (segments are
         // not 1:1 with user-visible deliveries).
-        self.tele.on_tcp_frame();
+        self.ledger.tcp_frames += 1;
         let cost = self.cfg.cost;
         // The simulated CPU pays for the sum even when the simulator
         // trusts the frame and skips it.
@@ -565,8 +566,8 @@ impl Host {
                     .expect("listener")
                     .state
                     .on_syn_dropped();
-                self.stats.drop_at(DropPoint::Backlog);
-                self.tele.on_backlog_drop();
+                self.reattribute_tcp_frame();
+                self.drop_frame(DropPoint::Backlog);
                 return total;
             }
         }
@@ -698,7 +699,8 @@ impl Host {
                 .expect("listener")
                 .state
                 .on_cookie_rejected();
-            self.tele.on_cookie_rejected();
+            self.reattribute_tcp_frame();
+            self.ledger.cookie_rejected += 1;
             return total;
         };
         // Valid cookie, but the accept queue still bounds admission: a
@@ -710,8 +712,8 @@ impl Host {
                     .expect("listener")
                     .state
                     .on_syn_dropped();
-                self.stats.drop_at(DropPoint::Backlog);
-                self.tele.on_backlog_drop();
+                self.reattribute_tcp_frame();
+                self.drop_frame(DropPoint::Backlog);
                 return total;
             }
         }
@@ -725,7 +727,8 @@ impl Host {
         l.state.on_cookie_child_established();
         l.accept_q.push_back(child);
         self.stats.tcp_accepted += 1;
-        self.tele.on_cookie_validated();
+        self.reattribute_tcp_frame();
+        self.ledger.cookie_validated += 1;
         self.wake_sock(lsock, WC_ACCEPT);
         // Any data riding on the ACK is processed by the new connection.
         total += self

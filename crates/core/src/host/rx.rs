@@ -43,7 +43,7 @@ impl Host {
                     // the NIC processor; the host pays only for the
                     // interrupt it requested.
                     if let Some(chan) = self.nic.last_rx_channel() {
-                        self.tele.on_enqueue(now, cpu, span);
+                        self.tele.on_enqueue(now, 0, span);
                         self.note_chan_enqueue(chan);
                         self.note_intr_fired(chan);
                     }
@@ -97,7 +97,7 @@ impl Host {
                 self.drop_frame(DropPoint::IpQueue);
             } else {
                 self.ip_queue.push_back((f, stamp));
-                self.tele.on_enqueue(now, 0, span);
+                self.tele.on_enqueue(now, cpu, span);
             }
         }
         self.rx_scratch = batch;

@@ -29,12 +29,12 @@ pub mod world;
 
 pub use config::{Architecture, HostConfig, SynCookies};
 pub use cost::CostModel;
-pub use host::{DropPoint, Host, HostStats};
+pub use host::{DropPoint, Host, HostStats, PacketLedger};
 pub use hostfault::{CrashEvent, FaultKind, HostFaultPlan};
 pub use syscall::{
     AppCtx, AppLogic, Errno, ListenStats, SockProto, SockStats, SyscallOp, SyscallRet,
 };
-pub use telemetry::{PacketLedger, SpanEvent, SpanId, Telemetry, TIMELINE_COLUMNS};
+pub use telemetry::{SpanEvent, SpanId, Telemetry, TIMELINE_COLUMNS};
 pub use watchdog::{AnomalyEvent, AnomalyKind, Watchdog, WatchdogSample};
 pub use world::{Event, World};
 

@@ -1,38 +1,25 @@
 //! Host telemetry: causal request spans, per-stage latency histograms,
-//! and a frame-disposition ledger for the packet-conservation self-check.
+//! the cycle profiler, the metrics timeline and the anomaly watchdog.
 //!
 //! Everything in this module is *pure observation*. Hooks are called from
 //! the host's packet path at logic time; they record into side structures
-//! (the span log, [`Histogram`]s and counters) and never touch the cost
-//! model, the scheduler, queue contents or any RNG —
+//! (the span log, [`Histogram`]s and the timeline) and never touch the
+//! cost model, the scheduler, queue contents or any RNG —
 //! so a run with telemetry enabled is bit-identical, in simulated time and
 //! in every statistic, to the same run with it disabled. The determinism
 //! goldens in `tests/determinism.rs` enforce this: the experiment builders
 //! enable telemetry unconditionally.
 //!
-//! # The disposition ledger
-//!
-//! Every frame the NIC accepts from the link ends in exactly one bucket:
-//!
-//! * dropped on the NIC (ring overrun or early discard — NIC statistics);
-//! * still queued (RX ring, an NI channel, or the shared IP queue);
-//! * delivered (UDP datagram or ICMP message into a socket buffer);
-//! * consumed by TCP input processing (segments are not 1:1 with
-//!   user-visible deliveries, so TCP is accounted at frame granularity);
-//! * handed to IP forwarding, counted-and-ignored ARP, absorbed by the
-//!   fragment reassembler, or flushed when a channel was destroyed;
-//! * dropped in the host ([`DropPoint`] granularity).
-//!
-//! [`Host::packet_ledger`] assembles the buckets;
-//! [`PacketLedger::conserved`] checks that they sum back to the accepted
-//! count. Experiments run this self-check at the end of every run.
+//! The frame-disposition ledger ([`PacketLedger`](crate::PacketLedger))
+//! is not telemetry's: it is host state, counted whether telemetry
+//! records or not, and the timeline and the watchdog read its counters.
 
-use crate::host::{DropPoint, Host};
+use crate::host::Host;
 use crate::watchdog::{AnomalyEvent, Watchdog, WatchdogSample};
 use lrp_demux::ChannelId;
 use lrp_nic::Stamp;
 use lrp_sched::{Pid, ProcState};
-use lrp_sim::{CycleAccount, CycleKey, FastHashMap, Histogram, MetricsTimeline, SimTime, Tally};
+use lrp_sim::{CycleAccount, CycleKey, Histogram, MetricsTimeline, SimTime, Tally};
 use lrp_wire::Frame;
 use std::collections::BTreeMap;
 use std::num::NonZeroU64;
@@ -185,41 +172,6 @@ pub struct Telemetry {
     tick_pids: Vec<Pid>,
     /// Statclock-sample scratch: the watchdog sample's process list.
     tick_procs: Vec<(u32, bool, u64)>,
-    /// UDP datagrams delivered into socket buffers (frames).
-    pub delivered_udp: u64,
-    /// ICMP messages delivered to the proxy daemon's raw socket.
-    pub delivered_icmp: u64,
-    /// Frames consumed by TCP input processing.
-    pub tcp_frames: u64,
-    /// Frames handed to IP forwarding (transmitted or dropped there).
-    pub forwarded: u64,
-    /// ARP frames counted and ignored.
-    pub arp_frames: u64,
-    /// Fragment frames absorbed by the reassembler without (yet)
-    /// completing a datagram, plus non-reassemblable channel drainage.
-    pub reasm_absorbed: u64,
-    /// Fragment frames discarded when their reassembly flow expired
-    /// (moved out of `reasm_absorbed` at expiry time).
-    pub reasm_expired: u64,
-    /// Frames discarded because their channel was destroyed.
-    pub flushed: u64,
-    /// Frames discarded because their owning process crashed while they
-    /// were queued on its NI channel (distinct from `flushed`: an orderly
-    /// close vs. a dead receiver).
-    pub owner_dead: u64,
-    /// Frames lost to a whole-host reboot while queued in the NIC
-    /// receive rings, NI channels or the shared IP queue (distinct from
-    /// `owner_dead`: the entire kernel died, not one receiver).
-    pub reboot_flushed: u64,
-    /// Handshake ACKs whose SYN cookie validated (moved out of
-    /// `tcp_frames` — the frame's terminal disposition is the stateless
-    /// connection establishment it performed).
-    pub cookie_validated: u64,
-    /// Handshake ACKs whose SYN cookie failed validation (stale or
-    /// forged; moved out of `tcp_frames`).
-    pub cookie_rejected: u64,
-    /// Host-side frame drops by location.
-    pub host_drops: FastHashMap<DropPoint, u64>,
 }
 
 impl Telemetry {
@@ -245,19 +197,6 @@ impl Telemetry {
             proc_cpu_width: Vec::new(),
             tick_pids: Vec::new(),
             tick_procs: Vec::new(),
-            delivered_udp: 0,
-            delivered_icmp: 0,
-            tcp_frames: 0,
-            forwarded: 0,
-            arp_frames: 0,
-            reasm_absorbed: 0,
-            reasm_expired: 0,
-            flushed: 0,
-            owner_dead: 0,
-            reboot_flushed: 0,
-            cookie_validated: 0,
-            cookie_rejected: 0,
-            host_drops: FastHashMap::default(),
         }
     }
 
@@ -325,128 +264,13 @@ impl Telemetry {
         }
     }
 
-    /// A datagram landed in a socket receive buffer, delivered by a frame
-    /// stamped `stamp` (`None` when the frame that completed it is not
-    /// known).
-    fn on_delivered(&mut self, now: SimTime, cpu: usize, stamp: Option<Stamp>) {
-        if let Some(stamp) = stamp {
+    /// A datagram (UDP) or message (ICMP) landed in a socket receive
+    /// buffer, delivered by a frame stamped `stamp` (`None` when the frame
+    /// that completed it is not known).
+    pub(crate) fn on_delivered(&mut self, now: SimTime, cpu: usize, stamp: Option<Stamp>) {
+        if let Some(stamp) = stamp.filter(|_| self.enabled) {
             self.arrival_to_deliver.record_duration(now - stamp.at);
             self.span_ev(now, SP_DELIVER, stamp.span, cpu);
-        }
-    }
-
-    /// A UDP datagram landed in a socket receive buffer.
-    pub(crate) fn on_udp_delivered(&mut self, now: SimTime, cpu: usize, stamp: Option<Stamp>) {
-        if self.enabled {
-            self.delivered_udp += 1;
-            self.on_delivered(now, cpu, stamp);
-        }
-    }
-
-    /// An ICMP message landed in the proxy daemon's raw socket.
-    pub(crate) fn on_icmp_delivered(&mut self, now: SimTime, cpu: usize, stamp: Option<Stamp>) {
-        if self.enabled {
-            self.delivered_icmp += 1;
-            self.on_delivered(now, cpu, stamp);
-        }
-    }
-
-    /// A frame entered TCP input processing.
-    pub(crate) fn on_tcp_frame(&mut self) {
-        if self.enabled {
-            self.tcp_frames += 1;
-        }
-    }
-
-    /// A frame was handed to IP forwarding.
-    pub(crate) fn on_forwarded(&mut self) {
-        if self.enabled {
-            self.forwarded += 1;
-        }
-    }
-
-    /// An ARP frame was counted and ignored.
-    pub(crate) fn on_arp(&mut self) {
-        if self.enabled {
-            self.arp_frames += 1;
-        }
-    }
-
-    /// A fragment was absorbed by the reassembler (or unparseable channel
-    /// drainage was discarded).
-    pub(crate) fn on_reasm_absorbed(&mut self) {
-        if self.enabled {
-            self.reasm_absorbed += 1;
-        }
-    }
-
-    /// A reassembly flow expired holding `frames` absorbed fragments:
-    /// re-attribute them from the absorbed bucket to the expired bucket.
-    pub(crate) fn on_reasm_expired(&mut self, frames: u64) {
-        if self.enabled && frames > 0 {
-            debug_assert!(
-                self.reasm_absorbed >= frames,
-                "expired more fragments than were absorbed"
-            );
-            self.reasm_absorbed = self.reasm_absorbed.saturating_sub(frames);
-            self.reasm_expired += frames;
-        }
-    }
-
-    /// A channel was destroyed with `n` frames still queued: they died
-    /// with their crashed owner (`owner_dead`) or were flushed by an
-    /// orderly close.
-    pub(crate) fn on_chan_destroy(&mut self, n: usize, owner_dead: bool) {
-        if self.enabled {
-            let bucket = if owner_dead {
-                &mut self.owner_dead
-            } else {
-                &mut self.flushed
-            };
-            *bucket += n as u64;
-        }
-    }
-
-    /// A SYN was dropped at a full listen backlog *after* entering TCP
-    /// input: re-attribute its frame from the TCP bucket to the
-    /// backlog-overflow drop bucket (mirrors the reassembly-expiry
-    /// re-attribution — the ledger stays conserved).
-    pub(crate) fn on_backlog_drop(&mut self) {
-        if self.enabled {
-            debug_assert!(self.tcp_frames > 0, "backlog drop outside TCP input");
-            self.tcp_frames = self.tcp_frames.saturating_sub(1);
-            *self.host_drops.entry(DropPoint::Backlog).or_insert(0) += 1;
-        }
-    }
-
-    /// A handshake ACK's SYN cookie validated and established a
-    /// connection statelessly: re-attribute the frame from the TCP
-    /// bucket to its own disposition (same pattern as
-    /// [`Self::on_backlog_drop`]).
-    pub(crate) fn on_cookie_validated(&mut self) {
-        if self.enabled {
-            debug_assert!(self.tcp_frames > 0, "cookie ACK outside TCP input");
-            self.tcp_frames = self.tcp_frames.saturating_sub(1);
-            self.cookie_validated += 1;
-        }
-    }
-
-    /// A handshake ACK's SYN cookie failed validation (stale, forged, or
-    /// a bare ACK sprayed at the listener): re-attribute the frame from
-    /// the TCP bucket to the rejected-cookie disposition.
-    pub(crate) fn on_cookie_rejected(&mut self) {
-        if self.enabled {
-            debug_assert!(self.tcp_frames > 0, "cookie ACK outside TCP input");
-            self.tcp_frames = self.tcp_frames.saturating_sub(1);
-            self.cookie_rejected += 1;
-        }
-    }
-
-    /// Whole-host reboot: `n` frames that were sitting in NIC receive
-    /// rings, an NI channel, or the shared IP queue die with the kernel.
-    pub(crate) fn on_reboot_flush(&mut self, n: u64) {
-        if self.enabled {
-            self.reboot_flushed += n;
         }
     }
 
@@ -636,131 +460,12 @@ impl Telemetry {
         }
         rows
     }
-
-    /// Host-side drop count at a point.
-    pub fn host_dropped(&self, p: DropPoint) -> u64 {
-        self.host_drops.get(&p).copied().unwrap_or(0)
-    }
-}
-
-/// The frame-disposition ledger: where every accepted frame ended up.
-///
-/// Produced by [`Host::packet_ledger`]; meaningful only when the host ran
-/// with [`HostConfig::telemetry`](crate::HostConfig) enabled.
-#[derive(Clone, Debug)]
-pub struct PacketLedger {
-    /// Frames the NIC accepted from the link.
-    pub accepted: u64,
-    /// Dropped at the NIC receive ring.
-    pub nic_ring_drops: u64,
-    /// Discarded early by NI-demux firmware.
-    pub nic_early_discards: u64,
-    /// Dropped by an injected NIC receive stall (device fault).
-    pub nic_stall_drops: u64,
-    /// Still queued (RX rings + NI channels + IP queue).
-    pub in_flight: u64,
-    /// UDP datagrams delivered into socket buffers.
-    pub delivered_udp: u64,
-    /// ICMP messages delivered.
-    pub delivered_icmp: u64,
-    /// Frames consumed by TCP input processing.
-    pub tcp_frames: u64,
-    /// Frames handed to IP forwarding.
-    pub forwarded: u64,
-    /// ARP frames counted and ignored.
-    pub arp_frames: u64,
-    /// Fragments absorbed by reassembly.
-    pub reasm_absorbed: u64,
-    /// Fragment frames discarded by reassembly-flow expiry.
-    pub reasm_expired: u64,
-    /// Frames flushed at channel destruction.
-    pub flushed: u64,
-    /// Frames that died with their crashed owner (channel unmapped at
-    /// process-crash teardown).
-    pub owner_dead: u64,
-    /// Frames lost in queues (rings/channels/IP queue) to a whole-host
-    /// reboot.
-    pub reboot_flushed: u64,
-    /// Handshake ACKs consumed by successful SYN-cookie validation.
-    pub cookie_validated: u64,
-    /// Handshake ACKs rejected by SYN-cookie validation.
-    pub cookie_rejected: u64,
-    /// Host-side drops, sorted by drop-point name.
-    pub host_drops: Vec<(&'static str, u64)>,
-}
-
-impl PacketLedger {
-    /// Total host-side drops.
-    pub fn host_dropped(&self) -> u64 {
-        self.host_drops.iter().map(|(_, n)| n).sum()
-    }
-
-    /// Sum of all disposition buckets.
-    pub fn disposed(&self) -> u64 {
-        self.nic_ring_drops
-            + self.nic_early_discards
-            + self.nic_stall_drops
-            + self.in_flight
-            + self.delivered_udp
-            + self.delivered_icmp
-            + self.tcp_frames
-            + self.forwarded
-            + self.arp_frames
-            + self.reasm_absorbed
-            + self.reasm_expired
-            + self.flushed
-            + self.owner_dead
-            + self.reboot_flushed
-            + self.cookie_validated
-            + self.cookie_rejected
-            + self.host_dropped()
-    }
-
-    /// The DESIGN §7 packet-conservation invariant: every accepted frame
-    /// is accounted for exactly once.
-    pub fn conserved(&self) -> bool {
-        self.accepted == self.disposed()
-    }
 }
 
 impl Host {
     /// Read access to the telemetry state.
     pub fn telemetry(&self) -> &Telemetry {
         &self.tele
-    }
-
-    /// Assembles the frame-disposition ledger (see [`PacketLedger`]).
-    pub fn packet_ledger(&self) -> PacketLedger {
-        let nic = self.nic.stats();
-        let in_flight = (self.nic.ring_depth() + self.nic.channel_depth_total()) as u64
-            + self.ip_queue.len() as u64;
-        let mut host_drops: Vec<(&'static str, u64)> = self
-            .tele
-            .host_drops
-            .iter()
-            .map(|(p, n)| (p.name(), *n))
-            .collect();
-        host_drops.sort_unstable();
-        PacketLedger {
-            accepted: nic.rx_frames,
-            nic_ring_drops: nic.ring_drops,
-            nic_early_discards: nic.early_discards,
-            nic_stall_drops: nic.stall_drops,
-            in_flight,
-            delivered_udp: self.tele.delivered_udp,
-            delivered_icmp: self.tele.delivered_icmp,
-            tcp_frames: self.tele.tcp_frames,
-            forwarded: self.tele.forwarded,
-            arp_frames: self.tele.arp_frames,
-            reasm_absorbed: self.tele.reasm_absorbed,
-            reasm_expired: self.tele.reasm_expired,
-            flushed: self.tele.flushed,
-            owner_dead: self.tele.owner_dead,
-            reboot_flushed: self.tele.reboot_flushed,
-            cookie_validated: self.tele.cookie_validated,
-            cookie_rejected: self.tele.cookie_rejected,
-            host_drops,
-        }
     }
 
     /// Dequeues a frame and its stamp from an NI channel for protocol
@@ -775,32 +480,6 @@ impl Host {
         Some((frame, stamp))
     }
 
-    /// A frame the host accepted dies at `p`: counted in host statistics
-    /// and in the ledger's host-drop bucket. Drops outside the ledger
-    /// (on the NIC, in TCP after its frame was counted, on the forward
-    /// and transmit paths, at reassembly expiry) call `stats.drop_at`.
-    pub(crate) fn drop_frame(&mut self, p: DropPoint) {
-        self.stats.drop_at(p);
-        if self.tele.enabled() {
-            *self.tele.host_drops.entry(p).or_insert(0) += 1;
-        }
-    }
-
-    /// Whole-host reboot: drains one NI channel's still-queued frames
-    /// into the `reboot_flushed` bucket without destroying the channel
-    /// (per-socket channels are destroyed by the socket teardown that
-    /// follows; the fragment and proxy channels are permanent and merely
-    /// emptied). Returns the number of frames flushed.
-    pub(crate) fn reboot_flush_channel(&mut self, chan: ChannelId) -> u64 {
-        let mut n = 0u64;
-        while self.nic.channel_mut(chan).dequeue().is_some() {
-            n += 1;
-        }
-        self.note_chan_empty(chan);
-        self.tele.on_reboot_flush(n);
-        n
-    }
-
     /// Records one metrics-timeline sample (driven from the statclock
     /// tick, after [`Host::refresh_cwnd_gauge`]): cumulative ledger
     /// counters, queue-depth gauges, run-queue length and the processes
@@ -811,7 +490,7 @@ impl Host {
             return;
         }
         let nic = self.nic.stats();
-        let host_dropped = self.tele.host_drops.values().sum::<u64>();
+        let host_dropped = self.ledger_dropped();
         let (chan_depth, chan_depth_max) = self.nic.channel_depths();
         // `pids` holds the charged processes in pid order, then the
         // runnable ones; the watchdog sees both, the change log the first.
@@ -833,7 +512,9 @@ impl Host {
         // Feed the watchdog before recording the row so the row's
         // cumulative `anomalies` column includes this tick's detections.
         let sample = WatchdogSample {
-            delivered: self.tele.delivered_udp + self.tele.delivered_icmp + self.tele.tcp_frames,
+            delivered: self.stats.udp_delivered
+                + self.ledger.delivered_icmp
+                + self.ledger.tcp_frames,
             dropped: host_dropped + nic.ring_drops + nic.early_discards + nic.stall_drops,
             charged_ns: self.sched.total_charged().as_nanos(),
             user_ns: self.sched.total_user().as_nanos(),
@@ -849,9 +530,9 @@ impl Host {
         // (cc_sweep plots per-controller cwnd evolution from these).
         let (tcp_cwnd, tcp_ssthresh) = self.cwnd_max;
         let values = [
-            self.tele.delivered_udp,
-            self.tele.delivered_icmp,
-            self.tele.tcp_frames,
+            self.stats.udp_delivered,
+            self.ledger.delivered_icmp,
+            self.ledger.tcp_frames,
             host_dropped,
             nic.ring_drops,
             nic.early_discards,

@@ -407,8 +407,8 @@ impl World {
             #[cfg(debug_assertions)]
             if self.events.is_multiple_of(251) {
                 for (h, host) in self.hosts.iter().enumerate() {
-                    if let Err(e) = host.check_indexes() {
-                        panic!("host {h} index out of step by the event at {t:?}: {e}");
+                    if let Err(e) = host.check_invariants() {
+                        panic!("host {h} out of step by the event at {t:?}: {e}");
                     }
                     for c in 0..host.ncpus() {
                         if let Some((_, gen)) = host.cpu_event_on(c) {

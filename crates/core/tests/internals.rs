@@ -147,6 +147,33 @@ fn packet_conservation_exact() {
             "{arch}: {unaccounted} frames unaccounted"
         );
         let _ = in_host;
+        // The ledger, counted with telemetry off, places each one.
+        let ledger = h.packet_ledger();
+        assert!(ledger.conserved(), "{arch}: {ledger:?}");
+        assert_eq!(ledger.delivered_udp, delivered, "{arch}");
+    }
+}
+
+/// A drop point's name, the key of the ledger's `host_drops` and of the
+/// reports, is its variant's name.
+#[test]
+fn drop_point_names_are_the_variant_names() {
+    use DropPoint::*;
+    let all = [
+        RxRing,
+        Channel,
+        IpQueue,
+        SockBuf,
+        BadPacket,
+        NoSocket,
+        Backlog,
+        Reasm,
+        IfQueue,
+        NicStall,
+        PortUnreach,
+    ];
+    for p in all {
+        assert_eq!(p.name(), format!("{p:?}"));
     }
 }
 

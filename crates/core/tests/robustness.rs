@@ -1166,7 +1166,7 @@ fn accept_moves_the_childs_pending_work_to_the_acceptor() {
         );
         world.run_until(now);
         let host = &world.hosts[b];
-        if let Err(e) = host.check_indexes() {
+        if let Err(e) = host.check_invariants() {
             panic!("at {now:?}: {e}");
         }
         let accepted = host
@@ -1201,7 +1201,7 @@ fn accept_moves_the_childs_pending_work_to_the_acceptor() {
         Frame::ipv4(tcp::build_datagram(A, B, &syn, 1, &[])),
         None,
     );
-    if let Err(e) = host.check_indexes() {
+    if let Err(e) = host.check_invariants() {
         panic!("after the SYN: {e}");
     }
     let best = host

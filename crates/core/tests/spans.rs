@@ -328,9 +328,10 @@ fn a_reused_channel_id_times_only_its_own_frames() {
     world.run_until(SimTime::from_millis(100));
     let h = &world.hosts[b];
     assert_eq!(h.nic.channel_ids(), chans, "the new channel reuses the id");
+    let ledger = h.packet_ledger();
+    assert_eq!(ledger.flushed, 3, "the held frames died with their channel");
+    assert_eq!(ledger.delivered_udp, 1);
     let tele = h.telemetry();
-    assert_eq!(tele.flushed, 3, "the held frames died with their channel");
-    assert_eq!(tele.delivered_udp, 1);
     let res = &tele.channel_residency;
     assert_eq!(res.count(), 1);
     let log = tele.span_log();
@@ -344,4 +345,37 @@ fn a_reused_channel_id_times_only_its_own_frames() {
     };
     assert_eq!(res.max(), at("deq") - at("enq"));
     assert!(res.max() > 0, "the frame waited for its receiver");
+}
+
+/// On a 2-CPU host, a flow that RSS steers to queue 1 interrupts CPU 1.
+/// BSD's handler puts the frame on the IP queue there, so its `enq` is
+/// logged on CPU 1; NI-LRP's firmware queues the frame on the NIC, a
+/// NIC stage, logged on CPU 0.
+#[test]
+fn enq_is_logged_where_the_frame_was_queued() {
+    for (arch, want) in [(Architecture::Bsd, 1), (Architecture::NiLrp, 0)] {
+        let mut cfg = HostConfig::new(arch);
+        cfg.telemetry = true;
+        cfg.ncpus = 2;
+        let mut host = Host::new(cfg, B);
+        let to = |port| Frame::ipv4(udp::build_datagram(A, B, 6000, port, 0, &[0; 14], false));
+        let port = (9000..)
+            .find(|&p| host.nic.rx_queue_of(&to(p)) == 1)
+            .expect("a port on queue 1");
+        let metrics = lrp_apps::shared::<SinkMetrics>();
+        let sink = BlastSink::new(port, metrics.clone());
+        host.spawn_app("sink", 0, 0, Box::new(sink));
+        let mut world = World::with_defaults();
+        let b = world.add_host(host);
+        world.add_injector(b, datagrams(port, 5, 20));
+        world.run_until(SimTime::from_millis(50));
+        assert_eq!(metrics.borrow().received, 20, "{arch}");
+        let log = world.hosts[b].telemetry().span_log();
+        let enq: Vec<u32> = log
+            .iter()
+            .filter(|e| e.stage == "enq")
+            .map(|e| e.cpu)
+            .collect();
+        assert_eq!(enq, [want; 20], "{arch}");
+    }
 }

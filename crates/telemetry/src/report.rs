@@ -285,15 +285,10 @@ pub fn world_report(world: &World) -> Json {
 }
 
 /// The packet-conservation self-check: one error string per host whose
-/// ledger does not balance (empty = all conserved). Hosts running with
-/// telemetry disabled are an error too — the check is meaningless there.
+/// ledger does not balance (empty = all conserved).
 pub fn conservation_errors(world: &World) -> Vec<String> {
     let mut errs = Vec::new();
     for (i, host) in world.hosts.iter().enumerate() {
-        if !host.telemetry().enabled() {
-            errs.push(format!("host {i} ({}): telemetry disabled", host.addr));
-            continue;
-        }
         let l = host.packet_ledger();
         if !l.conserved() {
             errs.push(format!(

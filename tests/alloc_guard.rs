@@ -309,7 +309,7 @@ const BLAST_ALLOCS_PER_EVENT: f64 = 0.002;
 
 /// The per-event pins hold under release codegen, the benchmark's.
 /// Debug builds re-derive every host index each 251st event
-/// (`Host::check_indexes`), whose scratch sets add 0.02-0.08 allocations
+/// (`Host::check_invariants`), whose scratch sets add 0.02-0.08 allocations
 /// per event; the differences and per-byte and per-tick bounds hold in
 /// both.
 const RELEASE: bool = !cfg!(debug_assertions);

@@ -30,15 +30,16 @@ use lrp::stack::SockId;
 use lrp::wire::Endpoint;
 use proptest::prelude::*;
 
-/// Runs to `t` (events at `t` included), then recomputes every host's
-/// indexes by brute force. `run_until` samples the same check in debug
+/// Runs to `t` (events at `t` included), then checks every host's
+/// invariants: its indexes recomputed by brute force, its packet ledger
+/// balanced. `run_until` samples the same check in debug
 /// builds; calling it here pins it to the instant a teardown finished —
 /// crash, reboot, listener close — and keeps it in the release soak.
 fn run_checked(world: &mut World, t: SimTime) {
     world.run_until(t);
     for (h, host) in world.hosts.iter().enumerate() {
-        if let Err(e) = host.check_indexes() {
-            panic!("host {h} index out of step at {t:?}: {e}");
+        if let Err(e) = host.check_invariants() {
+            panic!("host {h} out of step at {t:?}: {e}");
         }
     }
 }

@@ -144,6 +144,13 @@ fn telemetry_does_not_perturb_the_simulation() {
         assert!(on.hosts[0].telemetry().profiler().total() > 0);
         assert!(!on.hosts[0].telemetry().timeline().is_empty());
         assert!(!off.hosts[0].telemetry().enabled());
+        // The ledger is host state: counted, and balanced, either way.
+        assert!(off.hosts[0].packet_ledger().conserved());
+        assert_eq!(
+            off.hosts[0].packet_ledger(),
+            on.hosts[0].packet_ledger(),
+            "{arch:?}"
+        );
         assert_eq!(off.hosts[0].telemetry().profiler().total(), 0);
         assert!(off.hosts[0].telemetry().timeline().is_empty());
     }
