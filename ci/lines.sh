@@ -42,13 +42,13 @@ core 5952
 criterion-shim 126
 demux 427
 experiments 3518
-mbuf 421
+mbuf 346
 net 666
 nic 805
 proptest-shim 450
 sched 1050
 sim 1608
-stack 4177
+stack 4231
 telemetry 1277
 wire 1887
 EOF

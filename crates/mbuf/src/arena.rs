@@ -1,13 +1,19 @@
-//! Arena-backed frame storage: a freelist pool of reference-counted
-//! byte buffers with generation-checked handles.
+//! Arena-backed frame storage: capacity-banded free lists of byte
+//! vectors and of the reference-counted boxes that wrap them.
 //!
 //! The simulator's hot path used to allocate (and free) one `Vec` per
 //! frame per hop. [`FrameArena`] recycles both halves of a frame's
 //! storage — the byte vector *and* the `Rc` box around it — so
-//! steady-state frame traffic does no allocator work at all. Every
-//! checkout is tagged with a [`BufHandle`] — a `(slot, generation)`
-//! pair validated when the buffer returns — which turns double-return
-//! and stale-handle bugs into loud panics instead of silent corruption.
+//! steady-state frame traffic does no allocator work at all. A
+//! checked-out frame's one identity is its `Rc`: the strong count
+//! decides when the buffer comes back, so it cannot come back twice.
+//!
+//! The caches keep what the arena once handed out. Every cached `Rc` box
+//! was once live, so `cached + live` never exceeds the most buffers ever
+//! live at once: a burst (a SYN flood's stalled channels) leaves its
+//! boxes for the next one instead of returning them to the allocator.
+//! Cached byte vectors are bounded by their total capacity,
+//! `MAX_CACHED_BYTES`.
 //!
 //! The arena is single-threaded (`Rc<RefCell>`), like the rest of the
 //! simulator, and holds no back-pointers: a checked-out
@@ -29,13 +35,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Returned `Rc` boxes kept for reuse, per arena, and returned byte
-/// vectors kept per capacity band. Beyond this they are simply dropped —
-/// a bound, not a limit.
-const MAX_CACHED: usize = 1024;
-
-/// Capacity of all cached byte vectors together, per arena. The count
-/// bound alone would let 1 024 MSS-sized buffers pin 9 MB.
+/// Capacity of all cached byte vectors together, per arena: the one
+/// bound on cached storage. Beyond it a returned vector is simply
+/// dropped.
 const MAX_CACHED_BYTES: usize = 4 << 20;
 
 /// Cached storage is kept apart by capacity: band `k` holds vectors of
@@ -51,32 +53,6 @@ fn band(capacity: usize) -> usize {
     capacity.ilog2() as usize
 }
 
-/// Largest generation; the next wraps to 0. One bit short of `u32`, so a
-/// [`PooledBuf`] packs its generation and its mark into one word.
-const MAX_GEN: u32 = u32::MAX >> 1;
-
-/// Identity of one checked-out buffer: which slot it came from and the
-/// slot's generation at checkout. Returning with a stale generation
-/// (double return, forged handle) panics. Generations count modulo
-/// 2^31.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct BufHandle {
-    slot: u32,
-    gen: u32,
-}
-
-impl BufHandle {
-    /// The slot id (for tests).
-    pub fn slot(self) -> u32 {
-        self.slot
-    }
-
-    /// The generation at checkout (for tests).
-    pub fn generation(self) -> u32 {
-        self.gen
-    }
-}
-
 /// Per-arena counters, for tests and the bench report.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
@@ -88,9 +64,10 @@ pub struct ArenaStats {
     pub fresh_allocs: u64,
     /// Buffers returned to the arena.
     pub returns: u64,
-    /// Buffers currently checked out.
+    /// Buffers currently checked out: `checkouts - returns`.
     pub live: usize,
-    /// Recycled `Rc` boxes currently cached.
+    /// Recycled `Rc` boxes currently cached. `cached + live` is at most
+    /// the largest `live` the arena has seen.
     pub cached: usize,
     /// Scratch requests the recycle cache could not serve: the request's
     /// capacity band was empty, or its top buffer was too small and was
@@ -101,27 +78,25 @@ pub struct ArenaStats {
     pub cached_bytes: usize,
 }
 
-/// An arena-owned byte buffer: storage plus its checkout identity.
+/// An arena-owned byte buffer: storage plus the TCP-summed mark.
 ///
 /// Plain data — no destructor, no arena pointer. Wrap it in `Rc` for
 /// sharing; hand the `Rc` back via [`FrameArena::reclaim`] when done.
+/// Only an arena makes one, so every box the arena caches is one it
+/// handed out.
 #[derive(Debug)]
 pub struct PooledBuf {
     storage: Vec<u8>,
-    slot: u32,
-    /// The generation at checkout, shifted left by one; bit 0 is the
-    /// TCP-summed mark (see the module docs). One word, so the mark
-    /// costs no space.
-    gen_mark: u32,
+    /// The TCP-summed mark (see the module docs).
+    tcp_summed: bool,
 }
 
 impl PooledBuf {
-    /// Unmarked storage with checkout identity `handle`.
-    fn new(storage: Vec<u8>, handle: BufHandle) -> Self {
+    /// Unmarked storage.
+    fn new(storage: Vec<u8>) -> Self {
         PooledBuf {
             storage,
-            slot: handle.slot,
-            gen_mark: handle.gen << 1,
+            tcp_summed: false,
         }
     }
 
@@ -135,7 +110,7 @@ impl PooledBuf {
     /// mark: the caller may change the bytes.
     #[inline]
     pub fn vec_mut(&mut self) -> &mut Vec<u8> {
-        self.gen_mark &= !1;
+        self.tcp_summed = false;
         &mut self.storage
     }
 
@@ -143,30 +118,18 @@ impl PooledBuf {
     /// had mutable access to them since.
     #[inline]
     pub fn tcp_summed(&self) -> bool {
-        self.gen_mark & 1 == 1
+        self.tcp_summed
     }
 
     /// Sets the TCP-summed mark. For `lrp-wire`'s TCP framer, which
     /// calls it on a buffer it has just filled and holds uniquely.
     pub fn mark_tcp_summed(&mut self) {
-        self.gen_mark |= 1;
-    }
-
-    /// The buffer's arena identity.
-    pub fn handle(&self) -> BufHandle {
-        BufHandle {
-            slot: self.slot,
-            gen: self.gen_mark >> 1,
-        }
+        self.tcp_summed = true;
     }
 }
 
 #[derive(Debug, Default)]
 struct ArenaInner {
-    /// Generation per slot id; bumped on every return.
-    generations: Vec<u32>,
-    /// Slot ids not currently associated with a live buffer.
-    free_slots: Vec<u32>,
     /// Recycled byte vectors (empty, capacity kept) by capacity band,
     /// ready to hand out.
     raw_cache: [Vec<Vec<u8>>; BANDS],
@@ -177,37 +140,6 @@ struct ArenaInner {
 }
 
 impl ArenaInner {
-    fn claim_slot(&mut self) -> BufHandle {
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                let s = u32::try_from(self.generations.len()).expect("arena slot overflow");
-                self.generations.push(0);
-                s
-            }
-        };
-        self.stats.checkouts += 1;
-        self.stats.live += 1;
-        BufHandle {
-            slot,
-            gen: self.generations[slot as usize],
-        }
-    }
-
-    /// Validates the handle against the slot's generation and retires it.
-    fn retire(&mut self, handle: BufHandle) {
-        let gen = &mut self.generations[handle.slot as usize];
-        assert_eq!(
-            *gen, handle.gen,
-            "stale or double buffer return (slot {})",
-            handle.slot
-        );
-        *gen = (*gen + 1) & MAX_GEN;
-        self.free_slots.push(handle.slot);
-        self.stats.returns += 1;
-        self.stats.live -= 1;
-    }
-
     fn take_storage(&mut self, capacity: usize) -> Vec<u8> {
         if capacity == 0 {
             return Vec::new();
@@ -230,11 +162,9 @@ impl ArenaInner {
             return;
         }
         if let Some(stack) = self.raw_cache.get_mut(band(capacity)) {
-            if stack.len() < MAX_CACHED {
-                storage.clear();
-                stack.push(storage);
-                self.stats.cached_bytes += capacity;
-            }
+            storage.clear();
+            stack.push(storage);
+            self.stats.cached_bytes += capacity;
         }
     }
 }
@@ -258,44 +188,41 @@ impl FrameArena {
     /// steady state this allocates nothing.
     pub fn adopt(&self, storage: Vec<u8>) -> Rc<PooledBuf> {
         let mut inner = self.inner.borrow_mut();
-        let handle = inner.claim_slot();
+        inner.stats.checkouts += 1;
+        inner.stats.live += 1;
         match inner.rc_cache.pop() {
             Some(mut rc) => {
                 inner.stats.reuses += 1;
                 inner.stats.cached = inner.rc_cache.len();
-                *Rc::get_mut(&mut rc).expect("cached Rc is unique") =
-                    PooledBuf::new(storage, handle);
+                *Rc::get_mut(&mut rc).expect("cached Rc is unique") = PooledBuf::new(storage);
                 rc
             }
             None => {
                 inner.stats.fresh_allocs += 1;
-                Rc::new(PooledBuf::new(storage, handle))
+                Rc::new(PooledBuf::new(storage))
             }
         }
     }
 
     /// Returns a buffer whose caller-side references are gone.
     ///
-    /// If `rc` is the last reference, the handle is generation-checked
-    /// and retired, the bytes join the storage cache and the box the box
-    /// cache; otherwise only this reference is released (the eventual
-    /// last holder reclaims).
+    /// If `rc` is the last reference, the bytes join the storage cache
+    /// and the box the box cache; otherwise only this reference is
+    /// released (the eventual last holder reclaims).
     pub fn reclaim(&self, mut rc: Rc<PooledBuf>) {
         let Some(buf) = Rc::get_mut(&mut rc) else {
             return; // Still shared: just drop this reference.
         };
         let mut inner = self.inner.borrow_mut();
-        inner.retire(buf.handle());
+        inner.stats.returns += 1;
+        inner.stats.live -= 1;
         inner.give_storage(std::mem::take(&mut buf.storage));
-        if inner.rc_cache.len() < MAX_CACHED {
-            inner.rc_cache.push(rc);
-            inner.stats.cached = inner.rc_cache.len();
-        }
+        inner.rc_cache.push(rc);
+        inner.stats.cached = inner.rc_cache.len();
     }
 
-    /// Takes empty scratch storage with `cap` capacity (no slot
-    /// bookkeeping) — for builders that assemble bytes before handing
-    /// the vector to [`Self::adopt`].
+    /// Takes empty scratch storage with `cap` capacity — for builders
+    /// that assemble bytes before handing the vector to [`Self::adopt`].
     pub fn take_storage(&self, capacity: usize) -> Vec<u8> {
         self.inner.borrow_mut().take_storage(capacity)
     }
@@ -373,54 +300,8 @@ mod tests {
     }
 
     #[test]
-    fn generations_advance_per_slot() {
-        let arena = FrameArena::new();
-        let a = arena.adopt(vec![1]);
-        let h1 = a.handle();
-        arena.reclaim(a);
-        let b = arena.adopt(vec![2]);
-        let h2 = b.handle();
-        assert_eq!(
-            (h1.slot(), h1.generation() + 1),
-            (h2.slot(), h2.generation()),
-            "same slot, bumped generation"
-        );
-    }
-
-    #[test]
-    fn generations_wrap_below_the_mark_bit() {
-        let arena = FrameArena::new();
-        let a = arena.adopt(Vec::new());
-        let slot = a.handle().slot() as usize;
-        arena.reclaim(a);
-        arena.inner.borrow_mut().generations[slot] = MAX_GEN;
-        let mut b = arena.adopt(Vec::new());
-        assert_eq!(b.handle().generation(), MAX_GEN);
-        Rc::get_mut(&mut b).expect("unique").mark_tcp_summed();
-        assert_eq!(
-            b.handle().generation(),
-            MAX_GEN,
-            "the mark is not the generation"
-        );
-        arena.reclaim(b);
-        assert_eq!(arena.adopt(Vec::new()).handle().generation(), 0, "wrapped");
-        assert_eq!(
-            std::mem::size_of::<PooledBuf>(),
-            32,
-            "the mark costs no space"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "stale or double buffer return")]
-    fn double_return_panics() {
-        let arena = FrameArena::new();
-        let a = arena.adopt(vec![1]);
-        let handle = a.handle();
-        arena.reclaim(a);
-        // Forge a second return of the same (slot, generation).
-        let forged = Rc::new(PooledBuf::new(Vec::new(), handle));
-        arena.reclaim(forged);
+    fn a_frame_costs_no_more_than_its_storage_and_mark() {
+        assert!(std::mem::size_of::<PooledBuf>() <= 32);
     }
 
     #[test]
@@ -503,7 +384,7 @@ mod tests {
     #[test]
     fn retained_bytes_are_bounded() {
         let arena = FrameArena::new();
-        for _ in 0..MAX_CACHED {
+        for _ in 0..MAX_CACHED_BYTES / 9180 + 10 {
             arena.give_storage(Vec::with_capacity(9180));
         }
         let s = arena.stats();
@@ -534,17 +415,42 @@ mod tests {
     }
 
     #[test]
-    fn rc_box_cache_is_bounded() {
+    fn a_second_burst_reuses_all_the_first_one_held() {
         let arena = FrameArena::new();
-        let bufs: Vec<Rc<PooledBuf>> = (0..MAX_CACHED + 10)
-            .map(|_| arena.adopt(Vec::new()))
-            .collect();
-        for b in bufs {
-            arena.reclaim(b);
-        }
+        let burst = || {
+            let frames: Vec<Rc<PooledBuf>> = (0..3_000)
+                .map(|_| {
+                    let mut v = arena.take_storage(60);
+                    v.resize(60, 0x5A);
+                    arena.adopt(v)
+                })
+                .collect();
+            assert_eq!(arena.stats().live, 3_000);
+            for f in frames {
+                arena.reclaim(f);
+            }
+        };
+        burst();
+        let first = arena.stats();
+        assert_eq!(first.cached, 3_000, "every box the burst held is kept");
+        burst();
         let s = arena.stats();
-        assert_eq!(s.cached, MAX_CACHED);
-        assert_eq!((s.live, s.returns), (0, MAX_CACHED as u64 + 10));
+        assert_eq!(s.fresh_allocs, first.fresh_allocs, "no fresh Rc box");
+        assert_eq!(s.storage_allocs, first.storage_allocs, "no fresh storage");
+        assert_eq!((s.live, s.cached), (0, 3_000));
+    }
+
+    #[test]
+    fn cached_boxes_never_outnumber_the_peak_live() {
+        let arena = FrameArena::new();
+        let mut held: Vec<Rc<PooledBuf>> = (0..10).map(|_| arena.adopt(Vec::new())).collect();
+        held.drain(..5).for_each(|b| arena.reclaim(b));
+        held.extend((0..3).map(|_| arena.adopt(Vec::new())));
+        let s = arena.stats();
+        assert_eq!((s.live, s.cached, s.fresh_allocs), (8, 2, 10));
+        held.into_iter().for_each(|b| arena.reclaim(b));
+        let s = arena.stats();
+        assert_eq!((s.live, s.cached), (0, 10), "the peak, not every checkout");
     }
 
     #[test]

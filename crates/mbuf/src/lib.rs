@@ -5,9 +5,10 @@
 //! simulator keeps every frame and UDP payload in buffers drawn from a
 //! [`FrameArena`]. Both halves of a buffer — the byte vector and the
 //! `Rc` box around it — are recycled, so steady-state traffic does no
-//! allocator work, and every checkout carries a generation-checked
-//! [`BufHandle`], so a double return panics. `lrp-wire`'s `FrameBuf` is
-//! the arena's only front end (see the [`arena`] module).
+//! allocator work, and a burst leaves its boxes cached for the next
+//! one. A checked-out buffer's one identity is its `Rc`, whose strong
+//! count decides when it comes back. `lrp-wire`'s `FrameBuf` is the
+//! arena's only front end (see the [`arena`] module).
 //!
 //! # Examples
 //!
@@ -31,4 +32,4 @@
 
 pub mod arena;
 
-pub use arena::{ArenaStats, BufHandle, FrameArena, PooledBuf};
+pub use arena::{ArenaStats, FrameArena, PooledBuf};

@@ -31,11 +31,14 @@ fn op() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// `live` is checkouts minus returns, a buffer is retired only when
-    /// its last reference comes back, and the caches stay bounded.
+    /// its last reference comes back, the box cache never holds more
+    /// than the most buffers live at once, and cached storage stays
+    /// within its byte bound.
     #[test]
     fn accounting_is_exact_under_any_interleaving(ops in collection::vec(op(), 1..300)) {
         let arena = FrameArena::new();
         let mut refs: Vec<Rc<PooledBuf>> = Vec::new();
+        let mut peak_live = 0;
         for op in ops {
             match op {
                 Op::Adopt(len) => refs.push(arena.adopt(arena.take_storage(len))),
@@ -54,7 +57,8 @@ proptest! {
             prop_assert_eq!(s.live, distinct.len());
             prop_assert_eq!(s.checkouts - s.returns, s.live as u64);
             prop_assert_eq!(s.checkouts, s.reuses + s.fresh_allocs);
-            prop_assert!(s.cached <= 1024);
+            peak_live = peak_live.max(s.live);
+            prop_assert!(s.cached + s.live <= peak_live);
             prop_assert!(s.cached_bytes <= 4 << 20);
         }
         for r in refs {
@@ -124,40 +128,5 @@ proptest! {
             arena.give_storage(v);
         }
         prop_assert!(arena.stats().cached_bytes <= 4 << 20);
-    }
-
-    /// Live buffers carry distinct handles, and a slot's generation
-    /// counts the buffers retired from it.
-    #[test]
-    fn handle_generations_count_retirements(ops in collection::vec(op(), 1..300)) {
-        let arena = FrameArena::new();
-        let mut refs: Vec<Rc<PooledBuf>> = Vec::new();
-        let mut retired: Vec<u32> = Vec::new();
-        for op in ops {
-            match op {
-                Op::Adopt(len) => {
-                    let h = arena.adopt(arena.take_storage(len));
-                    let slot = h.handle().slot();
-                    let times = retired.iter().filter(|&&s| s == slot).count();
-                    prop_assert_eq!(h.handle().generation() as usize, times);
-                    refs.push(h);
-                }
-                Op::Share(ix) if !refs.is_empty() => {
-                    let r = Rc::clone(&refs[ix.index(refs.len())]);
-                    refs.push(r);
-                }
-                Op::Reclaim(ix) if !refs.is_empty() => {
-                    let r = refs.swap_remove(ix.index(refs.len()));
-                    if Rc::strong_count(&r) == 1 {
-                        retired.push(r.handle().slot());
-                    }
-                    arena.reclaim(r);
-                }
-                _ => {}
-            }
-            let handles: HashSet<_> = refs.iter().map(|r| r.handle()).collect();
-            let distinct: HashSet<*const PooledBuf> = refs.iter().map(Rc::as_ptr).collect();
-            prop_assert_eq!(handles.len(), distinct.len());
-        }
     }
 }

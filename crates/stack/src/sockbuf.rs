@@ -150,9 +150,15 @@ const TAIL_CAP: usize = 2048;
 /// copies into the reader's storage. So each payload byte is copied
 /// once per side. `len`, `space` and `limit` count bytes exactly, as the
 /// window arithmetic needs.
+///
+/// The first slice is held inline, so a buffer that never holds two
+/// slices at once (a request, a response) never allocates its queue.
 #[derive(Debug)]
 pub struct ByteBuffer {
-    slices: VecDeque<FrameSlice>,
+    /// The first slice; `None` only when the buffer is empty.
+    head: Option<FrameSlice>,
+    /// The second and later slices; empty whenever `head` is `None`.
+    rest: VecDeque<FrameSlice>,
     len: usize,
     limit: usize,
 }
@@ -161,10 +167,16 @@ impl ByteBuffer {
     /// Creates a buffer bounded at `limit` bytes.
     pub fn new(limit: usize) -> Self {
         ByteBuffer {
-            slices: VecDeque::new(),
+            head: None,
+            rest: VecDeque::new(),
             len: 0,
             limit,
         }
+    }
+
+    /// The buffered slices, first to last.
+    fn slices(&self) -> impl Iterator<Item = &FrameSlice> {
+        self.head.iter().chain(&self.rest)
     }
 
     /// Bytes currently buffered.
@@ -201,7 +213,7 @@ impl ByteBuffer {
         let n = data.len();
         self.len += n;
         while !data.is_empty() {
-            let copied = match self.slices.back_mut() {
+            let copied = match self.rest.back_mut().or(self.head.as_mut()) {
                 Some(last) if last.len() < MIN_ADOPT || data.len() < MIN_ADOPT => {
                     let want = if data.len() < MIN_ADOPT {
                         data.len()
@@ -225,7 +237,11 @@ impl ByteBuffer {
                 let end = tail.len();
                 data = FrameSlice::new(FrameBuf::from_vec(tail), 0..end);
             }
-            self.slices.push_back(data);
+            if self.head.is_none() {
+                self.head = Some(data);
+            } else {
+                self.rest.push_back(data);
+            }
             break;
         }
         n
@@ -234,8 +250,7 @@ impl ByteBuffer {
     /// The buffered bytes `[offset, offset + n)`, slice by slice.
     fn chunks(&self, mut offset: usize, mut n: usize) -> impl Iterator<Item = &[u8]> {
         assert!(offset + n <= self.len, "range beyond buffer");
-        self.slices
-            .iter()
+        self.slices()
             .map_while(move |s| {
                 (n > 0).then(|| {
                     let from = offset.min(s.len());
@@ -284,16 +299,13 @@ impl ByteBuffer {
         self.len -= n;
         let mut left = n;
         while left > 0 {
-            let head = self
-                .slices
-                .front_mut()
-                .expect("len counts the slices' bytes");
+            let head = self.head.as_mut().expect("len counts the slices' bytes");
             if head.len() > left {
                 head.advance(left);
                 break;
             }
             left -= head.len();
-            self.slices.pop_front();
+            self.head = self.rest.pop_front();
         }
     }
 
@@ -301,15 +313,15 @@ impl ByteBuffer {
     /// here do not grow a chain of their own. `self` must be empty.
     pub fn reuse(&mut self, spent: ByteBuffer) {
         debug_assert!(self.is_empty(), "reuse into a non-empty buffer");
-        self.slices = spent.slices;
-        self.slices.clear();
+        self.rest = spent.rest;
+        self.rest.clear();
     }
 
     /// True if some buffered slice points into `buf` (for tests that a
     /// buffer holds bytes by reference).
     #[cfg(test)]
     pub(crate) fn holds(&self, buf: &FrameBuf) -> bool {
-        self.slices.iter().any(|s| FrameBuf::ptr_eq(s.buf(), buf))
+        self.slices().any(|s| FrameBuf::ptr_eq(s.buf(), buf))
     }
 }
 
@@ -421,7 +433,7 @@ mod tests {
         assert_eq!(b.adopt(fx.clone()), MIN_ADOPT);
         assert_eq!(b.adopt(fy.clone()), 2 * MIN_ADOPT);
         assert!(b.holds(fx.buf()) && b.holds(fy.buf()), "no copy on append");
-        assert_eq!(b.slices.len(), 2);
+        assert_eq!(b.slices().count(), 2);
         let want = [&x[..], &y[..]].concat();
         assert_eq!(
             peek(&b, MIN_ADOPT - 3, 6),
@@ -448,13 +460,63 @@ mod tests {
     fn short_appends_coalesce_into_a_tail_buffer() {
         let mut b = ByteBuffer::new(1 << 16);
         let mut n = 0;
-        while b.slices.len() < 2 {
+        while b.slices().count() < 2 {
             assert_eq!(b.adopt(framed(&[n as u8])), 1);
             n += 1;
         }
         assert!(n > TAIL_CAP, "{n} one-byte appends filled one tail");
         let want: Vec<u8> = (0..n).map(|i| i as u8).collect();
         assert_eq!(b.read(usize::MAX), want);
+    }
+
+    #[test]
+    fn one_slice_at_a_time_never_allocates_the_queue() {
+        let mut b = ByteBuffer::new(4 * MIN_ADOPT);
+        for round in 0..3u8 {
+            assert_eq!(b.adopt(framed(&[round; 2 * MIN_ADOPT])), 2 * MIN_ADOPT);
+            assert_eq!(b.read(MIN_ADOPT).len(), MIN_ADOPT);
+            b.discard(MIN_ADOPT);
+            assert_eq!(b.write(b"short"), 5);
+            assert_eq!(b.write(b" runs"), 5, "copied into the head's tail buffer");
+            assert_eq!(b.read(usize::MAX), b"short runs");
+        }
+        assert!(b.is_empty());
+        assert_eq!(b.rest.capacity(), 0, "the head held every slice");
+    }
+
+    #[test]
+    fn discarding_the_head_promotes_the_next_slice() {
+        let mut b = ByteBuffer::new(4 * MIN_ADOPT);
+        let (x, y) = (framed(&[1; MIN_ADOPT]), framed(&[2; MIN_ADOPT]));
+        b.adopt(x.clone());
+        b.adopt(y.clone());
+        b.discard(MIN_ADOPT + 1);
+        assert!(!b.holds(x.buf()) && b.rest.is_empty());
+        assert!(FrameBuf::ptr_eq(
+            b.head.as_ref().expect("head").buf(),
+            y.buf()
+        ));
+        assert_eq!(b.read(usize::MAX), [2; MIN_ADOPT - 1]);
+        assert!(b.head.is_none());
+    }
+
+    #[test]
+    fn reuse_hands_over_the_spent_queue() {
+        let mut spent = ByteBuffer::new(4 * MIN_ADOPT);
+        for i in 0..3u8 {
+            spent.adopt(framed(&[i; MIN_ADOPT]));
+        }
+        assert_eq!(spent.slices().count(), 3);
+        let (ptr, cap) = (spent.rest.as_slices().0.as_ptr(), spent.rest.capacity());
+        let mut b = ByteBuffer::new(4 * MIN_ADOPT);
+        b.reuse(spent);
+        assert!(b.is_empty() && b.head.is_none());
+        assert_eq!(b.rest.capacity(), cap, "the queue's storage came along");
+        for i in 0..3u8 {
+            b.adopt(framed(&[i; MIN_ADOPT]));
+        }
+        assert_eq!(b.rest.capacity(), cap, "and was not regrown");
+        assert_eq!(b.rest.as_slices().0.as_ptr(), ptr);
     }
 
     /// One step of the model test.
@@ -539,10 +601,12 @@ mod tests {
                 prop_assert_eq!(b.len(), model.len());
                 prop_assert_eq!(b.space(), limit - model.len());
                 prop_assert_eq!(b.is_empty(), model.is_empty());
-                prop_assert!(b.slices.iter().all(|s| !s.is_empty()));
+                prop_assert!(b.slices().all(|s| !s.is_empty()));
+                prop_assert!(b.head.is_some() || b.rest.is_empty(), "a queue behind no head");
+                let slices = b.slices().count();
                 prop_assert!(
-                    b.slices.len() <= limit / MIN_ADOPT + 2,
-                    "{} slices for a {}-byte limit", b.slices.len(), limit
+                    slices <= limit / MIN_ADOPT + 2,
+                    "{} slices for a {}-byte limit", slices, limit
                 );
                 prop_assert_eq!(peek(&b, 0, b.len()), model.iter().copied().collect::<Vec<u8>>());
             }

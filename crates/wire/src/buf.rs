@@ -3,10 +3,11 @@
 //! [`FrameBuf`] is the byte storage behind [`crate::Frame`]: an
 //! `Rc<PooledBuf>` drawn from a thread-local [`FrameArena`]
 //! (`lrp-mbuf`). Cloning a frame — fan-out, duplication faults, capture
-//! — is a reference-count bump instead of a full byte copy, and when
-//! the last reference drops both the byte vector and the `Rc` box go
-//! back to the arena for the next packet, so steady-state traffic
-//! leaves the allocator alone.
+//! — is a reference-count bump instead of a full byte copy. The `Rc` is
+//! the buffer's one identity: when the last reference drops, both the
+//! byte vector and the `Rc` box go back to the arena for the next
+//! packet, exactly once, so steady-state traffic leaves the allocator
+//! alone.
 //!
 //! A [`FrameSlice`] is a byte range of one, held by reference: the unit
 //! a TCP socket buffer queues, so payload bytes stay where they arrived

@@ -14,7 +14,8 @@
 //! - connection storage (DESIGN.md §17): a warm HTTP connect / request /
 //!   close cycle allocates well under one allocation and a few hundred
 //!   bytes, on 4.4BSD and NI-LRP alike, so no table grows per
-//!   connection;
+//!   connection; and 200 clients connecting at once, past the connection
+//!   pool, cost a stated number of allocations per fresh connection;
 //! - the statclock sample (DESIGN.md §16): a tick on a host of idle
 //!   processes appends its timeline row to storage that grows by
 //!   doubling, and allocates nothing per tick or per process.
@@ -22,15 +23,19 @@
 //! This binary has its own counting `#[global_allocator]` and a single
 //! test, so the counters see the simulation and nothing else.
 
-use lrp::apps::PingPongServer;
+use lrp::apps::{
+    shared, HttpClient, HttpMetrics, HttpWorker, PingPongServer, Shared, SharedListener,
+};
 use lrp::core::{Architecture, CcAlgo, Host, HostConfig, World};
-use lrp::experiments::{fault_sweep, fig3, syn_flood};
+use lrp::experiments::{fault_sweep, fig3, syn_flood, HOST_A, HOST_B};
 use lrp::net::FaultPlan;
 use lrp::sched::ProcState;
 use lrp::sim::{SimDuration, SimTime};
 use lrp::stack::{PcbTable, SockId};
 use lrp::wire::{proto, Endpoint, FlowKey, Ipv4Addr};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes moved per architecture.
@@ -237,6 +242,35 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
         }
     }
 
+    // Fresh connections: 200 clients connect at once, past the 64-entry
+    // connection pool, so most connections, their socket buffers' chains
+    // and their NI channels are built in new storage. Counted from the
+    // first SYN until as many transactions as clients have completed.
+    for (arch, ceiling) in [(Architecture::Bsd, 12.0), (Architecture::NiLrp, 18.0)] {
+        let (mut world, clients) = connection_burst(arch);
+        let transactions = || clients.iter().map(|m| m.borrow().transactions).sum::<u64>();
+        let allocs0 = ALLOCS.load(Ordering::Relaxed);
+        let mut now = SimTime::ZERO;
+        while transactions() < BURST_CLIENTS as u64 {
+            now += SimDuration::from_millis(1);
+            assert!(now < SimTime::from_secs(10), "{arch:?}: the burst stalled");
+            world.run_until(now);
+        }
+        let per_conn = (ALLOCS.load(Ordering::Relaxed) - allocs0) as f64 / transactions() as f64;
+        eprintln!("{arch:?}: {per_conn:.2} allocations per fresh connection");
+        // Release reads 9.47 (4.4BSD) and 15.38 (NI-LRP; each connection
+        // also builds an NI channel). Before socket buffers held their
+        // first slice inline, the four chains of a client and server
+        // connection (a send and a receive side on each host) allocated
+        // their queues on the first append: 14.35 and 20.38.
+        if RELEASE {
+            assert!(
+                per_conn <= ceiling,
+                "{arch:?}: {per_conn:.2} allocations per fresh connection"
+            );
+        }
+    }
+
     // The statclock sample on an idle host: 256 processes blocked in
     // `recv`, nobody charged. A tick appends one row to the flat timeline
     // and to the per-row logs, which grow by doubling: 0.0006 allocations
@@ -289,6 +323,9 @@ const CHURN_WARM_UP: SimTime = SimTime::from_secs(2);
 /// Connect/request/close cycles measured once warm.
 const CHURN_CYCLES: u64 = 1_000;
 
+/// Clients that connect at once in the fresh-connection burst.
+const BURST_CLIENTS: usize = 200;
+
 /// Processes on the idle host, and the ticks measured on it.
 const IDLE_PROCS: u16 = 256;
 const IDLE_TICKS: u32 = 10_000;
@@ -313,6 +350,52 @@ const BLAST_ALLOCS_PER_EVENT: f64 = 0.002;
 /// per event; the differences and per-byte and per-tick bounds hold in
 /// both.
 const RELEASE: bool = !cfg!(debug_assertions);
+
+/// An HTTP server of eight workers, with a backlog that takes every
+/// SYN, and [`BURST_CLIENTS`] closed-loop clients on a second host; the
+/// clients' metrics.
+fn connection_burst(arch: Architecture) -> (World, Vec<Shared<HttpMetrics>>) {
+    let cfg = syn_flood::config(arch, syn_flood::Defense::None);
+    let mut world = World::with_defaults();
+    let mut server = Host::new(cfg, HOST_B);
+    let listener: SharedListener = Rc::new(RefCell::new(None));
+    for i in 0..8 {
+        server.spawn_app(
+            &format!("httpd-{i}"),
+            0,
+            64 * 1024,
+            Box::new(HttpWorker::new(
+                80,
+                BURST_CLIENTS,
+                1_300,
+                SimDuration::from_micros(500),
+                i == 0,
+                listener.clone(),
+            )),
+        );
+    }
+    let mut client_host = Host::new(cfg, HOST_A);
+    let clients: Vec<_> = (0..BURST_CLIENTS)
+        .map(|i| {
+            let m = shared::<HttpMetrics>();
+            client_host.spawn_app(
+                &format!("client-{i}"),
+                0,
+                0,
+                Box::new(HttpClient::new(
+                    Endpoint::new(HOST_B, 80),
+                    100,
+                    1_300,
+                    m.clone(),
+                )),
+            );
+            m
+        })
+        .collect();
+    world.add_host(client_host);
+    world.add_host(server);
+    (world, clients)
+}
 
 /// Allocations per event over one simulated second of the Figure-3 blast
 /// (12 000 pkts/s, Poisson, seed 7) once past [`BLAST_WARM_UP`], with
