@@ -38,13 +38,13 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1701
 bench 0
-core 5952
+core 6047
 criterion-shim 126
 demux 427
 experiments 3518
 mbuf 346
 net 666
-nic 805
+nic 913
 proptest-shim 450
 sched 1050
 sim 1608

@@ -16,7 +16,7 @@ use lrp_demux::ChannelId;
 use lrp_sched::{Pid, WaitChannel};
 use lrp_stack::tcp::TcpConn;
 use lrp_stack::SockId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Spare connections the pool keeps. Churn at a steady load needs few (an
 /// HTTP host serving eight clients keeps under 30 between reuses); past
@@ -25,12 +25,49 @@ use std::collections::{BTreeMap, BTreeSet};
 /// flood kept 600 spare ones, 0.5 MB, for the rest of its life.
 const CONN_POOL_MAX: usize = 64;
 
-/// Cursor over a socket set, for walks whose body needs `&mut Host`: the
-/// next member at or after `*from`, advancing `from` past it.
-pub(crate) fn next_sock(set: &BTreeSet<SockId>, from: &mut SockId) -> Option<SockId> {
-    let sock = *set.range(*from..).next()?;
-    *from = SockId(sock.0 + 1);
-    Some(sock)
+/// A set of sockets as a sorted vector: membership by binary search, and
+/// walks in ascending `SockId`. Its storage is the most members it ever
+/// held at once, reused, so a steady membership allocates nothing, and
+/// nothing is kept per socket id ever issued.
+#[derive(Debug, Default)]
+pub(crate) struct SockSet(Vec<SockId>);
+
+impl SockSet {
+    /// Adds `id`; false if it was already a member.
+    pub(crate) fn insert(&mut self, id: SockId) -> bool {
+        let Err(i) = self.0.binary_search(&id) else {
+            return false;
+        };
+        self.0.insert(i, id);
+        true
+    }
+
+    /// Removes `id`; false if it was not a member.
+    pub(crate) fn remove(&mut self, id: SockId) -> bool {
+        let Ok(i) = self.0.binary_search(&id) else {
+            return false;
+        };
+        self.0.remove(i);
+        true
+    }
+
+    /// True if `id` is a member.
+    pub(crate) fn contains(&self, id: SockId) -> bool {
+        self.0.binary_search(&id).is_ok()
+    }
+
+    /// The members, in ascending order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, SockId> {
+        self.0.iter()
+    }
+
+    /// Cursor for walks whose body needs `&mut Host`: the first member at
+    /// or after `*from`, advancing `from` past it.
+    pub(crate) fn next_from(&self, from: &mut SockId) -> Option<SockId> {
+        let sock = *self.0.get(self.0.partition_point(|&s| s < *from))?;
+        *from = SockId(sock.0 + 1);
+        Some(sock)
+    }
 }
 
 /// The cwnd gauge's key for `s` now: its connection's
@@ -62,7 +99,7 @@ impl Host {
     /// `free_socket` closes the channel before it takes the slot.
     pub(crate) fn note_chan_empty(&mut self, chan: ChannelId) {
         if let Some(&sock) = self.chan_to_sock.get(&chan) {
-            if self.ready_socks.remove(&sock) {
+            if self.ready_socks.remove(sock) {
                 let s = self.sock(sock);
                 self.note_owner_work(s.owner, s.proto, false);
             }
@@ -76,14 +113,15 @@ impl Host {
         if proto != SockProto::Tcp {
             return;
         }
-        let n = self.owner_work.entry(owner).or_insert(0);
-        if gained {
-            *n += 1;
-        } else {
-            *n -= 1;
-            if *n == 0 {
-                self.owner_work.remove(&owner);
+        let found = self.owner_work.binary_search_by_key(&owner, |&(p, _)| p);
+        match found {
+            Ok(i) if gained => self.owner_work[i].1 += 1,
+            Err(i) if gained => self.owner_work.insert(i, (owner, 1)),
+            Ok(i) if self.owner_work[i].1 > 1 => self.owner_work[i].1 -= 1,
+            Ok(i) => {
+                self.owner_work.remove(i);
             }
+            Err(_) => panic!("{owner:?} lost work it did not have"),
         }
     }
 
@@ -91,7 +129,7 @@ impl Host {
     pub(crate) fn set_owner(&mut self, sock: SockId, owner: Pid) {
         let s = self.sock(sock);
         let (old, proto) = (s.owner, s.proto);
-        let units = usize::from(self.ready_socks.contains(&sock)) + usize::from(s.timer_queued);
+        let units = usize::from(self.ready_socks.contains(sock)) + usize::from(s.timer_queued);
         for _ in 0..units {
             self.note_owner_work(old, proto, false);
             self.note_owner_work(owner, proto, true);
@@ -361,6 +399,7 @@ impl Host {
                 *owner_work.entry(s.owner).or_insert(0) += 1;
             }
         }
+        let owner_work: Vec<(Pid, u32)> = owner_work.into_iter().collect();
         if owner_work != self.owner_work {
             return Err(format!(
                 "owner work counts {:?}, ready and timer-queued TCP sockets say {owner_work:?}",
@@ -378,5 +417,43 @@ impl Host {
         self.sched
             .check_activity_index()
             .map_err(|e| format!("scheduler activity: {e}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    proptest! {
+        /// Against the `BTreeSet` the ready and datagram sets were: the
+        /// same answers to `insert`, `remove` and `contains`, the same
+        /// members in the same order, and a cursor walk from any start
+        /// visits the model's members at or after it, in order.
+        /// Each step is `(op, id, from)`: op 0-1 inserts, 2 removes, 3
+        /// walks from `from`.
+        #[test]
+        fn sock_set_matches_the_btreeset_model(
+            ops in proptest::collection::vec((0u8..4, 0u32..40, 0u32..42), 1..300),
+        ) {
+            let mut model = BTreeSet::new();
+            let mut set = SockSet::default();
+            for (op, id, from) in ops {
+                let sock = SockId(id);
+                match op {
+                    0 | 1 => prop_assert_eq!(set.insert(sock), model.insert(sock)),
+                    2 => prop_assert_eq!(set.remove(sock), model.remove(&sock)),
+                    _ => {
+                        let mut cursor = SockId(from);
+                        let walked: Vec<_> = std::iter::from_fn(|| set.next_from(&mut cursor)).collect();
+                        let want: Vec<_> = model.range(SockId(from)..).copied().collect();
+                        prop_assert_eq!(walked, want);
+                    }
+                }
+                prop_assert_eq!(set.contains(sock), model.contains(&sock));
+                prop_assert!(set.iter().eq(model.iter()));
+            }
+        }
     }
 }

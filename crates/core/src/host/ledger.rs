@@ -108,9 +108,9 @@ impl PacketLedger {
 impl Host {
     /// Assembles the frame-disposition ledger (see [`PacketLedger`]).
     pub fn packet_ledger(&self) -> PacketLedger {
-        let mut host_drops: Vec<_> = DropPoint::NAMES
+        let mut host_drops: Vec<_> = DropPoint::ALL
             .into_iter()
-            .zip(self.ledger_drops)
+            .map(|p| (p.name(), self.stats.drops.ledger(p)))
             .filter(|&(_, n)| n > 0)
             .collect();
         host_drops.sort_unstable();
@@ -138,7 +138,7 @@ impl Host {
 
     /// Frames dropped in the host, over every drop point.
     pub(crate) fn ledger_dropped(&self) -> u64 {
-        self.ledger_drops.iter().sum()
+        self.stats.drops.ledger_total()
     }
 
     /// `Err` unless the ledger balances. Allocates only to report a
@@ -156,13 +156,13 @@ impl Host {
         ))
     }
 
-    /// A frame the host accepted dies at `p`: counted in host statistics
-    /// and in the ledger's host-drop bucket. Drops outside the ledger
-    /// (on the NIC, in TCP after its frame was counted, on the forward
-    /// and transmit paths, at reassembly expiry) call `stats.drop_at`.
+    /// A frame the host accepted dies at `p`: counted once, in host
+    /// statistics' ledger row, which is the ledger's host-drop bucket.
+    /// Drops outside the ledger (on the NIC, in TCP after its frame was
+    /// counted, on the forward and transmit paths, at reassembly expiry)
+    /// call `stats.drop_at`.
     pub(crate) fn drop_frame(&mut self, p: DropPoint) {
-        self.stats.drop_at(p);
-        self.ledger_drops[p as usize] += 1;
+        self.stats.drops.add(p, super::LEDGER);
     }
 
     /// A frame counted into TCP input found a disposition of its own (a

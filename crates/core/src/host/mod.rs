@@ -47,6 +47,7 @@ use crate::config::{Architecture, HostConfig, QUANTUM, TICK};
 use crate::hostfault::{FaultKind, HostFaultPlan, HostFaultState};
 use crate::syscall::{AppLogic, Errno, SockProto, SyscallOp, SyscallRet};
 use deadlines::DeadlineHeap;
+use index::SockSet;
 pub use ledger::PacketLedger;
 use lrp_demux::ChannelId;
 use lrp_nic::{DemuxMode, Nic};
@@ -58,7 +59,7 @@ use lrp_stack::{PcbTable, Reassembler, SockId};
 use lrp_wire::{Endpoint, FlowKey, Frame, FrameBuf, Ipv4Addr};
 use pidmap::PidMap;
 use socktab::SockTable;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Where a packet was dropped — the paper's instrumentation distinguishes
 /// exactly these points to explain each architecture's overload behaviour.
@@ -95,6 +96,21 @@ pub enum DropPoint {
 }
 
 impl DropPoint {
+    /// Every drop point, indexed by `DropPoint as usize`.
+    const ALL: [DropPoint; 11] = [
+        DropPoint::RxRing,
+        DropPoint::Channel,
+        DropPoint::IpQueue,
+        DropPoint::SockBuf,
+        DropPoint::BadPacket,
+        DropPoint::NoSocket,
+        DropPoint::Backlog,
+        DropPoint::Reasm,
+        DropPoint::IfQueue,
+        DropPoint::NicStall,
+        DropPoint::PortUnreach,
+    ];
+
     /// Stable names used in telemetry output, indexed by `DropPoint as
     /// usize`.
     pub(crate) const NAMES: [&'static str; 11] = [
@@ -117,6 +133,56 @@ impl DropPoint {
     }
 }
 
+/// Drops by [`DropPoint`], each counted once, in one array: row
+/// `[p][LEDGER]` holds the frames the host accepted that died at `p` (the
+/// packet ledger's host-drop bucket), row `[p][OTHER]` the drops outside
+/// the ledger (on the NIC, on the transmit and forward paths, in TCP after
+/// its frame was counted, at reassembly expiry). Readers see their sum.
+#[derive(Clone, Debug, Default)]
+pub struct DropCounts {
+    counts: [[u64; 2]; DropPoint::ALL.len()],
+}
+
+/// [`DropCounts`] row of a drop the packet ledger counts.
+const LEDGER: usize = 0;
+/// [`DropCounts`] row of a drop outside the packet ledger.
+const OTHER: usize = 1;
+
+impl DropCounts {
+    /// Drops at `p`.
+    pub fn get(&self, p: DropPoint) -> u64 {
+        self.counts[p as usize].iter().sum()
+    }
+
+    /// Drops at every point.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().flatten().sum()
+    }
+
+    /// `(point, drops)` for each point with any, in `DropPoint` order.
+    pub fn iter(&self) -> impl Iterator<Item = (DropPoint, u64)> + '_ {
+        DropPoint::ALL
+            .into_iter()
+            .map(|p| (p, self.get(p)))
+            .filter(|&(_, n)| n > 0)
+    }
+
+    /// Frames the host accepted that died at `p`: the ledger's count.
+    fn ledger(&self, p: DropPoint) -> u64 {
+        self.counts[p as usize][LEDGER]
+    }
+
+    /// Frames the host accepted that died, at every point.
+    fn ledger_total(&self) -> u64 {
+        self.counts.iter().map(|c| c[LEDGER]).sum()
+    }
+
+    /// Counts one drop at `p` in `row`.
+    fn add(&mut self, p: DropPoint, row: usize) {
+        self.counts[p as usize][row] += 1;
+    }
+}
+
 /// Aggregate host statistics.
 #[derive(Clone, Debug, Default)]
 pub struct HostStats {
@@ -127,7 +193,7 @@ pub struct HostStats {
     /// TCP payload bytes delivered to applications.
     pub tcp_delivered_bytes: u64,
     /// Packet drops by location.
-    pub drops: FastHashMap<DropPoint, u64>,
+    pub drops: DropCounts,
     /// Hardware interrupt work chunks executed.
     pub hw_chunks: u64,
     /// Software interrupt jobs executed.
@@ -146,19 +212,20 @@ pub struct HostStats {
 }
 
 impl HostStats {
-    /// Records a drop at the given point.
+    /// Records a drop at the given point, outside the packet ledger
+    /// (`Host::drop_frame` records the ledger's).
     pub fn drop_at(&mut self, p: DropPoint) {
-        *self.drops.entry(p).or_insert(0) += 1;
+        self.drops.add(p, OTHER);
     }
 
     /// Count of drops at a point.
     pub fn dropped(&self, p: DropPoint) -> u64 {
-        self.drops.get(&p).copied().unwrap_or(0)
+        self.drops.get(p)
     }
 
     /// Total drops across all points.
     pub fn total_drops(&self) -> u64 {
-        self.drops.values().sum()
+        self.drops.total()
     }
 }
 
@@ -449,8 +516,6 @@ pub struct Host {
     /// `delivered_udp` (which is `stats.udp_delivered`) stay 0 here and
     /// `host_drops` empty: [`Host::packet_ledger`] fills them in.
     pub(crate) ledger: PacketLedger,
-    /// The ledger's host drops, indexed by `DropPoint as usize`.
-    pub(crate) ledger_drops: [u64; DropPoint::NAMES.len()],
     pub(crate) pcb: PcbTable,
     pub(crate) reasm: Reassembler,
     /// The sockets alive, by id (`host/socktab.rs`).
@@ -496,15 +561,16 @@ pub struct Host {
     /// frames. Maintained at channel enqueue, dequeue and destroy; the
     /// LRP threads and the NI interrupt handler iterate it in ascending
     /// `SockId` — the order the socket-table scans they replace visited.
-    pub(crate) ready_socks: BTreeSet<SockId>,
-    /// Per owner pid with any: how many of its TCP sockets are in
-    /// `ready_socks`, plus how many are in `tcp_timer_work` — the owners
-    /// whose priority the APP thread takes on. Maintained wherever either
-    /// set changes and at `accept`.
-    pub(crate) owner_work: BTreeMap<Pid, u32>,
+    pub(crate) ready_socks: SockSet,
+    /// Per owner pid with any, sorted by pid: how many of its TCP sockets
+    /// are in `ready_socks`, plus how many are in `tcp_timer_work` — the
+    /// owners whose priority the APP thread takes on. Maintained wherever
+    /// either set changes and at `accept`; an owner whose count falls to
+    /// 0 leaves.
+    pub(crate) owner_work: Vec<(Pid, u32)>,
     /// Live datagram (UDP and raw ICMP) sockets: whom a fragment arrival
     /// may have to wake.
-    pub(crate) dgram_socks: BTreeSet<SockId>,
+    pub(crate) dgram_socks: SockSet,
     /// Sockets whose connection changed since the last tick (flagged
     /// `Socket::cwnd_dirty`): the only ones the cwnd gauge re-reads.
     pub(crate) cwnd_dirty: Vec<SockId>,
@@ -651,7 +717,6 @@ impl Host {
             nic,
             stats: HostStats::default(),
             ledger: PacketLedger::default(),
-            ledger_drops: [0; DropPoint::NAMES.len()],
             pcb: PcbTable::new(),
             reasm: Reassembler::new(16, SimDuration::from_secs(30)),
             sockets: SockTable::default(),
@@ -666,9 +731,9 @@ impl Host {
             tcp_timer_work: VecDeque::new(),
             tcp_deadlines: DeadlineHeap::default(),
             conn_pool: Vec::new(),
-            ready_socks: BTreeSet::new(),
-            owner_work: BTreeMap::new(),
-            dgram_socks: BTreeSet::new(),
+            ready_socks: SockSet::default(),
+            owner_work: Vec::new(),
+            dgram_socks: SockSet::default(),
             cwnd_dirty: Vec::new(),
             cwnd_max: (0, 0),
             cwnd_max_sock: None,
@@ -1528,8 +1593,8 @@ impl Host {
         // minimum over owners with any is the minimum over the sockets.
         let pri = self
             .owner_work
-            .keys()
-            .map(|&owner| self.sched.proc_ref(owner).user_pri)
+            .iter()
+            .map(|&(owner, _)| self.sched.proc_ref(owner).user_pri)
             .min()
             .unwrap_or(lrp_sched::PUSER);
         self.sched.set_fixed_pri(thread, Some(pri));

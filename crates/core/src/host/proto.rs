@@ -983,7 +983,7 @@ impl Host {
                 }
             }
         }
-        self.dgram_socks.remove(&sock);
+        self.dgram_socks.remove(sock);
         self.tcp_deadlines.set(sock, None);
         self.ed_pending.retain(|&x| x != sock);
     }

@@ -1,7 +1,6 @@
 //! Frame reception: interrupt handling and software-interrupt protocol
 //! work — the point where the four architectures diverge.
 
-use super::index::next_sock;
 use super::{sock_wchan, DropPoint, Host, IP_QUEUE_LIMIT, WC_RECV};
 use crate::config::Architecture;
 use crate::host::proto::ProtoCtx;
@@ -216,7 +215,7 @@ impl Host {
     /// channel), in socket order.
     pub(crate) fn wake_udp_recv_sleepers(&mut self) {
         let mut from = SockId(0);
-        while let Some(s) = next_sock(&self.dgram_socks, &mut from) {
+        while let Some(s) = self.dgram_socks.next_from(&mut from) {
             if self.sched.has_sleeper(sock_wchan(s, WC_RECV)) {
                 self.wake_sock(s, WC_RECV);
             }
@@ -248,7 +247,7 @@ impl Host {
         // across the walk.
         let mut any_tcp = false;
         let mut from = SockId(0);
-        while let Some(sock) = next_sock(&self.ready_socks, &mut from) {
+        while let Some(sock) = self.ready_socks.next_from(&mut from) {
             if self.sock(sock).proto == crate::syscall::SockProto::Tcp {
                 any_tcp = true;
                 if self.app_thread.is_none() {
@@ -400,7 +399,7 @@ impl Host {
         // listeners whose backlog is exhausted: their channels fill and
         // the NI discards further SYNs (§3.4).
         let mut from = SockId(0);
-        while let Some(sock) = next_sock(&self.ready_socks, &mut from) {
+        while let Some(sock) = self.ready_socks.next_from(&mut from) {
             if self.sock(sock).proto != crate::syscall::SockProto::Tcp {
                 continue;
             }

@@ -29,7 +29,7 @@ pub mod world;
 
 pub use config::{Architecture, HostConfig, SynCookies};
 pub use cost::CostModel;
-pub use host::{DropPoint, Host, HostStats, PacketLedger};
+pub use host::{DropCounts, DropPoint, Host, HostStats, PacketLedger};
 pub use hostfault::{CrashEvent, FaultKind, HostFaultPlan};
 pub use syscall::{
     AppCtx, AppLogic, Errno, ListenStats, SockProto, SockStats, SyscallOp, SyscallRet,

@@ -471,7 +471,7 @@ impl Host {
     /// Dequeues a frame and its stamp from an NI channel for protocol
     /// processing, recording channel residency.
     pub(crate) fn chan_dequeue(&mut self, now: SimTime, chan: ChannelId) -> Option<(Frame, Stamp)> {
-        let ch = self.nic.channel_mut(chan);
+        let mut ch = self.nic.channel_mut(chan);
         let (frame, stamp) = ch.dequeue()?;
         if ch.is_empty() {
             self.note_chan_empty(chan);

@@ -16,6 +16,11 @@
 //!   on an empty→non-empty channel transition when the receiver asked for
 //!   one.
 //!
+//! Every channel of a NIC queues into one frame slab: a frame waiting on
+//! any channel is a node of it, and a channel is the two ends of its list.
+//! Storage follows the frames queued on the whole NIC, not the channels
+//! that ever held one.
+//!
 //! This crate is pure mechanism: costs and timing are attached by the host
 //! model in `lrp-core`.
 
@@ -24,11 +29,10 @@
 use lrp_demux::{ChannelId, DemuxTable, Verdict};
 use lrp_sim::SimTime;
 use lrp_wire::{Frame, Ipv4Addr};
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::num::NonZeroU64;
-use std::rc::Rc;
+use std::num::{NonZeroU32, NonZeroU64};
+use std::ops::{Deref, DerefMut};
 
 /// What a queued receive frame carries beside its bytes: when it was
 /// queued, and the causal-trace span riding with it. Observational only:
@@ -133,19 +137,45 @@ pub struct ChannelStats {
     pub peak_depth: usize,
 }
 
-/// The frames queued across a NIC's live channels and the deepest
-/// channel's depth, kept at every enqueue, dequeue and destroy instead
-/// of walked per statclock tick. The maximum comes from a count of
-/// channels per depth, which the channel limits bound.
+/// A node of the NIC's frame slab, by its index plus one, so that an
+/// optional link is four bytes.
+type Link = NonZeroU32;
+
+/// A slot of the NIC's frame slab: a queued frame and its stamp, or
+/// nothing while the slot is on the free list.
+#[derive(Debug)]
+struct Node {
+    entry: Option<(Frame, Stamp)>,
+    /// The next node of the same channel's queue, or of the free list.
+    next: Option<Link>,
+}
+
+/// A queued frame costs its 32-byte entry and a link, padded.
+const _: () = assert!(std::mem::size_of::<Node>() == 40);
+
+/// Every frame queued on a NIC's channels, in one slab the channels link
+/// their queues through, with a depth gauge kept at every enqueue,
+/// dequeue and destroy instead of walked per statclock tick.
+///
+/// Storage is bounded by the most frames ever queued on the NIC at once:
+/// a dequeued node goes onto the free list and the next enqueue, on any
+/// channel, takes it, so traffic at a steady depth allocates nothing and
+/// a channel owns no storage of its own. The deepest channel's depth
+/// comes from a count of channels per depth, which the channel limits
+/// bound.
 #[derive(Debug, Default)]
-struct DepthGauge {
+struct ChannelFrames {
+    nodes: Vec<Node>,
+    /// Head of the free list, threaded through `Node::next`.
+    free: Option<Link>,
+    /// Frames queued across the live channels.
     total: usize,
     /// Index `d`: the live channels holding `d` frames (slot 0 unused).
     at_depth: Vec<u32>,
     max: usize,
 }
 
-impl DepthGauge {
+impl ChannelFrames {
     /// Makes room for channels up to `limit` deep, so the counts never
     /// grow while frames flow.
     fn reserve(&mut self, limit: usize) {
@@ -168,18 +198,62 @@ impl DepthGauge {
             self.max -= 1;
         }
     }
+
+    fn node(&self, at: Link) -> &Node {
+        &self.nodes[at.get() as usize - 1]
+    }
+
+    fn node_mut(&mut self, at: Link) -> &mut Node {
+        &mut self.nodes[at.get() as usize - 1]
+    }
+
+    /// Stores `entry` in a free node, or a new one if none is free, and
+    /// returns the node; the node ends a list.
+    fn link(&mut self, entry: (Frame, Stamp)) -> Link {
+        let node = Node {
+            entry: Some(entry),
+            next: None,
+        };
+        let Some(at) = self.free else {
+            self.nodes.push(node);
+            return Link::new(self.nodes.len() as u32).expect("one node past the last");
+        };
+        self.free = std::mem::replace(self.node_mut(at), node).next;
+        at
+    }
+
+    /// Takes node `at`'s entry and puts the node on the free list;
+    /// returns the entry and the node that followed it.
+    fn unlink(&mut self, at: Link) -> ((Frame, Stamp), Option<Link>) {
+        let free = self.free.replace(at);
+        let node = self.node_mut(at);
+        let entry = node.entry.take().expect("a queued node holds a frame");
+        (entry, std::mem::replace(&mut node.next, free))
+    }
+
+    /// The nodes on the free list, walked; past the slab's size if the
+    /// list loops.
+    fn free_len(&self) -> usize {
+        std::iter::successors(self.free, |&at| self.node(at).next)
+            .take(self.nodes.len() + 1)
+            .count()
+    }
 }
 
 /// A network-interface channel (§3.1): a receive queue shared between the
-/// NIC and the kernel, with a demand-interrupt flag.
+/// NIC and the kernel, with a demand-interrupt flag. Its frames are nodes
+/// of the NIC's one frame slab, linked oldest first; the channel holds
+/// only the ends of that list and its length, and frames go in and out
+/// through [`Nic::channel_mut`], which lends it the slab.
 #[derive(Debug)]
 pub struct NiChannel {
     /// This channel's id.
     pub id: ChannelId,
-    queue: std::collections::VecDeque<(Frame, Stamp)>,
+    /// The oldest queued node and the newest.
+    head: Option<Link>,
+    tail: Option<Link>,
+    len: usize,
     limit: usize,
-    /// The NIC's depth gauge, which every change to `queue` moves.
-    gauge: Rc<RefCell<DepthGauge>>,
     /// When true, the NIC raises a host interrupt on the empty→non-empty
     /// transition (a blocked receiver is waiting).
     pub intr_requested: bool,
@@ -188,27 +262,20 @@ pub struct NiChannel {
     /// discards SYNs with no host work.
     pub processing_enabled: bool,
     stats: ChannelStats,
-    /// False once destroyed: the slot then keeps only the queue's storage
-    /// for the next channel created in it.
+    /// False once destroyed: the slot waits for the next channel created
+    /// in it.
     live: bool,
 }
 
 impl NiChannel {
-    /// A fresh channel queueing into `queue`'s (empty) storage, counted
-    /// by `gauge`.
-    fn new(
-        id: ChannelId,
-        limit: usize,
-        queue: std::collections::VecDeque<(Frame, Stamp)>,
-        gauge: Rc<RefCell<DepthGauge>>,
-    ) -> Self {
-        debug_assert!(queue.is_empty());
-        gauge.borrow_mut().reserve(limit);
+    /// A fresh, empty channel.
+    fn new(id: ChannelId, limit: usize) -> Self {
         NiChannel {
             id,
-            queue,
+            head: None,
+            tail: None,
+            len: 0,
             limit,
-            gauge,
             intr_requested: false,
             processing_enabled: true,
             stats: ChannelStats::default(),
@@ -218,17 +285,17 @@ impl NiChannel {
 
     /// Current queue depth.
     pub fn depth(&self) -> usize {
-        self.queue.len()
+        self.len
     }
 
     /// True if no frames are queued.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.len == 0
     }
 
     /// True if the queue is at its limit.
     pub fn is_full(&self) -> bool {
-        self.queue.len() >= self.limit
+        self.len >= self.limit
     }
 
     /// Queue capacity.
@@ -241,43 +308,85 @@ impl NiChannel {
         self.stats
     }
 
-    /// Enqueues a frame with its stamp; returns false (and counts a drop)
-    /// if full.
-    pub fn enqueue(&mut self, frame: Frame, stamp: Stamp) -> bool {
+    /// Enqueues a frame with its stamp in `frames`; returns false (and
+    /// counts a drop) if full.
+    fn push(&mut self, frames: &mut ChannelFrames, frame: Frame, stamp: Stamp) -> bool {
         if self.is_full() {
             self.stats.dropped_full += 1;
             return false;
         }
-        self.queue.push_back((frame, stamp));
-        let depth = self.queue.len();
-        self.gauge.borrow_mut().moved(depth - 1, depth);
+        let node = frames.link((frame, stamp));
+        match self.tail {
+            Some(t) => frames.node_mut(t).next = Some(node),
+            None => self.head = Some(node),
+        }
+        self.tail = Some(node);
+        self.len += 1;
+        frames.moved(self.len - 1, self.len);
         self.stats.enqueued += 1;
-        self.stats.peak_depth = self.stats.peak_depth.max(depth);
+        self.stats.peak_depth = self.stats.peak_depth.max(self.len);
         true
+    }
+
+    /// Dequeues the oldest frame and its stamp from `frames`.
+    fn pop(&mut self, frames: &mut ChannelFrames) -> Option<(Frame, Stamp)> {
+        let (entry, next) = frames.unlink(self.head?);
+        self.head = next;
+        if next.is_none() {
+            self.tail = None;
+        }
+        self.len -= 1;
+        frames.moved(self.len + 1, self.len);
+        self.stats.dequeued += 1;
+        Some(entry)
+    }
+
+    /// Drops every queued frame, oldest first, and takes the channel out
+    /// of the gauge: it is being destroyed.
+    fn retire(&mut self, frames: &mut ChannelFrames) {
+        frames.moved(self.len, 0);
+        while let Some(at) = self.head {
+            self.head = frames.unlink(at).1;
+        }
+        self.tail = None;
+        self.len = 0;
+        self.live = false;
+    }
+}
+
+/// A live channel, opened for queueing: [`Nic::channel_mut`]. Reads
+/// and the flags go through to the [`NiChannel`]; enqueue and dequeue
+/// also move the NIC's frame slab.
+#[derive(Debug)]
+pub struct ChannelMut<'a> {
+    chan: &'a mut NiChannel,
+    frames: &'a mut ChannelFrames,
+}
+
+impl ChannelMut<'_> {
+    /// Enqueues a frame with its stamp; returns false (and counts a drop)
+    /// if full.
+    pub fn enqueue(&mut self, frame: Frame, stamp: Stamp) -> bool {
+        self.chan.push(self.frames, frame, stamp)
     }
 
     /// Dequeues the oldest frame and its stamp.
     pub fn dequeue(&mut self) -> Option<(Frame, Stamp)> {
-        let f = self.queue.pop_front();
-        if f.is_some() {
-            let depth = self.queue.len();
-            self.gauge.borrow_mut().moved(depth + 1, depth);
-            self.stats.dequeued += 1;
-        }
-        f
+        self.chan.pop(self.frames)
     }
+}
 
-    /// Drops every queued frame and takes the channel out of the gauge:
-    /// it is being destroyed.
-    fn retire(&mut self) {
-        self.gauge.borrow_mut().moved(self.queue.len(), 0);
-        self.queue.clear();
-        self.live = false;
+impl Deref for ChannelMut<'_> {
+    type Target = NiChannel;
+
+    fn deref(&self) -> &NiChannel {
+        self.chan
     }
+}
 
-    /// Peeks at the oldest frame without removing it.
-    pub fn peek(&self) -> Option<&Frame> {
-        self.queue.front().map(|(f, _)| f)
+impl DerefMut for ChannelMut<'_> {
+    fn deref_mut(&mut self) -> &mut NiChannel {
+        self.chan
     }
 }
 
@@ -338,8 +447,8 @@ pub struct Nic {
     rx_ring_limit: usize,
     /// Channel `i` in slot `i`, destroyed ones included.
     channels: Vec<NiChannel>,
-    /// Depths across the live channels, shared with each of them.
-    depths: Rc<RefCell<DepthGauge>>,
+    /// The frames queued on the channels, and their depths.
+    frames: ChannelFrames,
     /// The destroyed channels' slots, lowest first.
     free_slots: BinaryHeap<Reverse<u32>>,
     /// The special channel for non-first IP fragments (always present).
@@ -375,7 +484,7 @@ impl Nic {
             rx_rings: vec![std::collections::VecDeque::new()],
             rx_ring_limit: DEFAULT_RX_RING,
             channels: Vec::new(),
-            depths: Rc::default(),
+            frames: ChannelFrames::default(),
             free_slots: BinaryHeap::new(),
             fragment_channel: ChannelId(0),
             ifq: std::collections::VecDeque::new(),
@@ -402,7 +511,7 @@ impl Nic {
     /// Overrides the default per-channel queue limit for future channels.
     pub fn set_default_channel_limit(&mut self, limit: usize) {
         self.default_channel_limit = limit;
-        self.depths.borrow_mut().reserve(limit);
+        self.frames.reserve(limit);
     }
 
     /// Configures `n` RX queues (each with its own DMA ring), dropping any
@@ -440,19 +549,17 @@ impl Nic {
     }
 
     /// Creates a channel with an explicit queue limit, in the lowest
-    /// destroyed slot if there is one (NI resources are finite); the new
-    /// channel inherits that slot's queue storage.
+    /// destroyed slot if there is one (NI resources are finite).
     pub fn create_channel(&mut self, limit: usize) -> ChannelId {
-        let gauge = self.depths.clone();
+        self.frames.reserve(limit);
         let Some(Reverse(slot)) = self.free_slots.pop() else {
             let id = ChannelId(self.channels.len() as u32);
-            self.channels
-                .push(NiChannel::new(id, limit, Default::default(), gauge));
+            self.channels.push(NiChannel::new(id, limit));
             return id;
         };
-        let ch = &mut self.channels[slot as usize];
-        *ch = NiChannel::new(ChannelId(slot), limit, std::mem::take(&mut ch.queue), gauge);
-        ch.id
+        let id = ChannelId(slot);
+        self.channels[slot as usize] = NiChannel::new(id, limit);
+        id
     }
 
     /// Creates a channel with the default queue limit.
@@ -469,7 +576,7 @@ impl Nic {
     pub fn destroy_channel(&mut self, id: ChannelId) {
         assert_ne!(id, self.fragment_channel, "fragment channel is permanent");
         if let Some(ch) = self.channels.get_mut(id.0 as usize).filter(|c| c.live) {
-            ch.retire();
+            ch.retire(&mut self.frames);
             self.free_slots.push(Reverse(id.0));
         }
     }
@@ -502,15 +609,20 @@ impl Nic {
             .expect("channel exists")
     }
 
-    /// Mutable access to a channel.
+    /// Mutable access to a channel, lent the frame slab its queue lives
+    /// in so that it can enqueue and dequeue.
     ///
     /// # Panics
     ///
     /// Panics if the channel does not exist.
-    pub fn channel_mut(&mut self, id: ChannelId) -> &mut NiChannel {
-        Some(&mut self.channels[id.0 as usize])
+    pub fn channel_mut(&mut self, id: ChannelId) -> ChannelMut<'_> {
+        let chan = Some(&mut self.channels[id.0 as usize])
             .filter(|c| c.live)
-            .expect("channel exists")
+            .expect("channel exists");
+        ChannelMut {
+            chan,
+            frames: &mut self.frames,
+        }
     }
 
     /// True if the channel id refers to a live channel.
@@ -618,7 +730,7 @@ impl Nic {
                     at: SimTime::from_nanos(now_ns),
                     span,
                 };
-                if !ch.enqueue(frame, stamp) {
+                if !ch.push(&mut self.frames, frame, stamp) {
                     self.stats.early_discards += 1;
                     return RxOutcome::Dropped(NicDrop::ChannelFull);
                 }
@@ -696,29 +808,53 @@ impl Nic {
     /// Total frames queued across all live channels (telemetry: in-flight
     /// frames for the packet-conservation ledger).
     pub fn channel_depth_total(&self) -> usize {
-        self.depths.borrow().total
+        self.frames.total
     }
 
     /// Frames queued across all live channels and in the deepest single
     /// one (telemetry gauges: a hot channel backing up shows in the
     /// maximum before the total does). Kept as frames move, not walked.
     pub fn channel_depths(&self) -> (usize, usize) {
-        let g = self.depths.borrow();
-        (g.total, g.max)
+        (self.frames.total, self.frames.max)
     }
 
-    /// Walks the live channels and compares their depths with
-    /// [`channel_depths`](Self::channel_depths); `Err` names the
-    /// difference.
+    /// Walks the live channels' queues and the frame slab's free list:
+    /// each queue must link exactly its length in frame-holding nodes,
+    /// ending at its tail; the depths must equal
+    /// [`channel_depths`](Self::channel_depths); and every node of the
+    /// slab must be queued or free. `Err` names the first difference.
     pub fn check_depth_gauge(&self) -> Result<(), String> {
-        let walked = self
-            .live()
-            .map(|c| c.depth())
-            .fold((0, 0), |(total, max), d| (total + d, max.max(d)));
-        if walked != self.channel_depths() {
+        let frames = &self.frames;
+        let (mut total, mut max) = (0, 0);
+        for c in self.live() {
+            let (mut at, mut last) = (c.head, None);
+            for k in 0..c.len {
+                let Some(node) = at.filter(|&n| frames.node(n).entry.is_some()) else {
+                    return Err(format!("{:?}: no queued node for frame {k}", c.id));
+                };
+                (at, last) = (frames.node(node).next, Some(node));
+            }
+            if at.is_some() || last != c.tail {
+                return Err(format!(
+                    "{:?}: queue of {} does not end at its tail",
+                    c.id, c.len
+                ));
+            }
+            total += c.len;
+            max = max.max(c.len);
+        }
+        if (total, max) != self.channel_depths() {
             return Err(format!(
-                "channel depth gauge (total, max) {:?}, channels hold {walked:?}",
-                self.channel_depths()
+                "channel depth gauge (total, max) {:?}, channels hold {:?}",
+                self.channel_depths(),
+                (total, max)
+            ));
+        }
+        let free = frames.free_len();
+        if frames.nodes.len() != total + free {
+            return Err(format!(
+                "channel frame slab: {} nodes, {total} queued frames + {free} free",
+                frames.nodes.len()
             ));
         }
         Ok(())
@@ -965,31 +1101,53 @@ mod tests {
     }
 
     proptest! {
-        /// Under random creates, destroys, enqueues and dequeues, the
-        /// depth gauges equal a walk over the live channels.
+        /// Under random creates, enqueues, dequeues and destroys, with
+        /// destroyed slots reused, every channel hands back its frames in
+        /// the order a queue of its own would, and the gauge and the slab
+        /// agree with the channels after every step.
         #[test]
-        fn depth_gauges_equal_the_walk(
-            ops in proptest::collection::vec((0u8..4, 0usize..8, 1usize..6), 1..300),
+        fn channels_sharing_the_slab_stay_fifo(
+            ops in proptest::collection::vec((0u8..5, 0usize..16, 1usize..6), 1..400),
         ) {
+            use std::collections::{BTreeMap, VecDeque};
             let mut nic = Nic::new(DemuxMode::Ni, LOCAL, 8);
+            let mut model: BTreeMap<ChannelId, VecDeque<u64>> =
+                BTreeMap::from([(nic.fragment_channel, VecDeque::new())]);
+            let mut seq = 0u64;
             for (op, pick, limit) in ops {
-                let live = nic.channel_ids();
-                let id = live[pick % live.len()];
+                let ids: Vec<ChannelId> = model.keys().copied().collect();
+                let id = ids[pick % ids.len()];
                 match op {
                     0 => {
-                        nic.create_channel(limit);
+                        let c = nic.create_channel(limit);
+                        prop_assert!(model.insert(c, VecDeque::new()).is_none());
                     }
-                    1 if id != nic.fragment_channel => nic.destroy_channel(id),
-                    2 => {
-                        nic.channel_mut(id).enqueue(udp_frame(7), STAMP);
+                    1 if id != nic.fragment_channel => {
+                        nic.destroy_channel(id);
+                        model.remove(&id);
+                    }
+                    2 | 3 => {
+                        seq += 1;
+                        let stamp = Stamp { at: SimTime::from_nanos(seq), span: None };
+                        let q = model.get_mut(&id).unwrap();
+                        let room = q.len() < nic.channel(id).limit();
+                        prop_assert_eq!(nic.channel_mut(id).enqueue(udp_frame(7), stamp), room);
+                        if room {
+                            q.push_back(seq);
+                        }
                     }
                     _ => {
-                        nic.channel_mut(id).dequeue();
+                        let got = nic.channel_mut(id).dequeue().map(|(_, st)| st.at.as_nanos());
+                        prop_assert_eq!(got, model.get_mut(&id).unwrap().pop_front());
                     }
                 }
                 prop_assert_eq!(nic.check_depth_gauge(), Ok(()));
-                let walked: usize = nic.channel_ids().iter().map(|&c| nic.channel(c).depth()).sum();
-                prop_assert_eq!(nic.channel_depth_total(), walked);
+                let total: usize = model.values().map(VecDeque::len).sum();
+                let max = model.values().map(VecDeque::len).max().unwrap_or(0);
+                prop_assert_eq!(nic.channel_depths(), (total, max));
+                for (&c, q) in &model {
+                    prop_assert_eq!(nic.channel(c).depth(), q.len());
+                }
             }
         }
     }
@@ -1023,11 +1181,10 @@ mod tests {
         for _ in 0..6 {
             nic.rx_frame(udp_frame(9000));
         }
-        let ch = nic.channel_mut(c);
+        let mut ch = nic.channel_mut(c);
         assert_eq!(ch.stats().enqueued, 4);
         assert_eq!(ch.stats().dropped_full, 2);
         assert_eq!(ch.stats().peak_depth, 4);
-        assert!(ch.peek().is_some());
         let _ = ch.dequeue();
         assert_eq!(ch.stats().dequeued, 1);
         assert_eq!(ch.depth(), 3);

@@ -164,7 +164,7 @@ pub fn host_report(host: &Host) -> Json {
     let mut drop_rows: Vec<(String, u64)> = stats
         .drops
         .iter()
-        .map(|(p, n)| (p.name().to_string(), *n))
+        .map(|(p, n)| (p.name().to_string(), n))
         .collect();
     drop_rows.sort_unstable();
     let drops = Json::Obj(

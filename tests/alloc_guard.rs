@@ -29,10 +29,11 @@ use lrp::apps::{
 use lrp::core::{Architecture, CcAlgo, Host, HostConfig, World};
 use lrp::experiments::{fault_sweep, fig3, syn_flood, HOST_A, HOST_B};
 use lrp::net::FaultPlan;
+use lrp::nic::{DemuxMode, Nic, Stamp};
 use lrp::sched::ProcState;
 use lrp::sim::{SimDuration, SimTime};
 use lrp::stack::{PcbTable, SockId};
-use lrp::wire::{proto, Endpoint, FlowKey, Ipv4Addr};
+use lrp::wire::{proto, Endpoint, FlowKey, Frame, Ipv4Addr};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -196,12 +197,51 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
     assert_eq!(allocs, 0, "10 000 PCB churn cycles at {LIVE_PCBS} live");
 
+    // NI channel churn: every channel queues into the NIC's one frame
+    // slab, so storage follows the frames queued at once, not the
+    // channels that ever held one. The NIC first makes (and frees) a slot
+    // for every channel the cycles create. Each cycle then creates a
+    // channel, queues one to five frames on it, and drains the channel
+    // made `LIVE_CHANNELS` cycles before; one cycle in four also destroys
+    // that one, whose slot the next cycle takes again.
+    let mut nic = Nic::new(DemuxMode::Ni, HOST_B, 64);
+    let frame = Frame::ipv4(lrp::wire::udp::build_datagram(
+        HOST_A, HOST_B, 9, 7, 1, b"hi", true,
+    ));
+    let stamp = Stamp {
+        at: SimTime::ZERO,
+        span: None,
+    };
+    let slots: Vec<_> = (0..11_000).map(|_| nic.create_channel(8)).collect();
+    slots.into_iter().for_each(|c| nic.destroy_channel(c));
+    let mut made = std::collections::VecDeque::new();
+    let mut cycle = |i: usize| {
+        let c = nic.create_channel(8);
+        for _ in 0..=i % 5 {
+            assert!(nic.channel_mut(c).enqueue(frame.clone(), stamp));
+        }
+        made.push_back(c);
+        if made.len() > LIVE_CHANNELS {
+            let old = made.pop_front().expect("a channel made before");
+            while nic.channel_mut(old).dequeue().is_some() {}
+            if i.is_multiple_of(4) {
+                nic.destroy_channel(old);
+            }
+        }
+    };
+    (0..1_000).for_each(&mut cycle);
+    let allocs0 = ALLOCS.load(Ordering::Relaxed);
+    (1_000..11_000).for_each(&mut cycle);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
+    assert_eq!(allocs, 0, "10 000 NI channel churn cycles");
+    assert_eq!(nic.check_depth_gauge(), Ok(()));
+
     // Connection churn: the HTTP scenario's eight closed-loop clients,
     // each cycle a connect, a 100-byte request, a 1 300-byte response and
     // a close on both hosts. Past the warm-up the connections alive at
     // once (most of them in TIME_WAIT) hold steady, so every new one is
     // built in recycled storage: its connection, its socket buffers'
-    // chains, its NI channel's queue and its deadline-heap slot.
+    // chains, its NI channel's frames and its deadline-heap slot.
     for arch in [Architecture::Bsd, Architecture::NiLrp] {
         let cfg = syn_flood::config(arch, syn_flood::Defense::None);
         let (mut world, clients) = syn_flood::build(cfg, 0.0, None);
@@ -332,6 +372,9 @@ const IDLE_TICKS: u32 = 10_000;
 
 /// Connections alive at once in the PCB churn cycles.
 const LIVE_PCBS: u32 = 500;
+
+/// Channels holding frames at once in the NI channel churn cycles.
+const LIVE_CHANNELS: usize = 16;
 
 /// Allocations per event that full telemetry may add on the warm blast.
 /// Release runs read, on / off: BSD 0.0005 / 0.0001, SOFT-LRP and NI-LRP

@@ -123,8 +123,7 @@ fn run_digest(arch: Architecture, sched: &Schedule) -> String {
         arch.name()
     );
     let h = &world.hosts[0];
-    // HostStats contains a HashMap (per-instance iteration order), so
-    // render its drop counts sorted for a stable digest.
+    // Drop counts sorted by name, as the other digests render them.
     let mut drops: Vec<String> = h
         .stats
         .drops
