@@ -38,7 +38,7 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1701
 bench 0
-core 6047
+core 6064
 criterion-shim 126
 demux 427
 experiments 3518
@@ -48,7 +48,7 @@ nic 913
 proptest-shim 450
 sched 1050
 sim 1608
-stack 4231
+stack 4369
 telemetry 1277
 wire 1887
 EOF

@@ -1,5 +1,7 @@
-//! The TCP deadline index: an indexed binary min-heap of
-//! `(deadline, SockId)`, with one position per socket.
+//! The host's timer queues.
+//!
+//! [`DeadlineHeap`] is the TCP deadline index: an indexed binary min-heap
+//! of `(deadline, SockId)`, with one position per socket.
 //!
 //! The host files a socket here while its connection has a timer armed
 //! and no timer work queued, so the earliest deadline is the heap's top
@@ -10,6 +12,50 @@
 
 use lrp_sim::SimTime;
 use lrp_stack::SockId;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// Timed wakeups (sleeps, receive timeouts, restarts): entries come off
+/// in `(time, push order)` order, so those due at one instant come off
+/// in the order they were pushed. One heap, which allocates only to grow;
+/// the push count breaks every tie, so `T`'s order never decides one.
+#[derive(Debug)]
+pub(crate) struct TimerQueue<T> {
+    heap: BinaryHeap<Reverse<(SimTime, u64, T)>>,
+    pushed: u64,
+}
+
+impl<T: Ord> Default for TimerQueue<T> {
+    fn default() -> Self {
+        TimerQueue {
+            heap: BinaryHeap::new(),
+            pushed: 0,
+        }
+    }
+}
+
+impl<T: Ord> TimerQueue<T> {
+    /// Queues `item` to come off at `at`.
+    pub(crate) fn push(&mut self, at: SimTime, item: T) {
+        self.heap.push(Reverse((at, self.pushed, item)));
+        self.pushed += 1;
+    }
+
+    /// The earliest entry's time.
+    pub(crate) fn next_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.0 .0)
+    }
+
+    /// Takes the earliest entry out if it is due at or before `now`.
+    pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<T> {
+        (self.next_at()? <= now).then(|| self.heap.pop().expect("peeked").0 .2)
+    }
+
+    /// Drops every entry, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.heap.clear();
+    }
+}
 
 /// `pos` entry of a socket that is not in the heap.
 const ABSENT: u32 = u32::MAX;
@@ -150,7 +196,7 @@ mod tests {
     use super::*;
     use lrp_sim::SimDuration;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Sockets the sequences touch.
     const SOCKS: usize = 24;
@@ -208,6 +254,34 @@ mod tests {
                     model.iter().copied().filter(|(_, id)| !queued[id.0 as usize]).collect();
                 prop_assert_eq!(heap.peek(), filed.first().copied());
                 prop_assert_eq!(heap.check(&filed), Ok(()));
+            }
+        }
+
+        /// Against the `BTreeMap<SimTime, Vec<T>>` the timer queues
+        /// replaced, whose due keys came off earliest first with each
+        /// key's entries in push order: the same next time, and the same
+        /// due entries in the same order. Each step is `(op, item, ms)`:
+        /// op 0-1 pushes `item` at `ms`, 2 pops everything due at `ms`.
+        #[test]
+        fn timer_queue_matches_the_btreemap_model(
+            ops in proptest::collection::vec((0u8..3, 0u32..8, 0u64..20), 1..200),
+        ) {
+            let mut model: BTreeMap<SimTime, Vec<u32>> = BTreeMap::new();
+            let mut queue = TimerQueue::default();
+            for (op, item, ms) in ops {
+                let t = SimTime::ZERO + SimDuration::from_millis(ms);
+                if op < 2 {
+                    model.entry(t).or_default().push(item);
+                    queue.push(t, item);
+                } else {
+                    let mut want = Vec::new();
+                    while let Some(e) = model.first_entry().filter(|e| *e.key() <= t) {
+                        want.extend(e.remove());
+                    }
+                    let got: Vec<_> = std::iter::from_fn(|| queue.pop_due(t)).collect();
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(queue.next_at(), model.keys().next().copied());
             }
         }
     }

@@ -14,16 +14,9 @@ use super::{sock_wchan, Host, Socket, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
 use crate::syscall::SockProto;
 use lrp_demux::ChannelId;
 use lrp_sched::{Pid, WaitChannel};
-use lrp_stack::tcp::TcpConn;
+use lrp_stack::tcp::{PooledConn, TcpConn};
 use lrp_stack::SockId;
 use std::collections::BTreeMap;
-
-/// Spare connections the pool keeps. Churn at a steady load needs few (an
-/// HTTP host serving eight clients keeps under 30 between reuses); past
-/// this, a burst's surplus goes back to the allocator. Unbounded, a host
-/// whose concurrency fell from about 1 000 connections to 430 after a SYN
-/// flood kept 600 spare ones, 0.5 MB, for the rest of its life.
-const CONN_POOL_MAX: usize = 64;
 
 /// A set of sockets as a sorted vector: membership by binary search, and
 /// walks in ascending `SockId`. Its storage is the most members it ever
@@ -160,35 +153,18 @@ impl Host {
         r
     }
 
-    /// Gives `sock` its connection, built in recycled storage when the
-    /// pool has some, or takes it away without a protocol goodbye
-    /// (`None`); a connection taken away returns its storage to the pool.
+    /// Gives `sock` its connection, in a box from the thread's pool, or
+    /// takes it away without a protocol goodbye (`None`); a connection
+    /// taken away returns its box to the pool as it drops.
     pub(crate) fn set_conn(&mut self, sock: SockId, conn: Option<TcpConn>) {
-        let conn = conn.map(|fresh| match self.conn_pool.pop() {
-            Some(mut spent) => {
-                spent.renew(fresh);
-                spent
-            }
-            None => Box::new(fresh),
-        });
+        let conn = conn.map(PooledConn::new);
         let new = conn.as_ref().and_then(|c| c.next_deadline());
         let s = self.sockets.get_mut(sock).expect("live socket");
         Self::mark_cwnd_dirty(&mut self.cwnd_dirty, s);
         if !s.timer_queued {
             self.tcp_deadlines.set(sock, new);
         }
-        if let Some(was) = std::mem::replace(&mut s.tcp, conn) {
-            self.recycle_conn(was);
-        }
-    }
-
-    /// Releases a finished connection into the pool `set_conn` builds
-    /// from, or to the allocator if the pool is full.
-    pub(crate) fn recycle_conn(&mut self, mut conn: Box<TcpConn>) {
-        if self.conn_pool.len() < CONN_POOL_MAX {
-            conn.release();
-            self.conn_pool.push(conn);
-        }
+        s.tcp = conn;
     }
 
     /// Queues `s` for the cwnd gauge's next re-read, once per tick.

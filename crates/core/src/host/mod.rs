@@ -46,7 +46,7 @@ mod syscalls;
 use crate::config::{Architecture, HostConfig, QUANTUM, TICK};
 use crate::hostfault::{FaultKind, HostFaultPlan, HostFaultState};
 use crate::syscall::{AppLogic, Errno, SockProto, SyscallOp, SyscallRet};
-use deadlines::DeadlineHeap;
+use deadlines::{DeadlineHeap, TimerQueue};
 use index::SockSet;
 pub use ledger::PacketLedger;
 use lrp_demux::ChannelId;
@@ -54,12 +54,12 @@ use lrp_nic::{DemuxMode, Nic};
 use lrp_sched::{Account, Pid, SchedConfig, Scheduler, WaitChannel};
 use lrp_sim::{FastHashMap, SimDuration, SimTime};
 use lrp_stack::sockbuf::DatagramQueue;
-use lrp_stack::tcp::{Actions, TcpConn, TcpListener, TcpStats};
+use lrp_stack::tcp::{Actions, PooledConn, TcpListener, TcpStats};
 use lrp_stack::{PcbTable, Reassembler, SockId};
 use lrp_wire::{Endpoint, FlowKey, Frame, FrameBuf, Ipv4Addr};
 use pidmap::PidMap;
 use socktab::SockTable;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Where a packet was dropped — the paper's instrumentation distinguishes
 /// exactly these points to explain each architecture's overload behaviour.
@@ -278,8 +278,9 @@ pub(crate) struct Socket {
     /// [`Host::set_conn`], which keep the host's deadline index and cwnd
     /// gauge in step.
     /// Boxed so the socket table's slots do not each carry half a
-    /// kilobyte of connection.
-    pub tcp: Option<Box<TcpConn>>,
+    /// kilobyte of connection; the box comes from, and on drop returns
+    /// to, the thread's connection pool.
+    pub tcp: Option<PooledConn>,
     /// The connection's `(cwnd, ssthresh)` as the cwnd gauge last read
     /// it (`None` without a connection); current unless `cwnd_dirty`.
     pub cwnd_key: Option<(u64, u64)>,
@@ -551,12 +552,6 @@ pub struct Host {
     /// installed or dropped and wherever a socket leaves the work queue,
     /// so the next timer is the heap's top.
     pub(crate) tcp_deadlines: DeadlineHeap,
-    /// Storage of finished connections, released and ready for the next
-    /// `set_conn`, so churn at a steady connection count builds every
-    /// connection without allocating. At most `CONN_POOL_MAX`. Boxed
-    /// because the boxes are what `Socket::tcp` reuses.
-    #[allow(clippy::vec_box)]
-    pub(crate) conn_pool: Vec<Box<TcpConn>>,
     /// Ready-channel set: sockets whose NI channel exists and holds
     /// frames. Maintained at channel enqueue, dequeue and destroy; the
     /// LRP threads and the NI interrupt handler iterate it in ascending
@@ -594,7 +589,7 @@ pub struct Host {
     /// Early-Demux: channels with frames awaiting softirq processing.
     pub(crate) ed_pending: VecDeque<SockId>,
     /// Timed sleeps.
-    pub(crate) sleep_until: BTreeMap<SimTime, Vec<Pid>>,
+    pub(crate) sleep_until: TimerQueue<Pid>,
     /// The earliest kernel-timer deadline outside `tcp_deadlines`, once
     /// computed (`kernel_timer_min`); `None` after a change to any of
     /// its six sources (`timers_changed`).
@@ -623,10 +618,10 @@ pub struct Host {
     pub(crate) chan_to_sock: FastHashMap<lrp_demux::ChannelId, SockId>,
     /// Telemetry state (no-op unless `cfg.telemetry`).
     pub(crate) tele: crate::telemetry::Telemetry,
-    /// Receive-timeout deadlines: time → `(pid, sock, seq)` entries. The
+    /// Receive-timeout deadlines: `(pid, sock, seq)` entries by time. The
     /// seq token (matched against `recv_seq`) keeps a deadline that
     /// fires late from timing out a *later* receive on the same socket.
-    pub(crate) recv_deadlines: BTreeMap<SimTime, Vec<(Pid, SockId, u64)>>,
+    pub(crate) recv_deadlines: TimerQueue<(Pid, SockId, u64)>,
     /// The seq token of each process's currently armed receive timeout.
     pub(crate) recv_seq: PidMap<u64>,
     /// Monotonic generator for receive-timeout seq tokens.
@@ -635,8 +630,8 @@ pub struct Host {
     pub(crate) fault: Option<HostFaultState>,
     /// Respawn recipes for processes spawned restartable.
     pub(crate) restartable: PidMap<RestartSpec>,
-    /// Scheduled restarts: time → crashed pids to respawn.
-    pub(crate) restart_at: BTreeMap<SimTime, Vec<Pid>>,
+    /// Scheduled restarts: crashed pids to respawn, by time.
+    pub(crate) restart_at: TimerQueue<Pid>,
     /// Crashed pid → its restarted successor (chains across restarts).
     pub(crate) reincarnation: PidMap<Pid>,
     /// Crash log: `(time, pid)` per executed crash.
@@ -671,12 +666,6 @@ fn host_telemetry(enabled: bool, addr: Ipv4Addr) -> crate::telemetry::Telemetry 
     let tag = (1u64 << 63) | ((addr.octets()[3] as u64) << 48);
     tele.set_span_tag(std::num::NonZeroU64::new(tag).expect("bit 63 is set"));
     tele
-}
-
-/// Removes and returns the earliest entry of a deadline map if it is due.
-fn pop_due<V>(map: &mut BTreeMap<SimTime, V>, now: SimTime) -> Option<V> {
-    let first = map.first_entry()?;
-    (*first.key() <= now).then(|| first.remove())
 }
 
 impl Host {
@@ -730,7 +719,6 @@ impl Host {
             rx_scratch: Vec::new(),
             tcp_timer_work: VecDeque::new(),
             tcp_deadlines: DeadlineHeap::default(),
-            conn_pool: Vec::new(),
             ready_socks: SockSet::default(),
             owner_work: Vec::new(),
             dgram_socks: SockSet::default(),
@@ -742,7 +730,7 @@ impl Host {
             woken_scratch: Vec::new(),
             tcp_acts: Actions::default(),
             ed_pending: VecDeque::new(),
-            sleep_until: BTreeMap::new(),
+            sleep_until: TimerQueue::default(),
             kernel_timer_at: None,
             app_thread: None,
             idle_thread: None,
@@ -758,12 +746,12 @@ impl Host {
             pending_charge: None,
             chan_to_sock: FastHashMap::default(),
             tele: host_telemetry(cfg.telemetry, addr),
-            recv_deadlines: BTreeMap::new(),
+            recv_deadlines: TimerQueue::default(),
             recv_seq: PidMap::default(),
             recv_deadline_seq: 0,
             fault: None,
             restartable: PidMap::default(),
-            restart_at: BTreeMap::new(),
+            restart_at: TimerQueue::default(),
             reincarnation: PidMap::default(),
             crash_log: Vec::new(),
             restart_log: Vec::new(),
@@ -1115,9 +1103,9 @@ impl Host {
     /// The earliest deadline among the timers outside the TCP index.
     fn kernel_timer_min(&self) -> Option<SimTime> {
         [
-            self.sleep_until.keys().next().copied(),
-            self.recv_deadlines.keys().next().copied(),
-            self.restart_at.keys().next().copied(),
+            self.sleep_until.next_at(),
+            self.recv_deadlines.next_at(),
+            self.restart_at.next_at(),
             self.boot_at,
             self.fault.as_ref().and_then(|f| f.next_at()),
             (self.reasm.pending() > 0).then_some(self.next_reasm_sweep),
@@ -1433,10 +1421,8 @@ impl Host {
             self.complete_boot(now);
         }
         // Timed sleeps.
-        while let Some(pids) = pop_due(&mut self.sleep_until, now) {
-            for pid in pids {
-                self.wake_channel(WaitChannel(0xFFFF_0000 + pid.0 as u64));
-            }
+        while let Some(pid) = self.sleep_until.pop_due(now) {
+            self.wake_channel(WaitChannel(0xFFFF_0000 + pid.0 as u64));
         }
         // TCP timers: queue protocol work for due connections. The index
         // yields them by deadline; the batch is queued in socket order.
@@ -1477,33 +1463,29 @@ impl Host {
         // Receive timeouts: fire only if the armed deadline is still
         // current (seq token) and the process is still blocked in that
         // very receive — a deadline outlived by its receive is inert.
-        while let Some(entries) = pop_due(&mut self.recv_deadlines, now) {
-            for (pid, sock, seq) in entries {
-                if self.recv_seq.get(pid) != Some(&seq) {
-                    continue;
-                }
-                let blocked_here = matches!(
-                    self.exec.get(pid),
-                    Some(ProcExec::Blocked(Cont::RecvCheck { sock: s, .. })) if *s == sock
+        while let Some((pid, sock, seq)) = self.recv_deadlines.pop_due(now) {
+            if self.recv_seq.get(pid) != Some(&seq) {
+                continue;
+            }
+            let blocked_here = matches!(
+                self.exec.get(pid),
+                Some(ProcExec::Blocked(Cont::RecvCheck { sock: s, .. })) if *s == sock
+            );
+            if !blocked_here {
+                continue;
+            }
+            self.recv_seq.remove(pid);
+            if self.sched.wake_one(pid) {
+                self.exec.insert(
+                    pid,
+                    ProcExec::Cont(Cont::SyscallReturn(SyscallRet::Err(Errno::TimedOut))),
                 );
-                if !blocked_here {
-                    continue;
-                }
-                self.recv_seq.remove(pid);
-                if self.sched.wake_one(pid) {
-                    self.exec.insert(
-                        pid,
-                        ProcExec::Cont(Cont::SyscallReturn(SyscallRet::Err(Errno::TimedOut))),
-                    );
-                    self.post_ipi(pid);
-                }
+                self.post_ipi(pid);
             }
         }
         // End-host fault plan: scheduled restarts, then due crashes.
-        while let Some(pids) = pop_due(&mut self.restart_at, now) {
-            for pid in pids {
-                self.restart_process(now, pid);
-            }
+        while let Some(pid) = self.restart_at.pop_due(now) {
+            self.restart_process(now, pid);
         }
         while let Some(at) = self.fault.as_ref().and_then(|f| f.next_at()) {
             if at > now {
@@ -1534,10 +1516,7 @@ impl Host {
                             let f = self.fault.as_mut().expect("checked");
                             SimDuration::from_nanos(f.rng.next_below(ev.restart_jitter.as_nanos()))
                         };
-                        self.restart_at
-                            .entry(now + after + jitter)
-                            .or_default()
-                            .push(target);
+                        self.restart_at.push(now + after + jitter, target);
                     }
                 }
             }

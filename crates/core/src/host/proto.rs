@@ -957,9 +957,8 @@ impl Host {
         if let Some(i) = s.listen {
             self.listeners[i as usize] = None;
         }
-        if let Some(conn) = s.tcp {
+        if let Some(conn) = &s.tcp {
             self.stats.tcp_closed.absorb(&conn.stats);
-            self.recycle_conn(conn);
         }
         self.pcb.remove_socket(sock);
         if s.proto == SockProto::Icmp && self.icmp_sock == Some(sock) {

@@ -149,7 +149,7 @@ impl Host {
             SyscallOp::Exit => PhaseOut::Done,
             SyscallOp::Sleep(d) => {
                 let wake_at = now + d;
-                self.sleep_until.entry(wake_at).or_default().push(pid);
+                self.sleep_until.push(wake_at, pid);
                 self.timers_changed();
                 PhaseOut::Block {
                     wchan: WaitChannel(0xFFFF_0000 + pid.0 as u64),
@@ -197,10 +197,7 @@ impl Host {
                 self.recv_deadline_seq += 1;
                 let seq = self.recv_deadline_seq;
                 self.recv_seq.insert(pid, seq);
-                self.recv_deadlines
-                    .entry(now + timeout)
-                    .or_default()
-                    .push((pid, sock, seq));
+                self.recv_deadlines.push(now + timeout, (pid, sock, seq));
                 self.timers_changed();
                 PhaseOut::sys(entry, Cont::RecvCheck { sock, max_len })
             }

@@ -24,8 +24,10 @@
 //!   dup-ACK counting.
 //!
 //! All three are held inline in the connection, so the storage a
-//! connection owns is itself and its socket buffers' chains;
-//! [`TcpConn::release`] and [`TcpConn::renew`] let a host reuse both.
+//! connection owns is itself, its socket buffers' chains and its
+//! out-of-order stash; [`TcpConn::release`] and [`TcpConn::renew`] reuse
+//! all three, and [`pool::PooledConn`] keeps the boxes they live in in a
+//! thread-local pool.
 //!
 //! Under the default modules the machine is bit-identical to the
 //! pre-refactor monolithic `tcp.rs` — pinned by `tests/determinism.rs`,
@@ -47,15 +49,17 @@ use crate::SockId;
 use lrp_sim::{SimDuration, SimTime};
 use lrp_wire::tcp::{flags, seq_ge, seq_gt, seq_le, seq_lt, PayloadBuf, TcpHeader};
 use lrp_wire::{Endpoint, FrameSlice};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 pub mod ack;
 pub mod cc;
 pub mod cookie;
+pub mod pool;
 pub mod recovery;
 
 pub use ack::{AckDecision, AckEveryOther};
 pub use cc::{CcAlgo, CongestionControl};
+pub use pool::{conn_pool_stats, ConnPoolStats, PooledConn};
 pub use recovery::RenoRecovery;
 
 /// TCP connection states (RFC 793).
@@ -283,6 +287,9 @@ impl TcpStats {
     }
 }
 
+/// Out-of-order segments a connection stashes; past this, it drops them.
+const OOO_MAX: usize = 64;
+
 /// A TCP connection: the PCB core. Owns connection management and
 /// sequence-space bookkeeping; delegates window management to [`cc`],
 /// ACK policy to [`ack`], and timing/backoff to [`recovery`].
@@ -317,9 +324,9 @@ pub struct TcpConn {
     irs: u32,
     rcv_nxt: u32,
     rcv_buf: ByteBuffer,
-    /// Out-of-order segments by sequence number, held by reference into
-    /// the frames they arrived in.
-    ooo: BTreeMap<u32, FrameSlice>,
+    /// Out-of-order segments, at most [`OOO_MAX`], sorted by raw sequence
+    /// number and held by reference into the frames they arrived in.
+    ooo: Vec<(u32, FrameSlice)>,
     /// Last window we advertised (for update decisions).
     last_adv_wnd: u32,
 
@@ -367,7 +374,7 @@ impl TcpConn {
             irs: 0,
             rcv_nxt: 0,
             rcv_buf: ByteBuffer::new(cfg.rcv_buf),
-            ooo: BTreeMap::new(),
+            ooo: Vec::new(),
             last_adv_wnd: cfg.rcv_buf as u32,
             cc: cfg.cc.build(mss as usize, cfg.snd_buf * 2),
             ack_policy: AckEveryOther::new(cfg.delack),
@@ -392,13 +399,15 @@ impl TcpConn {
 
     /// Becomes `fresh`, a connection just built by one of the
     /// constructors, in this released connection's storage: the result
-    /// equals `fresh` field for field, and its socket buffers keep the
-    /// chain capacity this one grew, so its first appends do not
-    /// allocate.
+    /// equals `fresh` field for field, and its socket buffers and
+    /// out-of-order stash keep the capacity this one grew, so their first
+    /// appends do not allocate.
     pub fn renew(&mut self, fresh: TcpConn) {
         let spent = std::mem::replace(self, fresh);
         self.snd_buf.reuse(spent.snd_buf);
         self.rcv_buf.reuse(spent.rcv_buf);
+        self.ooo = spent.ooo;
+        self.ooo.clear();
     }
 
     /// The effective maximum segment size after MSS negotiation.
@@ -1303,11 +1312,11 @@ impl TcpConn {
                 out.events.push(ConnEvent::DataReady);
             }
             // Drain contiguous out-of-order segments.
-            while let Some((&oseq, _)) = self.ooo.iter().next() {
+            while let Some(&(oseq, _)) = self.ooo.first() {
                 if seq_gt(oseq, self.rcv_nxt) {
                     break;
                 }
-                let (oseq, mut od) = self.ooo.pop_first().expect("non-empty");
+                let (_, mut od) = self.ooo.remove(0);
                 let skip = self.rcv_nxt.wrapping_sub(oseq) as usize;
                 if skip < od.len() {
                     od.advance(skip);
@@ -1328,8 +1337,10 @@ impl TcpConn {
         } else {
             // Out of order: stash, and send the duplicate ACK now (the
             // sender's fast retransmit depends on it).
-            if self.ooo.len() < 64 {
-                self.ooo.entry(seq).or_insert(data);
+            if self.ooo.len() < OOO_MAX {
+                if let Err(i) = self.ooo.binary_search_by_key(&seq, |&(s, _)| s) {
+                    self.ooo.insert(i, (seq, data));
+                }
             }
             let ack = self.make_ack();
             out.segments.push(ack);

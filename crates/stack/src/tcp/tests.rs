@@ -502,8 +502,8 @@ fn arrived_payloads_are_held_in_their_frames() {
     d.b.on_segment_slice_into(d.now, &s2.hdr, f2.clone(), &mut out);
     assert!(
         d.b.ooo
-            .values()
-            .any(|o| FrameBuf::ptr_eq(o.buf(), f2.buf())),
+            .iter()
+            .any(|(_, o)| FrameBuf::ptr_eq(o.buf(), f2.buf())),
         "out-of-order stash holds the frame"
     );
     d.b.on_segment_slice_into(d.now, &s1.hdr, f1.clone(), &mut out);

@@ -14,14 +14,16 @@
 //! - connection storage (DESIGN.md §17): a warm HTTP connect / request /
 //!   close cycle allocates well under one allocation and a few hundred
 //!   bytes, on 4.4BSD and NI-LRP alike, so no table grows per
-//!   connection; and 200 clients connecting at once, past the connection
-//!   pool, cost a stated number of allocations per fresh connection;
+//!   connection; and 200 clients connecting at once cost a stated number
+//!   of allocations per fresh connection, and fewer when a second burst
+//!   on the same thread builds them in the pooled boxes of the first;
 //! - the statclock sample (DESIGN.md §16): a tick on a host of idle
 //!   processes appends its timeline row to storage that grows by
 //!   doubling, and allocates nothing per tick or per process.
 //!
 //! This binary has its own counting `#[global_allocator]` and a single
-//! test, so the counters see the simulation and nothing else.
+//! test, which waits on any thread it spawns, so the counters see the
+//! simulation and nothing else.
 
 use lrp::apps::{
     shared, HttpClient, HttpMetrics, HttpWorker, PingPongServer, Shared, SharedListener,
@@ -261,8 +263,8 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
         let per_cycle = (ALLOCS.load(Ordering::Relaxed) - allocs0) as f64 / n as f64;
         let bytes_per_cycle = (BYTES.load(Ordering::Relaxed) - bytes0) as f64 / n as f64;
         eprintln!("{arch:?}: {per_cycle:.3} allocations, {bytes_per_cycle:.0} bytes per connection cycle over {n}");
-        // Release reads 0.040 (4.4BSD) and 0.049 (NI-LRP) allocations,
-        // 300 and 451 bytes. A box per connection, or a buffer grown per
+        // Release reads 0.038 (4.4BSD) and 0.046 (NI-LRP) allocations,
+        // 290 and 451 bytes. A box per connection, or a buffer grown per
         // connection, reads 1.0 allocations or more each; before
         // connection storage was recycled the cycle read 11.2 and 12.9.
         // A socket table that grows with every socket ever opened reads
@@ -282,31 +284,39 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
         }
     }
 
-    // Fresh connections: 200 clients connect at once, past the 64-entry
-    // connection pool, so most connections, their socket buffers' chains
-    // and their NI channels are built in new storage. Counted from the
-    // first SYN until as many transactions as clients have completed.
-    for (arch, ceiling) in [(Architecture::Bsd, 12.0), (Architecture::NiLrp, 18.0)] {
-        let (mut world, clients) = connection_burst(arch);
-        let transactions = || clients.iter().map(|m| m.borrow().transactions).sum::<u64>();
-        let allocs0 = ALLOCS.load(Ordering::Relaxed);
-        let mut now = SimTime::ZERO;
-        while transactions() < BURST_CLIENTS as u64 {
-            now += SimDuration::from_millis(1);
-            assert!(now < SimTime::from_secs(10), "{arch:?}: the burst stalled");
-            world.run_until(now);
-        }
-        let per_conn = (ALLOCS.load(Ordering::Relaxed) - allocs0) as f64 / transactions() as f64;
-        eprintln!("{arch:?}: {per_conn:.2} allocations per fresh connection");
-        // Release reads 9.47 (4.4BSD) and 15.38 (NI-LRP; each connection
-        // also builds an NI channel). Before socket buffers held their
-        // first slice inline, the four chains of a client and server
-        // connection (a send and a receive side on each host) allocated
-        // their queues on the first append: 14.35 and 20.38.
+    // Fresh connections: 200 clients connect at once on a thread of their
+    // own, whose connection pool and frame arena start empty, so every
+    // connection, its socket buffers' chains, its NI channel and its
+    // frames are built in new storage. A second burst world on the same
+    // thread then builds its connections in the boxes the first one
+    // returned when it dropped.
+    for (arch, fresh_ceiling, pooled_ceiling) in [
+        (Architecture::Bsd, 12.0, 6.0),
+        (Architecture::NiLrp, 18.0, 7.0),
+    ] {
+        let (fresh, pooled) =
+            std::thread::spawn(move || (burst_allocs_per_conn(arch), burst_allocs_per_conn(arch)))
+                .join()
+                .expect("burst thread");
+        eprintln!(
+            "{arch:?}: {fresh:.2} allocations per fresh connection, {pooled:.2} in pooled boxes"
+        );
+        // Release reads 11.46 (4.4BSD) and 15.11 (NI-LRP; each connection
+        // also builds an NI channel) fresh, and 4.22 and 5.04 in pooled
+        // boxes. With a 64-entry pool per host, dropped with the host, the
+        // second burst read 7.30 and 9.06. Before socket buffers held
+        // their first slice inline, the four chains of a client and
+        // server connection (a send and a receive side on each host)
+        // allocated their queues on the first append, about five more
+        // allocations per connection.
         if RELEASE {
             assert!(
-                per_conn <= ceiling,
-                "{arch:?}: {per_conn:.2} allocations per fresh connection"
+                fresh <= fresh_ceiling,
+                "{arch:?}: {fresh:.2} allocations per fresh connection"
+            );
+            assert!(
+                pooled <= pooled_ceiling,
+                "{arch:?}: {pooled:.2} allocations per connection in pooled boxes"
             );
         }
     }
@@ -438,6 +448,21 @@ fn connection_burst(arch: Architecture) -> (World, Vec<Shared<HttpMetrics>>) {
     world.add_host(client_host);
     world.add_host(server);
     (world, clients)
+}
+
+/// Allocations per connection over one [`connection_burst`]: from the
+/// first SYN until as many transactions as clients have completed.
+fn burst_allocs_per_conn(arch: Architecture) -> f64 {
+    let (mut world, clients) = connection_burst(arch);
+    let transactions = || clients.iter().map(|m| m.borrow().transactions).sum::<u64>();
+    let allocs0 = ALLOCS.load(Ordering::Relaxed);
+    let mut now = SimTime::ZERO;
+    while transactions() < BURST_CLIENTS as u64 {
+        now += SimDuration::from_millis(1);
+        assert!(now < SimTime::from_secs(10), "{arch:?}: the burst stalled");
+        world.run_until(now);
+    }
+    (ALLOCS.load(Ordering::Relaxed) - allocs0) as f64 / transactions() as f64
 }
 
 /// Allocations per event over one simulated second of the Figure-3 blast

@@ -209,6 +209,43 @@ fn fault_sweep_results_identical_on_cold_and_warm_frame_arena() {
     assert_eq!(cold, warm, "frame recycling changed results");
 }
 
+/// Connection boxes come from a thread-local pool that outlives every
+/// world, and keep the chain and stash storage their last connection
+/// grew. A SYN-flood world must be identical on a fresh thread and on
+/// one whose pool an earlier flood world (another architecture and
+/// defence) filled.
+#[test]
+fn syn_flood_identical_on_fresh_and_filled_connection_pool() {
+    use lrp::experiments::syn_flood::{self, Defense};
+    use lrp::stack::tcp::conn_pool_stats;
+    let run = |arch, defense| {
+        let (mut world, clients) =
+            syn_flood::build(syn_flood::config(arch, defense), 2_500.0, None);
+        world.run_until(SimTime::from_secs(2));
+        let transactions: u64 = clients.iter().map(|m| m.borrow().transactions).sum();
+        (
+            host_state_string(&world.hosts[0]),
+            host_state_string(&world.hosts[1]),
+            world.events_processed(),
+            transactions,
+        )
+    };
+    let fresh = std::thread::spawn(move || run(Architecture::NiLrp, Defense::Cookies))
+        .join()
+        .expect("run panicked");
+    let filled = std::thread::spawn(move || {
+        let _ = run(Architecture::Bsd, Defense::None);
+        assert!(
+            conn_pool_stats().pooled > 0,
+            "the first world filled the pool"
+        );
+        run(Architecture::NiLrp, Defense::Cookies)
+    })
+    .join()
+    .expect("run panicked");
+    assert_eq!(fresh, filled, "pooled connection boxes changed results");
+}
+
 #[test]
 fn table2_cell_is_identical_across_runs() {
     let a = table2::measure(Architecture::SoftLrp, table2::Variant::Fast);
