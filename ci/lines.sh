@@ -38,17 +38,17 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1701
 bench 0
-core 6064
+core 6311
 criterion-shim 126
 demux 427
 experiments 3518
-mbuf 346
+mbuf 382
 net 666
 nic 913
 proptest-shim 450
 sched 1050
-sim 1608
-stack 4369
+sim 1613
+stack 4363
 telemetry 1277
 wire 1887
 EOF

@@ -10,7 +10,7 @@
 //! replaced a table scan visits in ascending `SockId`, the order the scan
 //! had.
 
-use super::{sock_wchan, Host, Socket, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
+use super::{sock_wchan, Host, Links, Socket, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
 use crate::syscall::SockProto;
 use lrp_demux::ChannelId;
 use lrp_sched::{Pid, WaitChannel};
@@ -240,6 +240,45 @@ impl Host {
                 .is_some_and(|p| self.sched.has_sleeper(sock_wchan(p, WC_ACCEPT)))
     }
 
+    /// Walks every listener's two queues: each is whole, holds only the
+    /// listener's own children (half-open before the handshake is
+    /// reported, completed after), and every socket with queue
+    /// neighbours is on one of them.
+    fn check_listen_queues(&self) -> Result<(), String> {
+        let mut on_queues = Vec::new();
+        for (id, s) in self.sockets.iter() {
+            let Some(l) = s.listen.and_then(|i| self.listeners[i as usize].as_ref()) else {
+                continue;
+            };
+            for (list, reported, name) in [
+                (&l.half_open, false, "half-open"),
+                (&l.accept_q, true, "accept"),
+            ] {
+                let members = (list.check(&self.sockets))
+                    .map_err(|e| format!("{id:?}'s {name} queue: {e}"))?;
+                for m in members {
+                    let c = self.sock(m);
+                    if c.parent != Some(id) || c.established_reported != reported {
+                        return Err(format!(
+                            "{m:?} on {id:?}'s {name} queue: parent {:?}, reported {}",
+                            c.parent, c.established_reported
+                        ));
+                    }
+                    on_queues.push(m);
+                }
+            }
+        }
+        on_queues.sort_unstable();
+        let stray = self
+            .sockets
+            .iter()
+            .find(|(id, s)| s.links != Links::default() && on_queues.binary_search(id).is_err());
+        match stray {
+            Some((id, s)) => Err(format!("{id:?} links {:?} but is on no queue", s.links)),
+            None => Ok(()),
+        }
+    }
+
     /// Recomputes every index by brute force and compares it with the
     /// maintained one, and checks that the packet ledger balances; `Err`
     /// names the first divergence. The table scans
@@ -330,6 +369,7 @@ impl Host {
                 "{entries} listener entries, {listening} listening sockets"
             ));
         }
+        self.check_listen_queues()?;
         if !self.ready_socks.iter().eq(&ready) {
             return Err(format!(
                 "ready set {:?}, non-empty channels {ready:?}",

@@ -37,6 +37,7 @@ mod cpu;
 mod deadlines;
 mod index;
 mod ledger;
+mod listq;
 mod pidmap;
 mod proto;
 mod rx;
@@ -49,6 +50,7 @@ use crate::syscall::{AppLogic, Errno, SockProto, SyscallOp, SyscallRet};
 use deadlines::{DeadlineHeap, TimerQueue};
 use index::SockSet;
 pub use ledger::PacketLedger;
+use listq::{LinkStore, Links, SockList};
 use lrp_demux::ChannelId;
 use lrp_nic::{DemuxMode, Nic};
 use lrp_sched::{Account, Pid, SchedConfig, Scheduler, WaitChannel};
@@ -293,6 +295,9 @@ pub(crate) struct Socket {
     pub listen: Option<u32>,
     /// For passive children: the listening socket.
     pub parent: Option<SockId>,
+    /// A passive child's neighbours on the parent's half-open or accept
+    /// queue (`host/listq.rs`).
+    pub links: Links,
     /// Child has been counted into the parent's accept queue.
     pub established_reported: bool,
     /// The application has closed this socket.
@@ -312,12 +317,28 @@ pub(crate) struct Socket {
     pub drops_channel: u64,
 }
 
-/// A listening socket's state (`Host::listeners`).
+/// A listening socket's state (`Host::listeners`). Its two queues are
+/// lists threaded through the children's `Socket::links`.
 #[derive(Debug)]
 pub(crate) struct Listen {
     pub state: TcpListener,
-    /// Completed connections awaiting accept (socket ids).
-    pub accept_q: VecDeque<SockId>,
+    /// Embryonic (SynReceived) children in admission order — the minimal
+    /// SYN cache: when the backlog is full and the host enables the
+    /// cache, the oldest is evicted to admit a fresh SYN, bounding the
+    /// damage a SYN flood can do to the table.
+    pub half_open: SockList,
+    /// Completed connections awaiting accept.
+    pub accept_q: SockList,
+}
+
+impl LinkStore for SockTable<Socket> {
+    fn links(&self, id: SockId) -> Links {
+        self.get(id).expect("queued socket").links
+    }
+
+    fn links_mut(&mut self, id: SockId) -> &mut Links {
+        &mut self.get_mut(id).expect("queued socket").links
+    }
 }
 
 /// Per-process execution state.
@@ -1188,6 +1209,7 @@ impl Host {
             timer_queued: false,
             listen: None,
             parent: None,
+            links: Links::default(),
             established_reported: false,
             closed_by_app: false,
             chan_reclaimed: false,
@@ -1210,6 +1232,16 @@ impl Host {
     pub(crate) fn listening_mut(&mut self, sock: SockId) -> Option<&mut Listen> {
         let i = self.sock_opt(sock)?.listen?;
         self.listeners[i as usize].as_mut()
+    }
+
+    /// [`Self::listening_mut`], and the socket table its queues thread
+    /// through.
+    pub(crate) fn listen_queues(
+        &mut self,
+        sock: SockId,
+    ) -> Option<(&mut Listen, &mut SockTable<Socket>)> {
+        let i = self.sock_opt(sock)?.listen?;
+        Some((self.listeners[i as usize].as_mut()?, &mut self.sockets))
     }
 
     /// Receive-side queue depth of a socket: buffered datagrams plus
@@ -1249,19 +1281,25 @@ impl Host {
             chan_depth,
             drops_sockbuf: s.drops_sockbuf,
             drops_channel: s.drops_channel,
-            listen: listen
-                .map(|l| &l.state)
-                .map(|l| crate::syscall::ListenStats {
-                    backlog: l.backlog,
-                    syn_queue: l.syn_queue,
-                    accept_queue: l.accept_queue,
-                    half_open: l.half_open.len(),
-                    syn_drops: l.syn_drops,
-                    syn_cache_evictions: l.syn_cache_evictions,
-                    cookies_sent: l.cookies_sent,
-                    cookies_validated: l.cookies_validated,
-                    cookies_rejected: l.cookies_rejected,
-                }),
+            listen: listen.map(
+                |Listen {
+                     state: l,
+                     half_open,
+                     ..
+                 }| {
+                    crate::syscall::ListenStats {
+                        backlog: l.backlog,
+                        syn_queue: l.syn_queue,
+                        accept_queue: l.accept_queue,
+                        half_open: half_open.len(),
+                        syn_drops: l.syn_drops,
+                        syn_cache_evictions: l.syn_cache_evictions,
+                        cookies_sent: l.cookies_sent,
+                        cookies_validated: l.cookies_validated,
+                        cookies_rejected: l.cookies_rejected,
+                    }
+                },
+            ),
             tcp: s.tcp.as_ref().map(|conn| conn.sock_stats()).or_else(|| {
                 // A listener has no connection object; report its state
                 // machine position anyway.

@@ -541,25 +541,22 @@ impl Host {
             // fresh SYN (bounded table, oldest-first), instead of letting
             // a flood of never-completing handshakes freeze the backlog.
             let victim = if self.cfg.syn_cache {
-                self.listening(lsock)
-                    .expect("listener")
-                    .state
-                    .oldest_half_open()
+                let (l, socks) = self.listen_queues(lsock).expect("listener");
+                l.half_open.pop_front(socks)
             } else {
                 None
             };
             if let Some(victim) = victim {
-                let l = &mut self.listening_mut(lsock).expect("listener").state;
-                l.untrack_half_open(victim);
-                l.on_syn_cache_evict();
-                if self.sock_opt(victim).is_some() {
-                    // Drop the embryonic connection state silently (no
-                    // RST — the peer, likely spoofed, retransmits or
-                    // times out) and tear the child down; the orphan
-                    // path releases its backlog slot.
-                    self.set_conn(victim, None);
-                    self.teardown_tcp_sock(victim);
-                }
+                self.listening_mut(lsock)
+                    .expect("listener")
+                    .state
+                    .on_syn_cache_evict();
+                // Drop the embryonic connection state silently (no RST —
+                // the peer, likely spoofed, retransmits or times out) and
+                // tear the child down; the orphan path releases its
+                // backlog slot.
+                self.set_conn(victim, None);
+                self.teardown_tcp_sock(victim);
                 // Fall through to admit the new SYN below.
             } else {
                 self.listening_mut(lsock)
@@ -576,9 +573,9 @@ impl Host {
         let mut acts = std::mem::take(&mut self.tcp_acts);
         let conn = TcpConn::accept_syn_into(self.cfg.tcp, local, remote, iss, th, now, &mut acts);
         let child = self.install_child(lsock, local, remote, conn);
-        let l = &mut self.listening_mut(lsock).expect("listener").state;
-        l.on_syn_admitted();
-        l.track_half_open(child);
+        let (l, socks) = self.listen_queues(lsock).expect("listener");
+        l.state.on_syn_admitted();
+        l.half_open.push_back(socks, child);
         let d = self.apply_tcp_actions(now, child, &mut acts);
         self.tcp_acts = acts;
         total + d
@@ -723,9 +720,9 @@ impl Host {
         // Established from birth: never counted into the SYN queue,
         // reported straight into the accept queue below.
         self.sock_mut(child).established_reported = true;
-        let l = self.listening_mut(lsock).expect("listener");
+        let (l, socks) = self.listen_queues(lsock).expect("listener");
         l.state.on_cookie_child_established();
-        l.accept_q.push_back(child);
+        l.accept_q.push_back(socks, child);
         self.stats.tcp_accepted += 1;
         self.reattribute_tcp_frame();
         self.ledger.cookie_validated += 1;
@@ -821,10 +818,10 @@ impl Host {
                     if !self.sock(sock).established_reported {
                         self.sock_mut(sock).established_reported = true;
                         if self.sock_opt(p).is_some() {
-                            if let Some(l) = self.listening_mut(p) {
-                                l.accept_q.push_back(sock);
+                            if let Some((l, socks)) = self.listen_queues(p) {
+                                l.half_open.remove(socks, sock);
+                                l.accept_q.push_back(socks, sock);
                                 l.state.on_child_established();
-                                l.state.untrack_half_open(sock);
                             }
                             self.stats.tcp_accepted += 1;
                             self.wake_sock(p, WC_ACCEPT);
@@ -910,9 +907,9 @@ impl Host {
         // Embryonic child died before the handshake completed.
         if let Some(p) = parent {
             if !reported {
-                if let Some(l) = self.listening_mut(p) {
+                if let Some((l, socks)) = self.listen_queues(p) {
                     l.state.on_child_failed();
-                    l.state.untrack_half_open(sock);
+                    l.half_open.remove(socks, sock);
                 }
             }
         }
@@ -941,6 +938,7 @@ impl Host {
         // The channel goes first, taking the socket out of the ready set
         // while the table still names its owner.
         self.close_channel(sock, false);
+        self.unqueue_child(sock);
         let s = self.sockets.take(sock).expect("checked");
         if s.timer_queued {
             self.tcp_timer_work.retain(|&x| x != sock);
@@ -985,6 +983,30 @@ impl Host {
         self.dgram_socks.remove(sock);
         self.tcp_deadlines.set(sock, None);
         self.ed_pending.retain(|&x| x != sock);
+    }
+
+    /// Takes passive child `sock` off whichever of its listener's queues
+    /// it is on, and releases its place in the backlog: its slot, which
+    /// holds its links, is about to go. Teardown, `accept` and a
+    /// listener's close take a child off first, and a crash or reboot
+    /// frees the listener before its children; but an application may
+    /// close, by id, a child nobody accepted, and its free must not
+    /// leave the queue running through a dead slot.
+    fn unqueue_child(&mut self, sock: SockId) {
+        let s = self.sock(sock);
+        let (Some(p), reported) = (s.parent, s.established_reported) else {
+            return;
+        };
+        let Some((l, socks)) = self.listen_queues(p) else {
+            return;
+        };
+        if reported {
+            if l.accept_q.remove(socks, sock) {
+                l.state.on_accept();
+            }
+        } else if l.half_open.remove(socks, sock) {
+            l.state.on_child_failed();
+        }
     }
 
     /// Processes one due TCP timer for `sock`; returns the CPU cost.

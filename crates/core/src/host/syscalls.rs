@@ -1,7 +1,9 @@
 //! The system-call phase machine: decomposes each operation into
 //! cost-bearing kernel phases, with architecture-specific receive paths.
 
-use super::{sock_wchan, Cont, Host, Listen, PhaseOut, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
+use super::{
+    sock_wchan, Cont, Host, Listen, PhaseOut, SockList, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND,
+};
 use crate::config::{Architecture, QUANTUM};
 use crate::host::proto::ProtoCtx;
 use crate::syscall::{AppCtx, Errno, SockProto, SyscallOp, SyscallRet};
@@ -10,7 +12,6 @@ use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::tcp::{TcpConn, TcpListener, TcpState};
 use lrp_stack::SockId;
 use lrp_wire::{proto, udp, Endpoint, FlowKey, FrameBuf, FrameSlice};
-use std::collections::VecDeque;
 
 /// Link MTU (the paper's ATM LAN): sends fragment above it.
 const MTU: usize = 9180;
@@ -276,7 +277,8 @@ impl Host {
         });
         self.listeners[i] = Some(Listen {
             state,
-            accept_q: VecDeque::new(),
+            half_open: SockList::default(),
+            accept_q: SockList::default(),
         });
         self.sock_mut(sock).listen = Some(i as u32);
         SyscallRet::Ok
@@ -630,16 +632,12 @@ impl Host {
                 return out;
             }
         }
-        let l = self.listening_mut(sock).expect("listener");
-        if let Some(child) = l.accept_q.pop_front() {
+        let (l, socks) = self.listen_queues(sock).expect("listener");
+        if let Some(child) = l.accept_q.pop_front(socks) {
             l.state.on_accept();
             // The accepting process becomes the owner (charging target).
-            if self.sock_opt(child).is_some() {
-                self.set_owner(child, pid);
-                return PhaseOut::ret(cost.accept_sock, SyscallRet::Accepted(child));
-            }
-            // The child died while queued; try again.
-            return PhaseOut::sys(cost.accept_sock, Cont::AcceptCheck { sock });
+            self.set_owner(child, pid);
+            return PhaseOut::ret(cost.accept_sock, SyscallRet::Accepted(child));
         }
         self.sleep_on(sock, WC_ACCEPT, Cont::AcceptCheck { sock })
     }
@@ -671,37 +669,23 @@ impl Host {
             // frames queued on it.
             let mut reap = SimDuration::ZERO;
             if self.sock(sock).listen.is_some() {
-                while let Some(victim) = self
-                    .listening(sock)
-                    .and_then(|l| l.state.oldest_half_open())
-                {
-                    if self.sock_opt(victim).is_none() {
-                        // Stale entry: drop it and keep draining.
-                        if let Some(l) = self.listening_mut(sock) {
-                            l.state.untrack_half_open(victim);
-                        }
-                        continue;
-                    }
-                    // Silent teardown; the orphan path frees the slot and
-                    // flushes the child's channel.
+                while let Some(victim) = self.listening(sock).and_then(|l| l.half_open.front()) {
+                    // Silent teardown, which takes the child off the
+                    // queue; the orphan path frees the slot and flushes
+                    // the child's channel.
                     self.set_conn(victim, None);
                     self.teardown_tcp_sock(victim);
                 }
-                let listen = self.listening(sock).expect("listener");
-                let pending: Vec<SockId> = listen.accept_q.iter().copied().collect();
-                for child in pending {
-                    if self.sock_opt(child).is_none() {
-                        continue;
-                    }
+                while let Some(child) = self
+                    .listen_queues(sock)
+                    .and_then(|(l, socks)| l.accept_q.pop_front(socks))
+                {
                     self.sock_mut(child).closed_by_app = true;
                     if self.sock(child).tcp.is_some() {
                         reap += self.tcp_run(now, child, |conn, out| conn.abort_into(out)).1;
                     } else {
                         self.free_socket(child);
                     }
-                }
-                if let Some(l) = self.listening_mut(sock) {
-                    l.accept_q.clear();
                 }
             }
             // UDP (or the reaped listener): free immediately.

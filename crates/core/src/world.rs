@@ -485,8 +485,9 @@ mod tests {
     }
 
     /// A socket-table slot, in a page of `PAGE` whether live or not
-    /// (listener state is in `Host::listeners`).
-    const _: () = assert!(std::mem::size_of::<Option<crate::host::Socket>>() == 184);
+    /// (listener state is in `Host::listeners`; a child's links on its
+    /// listener's queue, eight bytes, are in the slot).
+    const _: () = assert!(std::mem::size_of::<Option<crate::host::Socket>>() == 192);
 
     #[test]
     fn add_host_routes_by_address() {

@@ -1,5 +1,5 @@
-//! Arena-backed frame storage: capacity-banded free lists of byte
-//! vectors and of the reference-counted boxes that wrap them.
+//! Arena-backed frame storage: free lists of byte vectors in exact size
+//! classes, and of the reference-counted boxes that wrap them.
 //!
 //! The simulator's hot path used to allocate (and free) one `Vec` per
 //! frame per hop. [`FrameArena`] recycles both halves of a frame's
@@ -7,6 +7,12 @@
 //! steady-state frame traffic does no allocator work at all. A
 //! checked-out frame's one identity is its `Rc`: the strong count
 //! decides when the buffer comes back, so it cannot come back twice.
+//!
+//! Storage comes in size classes, eight per power of two, as 4.4BSD's
+//! mbufs and clusters come in fixed sizes: a request is rounded up to
+//! its class (at most 12.5 % more) and allocated at exactly the class
+//! size, and a returned vector is filed under the largest class its
+//! capacity covers, so whatever a class hands out fits.
 //!
 //! The caches keep what the arena once handed out. Every cached `Rc` box
 //! was once live, so `cached + live` never exceeds the most buffers ever
@@ -40,17 +46,36 @@ use std::rc::Rc;
 /// dropped.
 const MAX_CACHED_BYTES: usize = 4 << 20;
 
-/// Cached storage is kept apart by capacity: band `k` holds vectors of
-/// capacity `2^k ..= 2^(k+1) - 1`, and a request is only ever served from
-/// the band of the capacity it asks for. A 40-byte ACK therefore never
-/// takes an MSS-sized buffer, and an MSS-sized build never finds a
-/// 64-byte one. Seventeen bands reach 128 KiB − 1, past the largest IP
-/// datagram; anything larger is not cached.
-const BANDS: usize = 17;
+/// Classes per power of two, as a shift: capacities `2^k ..= 2^(k+1) - 1`
+/// split into eight classes `2^(k-3)` apart.
+const CLASS_BITS: u32 = 3;
 
-/// The band a vector of `capacity` (non-zero) bytes belongs to.
-fn band(capacity: usize) -> usize {
-    capacity.ilog2() as usize
+/// Size classes kept: every capacity below 128 KiB, past the largest IP
+/// datagram, belongs to one; larger vectors are not cached.
+const CLASSES: usize = class(MAX_CLASSED);
+
+/// The first capacity with no class.
+const MAX_CLASSED: usize = 1 << 17;
+
+/// The class of a vector of `capacity` (non-zero) bytes: the largest
+/// class size not above it. Below 16 bytes every size is a class.
+const fn class(capacity: usize) -> usize {
+    let k = capacity.ilog2();
+    if k <= CLASS_BITS {
+        return capacity;
+    }
+    let shift = k - CLASS_BITS;
+    ((shift as usize) << CLASS_BITS) + (capacity >> shift)
+}
+
+/// `capacity` (non-zero) rounded up to a class size.
+fn class_size(capacity: usize) -> usize {
+    let k = capacity.ilog2();
+    if k <= CLASS_BITS {
+        return capacity;
+    }
+    let step = 1 << (k - CLASS_BITS);
+    capacity.next_multiple_of(step)
 }
 
 /// Per-arena counters, for tests and the bench report.
@@ -70,9 +95,8 @@ pub struct ArenaStats {
     /// the largest `live` the arena has seen.
     pub cached: usize,
     /// Scratch requests the recycle cache could not serve: the request's
-    /// capacity band was empty, or its top buffer was too small and was
-    /// replaced. Zero growth over a steady-state run is the point of the
-    /// bands.
+    /// size class was empty. Zero growth over a steady-state run is the
+    /// point of the classes.
     pub storage_allocs: u64,
     /// Capacity of all cached byte vectors together.
     pub cached_bytes: usize,
@@ -128,15 +152,25 @@ impl PooledBuf {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ArenaInner {
-    /// Recycled byte vectors (empty, capacity kept) by capacity band,
-    /// ready to hand out.
-    raw_cache: [Vec<Vec<u8>>; BANDS],
+    /// Recycled byte vectors (empty, capacity kept) by size class, ready
+    /// to hand out.
+    raw_cache: [Vec<Vec<u8>>; CLASSES],
     /// Recycled `Rc` boxes (strong count 1, storage already moved to
     /// `raw_cache`), ready to wrap new bytes.
     rc_cache: Vec<Rc<PooledBuf>>,
     stats: ArenaStats,
+}
+
+impl Default for ArenaInner {
+    fn default() -> Self {
+        ArenaInner {
+            raw_cache: std::array::from_fn(|_| Vec::new()),
+            rc_cache: Vec::new(),
+            stats: ArenaStats::default(),
+        }
+    }
 }
 
 impl ArenaInner {
@@ -144,16 +178,13 @@ impl ArenaInner {
         if capacity == 0 {
             return Vec::new();
         }
-        if let Some(v) = self.raw_cache.get_mut(band(capacity)).and_then(Vec::pop) {
+        let size = class_size(capacity);
+        if let Some(v) = self.raw_cache.get_mut(class(size)).and_then(Vec::pop) {
             self.stats.cached_bytes -= v.capacity();
-            if v.capacity() >= capacity {
-                return v;
-            }
-            // Too small within its band: replaced rather than grown, so a
-            // band converges on the largest capacity asked of it.
+            return v;
         }
         self.stats.storage_allocs += 1;
-        Vec::with_capacity(capacity)
+        Vec::with_capacity(size)
     }
 
     fn give_storage(&mut self, mut storage: Vec<u8>) {
@@ -161,7 +192,7 @@ impl ArenaInner {
         if capacity == 0 || self.stats.cached_bytes + capacity > MAX_CACHED_BYTES {
             return;
         }
-        if let Some(stack) = self.raw_cache.get_mut(band(capacity)) {
+        if let Some(stack) = self.raw_cache.get_mut(class(capacity)) {
             storage.clear();
             stack.push(storage);
             self.stats.cached_bytes += capacity;
@@ -341,7 +372,7 @@ mod tests {
         let arena = FrameArena::new();
         let cycle = |len: usize| {
             let mut v = arena.take_storage(len);
-            assert!(v.capacity() >= len && v.capacity() < 2 * len, "no drift");
+            assert_eq!(v.capacity(), class_size(len), "no drift");
             v.resize(len, 0xBB);
             // In flight together, as a data frame and the ACK it draws.
             let frame = arena.adopt(v);
@@ -366,35 +397,50 @@ mod tests {
     }
 
     #[test]
-    fn too_small_buffer_is_replaced_within_its_band() {
+    fn classes_tile_the_sizes_eight_to_a_power_of_two() {
+        assert_eq!(class_size(9180), 9216, "an MTU frame");
+        assert_eq!((class_size(40), class_size(44)), (40, 44));
+        assert_eq!((class_size(65_536), class_size(65_537)), (65_536, 73_728));
+        for c in 1..MAX_CLASSED {
+            let size = class_size(c);
+            assert!(size >= c && size * 8 <= c * 9, "{c} rounds to {size}");
+            assert_eq!(class_size(size), size, "a class size is its own class");
+            assert!(class(c) <= class(size), "{c} files at or below its take");
+            if c > 1 {
+                assert!(class(c - 1) <= class(c), "classes ascend");
+            }
+        }
+        assert_eq!(class(MAX_CLASSED - 1), CLASSES - 1);
+    }
+
+    #[test]
+    fn a_vector_files_under_the_largest_class_it_covers() {
         let arena = FrameArena::new();
-        arena.give_storage(Vec::with_capacity(40));
-        // Same band (32..=63), but four bytes short.
-        let v = arena.take_storage(44);
-        assert!(v.capacity() >= 44);
+        // 9 180 bytes fall between the 8 192 and 9 216 classes: the
+        // vector serves an 8 192-byte request, never a 9 216-byte one.
+        arena.give_storage(Vec::with_capacity(9180));
+        let v = arena.take_storage(9000);
+        assert_eq!(v.capacity(), 9216, "not from the smaller vector");
         assert_eq!(arena.stats().storage_allocs, 1);
-        arena.give_storage(v);
-        assert!(
-            arena.take_storage(40).capacity() >= 44,
-            "the band kept the larger one"
-        );
+        let w = arena.take_storage(8192);
+        assert_eq!(w.capacity(), 9180);
         assert_eq!(arena.stats().storage_allocs, 1);
     }
 
     #[test]
     fn retained_bytes_are_bounded() {
         let arena = FrameArena::new();
-        for _ in 0..MAX_CACHED_BYTES / 9180 + 10 {
-            arena.give_storage(Vec::with_capacity(9180));
+        for _ in 0..MAX_CACHED_BYTES / 9216 + 10 {
+            arena.give_storage(Vec::with_capacity(9216));
         }
         let s = arena.stats();
         assert!(s.cached_bytes <= MAX_CACHED_BYTES);
         assert!(
-            s.cached_bytes > MAX_CACHED_BYTES - 9180,
+            s.cached_bytes > MAX_CACHED_BYTES - 9216,
             "filled to the bound"
         );
         // Oversized and empty vectors are never kept.
-        arena.give_storage(Vec::with_capacity(1 << BANDS));
+        arena.give_storage(Vec::with_capacity(MAX_CLASSED));
         arena.give_storage(Vec::new());
         assert_eq!(arena.stats().cached_bytes, s.cached_bytes);
         let v = arena.take_storage(9180);

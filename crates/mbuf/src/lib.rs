@@ -6,7 +6,10 @@
 //! [`FrameArena`]. Both halves of a buffer — the byte vector and the
 //! `Rc` box around it — are recycled, so steady-state traffic does no
 //! allocator work, and a burst leaves its boxes cached for the next
-//! one. A checked-out buffer's one identity is its `Rc`, whose strong
+//! one. Byte vectors come in exact size classes, eight per power of
+//! two, as mbufs and clusters come in fixed sizes: a request takes at
+//! most 12.5 % more than it asks for, and any cached vector of its
+//! class fits it. A checked-out buffer's one identity is its `Rc`, whose strong
 //! count decides when it comes back. `lrp-wire`'s `FrameBuf` is the
 //! arena's only front end (see the [`arena`] module).
 //!

@@ -106,7 +106,7 @@ proptest! {
     }
 
     /// Scratch storage comes back empty, large enough, and from the
-    /// request's own capacity band (less than twice the request).
+    /// request's own power of two (less than twice the request).
     #[test]
     fn storage_is_served_from_its_own_band(
         caps in collection::vec((1usize..70_000, any::<bool>()), 1..200),
@@ -128,5 +128,32 @@ proptest! {
             arena.give_storage(v);
         }
         prop_assert!(arena.stats().cached_bytes <= 4 << 20);
+    }
+
+    /// Each take gets between `c` and `1.125 · c` bytes, and a mix of
+    /// sizes taken together, given back and taken again allocates
+    /// nothing the second time: whatever a class holds fits every
+    /// request of that class. Sixty takes of at most 64 KiB stay within
+    /// the 4 MiB the cache keeps.
+    #[test]
+    fn storage_comes_in_exact_classes(caps in collection::vec(1usize..=65_536, 1..=60)) {
+        let arena = FrameArena::new();
+        let mix = || {
+            let mut held = Vec::new();
+            for &c in &caps {
+                let v = arena.take_storage(c);
+                prop_assert!(v.is_empty());
+                prop_assert!(v.capacity() >= c && v.capacity() * 8 <= c * 9,
+                    "{} got {}", c, v.capacity());
+                held.push(v);
+            }
+            held.into_iter().for_each(|v| arena.give_storage(v));
+        };
+        mix();
+        let warm = arena.stats();
+        prop_assert_eq!(warm.storage_allocs, caps.len() as u64);
+        mix();
+        mix();
+        prop_assert_eq!(arena.stats(), warm);
     }
 }

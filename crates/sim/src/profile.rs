@@ -144,22 +144,33 @@ impl<K: MemoKey> Tally<K> {
     }
 }
 
-/// A [`CycleKey`] that compares and hashes by the identity of its
-/// labels (address, and length for equality), not their contents.
+/// A [`CycleKey`] that compares by the identity of its labels (address
+/// and length), not their contents. It hashes by a word of each label's
+/// contents, which equal labels share, so that the hash and memo lines,
+/// and with them how often the table grows, do not move with where the
+/// binary is loaded.
 #[derive(Clone, Copy, Debug)]
 struct ById(CycleKey);
 
+/// A label's length and its first and last bytes in one word: two loads,
+/// and the same wherever the label lies.
+fn label_word(label: &str) -> u64 {
+    let b = label.as_bytes();
+    let byte = |x: Option<&u8>| x.copied().unwrap_or(0) as u64;
+    (b.len() as u64) << 16 | byte(b.first()) << 8 | byte(b.last())
+}
+
 impl ById {
     /// The cpu and the billed pid in one word (`None` billed is 0), and
-    /// the label addresses (`None` account is 0).
+    /// the labels' words (`None` account is 0).
     fn words(&self) -> [u64; 4] {
         let k = &self.0;
         let billed = k.billed.map_or(0, |p| p as u64 + 1);
         [
             ((k.cpu as u64) << 40) ^ billed,
-            k.context.as_ptr() as u64,
-            k.stage.as_ptr() as u64,
-            k.account.map_or(0, |a| a.as_ptr() as u64),
+            label_word(k.context),
+            label_word(k.stage),
+            k.account.map_or(0, label_word),
         ]
     }
 }

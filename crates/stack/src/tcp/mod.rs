@@ -45,11 +45,9 @@
 //! honesty): urgent data, window scaling, SACK, timestamps/PAWS, Nagle.
 
 use crate::sockbuf::ByteBuffer;
-use crate::SockId;
 use lrp_sim::{SimDuration, SimTime};
 use lrp_wire::tcp::{flags, seq_ge, seq_gt, seq_le, seq_lt, PayloadBuf, TcpHeader};
 use lrp_wire::{Endpoint, FrameSlice};
-use std::collections::VecDeque;
 
 pub mod ack;
 pub mod cc;
@@ -324,8 +322,10 @@ pub struct TcpConn {
     irs: u32,
     rcv_nxt: u32,
     rcv_buf: ByteBuffer,
-    /// Out-of-order segments, at most [`OOO_MAX`], sorted by raw sequence
-    /// number and held by reference into the frames they arrived in.
+    /// Out-of-order segments, at most [`OOO_MAX`], sorted by how far
+    /// ahead of `rcv_nxt` they start (so a window that straddles 2³²
+    /// keeps its order) and held by reference into the frames they
+    /// arrived in.
     ooo: Vec<(u32, FrameSlice)>,
     /// Last window we advertised (for update decisions).
     last_adv_wnd: u32,
@@ -1338,7 +1338,11 @@ impl TcpConn {
             // Out of order: stash, and send the duplicate ACK now (the
             // sender's fast retransmit depends on it).
             if self.ooo.len() < OOO_MAX {
-                if let Err(i) = self.ooo.binary_search_by_key(&seq, |&(s, _)| s) {
+                let ahead = |s: u32| s.wrapping_sub(self.rcv_nxt);
+                if let Err(i) = self
+                    .ooo
+                    .binary_search_by_key(&ahead(seq), |&(s, _)| ahead(s))
+                {
                     self.ooo.insert(i, (seq, data));
                 }
             }
@@ -1368,11 +1372,6 @@ pub struct TcpListener {
     pub accept_queue: usize,
     /// SYNs dropped due to a full backlog.
     pub syn_drops: u64,
-    /// Embryonic (SynReceived) children in admission order — the minimal
-    /// SYN-cache: when the backlog is full and the host enables the
-    /// cache, the *oldest* half-open entry is evicted to admit a fresh
-    /// SYN, bounding the damage a SYN flood can do to the table.
-    pub half_open: VecDeque<SockId>,
     /// Half-open entries evicted by the SYN-cache to admit new SYNs.
     pub syn_cache_evictions: u64,
     /// Stateless SYN|ACKs minted with a cookie ISN (see [`cookie`]).
@@ -1392,7 +1391,6 @@ impl TcpListener {
             syn_queue: 0,
             accept_queue: 0,
             syn_drops: 0,
-            half_open: VecDeque::new(),
             syn_cache_evictions: 0,
             cookies_sent: 0,
             cookies_validated: 0,
@@ -1451,36 +1449,6 @@ impl TcpListener {
     pub fn on_accept(&mut self) {
         debug_assert!(self.accept_queue > 0);
         self.accept_queue -= 1;
-    }
-
-    /// Records the admitted child's identity for SYN-cache ordering.
-    /// Call next to [`on_syn_admitted`](Self::on_syn_admitted).
-    pub fn track_half_open(&mut self, child: SockId) {
-        self.half_open.push_back(child);
-    }
-
-    /// Forgets a child that left the half-open set (established, failed,
-    /// or evicted).
-    ///
-    /// The deque is bounded by the listen backlog (tens of entries, even
-    /// under flood: admission is gated by `can_accept_syn`), so a linear
-    /// scan cannot blow up — but the *common* exits are the front (SYN
-    /// cache evicts oldest-first; handshakes complete roughly FIFO), so
-    /// take the O(1) pop when the child is at either end and fall back
-    /// to the scan only for out-of-order completions.
-    pub fn untrack_half_open(&mut self, child: SockId) {
-        if self.half_open.front() == Some(&child) {
-            self.half_open.pop_front();
-        } else if self.half_open.back() == Some(&child) {
-            self.half_open.pop_back();
-        } else {
-            self.half_open.retain(|&s| s != child);
-        }
-    }
-
-    /// The oldest half-open child — the SYN-cache eviction victim.
-    pub fn oldest_half_open(&self) -> Option<SockId> {
-        self.half_open.front().copied()
     }
 
     /// Records a SYN-cache eviction.

@@ -3,6 +3,7 @@
 
 use super::*;
 use lrp_wire::{FrameBuf, Ipv4Addr};
+use std::collections::VecDeque;
 
 fn ep(last: u8, port: u16) -> Endpoint {
     Endpoint::new(Ipv4Addr::new(10, 0, 0, last), port)
@@ -467,6 +468,36 @@ fn out_of_order_segments_reassembled() {
     assert_eq!(d.b.read(100).0, b"AAAABBBB");
 }
 
+#[test]
+fn out_of_order_segments_reassemble_across_sequence_wrap() {
+    // The default MSS, so that the first window holds all three.
+    let cfg = TcpConfig::default();
+    let mut d = Driver::new(cfg);
+    d.a = TcpConn::new(cfg, ep(1, 1000), ep(2, 2000), u32::MAX - 1000);
+    let mut d = established(d);
+    let segs: Vec<Segment> = [b'A', b'B', b'C']
+        .iter()
+        .map(|&fill| {
+            let (_, acts) = d.a.write(d.now, &[fill; 600]);
+            acts.segments.into_iter().next().unwrap()
+        })
+        .collect();
+    let seqs: Vec<u32> = segs.iter().map(|s| s.hdr.seq).collect();
+    assert_eq!(
+        seqs,
+        [u32::MAX - 999, u32::MAX - 399, 200],
+        "the third wraps"
+    );
+    // The second and third arrive first; the stash must order the one
+    // past 2^32 after the one before it, or the drain stops at it.
+    for seg in [&segs[1], &segs[2], &segs[0]] {
+        d.b.on_segment(d.now, &seg.hdr, &seg.payload);
+    }
+    assert_eq!(d.b.available(), 1800, "all three contiguous");
+    let data = d.b.read(2000).0;
+    assert_eq!(data, [[b'A'; 600], [b'B'; 600], [b'C'; 600]].concat());
+}
+
 /// `payload` in a frame-like buffer (40 header bytes in front), held by
 /// reference.
 fn in_frame(payload: &[u8]) -> FrameSlice {
@@ -564,6 +595,8 @@ fn listener_backlog_accounting() {
     assert!(l.can_accept_syn());
     l.on_child_failed();
     assert_eq!(l.syn_queue, 0);
+    l.on_syn_cache_evict();
+    assert_eq!(l.syn_cache_evictions, 1);
 }
 
 #[test]
@@ -1099,29 +1132,6 @@ fn keepalive_stale_timer_clears_after_close() {
         assert!(acts.segments.iter().all(|s| s.payload.is_empty()));
         assert_eq!(d.a.keepalive_deadline, None);
     }
-}
-
-#[test]
-fn listener_half_open_tracking_fifo() {
-    let mut l = TcpListener::new(ep(2, 80), 3);
-    for i in 0..3 {
-        l.on_syn_admitted();
-        l.track_half_open(SockId(i));
-    }
-    assert!(!l.can_accept_syn());
-    assert_eq!(l.oldest_half_open(), Some(SockId(0)));
-    // Oldest-eviction order is admission order.
-    l.untrack_half_open(SockId(0));
-    l.on_child_failed();
-    l.on_syn_cache_evict();
-    assert_eq!(l.oldest_half_open(), Some(SockId(1)));
-    assert_eq!(l.syn_cache_evictions, 1);
-    assert!(l.can_accept_syn());
-    // Establishment removes from the middle without disturbing order.
-    l.untrack_half_open(SockId(2));
-    l.on_child_established();
-    assert_eq!(l.oldest_half_open(), Some(SockId(1)));
-    assert_eq!(l.accept_queue, 1);
 }
 
 /// A segment and an event already in the list before an `*_into` call.

@@ -17,6 +17,9 @@
 //!   connection; and 200 clients connecting at once cost a stated number
 //!   of allocations per fresh connection, and fewer when a second burst
 //!   on the same thread builds them in the pooled boxes of the first;
+//! - listener state (DESIGN.md §16): a warm cycle of opening a
+//!   listener, accepting one connection and closing both allocates
+//!   nothing;
 //! - the statclock sample (DESIGN.md §16): a tick on a host of idle
 //!   processes appends its timeline row to storage that grows by
 //!   doubling, and allocates nothing per tick or per process.
@@ -28,7 +31,10 @@
 use lrp::apps::{
     shared, HttpClient, HttpMetrics, HttpWorker, PingPongServer, Shared, SharedListener,
 };
-use lrp::core::{Architecture, CcAlgo, Host, HostConfig, World};
+use lrp::core::{
+    AppCtx, AppLogic, Architecture, CcAlgo, Host, HostConfig, SockProto, SyscallOp, SyscallRet,
+    World,
+};
 use lrp::experiments::{fault_sweep, fig3, syn_flood, HOST_A, HOST_B};
 use lrp::net::FaultPlan;
 use lrp::nic::{DemuxMode, Nic, Stamp};
@@ -47,6 +53,10 @@ const TOTAL: usize = 4 << 20;
 /// frame, is this plus 40 bytes of IP and TCP header room.
 const MSS: usize = 9140;
 
+/// The frame arena's size class that a full segment's 9 180 bytes round
+/// up to: what a segment-sized allocation through the arena asks for.
+const SEGMENT_CLASS: usize = 9216;
+
 // Relaxed: the counters are statistics that publish no other data.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
@@ -57,7 +67,7 @@ struct Counting;
 fn count(size: usize) {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(size as u64, Ordering::Relaxed);
-    if (MSS..=MSS + 44).contains(&size) {
+    if (MSS..=SEGMENT_CLASS).contains(&size) {
         SEGMENT_SIZED.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -284,6 +294,35 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
         }
     }
 
+    // Listener churn: a server opens a listener, accepts one connection,
+    // closes it and the listener, and starts over, while a client dials
+    // it again and again. Past the warm-up every listener's queues are
+    // lists through its children's socket slots and every socket, PCB
+    // entry, channel and connection is built in recycled storage, so a
+    // cycle allocates nothing. A `VecDeque` per queue, as the listener
+    // had, allocates two per cycle: one for the SYN's half-open entry,
+    // one for the accept queue.
+    for arch in [Architecture::Bsd, Architecture::NiLrp] {
+        let (mut world, accepted) = listen_churn(arch);
+        world.run_until(CHURN_WARM_UP);
+        let (allocs0, cycles0) = (ALLOCS.load(Ordering::Relaxed), *accepted.borrow());
+        let mut now = CHURN_WARM_UP;
+        while *accepted.borrow() - cycles0 < CHURN_CYCLES {
+            now += SimDuration::from_millis(1);
+            assert!(now < SimTime::from_secs(60), "{arch:?}: the churn stalled");
+            world.run_until(now);
+        }
+        let n = *accepted.borrow() - cycles0;
+        let per_cycle = (ALLOCS.load(Ordering::Relaxed) - allocs0) as f64 / n as f64;
+        eprintln!("{arch:?}: {per_cycle:.3} allocations per listen/accept/close cycle over {n}");
+        if RELEASE {
+            assert!(
+                per_cycle <= 0.05,
+                "{arch:?}: {per_cycle:.3} allocations per listen/accept/close cycle"
+            );
+        }
+    }
+
     // Fresh connections: 200 clients connect at once on a thread of their
     // own, whose connection pool and frame arena start empty, so every
     // connection, its socket buffers' chains, its NI channel and its
@@ -403,6 +442,124 @@ const BLAST_ALLOCS_PER_EVENT: f64 = 0.002;
 /// per event; the differences and per-byte and per-tick bounds hold in
 /// both.
 const RELEASE: bool = !cfg!(debug_assertions);
+
+/// The port [`ListenCycler`] listens on.
+const CHURN_PORT: u16 = 8080;
+
+/// Opens a listener on [`CHURN_PORT`], accepts one connection, closes it
+/// and the listener, and starts over; counts the connections accepted.
+struct ListenCycler {
+    listener: Option<SockId>,
+    child: Option<SockId>,
+    step: u8,
+    accepted: Shared<u64>,
+}
+
+impl AppLogic for ListenCycler {
+    fn start(&mut self, _ctx: AppCtx) -> SyscallOp {
+        SyscallOp::Socket(SockProto::Tcp)
+    }
+
+    fn resume(&mut self, _ctx: AppCtx, ret: SyscallRet) -> SyscallOp {
+        match ret {
+            SyscallRet::Socket(s) => self.listener = Some(s),
+            SyscallRet::Accepted(c) => {
+                self.child = Some(c);
+                *self.accepted.borrow_mut() += 1;
+            }
+            SyscallRet::Ok => {}
+            other => panic!("listen churn: {other:?}"),
+        }
+        let sock = self.listener.expect("socket() succeeded");
+        self.step += 1;
+        match self.step {
+            1 => SyscallOp::Bind {
+                sock,
+                port: CHURN_PORT,
+            },
+            2 => SyscallOp::Listen { sock, backlog: 8 },
+            3 => SyscallOp::Accept { sock },
+            4 => SyscallOp::Close {
+                sock: self.child.take().expect("accepted"),
+            },
+            5 => SyscallOp::Close { sock },
+            _ => {
+                self.step = 0;
+                SyscallOp::Socket(SockProto::Tcp)
+            }
+        }
+    }
+}
+
+/// Connects to `dst`, closes the socket whether the connect succeeded or
+/// not, and dials again 2 ms later, when the listener has been opened
+/// again.
+struct Redialer {
+    dst: Endpoint,
+    sock: Option<SockId>,
+    step: u8,
+}
+
+impl AppLogic for Redialer {
+    fn start(&mut self, _ctx: AppCtx) -> SyscallOp {
+        SyscallOp::Socket(SockProto::Tcp)
+    }
+
+    fn resume(&mut self, _ctx: AppCtx, ret: SyscallRet) -> SyscallOp {
+        if let SyscallRet::Socket(s) = ret {
+            self.sock = Some(s);
+        }
+        let sock = self.sock.expect("socket() succeeded");
+        self.step += 1;
+        match self.step {
+            1 => SyscallOp::Connect {
+                sock,
+                dst: self.dst,
+            },
+            2 => SyscallOp::Close { sock },
+            3 => SyscallOp::Sleep(SimDuration::from_millis(2)),
+            _ => {
+                self.step = 0;
+                SyscallOp::Socket(SockProto::Tcp)
+            }
+        }
+    }
+}
+
+/// A [`ListenCycler`] on one host and a [`Redialer`] on another, with
+/// the HTTP scenario's hosts (a 500 ms TIME_WAIT); the connections
+/// accepted.
+fn listen_churn(arch: Architecture) -> (World, Shared<u64>) {
+    let cfg = syn_flood::config(arch, syn_flood::Defense::None);
+    let mut world = World::with_defaults();
+    let accepted = shared::<u64>();
+    let mut server = Host::new(cfg, HOST_B);
+    server.spawn_app(
+        "listen-cycler",
+        0,
+        0,
+        Box::new(ListenCycler {
+            listener: None,
+            child: None,
+            step: 0,
+            accepted: accepted.clone(),
+        }),
+    );
+    let mut client = Host::new(cfg, HOST_A);
+    client.spawn_app(
+        "redialer",
+        0,
+        0,
+        Box::new(Redialer {
+            dst: Endpoint::new(HOST_B, CHURN_PORT),
+            sock: None,
+            step: 0,
+        }),
+    );
+    world.add_host(client);
+    world.add_host(server);
+    (world, accepted)
+}
 
 /// An HTTP server of eight workers, with a backlog that takes every
 /// SYN, and [`BURST_CLIENTS`] closed-loop clients on a second host; the
