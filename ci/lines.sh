@@ -38,7 +38,7 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1701
 bench 0
-core 6311
+core 6510
 criterion-shim 126
 demux 427
 experiments 3518
@@ -49,7 +49,7 @@ proptest-shim 450
 sched 1050
 sim 1613
 stack 4363
-telemetry 1277
+telemetry 1275
 wire 1887
 EOF
 printf '%-16s %6d\n' total "$total"

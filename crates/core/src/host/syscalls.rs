@@ -266,11 +266,13 @@ impl Host {
         if s.proto != SockProto::Tcp {
             return SyscallRet::Err(Errno::Invalid);
         }
-        let state = TcpListener::new(local, backlog);
         if let Some(l) = self.listening_mut(sock) {
-            l.state = state;
+            // Listening again only sets the limit (BSD's `solisten`): the
+            // queues and their counts stay with the children on them.
+            l.state.backlog = backlog;
             return SyscallRet::Ok;
         }
+        let state = TcpListener::new(local, backlog);
         let i = (self.listeners.iter().position(Option::is_none)).unwrap_or_else(|| {
             self.listeners.push(None);
             self.listeners.len() - 1

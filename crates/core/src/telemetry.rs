@@ -21,10 +21,16 @@ use lrp_nic::Stamp;
 use lrp_sched::{Pid, ProcState};
 use lrp_sim::{CycleAccount, CycleKey, Histogram, MetricsTimeline, SimTime, Tally};
 use lrp_wire::Frame;
+use spanlog::SpanLog;
 use std::collections::BTreeMap;
 use std::num::NonZeroU64;
 
-/// Maximum stored span events per host; further events are counted in
+mod spanlog;
+
+pub use spanlog::{span_chunk_stats, SpanChunkStats};
+
+/// Maximum stored span events per host, 256 chunks of the span log's
+/// pooled storage; further events are counted in
 /// [`Telemetry::span_events_dropped`] and discarded.
 pub const SPAN_LOG_CAP: usize = 1 << 20;
 
@@ -144,8 +150,9 @@ pub struct Telemetry {
     span_tag: NonZeroU64,
     /// Sequence counter for host-minted spans.
     local_span_seq: u64,
-    /// Recorded span events, in time order (packed; unpacked on export).
-    span_log: Vec<PackedSpanEvent>,
+    /// Recorded span events, in time order (packed; unpacked on
+    /// export), in chunks from the thread's pool.
+    span_log: SpanLog,
     /// Span events discarded past [`SPAN_LOG_CAP`].
     pub span_events_dropped: u64,
     /// The simulated-cycle profiler: every charged chunk attributed to a
@@ -187,7 +194,7 @@ impl Telemetry {
             last_recv_span: Vec::new(),
             span_tag: NonZeroU64::new(1 << 63).expect("non-zero"),
             local_span_seq: 0,
-            span_log: Vec::new(),
+            span_log: SpanLog::default(),
             span_events_dropped: 0,
             profiler: CycleAccount::new(),
             proto_attr: Tally::default(),
@@ -209,9 +216,9 @@ impl Telemetry {
     /// [`PackedSpanEvent`] can hold.
     fn span_ev(&mut self, now: SimTime, stage: u8, span: Option<NonZeroU64>, cpu: usize) {
         let Some(span) = span else { return };
-        match PackedSpanEvent::pack(span.get(), now.as_nanos(), cpu, stage) {
-            Some(p) if self.span_log.len() < SPAN_LOG_CAP => self.span_log.push(p),
-            _ => self.span_events_dropped += 1,
+        let packed = PackedSpanEvent::pack(span.get(), now.as_nanos(), cpu, stage);
+        if !packed.is_some_and(|p| self.span_log.push(p)) {
+            self.span_events_dropped += 1;
         }
     }
 
@@ -328,10 +335,10 @@ impl Telemetry {
         Some(span)
     }
 
-    /// Recorded span events, in time order (unpacked from the compact
-    /// in-memory form).
-    pub fn span_log(&self) -> Vec<SpanEvent> {
-        self.span_log.iter().map(|p| p.unpack()).collect()
+    /// Recorded span events, in time order, unpacked from the compact
+    /// in-memory form as they are read.
+    pub fn span_log(&self) -> impl ExactSizeIterator<Item = SpanEvent> + '_ {
+        self.span_log.iter().map(PackedSpanEvent::unpack)
     }
 
     /// Protocol work for the socket owned by `owner` was just performed
@@ -607,7 +614,7 @@ mod tests {
             stage: "tx",
             cpu: 63,
         };
-        assert_eq!(tele.span_log(), [want]);
+        assert!(tele.span_log().eq([want]));
         assert_eq!(tele.span_events_dropped, 2);
     }
 

@@ -1053,6 +1053,118 @@ fn steady_udp_sends_take_no_fresh_arena_storage() {
     );
 }
 
+/// Issues `script(n, ret)` as its `n`th system call, `ret` being what the
+/// one before returned.
+struct Scripted<F>(u32, F);
+
+impl<F: FnMut(u32, SyscallRet) -> SyscallOp> AppLogic for Scripted<F> {
+    fn start(&mut self, ctx: AppCtx) -> SyscallOp {
+        self.resume(ctx, SyscallRet::Ok)
+    }
+    fn resume(&mut self, _ctx: AppCtx, ret: SyscallRet) -> SyscallOp {
+        self.0 += 1;
+        (self.1)(self.0, ret)
+    }
+}
+
+/// Listening again on a listening socket only sets its backlog, as BSD's
+/// `solisten` does: a child half-open across the second `listen` keeps
+/// its place and its count, completes its handshake and is accepted.
+///
+/// 4.4BSD server: it listens, sleeps 5 ms and listens again; the client
+/// connects at 1 ms, and a pause on the link into the server holds the
+/// client's handshake ACK from 1.5 ms (before it arrives) until 10 ms.
+#[test]
+fn listening_again_keeps_a_half_open_child() {
+    let ms = SimDuration::from_millis;
+    let forever = || SyscallOp::Sleep(SimDuration::from_secs(10));
+    let lsock = Rc::new(Cell::new(None));
+    let accepted = Rc::new(Cell::new(false));
+    let mut server = Host::new(HostConfig::new(Architecture::Bsd), B);
+    let (published, got) = (lsock.clone(), accepted.clone());
+    server.spawn_app(
+        "server",
+        0,
+        0,
+        Box::new(Scripted(0, move |n, ret| {
+            let listen = |backlog| SyscallOp::Listen {
+                sock: published.get().expect("bound"),
+                backlog,
+            };
+            match (n, ret) {
+                (1, _) => SyscallOp::Socket(SockProto::Tcp),
+                (2, SyscallRet::Socket(s)) => {
+                    published.set(Some(s));
+                    SyscallOp::Bind { sock: s, port: 80 }
+                }
+                (3, SyscallRet::Ok) => listen(5),
+                (4, SyscallRet::Ok) => SyscallOp::Sleep(ms(5)),
+                (5, SyscallRet::Ok) => listen(8),
+                (6, SyscallRet::Ok) => SyscallOp::Accept {
+                    sock: published.get().expect("listening"),
+                },
+                (7, SyscallRet::Accepted(_)) => {
+                    got.set(true);
+                    forever()
+                }
+                (_, SyscallRet::Ok) => forever(),
+                (n, ret) => panic!("server call {n} got {ret:?}"),
+            }
+        })),
+    );
+    let mut client = Host::new(HostConfig::new(Architecture::Bsd), A);
+    client.spawn_app(
+        "client",
+        0,
+        0,
+        Box::new(Scripted(0, move |n, ret| match (n, ret) {
+            (1, _) => SyscallOp::Sleep(ms(1)),
+            (2, SyscallRet::Ok) => SyscallOp::Socket(SockProto::Tcp),
+            (3, SyscallRet::Socket(s)) => SyscallOp::Connect {
+                sock: s,
+                dst: Endpoint::new(B, 80),
+            },
+            (_, SyscallRet::Ok) => forever(),
+            (n, ret) => panic!("client call {n} got {ret:?}"),
+        })),
+    );
+    let mut world = World::with_defaults();
+    world.add_host(client);
+    let b = world.add_host(server);
+    let mut plan = lrp_net::FaultPlan::none();
+    plan.pauses = vec![(SimTime::from_micros(1_500), SimTime::from_millis(10))];
+    world.set_link_faults(b, plan);
+    let listen_stats = |world: &World| {
+        let sock = lsock.get().expect("listening");
+        let s = world.hosts[b].host_netstat();
+        s.iter().find(|s| s.sock == sock).and_then(|s| s.listen)
+    };
+
+    world.run_until(SimTime::from_millis(4));
+    let before = listen_stats(&world).expect("a listener");
+    assert_eq!(
+        (before.backlog, before.syn_queue, before.half_open),
+        (5, 1, 1)
+    );
+    world.run_until(SimTime::from_millis(8));
+    let after = listen_stats(&world).expect("still a listener");
+    assert_eq!(
+        (after.backlog, after.syn_queue, after.half_open),
+        (8, 1, 1),
+        "the second listen set the backlog and kept the half-open child"
+    );
+    world.run_until(SimTime::from_millis(20));
+    assert!(accepted.get(), "the child was accepted");
+    let done = listen_stats(&world).expect("still a listener");
+    assert_eq!(
+        (done.syn_queue, done.accept_queue, done.half_open),
+        (0, 0, 0)
+    );
+    if let Err(e) = world.hosts[b].check_invariants() {
+        panic!("{e}");
+    }
+}
+
 /// `accept` hands a child socket to the accepting process while frames
 /// still wait on the child's channel: the child's pending TCP work moves
 /// with it, so the APP thread, pinned to the best priority among owners
@@ -1065,18 +1177,6 @@ fn steady_udp_sends_take_no_fresh_arena_storage() {
 /// acceptor wakes from its sleep and accepts.
 #[test]
 fn accept_moves_the_childs_pending_work_to_the_acceptor() {
-    /// Issues `script(n, ret)` as its `n`th system call, `ret` being what
-    /// the one before returned.
-    struct Scripted<F>(u32, F);
-    impl<F: FnMut(u32, SyscallRet) -> SyscallOp> AppLogic for Scripted<F> {
-        fn start(&mut self, ctx: AppCtx) -> SyscallOp {
-            self.resume(ctx, SyscallRet::Ok)
-        }
-        fn resume(&mut self, _ctx: AppCtx, ret: SyscallRet) -> SyscallOp {
-            self.0 += 1;
-            (self.1)(self.0, ret)
-        }
-    }
     let ms = SimDuration::from_millis;
     let forever = || SyscallOp::Sleep(SimDuration::from_secs(10));
     let lsock = Rc::new(Cell::new(None));

@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 
 use lrp_apps::{BlastSink, Shared, SinkMetrics};
+use lrp_core::telemetry::span_chunk_stats;
 use lrp_core::{
     AppCtx, AppLogic, Architecture, Host, HostConfig, SockProto, SpanEvent, SyscallOp, SyscallRet,
     World,
@@ -86,7 +87,7 @@ fn light_load_spans_complete(arch: Architecture) {
     world.run_until(SimTime::from_millis(400));
     let host = &world.hosts[0];
     let tele = host.telemetry();
-    let log = tele.span_log();
+    let log: Vec<SpanEvent> = tele.span_log().collect();
     let received = metrics.borrow().received;
     assert_eq!(received, 400, "{arch}: the sink consumed every datagram");
     let by_span = paths(&log);
@@ -136,11 +137,11 @@ fn spans_are_not_logged_without_telemetry() {
     on.run_until(SimTime::from_millis(400));
     off.run_until(SimTime::from_millis(400));
     let tele = off.hosts[0].telemetry();
-    assert!(tele.span_log().is_empty());
+    assert_eq!(tele.span_log().len(), 0);
     assert_eq!(tele.span_events_dropped, 0);
     assert_eq!(tele.arrival_to_deliver.count(), 0);
     assert_eq!(tele.channel_residency.count(), 0);
-    assert!(!on.hosts[0].telemetry().span_log().is_empty());
+    assert_ne!(on.hosts[0].telemetry().span_log().len(), 0);
     assert_eq!(off_metrics.borrow().received, on_metrics.borrow().received);
     assert_eq!(
         off.hosts[0].stats.udp_delivered,
@@ -166,7 +167,7 @@ fn overload_span_log_agrees_with_the_ledger() {
         world.run_until(SimTime::from_millis(600));
         let host = &world.hosts[0];
         let tele = host.telemetry();
-        let log = tele.span_log();
+        let log: Vec<SpanEvent> = tele.span_log().collect();
         let ledger = host.packet_ledger();
         assert!(ledger.conserved(), "{arch}: {ledger:?}");
         assert_eq!(ledger.in_flight, 0, "{arch}: the queues drained");
@@ -213,7 +214,7 @@ fn coalesced_batches_keep_one_span_per_frame() {
             ..NicFaultPlan::none()
         });
         world.run_until(SimTime::from_millis(600));
-        let log = world.hosts[0].telemetry().span_log();
+        let log: Vec<SpanEvent> = world.hosts[0].telemetry().span_log().collect();
         assert!(metrics.borrow().received > 0, "{arch}: nothing delivered");
         assert!(count(&log, "deliver") > 0, "{arch}: no span delivered");
         for (span, stages) in paths(&log) {
@@ -238,7 +239,7 @@ fn span_log_is_time_ordered_and_matches_the_histograms() {
         let (mut world, _metrics) = blast(arch, true, 20_000.0, 300);
         world.run_until(SimTime::from_millis(300));
         let tele = world.hosts[0].telemetry();
-        let log = tele.span_log();
+        let log: Vec<SpanEvent> = tele.span_log().collect();
         assert!(
             log.windows(2).all(|w| w[0].t_ns <= w[1].t_ns),
             "{arch}: span log out of time order"
@@ -334,7 +335,7 @@ fn a_reused_channel_id_times_only_its_own_frames() {
     let tele = h.telemetry();
     let res = &tele.channel_residency;
     assert_eq!(res.count(), 1);
-    let log = tele.span_log();
+    let log: Vec<SpanEvent> = tele.span_log().collect();
     let inject = log.iter().rfind(|e| e.stage == "inject");
     let span = inject.expect("the frame to port 9001").span;
     let at = |stage| {
@@ -370,12 +371,36 @@ fn enq_is_logged_where_the_frame_was_queued() {
         world.add_injector(b, datagrams(port, 5, 20));
         world.run_until(SimTime::from_millis(50));
         assert_eq!(metrics.borrow().received, 20, "{arch}");
-        let log = world.hosts[b].telemetry().span_log();
-        let enq: Vec<u32> = log
-            .iter()
+        let enq: Vec<u32> = world.hosts[b]
+            .telemetry()
+            .span_log()
             .filter(|e| e.stage == "enq")
             .map(|e| e.cpu)
             .collect();
         assert_eq!(enq, [want; 20], "{arch}");
     }
+}
+
+/// Span-log storage outlives its world: a second world run on the same
+/// thread records its spans into the chunks the first one returned, and
+/// makes none of its own.
+#[test]
+fn a_second_world_records_spans_into_the_first_ones_chunks() {
+    std::thread::spawn(|| {
+        let run = || {
+            let (mut world, metrics) = blast(Architecture::NiLrp, true, 20_000.0, 300);
+            world.run_until(SimTime::from_millis(300));
+            assert!(metrics.borrow().received > 0);
+            let events = world.hosts[0].telemetry().span_log().len();
+            events
+        };
+        let events = run();
+        let first = span_chunk_stats();
+        assert!(events > 4096, "the log spans more than one chunk: {events}");
+        assert_eq!(first.pooled as u64, first.made, "every chunk came back");
+        assert_eq!(run(), events);
+        assert_eq!(span_chunk_stats(), first, "the second world made no chunk");
+    })
+    .join()
+    .expect("test thread");
 }

@@ -182,9 +182,7 @@ pub fn span_trace_chrome(world: &World) -> String {
     // Collect (host, event) in deterministic order.
     let mut all: Vec<(usize, SpanEvent)> = Vec::new();
     for (h, host) in world.hosts.iter().enumerate() {
-        for ev in host.telemetry().span_log() {
-            all.push((h, ev));
-        }
+        all.extend(host.telemetry().span_log().map(|ev| (h, ev)));
     }
     all.sort_by_key(|(h, e)| (e.span, e.t_ns, *h));
     let mut out = String::from("[");

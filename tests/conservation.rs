@@ -178,8 +178,8 @@ fn telemetry_does_not_perturb_request_reply() {
             "host {i}: telemetry perturbed the kernel state"
         );
     }
-    assert!(!on.hosts[0].telemetry().span_log().is_empty());
-    assert!(off.hosts[0].telemetry().span_log().is_empty());
+    assert_ne!(on.hosts[0].telemetry().span_log().len(), 0);
+    assert_eq!(off.hosts[0].telemetry().span_log().len(), 0);
 }
 
 /// The per-stage latency histograms are deterministic observers:
