@@ -38,17 +38,17 @@ while read -r crate budget; do
 done <<'EOF'
 apps 1701
 bench 0
-core 6510
+core 6624
 criterion-shim 126
 demux 427
 experiments 3518
-mbuf 382
+mbuf 383
 net 666
 nic 913
 proptest-shim 450
 sched 1050
-sim 1613
-stack 4363
+sim 1749
+stack 4372
 telemetry 1275
 wire 1887
 EOF

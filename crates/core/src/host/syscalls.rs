@@ -7,6 +7,7 @@ use super::{
 use crate::config::{Architecture, QUANTUM};
 use crate::host::proto::ProtoCtx;
 use crate::syscall::{AppCtx, Errno, SockProto, SyscallOp, SyscallRet};
+use lrp_demux::TableError;
 use lrp_sched::{Account, Pid, WaitChannel, PPAUSE, PSOCK};
 use lrp_sim::{SimDuration, SimTime};
 use lrp_stack::tcp::{TcpConn, TcpListener, TcpState};
@@ -314,20 +315,24 @@ impl Host {
             Ok(local) => local,
             Err(r) => return PhaseOut::ret(entry, r),
         };
-        self.sock_mut(sock).remote = Some(dst);
         if sproto != SockProto::Tcp {
             // Connected datagram/raw socket: remember the default
             // destination.
+            self.sock_mut(sock).remote = Some(dst);
             return PhaseOut::ret(entry + cost.accept_sock, SyscallRet::Ok);
         }
         let key = FlowKey::new(proto::TCP, local, dst);
-        let _ = self.pcb.insert(key, sock);
-        if self.cfg.arch != Architecture::Bsd {
-            // The connected socket's channel gets an exact filter.
-            if let Some(chan) = self.sock(sock).chan {
-                let _ = self.nic.demux.register(key, chan);
+        // The connected socket's channel gets an exact filter. A demux
+        // table at its load bound refuses it, and the connect fails
+        // before it leaves a PCB entry or a peer behind.
+        let chan = self.sock(sock).chan;
+        if let Some(chan) = chan.filter(|_| self.cfg.arch != Architecture::Bsd) {
+            if self.nic.demux.register(key, chan) == Err(TableError::Full) {
+                return PhaseOut::ret(entry, SyscallRet::Err(Errno::NoBufs));
             }
         }
+        self.sock_mut(sock).remote = Some(dst);
+        let _ = self.pcb.insert(key, sock);
         let iss = self.next_iss();
         let conn = TcpConn::new(self.cfg.tcp, local, dst, iss);
         self.set_conn(sock, Some(conn));
@@ -701,5 +706,62 @@ impl Host {
     /// that owns the socket (§3.4).
     pub(crate) fn charge_override(&mut self, thread: Pid, target: Pid) {
         self.pending_charge = (thread != target).then_some(target);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::HostConfig;
+    use lrp_wire::Ipv4Addr;
+
+    /// A connect whose exact demux filter the NIC's table refuses, at
+    /// its load bound, fails with `NoBufs` and leaves no PCB entry, peer
+    /// or connection behind; once a slot frees, the same connect goes
+    /// through.
+    #[test]
+    fn a_connect_the_full_demux_table_refuses_fails_with_nobufs() {
+        let addr = Ipv4Addr::new(10, 0, 0, 2);
+        let mut h = Host::new(HostConfig::new(Architecture::NiLrp), addr);
+        let pid = Pid(0);
+        let sock = h.alloc_sock(pid, SockProto::Tcp);
+        assert_eq!(h.do_bind(sock, 5000), SyscallRet::Ok);
+        let spare = h.sock(sock).chan.expect("bound on NI-LRP");
+        let filler = |i: u16| {
+            let peer = Endpoint::new(Ipv4Addr::new(10, 0, 1, 1), i);
+            FlowKey::new(proto::TCP, Endpoint::new(addr, 9), peer)
+        };
+        let mut fillers = 0;
+        while h.nic.demux.register(filler(fillers), spare).is_ok() {
+            fillers += 1;
+        }
+        let dst = Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 80);
+        let key = FlowKey::new(proto::TCP, Endpoint::new(addr, 5000), dst);
+        let connect = SyscallOp::Connect { sock, dst };
+        let out = h.begin_op(SimTime::ZERO, pid, connect.clone());
+        assert!(matches!(
+            out,
+            PhaseOut::Run {
+                next: Cont::SyscallReturn(SyscallRet::Err(Errno::NoBufs)),
+                ..
+            }
+        ));
+        assert!(!h.pcb.contains(&key));
+        assert!(h.sock(sock).remote.is_none() && h.sock(sock).tcp.is_none());
+
+        h.nic
+            .demux
+            .unregister(&filler(fillers - 1))
+            .expect("a filler");
+        let out = h.begin_op(SimTime::ZERO, pid, connect);
+        assert!(matches!(
+            out,
+            PhaseOut::Run {
+                next: Cont::ConnectCheck { .. },
+                ..
+            }
+        ));
+        assert!(h.pcb.contains(&key));
+        assert_eq!(h.sock(sock).remote, Some(dst));
     }
 }

@@ -19,7 +19,7 @@ use crate::watchdog::{AnomalyEvent, Watchdog, WatchdogSample};
 use lrp_demux::ChannelId;
 use lrp_nic::Stamp;
 use lrp_sched::{Pid, ProcState};
-use lrp_sim::{CycleAccount, CycleKey, Histogram, MetricsTimeline, SimTime, Tally};
+use lrp_sim::{varint, CycleAccount, CycleKey, Histogram, MetricsTimeline, SimTime, Tally};
 use lrp_wire::Frame;
 use spanlog::SpanLog;
 use std::collections::BTreeMap;
@@ -29,8 +29,7 @@ mod spanlog;
 
 pub use spanlog::{span_chunk_stats, SpanChunkStats};
 
-/// Maximum stored span events per host, 256 chunks of the span log's
-/// pooled storage; further events are counted in
+/// Maximum stored span events per host; further events are counted in
 /// [`Telemetry::span_events_dropped`] and discarded.
 pub const SPAN_LOG_CAP: usize = 1 << 20;
 
@@ -55,7 +54,7 @@ pub struct SpanEvent {
     pub cpu: u32,
 }
 
-/// Span path stage names, indexed by the packed stage bits.
+/// Span path stage names, indexed by the stage codes below.
 const SPAN_STAGES: [&str; 7] = ["inject", "rx", "enq", "deq", "deliver", "recv", "tx"];
 const SP_INJECT: u8 = 0;
 const SP_RX: u8 = 1;
@@ -64,42 +63,6 @@ const SP_DEQ: u8 = 3;
 const SP_DELIVER: u8 = 4;
 const SP_RECV: u8 = 5;
 const SP_TX: u8 = 6;
-
-/// In-memory form of one span event: 16 bytes instead of [`SpanEvent`]'s
-/// 32, the span and one word `t_ns << 9 | cpu << 3 | stage`. The span
-/// log takes several entries per packet on the hot path, so the packing
-/// is most of its memory; [`Telemetry::span_log`] unpacks on export. An
-/// event past [`PackedSpanEvent::T_LIMIT`] or on a CPU at or past
-/// [`PackedSpanEvent::CPU_LIMIT`] does not fit and is counted in
-/// [`Telemetry::span_events_dropped`].
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PackedSpanEvent {
-    span: SpanId,
-    word: u64,
-}
-
-impl PackedSpanEvent {
-    /// First time, in ns, that does not fit (about 417 simulated days).
-    pub(crate) const T_LIMIT: u64 = 1 << 55;
-    /// First CPU index that does not fit.
-    pub(crate) const CPU_LIMIT: usize = 64;
-
-    fn pack(span: SpanId, t_ns: u64, cpu: usize, stage: u8) -> Option<Self> {
-        (t_ns < Self::T_LIMIT && cpu < Self::CPU_LIMIT).then_some(PackedSpanEvent {
-            span,
-            word: (t_ns << 9) | ((cpu as u64) << 3) | u64::from(stage),
-        })
-    }
-
-    fn unpack(self) -> SpanEvent {
-        SpanEvent {
-            span: self.span,
-            t_ns: self.word >> 9,
-            stage: SPAN_STAGES[(self.word & 7) as usize],
-            cpu: ((self.word >> 3) & 63) as u32,
-        }
-    }
-}
 
 /// Column names of the per-host metrics timeline, in recording order.
 /// Counter columns are cumulative; `*_depth` and `runq` are gauges.
@@ -119,16 +82,6 @@ pub const TIMELINE_COLUMNS: &[&str] = &[
     "tcp_ssthresh",
     "anomalies",
 ];
-
-/// One entry of the per-process CPU change log: `pid`'s cumulative
-/// charges as of timeline row `row`.
-#[derive(Clone, Copy, Debug)]
-struct ProcCpuChange {
-    row: u32,
-    pid: u32,
-    total_ns: u64,
-    user_ns: u64,
-}
 
 /// Per-host telemetry state (see the module docs).
 #[derive(Debug)]
@@ -150,10 +103,11 @@ pub struct Telemetry {
     span_tag: NonZeroU64,
     /// Sequence counter for host-minted spans.
     local_span_seq: u64,
-    /// Recorded span events, in time order (packed; unpacked on
-    /// export), in chunks from the thread's pool.
+    /// Recorded span events, in time order, coded into chunks from the
+    /// thread's pool.
     span_log: SpanLog,
-    /// Span events discarded past [`SPAN_LOG_CAP`].
+    /// Span events discarded past [`SPAN_LOG_CAP`], or past the log's
+    /// time or CPU limit.
     pub span_events_dropped: u64,
     /// The simulated-cycle profiler: every charged chunk attributed to a
     /// `(cpu, context, stage, billed process, account)` key.
@@ -168,12 +122,17 @@ pub struct Telemetry {
     pending_proto_owner: Option<u32>,
     /// Interval-sampled metrics timeline (columns: [`TIMELINE_COLUMNS`]).
     timeline: MetricsTimeline,
-    /// The per-process CPU series as a change log: per timeline row, one
+    /// The per-process CPU series as a change log of varints. Per
+    /// timeline row: how many processes existed (the row's width); one
     /// entry for each process charged since the previous row, in pid
-    /// order. [`Self::timeline_proc_cpu`] rebuilds the full rows.
-    proc_cpu_log: Vec<ProcCpuChange>,
-    /// Per timeline row: how many processes existed (the row's width).
-    proc_cpu_width: Vec<u32>,
+    /// order; then a 0. An entry is its pid's step past the previous
+    /// entry's (from −1 at the row's start), then the [`varint::put_delta`]
+    /// of the pid's total and user charge from its previous entry's.
+    /// [`Self::timeline_proc_cpu`] rebuilds the full rows.
+    proc_cpu_log: Vec<u8>,
+    /// Per pid, the `(total_ns, user_ns)` its last entry logged, as the
+    /// reader rebuilds them: what the next entry is coded against.
+    proc_cpu_last: Vec<(u64, u64)>,
     /// Statclock-sample scratch, capacity kept across ticks: the pids
     /// charged since the last tick, then the runnable ones.
     tick_pids: Vec<Pid>,
@@ -201,7 +160,7 @@ impl Telemetry {
             pending_proto_owner: None,
             timeline: MetricsTimeline::new(TIMELINE_COLUMNS.to_vec()),
             proc_cpu_log: Vec::new(),
-            proc_cpu_width: Vec::new(),
+            proc_cpu_last: Vec::new(),
             tick_pids: Vec::new(),
             tick_procs: Vec::new(),
         }
@@ -212,12 +171,11 @@ impl Telemetry {
         self.enabled
     }
 
-    /// Appends one span event, bounded by [`SPAN_LOG_CAP`] and by what
-    /// [`PackedSpanEvent`] can hold.
+    /// Appends one span event, bounded by [`SPAN_LOG_CAP`] and by the
+    /// time and CPU the log takes.
     fn span_ev(&mut self, now: SimTime, stage: u8, span: Option<NonZeroU64>, cpu: usize) {
         let Some(span) = span else { return };
-        let packed = PackedSpanEvent::pack(span.get(), now.as_nanos(), cpu, stage);
-        if !packed.is_some_and(|p| self.span_log.push(p)) {
+        if !self.span_log.push(span.get(), now.as_nanos(), cpu, stage) {
             self.span_events_dropped += 1;
         }
     }
@@ -335,10 +293,9 @@ impl Telemetry {
         Some(span)
     }
 
-    /// Recorded span events, in time order, unpacked from the compact
-    /// in-memory form as they are read.
+    /// Recorded span events, in time order, decoded as they are read.
     pub fn span_log(&self) -> impl ExactSizeIterator<Item = SpanEvent> + '_ {
-        self.span_log.iter().map(PackedSpanEvent::unpack)
+        self.span_log.iter()
     }
 
     /// Protocol work for the socket owned by `owner` was just performed
@@ -415,17 +372,22 @@ impl Telemetry {
         }
         let row = self.timeline.len();
         self.timeline.push(now.as_nanos(), values);
-        if self.timeline.len() > row {
-            self.proc_cpu_width.push(nprocs as u32);
-            let row = row as u32;
-            self.proc_cpu_log
-                .extend(changed.map(|(pid, total_ns, user_ns)| ProcCpuChange {
-                    row,
-                    pid,
-                    total_ns,
-                    user_ns,
-                }));
+        if self.timeline.len() == row {
+            return;
         }
+        let log = &mut self.proc_cpu_log;
+        varint::put(log, nprocs as u64);
+        self.proc_cpu_last.resize(nprocs, (0, 0));
+        let mut next = 0;
+        for (pid, total_ns, user_ns) in changed {
+            varint::put(log, u64::from(pid - next) + 1);
+            next = pid + 1;
+            let last = &mut self.proc_cpu_last[pid as usize];
+            varint::put_delta(log, last.0, total_ns);
+            varint::put_delta(log, last.1, user_ns);
+            *last = (total_ns, user_ns);
+        }
+        varint::put(log, 0);
     }
 
     /// The interval-sampled metrics timeline.
@@ -455,13 +417,23 @@ impl Telemetry {
     /// indexed by pid (rows align with [`Self::timeline`]). Rebuilt from
     /// the change log on every call, so an exporter calls it once.
     pub fn timeline_proc_cpu(&self) -> Vec<Vec<(u64, u64)>> {
-        let mut cur = Vec::new();
-        let mut log = self.proc_cpu_log.iter().peekable();
-        let mut rows = Vec::with_capacity(self.proc_cpu_width.len());
-        for (row, &width) in self.proc_cpu_width.iter().enumerate() {
-            cur.resize(width as usize, (0, 0));
-            while let Some(c) = log.next_if(|c| c.row as usize == row) {
-                cur[c.pid as usize] = (c.total_ns, c.user_ns);
+        let log = &self.proc_cpu_log;
+        let mut cur: Vec<(u64, u64)> = Vec::new();
+        let mut rows = Vec::with_capacity(self.timeline.len());
+        let mut at = 0;
+        while at < log.len() {
+            cur.resize(varint::get(log, &mut at) as usize, (0, 0));
+            let mut next = 0;
+            loop {
+                let step = varint::get(log, &mut at);
+                if step == 0 {
+                    break;
+                }
+                let pid = next + step as usize - 1;
+                next = pid + 1;
+                let (total, user) = &mut cur[pid];
+                *total = varint::get_delta(log, &mut at, *total);
+                *user = varint::get_delta(log, &mut at, *user);
             }
             rows.push(cur.clone());
         }
@@ -588,26 +560,16 @@ mod tests {
         assert_eq!(log.last().unwrap().span, SPAN_LOG_CAP as u64);
     }
 
-    /// The packed word's limits: the last time and CPU that fit come
-    /// back exactly, and an event past either is counted, not stored.
+    /// The log's limits: the last time and CPU it takes come back
+    /// exactly, and an event past either is counted, not stored.
     #[test]
     fn span_events_round_trip_at_the_packing_limits() {
+        use spanlog::{CPU_LIMIT, T_LIMIT};
         let mut tele = Telemetry::new(true);
-        let last = SimTime::from_nanos(PackedSpanEvent::T_LIMIT - 1);
-        let cpu = PackedSpanEvent::CPU_LIMIT - 1;
-        tele.span_ev(last, SP_TX, NonZeroU64::new(u64::MAX), cpu);
-        tele.span_ev(
-            SimTime::from_nanos(PackedSpanEvent::T_LIMIT),
-            SP_TX,
-            NonZeroU64::new(1),
-            0,
-        );
-        tele.span_ev(
-            SimTime::ZERO,
-            SP_TX,
-            NonZeroU64::new(2),
-            PackedSpanEvent::CPU_LIMIT,
-        );
+        let last = SimTime::from_nanos(T_LIMIT - 1);
+        tele.span_ev(last, SP_TX, NonZeroU64::new(u64::MAX), CPU_LIMIT - 1);
+        tele.span_ev(SimTime::from_nanos(T_LIMIT), SP_TX, NonZeroU64::new(1), 0);
+        tele.span_ev(SimTime::ZERO, SP_TX, NonZeroU64::new(2), CPU_LIMIT);
         let want = SpanEvent {
             span: u64::MAX,
             t_ns: (1 << 55) - 1,

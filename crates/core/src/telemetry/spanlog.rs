@@ -1,14 +1,29 @@
-//! The span log's storage: fixed chunks of [`CHUNK_EVENTS`] packed
-//! events, drawn from and returned to this thread's spare list.
+//! The span log's storage: events coded as a few bytes each, in fixed
+//! chunks of [`CHUNK_BYTES`] drawn from and returned to this thread's
+//! spare list.
 //!
-//! A push writes into the last chunk and takes a new one only when that
-//! one is full, so no event is ever moved once written and a capped log
-//! ([`SPAN_LOG_CAP`]) is exactly [`MAX_CHUNKS`] chunks. Dropping a log,
-//! on whatever path drops its [`Telemetry`](super::Telemetry) (the host's
-//! drop at world end, `Host::set_telemetry`), returns its chunks for the
-//! thread's next log, in this world or the next, so a world run after
-//! another on the same thread records its spans into storage the first
-//! one left.
+//! An event is one header byte (its stage, and its CPU below
+//! [`CPU_ESCAPE`]; otherwise an escape, and the CPU in the next byte),
+//! the zigzag varint of its time's step from the previous event's, and
+//! its span coded against the last span with the same 16-bit tag
+//! (`span >> 48`: the injector or host that minted it). The last spans
+//! of up to [`TAG_SLOTS`] tags are kept; a span whose tag holds a slot is
+//! one varint, `zigzag(step) << TAG_BITS | slot`, and any other is the
+//! varint [`MISS`] and the span in full, after which its tag takes a
+//! slot (an empty one, else the slots in turn). Consecutive events of
+//! one packet share a span and follow within microseconds, so an event
+//! takes four or five bytes where a fixed-width one took sixteen
+//! (DESIGN §10). The reader keeps the same context and mirrors every
+//! update.
+//!
+//! A push writes into the last chunk and takes a new one when fewer than
+//! [`MAX_EVENT_BYTES`] are left in it, so an event never straddles two
+//! chunks and none is moved once written; [`SPAN_LOG_CAP`] counts
+//! events. Dropping a log, on whatever path drops its
+//! [`Telemetry`](super::Telemetry) (the host's drop at world end,
+//! `Host::set_telemetry`), returns its chunks for the thread's next log,
+//! in this world or the next, so a world run after another on the same
+//! thread records its spans into storage the first one left.
 //!
 //! Chunks rather than a pooled whole vector: chunks are interchangeable,
 //! so they go where spans are recorded, whereas a pooled vector could go
@@ -18,19 +33,35 @@
 //! pooled plus live never exceed the most chunks the thread has held at
 //! once, as the connection pool (`lrp_stack::tcp::pool`) is bounded.
 
-use super::{PackedSpanEvent, SPAN_LOG_CAP};
+use super::{SpanEvent, SPAN_LOG_CAP, SPAN_STAGES};
+use lrp_sim::varint;
 use std::cell::{Cell, RefCell};
 
-/// Packed events per chunk: 4 096 of 16 bytes, 64 KiB.
-const CHUNK_EVENTS: usize = 4096;
+/// Bytes per chunk: 64 KiB.
+const CHUNK_BYTES: usize = 1 << 16;
 
-/// Chunks in a log at [`SPAN_LOG_CAP`].
-const MAX_CHUNKS: usize = SPAN_LOG_CAP / CHUNK_EVENTS;
+/// First time, in ns, that the log does not take (about 417 simulated
+/// days); a later event is counted as dropped.
+pub(crate) const T_LIMIT: u64 = 1 << 55;
+/// First CPU index that the log does not take.
+pub(crate) const CPU_LIMIT: usize = 64;
 
-const _: () = assert!(MAX_CHUNKS * CHUNK_EVENTS == SPAN_LOG_CAP);
+/// Header CPU field value that says the CPU follows in its own byte.
+const CPU_ESCAPE: usize = 31;
 
-/// One chunk: a vector of capacity [`CHUNK_EVENTS`] that never grows.
-type Chunk = Vec<PackedSpanEvent>;
+/// Low bits of a coded span that name its tag's slot.
+const TAG_BITS: u32 = 4;
+/// Span tags whose last span is kept.
+const TAG_SLOTS: usize = (1 << TAG_BITS) - 1;
+/// The slot code of a span written in full.
+const MISS: u64 = TAG_SLOTS as u64;
+
+/// The most bytes one event takes: header, escaped CPU, time step, and a
+/// miss's code and full span.
+const MAX_EVENT_BYTES: usize = 3 + 2 * varint::MAX_LEN;
+
+/// One chunk: a vector of capacity [`CHUNK_BYTES`] that never grows.
+type Chunk = Vec<u8>;
 
 /// Released chunks, emptied, and how many chunks were ever made.
 struct ChunkPool {
@@ -67,64 +98,164 @@ pub fn span_chunk_stats() -> SpanChunkStats {
 
 /// A chunk from this thread's pool, or a new one when the pool is empty.
 fn take_chunk() -> Chunk {
-    POOL.with(|p| {
-        p.spare.borrow_mut().pop().unwrap_or_else(|| {
+    POOL.with(|p| match p.spare.borrow_mut().pop() {
+        Some(c) => {
+            // A pool keeps capacity, never content: no event of an
+            // earlier log may reach this one.
+            debug_assert!(c.is_empty() && c.capacity() == CHUNK_BYTES);
+            c
+        }
+        None => {
             p.made.set(p.made.get() + 1);
-            Vec::with_capacity(CHUNK_EVENTS)
-        })
+            Vec::with_capacity(CHUNK_BYTES)
+        }
     })
 }
 
-/// A span log: its events in push order, in pooled chunks.
+/// What an event is coded against: the previous event's time, and the
+/// last span of each tag in the slots. Writer and reader each keep one
+/// and update it alike.
+#[derive(Debug, Default)]
+struct Context {
+    t_ns: u64,
+    tags: [u16; TAG_SLOTS],
+    last: [u64; TAG_SLOTS],
+    /// Slots in use, from the first.
+    filled: usize,
+    /// The slot the next miss takes once all are in use.
+    next: usize,
+}
+
+impl Context {
+    fn tag(span: u64) -> u16 {
+        (span >> 48) as u16
+    }
+
+    /// Gives `span`'s tag a slot, holding `span`.
+    fn admit(&mut self, span: u64) {
+        let slot = if self.filled < TAG_SLOTS {
+            self.filled += 1;
+            self.filled - 1
+        } else {
+            let slot = self.next;
+            self.next = (slot + 1) % TAG_SLOTS;
+            slot
+        };
+        self.tags[slot] = Self::tag(span);
+        self.last[slot] = span;
+    }
+
+    /// Appends one event to `out`, which has room for it.
+    #[inline]
+    fn write(&mut self, out: &mut Vec<u8>, span: u64, t_ns: u64, cpu: usize, stage: u8) {
+        out.push(stage | (cpu.min(CPU_ESCAPE) as u8) << 3);
+        if cpu >= CPU_ESCAPE {
+            out.push(cpu as u8);
+        }
+        varint::put_delta(out, self.t_ns, t_ns);
+        self.t_ns = t_ns;
+        let tag = Self::tag(span);
+        match self.tags[..self.filled].iter().position(|&t| t == tag) {
+            Some(slot) => {
+                // Spans of one tag share their top 16 bits, so the step
+                // fits in 48 and the shifted code in 53.
+                let step = varint::zigzag(span.wrapping_sub(self.last[slot]) as i64);
+                varint::put(out, step << TAG_BITS | slot as u64);
+                self.last[slot] = span;
+            }
+            None => {
+                varint::put(out, MISS);
+                varint::put(out, span);
+                self.admit(span);
+            }
+        }
+    }
+
+    /// Reads the event [`Self::write`] wrote at `*at`.
+    fn read(&mut self, bytes: &[u8], at: &mut usize) -> SpanEvent {
+        let head = bytes[*at] as usize;
+        *at += 1;
+        let mut cpu = head >> 3;
+        if cpu == CPU_ESCAPE {
+            cpu = bytes[*at] as usize;
+            *at += 1;
+        }
+        self.t_ns = varint::get_delta(bytes, at, self.t_ns);
+        let code = varint::get(bytes, at);
+        let span = if code == MISS {
+            let span = varint::get(bytes, at);
+            self.admit(span);
+            span
+        } else {
+            let slot = (code % (1 << TAG_BITS)) as usize;
+            let step = varint::unzigzag(code >> TAG_BITS);
+            self.last[slot] = self.last[slot].wrapping_add(step as u64);
+            self.last[slot]
+        };
+        SpanEvent {
+            span,
+            t_ns: self.t_ns,
+            stage: SPAN_STAGES[head & 7],
+            cpu: cpu as u32,
+        }
+    }
+}
+
+/// A span log: its events in push order, coded into pooled chunks.
 #[derive(Debug, Default)]
 pub(crate) struct SpanLog {
     /// The chunks filled, in push order.
     full: Vec<Chunk>,
     /// The chunk being written; no storage until the first push.
     cur: Chunk,
+    /// Events held.
+    len: usize,
+    /// What the next event is coded against.
+    ctx: Context,
 }
 
 impl SpanLog {
-    /// Events held.
-    pub(crate) fn len(&self) -> usize {
-        self.full.len() * CHUNK_EVENTS + self.cur.len()
-    }
-
-    /// Appends `ev`; false, storing nothing, when the log already holds
-    /// [`SPAN_LOG_CAP`] events.
+    /// Appends an event; false, storing nothing, when the log already
+    /// holds [`SPAN_LOG_CAP`] events or the event's time or CPU is past
+    /// [`T_LIMIT`] or [`CPU_LIMIT`].
     #[inline]
-    pub(crate) fn push(&mut self, ev: PackedSpanEvent) -> bool {
-        // A chunk's capacity is exactly `CHUNK_EVENTS` (`with_capacity`
-        // guarantees it), so this never grows one.
-        if self.cur.len() < self.cur.capacity() {
-            self.cur.push(ev);
-            true
-        } else {
-            self.push_into_next_chunk(ev)
+    pub(crate) fn push(&mut self, span: u64, t_ns: u64, cpu: usize, stage: u8) -> bool {
+        if self.len == SPAN_LOG_CAP || t_ns >= T_LIMIT || cpu >= CPU_LIMIT {
+            return false;
         }
-    }
-
-    /// [`Self::push`] when the current chunk is full, or there is none.
-    #[cold]
-    #[inline(never)]
-    fn push_into_next_chunk(&mut self, ev: PackedSpanEvent) -> bool {
-        if self.cur.capacity() != 0 {
-            if self.full.len() + 1 == MAX_CHUNKS {
-                return false;
-            }
-            self.full.push(std::mem::take(&mut self.cur));
+        // A chunk's capacity is exactly `CHUNK_BYTES` (`with_capacity`
+        // guarantees it), and no event is written without room for the
+        // longest, so this never grows one.
+        if self.cur.capacity() - self.cur.len() < MAX_EVENT_BYTES {
+            self.next_chunk();
         }
-        self.cur = take_chunk();
-        self.cur.push(ev);
+        self.ctx.write(&mut self.cur, span, t_ns, cpu, stage);
+        self.len += 1;
         true
     }
 
-    /// The events in push order.
-    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = PackedSpanEvent> + '_ {
-        ExactLen {
-            inner: self.full.iter().chain([&self.cur]).flatten().copied(),
-            left: self.len(),
+    /// Files the current chunk, if any, and starts the next.
+    #[cold]
+    #[inline(never)]
+    fn next_chunk(&mut self) {
+        let cur = std::mem::replace(&mut self.cur, take_chunk());
+        if cur.capacity() != 0 {
+            self.full.push(cur);
         }
+    }
+
+    /// The events in push order, decoded as they are read.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = SpanEvent> + '_ {
+        let mut chunks = self.full.iter().chain([&self.cur]);
+        let (mut chunk, mut at): (&[u8], usize) = (&[], 0);
+        let mut ctx = Context::default();
+        (0..self.len).map(move |_| {
+            while at == chunk.len() {
+                chunk = chunks.next().expect("`len` counts the coded events");
+                at = 0;
+            }
+            ctx.read(chunk, &mut at)
+        })
     }
 
     /// Chunks held.
@@ -153,33 +284,11 @@ impl Drop for SpanLog {
     }
 }
 
-/// An iterator whose length is known to be `left`.
-struct ExactLen<I> {
-    inner: I,
-    left: usize,
-}
-
-impl<I: Iterator> Iterator for ExactLen<I> {
-    type Item = I::Item;
-
-    fn next(&mut self) -> Option<I::Item> {
-        let item = self.inner.next()?;
-        self.left -= 1;
-        Some(item)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
-    }
-}
-
-impl<I: Iterator> ExactSizeIterator for ExactLen<I> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::telemetry::{Telemetry, SP_DELIVER};
-    use lrp_sim::SimTime;
+    use lrp_sim::{SimTime, SplitMix64};
     use proptest::prelude::*;
     use std::num::NonZeroU64;
 
@@ -188,8 +297,13 @@ mod tests {
         std::thread::spawn(f).join().expect("test thread");
     }
 
-    fn ev(i: u64) -> PackedSpanEvent {
-        PackedSpanEvent::pack(i + 1, i, (i % 64) as usize, (i % 7) as u8).expect("fits")
+    /// Pushes events into `log` until it holds `chunks` chunks.
+    fn fill_to(log: &mut SpanLog, chunks: usize) {
+        let mut i = log.len as u64;
+        while log.chunks() < chunks {
+            i += 1;
+            assert!(log.push(i, 1000 * i, (i % 64) as usize, (i % 7) as u8));
+        }
     }
 
     /// Several logs grow and drop in turn, as the hosts of successive
@@ -207,15 +321,15 @@ mod tests {
                 assert_eq!(s.pooled + live, s.made as usize);
                 assert!(s.made as usize <= peak, "{s:?} past a peak of {peak}");
             };
-            // Host sizes in events: one past a chunk, none, exactly two
-            // chunks, and a few.
-            let sizes = [CHUNK_EVENTS + 1, 0, 2 * CHUNK_EVENTS, 5];
+            // Host sizes in chunks: one event into a second chunk, none,
+            // two, and one.
+            let sizes = [2, 0, 2, 1];
             for round in 0..2 {
                 let mut logs: Vec<SpanLog> = sizes.iter().map(|_| SpanLog::default()).collect();
                 // The second round fills the logs in the other order.
                 for k in 0..sizes.len() {
                     let k = if round == 0 { sizes.len() - 1 - k } else { k };
-                    (0..sizes[k] as u64).for_each(|i| assert!(logs[k].push(ev(i))));
+                    fill_to(&mut logs[k], sizes[k]);
                     step(&logs);
                 }
                 while logs.pop().is_some() {
@@ -240,10 +354,11 @@ mod tests {
             // First use of `HELD`, then of the pool.
             HELD.with(|h| h.borrow_mut().take());
             let mut tele = Telemetry::new(true);
-            for i in 1..=CHUNK_EVENTS as u64 + 1 {
+            let mut i = 0;
+            while span_chunk_stats().made < 2 {
+                i += 1;
                 tele.span_ev(SimTime::from_nanos(i), SP_DELIVER, NonZeroU64::new(i), 0);
             }
-            assert_eq!(span_chunk_stats().made, 2);
             HELD.with(|h| *h.borrow_mut() = Some(tele));
         });
     }
@@ -251,36 +366,57 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Against a `Vec` capped at `SPAN_LOG_CAP`, as the log was once
-        /// kept: batches of pushes across chunk boundaries, starting
-        /// empty or two chunks short of the cap, some of them events that
-        /// do not pack, hold the same events and count the same drops.
+        /// Against a `Vec` of plain events capped at `SPAN_LOG_CAP`:
+        /// batches of pushes across chunk boundaries, starting empty or a
+        /// few chunks short of the cap, hold the same events and count
+        /// the same drops. The events draw their spans from more tags
+        /// than the log keeps slots for, step back in time as well as
+        /// forward, run on every CPU up to `CPU_LIMIT` (past the escape),
+        /// and some sit at `T_LIMIT − 1` or past a limit.
         #[test]
         fn chunked_log_matches_the_vec_model(
             near_cap in any::<bool>(),
-            batches in proptest::collection::vec(0usize..3 * CHUNK_EVENTS, 1..6),
+            seed in any::<u64>(),
+            batches in proptest::collection::vec(0usize..40_000, 1..6),
         ) {
+            let mut rng = SplitMix64::new(seed);
             let mut tele = Telemetry::new(true);
-            let mut model: Vec<PackedSpanEvent> = Vec::new();
+            let mut model: Vec<SpanEvent> = Vec::new();
             let mut model_dropped = 0u64;
-            let start = if near_cap { SPAN_LOG_CAP - 2 * CHUNK_EVENTS } else { 0 };
-            let mut i = 0u64;
+            let start = if near_cap { SPAN_LOG_CAP - 40_000 } else { 0 };
+            let (mut t, mut seq) = (0u64, 0u64);
             for n in std::iter::once(start).chain(batches) {
                 for _ in 0..n {
-                    i += 1;
-                    // Every 1 000th event is past the packed time limit.
-                    let t = if i.is_multiple_of(1000) { PackedSpanEvent::T_LIMIT } else { i };
-                    let cpu = (i % 5) as usize;
-                    tele.span_ev(SimTime::from_nanos(t), SP_DELIVER, NonZeroU64::new(i), cpu);
-                    match PackedSpanEvent::pack(i, t, cpu, SP_DELIVER) {
-                        Some(p) if model.len() < SPAN_LOG_CAP => model.push(p),
-                        _ => model_dropped += 1,
+                    let tag = rng.next_below(2 * TAG_SLOTS as u64 + 2);
+                    seq += rng.next_below(3);
+                    let span = (tag << 48 | seq).max(1);
+                    t = match rng.next_below(1000) {
+                        0 => T_LIMIT - 1,
+                        1 => T_LIMIT,
+                        2 => t.saturating_sub(50_000),
+                        _ => (t + rng.next_below(100_000)) % T_LIMIT,
+                    };
+                    let cpu = match rng.next_below(4) {
+                        0 => rng.next_below(CPU_LIMIT as u64 + 2) as usize,
+                        _ => 0,
+                    };
+                    let stage = rng.next_below(SPAN_STAGES.len() as u64) as u8;
+                    tele.span_ev(SimTime::from_nanos(t), stage, NonZeroU64::new(span), cpu);
+                    if t < T_LIMIT && cpu < CPU_LIMIT && model.len() < SPAN_LOG_CAP {
+                        model.push(SpanEvent {
+                            span,
+                            t_ns: t,
+                            stage: SPAN_STAGES[stage as usize],
+                            cpu: cpu as u32,
+                        });
+                    } else {
+                        model_dropped += 1;
                     }
                 }
                 prop_assert_eq!(tele.span_log().len(), model.len());
                 prop_assert_eq!(tele.span_events_dropped, model_dropped);
             }
-            prop_assert!(tele.span_log().eq(model.iter().map(|p| p.unpack())));
+            prop_assert!(tele.span_log().eq(model.iter().copied()));
         }
     }
 }

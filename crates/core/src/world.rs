@@ -444,23 +444,15 @@ mod tests {
     }
 
     /// The other per-event records, pinned as `Event` is: `Running` is
-    /// written for every chunk a CPU starts, `ProcExec` for every process
-    /// parked off a CPU, and `PackedSpanEvent` for every span-log entry.
+    /// written for every chunk a CPU starts, and `ProcExec` for every
+    /// process parked off a CPU.
     #[test]
-    fn a_chunk_is_88_bytes_an_exec_72_and_a_span_event_16() {
+    fn a_chunk_is_88_bytes_and_an_exec_72() {
         use crate::host::{ProcExec, Running};
-        use crate::telemetry::PackedSpanEvent;
         use std::mem::size_of;
-        let sizes = [
-            size_of::<Running>(),
-            size_of::<ProcExec>(),
-            size_of::<PackedSpanEvent>(),
-        ];
-        println!(
-            "Running {} B, ProcExec {} B, PackedSpanEvent {} B",
-            sizes[0], sizes[1], sizes[2]
-        );
-        assert_eq!(sizes, [88, 72, 16]);
+        let sizes = [size_of::<Running>(), size_of::<ProcExec>()];
+        println!("Running {} B, ProcExec {} B", sizes[0], sizes[1]);
+        assert_eq!(sizes, [88, 72]);
     }
 
     /// A queued receive frame, on an NI channel or BSD's IP queue, is its

@@ -69,9 +69,9 @@ fn cwnd_stats(world: &World) -> (u64, f64, u64, Vec<(u64, u64)>) {
     };
     let ssthresh_last = tl
         .rows()
-        .rev()
         .map(|r| r.values[si])
-        .find(|&s| s > 0)
+        .filter(|&s| s > 0)
+        .last()
         .unwrap_or(0);
     let stride = live.len().div_ceil(TIMELINE_POINTS).max(1);
     let timeline = live.into_iter().step_by(stride).collect();

@@ -180,6 +180,9 @@ impl ArenaInner {
         }
         let size = class_size(capacity);
         if let Some(v) = self.raw_cache.get_mut(class(size)).and_then(Vec::pop) {
+            // A pool keeps capacity, never content: no byte of a frame
+            // given back may reach the next one.
+            debug_assert!(v.is_empty(), "a cached frame vector kept its bytes");
             self.stats.cached_bytes -= v.capacity();
             return v;
         }

@@ -3,7 +3,8 @@
 //! This crate provides the deterministic foundation every other crate builds
 //! on: simulated time ([`SimTime`], [`SimDuration`]), a stable-ordered event
 //! queue ([`EventQueue`]), a seeded RNG ([`SplitMix64`]), measurement
-//! primitives ([`stats`]), the cycle account ([`profile`]) and [`timeline`].
+//! primitives ([`stats`]), the cycle account ([`profile`]), [`timeline`], and
+//! the byte codec of the append-only logs ([`varint`]).
 //!
 //! Determinism is a hard requirement: two runs of the same experiment with
 //! the same seed must produce identical results, so that the paper's figures
@@ -31,6 +32,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod timeline;
+pub mod varint;
 
 pub use event::EventQueue;
 pub use profile::{CycleAccount, CycleKey, FastHashMap, FoldHasher, MemoKey, Tally};

@@ -309,6 +309,11 @@ impl ByteBuffer {
         }
     }
 
+    /// True if no slice is held, inline or in the chain.
+    pub(crate) fn holds_nothing(&self) -> bool {
+        self.len == 0 && self.head.is_none() && self.rest.is_empty()
+    }
+
     /// Takes over `spent`'s chain storage, emptied, so the first appends
     /// here do not grow a chain of their own. `self` must be empty.
     pub fn reuse(&mut self, spent: ByteBuffer) {

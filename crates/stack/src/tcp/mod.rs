@@ -398,16 +398,23 @@ impl TcpConn {
     }
 
     /// Becomes `fresh`, a connection just built by one of the
-    /// constructors, in this released connection's storage: the result
+    /// constructors, in this spent connection's storage: the result
     /// equals `fresh` field for field, and its socket buffers and
     /// out-of-order stash keep the capacity this one grew, so their first
-    /// appends do not allocate.
+    /// appends do not allocate. Whatever content they still held is
+    /// dropped.
     pub fn renew(&mut self, fresh: TcpConn) {
         let spent = std::mem::replace(self, fresh);
         self.snd_buf.reuse(spent.snd_buf);
         self.rcv_buf.reuse(spent.rcv_buf);
         self.ooo = spent.ooo;
         self.ooo.clear();
+        // A pool keeps capacity, never content: nothing of the spent
+        // connection may reach the fresh one.
+        debug_assert!(
+            self.snd_buf.holds_nothing() && self.rcv_buf.holds_nothing() && self.ooo.is_empty(),
+            "a renewed connection kept its spent one's content"
+        );
     }
 
     /// The effective maximum segment size after MSS negotiation.

@@ -1303,8 +1303,8 @@ fn into_forms_append_exactly_what_the_wrappers_return() {
 }
 
 /// A finished connection with both socket buffers and the out-of-order
-/// stash holding data, released for reuse.
-fn spent_conn() -> TcpConn {
+/// stash holding data, released for reuse when `release`.
+fn spent_conn(release: bool) -> TcpConn {
     let mut d = established(Driver::new(cfg()));
     let _ = d.b.write(d.now, &[b'C'; 4000]);
     let segs: Vec<Segment> = (0..3)
@@ -1315,7 +1315,9 @@ fn spent_conn() -> TcpConn {
         let _ = b.on_segment(d.now, &s.hdr, &s.payload);
     }
     assert!(b.available() > 0 && b.send_space() < cfg().snd_buf && !b.ooo.is_empty());
-    b.release();
+    if release {
+        b.release();
+    }
     b
 }
 
@@ -1334,8 +1336,10 @@ fn renewed_connection_equals_a_fresh_one() {
         &|| TcpConn::accept_syn(cfg(), local, remote, 77, &syn, now).0,
         &|| TcpConn::cookie_established(cfg(), local, remote, &ack, 536, now),
     ];
-    for build in builds {
-        let mut c = spent_conn();
+    // Unreleased too: `renew` itself drops whatever content the spent
+    // connection still holds, and keeps only capacity.
+    for (build, release) in builds.into_iter().flat_map(|b| [(b, true), (b, false)]) {
+        let mut c = spent_conn(release);
         c.renew(build());
         assert_eq!(format!("{c:?}"), format!("{:?}", build()));
     }

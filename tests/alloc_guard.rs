@@ -10,7 +10,8 @@
 //!   telemetry allocates at most a stated amount per event, in total and
 //!   over the same run with telemetry off; and a second blast world on
 //!   one thread records its spans into the storage the first returned,
-//!   allocating a stated number of bytes per event;
+//!   allocating a stated number of bytes per event; and a blast world
+//!   whose span log fills holds it in a stated number of chunks;
 //! - the PCB table (DESIGN.md §16): connection churn at a steady table
 //!   size allocates nothing once the table has grown to that size;
 //! - connection storage (DESIGN.md §17): a warm HTTP connect / request /
@@ -33,6 +34,7 @@
 use lrp::apps::{
     shared, HttpClient, HttpMetrics, HttpWorker, PingPongServer, Shared, SharedListener,
 };
+use lrp::core::telemetry::{span_chunk_stats, SPAN_LOG_CAP};
 use lrp::core::{
     AppCtx, AppLogic, Architecture, CcAlgo, Host, HostConfig, SockProto, SyscallOp, SyscallRet,
     World,
@@ -192,6 +194,19 @@ fn bulk_transfer_allocates_per_send_not_per_segment() {
                 "{arch:?}: a second blast world allocates {bytes:.3} bytes per event"
             );
         }
+    }
+
+    // The span log's coded size: a blast world on a fresh thread, run
+    // until its span log is full, holds it in at most a stated number of
+    // 64 KiB chunks. Release only: filling the log takes about 16
+    // simulated seconds, too long for a debug run.
+    if RELEASE {
+        let made = fig3_chunks_at_a_full_span_log(Architecture::NiLrp);
+        eprintln!("NiLrp: a full span log takes {made} chunks");
+        assert!(
+            made <= FULL_SPAN_LOG_CHUNKS,
+            "a full span log took {made} chunks"
+        );
     }
 
     // PCB churn: each cycle retires the oldest connection (by key or by
@@ -443,12 +458,11 @@ const LIVE_PCBS: u32 = 500;
 const LIVE_CHANNELS: usize = 16;
 
 /// Allocations per event that full telemetry may add on the warm blast.
-/// Release runs read, on / off: BSD 0.0006 / 0.0000, SOFT-LRP 0.0002 /
-/// 0.0001, NI-LRP 0.0002 / 0.0000; debug builds add the same to a larger
+/// Release runs read, on / off: BSD 0.0004 / 0.0000, SOFT-LRP 0.0001 /
+/// 0.0001, NI-LRP 0.0001 / 0.0000; debug builds add the same to a larger
 /// base (below). BSD runs first, on the test's thread with no span-log
-/// chunk pooled yet, so it makes one 64 KiB chunk per 4 096 span events
-/// (0.0004 when the log was one vector grown by doubling); the later
-/// worlds record into the chunks it returned.
+/// chunk pooled yet, so it makes one 64 KiB chunk per 14 000 or so coded
+/// span events; the later worlds record into the chunks it returned.
 /// That is under a fifth of the gap measured when the bound was a ratio
 /// of 1.25 (BSD 0.0557 − 0.0502 = 0.0055), and unlike a ratio it
 /// neither grows with `off` nor vanishes as `off` goes to zero.
@@ -458,10 +472,16 @@ const TELEMETRY_ALLOC_BUDGET: f64 = 0.001;
 const BLAST_ALLOCS_PER_EVENT: f64 = 0.002;
 
 /// Bytes per event in a second blast world on one thread, telemetry on.
-/// Release runs read BSD 1.01 and NI-LRP 0.86; with the span log in one
-/// vector that grows by doubling from empty in every world, they read
-/// 27.7 and 54.7.
+/// Release runs read BSD 0.65 and NI-LRP 0.49; with the telemetry logs
+/// in fixed-width words they read 1.01 and 0.86, and with the span log
+/// in one vector that grows by doubling from empty in every world, 27.7
+/// and 54.7.
 const SECOND_BLAST_BYTES_PER_EVENT: f64 = 2.0;
+
+/// Span-log chunks made on a fresh thread by a Figure-3 blast world
+/// whose span log has filled. Release runs read 74; at 16 bytes an event
+/// the log took 256.
+const FULL_SPAN_LOG_CHUNKS: u64 = 80;
 
 /// The per-event pins hold under release codegen, the benchmark's.
 /// Debug builds re-derive every host index each 251st event
@@ -683,4 +703,30 @@ fn fig3_allocs_per_event(arch: Architecture, telemetry: bool) -> f64 {
     world.run_until(BLAST_WARM_UP + SimDuration::from_secs(1));
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs0;
     allocs as f64 / (world.events_processed() - events0) as f64
+}
+
+/// Span-log chunks this thread's pool has made once a Figure-3 blast
+/// world (as [`fig3_allocs_per_event`] builds it, telemetry on), run on
+/// a thread of its own, has a host whose span log holds
+/// [`SPAN_LOG_CAP`] events.
+fn fig3_chunks_at_a_full_span_log(arch: Architecture) -> u64 {
+    let run = move || {
+        let (mut world, _m) = fig3::build_seeded(arch, 12_000.0, true, 7);
+        let full = |w: &World| {
+            w.hosts
+                .iter()
+                .any(|h| h.telemetry().span_log().len() == SPAN_LOG_CAP)
+        };
+        let mut now = SimTime::ZERO;
+        while !full(&world) {
+            now += SimDuration::from_secs(1);
+            assert!(
+                now <= SimTime::from_secs(40),
+                "{arch:?}: the span log never filled"
+            );
+            world.run_until(now);
+        }
+        span_chunk_stats().made
+    };
+    std::thread::spawn(run).join().expect("blast thread")
 }
