@@ -252,6 +252,10 @@ impl Host {
         if self.cfg.arch != Architecture::Bsd
             && !self.open_channel(sock, Some(key), ip_proto == proto::TCP).1
         {
+            // The NIC's demux table is full: undo the bind whole.
+            self.close_channel(sock, false);
+            self.pcb.remove(&key);
+            self.sock_mut(sock).local = None;
             return SyscallRet::Err(Errno::NoBufs);
         }
         SyscallRet::Ok
@@ -715,12 +719,10 @@ mod tests {
     use crate::config::HostConfig;
     use lrp_wire::Ipv4Addr;
 
-    /// A connect whose exact demux filter the NIC's table refuses, at
-    /// its load bound, fails with `NoBufs` and leaves no PCB entry, peer
-    /// or connection behind; once a slot frees, the same connect goes
-    /// through.
-    #[test]
-    fn a_connect_the_full_demux_table_refuses_fails_with_nobufs() {
+    /// A NI-LRP host with one TCP socket bound to port 5000, whose NIC's
+    /// demux table is filled to its load bound; the last filler key comes
+    /// back so a test can free its slot.
+    fn full_table() -> (Host, Pid, SockId, FlowKey) {
         let addr = Ipv4Addr::new(10, 0, 0, 2);
         let mut h = Host::new(HostConfig::new(Architecture::NiLrp), addr);
         let pid = Pid(0);
@@ -735,8 +737,18 @@ mod tests {
         while h.nic.demux.register(filler(fillers), spare).is_ok() {
             fillers += 1;
         }
+        (h, pid, sock, filler(fillers - 1))
+    }
+
+    /// A connect whose exact demux filter the NIC's table refuses, at
+    /// its load bound, fails with `NoBufs` and leaves no PCB entry, peer
+    /// or connection behind; once a slot frees, the same connect goes
+    /// through.
+    #[test]
+    fn a_connect_the_full_demux_table_refuses_fails_with_nobufs() {
+        let (mut h, pid, sock, last) = full_table();
         let dst = Endpoint::new(Ipv4Addr::new(10, 0, 0, 1), 80);
-        let key = FlowKey::new(proto::TCP, Endpoint::new(addr, 5000), dst);
+        let key = FlowKey::new(proto::TCP, Endpoint::new(h.addr, 5000), dst);
         let connect = SyscallOp::Connect { sock, dst };
         let out = h.begin_op(SimTime::ZERO, pid, connect.clone());
         assert!(matches!(
@@ -749,10 +761,7 @@ mod tests {
         assert!(!h.pcb.contains(&key));
         assert!(h.sock(sock).remote.is_none() && h.sock(sock).tcp.is_none());
 
-        h.nic
-            .demux
-            .unregister(&filler(fillers - 1))
-            .expect("a filler");
+        h.nic.demux.unregister(&last).expect("a filler");
         let out = h.begin_op(SimTime::ZERO, pid, connect);
         assert!(matches!(
             out,
@@ -763,5 +772,26 @@ mod tests {
         ));
         assert!(h.pcb.contains(&key));
         assert_eq!(h.sock(sock).remote, Some(dst));
+    }
+
+    /// A bind whose wildcard demux filter the full table refuses fails
+    /// with `NoBufs` and undoes itself: no PCB entry, local address or NI
+    /// channel stays behind. Once a slot frees, the same bind goes
+    /// through.
+    #[test]
+    fn a_bind_the_full_demux_table_refuses_fails_with_nobufs_and_leaves_nothing() {
+        let (mut h, pid, _, last) = full_table();
+        let sock = h.alloc_sock(pid, SockProto::Tcp);
+        let key = FlowKey::listening(proto::TCP, Endpoint::new(h.addr, 6000));
+        let channels = h.chan_to_sock.len();
+        assert_eq!(h.do_bind(sock, 6000), SyscallRet::Err(Errno::NoBufs));
+        assert!(!h.pcb.contains(&key));
+        assert!(h.sock(sock).local.is_none() && h.sock(sock).chan.is_none());
+        assert_eq!(h.chan_to_sock.len(), channels, "no channel stays mapped");
+
+        h.nic.demux.unregister(&last).expect("a filler");
+        assert_eq!(h.do_bind(sock, 6000), SyscallRet::Ok);
+        assert!(h.pcb.contains(&key));
+        assert_eq!(h.chan_to_sock.len(), channels + 1);
     }
 }

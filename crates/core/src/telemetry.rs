@@ -27,7 +27,7 @@ use std::num::NonZeroU64;
 
 mod spanlog;
 
-pub use spanlog::{span_chunk_stats, SpanChunkStats};
+pub use spanlog::span_chunk_stats;
 
 /// Maximum stored span events per host; further events are counted in
 /// [`Telemetry::span_events_dropped`] and discarded.

@@ -29,13 +29,13 @@
 //! so they go where spans are recorded, whereas a pooled vector could go
 //! to a host that records none while the recording host grows another.
 //!
-//! A chunk is made only when every chunk the thread made is live, so
-//! pooled plus live never exceed the most chunks the thread has held at
-//! once, as the connection pool (`lrp_stack::tcp::pool`) is bounded.
+//! The chunks are kept in a [`SpareList`], so pooled plus live chunks
+//! never exceed the most the thread has held at once.
 
 use super::{SpanEvent, SPAN_LOG_CAP, SPAN_STAGES};
+use lrp_mbuf::{SpareList, SpareStats};
 use lrp_sim::varint;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 /// Bytes per chunk: 64 KiB.
 const CHUNK_BYTES: usize = 1 << 16;
@@ -63,53 +63,23 @@ const MAX_EVENT_BYTES: usize = 3 + 2 * varint::MAX_LEN;
 /// One chunk: a vector of capacity [`CHUNK_BYTES`] that never grows.
 type Chunk = Vec<u8>;
 
-/// Released chunks, emptied, and how many chunks were ever made.
-struct ChunkPool {
-    spare: RefCell<Vec<Chunk>>,
-    made: Cell<u64>,
-}
-
 thread_local! {
-    static POOL: ChunkPool = const {
-        ChunkPool {
-            spare: RefCell::new(Vec::new()),
-            made: Cell::new(0),
-        }
-    };
+    static POOL: RefCell<SpareList<Chunk>> = const { RefCell::new(SpareList::new()) };
 }
 
-/// Counters for this thread's span-log chunk pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanChunkStats {
-    /// Released chunks waiting for the next log.
-    pub pooled: usize,
-    /// Chunks the pool has made, so the most this thread's span logs
-    /// have held at once; pooled plus live equals this.
-    pub made: u64,
-}
-
-/// This thread's span-log chunk pool counters.
-pub fn span_chunk_stats() -> SpanChunkStats {
-    POOL.with(|p| SpanChunkStats {
-        pooled: p.spare.borrow().len(),
-        made: p.made.get(),
-    })
+/// This thread's span-log chunk pool counters: `made` is the most
+/// chunks this thread's span logs have held at once.
+pub fn span_chunk_stats() -> SpareStats {
+    POOL.with_borrow(SpareList::stats)
 }
 
 /// A chunk from this thread's pool, or a new one when the pool is empty.
 fn take_chunk() -> Chunk {
-    POOL.with(|p| match p.spare.borrow_mut().pop() {
-        Some(c) => {
-            // A pool keeps capacity, never content: no event of an
-            // earlier log may reach this one.
-            debug_assert!(c.is_empty() && c.capacity() == CHUNK_BYTES);
-            c
-        }
-        None => {
-            p.made.set(p.made.get() + 1);
-            Vec::with_capacity(CHUNK_BYTES)
-        }
-    })
+    let c = POOL.with_borrow_mut(|p| p.take_or_make(|| Vec::with_capacity(CHUNK_BYTES)));
+    // A pool keeps capacity, never content: no event of an earlier log
+    // may reach this one.
+    debug_assert!(c.is_empty() && c.capacity() == CHUNK_BYTES);
+    c
 }
 
 /// What an event is coded against: the previous event's time, and the
@@ -270,7 +240,7 @@ impl Drop for SpanLog {
         // During thread teardown the pool may already be gone; the chunks
         // then just free normally.
         let _ = POOL.try_with(|p| {
-            let mut spare = p.spare.borrow_mut();
+            let mut p = p.borrow_mut();
             let cur = std::mem::take(&mut self.cur);
             for mut c in self
                 .full
@@ -278,7 +248,7 @@ impl Drop for SpanLog {
                 .chain((cur.capacity() != 0).then_some(cur))
             {
                 c.clear();
-                spare.push(c);
+                p.give(c);
             }
         });
     }
@@ -338,6 +308,18 @@ mod tests {
                 assert_eq!(span_chunk_stats().made, 5, "round {round}");
             }
             assert_eq!(span_chunk_stats().pooled, 5);
+        });
+    }
+
+    /// Dropping a log returns every chunk it held, the one being
+    /// written included, to the thread's pool.
+    #[test]
+    fn a_dropped_log_returns_every_chunk() {
+        on_fresh_thread(|| {
+            let mut log = SpanLog::default();
+            fill_to(&mut log, 3);
+            drop(log);
+            assert_eq!(span_chunk_stats(), SpareStats { pooled: 3, made: 3 });
         });
     }
 

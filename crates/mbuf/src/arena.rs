@@ -14,20 +14,18 @@
 //! size, and a returned vector is filed under the largest class its
 //! capacity covers, so whatever a class hands out fits.
 //!
-//! The caches keep what the arena once handed out. Every cached `Rc` box
-//! was once live, so `cached + live` never exceeds the most buffers ever
-//! live at once: a burst (a SYN flood's stalled channels) leaves its
-//! boxes for the next one instead of returning them to the allocator.
-//! Cached byte vectors are bounded by their total capacity,
-//! `MAX_CACHED_BYTES`.
+//! The `Rc` boxes are kept in a [`SpareList`], so cached plus live boxes
+//! never exceed the most buffers ever live at once: a burst (a SYN
+//! flood's stalled channels) leaves its boxes for the next one. Cached
+//! byte vectors are bounded by their total capacity, `MAX_CACHED_BYTES`.
 //!
-//! The arena is single-threaded (`Rc<RefCell>`), like the rest of the
-//! simulator, and holds no back-pointers: a checked-out
-//! `Rc<PooledBuf>` is plain data, so the `RefCell` is touched only at
-//! checkout/return time, never on the data path. The owner of the
-//! thread-local arena (`lrp-wire`'s `FrameBuf`) is responsible for
-//! calling [`FrameArena::reclaim`] when a buffer's last reference
-//! drops.
+//! The arena is single-threaded, like the rest of the simulator, and
+//! holds no back-pointers: a checked-out `Rc<PooledBuf>` is plain data,
+//! so the arena is touched only at checkout/return time, never on the
+//! data path. The owner of
+//! the thread-local arena (`lrp-wire`'s `FrameBuf`, behind a `RefCell`)
+//! is responsible for calling [`FrameArena::reclaim`] when a buffer's
+//! last reference drops.
 //!
 //! A buffer carries one more bit: the *TCP-summed mark*, which says
 //! "these bytes are exactly an IPv4+TCP datagram whose TCP checksum the
@@ -38,7 +36,7 @@
 //! that finds the mark on a whole segment may skip summing it (Linux's
 //! `CHECKSUM_UNNECESSARY` for loopback), because the sum cannot fail.
 
-use std::cell::RefCell;
+use crate::spare::{SpareList, SpareStats};
 use std::rc::Rc;
 
 /// Capacity of all cached byte vectors together, per arena: the one
@@ -83,17 +81,9 @@ fn class_size(capacity: usize) -> usize {
 pub struct ArenaStats {
     /// Buffers handed out.
     pub checkouts: u64,
-    /// Checkouts whose `Rc` box came from the recycle cache.
-    pub reuses: u64,
-    /// Checkouts that had to allocate a fresh `Rc` box.
-    pub fresh_allocs: u64,
-    /// Buffers returned to the arena.
-    pub returns: u64,
-    /// Buffers currently checked out: `checkouts - returns`.
-    pub live: usize,
-    /// Recycled `Rc` boxes currently cached. `cached + live` is at most
-    /// the largest `live` the arena has seen.
-    pub cached: usize,
+    /// The `Rc` boxes: `made` is the checkouts that allocated one,
+    /// `pooled` the boxes cached, and `live()` the buffers checked out.
+    pub boxes: SpareStats,
     /// Scratch requests the recycle cache could not serve: the request's
     /// size class was empty. Zero growth over a steady-state run is the
     /// point of the classes.
@@ -152,29 +142,61 @@ impl PooledBuf {
     }
 }
 
+/// A freelist arena of reusable frame buffers.
 #[derive(Debug)]
-struct ArenaInner {
+pub struct FrameArena {
     /// Recycled byte vectors (empty, capacity kept) by size class, ready
     /// to hand out.
     raw_cache: [Vec<Vec<u8>>; CLASSES],
     /// Recycled `Rc` boxes (strong count 1, storage already moved to
     /// `raw_cache`), ready to wrap new bytes.
-    rc_cache: Vec<Rc<PooledBuf>>,
-    stats: ArenaStats,
+    boxes: SpareList<Rc<PooledBuf>>,
+    checkouts: u64,
+    storage_allocs: u64,
+    cached_bytes: usize,
 }
 
-impl Default for ArenaInner {
-    fn default() -> Self {
-        ArenaInner {
-            raw_cache: std::array::from_fn(|_| Vec::new()),
-            rc_cache: Vec::new(),
-            stats: ArenaStats::default(),
+impl FrameArena {
+    /// Creates an empty arena.
+    pub const fn new() -> Self {
+        FrameArena {
+            raw_cache: [const { Vec::new() }; CLASSES],
+            boxes: SpareList::new(),
+            checkouts: 0,
+            storage_allocs: 0,
+            cached_bytes: 0,
         }
     }
-}
 
-impl ArenaInner {
-    fn take_storage(&mut self, capacity: usize) -> Vec<u8> {
+    /// Wraps a byte vector in an arena-tracked shared buffer without
+    /// copying it. Reuses a cached `Rc` box when one is available, so in
+    /// steady state this allocates nothing.
+    pub fn adopt(&mut self, storage: Vec<u8>) -> Rc<PooledBuf> {
+        self.checkouts += 1;
+        let mut rc = self
+            .boxes
+            .take_or_make(|| Rc::new(PooledBuf::new(Vec::new())));
+        *Rc::get_mut(&mut rc).expect("cached Rc is unique") = PooledBuf::new(storage);
+        rc
+    }
+
+    /// Returns a buffer whose caller-side references are gone.
+    ///
+    /// If `rc` is the last reference, the bytes join the storage cache
+    /// and the box the box cache; otherwise only this reference is
+    /// released (the eventual last holder reclaims).
+    pub fn reclaim(&mut self, mut rc: Rc<PooledBuf>) {
+        let Some(buf) = Rc::get_mut(&mut rc) else {
+            return; // Still shared: just drop this reference.
+        };
+        let storage = std::mem::take(&mut buf.storage);
+        self.give_storage(storage);
+        self.boxes.give(rc);
+    }
+
+    /// Takes empty scratch storage with `cap` capacity — for builders
+    /// that assemble bytes before handing the vector to [`Self::adopt`].
+    pub fn take_storage(&mut self, capacity: usize) -> Vec<u8> {
         if capacity == 0 {
             return Vec::new();
         }
@@ -183,93 +205,41 @@ impl ArenaInner {
             // A pool keeps capacity, never content: no byte of a frame
             // given back may reach the next one.
             debug_assert!(v.is_empty(), "a cached frame vector kept its bytes");
-            self.stats.cached_bytes -= v.capacity();
+            self.cached_bytes -= v.capacity();
             return v;
         }
-        self.stats.storage_allocs += 1;
+        self.storage_allocs += 1;
         Vec::with_capacity(size)
     }
 
-    fn give_storage(&mut self, mut storage: Vec<u8>) {
+    /// Returns scratch storage taken with [`Self::take_storage`] that
+    /// never became a buffer (e.g. an intermediate builder layer).
+    pub fn give_storage(&mut self, mut storage: Vec<u8>) {
         let capacity = storage.capacity();
-        if capacity == 0 || self.stats.cached_bytes + capacity > MAX_CACHED_BYTES {
+        if capacity == 0 || self.cached_bytes + capacity > MAX_CACHED_BYTES {
             return;
         }
         if let Some(stack) = self.raw_cache.get_mut(class(capacity)) {
             storage.clear();
             stack.push(storage);
-            self.stats.cached_bytes += capacity;
+            self.cached_bytes += capacity;
         }
-    }
-}
-
-/// A freelist arena of reusable frame buffers.
-///
-/// Cloning the handle shares the same underlying arena.
-#[derive(Clone, Debug, Default)]
-pub struct FrameArena {
-    inner: Rc<RefCell<ArenaInner>>,
-}
-
-impl FrameArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        FrameArena::default()
-    }
-
-    /// Wraps a byte vector in an arena-tracked shared buffer without
-    /// copying it. Reuses a cached `Rc` box when one is available, so in
-    /// steady state this allocates nothing.
-    pub fn adopt(&self, storage: Vec<u8>) -> Rc<PooledBuf> {
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.checkouts += 1;
-        inner.stats.live += 1;
-        match inner.rc_cache.pop() {
-            Some(mut rc) => {
-                inner.stats.reuses += 1;
-                inner.stats.cached = inner.rc_cache.len();
-                *Rc::get_mut(&mut rc).expect("cached Rc is unique") = PooledBuf::new(storage);
-                rc
-            }
-            None => {
-                inner.stats.fresh_allocs += 1;
-                Rc::new(PooledBuf::new(storage))
-            }
-        }
-    }
-
-    /// Returns a buffer whose caller-side references are gone.
-    ///
-    /// If `rc` is the last reference, the bytes join the storage cache
-    /// and the box the box cache; otherwise only this reference is
-    /// released (the eventual last holder reclaims).
-    pub fn reclaim(&self, mut rc: Rc<PooledBuf>) {
-        let Some(buf) = Rc::get_mut(&mut rc) else {
-            return; // Still shared: just drop this reference.
-        };
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.returns += 1;
-        inner.stats.live -= 1;
-        inner.give_storage(std::mem::take(&mut buf.storage));
-        inner.rc_cache.push(rc);
-        inner.stats.cached = inner.rc_cache.len();
-    }
-
-    /// Takes empty scratch storage with `cap` capacity — for builders
-    /// that assemble bytes before handing the vector to [`Self::adopt`].
-    pub fn take_storage(&self, capacity: usize) -> Vec<u8> {
-        self.inner.borrow_mut().take_storage(capacity)
-    }
-
-    /// Returns scratch storage taken with [`Self::take_storage`] that
-    /// never became a buffer (e.g. an intermediate builder layer).
-    pub fn give_storage(&self, storage: Vec<u8>) {
-        self.inner.borrow_mut().give_storage(storage);
     }
 
     /// Current counters.
     pub fn stats(&self) -> ArenaStats {
-        self.inner.borrow().stats
+        ArenaStats {
+            checkouts: self.checkouts,
+            boxes: self.boxes.stats(),
+            storage_allocs: self.storage_allocs,
+            cached_bytes: self.cached_bytes,
+        }
+    }
+}
+
+impl Default for FrameArena {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -279,46 +249,46 @@ mod tests {
 
     #[test]
     fn adopt_wraps_without_copying() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let v = vec![1u8, 2, 3];
         let ptr = v.as_ptr();
         let buf = arena.adopt(v);
         assert_eq!(buf.bytes(), &[1, 2, 3]);
         assert_eq!(buf.bytes().as_ptr(), ptr);
         let s = arena.stats();
-        assert_eq!((s.checkouts, s.live, s.fresh_allocs), (1, 1, 1));
+        assert_eq!((s.checkouts, s.boxes.live(), s.boxes.made), (1, 1, 1));
     }
 
     #[test]
     fn reclaim_recycles_the_rc_box() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let a = arena.adopt(vec![0u8; 64]);
         let box_addr = Rc::as_ptr(&a) as usize;
         arena.reclaim(a);
         let s = arena.stats();
-        assert_eq!((s.returns, s.live, s.cached), (1, 0, 1));
+        assert_eq!((s.boxes.live(), s.boxes.pooled), (0, 1));
         let b = arena.adopt(vec![9u8]);
         assert_eq!(Rc::as_ptr(&b) as usize, box_addr, "Rc box reused");
         assert_eq!(b.bytes(), &[9]);
-        assert_eq!(arena.stats().reuses, 1);
+        assert_eq!(arena.stats().boxes.made, 1);
     }
 
     #[test]
     fn shared_reclaim_releases_without_retiring() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let a = arena.adopt(vec![1u8, 2]);
         let b = Rc::clone(&a);
         arena.reclaim(a);
-        assert_eq!(arena.stats().returns, 0, "still shared — no retire");
+        assert_eq!(arena.stats().boxes.pooled, 0, "still shared — no retire");
         assert_eq!(b.bytes(), &[1, 2]);
         arena.reclaim(b);
         let s = arena.stats();
-        assert_eq!((s.returns, s.live, s.cached), (1, 0, 1));
+        assert_eq!((s.boxes.live(), s.boxes.pooled), (0, 1));
     }
 
     #[test]
     fn the_mark_clears_on_mutable_access_and_on_reuse() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let mut a = arena.adopt(vec![1u8, 2]);
         assert!(!a.tcp_summed(), "checkouts start unmarked");
         let buf = Rc::get_mut(&mut a).expect("unique");
@@ -329,7 +299,7 @@ mod tests {
         buf.mark_tcp_summed();
         arena.reclaim(a);
         let b = arena.adopt(vec![3u8]);
-        assert_eq!(arena.stats().reuses, 1);
+        assert_eq!(arena.stats().boxes.made, 1, "the box was reused");
         assert!(!b.tcp_summed(), "a reused box starts unmarked");
     }
 
@@ -340,7 +310,7 @@ mod tests {
 
     #[test]
     fn take_and_give_storage_round_trip() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let mut v = arena.take_storage(32);
         assert!(v.is_empty() && v.capacity() >= 32);
         v.extend_from_slice(b"abc");
@@ -351,7 +321,7 @@ mod tests {
 
     #[test]
     fn small_request_after_large_return_takes_the_small_buffer() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let small = arena.take_storage(40);
         let large = arena.take_storage(9180);
         let (small_ptr, large_ptr) = (small.as_ptr(), large.as_ptr());
@@ -372,8 +342,8 @@ mod tests {
 
     #[test]
     fn ack_data_interleave_allocates_nothing_after_warm_up() {
-        let arena = FrameArena::new();
-        let cycle = |len: usize| {
+        let mut arena = FrameArena::new();
+        let cycle = |arena: &mut FrameArena, len: usize| {
             let mut v = arena.take_storage(len);
             assert_eq!(v.capacity(), class_size(len), "no drift");
             v.resize(len, 0xBB);
@@ -385,17 +355,17 @@ mod tests {
             arena.reclaim(frame);
             arena.reclaim(ack);
         };
-        cycle(9180);
+        cycle(&mut arena, 9180);
         let warm = arena.stats();
         for _ in 0..500 {
-            cycle(9180);
+            cycle(&mut arena, 9180);
         }
         let s = arena.stats();
         assert_eq!(
             s.storage_allocs, warm.storage_allocs,
             "no growth, no fresh storage"
         );
-        assert_eq!(s.fresh_allocs, warm.fresh_allocs, "no fresh Rc box");
+        assert_eq!(s.boxes.made, warm.boxes.made, "no fresh Rc box");
         assert_eq!(s.checkouts - warm.checkouts, 1000);
     }
 
@@ -418,7 +388,7 @@ mod tests {
 
     #[test]
     fn a_vector_files_under_the_largest_class_it_covers() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         // 9 180 bytes fall between the 8 192 and 9 216 classes: the
         // vector serves an 8 192-byte request, never a 9 216-byte one.
         arena.give_storage(Vec::with_capacity(9180));
@@ -432,7 +402,7 @@ mod tests {
 
     #[test]
     fn retained_bytes_are_bounded() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         for _ in 0..MAX_CACHED_BYTES / 9216 + 10 {
             arena.give_storage(Vec::with_capacity(9216));
         }
@@ -452,11 +422,12 @@ mod tests {
 
     #[test]
     fn reclaimed_storage_serves_the_next_frame_of_its_size() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let mut v = arena.take_storage(1500);
         v.resize(1500, 0xAA);
         let ptr = v.as_ptr();
-        arena.reclaim(arena.adopt(v));
+        let buf = arena.adopt(v);
+        arena.reclaim(buf);
         let w = arena.take_storage(1500);
         assert_eq!(w.as_ptr(), ptr, "the frame's bytes came back");
         assert!(w.is_empty());
@@ -465,8 +436,8 @@ mod tests {
 
     #[test]
     fn a_second_burst_reuses_all_the_first_one_held() {
-        let arena = FrameArena::new();
-        let burst = || {
+        let mut arena = FrameArena::new();
+        let burst = |arena: &mut FrameArena| {
             let frames: Vec<Rc<PooledBuf>> = (0..3_000)
                 .map(|_| {
                     let mut v = arena.take_storage(60);
@@ -474,37 +445,44 @@ mod tests {
                     arena.adopt(v)
                 })
                 .collect();
-            assert_eq!(arena.stats().live, 3_000);
+            assert_eq!(arena.stats().boxes.live(), 3_000);
             for f in frames {
                 arena.reclaim(f);
             }
         };
-        burst();
+        burst(&mut arena);
         let first = arena.stats();
-        assert_eq!(first.cached, 3_000, "every box the burst held is kept");
-        burst();
+        assert_eq!(
+            first.boxes.pooled, 3_000,
+            "every box the burst held is kept"
+        );
+        burst(&mut arena);
         let s = arena.stats();
-        assert_eq!(s.fresh_allocs, first.fresh_allocs, "no fresh Rc box");
+        assert_eq!(s.boxes.made, first.boxes.made, "no fresh Rc box");
         assert_eq!(s.storage_allocs, first.storage_allocs, "no fresh storage");
-        assert_eq!((s.live, s.cached), (0, 3_000));
+        assert_eq!((s.boxes.live(), s.boxes.pooled), (0, 3_000));
     }
 
     #[test]
     fn cached_boxes_never_outnumber_the_peak_live() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let mut held: Vec<Rc<PooledBuf>> = (0..10).map(|_| arena.adopt(Vec::new())).collect();
         held.drain(..5).for_each(|b| arena.reclaim(b));
         held.extend((0..3).map(|_| arena.adopt(Vec::new())));
         let s = arena.stats();
-        assert_eq!((s.live, s.cached, s.fresh_allocs), (8, 2, 10));
+        assert_eq!((s.boxes.live(), s.boxes.pooled, s.boxes.made), (8, 2, 10));
         held.into_iter().for_each(|b| arena.reclaim(b));
         let s = arena.stats();
-        assert_eq!((s.live, s.cached), (0, 10), "the peak, not every checkout");
+        assert_eq!(
+            (s.boxes.live(), s.boxes.pooled),
+            (0, 10),
+            "the peak, not every checkout"
+        );
     }
 
     #[test]
     fn empty_request_takes_nothing_from_the_cache() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let small = Vec::with_capacity(1);
         let cached = small.capacity();
         arena.give_storage(small);
@@ -516,13 +494,13 @@ mod tests {
 
     #[test]
     fn live_and_returns_balance() {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let bufs: Vec<Rc<PooledBuf>> = (0..10).map(|i| arena.adopt(vec![i as u8])).collect();
-        assert_eq!(arena.stats().live, 10);
+        assert_eq!(arena.stats().boxes.live(), 10);
         for b in bufs {
             arena.reclaim(b);
         }
         let s = arena.stats();
-        assert_eq!((s.live, s.returns, s.cached), (0, 10, 10));
+        assert_eq!((s.boxes.live(), s.checkouts, s.boxes.pooled), (0, 10, 10));
     }
 }

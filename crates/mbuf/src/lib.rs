@@ -18,21 +18,24 @@
 //! ```
 //! use lrp_mbuf::FrameArena;
 //!
-//! let arena = FrameArena::new();
+//! let mut arena = FrameArena::new();
 //! let mut v = arena.take_storage(1500);
 //! v.extend_from_slice(b"frame bytes");
 //! let buf = arena.adopt(v);
 //! assert_eq!(buf.bytes(), b"frame bytes");
 //! arena.reclaim(buf);
 //! // The next frame of the same size reuses the bytes and the box.
-//! let again = arena.adopt(arena.take_storage(1500));
+//! let v = arena.take_storage(1500);
+//! let again = arena.adopt(v);
 //! let s = arena.stats();
-//! assert_eq!((s.storage_allocs, s.reuses, s.live), (1, 1, 1));
+//! assert_eq!((s.storage_allocs, s.boxes.made, s.boxes.live()), (1, 1, 1));
 //! arena.reclaim(again);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod arena;
+pub mod spare;
 
 pub use arena::{ArenaStats, FrameArena, PooledBuf};
+pub use spare::{SpareList, SpareStats};

