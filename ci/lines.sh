@@ -45,15 +45,15 @@ while read -r crate budget; do
     check "$crate" "$n" "$budget"
 done <<'EOF'
 apps 1701
-core 6629
+core 6600
 demux 427
-experiments 3518
+experiments 3326
 mbuf 422
 net 666
 nic 913
 proptest-shim 450
-sched 1050
-sim 1749
+sched 1040
+sim 1748
 stack 4350
 telemetry 1275
 wire 1891

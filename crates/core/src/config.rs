@@ -61,8 +61,6 @@ pub enum SynCookies {
     /// floods fall back to stateless operation. Takes precedence over
     /// the SYN-cache eviction when both are enabled.
     Auto,
-    /// Mint a cookie for every SYN (maximum robustness, quantized MSS).
-    Always,
 }
 
 /// Full host configuration.

@@ -1,6 +1,4 @@
-//! The host's timer queues.
-//!
-//! [`DeadlineHeap`] is the TCP deadline index: an indexed binary min-heap
+//! The TCP deadline index, [`DeadlineHeap`]: an indexed binary min-heap
 //! of `(deadline, SockId)`, with one position per socket.
 //!
 //! The host files a socket here while its connection has a timer armed
@@ -12,50 +10,6 @@
 
 use lrp_sim::SimTime;
 use lrp_stack::SockId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Timed wakeups (sleeps, receive timeouts, restarts): entries come off
-/// in `(time, push order)` order, so those due at one instant come off
-/// in the order they were pushed. One heap, which allocates only to grow;
-/// the push count breaks every tie, so `T`'s order never decides one.
-#[derive(Debug)]
-pub(crate) struct TimerQueue<T> {
-    heap: BinaryHeap<Reverse<(SimTime, u64, T)>>,
-    pushed: u64,
-}
-
-impl<T: Ord> Default for TimerQueue<T> {
-    fn default() -> Self {
-        TimerQueue {
-            heap: BinaryHeap::new(),
-            pushed: 0,
-        }
-    }
-}
-
-impl<T: Ord> TimerQueue<T> {
-    /// Queues `item` to come off at `at`.
-    pub(crate) fn push(&mut self, at: SimTime, item: T) {
-        self.heap.push(Reverse((at, self.pushed, item)));
-        self.pushed += 1;
-    }
-
-    /// The earliest entry's time.
-    pub(crate) fn next_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.0 .0)
-    }
-
-    /// Takes the earliest entry out if it is due at or before `now`.
-    pub(crate) fn pop_due(&mut self, now: SimTime) -> Option<T> {
-        (self.next_at()? <= now).then(|| self.heap.pop().expect("peeked").0 .2)
-    }
-
-    /// Drops every entry, keeping the storage.
-    pub(crate) fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
 
 /// `pos` entry of a socket that is not in the heap.
 const ABSENT: u32 = u32::MAX;
@@ -194,7 +148,7 @@ impl DeadlineHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lrp_sim::SimDuration;
+    use lrp_sim::{EventQueue, SimDuration};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -257,31 +211,41 @@ mod tests {
             }
         }
 
-        /// Against the `BTreeMap<SimTime, Vec<T>>` the timer queues
-        /// replaced, whose due keys came off earliest first with each
-        /// key's entries in push order: the same next time, and the same
-        /// due entries in the same order. Each step is `(op, item, ms)`:
-        /// op 0-1 pushes `item` at `ms`, 2 pops everything due at `ms`.
+        /// Against the `BTreeMap<SimTime, Vec<T>>` the host's timed
+        /// wakeups (sleeps, receive timeouts, restarts) once used, whose
+        /// due keys came off earliest first with each key's entries in
+        /// push order: the `EventQueue` they now use gives the same next
+        /// time, and the same due entries in the same order. Each step
+        /// is `(op, item, ms)`: op 0-1 schedules `item` at `ms`, 2 pops
+        /// everything due at `ms`, 3 clears the queue (a reboot).
         #[test]
         fn timer_queue_matches_the_btreemap_model(
-            ops in proptest::collection::vec((0u8..3, 0u32..8, 0u64..20), 1..200),
+            ops in proptest::collection::vec((0u8..4, 0u32..8, 0u64..20), 1..200),
         ) {
             let mut model: BTreeMap<SimTime, Vec<u32>> = BTreeMap::new();
-            let mut queue = TimerQueue::default();
+            let mut queue = EventQueue::new();
             for (op, item, ms) in ops {
                 let t = SimTime::ZERO + SimDuration::from_millis(ms);
-                if op < 2 {
-                    model.entry(t).or_default().push(item);
-                    queue.push(t, item);
-                } else {
-                    let mut want = Vec::new();
-                    while let Some(e) = model.first_entry().filter(|e| *e.key() <= t) {
-                        want.extend(e.remove());
+                match op {
+                    0 | 1 => {
+                        model.entry(t).or_default().push(item);
+                        queue.schedule(t, item);
                     }
-                    let got: Vec<_> = std::iter::from_fn(|| queue.pop_due(t)).collect();
-                    prop_assert_eq!(got, want);
+                    2 => {
+                        let mut want = Vec::new();
+                        while let Some(e) = model.first_entry().filter(|e| *e.key() <= t) {
+                            want.extend(e.remove());
+                        }
+                        let got: Vec<_> =
+                            std::iter::from_fn(|| queue.pop_before(t).map(|(_, e)| e)).collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    _ => {
+                        model.clear();
+                        queue.clear();
+                    }
                 }
-                prop_assert_eq!(queue.next_at(), model.keys().next().copied());
+                prop_assert_eq!(queue.peek_time(), model.keys().next().copied());
             }
         }
     }

@@ -44,17 +44,17 @@ mod rx;
 mod socktab;
 mod syscalls;
 
-use crate::config::{Architecture, HostConfig, QUANTUM, TICK};
+use crate::config::{Architecture, HostConfig, TICK};
 use crate::hostfault::{FaultKind, HostFaultPlan, HostFaultState};
 use crate::syscall::{AppLogic, Errno, SockProto, SyscallOp, SyscallRet};
-use deadlines::{DeadlineHeap, TimerQueue};
+use deadlines::DeadlineHeap;
 use index::SockSet;
 pub use ledger::PacketLedger;
 use listq::{LinkStore, Links, SockList};
 use lrp_demux::ChannelId;
 use lrp_nic::{DemuxMode, Nic};
 use lrp_sched::{Account, Pid, SchedConfig, Scheduler, WaitChannel};
-use lrp_sim::{FastHashMap, SimDuration, SimTime};
+use lrp_sim::{EventQueue, FastHashMap, SimDuration, SimTime};
 use lrp_stack::sockbuf::DatagramQueue;
 use lrp_stack::tcp::{Actions, PooledConn, TcpListener, TcpStats};
 use lrp_stack::{PcbTable, Reassembler, SockId};
@@ -610,7 +610,7 @@ pub struct Host {
     /// Early-Demux: channels with frames awaiting softirq processing.
     pub(crate) ed_pending: VecDeque<SockId>,
     /// Timed sleeps.
-    pub(crate) sleep_until: TimerQueue<Pid>,
+    pub(crate) sleep_until: EventQueue<Pid>,
     /// The earliest kernel-timer deadline outside `tcp_deadlines`, once
     /// computed (`kernel_timer_min`); `None` after a change to any of
     /// its six sources (`timers_changed`).
@@ -642,7 +642,7 @@ pub struct Host {
     /// Receive-timeout deadlines: `(pid, sock, seq)` entries by time. The
     /// seq token (matched against `recv_seq`) keeps a deadline that
     /// fires late from timing out a *later* receive on the same socket.
-    pub(crate) recv_deadlines: TimerQueue<(Pid, SockId, u64)>,
+    pub(crate) recv_deadlines: EventQueue<(Pid, SockId, u64)>,
     /// The seq token of each process's currently armed receive timeout.
     pub(crate) recv_seq: PidMap<u64>,
     /// Monotonic generator for receive-timeout seq tokens.
@@ -652,7 +652,7 @@ pub struct Host {
     /// Respawn recipes for processes spawned restartable.
     pub(crate) restartable: PidMap<RestartSpec>,
     /// Scheduled restarts: crashed pids to respawn, by time.
-    pub(crate) restart_at: TimerQueue<Pid>,
+    pub(crate) restart_at: EventQueue<Pid>,
     /// Crashed pid → its restarted successor (chains across restarts).
     pub(crate) reincarnation: PidMap<Pid>,
     /// Crash log: `(time, pid)` per executed crash.
@@ -716,8 +716,6 @@ impl Host {
         nic.set_rx_queues(cfg.ncpus);
         let sched_cfg = SchedConfig {
             tick: TICK,
-            quantum: QUANTUM,
-            decay_interval: DECAY_INTERVAL,
             ncpus: cfg.ncpus,
         };
         let mut host = Host {
@@ -751,7 +749,7 @@ impl Host {
             woken_scratch: Vec::new(),
             tcp_acts: Actions::default(),
             ed_pending: VecDeque::new(),
-            sleep_until: TimerQueue::default(),
+            sleep_until: EventQueue::new(),
             kernel_timer_at: None,
             app_thread: None,
             idle_thread: None,
@@ -767,12 +765,12 @@ impl Host {
             pending_charge: None,
             chan_to_sock: FastHashMap::default(),
             tele: host_telemetry(cfg.telemetry, addr),
-            recv_deadlines: TimerQueue::default(),
+            recv_deadlines: EventQueue::new(),
             recv_seq: PidMap::default(),
             recv_deadline_seq: 0,
             fault: None,
             restartable: PidMap::default(),
-            restart_at: TimerQueue::default(),
+            restart_at: EventQueue::new(),
             reincarnation: PidMap::default(),
             crash_log: Vec::new(),
             restart_log: Vec::new(),
@@ -1124,9 +1122,9 @@ impl Host {
     /// The earliest deadline among the timers outside the TCP index.
     fn kernel_timer_min(&self) -> Option<SimTime> {
         [
-            self.sleep_until.next_at(),
-            self.recv_deadlines.next_at(),
-            self.restart_at.next_at(),
+            self.sleep_until.peek_time(),
+            self.recv_deadlines.peek_time(),
+            self.restart_at.peek_time(),
             self.boot_at,
             self.fault.as_ref().and_then(|f| f.next_at()),
             (self.reasm.pending() > 0).then_some(self.next_reasm_sweep),
@@ -1459,7 +1457,7 @@ impl Host {
             self.complete_boot(now);
         }
         // Timed sleeps.
-        while let Some(pid) = self.sleep_until.pop_due(now) {
+        while let Some((_, pid)) = self.sleep_until.pop_before(now) {
             self.wake_channel(WaitChannel(0xFFFF_0000 + pid.0 as u64));
         }
         // TCP timers: queue protocol work for due connections. The index
@@ -1501,7 +1499,7 @@ impl Host {
         // Receive timeouts: fire only if the armed deadline is still
         // current (seq token) and the process is still blocked in that
         // very receive — a deadline outlived by its receive is inert.
-        while let Some((pid, sock, seq)) = self.recv_deadlines.pop_due(now) {
+        while let Some((_, (pid, sock, seq))) = self.recv_deadlines.pop_before(now) {
             if self.recv_seq.get(pid) != Some(&seq) {
                 continue;
             }
@@ -1522,7 +1520,7 @@ impl Host {
             }
         }
         // End-host fault plan: scheduled restarts, then due crashes.
-        while let Some(pid) = self.restart_at.pop_due(now) {
+        while let Some((_, pid)) = self.restart_at.pop_before(now) {
             self.restart_process(now, pid);
         }
         while let Some(at) = self.fault.as_ref().and_then(|f| f.next_at()) {
@@ -1554,7 +1552,7 @@ impl Host {
                             let f = self.fault.as_mut().expect("checked");
                             SimDuration::from_nanos(f.rng.next_below(ev.restart_jitter.as_nanos()))
                         };
-                        self.restart_at.push(now + after + jitter, target);
+                        self.restart_at.schedule(now + after + jitter, target);
                     }
                 }
             }

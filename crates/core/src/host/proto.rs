@@ -528,12 +528,7 @@ impl Host {
         // engages only once the backlog is full, and takes precedence
         // over the SYN-cache eviction below: dropping *state* beats
         // recycling it when the flood outruns the table.
-        let engaged = match self.cfg.syn_cookies {
-            SynCookies::Always => true,
-            SynCookies::Auto => !can,
-            SynCookies::Off => false,
-        };
-        if engaged {
+        if !can && self.cfg.syn_cookies == SynCookies::Auto {
             return total + self.tcp_send_cookie_synack(lsock, local, remote, th, now);
         }
         if !can {

@@ -151,7 +151,7 @@ impl Host {
             SyscallOp::Exit => PhaseOut::Done,
             SyscallOp::Sleep(d) => {
                 let wake_at = now + d;
-                self.sleep_until.push(wake_at, pid);
+                self.sleep_until.schedule(wake_at, pid);
                 self.timers_changed();
                 PhaseOut::Block {
                     wchan: WaitChannel(0xFFFF_0000 + pid.0 as u64),
@@ -199,7 +199,8 @@ impl Host {
                 self.recv_deadline_seq += 1;
                 let seq = self.recv_deadline_seq;
                 self.recv_seq.insert(pid, seq);
-                self.recv_deadlines.push(now + timeout, (pid, sock, seq));
+                self.recv_deadlines
+                    .schedule(now + timeout, (pid, sock, seq));
                 self.timers_changed();
                 PhaseOut::sys(entry, Cont::RecvCheck { sock, max_len })
             }

@@ -3,9 +3,9 @@
 //! These go beyond the paper's own figures: each one isolates one LRP
 //! mechanism and shows what breaks without it.
 
-use crate::{fig3, Output};
+use crate::{fault_sweep, fig3, Output};
 use lrp_core::{Architecture, Host, World};
-use lrp_net::{Injector, Pattern};
+use lrp_net::{FaultPlan, Injector, Pattern};
 use lrp_sim::{SimDuration, SimTime};
 use lrp_telemetry::Json;
 use lrp_wire::{tcp, udp, Frame, Ipv4Addr};
@@ -43,40 +43,15 @@ pub fn a1_lazy_vs_eager(duration: SimTime) -> Vec<Series> {
 /// A2 — NI channel queue depth: delivered rate under overload as the
 /// per-channel limit varies (the early-discard feedback lever).
 pub fn a2_queue_depth(duration: SimTime) -> Series {
-    let mut points = Vec::new();
-    for depth in [2usize, 4, 8, 16, 32, 64, 128] {
-        let mut world = World::with_defaults();
-        let metrics = lrp_apps::shared::<lrp_apps::SinkMetrics>();
-        let mut cfg = crate::host_config(Architecture::NiLrp);
-        cfg.channel_limit = depth;
-        let mut server = Host::new(cfg, crate::HOST_B);
-        server.spawn_app(
-            "sink",
-            0,
-            0,
-            Box::new(lrp_apps::BlastSink::new(9000, metrics.clone())),
-        );
-        let b = world.add_host(server);
-        let inj = Injector::new(
-            Pattern::Poisson { pps: 14_000.0 },
-            SimTime::from_millis(50),
-            77,
-            move |seq| {
-                Frame::ipv4(udp::build_datagram(
-                    Ipv4Addr::new(10, 0, 0, 3),
-                    crate::HOST_B,
-                    6000,
-                    9000,
-                    (seq & 0xFFFF) as u16,
-                    &[0u8; 14],
-                    false,
-                ))
-            },
-        );
-        world.add_injector(b, inj);
-        world.run_until(duration);
-        points.push((depth as f64, metrics.borrow().series.steady_rate(5)));
-    }
+    let points = [2usize, 4, 8, 16, 32, 64, 128]
+        .into_iter()
+        .map(|depth| {
+            let mut cfg = crate::host_config(Architecture::NiLrp);
+            cfg.channel_limit = depth;
+            let pattern = Pattern::Poisson { pps: 14_000.0 };
+            (depth as f64, fig3::blast_rate(cfg, pattern, 77, duration))
+        })
+        .collect();
     Series {
         name: "NI-LRP delivered @14k Poisson vs channel depth".into(),
         points,
@@ -87,40 +62,15 @@ pub fn a2_queue_depth(duration: SimTime) -> Series {
 /// overload as the per-packet demux cost grows (when does SOFT-LRP
 /// approach livelock?).
 pub fn a3_demux_cost(duration: SimTime) -> Series {
-    let mut points = Vec::new();
-    for demux_us in [2u64, 6, 12, 20, 30, 45] {
-        let mut cfg = crate::host_config(Architecture::SoftLrp);
-        cfg.cost.demux_per_pkt = SimDuration::from_micros(demux_us);
-        let mut world = World::with_defaults();
-        let metrics = lrp_apps::shared::<lrp_apps::SinkMetrics>();
-        let mut server = Host::new(cfg, crate::HOST_B);
-        server.spawn_app(
-            "sink",
-            0,
-            0,
-            Box::new(lrp_apps::BlastSink::new(9000, metrics.clone())),
-        );
-        let b = world.add_host(server);
-        let inj = Injector::new(
-            Pattern::FixedRate { pps: 20_000.0 },
-            SimTime::from_millis(50),
-            78,
-            move |seq| {
-                Frame::ipv4(udp::build_datagram(
-                    Ipv4Addr::new(10, 0, 0, 3),
-                    crate::HOST_B,
-                    6000,
-                    9000,
-                    (seq & 0xFFFF) as u16,
-                    &[0u8; 14],
-                    false,
-                ))
-            },
-        );
-        world.add_injector(b, inj);
-        world.run_until(duration);
-        points.push((demux_us as f64, metrics.borrow().series.steady_rate(5)));
-    }
+    let points = [2u64, 6, 12, 20, 30, 45]
+        .into_iter()
+        .map(|demux_us| {
+            let mut cfg = crate::host_config(Architecture::SoftLrp);
+            cfg.cost.demux_per_pkt = SimDuration::from_micros(demux_us);
+            let rate = fig3::blast_rate(cfg, Pattern::FixedRate { pps: 20_000.0 }, 78, duration);
+            (demux_us as f64, rate)
+        })
+        .collect();
     Series {
         name: "SOFT-LRP delivered @20k vs demux cost (us)".into(),
         points,
@@ -141,28 +91,7 @@ pub fn a4_app_thread() -> Vec<Series> {
         // Bounded run: without APP the transfer may never complete (once
         // the sending application stops making socket calls, nobody
         // processes incoming ACKs — exactly the paper's §3.4 argument).
-        let mut world = World::with_defaults();
-        let metrics = lrp_apps::shared::<lrp_apps::TcpBulkMetrics>();
-        let mut a = Host::new(cfg, crate::HOST_A);
-        a.spawn_app(
-            "tcp-src",
-            0,
-            0,
-            Box::new(lrp_apps::TcpBulkSender::new(
-                lrp_wire::Endpoint::new(crate::HOST_B, 6400),
-                8 << 20,
-                16_384,
-            )),
-        );
-        let mut b = Host::new(cfg, crate::HOST_B);
-        b.spawn_app(
-            "tcp-sink",
-            0,
-            0,
-            Box::new(lrp_apps::TcpBulkReceiver::new(6400, metrics.clone())),
-        );
-        world.add_host(a);
-        world.add_host(b);
+        let (mut world, metrics) = fault_sweep::bulk_world(cfg, FaultPlan::none(), 8 << 20);
         let window = SimTime::from_secs(10);
         world.run_until(window);
         let m = metrics.borrow();
@@ -191,37 +120,13 @@ pub fn a5_control_flood(duration: SimTime) -> Vec<Series> {
     for arch in [Architecture::EarlyDemux, Architecture::SoftLrp] {
         let mut points = Vec::new();
         for rate in [4_000.0f64, 8_000.0, 12_000.0, 16_000.0, 20_000.0] {
-            // A UDP sink measures surviving application throughput while
-            // the SYN flood hits a dummy TCP listener on the same host.
-            let mut world = World::with_defaults();
-            let metrics = lrp_apps::shared::<lrp_apps::SinkMetrics>();
-            let mut server = Host::new(crate::host_config(arch), crate::HOST_B);
-            server.spawn_app(
-                "sink",
-                0,
-                0,
-                Box::new(lrp_apps::BlastSink::new(9000, metrics.clone())),
-            );
-            server.spawn_app("dummy", 0, 0, Box::new(lrp_apps::DummyListener::new(81, 5)));
-            let b = world.add_host(server);
-            // Steady application traffic at a modest rate.
-            let app = Injector::new(
-                Pattern::FixedRate { pps: 4_000.0 },
-                SimTime::from_millis(50),
-                79,
-                move |seq| {
-                    Frame::ipv4(udp::build_datagram(
-                        Ipv4Addr::new(10, 0, 0, 3),
-                        crate::HOST_B,
-                        6000,
-                        9000,
-                        (seq & 0xFFFF) as u16,
-                        &[0u8; 14],
-                        false,
-                    ))
-                },
-            );
-            world.add_injector(b, app);
+            // A UDP sink measures surviving application throughput, fed
+            // steady traffic at a modest rate, while the SYN flood hits a
+            // dummy TCP listener on the same host.
+            let pattern = Pattern::FixedRate { pps: 4_000.0 };
+            let (mut world, metrics) = fig3::blast_world(crate::host_config(arch), pattern, 79);
+            let dummy = lrp_apps::DummyListener::new(81, 5);
+            world.hosts[0].spawn_app("dummy", 0, 0, Box::new(dummy));
             let syn = Injector::new(
                 Pattern::FixedRate { pps: rate },
                 SimTime::from_millis(60),
@@ -245,7 +150,7 @@ pub fn a5_control_flood(duration: SimTime) -> Vec<Series> {
                     ))
                 },
             );
-            world.add_injector(b, syn);
+            world.add_injector(0, syn);
             world.run_until(duration);
             points.push((rate, metrics.borrow().series.steady_rate(5)));
         }
@@ -370,35 +275,7 @@ pub fn a8_technology_trend(duration: SimTime) -> Vec<Series> {
         let mut onset = f64::NAN;
         let mut rate = 4_000.0 * cpu_scale;
         while rate < 40_000.0 * cpu_scale {
-            let mut world = World::with_defaults();
-            let metrics = lrp_apps::shared::<lrp_apps::SinkMetrics>();
-            let mut server = Host::new(cfg, crate::HOST_B);
-            server.spawn_app(
-                "sink",
-                0,
-                0,
-                Box::new(lrp_apps::BlastSink::new(9000, metrics.clone())),
-            );
-            let b = world.add_host(server);
-            let inj = Injector::new(
-                Pattern::FixedRate { pps: rate },
-                SimTime::from_millis(50),
-                101,
-                move |seq| {
-                    Frame::ipv4(udp::build_datagram(
-                        Ipv4Addr::new(10, 0, 0, 3),
-                        crate::HOST_B,
-                        6000,
-                        9000,
-                        (seq & 0xFFFF) as u16,
-                        &[0u8; 14],
-                        false,
-                    ))
-                },
-            );
-            world.add_injector(b, inj);
-            world.run_until(duration);
-            let delivered = metrics.borrow().series.steady_rate(5);
+            let delivered = fig3::blast_rate(cfg, Pattern::FixedRate { pps: rate }, 101, duration);
             peak = peak.max(delivered);
             if delivered < peak / 2.0 {
                 onset = rate;

@@ -11,7 +11,7 @@
 
 use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{shared, Shared, TcpBulkMetrics, TcpBulkReceiver, TcpBulkSender};
-use lrp_core::{Architecture, CcAlgo, DropPoint, Host, World};
+use lrp_core::{Architecture, CcAlgo, DropPoint, Host, HostConfig, World};
 use lrp_net::FaultPlan;
 use lrp_sim::SimTime;
 use lrp_telemetry::Json;
@@ -119,10 +119,22 @@ pub fn build_cc(
     plan: FaultPlan,
     total: usize,
 ) -> (World, Shared<TcpBulkMetrics>) {
-    let mut world = World::with_defaults();
-    let metrics = shared::<TcpBulkMetrics>();
     let mut cfg = crate::host_config(arch);
     cfg.tcp.cc = cc;
+    bulk_world(cfg, plan, total)
+}
+
+/// The bulk-transfer scenario on two hosts built from `cfg`: the sender
+/// (host 0, A) writes `total` bytes in 16 KiB writes to the receiver
+/// (host 1, B), with `plan` installed on the receiver's link. An inert
+/// plan installs no fault stage.
+pub fn bulk_world(
+    cfg: HostConfig,
+    plan: FaultPlan,
+    total: usize,
+) -> (World, Shared<TcpBulkMetrics>) {
+    let mut world = World::with_defaults();
+    let metrics = shared::<TcpBulkMetrics>();
     let mut a = Host::new(cfg, HOST_A);
     a.spawn_app(
         "tcp-src",

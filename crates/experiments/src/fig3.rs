@@ -9,7 +9,7 @@
 
 use crate::{Output, HOST_B};
 use lrp_apps::{shared, BlastSink, Shared, SinkMetrics};
-use lrp_core::{Architecture, Host, World};
+use lrp_core::{Architecture, Host, HostConfig, World};
 use lrp_net::{Injector, Pattern};
 use lrp_sim::SimTime;
 use lrp_telemetry::{span_trace_chrome, Json};
@@ -43,9 +43,21 @@ pub fn build_seeded(
     poisson: bool,
     seed: u64,
 ) -> (World, Shared<SinkMetrics>) {
+    blast_world(
+        crate::host_config(arch),
+        pattern(offered_pps, poisson),
+        seed,
+    )
+}
+
+/// The blast scenario on one server host built from `cfg`: a sink
+/// process on the blast port, and an injector sending it 14-byte
+/// datagrams under `pattern` from 50 ms on. The server is host 0; a
+/// caller adds further processes to it before the first `run_until`.
+pub fn blast_world(cfg: HostConfig, pattern: Pattern, seed: u64) -> (World, Shared<SinkMetrics>) {
     let mut world = World::with_defaults();
     let metrics = shared::<SinkMetrics>();
-    let mut server = Host::new(crate::host_config(arch), HOST_B);
+    let mut server = Host::new(cfg, HOST_B);
     server.spawn_app(
         "blast-sink",
         0,
@@ -53,17 +65,30 @@ pub fn build_seeded(
         Box::new(BlastSink::new(BLAST_PORT, metrics.clone())),
     );
     let b = world.add_host(server);
-    let pattern = if poisson {
-        Pattern::Poisson { pps: offered_pps }
-    } else {
-        Pattern::FixedRate { pps: offered_pps }
-    };
     let blast = udp::Template::new(BLAST_SRC, HOST_B, 6000, BLAST_PORT, &[0; PAYLOAD]);
     let inj = Injector::new(pattern, SimTime::from_millis(50), seed, move |seq| {
         Frame::ipv4(blast.stamp((seq & 0xFFFF) as u16, seq))
     });
     world.add_injector(b, inj);
     (world, metrics)
+}
+
+/// The steady-state delivered rate of [`blast_world`] run for
+/// `duration`, skipping the first 5 buckets (500 ms warm-up).
+pub(crate) fn blast_rate(cfg: HostConfig, pattern: Pattern, seed: u64, duration: SimTime) -> f64 {
+    let (mut world, metrics) = blast_world(cfg, pattern, seed);
+    world.run_until(duration);
+    let rate = metrics.borrow().series.steady_rate(5);
+    rate
+}
+
+/// Poisson or fixed-rate arrivals at `pps`.
+fn pattern(pps: f64, poisson: bool) -> Pattern {
+    if poisson {
+        Pattern::Poisson { pps }
+    } else {
+        Pattern::FixedRate { pps }
+    }
 }
 
 /// Measures the delivered rate for one architecture at one offered load.
@@ -79,14 +104,10 @@ pub fn measure_seeded(
     seed: u64,
     duration: SimTime,
 ) -> Point {
-    let (mut world, metrics) = build_seeded(arch, offered_pps, poisson, seed);
-    world.run_until(duration);
-    let m = metrics.borrow();
-    // Skip the first 5 buckets (500 ms warm-up) for the steady-state rate.
-    let delivered = m.series.steady_rate(5);
+    let cfg = crate::host_config(arch);
     Point {
         offered: offered_pps,
-        delivered,
+        delivered: blast_rate(cfg, pattern(offered_pps, poisson), seed, duration),
     }
 }
 

@@ -18,27 +18,16 @@
 //! and the LRP kernel performs a redundant PCB lookup to remove the
 //! demux-efficiency bias.
 
-use crate::{Output, HOST_A, HOST_B};
-use lrp_apps::{
-    shared, DummyListener, HttpClient, HttpMetrics, HttpWorker, Shared, SharedListener,
-};
-use lrp_core::{Architecture, Host, HostConfig, World};
+use crate::{Output, HOST_B};
+use lrp_apps::{DummyListener, HttpMetrics, Shared};
+use lrp_core::{Architecture, HostConfig, World};
 use lrp_net::{Injector, Pattern};
 use lrp_sim::{SimDuration, SimTime};
 use lrp_telemetry::Json;
-use lrp_wire::{tcp, Endpoint, Frame, Ipv4Addr};
-use std::cell::RefCell;
-use std::rc::Rc;
+use lrp_wire::{tcp, Frame, Ipv4Addr};
 
 const FLOOD_SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
-const HTTP_PORT: u16 = 80;
 const DUMMY_PORT: u16 = 81;
-/// Document size (the paper's ≈1300 bytes).
-const DOC_LEN: usize = 1300;
-/// Number of closed-loop HTTP clients.
-const CLIENTS: usize = 8;
-/// Pre-forked HTTP worker pool size.
-const WORKERS: usize = 8;
 
 /// One measured point.
 #[derive(Clone, Copy, Debug)]
@@ -71,7 +60,7 @@ pub fn build(arch: Architecture, syn_pps: f64) -> (World, Vec<Shared<HttpMetrics
 /// wakeups served)`. A console that never gets the CPU serves ~zero
 /// wakeups — it is dead, whatever its "lag" claims.
 pub fn measure_console_lag(arch: Architecture, syn_pps: f64, duration: SimTime) -> (f64, u64) {
-    let (mut world, _m) = build_with_config(config(arch), syn_pps);
+    let (mut world, _m) = build(arch, syn_pps);
     let lag = lrp_apps::shared::<lrp_sim::Welford>();
     // The console runs on the server host (index 1 in build()).
     world.hosts[1].spawn_app(
@@ -86,49 +75,13 @@ pub fn measure_console_lag(arch: Architecture, syn_pps: f64, duration: SimTime) 
 }
 
 /// Builds the scenario from an explicit host configuration (used by the
-/// ablations).
+/// ablations): the HTTP service of [`crate::syn_flood::build`] without
+/// its attacker, plus the dummy listener on the server and the flood
+/// aimed at it.
 pub fn build_with_config(cfg: HostConfig, syn_pps: f64) -> (World, Vec<Shared<HttpMetrics>>) {
-    let mut world = World::with_defaults();
-    let mut server = Host::new(cfg, HOST_B);
-    let listener: SharedListener = Rc::new(RefCell::new(None));
-    for i in 0..WORKERS {
-        server.spawn_app(
-            &format!("httpd-{i}"),
-            0,
-            64 * 1024,
-            Box::new(HttpWorker::new(
-                HTTP_PORT,
-                // NCSA-era httpd used a generous listen backlog.
-                32,
-                DOC_LEN,
-                SimDuration::from_micros(500),
-                i == 0,
-                listener.clone(),
-            )),
-        );
-    }
-    server.spawn_app("dummy", 0, 0, Box::new(DummyListener::new(DUMMY_PORT, 5)));
-
-    let mut client_host = Host::new(cfg, HOST_A);
-    let mut metrics = Vec::new();
-    for i in 0..CLIENTS {
-        let m = shared::<HttpMetrics>();
-        client_host.spawn_app(
-            &format!("client-{i}"),
-            0,
-            0,
-            Box::new(HttpClient::new(
-                Endpoint::new(HOST_B, HTTP_PORT),
-                100,
-                DOC_LEN,
-                m.clone(),
-            )),
-        );
-        metrics.push(m);
-    }
-
-    world.add_host(client_host);
-    let b = world.add_host(server);
+    let (mut world, metrics) = crate::syn_flood::build(cfg, 0.0, None);
+    let dummy = DummyListener::new(DUMMY_PORT, 5);
+    world.hosts[1].spawn_app("dummy", 0, 0, Box::new(dummy));
     if syn_pps > 0.0 {
         let inj = Injector::new(
             Pattern::FixedRate { pps: syn_pps },
@@ -154,7 +107,7 @@ pub fn build_with_config(cfg: HostConfig, syn_pps: f64) -> (World, Vec<Shared<Ht
                 ))
             },
         );
-        world.add_injector(b, inj);
+        world.add_injector(1, inj);
     }
     (world, metrics)
 }

@@ -18,55 +18,30 @@
 //! other than the datagrams' receiver, while the LRP architectures bill
 //! essentially all of it to the receiver.
 
-use crate::{Output, HOST_B};
-use lrp_apps::{shared, BlastSink, MeteredCompute, Shared, SinkMetrics};
+use crate::Output;
+use lrp_apps::{shared, MeteredCompute, Shared, SinkMetrics};
 use lrp_core::{AnomalyKind, Architecture, Host, World};
-use lrp_net::{Injector, Pattern};
+use lrp_net::Pattern;
 use lrp_sim::SimTime;
 use lrp_telemetry::{
     anomalies_json, attribution_json, folded_stacks, misattributed_fraction, span_breakdown_json,
     timeline_gnuplot, timeline_json, Json,
 };
-use lrp_wire::{udp, Frame, Ipv4Addr};
 
 /// Offered load: deep in Figure 3's livelock region.
 pub const OFFERED_PPS: f64 = 20_000.0;
 /// Injector seed (the same one fig3 pins).
 pub const SEED: u64 = 7;
-/// Blast source address / port, as in fig3.
-const BLAST_SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
-const BLAST_PORT: u16 = 9000;
-const PAYLOAD: usize = 14;
 
 /// The timeline scenario: fig3's blast server plus a metered compute
 /// process (the BSD charging victim and starvation witness). Returns the
 /// world, the sink metrics and the compute slice counter.
 pub fn build(arch: Architecture, seed: u64) -> (World, Shared<SinkMetrics>, Shared<u64>) {
-    let mut world = World::with_defaults();
-    let metrics = shared::<SinkMetrics>();
+    let pattern = Pattern::Poisson { pps: OFFERED_PPS };
+    let (mut world, metrics) = crate::fig3::blast_world(crate::host_config(arch), pattern, seed);
     let slices = shared::<u64>();
-    let mut server = Host::new(crate::host_config(arch), HOST_B);
-    server.spawn_app(
-        "blast-sink",
-        0,
-        0,
-        Box::new(BlastSink::new(BLAST_PORT, metrics.clone())),
-    );
-    server.spawn_app(
-        "compute",
-        0,
-        0,
-        Box::new(MeteredCompute::new(slices.clone())),
-    );
-    let b = world.add_host(server);
-    let blast = udp::Template::new(BLAST_SRC, HOST_B, 6000, BLAST_PORT, &[0; PAYLOAD]);
-    let inj = Injector::new(
-        Pattern::Poisson { pps: OFFERED_PPS },
-        SimTime::from_millis(50),
-        seed,
-        move |seq| Frame::ipv4(blast.stamp((seq & 0xFFFF) as u16, seq)),
-    );
-    world.add_injector(b, inj);
+    let compute = MeteredCompute::new(slices.clone());
+    world.hosts[0].spawn_app("compute", 0, 0, Box::new(compute));
     (world, metrics, slices)
 }
 

@@ -20,12 +20,12 @@ pub struct Row {
     pub mlfrr: f64,
 }
 
-/// Counts every lost packet at the host (kernel drop points + NIC early
-/// discards + ring overruns).
+/// Counts every received packet the host lost, each once: the host's
+/// drop points (ring overruns among them, as `RxRing`) and the NIC's
+/// early discards, less the transmit-side `IfQueue` drops.
 fn total_losses(host: &lrp_core::Host) -> u64 {
-    let nic = host.nic.stats();
-    host.stats.total_drops() + nic.early_discards + nic.ring_drops
-        - host.stats.dropped(DropPoint::IfQueue) // Transmit-side, not receive loss.
+    host.stats.total_drops() + host.nic.stats().early_discards
+        - host.stats.dropped(DropPoint::IfQueue)
 }
 
 /// True if `rate` is loss-free over `duration` of Poisson arrivals.

@@ -6,10 +6,11 @@
 
 use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{
-    shared, PingPongClient, PingPongMetrics, PingPongServer, Shared, TcpBulkMetrics,
-    TcpBulkReceiver, TcpBulkSender, UdpWindowMetrics, UdpWindowSink, UdpWindowSource,
+    shared, PingPongClient, PingPongMetrics, PingPongServer, Shared, UdpWindowMetrics,
+    UdpWindowSink, UdpWindowSource,
 };
 use lrp_core::{Architecture, Host, HostConfig, World};
+use lrp_net::FaultPlan;
 use lrp_sim::SimTime;
 use lrp_telemetry::{span_breakdown_json, Json};
 use lrp_wire::Endpoint;
@@ -121,28 +122,7 @@ pub fn measure_udp_mbps(cfg: HostConfig, datagrams: u64) -> f64 {
 
 /// Measures TCP bulk goodput (24 MB, 32 KB socket buffers).
 pub fn measure_tcp_mbps(cfg: HostConfig, total: usize) -> f64 {
-    let mut world = World::with_defaults();
-    let metrics = shared::<TcpBulkMetrics>();
-    let mut a = Host::new(cfg, HOST_A);
-    a.spawn_app(
-        "tcp-src",
-        0,
-        0,
-        Box::new(TcpBulkSender::new(
-            Endpoint::new(HOST_B, 6400),
-            total,
-            16_384,
-        )),
-    );
-    let mut b = Host::new(cfg, HOST_B);
-    b.spawn_app(
-        "tcp-sink",
-        0,
-        0,
-        Box::new(TcpBulkReceiver::new(6400, metrics.clone())),
-    );
-    world.add_host(a);
-    world.add_host(b);
+    let (mut world, metrics) = crate::fault_sweep::bulk_world(cfg, FaultPlan::none(), total);
     world.run_until(SimTime::from_secs(120));
     let m = metrics.borrow();
     assert!(m.done, "tcp transfer incomplete: {} bytes", m.bytes);

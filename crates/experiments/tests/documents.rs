@@ -3,8 +3,9 @@
 //! envelope schema and to the experiment's data schema where one exists,
 //! and every host report in it passed the packet-conservation
 //! self-check. Beside them: every file in `schemas/` is the envelope or
-//! the data schema of a registry entry, and the livelock timeline shows
-//! the paper's headline asymmetry as detected anomalies. CI regenerates
+//! the data schema of a registry entry, the livelock timeline shows the
+//! paper's headline asymmetry as detected anomalies, and DESIGN.md names
+//! only files and declarations that exist. CI regenerates
 //! the documents and requires them byte-identical to the committed ones,
 //! so these gates hold for the regenerated files too.
 
@@ -153,4 +154,117 @@ fn the_watchdog_sees_bsd_livelock_and_ni_lrp_never() {
         0,
         "NI-LRP shows livelock_onset"
     );
+}
+
+/// The repository root.
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Every `.rs` file under `dir`, build output and hidden directories
+/// skipped.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy();
+        if path.is_dir() {
+            if name != "target" && !name.starts_with('.') {
+                rust_files(&path, out);
+            }
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+}
+
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// `Type::member` (trailing call arguments dropped) as its two halves,
+/// if `span` names a member of a type: a capitalised identifier, `::`,
+/// an identifier.
+fn type_member(span: &str) -> Option<(&str, &str)> {
+    let span = span.find('(').map_or(span, |i| &span[..i]);
+    let (ty, member) = span.split_once("::")?;
+    let ident = |s: &str| !s.is_empty() && s.chars().all(is_ident);
+    (ty.starts_with(|c: char| c.is_ascii_uppercase()) && ident(ty) && ident(member))
+        .then_some((ty, member))
+}
+
+/// True if some line of `src` declares `member`: a function, constant,
+/// field or variant of that name at the start of the line, after any
+/// `pub`, `const` or `fn`.
+fn declares_member(src: &str, member: &str) -> bool {
+    src.lines().any(|line| {
+        let mut rest = line.trim_start();
+        while let Some(r) = ["pub(crate) ", "pub ", "const ", "fn "]
+            .iter()
+            .find_map(|p| rest.strip_prefix(p))
+        {
+            rest = r;
+        }
+        rest.strip_prefix(member)
+            .is_some_and(|r| r.is_empty() || r.starts_with(['(', '<', ':', ',', ' ']))
+    })
+}
+
+/// True if `src` defines a struct, enum, trait or type alias `ty`.
+fn declares_type(src: &str, ty: &str) -> bool {
+    ["struct ", "enum ", "trait ", "type "].iter().any(|kw| {
+        let key = format!("{kw}{ty}");
+        src.match_indices(&key)
+            .any(|(i, _)| !src[i + key.len()..].starts_with(is_ident))
+    })
+}
+
+/// DESIGN.md names only what exists: every backticked `….rs` path is a
+/// file of the repository (by its path from the root, or as the tail of
+/// one, for the short `host/cpu.rs` form), and every backticked
+/// `Type::member` is a type and a member declared somewhere in
+/// `crates/`. A renamed file or a deleted function, field or variant
+/// fails here until the document follows.
+#[test]
+fn design_names_only_what_exists() {
+    let root = repo_root();
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let mut files = Vec::new();
+    rust_files(&root, &mut files);
+    let files: Vec<String> = files
+        .iter()
+        .map(|f| {
+            f.strip_prefix(&root)
+                .unwrap()
+                .to_string_lossy()
+                .replace('\\', "/")
+        })
+        .collect();
+    let mut crates_src = String::new();
+    for f in files.iter().filter(|f| f.starts_with("crates/")) {
+        crates_src += &std::fs::read_to_string(root.join(f)).unwrap();
+        crates_src.push('\n');
+    }
+    let mut fenced = false;
+    let prose: Vec<&str> = design
+        .lines()
+        .filter(|line| {
+            fenced ^= line.starts_with("```");
+            !fenced && !line.starts_with("```")
+        })
+        .collect();
+    let prose = prose.join("\n");
+    let mut errs = Vec::new();
+    for span in prose.split('`').skip(1).step_by(2) {
+        if span.ends_with(".rs") && !span.contains(char::is_whitespace) {
+            let tail = format!("/{span}");
+            if !files.iter().any(|f| f == span || f.ends_with(&tail)) {
+                errs.push(format!("`{span}`: no such file"));
+            }
+        } else if let Some((ty, member)) = type_member(span) {
+            if !declares_type(&crates_src, ty) || !declares_member(&crates_src, member) {
+                errs.push(format!("`{span}`: not declared under crates/"));
+            }
+        }
+    }
+    assert!(errs.is_empty(), "DESIGN.md: {errs:#?}");
 }

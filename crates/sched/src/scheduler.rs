@@ -14,10 +14,6 @@ const ESTCPU_MAX: f64 = 255.0;
 pub struct SchedConfig {
     /// The statclock tick: the unit in which `estcpu` is accumulated.
     pub tick: SimDuration,
-    /// Round-robin quantum for processes of equal priority.
-    pub quantum: SimDuration,
-    /// Interval between decay passes (`schedcpu` runs once per second).
-    pub decay_interval: SimDuration,
     /// Number of CPUs: one run queue each. 1 reproduces the classic
     /// uniprocessor scheduler exactly (every per-CPU path indexes slot 0).
     pub ncpus: usize,
@@ -27,8 +23,6 @@ impl Default for SchedConfig {
     fn default() -> Self {
         SchedConfig {
             tick: SimDuration::from_millis(10),
-            quantum: SimDuration::from_millis(100),
-            decay_interval: SimDuration::from_secs(1),
             ncpus: 1,
         }
     }
@@ -109,16 +103,6 @@ impl Scheduler {
             charged: Vec::new(),
             on_cpu: Vec::new(),
         }
-    }
-
-    /// The configured round-robin quantum.
-    pub fn quantum(&self) -> SimDuration {
-        self.config.quantum
-    }
-
-    /// The configured decay interval.
-    pub fn decay_interval(&self) -> SimDuration {
-        self.config.decay_interval
     }
 
     /// Number of CPUs (run queues).

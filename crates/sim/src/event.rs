@@ -142,6 +142,12 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
+    /// Drops every pending event, keeping the storage.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.vacant = false;
+    }
+
     /// Removes the vacant top slot: the last entry moves into it and sifts
     /// down, as an eager pop would have done.
     fn remove_vacant_top(&mut self) {

@@ -302,12 +302,6 @@ impl RateSeries {
         &self.buckets
     }
 
-    /// Per-bucket rates in events/second.
-    pub fn rates_per_sec(&self) -> Vec<f64> {
-        let secs = self.interval.as_secs_f64();
-        self.buckets.iter().map(|&b| b as f64 / secs).collect()
-    }
-
     /// Average rate over buckets `[skip..]`, events/second.
     ///
     /// Skipping leading buckets discards warm-up transients.
@@ -401,7 +395,6 @@ mod tests {
         r.record(SimTime::from_millis(900), 5);
         r.record(SimTime::from_millis(1500), 7);
         assert_eq!(r.buckets(), &[10, 7]);
-        assert_eq!(r.rates_per_sec(), vec![10.0, 7.0]);
         assert!((r.steady_rate(0) - 8.5).abs() < 1e-9);
         assert!((r.steady_rate(1) - 7.0).abs() < 1e-9);
     }
