@@ -45,21 +45,20 @@ while read -r crate budget; do
     check "$crate" "$n" "$budget"
 done <<'EOF'
 apps 1701
-core 6600
+core 6594
 demux 427
-experiments 3326
-mbuf 422
+experiments 3324
 net 666
-nic 913
+nic 910
 proptest-shim 450
-sched 1040
+sched 1030
 sim 1748
 stack 4350
 telemetry 1275
-wire 1891
+wire 2310
 EOF
 printf '%-16s %6d\n' total "$total"
-check DESIGN.md "$(wc -l <DESIGN.md)" 1546
+check DESIGN.md "$(wc -l <DESIGN.md)" 1547
 for dir in crates/*/; do
     crate=$(basename "$dir")
     case "$listed" in

@@ -51,18 +51,6 @@ impl std::fmt::Display for Architecture {
     }
 }
 
-/// Stateless SYN-cookie policy (see `lrp_stack::tcp::cookie`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SynCookies {
-    /// Never mint cookies — bit-identical to the pre-cookie stack.
-    Off,
-    /// Mint cookies only while the listen backlog is full (the classic
-    /// high-watermark trigger): normal handshakes keep full fidelity,
-    /// floods fall back to stateless operation. Takes precedence over
-    /// the SYN-cache eviction when both are enabled.
-    Auto,
-}
-
 /// Full host configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct HostConfig {
@@ -101,11 +89,13 @@ pub struct HostConfig {
     /// (a minimal SYN-cache) instead of dropping it. Off by default —
     /// classic behaviour drops the new SYN at the backlog.
     pub syn_cache: bool,
-    /// Stateless SYN cookies ([`SynCookies::Off`] by default). In `Auto`
-    /// mode a full backlog switches the listener to stateless SYN|ACKs;
-    /// the returning ACK re-derives the connection from the cookie. Off
-    /// takes no new code paths — goldens are bit-identical.
-    pub syn_cookies: SynCookies,
+    /// Stateless SYN cookies (see `lrp_stack::tcp::cookie`). Off by
+    /// default. On, a full backlog switches the listener to stateless
+    /// SYN|ACKs (the classic high-watermark trigger: normal handshakes
+    /// keep full fidelity), taking precedence over the SYN-cache
+    /// eviction; the returning ACK re-derives the connection from the
+    /// cookie. Off takes no new code paths — goldens are bit-identical.
+    pub syn_cookies: bool,
 }
 
 impl HostConfig {
@@ -122,7 +112,7 @@ impl HostConfig {
             ncpus: 1,
             telemetry: false,
             syn_cache: false,
-            syn_cookies: SynCookies::Off,
+            syn_cookies: false,
         }
     }
 

@@ -7,7 +7,7 @@
 //! according to its architecture's policy.
 
 use super::{sock_wchan, DropPoint, Host, WC_ACCEPT, WC_CONNECT, WC_RECV, WC_SEND};
-use crate::config::{Architecture, SynCookies};
+use crate::config::Architecture;
 use crate::syscall::{Errno, SockProto};
 use lrp_nic::Stamp;
 use lrp_sim::{SimDuration, SimTime};
@@ -477,7 +477,7 @@ impl Host {
         // A bare ACK at a *listening* socket with cookies enabled is the
         // returning half of a stateless handshake: no child exists yet —
         // the cookie in the ACK field *is* the connection state.
-        if self.cfg.syn_cookies != SynCookies::Off
+        if self.cfg.syn_cookies
             && self.sock(sock).listen.is_some()
             && th.has(tcp::flags::ACK)
             && !th.has(tcp::flags::SYN)
@@ -524,11 +524,11 @@ impl Host {
             .can_accept_syn();
         // Stateless SYN cookies: answer with a SYN|ACK whose sequence
         // number encodes the connection (no child socket, no half-open
-        // entry — nothing for a flood to exhaust). In `Auto` mode this
-        // engages only once the backlog is full, and takes precedence
-        // over the SYN-cache eviction below: dropping *state* beats
-        // recycling it when the flood outruns the table.
-        if !can && self.cfg.syn_cookies == SynCookies::Auto {
+        // entry — nothing for a flood to exhaust). This engages only
+        // once the backlog is full, and takes precedence over the
+        // SYN-cache eviction below: dropping *state* beats recycling it
+        // when the flood outruns the table.
+        if !can && self.cfg.syn_cookies {
             return total + self.tcp_send_cookie_synack(lsock, local, remote, th, now);
         }
         if !can {

@@ -411,8 +411,7 @@ impl Host {
                 // SYN cookies engaged the listener keeps draining: a
                 // full backlog answers SYNs statelessly instead of
                 // going deaf, so legitimate peers can still get in.
-                let enabled =
-                    l.can_accept_syn() || self.cfg.syn_cookies != crate::config::SynCookies::Off;
+                let enabled = l.can_accept_syn() || self.cfg.syn_cookies;
                 self.nic.channel_mut(chan).processing_enabled = enabled;
                 if !enabled {
                     continue;

@@ -27,7 +27,7 @@ pub mod telemetry;
 pub mod watchdog;
 pub mod world;
 
-pub use config::{Architecture, HostConfig, SynCookies};
+pub use config::{Architecture, HostConfig};
 pub use cost::CostModel;
 pub use host::{DropCounts, DropPoint, Host, HostStats, PacketLedger};
 pub use hostfault::{CrashEvent, FaultKind, HostFaultPlan};

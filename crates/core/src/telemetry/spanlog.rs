@@ -33,8 +33,8 @@
 //! never exceed the most the thread has held at once.
 
 use super::{SpanEvent, SPAN_LOG_CAP, SPAN_STAGES};
-use lrp_mbuf::{SpareList, SpareStats};
 use lrp_sim::varint;
+use lrp_wire::spare::{SpareList, SpareStats};
 use std::cell::RefCell;
 
 /// Bytes per chunk: 64 KiB.

@@ -16,7 +16,7 @@
 //!   the oldest half-open entry, so legitimate SYNs always get a slot
 //!   (but pay the per-SYN socket/channel churn, and at very high rates
 //!   risk eviction before the handshake closes).
-//! * **cookies** — stateless SYN cookies ([`lrp_core::SynCookies::Auto`]
+//! * **cookies** — stateless SYN cookies ([`HostConfig::syn_cookies`]
 //!   on top of the cache): a full backlog switches the listener to
 //!   stateless SYN|ACKs whose sequence number *is* the state. Spoofed
 //!   SYNs cost one keyed hash and one reply; only a returning valid ACK
@@ -31,9 +31,7 @@
 
 use crate::{Output, HOST_A, HOST_B};
 use lrp_apps::{shared, HttpClient, HttpMetrics, HttpWorker, Shared, SharedListener};
-use lrp_core::{
-    Architecture, CrashEvent, DropPoint, Host, HostConfig, HostFaultPlan, SynCookies, World,
-};
+use lrp_core::{Architecture, CrashEvent, DropPoint, Host, HostConfig, HostFaultPlan, World};
 use lrp_net::{Injector, Pattern};
 use lrp_sim::{SimDuration, SimTime};
 use lrp_telemetry::Json;
@@ -88,7 +86,7 @@ impl Defense {
             Defense::SynCache => cfg.syn_cache = true,
             Defense::Cookies => {
                 cfg.syn_cache = true;
-                cfg.syn_cookies = SynCookies::Auto;
+                cfg.syn_cookies = true;
             }
         }
     }

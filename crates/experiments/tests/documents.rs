@@ -268,3 +268,56 @@ fn design_names_only_what_exists() {
     }
     assert!(errs.is_empty(), "DESIGN.md: {errs:#?}");
 }
+
+/// DESIGN.md's crate table and README.md's architecture tree list the
+/// workspace as it is: a ``| `<package>` | `crates/<dir>` |`` row and a
+/// `<dir>/` line for every directory under `crates/`, and none for a
+/// directory that does not exist.
+#[test]
+fn crate_tables_list_every_crate() {
+    let root = repo_root();
+    let mut crates: Vec<(String, String)> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|dir| dir.join("Cargo.toml").is_file())
+        .map(|dir| {
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+            let package = manifest
+                .lines()
+                .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+                .unwrap();
+            let name = dir.file_name().unwrap().to_string_lossy();
+            (name.into_owned(), package.to_string())
+        })
+        .collect();
+    crates.sort();
+
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let mut rows: Vec<(String, String)> = design
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.split('|').map(str::trim).skip(1);
+            let package = cells.next()?.strip_prefix('`')?.strip_suffix('`')?;
+            let dir = cells.next()?.strip_prefix("`crates/")?.strip_suffix('`')?;
+            Some((dir.to_string(), package.to_string()))
+        })
+        .collect();
+    rows.sort();
+    assert_eq!(rows, crates, "DESIGN.md's crate table against crates/");
+
+    let readme = std::fs::read_to_string(root.join("README.md")).unwrap();
+    let mut tree: Vec<&str> = readme
+        .lines()
+        .skip_while(|line| *line != "crates/")
+        .skip(1)
+        .take_while(|line| line.starts_with(' '))
+        .filter_map(|line| {
+            let entry = line.strip_prefix("  ")?;
+            let (dir, _) = entry.split_once('/')?;
+            (!dir.is_empty() && !dir.contains(' ')).then_some(dir)
+        })
+        .collect();
+    tree.sort_unstable();
+    let dirs: Vec<&str> = crates.iter().map(|(dir, _)| dir.as_str()).collect();
+    assert_eq!(tree, dirs, "README.md's architecture tree against crates/");
+}

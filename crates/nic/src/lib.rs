@@ -430,7 +430,7 @@ pub struct NicStats {
 ///     Ipv4Addr::new(10, 0, 0, 1), local, 9, 7, 1, b"hi", true,
 /// ));
 /// // Queued silently: no interrupt was requested for this channel.
-/// assert_eq!(nic.rx_frame(frame), RxOutcome::Queued);
+/// assert_eq!(nic.rx_frame_at(0, frame), RxOutcome::Queued);
 /// assert_eq!(nic.channel(chan).depth(), 1);
 /// ```
 #[derive(Debug)]
@@ -459,8 +459,9 @@ pub struct Nic {
     default_channel_limit: usize,
     proxy: ProxyChannels,
     stats: NicStats,
-    /// Channel the most recent `rx_frame` enqueued into (NI mode only);
-    /// `None` if the frame was dropped, ring-queued, or not yet received.
+    /// Channel the most recent `rx_frame_spanned` enqueued into (NI mode
+    /// only); `None` if the frame was dropped, ring-queued, or not yet
+    /// received.
     last_rx_chan: Option<ChannelId>,
     /// Injected device faults (inert by default).
     faults: NicFaultPlan,
@@ -649,15 +650,6 @@ impl Nic {
         }
     }
 
-    /// Delivers a frame from the link to the NIC.
-    ///
-    /// Timeless wrapper around [`Nic::rx_frame_at`] for callers that do
-    /// not inject device faults (the fault windows are evaluated at
-    /// simulation start).
-    pub fn rx_frame(&mut self, frame: Frame) -> RxOutcome {
-        self.rx_frame_at(0, frame)
-    }
-
     /// Delivers a frame without a span from the link to the NIC at
     /// `now_ns` nanoseconds of simulated time: [`Nic::rx_frame_spanned`].
     pub fn rx_frame_at(&mut self, now_ns: u64, frame: Frame) -> RxOutcome {
@@ -798,9 +790,10 @@ impl Nic {
         n
     }
 
-    /// The channel the most recent [`Nic::rx_frame`] enqueued into, if any
-    /// (NI mode). Lets the host's telemetry observe firmware-side channel
-    /// placement without paying any modelled host cost.
+    /// The channel the most recent [`Nic::rx_frame_spanned`] enqueued
+    /// into, if any (NI mode). Lets the host's telemetry observe
+    /// firmware-side channel placement without paying any modelled host
+    /// cost.
     pub fn last_rx_channel(&self) -> Option<ChannelId> {
         self.last_rx_chan
     }
@@ -907,7 +900,7 @@ mod tests {
     #[test]
     fn bsd_mode_ring_and_interrupt() {
         let mut nic = Nic::new(DemuxMode::None, LOCAL, 8);
-        assert_eq!(nic.rx_frame(udp_frame(80)), RxOutcome::Interrupt(0));
+        assert_eq!(nic.rx_frame_at(0, udp_frame(80)), RxOutcome::Interrupt(0));
         assert_eq!(nic.ring_depth(), 1);
         assert!(nic.ring_dequeue().is_some());
         assert_eq!(nic.ring_depth(), 0);
@@ -918,7 +911,7 @@ mod tests {
     fn ring_drain_into_batches_in_arrival_order() {
         let mut nic = Nic::new(DemuxMode::None, LOCAL, 8);
         for port in [1u16, 2, 3, 4] {
-            nic.rx_frame(udp_frame(port));
+            nic.rx_frame_at(0, udp_frame(port));
         }
         assert_eq!(nic.ring_depth(), 4);
         let mut out = vec![udp_frame(99)]; // pre-existing contents survive
@@ -942,10 +935,10 @@ mod tests {
     fn ring_overrun_drops() {
         let mut nic = Nic::new(DemuxMode::None, LOCAL, 8);
         nic.rx_ring_limit = 2;
-        assert_eq!(nic.rx_frame(udp_frame(1)), RxOutcome::Interrupt(0));
-        assert_eq!(nic.rx_frame(udp_frame(1)), RxOutcome::Interrupt(0));
+        assert_eq!(nic.rx_frame_at(0, udp_frame(1)), RxOutcome::Interrupt(0));
+        assert_eq!(nic.rx_frame_at(0, udp_frame(1)), RxOutcome::Interrupt(0));
         assert_eq!(
-            nic.rx_frame(udp_frame(1)),
+            nic.rx_frame_at(0, udp_frame(1)),
             RxOutcome::Dropped(NicDrop::RingOverrun)
         );
         assert_eq!(nic.stats().ring_drops, 1);
@@ -962,7 +955,7 @@ mod tests {
             )
             .unwrap();
         // No interrupt requested: frame queued silently.
-        assert_eq!(nic.rx_frame(udp_frame(9000)), RxOutcome::Queued);
+        assert_eq!(nic.rx_frame_at(0, udp_frame(9000)), RxOutcome::Queued);
         assert_eq!(nic.channel(chan).depth(), 1);
         assert_eq!(nic.stats().interrupts, 0);
     }
@@ -978,9 +971,9 @@ mod tests {
             )
             .unwrap();
         nic.channel_mut(chan).intr_requested = true;
-        assert_eq!(nic.rx_frame(udp_frame(9000)), RxOutcome::Interrupt(0));
+        assert_eq!(nic.rx_frame_at(0, udp_frame(9000)), RxOutcome::Interrupt(0));
         // Flag auto-clears; queue non-empty => no further interrupts.
-        assert_eq!(nic.rx_frame(udp_frame(9000)), RxOutcome::Queued);
+        assert_eq!(nic.rx_frame_at(0, udp_frame(9000)), RxOutcome::Queued);
         assert_eq!(nic.stats().interrupts, 1);
     }
 
@@ -994,10 +987,10 @@ mod tests {
                 chan,
             )
             .unwrap();
-        assert_eq!(nic.rx_frame(udp_frame(9000)), RxOutcome::Queued);
-        assert_eq!(nic.rx_frame(udp_frame(9000)), RxOutcome::Queued);
+        assert_eq!(nic.rx_frame_at(0, udp_frame(9000)), RxOutcome::Queued);
+        assert_eq!(nic.rx_frame_at(0, udp_frame(9000)), RxOutcome::Queued);
         assert_eq!(
-            nic.rx_frame(udp_frame(9000)),
+            nic.rx_frame_at(0, udp_frame(9000)),
             RxOutcome::Dropped(NicDrop::ChannelFull)
         );
         assert_eq!(nic.channel(chan).stats().dropped_full, 1);
@@ -1008,12 +1001,12 @@ mod tests {
     fn ni_mode_unmatched_discard() {
         let mut nic = Nic::new(DemuxMode::Ni, LOCAL, 8);
         assert_eq!(
-            nic.rx_frame(udp_frame(12345)),
+            nic.rx_frame_at(0, udp_frame(12345)),
             RxOutcome::Dropped(NicDrop::NoMatch)
         );
         // Malformed packets die on the NIC too.
         assert_eq!(
-            nic.rx_frame(Frame::ipv4(vec![0u8; 5])),
+            nic.rx_frame_at(0, Frame::ipv4(vec![0u8; 5])),
             RxOutcome::Dropped(NicDrop::Malformed)
         );
         assert_eq!(nic.stats().early_discards, 2);
@@ -1031,9 +1024,9 @@ mod tests {
             .unwrap();
         let seg = udp::build(PEER, LOCAL, 5, 9000, &[0u8; 3000], false);
         let frags = lrp_wire::ipv4::fragment(PEER, LOCAL, proto::UDP, 3, &seg, 1500);
-        nic.rx_frame(Frame::ipv4(frags[1].clone()));
+        nic.rx_frame_at(0, Frame::ipv4(frags[1].clone()));
         assert_eq!(nic.channel(nic.fragment_channel).depth(), 1);
-        nic.rx_frame(Frame::ipv4(frags[0].clone()));
+        nic.rx_frame_at(0, Frame::ipv4(frags[0].clone()));
         assert_eq!(nic.channel(chan).depth(), 1);
     }
 
@@ -1053,7 +1046,7 @@ mod tests {
                 payload: vec![],
             },
         );
-        assert_eq!(nic.rx_frame(Frame::ipv4(pkt)), RxOutcome::Queued);
+        assert_eq!(nic.rx_frame_at(0, Frame::ipv4(pkt)), RxOutcome::Queued);
         assert_eq!(nic.channel(icmp_chan).depth(), 1);
     }
 
@@ -1179,7 +1172,7 @@ mod tests {
             )
             .unwrap();
         for _ in 0..6 {
-            nic.rx_frame(udp_frame(9000));
+            nic.rx_frame_at(0, udp_frame(9000));
         }
         let mut ch = nic.channel_mut(c);
         assert_eq!(ch.stats().enqueued, 4);
@@ -1202,7 +1195,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(nic.last_rx_channel(), None);
-        nic.rx_frame(udp_frame(9000));
+        nic.rx_frame_at(0, udp_frame(9000));
         assert_eq!(nic.last_rx_channel(), Some(chan));
         assert_eq!(nic.channel_depth_total(), 1);
         let hot = nic.create_default_channel();
@@ -1212,7 +1205,7 @@ mod tests {
                 hot,
             )
             .unwrap();
-        nic.rx_frame(udp_frame(9001));
+        nic.rx_frame_at(0, udp_frame(9001));
         let span = NonZeroU64::new(7);
         nic.rx_frame_spanned(40, udp_frame(9001), span);
         assert_eq!(nic.channel_depths(), (3, 2));
@@ -1225,7 +1218,7 @@ mod tests {
             Stamp { at, span }
         );
         // A discarded frame clears the marker.
-        nic.rx_frame(udp_frame(12345));
+        nic.rx_frame_at(0, udp_frame(12345));
         assert_eq!(nic.last_rx_channel(), None);
     }
 

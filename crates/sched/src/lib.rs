@@ -16,7 +16,7 @@
 //!    CPU time pays for it in future priority. BSD charges interrupt-time
 //!    to the process that happened to be running (mis-accounting); LRP
 //!    charges protocol processing to the receiving process. The charging
-//!    policy is chosen by the caller ([`Scheduler::charge`]); this crate
+//!    policy is chosen by the caller ([`Scheduler::charge_on`]); this crate
 //!    provides the machinery.
 //!
 //! The scheduler is purely a decision structure: it never advances time

@@ -46,7 +46,7 @@ impl Default for SchedConfig {
 /// assert_eq!(s.pick_next(), Some(fg));
 /// // Heavy charged usage eventually worsens priority past even nice +20,
 /// // exactly as accumulated statclock ticks would.
-/// s.charge(fg, Account::User, SimDuration::from_secs(2));
+/// s.charge_on(0, fg, Account::User, SimDuration::from_secs(2));
 /// s.requeue(fg, false);
 /// assert_eq!(s.pick_next(), Some(bg));
 /// ```
@@ -268,15 +268,10 @@ impl Scheduler {
         p.user_pri = raw.clamp(PUSER as f64, PRI_MAX as f64) as u8;
     }
 
-    /// Charges CPU time to `pid` under the given account.
+    /// Charges CPU time to `pid` under the given account, done on `cpu`.
     ///
     /// Feeds `estcpu` (converted to statclock ticks) and recomputes the
     /// user priority, exactly as accumulated `statclock` ticks would.
-    pub fn charge(&mut self, pid: Pid, kind: Account, d: SimDuration) {
-        self.charge_on(0, pid, kind, d);
-    }
-
-    /// [`charge`](Self::charge), attributing the time to a specific CPU.
     /// The decay math (`estcpu`, priority) is identical regardless of
     /// which CPU did the work; only the per-CPU ledger differs.
     pub fn charge_on(&mut self, cpu: usize, pid: Pid, kind: Account, d: SimDuration) {
@@ -388,24 +383,15 @@ impl Scheduler {
         None
     }
 
-    /// The priority of the best queued process on CPU 0's queue, if any.
-    pub fn best_queued_pri(&self) -> Option<u8> {
-        self.best_queued_pri_on(0)
-    }
-
     /// The priority of the best process queued on `cpu`, if any.
     pub fn best_queued_pri_on(&self, cpu: usize) -> Option<u8> {
         self.runqs[cpu].best_pri()
     }
 
-    /// True if a queued process has strictly better (lower) priority than
-    /// `pri` — the preemption test, from CPU 0's viewpoint.
-    pub fn should_preempt(&self, pri: u8) -> bool {
-        self.should_preempt_on(0, pri)
-    }
-
-    /// The preemption test against `cpu`'s own queue: each CPU only
-    /// preempts for work filed on it (IPIs handle cross-CPU wakeups).
+    /// True if a process queued on `cpu` has strictly better (lower)
+    /// priority than `pri` — the preemption test against `cpu`'s own
+    /// queue: each CPU only preempts for work filed on it (IPIs handle
+    /// cross-CPU wakeups).
     pub fn should_preempt_on(&self, cpu: usize, pri: u8) -> bool {
         match self.runqs[cpu].best_pri() {
             // Compare bucket-aligned priorities: preempt only when the
@@ -672,7 +658,7 @@ mod tests {
         let mut s = sched();
         let a = s.spawn("a", 0, SimDuration::ZERO);
         let before = s.proc_ref(a).user_pri;
-        s.charge(a, Account::User, SimDuration::from_millis(400));
+        s.charge_on(0, a, Account::User, SimDuration::from_millis(400));
         let after = s.proc_ref(a).user_pri;
         assert!(after > before, "40 ticks of usage must worsen priority");
         assert_eq!(s.proc_ref(a).acct.user, SimDuration::from_millis(400));
@@ -684,7 +670,7 @@ mod tests {
         // degrades its future priority just like its own usage.
         let mut s = sched();
         let a = s.spawn("victim", 0, SimDuration::ZERO);
-        s.charge(a, Account::Interrupt, SimDuration::from_millis(200));
+        s.charge_on(0, a, Account::Interrupt, SimDuration::from_millis(200));
         assert!(s.proc_ref(a).user_pri > PUSER);
         assert_eq!(s.proc_ref(a).acct.interrupt, SimDuration::from_millis(200));
     }
@@ -693,7 +679,7 @@ mod tests {
     fn decay_recovers_priority() {
         let mut s = sched();
         let a = s.spawn("a", 0, SimDuration::ZERO);
-        s.charge(a, Account::User, SimDuration::from_secs(1));
+        s.charge_on(0, a, Account::User, SimDuration::from_secs(1));
         let degraded = s.proc_ref(a).user_pri;
         assert!(degraded > PUSER);
         // With zero other load, many decay rounds drive estcpu toward 0.
@@ -708,7 +694,7 @@ mod tests {
     fn estcpu_saturates() {
         let mut s = sched();
         let a = s.spawn("a", 0, SimDuration::ZERO);
-        s.charge(a, Account::User, SimDuration::from_secs(100));
+        s.charge_on(0, a, Account::User, SimDuration::from_secs(100));
         assert!(s.proc_ref(a).estcpu <= 255.0);
         assert!(s.proc_ref(a).user_pri <= PRI_MAX);
     }
@@ -759,9 +745,9 @@ mod tests {
         s.procs[io.0 as usize].state = ProcState::Running;
         s.sleep(io, WaitChannel(9), PSOCK);
         // Worker at PUSER; io wakes at PSOCK < PUSER => preemption.
-        assert!(!s.should_preempt(s.proc_ref(worker).effective_pri()));
+        assert!(!s.should_preempt_on(0, s.proc_ref(worker).effective_pri()));
         s.wakeup(WaitChannel(9));
-        assert!(s.should_preempt(s.proc_ref(worker).effective_pri()));
+        assert!(s.should_preempt_on(0, s.proc_ref(worker).effective_pri()));
     }
 
     #[test]
@@ -771,7 +757,7 @@ mod tests {
         let b = s.spawn("b", 0, SimDuration::ZERO);
         assert_eq!(s.pick_next(), Some(a));
         // b is queued at the same bucket: no preemption.
-        assert!(!s.should_preempt(s.proc_ref(a).effective_pri()));
+        assert!(!s.should_preempt_on(0, s.proc_ref(a).effective_pri()));
         let _ = b;
     }
 
@@ -789,9 +775,9 @@ mod tests {
         let mut s = sched();
         let a = s.spawn("a", 0, SimDuration::ZERO);
         let b = s.spawn("b", 0, SimDuration::ZERO);
-        s.charge(a, Account::User, SimDuration::from_micros(300));
-        s.charge(b, Account::System, SimDuration::from_micros(200));
-        s.charge(a, Account::Interrupt, SimDuration::from_micros(100));
+        s.charge_on(0, a, Account::User, SimDuration::from_micros(300));
+        s.charge_on(0, b, Account::System, SimDuration::from_micros(200));
+        s.charge_on(0, a, Account::Interrupt, SimDuration::from_micros(100));
         assert_eq!(s.total_charged(), SimDuration::from_micros(600));
         let sum = s.accounting(a).total() + s.accounting(b).total();
         assert_eq!(sum, s.total_charged());
@@ -802,10 +788,10 @@ mod tests {
         let mut s = sched();
         let a = s.spawn("a", 0, SimDuration::ZERO);
         let b = s.spawn("b", 0, SimDuration::ZERO);
-        s.charge(a, Account::User, SimDuration::from_micros(300));
-        s.charge(b, Account::User, SimDuration::from_micros(50));
-        s.charge(b, Account::System, SimDuration::from_micros(200));
-        s.charge(a, Account::Interrupt, SimDuration::from_micros(100));
+        s.charge_on(0, a, Account::User, SimDuration::from_micros(300));
+        s.charge_on(0, b, Account::User, SimDuration::from_micros(50));
+        s.charge_on(0, b, Account::System, SimDuration::from_micros(200));
+        s.charge_on(0, a, Account::Interrupt, SimDuration::from_micros(100));
         let t = s.account_totals();
         assert_eq!(t.user, SimDuration::from_micros(350));
         assert_eq!(t.system, SimDuration::from_micros(200));
@@ -819,7 +805,7 @@ mod tests {
         let a = s.spawn("hot", 0, SimDuration::ZERO);
         let b = s.spawn("cold", 0, SimDuration::ZERO);
         // Make `a` very hot; both runnable/queued.
-        s.charge(a, Account::User, SimDuration::from_secs(2));
+        s.charge_on(0, a, Account::User, SimDuration::from_secs(2));
         s.decay();
         // After requeue, b should be picked first.
         assert_eq!(s.pick_next(), Some(b));
@@ -911,13 +897,12 @@ mod tests {
 
     #[test]
     fn uniprocessor_config_matches_legacy_entry_points() {
-        // ncpus=1: the *_on(0) methods and the legacy methods are the
-        // same code path — the bit-compatibility contract.
+        // ncpus=1: `pick_next` is `pick_next_on(0)`, and CPU 0's ledger
+        // is the whole ledger — the bit-compatibility contract.
         let mut s = smp(1);
         let a = s.spawn("a", 0, SimDuration::ZERO);
-        assert_eq!(s.best_queued_pri(), s.best_queued_pri_on(0));
         assert_eq!(s.pick_next(), Some(a));
-        s.charge(a, Account::User, SimDuration::from_micros(70));
+        s.charge_on(0, a, Account::User, SimDuration::from_micros(70));
         assert_eq!(s.charged_on(0), s.total_charged());
     }
 
@@ -983,10 +968,10 @@ mod tests {
         let a = s.spawn("a", 0, SimDuration::ZERO);
         let b = s.spawn("b", 0, SimDuration::ZERO);
         let us = SimDuration::from_micros;
-        s.charge(b, Account::System, us(5));
-        s.charge(a, Account::User, us(7));
-        s.charge(b, Account::User, us(3));
-        s.charge(b, Account::Interrupt, SimDuration::ZERO);
+        s.charge_on(0, b, Account::System, us(5));
+        s.charge_on(0, a, Account::User, us(7));
+        s.charge_on(0, b, Account::User, us(3));
+        s.charge_on(0, b, Account::Interrupt, SimDuration::ZERO);
         assert_eq!(s.check_activity_index(), Ok(()));
         assert_eq!(s.total_user(), us(10));
         let mut out = vec![a, a, a];
@@ -995,7 +980,7 @@ mod tests {
         assert_eq!(s.check_activity_index(), Ok(()));
         s.take_charged(&mut out);
         assert!(out.is_empty(), "the list empties on take");
-        s.charge(a, Account::System, us(1));
+        s.charge_on(0, a, Account::System, us(1));
         s.take_charged(&mut out);
         assert_eq!(out, [a], "a cleared mark lets the pid back on");
         assert_eq!(s.total_user(), us(10));

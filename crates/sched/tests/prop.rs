@@ -103,7 +103,7 @@ proptest! {
                                 _ => Account::Interrupt,
                             };
                             let d = SimDuration::from_micros(us as u64);
-                            s.charge(p, kind, d);
+                            s.charge_on(0, p, kind, d);
                             expected_total += d;
                         }
                     }
@@ -188,8 +188,8 @@ proptest! {
         let mut s = Scheduler::new(SchedConfig::default());
         let a = s.spawn("a", 0, SimDuration::ZERO);
         let b = s.spawn("b", 0, SimDuration::ZERO);
-        s.charge(a, Account::User, SimDuration::from_micros(a_us));
-        s.charge(b, Account::User, SimDuration::from_micros(b_us));
+        s.charge_on(0, a, Account::User, SimDuration::from_micros(a_us));
+        s.charge_on(0, b, Account::User, SimDuration::from_micros(b_us));
         if a_us <= b_us {
             prop_assert!(s.proc_ref(a).user_pri <= s.proc_ref(b).user_pri);
         } else {
@@ -203,7 +203,7 @@ proptest! {
     fn decay_converges(us in 0u64..10_000_000) {
         let mut s = Scheduler::new(SchedConfig::default());
         let a = s.spawn("a", 0, SimDuration::ZERO);
-        s.charge(a, Account::User, SimDuration::from_micros(us));
+        s.charge_on(0, a, Account::User, SimDuration::from_micros(us));
         let mut last = s.proc_ref(a).estcpu;
         for _ in 0..100 {
             s.decay();
@@ -301,7 +301,7 @@ fn estcpu_matches_the_plain_f64_chain() {
                         1 => Account::System,
                         _ => Account::Interrupt,
                     };
-                    s.charge(pids[i], kind, SimDuration::from_nanos(ns));
+                    s.charge_on(0, pids[i], kind, SimDuration::from_nanos(ns));
                     let m = &mut model[i];
                     clamped_charges += u64::from(m.estcpu == 255.0);
                     m.estcpu += ns as f64 / tick as f64;
@@ -381,7 +381,7 @@ fn unpreempted_is_exactly_what_requeue_and_pick_give_back() {
         for _ in 0..1 + rng.below(12) {
             let pid = s.spawn("p", rng.below(41) as i8 - 20, SimDuration::ZERO);
             let used = SimDuration::from_millis(rng.below(3000));
-            s.charge(pid, Account::User, used);
+            s.charge_on(0, pid, Account::User, used);
             match rng.below(6) {
                 0 => s.set_fixed_pri(pid, Some(rng.below(u64::from(PRI_MAX) + 1) as u8)),
                 1 => s.set_affinity(pid, Some(rng.below(ncpus as u64) as usize)),
@@ -405,7 +405,8 @@ fn unpreempted_is_exactly_what_requeue_and_pick_give_back() {
         let Some(pid) = running else { continue };
         // Its priority may have moved while it ran.
         match rng.below(4) {
-            0 => s.charge(
+            0 => s.charge_on(
+                0,
                 pid,
                 Account::User,
                 SimDuration::from_millis(rng.below(1000)),

@@ -13,7 +13,7 @@
 //! never exceed the most connections the thread has held at once.
 
 use super::TcpConn;
-use lrp_mbuf::{SpareList, SpareStats};
+use lrp_wire::spare::{SpareList, SpareStats};
 use std::cell::RefCell;
 use std::fmt;
 use std::mem::ManuallyDrop;

@@ -1,13 +1,13 @@
 //! Arena-backed frame bytes.
 //!
 //! [`FrameBuf`] is the byte storage behind [`crate::Frame`]: an
-//! `Rc<PooledBuf>` drawn from a thread-local [`FrameArena`]
-//! (`lrp-mbuf`). Cloning a frame — fan-out, duplication faults, capture
-//! — is a reference-count bump instead of a full byte copy. The `Rc` is
-//! the buffer's one identity: when the last reference drops, both the
-//! byte vector and the `Rc` box go back to the arena for the next
-//! packet, exactly once, so steady-state traffic leaves the allocator
-//! alone.
+//! `Rc<PooledBuf>` drawn from a thread-local [`FrameArena`]. Cloning a
+//! frame — fan-out, duplication faults, capture — is a reference-count
+//! bump instead of a full byte copy. The `Rc` is the buffer's one
+//! identity: its strong count decides when the buffer comes back, so
+//! when the last reference drops, both the byte vector and the `Rc` box
+//! go back to the arena for the next packet, exactly once, and
+//! steady-state traffic leaves the allocator alone.
 //!
 //! A [`FrameSlice`] is a byte range of one, held by reference: the unit
 //! a TCP socket buffer queues, so payload bytes stay where they arrived
@@ -19,15 +19,20 @@
 //! so swapping `Vec<u8>` for `FrameBuf` changes no observable
 //! behaviour.
 //!
-//! A buffer the TCP framer ([`crate::tcp::PayloadBuf::frame`]) built
-//! carries the arena's TCP-summed mark, and keeps it for as long as no
-//! one takes `&mut` to its bytes: [`FrameBuf::get_mut`],
-//! [`FrameBuf::make_mut`] and [`FrameSlice::extend_in_place`] all clear
-//! it (a copy made for a shared buffer starts unmarked; the original
-//! keeps its mark and its bytes). Nothing outside this crate can set it,
-//! so [`crate::tcp::verify_segment`] may trust it.
+//! A buffer carries one more bit: the *TCP-summed mark*, which says
+//! "these bytes are exactly an IPv4+TCP datagram whose TCP checksum the
+//! framer wrote, and nothing has written to them since". Only the TCP
+//! framer ([`crate::tcp::PayloadBuf::frame`]) sets it, on storage it
+//! alone owns, and [`FrameArena::adopt`] starts every checkout unmarked.
+//! Every path to `&mut` bytes clears it: [`FrameBuf::get_mut`],
+//! [`FrameBuf::make_mut`] and [`FrameSlice::extend_in_place`] (a copy
+//! made for a shared buffer starts unmarked; the original keeps its mark
+//! and its bytes). Nothing outside this crate can set it, so
+//! [`crate::tcp::verify_segment`] may trust it and skip summing a whole
+//! segment that carries it (Linux's `CHECKSUM_UNNECESSARY` for loopback):
+//! the sum cannot fail.
 
-use lrp_mbuf::{ArenaStats, FrameArena, PooledBuf};
+use crate::arena::{ArenaStats, FrameArena, PooledBuf};
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -8,6 +8,9 @@
 //! honest: demux cost, checksum cost and header processing all operate on
 //! genuine packet data.
 //!
+//! The bytes themselves live in the frame arena ([`arena`]), behind
+//! [`FrameBuf`] ([`buf`]), so steady-state traffic does no allocator work.
+//!
 //! # Examples
 //!
 //! ```
@@ -25,12 +28,14 @@
 
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod arp;
 pub mod buf;
 pub mod checksum;
 pub mod frame;
 pub mod icmp;
 pub mod ipv4;
+pub mod spare;
 pub mod tcp;
 pub mod udp;
 

@@ -6,8 +6,8 @@
 //! crates for detail:
 //!
 //! - [`sim`] — discrete-event engine, deterministic RNG, statistics.
-//! - [`mbuf`] — the frame arena behind every frame's bytes.
-//! - [`wire`] — IPv4/UDP/TCP/ICMP/ARP wire formats on real bytes.
+//! - [`wire`] — IPv4/UDP/TCP/ICMP/ARP wire formats on real bytes, and the
+//!   frame arena behind every frame's bytes.
 //! - [`demux`] — the early packet demultiplexing function of LRP §3.2.
 //! - [`sched`] — 4.3BSD decay-usage scheduler and process model.
 //! - [`nic`] — network interface model with NI channels.
@@ -39,7 +39,6 @@ pub use lrp_apps as apps;
 pub use lrp_core as core;
 pub use lrp_demux as demux;
 pub use lrp_experiments as experiments;
-pub use lrp_mbuf as mbuf;
 pub use lrp_net as net;
 pub use lrp_nic as nic;
 pub use lrp_sched as sched;
